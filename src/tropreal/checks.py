@@ -758,6 +758,8 @@ def run_suites(
             raise UnknownSuite(
                 f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
             )
+    if size is not None and size < 1:
+        raise ValueError(f"the suite size must be positive, not {size}")
     digest_src = json.dumps(
         {"suites": names, "seed": seed, "size": size}, sort_keys=True
     )

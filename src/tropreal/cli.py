@@ -9,13 +9,14 @@ seed.  Exit codes: 0 all good, 1 a check failed, 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
 from fractions import Fraction
 
 from . import iojson
-from .errors import TropRealError
+from .errors import ParseError, TropRealError
 from .hyperfields import INF, normalize_rel, stv
 from .parsing import parse_polyk
 from .polyhedra import (
@@ -67,27 +68,30 @@ def _emit(out: str | None, payload: str, human: str | None) -> None:
         print(human)
 
 
-def _load_polyk(path: str, nvars: int | None):
-    import json
+def _decode(path: str, text: str, decode, *args):
+    """Decode a JSON input; a document of the wrong shape is a ParseError."""
+    data = json.loads(text)
+    try:
+        return decode(data, *args)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from None
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed input: {exc}") from None
 
+
+def _load_polyk(path: str, nvars: int | None):
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return iojson.polyk_from_json(json.loads(text))
+        return _decode(path, text, iojson.polyk_from_json)
     return parse_polyk(text, nvars=nvars)
 
 
 def _load_troppoly(path: str):
-    import json
-
-    text = _read_text(path)
-    data = json.loads(text)
-    return iojson.troppoly_from_json(data)
+    return _decode(path, _read_text(path), iojson.troppoly_from_json)
 
 
 def _load_description(path: str):
-    import json
-
-    return iojson.description_from_json(json.loads(_read_text(path)))
+    return _decode(path, _read_text(path), iojson.description_from_json)
 
 
 _TARGET_RE = re.compile(r"\(\s*([+\-0])\s*,\s*([^()\s]+)\s*\)")
@@ -249,12 +253,10 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    import json
-
     S = _load_description(args.input)
     sigma = parse_orthant(args.orthant) if args.orthant else tuple([1] * S.nvars)
     m = len(orthant_support(sigma))
-    T = iojson.union_from_json(json.loads(_read_text(args.target_set)), m)
+    T = _decode(args.target_set, _read_text(args.target_set), iojson.union_from_json, m)
     seed = args.seed if args.seed is not None else _default_seed()
     cfg = SamplerConfig(seed=seed)
     res = finite_basis(T, S, sigma, cfg, n_samples=args.count)

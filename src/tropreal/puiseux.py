@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 from typing import Iterable, Optional, Union
 
 from .errors import PuiseuxDivisionError
@@ -146,8 +146,9 @@ class PuiseuxSeries:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def inverse(self) -> "PuiseuxSeries":
@@ -248,13 +249,18 @@ class SamplerConfig:
             raise ValueError("empty coefficient range")
 
 
+def _grid_range(lo: Fraction, hi: Fraction, q: int) -> tuple[int, int]:
+    """ceil(lo * q) and floor(hi * q), in integer arithmetic."""
+    return -(-lo.numerator * q // lo.denominator), hi.numerator * q // hi.denominator
+
+
 def _grid_draw(rng: random.Random, lo: Fraction, hi: Fraction, dbound: int) -> Fraction:
     """Uniform draw from {k/q : lo <= k/q <= hi} for a random q <= dbound."""
     q = rng.randint(1, dbound)
-    lo_n, hi_n = ceil(lo * q), floor(hi * q)
+    lo_n, hi_n = _grid_range(lo, hi, q)
     if lo_n > hi_n:  # grid for this q misses the window; denominator 1..dbound lcm helps
         q = dbound
-        lo_n, hi_n = ceil(lo * q), floor(hi * q)
+        lo_n, hi_n = _grid_range(lo, hi, q)
         if lo_n > hi_n:
             raise ValueError("rational grid is empty in the configured range")
     return Fraction(rng.randint(lo_n, hi_n), q)
@@ -288,4 +294,5 @@ def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> Puiseu
         e = _grid_draw(rng, lo, hi, cfg.exponent_denominator_bound)
         if e > lead:
             exps.add(e)
-    return PuiseuxSeries.from_terms((e, _nonzero_coeff(rng, cfg)) for e in sorted(exps))
+    # distinct sorted exponents and nonzero coefficients: already in normal form
+    return PuiseuxSeries(tuple((e, _nonzero_coeff(rng, cfg)) for e in sorted(exps)))

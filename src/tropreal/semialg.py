@@ -487,20 +487,23 @@ def lift_inequality(
     {1, 1/2, 1/3, ...} (all of unit magnitude, so the tropicalization is
     unchanged) until every verification sample satisfies f >= 0 exactly.
     Verification is sample-based: success means "verified on N samples",
-    not a proof over all of S.
+    not a proof over all of S.  When no samples are passed in, they are
+    drawn only if a step needs them.
     """
     if any(s != 1 for s in sigma):
         raise PreconditionFailed("lifting works in the all-positive orthant")
     if F.nvars != S.nvars or len(sigma) != S.nvars:
         raise DimensionMismatch("dimension mismatch")
 
-    if samples is None:
+    pos = [(e, c) for e, c in F.terms if c.sign > 0]
+    neg = [(e, c) for e, c in F.terms if c.sign < 0]
+    covered = union_subset(sa_outer(S, sigma), trop_region(F, sigma, "ge"))
+    if samples is None and (neg or not covered):
         samples = collect_samples(
             S, cfg, n_samples, sigma=sigma, proposal=proposal
         )
 
-    region = trop_region(F, sigma, "ge")
-    if union_subset(sa_outer(S, sigma), region):
+    if covered:
         certificate = "outer-region"
     else:
         points = [trop_point(p) for p in samples]
@@ -510,8 +513,6 @@ def lift_inequality(
             )
         certificate = "inner-samples"
 
-    pos = [(e, c) for e, c in F.terms if c.sign > 0]
-    neg = [(e, c) for e, c in F.terms if c.sign < 0]
     pos_poly = PolyK.from_terms(F.nvars, ((e, _representative(c)) for e, c in pos))
     neg_poly = PolyK.from_terms(F.nvars, ((e, _representative(c)) for e, c in neg))
     if not neg:

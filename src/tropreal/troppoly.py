@@ -13,20 +13,31 @@ x**d with d > 0 contributes zero (the term is skipped), and d < 0 raises
 
 Exact evaluation of a Laurent polynomial at Puiseux points avoids series
 division: signs and signed values are computed through the cleared
-polynomial f * x**m (sign-preserving even powers for signs, an exact
+polynomial g = f * x**m (sign-preserving even powers for signs, an exact
 quotient of signed values for valuations).  ``eval_k`` returns the honest
 series value and therefore supports negative exponents only where the
 inverse stays finite, i.e. at monomial coordinates.
 
+``laurent_sign`` never builds that value.  It evaluates g in plain
+integers: exponents are brought to one common denominator D, so t**(1/D)
+becomes the integer exponent 1, and every coefficient is multiplied by a
+positive integer so that no denominators are left.  Scaling a series by a
+positive constant keeps its sign, and renaming exponents e -> D*e keeps
+their order, so the sign of g(p) is the sign of the integer sum at its
+lowest exponent with a nonzero coefficient.
+
 Everything is immutable; evaluation over shared polynomials is safe from
-concurrent contexts.
+concurrent contexts.  The integer form of g is cached on each
+:class:`PolyK` the first time a sign is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from math import lcm
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NegativeExponentAtZero
 from .hyperfields import (
@@ -113,8 +124,9 @@ class PolyK:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def scale(self, c: PuiseuxSeries) -> "PolyK":
@@ -139,6 +151,14 @@ class PolyK:
     def _check(self, other: "PolyK") -> None:
         if self.nvars != other.nvars:
             raise DimensionMismatch(f"nvars {self.nvars} vs {other.nvars}")
+
+    @cached_property
+    def _clearing(self) -> tuple["PolyK", Exps]:
+        return _cleared(self)
+
+    @cached_property
+    def _sign_kernel(self) -> "_SignKernel":
+        return _SignKernel.of(self)
 
 
 @dataclass(frozen=True)
@@ -250,24 +270,27 @@ def eval_k(f: PolyK, p: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
     p = tuple(p)
     if len(p) != f.nvars:
         raise DimensionMismatch(f"point dim {len(p)} vs nvars {f.nvars}")
-    total = PuiseuxSeries.zero()
+    powers: dict[tuple[int, int], PuiseuxSeries] = {}
+    pairs: list[tuple[Fraction, Fraction]] = []
     for exps, coeff in f.terms:
         term = coeff
-        dead = False
-        for d, c in zip(exps, p):
+        for i, d in enumerate(exps):
             if d == 0:
                 continue
+            c = p[i]
             if c.is_zero():
                 if d < 0:
                     raise NegativeExponentAtZero(
                         "negative exponent at a zero coordinate"
                     )
-                dead = True
                 break
-            term = term * (c ** d)
-        if not dead:
-            total = total + term
-    return total
+            power = powers.get((i, d))
+            if power is None:
+                power = powers[(i, d)] = c ** d
+            term = term * power
+        else:
+            pairs.extend(term.terms)
+    return PuiseuxSeries.from_terms(pairs)
 
 
 def _cleared(f: PolyK) -> tuple[PolyK, Exps]:
@@ -277,17 +300,138 @@ def _cleared(f: PolyK) -> tuple[PolyK, Exps]:
     return (f.shift(m) if any(m) else f), m
 
 
-def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
-    """Exact sign of f(p) for Laurent f, via a sign-preserving even-power clearing."""
-    p = tuple(p)
+def _check_laurent_point(f: PolyK, p: tuple[PuiseuxSeries, ...]) -> None:
     if len(p) != f.nvars:
         raise DimensionMismatch(f"point dim {len(p)} vs nvars {f.nvars}")
-    mins = f.min_exponents()
-    for mn, c in zip(mins, p):
-        if mn < 0 and c.is_zero():
+    # the clearing shift is nonzero exactly where f has a negative exponent
+    for mk, c in zip(f._clearing[1], p):
+        if mk and c.is_zero():
             raise NegativeExponentAtZero("negative exponent at a zero coordinate")
-    g, _ = _cleared(f)
-    return eval_k(g, p).sign()
+
+
+IntSeries = dict[int, int]  # exponent numerator over a shared denominator -> coefficient
+
+
+def _int_mul(a: IntSeries, b: IntSeries) -> IntSeries:
+    out: IntSeries = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+class _SignKernel(NamedTuple):
+    """The cleared polynomial g = f * x**m of a Laurent f in integer form.
+
+    Each term is (exponent vector, coefficient), the coefficient series
+    given as (exponent numerator, integer coefficient) pairs: exponents
+    over the common denominator ``den``, coefficients multiplied by one
+    positive integer shared by all of g.  ``maxdeg`` is the largest degree
+    of each variable in g.
+    """
+
+    den: int
+    maxdeg: Exps
+    terms: tuple[tuple[Exps, tuple[tuple[int, int], ...]], ...]
+
+    @staticmethod
+    def of(f: PolyK) -> "_SignKernel":
+        g, _ = f._clearing
+        den = scale = 1
+        for _, coeff in g.terms:
+            for e, c in coeff.terms:
+                den = lcm(den, e.denominator)
+                scale = lcm(scale, c.denominator)
+        terms = tuple(
+            (
+                exps,
+                tuple(
+                    (
+                        e.numerator * (den // e.denominator),
+                        c.numerator * (scale // c.denominator),
+                    )
+                    for e, c in coeff.terms
+                ),
+            )
+            for exps, coeff in g.terms
+        )
+        maxdeg = tuple(
+            max((exps[k] for exps, _ in g.terms), default=0) for k in range(f.nvars)
+        )
+        return _SignKernel(den, maxdeg, terms)
+
+    def sign_at(self, p: tuple[PuiseuxSeries, ...]) -> int:
+        """Sign of g(p), computed as the sign of K * g(p) for an integer K > 0.
+
+        Write x_k = X_k / b_k, where the integer b_k > 0 clears the
+        coefficient denominators of x_k.  Multiplied by prod b_k**maxdeg_k,
+        the term c * x**e becomes c * prod b_k**(maxdeg_k - e_k) * X_k**e_k:
+        integers only, and the same positive factor for every term.
+        """
+        den = self.den
+        for c, md in zip(p, self.maxdeg):
+            if md:
+                for e, _ in c.terms:
+                    den = lcm(den, e.denominator)
+        # rows[k][d] = X_k**d and bpows[k][d] = b_k**(maxdeg_k - d); rows[k]
+        # is None when x_k is zero or not in g, bpows[k] when b_k = 1
+        rows: list[list[IntSeries] | None] = []
+        bpows: list[list[int] | None] = []
+        for c, md in zip(p, self.maxdeg):
+            if not md or c.is_zero():
+                rows.append(None)
+                bpows.append(None)
+                continue
+            b = 1
+            for _, a in c.terms:
+                b = lcm(b, a.denominator)
+            x = {
+                e.numerator * (den // e.denominator): a.numerator * (b // a.denominator)
+                for e, a in c.terms
+            }
+            row = [{0: 1}, x]
+            for _ in range(md - 1):
+                row.append(_int_mul(row[-1], x))
+            rows.append(row)
+            bpows.append([b ** (md - d) for d in range(md + 1)] if b != 1 else None)
+
+        stretch = den // self.den
+        total: IntSeries = {}
+        for exps, coeff in self.terms:
+            factor = 1
+            powers = []
+            for d, row, bp in zip(exps, rows, bpows):
+                if d:
+                    if row is None:  # a positive power of a zero coordinate
+                        break
+                    powers.append(row[d])
+                if bp is not None:
+                    factor *= bp[d]
+            else:
+                acc = {e * stretch: c * factor for e, c in coeff}
+                for power in powers:
+                    acc = _int_mul(acc, power)
+                for e, v in acc.items():
+                    total[e] = total.get(e, 0) + v
+        lowest = min((e for e, v in total.items() if v), default=None)
+        if lowest is None:
+            return 0
+        return 1 if total[lowest] > 0 else -1
+
+
+def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
+    """Exact sign of f(p) for Laurent f.
+
+    f(p) and g(p) = f(p) * p**m have the same sign because every entry of
+    m is even.  g is evaluated by the integer kernel of
+    :class:`_SignKernel`: each rescaling there multiplies g(p) by a
+    positive constant or stretches the exponent scale, and neither changes
+    the sign of the leading term.
+    """
+    p = tuple(p)
+    _check_laurent_point(f, p)
+    return f._sign_kernel.sign_at(p)
 
 
 def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:
@@ -297,13 +441,8 @@ def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:
     quotient is the quotient of signed values.
     """
     p = tuple(p)
-    if len(p) != f.nvars:
-        raise DimensionMismatch(f"point dim {len(p)} vs nvars {f.nvars}")
-    mins = f.min_exponents()
-    for mn, c in zip(mins, p):
-        if mn < 0 and c.is_zero():
-            raise NegativeExponentAtZero("negative exponent at a zero coordinate")
-    g, m = _cleared(f)
+    _check_laurent_point(f, p)
+    g, m = f._clearing
     out = eval_k(g, p).signed_trop()
     for mk, c in zip(m, p):
         if mk:

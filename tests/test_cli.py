@@ -166,3 +166,54 @@ def test_figures_command(tmp_path):
     names = {p.name for p in outdir.iterdir()}
     assert "circle.svg" in names and "rectangles.svg" in names
     assert "halfplane.json" in names
+
+
+def _one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", [["sample"], ["witness", "--target", "((+,0))"]])
+def test_malformed_description_is_usage_error(tmp_path, capsys, command):
+    desc = tmp_path / "bad.json"
+    desc.write_text(json.dumps({
+        "nvars": 1,
+        "disjuncts": [[{"poly": {"nvars": 1, "terms": 5}, "rel": ">="}]],
+    }))
+    assert main([command[0], str(desc), *command[1:]]) == 2
+    assert "bad.json" in _one_error_line(capsys.readouterr().err)
+
+
+def test_description_missing_key_is_named(tmp_path, capsys):
+    desc = tmp_path / "nodisjuncts.json"
+    desc.write_text(json.dumps({"nvars": 2}))
+    assert main(["sample", str(desc), "--count", "5"]) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert "missing key 'disjuncts'" in line
+
+
+def test_malformed_target_set_is_usage_error(circle_files, tmp_path, capsys):
+    _, desc = circle_files
+    T = tmp_path / "T.json"
+    T.write_text(json.dumps([{"dim": 2, "constraints": 3}]))
+    assert main(["basis", str(desc), "--target-set", str(T)]) == 2
+    _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_nonpositive_count_is_usage_error(capsys, count):
+    assert main(["check", "hyperfield-axioms", "--count", count]) == 2
+    assert "positive" in _one_error_line(capsys.readouterr().err)
+
+
+def test_malformed_input_exits_without_traceback(tmp_path):
+    desc = tmp_path / "bad.json"
+    desc.write_text('{"nvars": 2, "disjuncts": [[{"poly": {"nvars": 2, "terms": 5}}]]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropreal.cli", "sample", str(desc)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    _one_error_line(proc.stderr)

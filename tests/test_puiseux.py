@@ -78,6 +78,14 @@ def test_pow_and_inverse():
         (const(1) + t_pow(1)).inverse()
 
 
+@given(series(max_terms=3), st.integers(0, 5))
+def test_pow_is_repeated_product(a, k):
+    product = const(1)
+    for _ in range(k):
+        product = product * a
+    assert a ** k == product
+
+
 def test_exponent_denominator():
     a = P([(Fraction(1, 2), 1), (Fraction(2, 3), 1)])
     assert a.exponent_denominator() == 6
@@ -147,3 +155,48 @@ def test_sampler_valuations_in_range():
         assert not s.is_zero()
         assert Fraction(-2) <= s.val() <= Fraction(2)
         assert s.exponent_denominator() <= 6  # lcm of denominators <= 3 on few terms
+
+
+# The first 20 draws of two samplers, recorded before the sampler was moved
+# to integer grid bounds and direct construction: the draws must not change.
+GOLDEN_DRAWS = [
+    (
+        SamplerConfig(seed=11),
+        [
+            "4*t^(3/2)", "4*t^2", "-3*t^(3/2)", "2*t - 3*t^2", "-4*t^(-1)",
+            "2*t", "-4*t^(-1)", "4*t^(3/2)", "-2*t^2", "-4*t^(-3/2) + 1/2*t",
+            "-5/2*t^(-1)", "t^(-1)", "-4*t^(-3/2) + 3/2*t^2",
+            "-t^(-1) + 4 + 2*t^2", "7/2*t", "-3*t^(-2) - t^(-1)",
+            "5/2*t^(-2)", "3/2*t^(-2) - 3*t^(-1)", "-4*t + 3*t^2",
+            "3*t^(-2) - 2*t^2",
+        ],
+    ),
+    (
+        SamplerConfig(
+            max_terms=4,
+            exponent_denominator_bound=3,
+            exponent_range=(Fraction(-3, 2), Fraction(5, 2)),
+            coeff_range=(Fraction(-1, 2), Fraction(3)),
+            seed=2026,
+        ),
+        [
+            "3*t^(5/2)", "7/3*t^2", "4/3*t + 2*t^(4/3) + 3*t^(3/2) + 2*t^2",
+            "3*t^(1/3)", "8/3*t^2 + 3*t^(5/2)", "2 + 7/3*t^2",
+            "5/2*t^(2/3) + t^2 + 3/2*t^(7/3)", "8/3",
+            "3*t + 2*t^(3/2) + 3*t^2 + 3*t^(5/2)", "2*t^(-1/2) + t + 5/3*t^2",
+            "2/3*t^(-3/2) - 1/3*t^(-1)", "t^2 + 3*t^(7/3)", "3*t", "4/3*t",
+            "3/2*t^2", "7/3*t^(-1) + 3 + 4/3*t^(5/3) + t^2", "t^(2/3)",
+            "-1/2*t^(-1) + 1", "5/2 + 3*t^(1/2)", "3*t + 2*t^2 + t^(5/2)",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, texts", GOLDEN_DRAWS)
+def test_sampler_golden_draws(cfg, texts):
+    rng = random.Random(cfg.seed)
+    draws = [ps_sample(cfg, rng) for _ in range(20)]
+    assert [s.text() for s in draws] == texts
+    for s in draws:
+        assert s == P(s.terms)  # already in normal form
+        assert all(isinstance(x, Fraction) for term in s.terms for x in term)

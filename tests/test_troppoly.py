@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropreal.errors import NegativeExponentAtZero
 from tropreal.hyperfields import (
@@ -18,6 +19,7 @@ from tropreal.puiseux import PuiseuxSeries, SamplerConfig, ps_sample
 from tropreal.troppoly import (
     PolyK,
     TropPoly,
+    _cleared,
     eval_k,
     laurent_sign,
     signed_trop_of_value,
@@ -192,3 +194,81 @@ def test_trop_multiplicative_on_disjoint_monomials():
 
 def test_troppoly_text():
     assert CIRCLE_TROP.text() == "X^2 (+) Y^2 (+) -X (+) -Y (+) 1"
+
+
+def test_polyk_pow_is_repeated_product():
+    f = parse_polyk("(1/2)*t*x^(-1) - y + 3*t^(1/3)*x*y")
+    product = PolyK.const(2, const(1))
+    for k in range(6):
+        assert f ** k == product
+        product = product * f
+
+
+def _fractions(bound, max_denominator):
+    return st.builds(
+        Fraction,
+        st.integers(-bound * max_denominator, bound * max_denominator),
+        st.integers(1, max_denominator),
+    )
+
+
+def series_st(max_terms=3):
+    """Series with 1 to max_terms terms (fewer, or zero, when exponents coincide)."""
+    return st.lists(
+        st.tuples(_fractions(2, 3), _fractions(4, 5)), min_size=1, max_size=max_terms
+    ).map(PuiseuxSeries.from_terms)
+
+
+@st.composite
+def laurent_and_point(draw):
+    """A Laurent polynomial with series coefficients and a Puiseux point.
+
+    Coordinates are zero with some probability.  When the polynomial has no
+    negative exponent, it may be shifted by its own value at the point so
+    that the value there is exactly zero.
+    """
+    nvars = draw(st.integers(1, 3))
+    terms = draw(
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(-2, 3)] * nvars), series_st()),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    f = PolyK.from_terms(nvars, terms)
+    p = tuple(
+        PuiseuxSeries.zero() if draw(st.integers(0, 4)) == 0 else draw(series_st())
+        for _ in range(nvars)
+    )
+    if min(f.min_exponents(), default=0) >= 0 and draw(st.booleans()):
+        f = f - PolyK.const(nvars, eval_k(f, p))
+    return f, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_and_point())
+def test_laurent_sign_matches_series_evaluation(case):
+    f, p = case
+    raises = any(
+        d < 0 and c.is_zero() for exps, _ in f.terms for d, c in zip(exps, p)
+    )
+    if raises:
+        with pytest.raises(NegativeExponentAtZero):
+            laurent_sign(f, p)
+        return
+    sign = laurent_sign(f, p)
+    assert sign == eval_k(_cleared(f)[0], p).sign()
+    if all(
+        c.is_monomial() for exps, _ in f.terms for d, c in zip(exps, p) if d < 0
+    ):
+        assert sign == eval_k(f, p).sign()  # the honest value, without clearing
+
+
+def test_laurent_sign_at_roots():
+    x = const(1) + t_pow(Fraction(1, 2), -3)
+    y = t_pow(-1, Fraction(2, 3))
+    f = parse_polyk("x^2*y - y + 2")
+    g = f - PolyK.const(2, eval_k(f, (x, y)))
+    assert laurent_sign(g, (x, y)) == 0
+    assert laurent_sign(g.shift((-2, 0)), (x, y)) == 0
+    assert laurent_sign(g + PolyK.const(2, t_pow(7)), (x, y)) == 1
