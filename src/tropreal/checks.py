@@ -60,6 +60,7 @@ from .polyhedra import (
     whole_space_union,
 )
 from .puiseux import PuiseuxSeries, SamplerConfig, ps_sample
+from .render import RenderConfig, write_figures
 from .scenarios import get_scenario, vertex_parameter
 from .semialg import (
     SignCondition,
@@ -691,8 +692,6 @@ def check_rectangles() -> CheckOutcome:
 
 
 def check_figures(seed: int = 0, outdir: Optional[str] = None, grid: int = 160) -> CheckOutcome:
-    from . import render
-
     out = CheckOutcome("figures", True)
 
     sub = check_rectangles()
@@ -716,7 +715,7 @@ def check_figures(seed: int = 0, outdir: Optional[str] = None, grid: int = 160) 
     out.add(circle.passed, "disk scenario facts (reduced sample size)")
 
     if outdir is not None:
-        written = render.write_figures(outdir, grid=grid)
+        written = write_figures(outdir, grid=grid)
         out.add(bool(written), f"wrote {len(written)} SVG/JSON artifacts to {outdir}")
     return out
 
@@ -740,8 +739,8 @@ SUITES: dict[str, Callable[..., CheckOutcome]] = {
     "orthant-remark": lambda seed, size=None, **kw: check_orthant_remark(
         seed, size or 100
     ),
-    "figures": lambda seed, size=None, outdir=None, **kw: check_figures(
-        seed, outdir=outdir, grid=kw.get("grid") or 160
+    "figures": lambda seed, size=None, outdir=None, grid=None, **kw: check_figures(
+        seed, outdir=outdir, grid=160 if grid is None else grid
     ),
     "sandwich": lambda seed, size=None, **kw: check_sandwich(seed, size or 4000),
     "connectivity": lambda seed, size=None, **kw: check_connectivity(seed),
@@ -760,6 +759,8 @@ def run_suites(
             )
     if size is not None and size < 1:
         raise ValueError(f"the suite size must be positive, not {size}")
+    if kw.get("grid") is not None:
+        RenderConfig(grid=kw["grid"])  # rejects a grid below 2, as `region --grid` does
     digest_src = json.dumps(
         {"suites": names, "seed": seed, "size": size}, sort_keys=True
     )

@@ -28,7 +28,6 @@ from .polyhedra import (
 )
 from .puiseux import SamplerConfig
 from .render import RenderConfig, render_region_svg, write_figures
-from .scenarios import SCENARIO_NAMES
 from .semialg import (
     finite_basis,
     lift_inequality,
@@ -112,6 +111,13 @@ def parse_target(text: str):
                 raise TropRealError("sign 0 requires valuation inf")
             coords.append(stv(sign, Fraction(val_text)))
     return tuple(coords)
+
+
+def _require_nonnegative(**values: int) -> None:
+    """Reject a negative count or budget as a usage error."""
+    for name, value in values.items():
+        if value < 0:
+            raise TropRealError(f"--{name} must be nonnegative, not {value}")
 
 
 def _parse_window(text: str):
@@ -221,6 +227,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _require_nonnegative(count=args.count)
     S = _load_description(args.input)
     cfg = SamplerConfig(seed=args.seed if args.seed is not None else _default_seed())
     cloud = sa_sample_trop(S, args.count, cfg)
@@ -230,6 +237,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    _require_nonnegative(budget=args.budget)
     S = _load_description(args.input)
     z = parse_target(args.target)
     seed = args.seed if args.seed is not None else _default_seed()
@@ -253,6 +261,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_basis(args) -> int:
+    _require_nonnegative(count=args.count)
     S = _load_description(args.input)
     sigma = parse_orthant(args.orthant) if args.orthant else tuple([1] * S.nvars)
     m = len(orthant_support(sigma))
@@ -276,6 +285,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    _require_nonnegative(count=args.count, budget=args.budget)
     S = _load_description(args.input)
     F = _load_troppoly(args.trop)
     sigma = parse_orthant(args.orthant) if args.orthant else tuple([1] * S.nvars)

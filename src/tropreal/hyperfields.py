@@ -102,23 +102,6 @@ def val_add(a: Val, b: Val) -> Val:
     return a + b
 
 
-def val_scale(d: int, v: Val) -> Val:
-    """d * v for integer d; requires d > 0 when v is +inf."""
-    if v is INF:
-        if d <= 0:
-            raise ValueError("cannot scale an infinite valuation by d <= 0")
-        return INF
-    return d * v
-
-
-def val_min(vals: Iterable[Val]) -> Val:
-    m: Val = INF
-    for v in vals:
-        if v < m:
-            m = v
-    return m
-
-
 @dataclass(frozen=True)
 class SignedTropVal:
     """An element of the signed tropical hyperfield: sign * e**(-val).
@@ -301,13 +284,6 @@ def normalize_rel(rel: str) -> str:
         raise ValueError(f"unknown relation {rel!r}") from None
 
 
-def rel_negate(rel: str) -> str:
-    """The relation satisfied by -x when x satisfies rel."""
-    return {"eq": "eq", "ge": "le", "gt": "lt", "le": "ge", "lt": "gt", "ne": "ne"}[
-        normalize_rel(rel)
-    ]
-
-
 def hv_relation(h: HyperValue, rel: str) -> bool:
     """Compare a hyperfield sum against zero.
 
@@ -426,7 +402,3 @@ def s_add_sets(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
         for y in b:
             out |= s_add(x, y)
     return frozenset(out)
-
-
-def s_mul(a: int, b: int) -> int:
-    return a * b

@@ -87,10 +87,6 @@ def point_to_json(p: TropPoint) -> list:
     return [stv_to_json(c) for c in p]
 
 
-def point_from_json(data: list) -> TropPoint:
-    return tuple(stv_from_json(d) for d in data)
-
-
 # -- series and polynomials ---------------------------------------------------
 
 

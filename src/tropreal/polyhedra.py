@@ -6,7 +6,8 @@ Emptiness, inclusion, dimension, recession, and projection are all decided
 by Fourier-Motzkin elimination with strictness tracking: a derived
 inequality is strict precisely when one of its parents is.  This is exact
 over the rationals and, since the data is rational, the answers agree with
-the answers over the reals.
+the answers over the reals.  Feasibility, projection and point-finding share
+one elimination loop (``_fm_core``) and one row normalization.
 
 The module also hosts the two bridges between polyhedra and tropical
 polynomials:
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -148,11 +149,6 @@ class Polyhedron:
             self.dim, tuple(Constraint(c.form, False) for c in self.constraints)
         )
 
-    def strict_version(self) -> "Polyhedron":
-        return Polyhedron(
-            self.dim, tuple(Constraint(c.form, True) for c in self.constraints)
-        )
-
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.dim != other.dim:
             raise DimensionMismatch("cannot intersect different dimensions")
@@ -202,6 +198,14 @@ def _from_int_rows(rows: Iterable[IntRow]) -> list[Row]:
     return [(n, Fraction(cn, cd), s) for n, cn, cd, s in rows]
 
 
+def _primitive(normal: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The normal divided by the gcd g of its entries, and g (0 for a zero normal)."""
+    g = gcd(*normal)
+    if g > 1:
+        return tuple(a // g for a in normal), g
+    return normal, g
+
+
 def _normalize_rows(rows: Iterable[IntRow]) -> Optional[list[IntRow]]:
     """Primitive-direction dedup keeping the strongest constraint.
 
@@ -213,13 +217,9 @@ def _normalize_rows(rows: Iterable[IntRow]) -> Optional[list[IntRow]]:
             if cn > 0 or (strict and cn == 0):
                 return None
             continue
-        g = 0
-        for a in normal:
-            g = gcd(g, abs(a))
-        if g > 1:
-            normal = tuple(a // g for a in normal)
-            cd = cd * g
-        gg = gcd(abs(cn), cd)
+        normal, g = _primitive(normal)
+        cd *= g
+        gg = gcd(cn, cd)
         if gg > 1:
             cn //= gg
             cd //= gg
@@ -274,38 +274,47 @@ def _eliminate_var(rows: list[IntRow], k: int) -> Optional[list[IntRow]]:
     return _normalize_rows(out)
 
 
+def _cost(rows: list[IntRow], k: int) -> int:
+    """Rows that eliminating x_k derives; -1 when x_k is bounded on one side only."""
+    ups = sum(1 for r in rows if r[0][k] > 0)
+    downs = sum(1 for r in rows if r[0][k] < 0)
+    return ups * downs if ups and downs else -1
+
+
 def _fm_core(
-    rows: Iterable[IntRow], nvars: int, targets: Sequence[int]
+    rows: Iterable[IntRow],
+    targets: Iterable[int],
+    stages: Optional[list[tuple[int, list[IntRow]]]] = None,
 ) -> Optional[list[IntRow]]:
+    """Eliminate the target variables; None means the system is infeasible.
+
+    Each step eliminates the cheapest target still present in some row,
+    ties going to the lowest index.  When ``stages`` is given, it receives
+    each eliminated variable with the system it was eliminated from.
+    """
     cur = _normalize_rows(rows)
-    if cur is None:
-        return None
-    remaining = list(targets)
-    while remaining:
-        # cheapest variable first: fewest derived rows
-        def cost(k: int) -> int:
-            ups = sum(1 for r in cur if r[0][k] > 0)
-            downs = sum(1 for r in cur if r[0][k] < 0)
-            return ups * downs if ups and downs else -1
-
-        remaining.sort(key=cost)
-        k = remaining.pop(0)
+    remaining = sorted(targets)
+    while cur is not None:
+        # no step brings back a variable that is absent from every row
+        remaining = [k for k in remaining if any(r[0][k] for r in cur)]
+        if not remaining:
+            return cur
+        k = min(remaining, key=lambda j: _cost(cur, j))
+        remaining.remove(k)
+        if stages is not None:
+            stages.append((k, cur))
         cur = _eliminate_var(cur, k)
-        if cur is None:
-            return None
-    return cur
+    return None
 
 
-def _fm_eliminate(
-    rows: Iterable[Row], nvars: int, targets: Sequence[int]
-) -> Optional[list[Row]]:
+def _fm_eliminate(rows: Iterable[Row], targets: Iterable[int]) -> Optional[list[Row]]:
     """Project away the target variables; None means the system is infeasible."""
-    cur = _fm_core(_to_int_rows(rows), nvars, targets)
+    cur = _fm_core(_to_int_rows(rows), targets)
     return None if cur is None else _from_int_rows(cur)
 
 
 def _feasible(rows: Iterable[Row], nvars: int) -> bool:
-    return _fm_core(_to_int_rows(rows), nvars, list(range(nvars))) is not None
+    return _fm_core(_to_int_rows(rows), range(nvars)) is not None
 
 
 def _solve_feasible(rows: Iterable[Row], nvars: int) -> Optional[tuple[Fraction, ...]]:
@@ -314,26 +323,9 @@ def _solve_feasible(rows: Iterable[Row], nvars: int) -> Optional[tuple[Fraction,
     Runs the elimination while recording each stage, then back-substitutes
     a value inside the allowed interval for every eliminated variable.
     """
-    int_rows = _to_int_rows(rows)
-    cur = _normalize_rows(int_rows)
-    if cur is None:
-        return None
     stages: list[tuple[int, list[IntRow]]] = []
-    while True:
-        present = [k for k in range(nvars) if any(r[0][k] for r in cur)]
-        if not present:
-            break
-
-        def cost(k: int) -> int:
-            ups = sum(1 for r in cur if r[0][k] > 0)
-            downs = sum(1 for r in cur if r[0][k] < 0)
-            return ups * downs if ups and downs else -1
-
-        k = min(present, key=cost)
-        stages.append((k, cur))
-        cur = _eliminate_var(cur, k)
-        if cur is None:
-            return None
+    if _fm_core(_to_int_rows(rows), range(nvars), stages) is None:
+        return None
     assign = [Fraction(0)] * nvars
     for k, system in reversed(stages):
         lo = hi = None
@@ -370,7 +362,8 @@ def _solve_feasible(rows: Iterable[Row], nvars: int) -> Optional[tuple[Fraction,
             return None
         assign[k] = value
     point = tuple(assign)
-    for normal, cn, cd, strict in _normalize_rows(int_rows) or []:
+    # the first stage holds the whole normalized system; with no stage it is empty
+    for normal, cn, cd, strict in stages[0][1] if stages else ():
         v = sum(a * x for a, x in zip(normal, point)) * cd + cn
         if v > 0 or (strict and v == 0):
             return None
@@ -410,19 +403,22 @@ def _rank(normals: list[tuple[int, ...]], dim: int) -> int:
     return rank
 
 
+def equality_normals(P: Polyhedron) -> list[tuple[int, ...]]:
+    """Normals of the non-strict constraints that hold with equality on all of P."""
+    rows = [c.row() for c in P.constraints]
+    return [
+        c.form.normal
+        for c in P.constraints
+        if not c.strict
+        and not _feasible(rows + [(c.form.normal, c.form.offset, True)], P.dim)
+    ]
+
+
 def poly_dim(P: Polyhedron) -> int:
     """Dimension of the affine hull; -1 for the empty polyhedron."""
     if poly_is_empty(P):
         return -1
-    rows = [c.row() for c in P.constraints]
-    eq_normals: list[tuple[int, ...]] = []
-    for c in P.constraints:
-        if c.strict:
-            continue
-        probe = rows + [(c.form.normal, c.form.offset, True)]
-        if not _feasible(probe, P.dim):
-            eq_normals.append(c.form.normal)
-    return P.dim - _rank(eq_normals, P.dim)
+    return P.dim - _rank(equality_normals(P), P.dim)
 
 
 def poly_subset(P: Polyhedron, Q: Polyhedron) -> bool:
@@ -517,12 +513,6 @@ def union_intersect(A: PolyUnion, B: PolyUnion) -> PolyUnion:
     )
 
 
-def union_union(A: PolyUnion, B: PolyUnion) -> PolyUnion:
-    if A.dim != B.dim:
-        raise DimensionMismatch("cannot join different dimensions")
-    return union_prune(PolyUnion(A.dim, A.pieces + B.pieces))
-
-
 def piece_minus_union_is_empty(p: Polyhedron, pieces: Sequence[Polyhedron]) -> bool:
     """Whether p ∖ (∪ pieces) is empty, by recursive exact subtraction."""
     work = [p] if not poly_is_empty(p) else []
@@ -547,15 +537,6 @@ def union_subset(A: PolyUnion, B: PolyUnion) -> bool:
 
 def union_equal(A: PolyUnion, B: PolyUnion) -> bool:
     return union_subset(A, B) and union_subset(B, A)
-
-
-def union_intersect_all(dim: int, unions: Sequence[PolyUnion]) -> PolyUnion:
-    acc = whole_space_union(dim)
-    for u in unions:
-        acc = union_intersect(acc, u)
-        if not acc.pieces:
-            break
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +591,8 @@ def enumerate_cells(forms: Sequence[AffineForm], dim: int) -> list[tuple[int, ..
 
 def _canonical_form(form: AffineForm) -> tuple[AffineForm, bool]:
     """Primitive representative with a positive leading normal entry."""
-    normal, offset = form.normal, form.offset
-    g = 0
-    for a in normal:
-        g = gcd(g, abs(a))
-    if g > 1:
-        normal = tuple(a // g for a in normal)
-        offset = offset / g
+    normal, g = _primitive(form.normal)
+    offset = form.offset / g
     lead = next((a for a in normal if a != 0), 0)
     if lead < 0:
         return AffineForm(tuple(-a for a in normal), -offset), True
@@ -819,6 +795,41 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     return union_of(m, pieces)
 
 
+def trop_conjunction(
+    conditions: Iterable[tuple[TropPoly, str]], sigma: Orthant
+) -> PolyUnion:
+    """The intersection of the regions of the conditions on one orthant.
+
+    Regions are computed one at a time, and none after the intersection
+    becomes empty.
+    """
+    acc = whole_space_union(len(orthant_support(sigma)))
+    for F, rel in conditions:
+        acc = union_intersect(acc, trop_region(F, sigma, rel))
+        if not acc.pieces:
+            break
+    return acc
+
+
+def orthant_region(region: Callable[[Orthant], PolyUnion], sigma: Orthant) -> PolyUnion:
+    """region(sigma), or the empty union where a Laurent condition is undefined.
+
+    A negative exponent on a coordinate the orthant sets to zero leaves the
+    condition undefined there, so the orthant holds no point of the set.
+    """
+    try:
+        return region(sigma)
+    except NegativeExponentAtZero:
+        return empty_union(len(orthant_support(sigma)))
+
+
+def orthant_regions(
+    nvars: int, region: Callable[[Orthant], PolyUnion]
+) -> dict[Orthant, PolyUnion]:
+    """The region of every orthant of nvars variables."""
+    return {sigma: orthant_region(region, sigma) for sigma in all_orthants(nvars)}
+
+
 # ---------------------------------------------------------------------------
 # Open polyhedron -> positive region of a tropical polynomial
 # ---------------------------------------------------------------------------
@@ -842,25 +853,13 @@ def open_poly_to_trop(P: Polyhedron) -> TropPoly:
         raise ShapeMismatch("input polyhedron must have strict constraints only")
     if poly_is_empty(P):
         raise EmptyPolyhedron("no polynomial represents an empty open region")
-    strongest: dict[tuple[int, ...], Fraction] = {}
-    for c in P.constraints:
-        normal, offset = c.form.normal, c.form.offset
-        if not any(normal):
-            continue  # vacuous on a nonempty open polyhedron
-        g = 0
-        for a in normal:
-            g = gcd(g, abs(a))
-        if g > 1:
-            normal = tuple(a // g for a in normal)
-            offset = offset / g
-        prev = strongest.get(normal)
-        if prev is None or offset > prev:
-            strongest[normal] = offset
+    # the strongest row per primitive normal; P is nonempty, so this is not None
+    strongest = _normalize_rows(_to_int_rows(c.row() for c in P.constraints))
     terms: list[tuple[tuple[int, ...], SignedTropVal]] = [
         ((0,) * P.dim, stv(1, 0))
     ]
-    for normal, offset in sorted(strongest.items()):
-        terms.append((normal, stv(-1, -offset)))
+    for normal, cn, cd, _ in sorted(strongest):
+        terms.append((normal, stv(-1, Fraction(-cn, cd))))
     return TropPoly.from_terms(P.dim, terms)
 
 
@@ -901,7 +900,7 @@ def limit_polyhedron(P: Polyhedron, drop: Sequence[int]) -> Optional[Polyhedron]
     for k in drop_set:
         normal = tuple((1 if i == nu else -1 if i == k else 0) for i in range(n + 1))
         rows.append((normal, Fraction(0), False))
-    projected = _fm_eliminate(rows, n + 1, sorted(drop_set))
+    projected = _fm_eliminate(rows, drop_set)
     if projected is None:
         return None
     cons: list[Constraint] = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -26,37 +27,26 @@ from .polyhedra import (
     Orthant,
     PolyUnion,
     Polyhedron,
-    all_orthants,
     constraint,
+    equality_normals,
     feasible_point,
+    orthant_regions,
     orthant_support,
     poly_dim,
-    trop_region,
-    union_intersect_all,
+    trop_conjunction,
 )
 from .troppoly import TropPoly, trop_sat
 
-PALETTES = {
-    "default": {
-        "background": "#ffffff",
-        "region": "#9ecae1",
-        "axes": "#444444",
-        "overlay": "#d7301f",
-        "frame": "#222222",
-    },
-    "warm": {
-        "background": "#fffaf2",
-        "region": "#fdbb84",
-        "axes": "#444444",
-        "overlay": "#7a0177",
-        "frame": "#222222",
-    },
-}
+BACKGROUND = "#ffffff"
+REGION = "#9ecae1"
+AXES = "#444444"
+OVERLAY = "#d7301f"
+FRAME = "#222222"
 
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """Raster density, multiplicative window, and color scheme."""
+    """Raster density and multiplicative window."""
 
     grid: int = 160
     window: tuple[Fraction, Fraction, Fraction, Fraction] = (
@@ -65,7 +55,6 @@ class RenderConfig:
         Fraction(-3),
         Fraction(3),
     )
-    palette: str = "default"
 
     def __post_init__(self):
         if self.grid < 2:
@@ -74,8 +63,6 @@ class RenderConfig:
         if x0 >= x1 or y0 >= y1:
             raise ValueError("window must be a nondegenerate rectangle")
         object.__setattr__(self, "window", (x0, x1, y0, y1))
-        if self.palette not in PALETTES:
-            raise ValueError(f"unknown palette {self.palette!r}")
 
 
 def node_valuation(u: float) -> Optional[tuple[int, Fraction]]:
@@ -104,16 +91,7 @@ def conjunction_regions(
     conditions: Sequence[tuple[TropPoly, str]]
 ) -> dict[Orthant, PolyUnion]:
     """Per-orthant exact region of the conjunction of tropical conditions."""
-    regions: dict[Orthant, PolyUnion] = {}
-    for sigma in all_orthants(2):
-        m = len(orthant_support(sigma))
-        try:
-            parts = [trop_region(F, sigma, rel) for F, rel in conditions]
-        except NegativeExponentAtZero:
-            regions[sigma] = PolyUnion(m, ())
-            continue
-        regions[sigma] = union_intersect_all(m, parts)
-    return regions
+    return orthant_regions(2, partial(trop_conjunction, conditions))
 
 
 # -- exact overlay geometry ---------------------------------------------------
@@ -128,19 +106,6 @@ def _piece_box(P: Polyhedron, lo: Fraction, hi: Fraction) -> Polyhedron:
     return Polyhedron(P.dim, tuple(cons))
 
 
-def _equality_normals(P: Polyhedron) -> list[tuple[int, ...]]:
-    from .polyhedra import _feasible  # implicit-equality probing
-
-    rows = [c.row() for c in P.constraints]
-    out = []
-    for c in P.constraints:
-        if c.strict:
-            continue
-        if not _feasible(rows + [(c.form.normal, c.form.offset, True)], P.dim):
-            out.append(c.form.normal)
-    return out
-
-
 def _segment_endpoints(
     P: Polyhedron, lo: Fraction, hi: Fraction
 ) -> Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
@@ -152,7 +117,7 @@ def _segment_endpoints(
     if P.dim == 1:
         direction: tuple[Fraction, ...] = (Fraction(1),)
     else:
-        normals = _equality_normals(clipped)
+        normals = equality_normals(clipped)
         normal = next((n for n in normals if any(n)), None)
         if normal is None:
             return None
@@ -234,7 +199,6 @@ def render_region_svg(
     def py(v: float) -> float:
         return size - margin - (v - fy0) / (fy1 - fy0) * inner
 
-    pal = PALETTES[cfg.palette]
     n = cfg.grid
     du = (fx1 - fx0) / n
     dv = (fy1 - fy0) / n
@@ -250,7 +214,7 @@ def render_region_svg(
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect x="0" y="0" width="{size}" height="{size}" fill="{pal["background"]}"/>',
+        f'<rect x="0" y="0" width="{size}" height="{size}" fill="{BACKGROUND}"/>',
     ]
     if title:
         out.append(
@@ -272,18 +236,18 @@ def render_region_svg(
             out.append(
                 f'<rect x="{px(u):.2f}" y="{py(vtop):.2f}" '
                 f'width="{cw:.2f}" height="{cw * (j - j0):.2f}" '
-                f'fill="{pal["region"]}"/>'
+                f'fill="{REGION}"/>'
             )
     # axes
     if fx0 < 0 < fx1:
         out.append(
             f'<line x1="{px(0):.2f}" y1="{py(fy0):.2f}" x2="{px(0):.2f}" '
-            f'y2="{py(fy1):.2f}" stroke="{pal["axes"]}" stroke-width="1"/>'
+            f'y2="{py(fy1):.2f}" stroke="{AXES}" stroke-width="1"/>'
         )
     if fy0 < 0 < fy1:
         out.append(
             f'<line x1="{px(fx0):.2f}" y1="{py(0):.2f}" x2="{px(fx1):.2f}" '
-            f'y2="{py(0):.2f}" stroke="{pal["axes"]}" stroke-width="1"/>'
+            f'y2="{py(0):.2f}" stroke="{AXES}" stroke-width="1"/>'
         )
 
     if overlay:
@@ -297,17 +261,17 @@ def render_region_svg(
         for (ax, ay), (bx, by) in segments:
             out.append(
                 f'<line x1="{px(ax):.2f}" y1="{py(ay):.2f}" x2="{px(bx):.2f}" '
-                f'y2="{py(by):.2f}" stroke="{pal["overlay"]}" stroke-width="2.5"/>'
+                f'y2="{py(by):.2f}" stroke="{OVERLAY}" stroke-width="2.5"/>'
             )
         for (ux, uy) in points:
             out.append(
                 f'<circle cx="{px(ux):.2f}" cy="{py(uy):.2f}" r="3.5" '
-                f'fill="{pal["overlay"]}"/>'
+                f'fill="{OVERLAY}"/>'
             )
 
     out.append(
         f'<rect x="{margin}" y="{margin}" width="{inner}" height="{inner}" '
-        f'fill="none" stroke="{pal["frame"]}" stroke-width="1"/>'
+        f'fill="none" stroke="{FRAME}" stroke-width="1"/>'
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"

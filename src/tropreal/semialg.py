@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -51,23 +52,22 @@ from .polyhedra import (
     Orthant,
     PolyUnion,
     Polyhedron,
-    all_orthants,
     complement_of_union,
     limit_polyhedron,
     open_poly_to_trop,
+    orthant_region,
+    orthant_regions,
     orthant_support,
     orthant_str,
     poly_dim,
     poly_is_empty,
     prune_covered_pieces,
+    trop_conjunction,
     trop_region,
     union_equal,
-    union_intersect,
-    union_intersect_all,
     union_prune,
     union_subset,
     valuation_piece_to_log,
-    whole_space_union,
 )
 from .puiseux import PuiseuxSeries, SamplerConfig, ps_sample
 from .troppoly import (
@@ -241,27 +241,14 @@ def sa_outer(S: SADescription, sigma: Orthant) -> PolyUnion:
     m = len(orthant_support(sigma))
     out = PolyUnion(m, ())
     for disj in split_ne(S).disjuncts:
-        acc = whole_space_union(m)
-        for cond in disj:
-            acc = union_intersect(
-                acc, trop_region(trop_r(cond.poly), sigma, cond.rel)
-            )
-            if not acc.pieces:
-                break
+        acc = trop_conjunction(((trop_r(c.poly), c.rel) for c in disj), sigma)
         out = union_prune(PolyUnion(m, out.pieces + acc.pieces))
     return out
 
 
 def sa_outer_all(S: SADescription) -> dict[Orthant, PolyUnion]:
-    regions: dict[Orthant, PolyUnion] = {}
-    for sigma in all_orthants(S.nvars):
-        try:
-            regions[sigma] = sa_outer(S, sigma)
-        except NegativeExponentAtZero:
-            # Laurent conditions are undefined on this degenerate orthant,
-            # so the set has no points there
-            regions[sigma] = PolyUnion(len(orthant_support(sigma)), ())
-    return regions
+    """sa_outer on every orthant; an orthant where a condition is undefined is empty."""
+    return orthant_regions(S.nvars, partial(sa_outer, S))
 
 
 def point_orthant(z: TropPoint) -> Orthant:
@@ -279,7 +266,7 @@ def outer_contains_point(
     if cache is not None and sigma in cache:
         region = cache[sigma]
     else:
-        region = sa_outer(S, sigma)
+        region = orthant_region(partial(sa_outer, S), sigma)
         if cache is not None:
             cache[sigma] = region
     return region.contains(point_valuations(z))
@@ -543,10 +530,7 @@ class BasisResult:
 
 
 def basis_region(polys: Sequence[PolyK], sigma: Orthant) -> PolyUnion:
-    m = len(orthant_support(sigma))
-    return union_intersect_all(
-        m, [trop_region(trop_r(f), sigma, "ge") for f in polys]
-    )
+    return trop_conjunction(((trop_r(f), "ge") for f in polys), sigma)
 
 
 def finite_basis(
@@ -659,10 +643,7 @@ def _signed_magnitude(rng: random.Random, hi: Fraction, cfg: SamplerConfig) -> F
 
 def outer_excludes(S: SADescription, z: TropPoint) -> bool:
     """Whether the outer region already rules z out (making absence conclusive)."""
-    try:
-        return not outer_contains_point(S, z)
-    except NegativeExponentAtZero:
-        return True
+    return not outer_contains_point(S, z)
 
 
 # ---------------------------------------------------------------------------

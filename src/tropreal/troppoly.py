@@ -458,13 +458,3 @@ def trop_point(p: Sequence[PuiseuxSeries]) -> TropPoint:
 def trop_family(fs: Sequence[PolyK], p: Sequence[PuiseuxSeries]) -> TropPoint:
     """Signed values of (f_1(p), ..., f_m(p)): the finite-family tropicalization at p."""
     return tuple(signed_trop_of_value(f, p) for f in fs)
-
-
-def poly_from_rationals(
-    nvars: int, entries: Iterable[tuple[Sequence[int], int | str | Fraction]]
-) -> PolyK:
-    """Convenience builder for polynomials with rational constant coefficients."""
-    return PolyK.from_terms(
-        nvars,
-        ((exps, PuiseuxSeries.const(Fraction(c))) for exps, c in entries),
-    )

@@ -208,6 +208,40 @@ def test_check_nonpositive_count_is_usage_error(capsys, count):
     assert "positive" in _one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", [
+    ["sample", "--count", "-5"],
+    ["witness", "--target", "((+,0),(+,0))", "--budget", "-3"],
+    ["basis", "--target-set", "T.json", "--count", "-2"],
+    ["lift", "--trop", "F.json", "--count", "-1"],
+    ["lift", "--trop", "F.json", "--budget", "-4"],
+])
+def test_negative_count_or_budget_is_usage_error(circle_files, capsys, command):
+    _, desc = circle_files
+    assert main([command[0], str(desc), *command[1:]]) == 2
+    assert "must be nonnegative" in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_check_figures_small_grid_is_usage_error(capsys, grid):
+    assert main(["check", "figures", "--grid", grid]) == 2
+    assert "grid must be at least 2" in _one_error_line(capsys.readouterr().err)
+
+
+def test_check_figures_honours_grid(monkeypatch):
+    import tropreal.checks as checks
+
+    grids = []
+
+    def figures(seed, outdir=None, grid=None):
+        grids.append(grid)
+        return checks.CheckOutcome("figures", True)
+
+    monkeypatch.setattr(checks, "check_figures", figures)
+    assert main(["check", "figures", "--grid", "2"]) == 0
+    assert main(["check", "figures"]) == 0
+    assert grids == [2, 160]
+
+
 def test_malformed_input_exits_without_traceback(tmp_path):
     desc = tmp_path / "bad.json"
     desc.write_text('{"nvars": 2, "disjuncts": [[{"poly": {"nvars": 2, "terms": 5}}]]}')

@@ -1,0 +1,135 @@
+"""An independent feasibility oracle for the Fourier-Motzkin engine.
+
+The oracle is an exact rational simplex method on the homogenized system:
+each row a.x + c <= 0 (or < 0) becomes a.x + c*tau <= 0 (or a.x + c*tau + t
+<= 0) with t <= tau and t <= 1.  The original rows are feasible exactly when
+the largest t is positive.  Every row of the homogenized system has a zero
+right-hand side except t <= 1, so the origin is feasible and the all-slack
+basis starts the simplex without an auxiliary phase.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from tropreal.polyhedra import (
+    Polyhedron,
+    constraint,
+    feasible_point,
+    poly_dim,
+    poly_is_empty,
+)
+
+
+def max_t(rows, dim):
+    """The largest t of the homogenized system, by Bland's-rule simplex."""
+    # columns: x+ (dim), x- (dim), tau, t, then one slack per row
+    A = [
+        [Fraction(a) for a in normal] + [Fraction(-a) for a in normal]
+        + [Fraction(offset), Fraction(int(strict))]
+        for normal, offset, strict in rows
+    ]
+    A.append([Fraction(0)] * (2 * dim) + [Fraction(-1), Fraction(1)])  # t <= tau
+    A.append([Fraction(0)] * (2 * dim) + [Fraction(0), Fraction(1)])  # t <= 1
+    m, nv = len(A), 2 * dim + 2
+    table = [
+        A[i] + [Fraction(int(i == j)) for j in range(m)] + [Fraction(int(i == m - 1))]
+        for i in range(m)
+    ]
+    z = [Fraction(0)] * (nv + m + 1)
+    z[nv - 1] = Fraction(-1)  # maximize t; z[-1] is the current value
+    basis = [nv + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(nv + m) if z[j] < 0), None)
+        if enter is None:
+            return z[-1]
+        # t <= 1 keeps the objective bounded, so some row limits the step
+        _, _, r = min(
+            (row[-1] / row[enter], basis[i], i)
+            for i, row in enumerate(table)
+            if row[enter] > 0
+        )
+        pivot = table[r][enter]
+        table[r] = [v / pivot for v in table[r]]
+        for i, row in enumerate(table):
+            if i != r and row[enter]:
+                f = row[enter]
+                table[i] = [v - f * w for v, w in zip(row, table[r])]
+        f = z[enter]
+        z = [v - f * w for v, w in zip(z, table[r])]
+        basis[r] = enter
+
+
+def oracle_feasible(rows, dim) -> bool:
+    return max_t(rows, dim) > 0
+
+
+def rank(normals) -> int:
+    mat = [[Fraction(a) for a in n] for n in normals]
+    r = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][col] / mat[r][col]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
+def oracle_dim(P: Polyhedron) -> int:
+    """n minus the rank of the implicit equalities; -1 when P is empty."""
+    rows = [c.row() for c in P.constraints]
+    if not oracle_feasible(rows, P.dim):
+        return -1
+    equalities = [
+        c.form.normal
+        for c in P.constraints
+        if not c.strict
+        and not oracle_feasible(rows + [(c.form.normal, c.form.offset, True)], P.dim)
+    ]
+    return P.dim - rank(equalities)
+
+
+@st.composite
+def systems(draw):
+    """Small systems with strict rows and equality pairs f <= 0, -f <= 0."""
+    dim = draw(st.integers(1, 3))
+    normals = st.tuples(*[st.integers(-3, 3)] * dim)
+    offsets = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    cons = []
+    for _ in range(draw(st.integers(0, 6))):
+        n, off = draw(normals), draw(offsets)
+        kind = draw(st.sampled_from(["<=", "<", "=="]))
+        if kind == "==":
+            cons += [constraint(n, off, "<="), constraint(n, off, ">=")]
+        else:
+            cons.append(constraint(n, off, kind))
+    return Polyhedron(dim, tuple(cons))
+
+
+def test_oracle_examples():
+    def P(dim, *cons):
+        return Polyhedron(dim, tuple(constraint(n, o, r) for n, o, r in cons))
+
+    open_interval = P(1, ((1,), -1, "<"), ((-1,), 0, "<"))
+    assert oracle_dim(open_interval) == 1
+    assert oracle_dim(P(1, ((1,), 0, "<"), ((-1,), 0, "<"))) == -1
+    assert oracle_dim(P(1, ((1,), 0, "<="), ((-1,), 0, "<="))) == 0
+    assert oracle_dim(P(2, ((1, 1), 0, "<="), ((-1, -1), 0, "<="))) == 1
+    assert oracle_dim(P(2, ((0, 0), 1, "<="))) == -1
+    assert oracle_dim(P(3)) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_engine_agrees_with_simplex_oracle(P):
+    feasible = oracle_feasible([c.row() for c in P.constraints], P.dim)
+    assert poly_is_empty(P) == (not feasible)
+    w = feasible_point(P)
+    assert (w is not None) == feasible
+    if w is not None:
+        assert all(c.holds(w) for c in P.constraints)
+    assert poly_dim(P) == oracle_dim(P)

@@ -7,6 +7,7 @@ import pytest
 
 from tropreal.hyperfields import stv
 from tropreal.parsing import parse_polyk
+from tropreal.polyhedra import union_equal
 from tropreal.render import (
     RenderConfig,
     classify_node,
@@ -15,7 +16,8 @@ from tropreal.render import (
     render_region_svg,
     thin_piece_geometry,
 )
-from tropreal.scenarios import get_scenario
+from tropreal.scenarios import SCENARIO_NAMES, get_scenario
+from tropreal.semialg import sa_outer_all
 from tropreal.troppoly import trop_r, trop_sat
 
 
@@ -70,5 +72,21 @@ def test_render_config_validation():
         RenderConfig(grid=1)
     with pytest.raises(ValueError):
         RenderConfig(window=(1, 1, 0, 2))
-    with pytest.raises(ValueError):
-        RenderConfig(palette="neon")
+
+
+def test_conjunction_regions_match_outer_regions():
+    """The render overlay and the outer approximation share one region loop."""
+    checked = 0
+    for name in SCENARIO_NAMES:
+        scen = get_scenario(name)
+        S = scen.description
+        if S is None or len(S.disjuncts) != 1:
+            continue
+        if tuple((trop_r(c.poly), c.rel) for c in S.disjuncts[0]) != scen.conditions:
+            continue
+        regions, outer = conjunction_regions(scen.conditions), sa_outer_all(S)
+        assert regions.keys() == outer.keys()
+        for sigma, region in regions.items():
+            assert union_equal(region, outer[sigma]), (name, sigma)
+        checked += 1
+    assert checked == 5
