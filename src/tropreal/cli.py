@@ -3,7 +3,8 @@
 Subcommands: trop, region, sample, witness, basis, lift, check, figures.
 All randomized commands take --seed (default: the TROPREAL_SEED environment
 variable, else 0) and produce byte-identical JSON for identical inputs and
-seed.  Exit codes: 0 all good, 1 a check failed, 2 input or usage error.
+seed.  Exit codes: 0 all good, 1 a check failed or a command could not verify
+its answer, 2 input or usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import iojson
-from .errors import ParseError, TropRealError
+from .errors import NoEpsilonFound, ParseError, TropRealError
 from .hyperfields import INF, normalize_rel, stv
 from .parsing import parse_polyk
 from .polyhedra import (
@@ -353,12 +354,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except TropRealError as exc:
+    except (TropRealError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # a command that ran but could not verify its answer is not a usage error
+        return EXIT_CHECK_FAILED if isinstance(exc, NoEpsilonFound) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,8 +14,11 @@ negative exponents are allowed only on single variables, keeping the
 expansion exact.  Multiplication may be written with '*' or by
 juxtaposition ('2x').  Rational literals are 'p' or 'p/q'.
 
-Products, sums, and powers are expanded exactly into the normal form of
-:class:`~tropreal.troppoly.PolyK`.
+The parser has no polynomial arithmetic of its own: every literal,
+variable and power of t becomes a :class:`~tropreal.troppoly.PolyK`, and
+sums, products and powers are those of ``PolyK``, so the result is
+expanded and normalized as it is built.  The whole text is tokenized
+first, which fixes the number of variables before parsing starts.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ParseError
-from .puiseux import PuiseuxSeries
+from .puiseux import PS_ONE, PuiseuxSeries
 from .troppoly import PolyK
 
 _ALIASES = {"x": 0, "y": 1, "z": 2}
@@ -85,97 +88,85 @@ class _Lexer:
 
 
 class _Parser:
-    """Recursive descent over monomial dictionaries keyed by (x-exps, t-exp)."""
+    """Recursive descent building :class:`PolyK` values of one fixed width.
+
+    The width is ``nvars`` when given, otherwise one more than the largest
+    variable index among the tokens.  A variable at or beyond a given width
+    parses as the constant one (all its exponents are dropped), and
+    :meth:`parse` rejects the text once the rest of it has parsed.
+    """
 
     def __init__(self, text: str, nvars: Optional[int]):
         self.lx = _Lexer(text)
-        self.fixed_nvars = nvars
-        self.max_var = -1  # largest variable index seen
-
-    # polynomials are carried as {(exps..., t_exp): coeff} with exps a tuple
-    # whose length is settled only at the end (indices are tracked sparsely)
+        known = (_var_index(t) for kind, t in self.lx.tokens if kind == "IDENT")
+        self.max_var = max((k for k in known if k is not None), default=-1)
+        self.nvars = nvars if nvars is not None else self.max_var + 1
 
     def parse(self) -> PolyK:
         poly = self._expr()
         if self.lx.peek() is not None:
             raise ParseError(f"trailing input near {self.lx.peek()[1]!r}")
-        nvars = self.fixed_nvars if self.fixed_nvars is not None else self.max_var + 1
-        if self.max_var + 1 > (nvars or 0):
+        if self.max_var + 1 > self.nvars:
             raise ParseError(
-                f"variable index {self.max_var + 1} exceeds nvars={nvars}"
+                f"variable index {self.max_var + 1} exceeds nvars={self.nvars}"
             )
-        terms: dict[tuple[tuple[int, ...], Fraction], Fraction] = {}
-        for (sparse, t_exp), coeff in poly.items():
-            exps = [0] * nvars
-            for k, d in sparse:
-                exps[k] = d
-            key = (tuple(exps), t_exp)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        by_exps: dict[tuple[int, ...], list[tuple[Fraction, Fraction]]] = {}
-        for (exps, t_exp), coeff in terms.items():
-            by_exps.setdefault(exps, []).append((t_exp, coeff))
-        return PolyK.from_terms(
-            nvars,
-            (
-                (exps, PuiseuxSeries.from_terms(pairs))
-                for exps, pairs in by_exps.items()
-            ),
-        )
+        return poly
+
+    def _const(self, c: PuiseuxSeries) -> PolyK:
+        return PolyK.const(self.nvars, c)
+
+    def _var_power(self, idx: int, k: int) -> PolyK:
+        exps = tuple(k if i == idx else 0 for i in range(self.nvars))
+        return PolyK.monomial(self.nvars, exps, PS_ONE)
 
     # -- grammar -----------------------------------------------------------
 
-    def _expr(self):
-        sign = 1
+    def _expr(self) -> PolyK:
         tok = self.lx.peek()
         if tok and tok[0] in "+-":
             self.lx.next()
-            sign = -1 if tok[0] == "-" else 1
-        acc = _scale(self._term(), Fraction(sign))
+        acc = self._term()
+        if tok and tok[0] == "-":
+            acc = -acc
         while True:
             tok = self.lx.peek()
             if tok is None or tok[0] not in "+-":
                 break
             self.lx.next()
             rhs = self._term()
-            acc = _add(acc, _scale(rhs, Fraction(-1 if tok[0] == "-" else 1)))
+            acc = acc - rhs if tok[0] == "-" else acc + rhs
         return acc
 
-    def _term(self):
+    def _term(self) -> PolyK:
         acc = self._factor()
-        while True:
-            tok = self.lx.peek()
-            if tok is None:
-                break
+        while (tok := self.lx.peek()) is not None:
             if tok[0] == "*":
                 self.lx.next()
-                acc = _mul(acc, self._factor())
-            elif tok[0] in ("IDENT", "(") :
-                acc = _mul(acc, self._factor())
-            else:
+            elif tok[0] not in ("IDENT", "("):
                 break
+            acc = acc * self._factor()
         return acc
 
-    def _factor(self):
+    def _factor(self) -> PolyK:
         base, atom_kind = self._atom()
         tok = self.lx.peek()
         if tok and tok[0] == "^":
             self.lx.next()
             exp = self._exponent()
             if atom_kind == "t":
-                return {((), exp): Fraction(1)}
+                return self._const(PuiseuxSeries.t_power(exp))
             if exp.denominator != 1:
                 raise ParseError("variable exponents must be integers")
             k = int(exp)
-            if atom_kind == "var":
-                ((sparse, t_exp),) = base.keys()
-                ((idx, _),) = sparse
-                return {(((idx, k),) if k != 0 else (), t_exp): Fraction(1)}
+            if isinstance(atom_kind, int):
+                return self._var_power(atom_kind, k)
             if k < 0:
                 raise ParseError("negative exponents only on single variables or t")
-            return _pow(base, k)
+            return base**k
         return base
 
-    def _atom(self):
+    def _atom(self) -> tuple[PolyK, str | int]:
+        """The next atom and its kind: "num", "t", "expr", or a variable index."""
         tok = self.lx.next()
         kind, text = tok
         if kind == "NUM":
@@ -191,19 +182,21 @@ class _Parser:
                     num = Fraction(int(text), den)
                 else:
                     raise ParseError("'/' is only for rational literals")
-            return {((), Fraction(0)): num}, "num"
+            return self._const(PuiseuxSeries.const(num)), "num"
         if kind == "IDENT":
             if text == "t":
-                return {((), Fraction(1)): Fraction(1)}, "t"
-            idx = self._var_index(text)
-            return {(((idx, 1),), Fraction(0)): Fraction(1)}, "var"
+                return self._const(PuiseuxSeries.t_power(1)), "t"
+            idx = _var_index(text)
+            if idx is None:
+                raise ParseError(f"unknown variable {text!r}")
+            return self._var_power(idx, 1), idx
         if kind == "(":
             inner = self._expr()
             self.lx.expect(")")
             return inner, "expr"
         if kind == "-":
             inner, _ = self._atom()
-            return _scale(inner, Fraction(-1)), "expr"
+            return -inner, "expr"
         raise ParseError(f"unexpected token {text!r}")
 
     def _exponent(self) -> Fraction:
@@ -231,56 +224,14 @@ class _Parser:
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
-    def _var_index(self, name: str) -> int:
-        if name in _ALIASES:
-            idx = _ALIASES[name]
-        elif name[0] == "x" and name[1:].isdigit() and int(name[1:]) >= 1:
-            idx = int(name[1:]) - 1
-        else:
-            raise ParseError(f"unknown variable {name!r}")
-        self.max_var = max(self.max_var, idx)
-        return idx
 
-
-# -- monomial-dict algebra ---------------------------------------------------
-
-_Mono = tuple[tuple[tuple[int, int], ...], Fraction]  # ((var, exp), ...), t-exponent
-
-
-def _add(a, b):
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, Fraction(0)) + c
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def _scale(a, c: Fraction):
-    if c == 0:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def _mul(a, b):
-    out: dict = {}
-    for (sa, ta), ca in a.items():
-        for (sb, tb), cb in b.items():
-            exps: dict[int, int] = {}
-            for k, d in sa + sb:
-                exps[k] = exps.get(k, 0) + d
-            key = (tuple(sorted((k, d) for k, d in exps.items() if d != 0)), ta + tb)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def _pow(a, k: int):
-    out = {((), Fraction(0)): Fraction(1)}
-    base = a
-    while k:
-        if k & 1:
-            out = _mul(out, base)
-        base = _mul(base, base)
-        k >>= 1
-    return out
+def _var_index(name: str) -> Optional[int]:
+    """The index of a variable name, or None when the name is not one."""
+    if name in _ALIASES:
+        return _ALIASES[name]
+    if name[0] == "x" and name[1:].isdigit() and int(name[1:]) >= 1:
+        return int(name[1:]) - 1
+    return None
 
 
 def parse_polyk(text: str, nvars: Optional[int] = None) -> PolyK:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -801,33 +801,21 @@ def trop_conjunction(
     """The intersection of the regions of the conditions on one orthant.
 
     Regions are computed one at a time, and none after the intersection
-    becomes empty.
+    becomes empty.  A condition with a negative exponent on a coordinate
+    the orthant sets to zero is undefined there and holds nowhere, so the
+    intersection is then empty.
     """
-    acc = whole_space_union(len(orthant_support(sigma)))
+    m = len(orthant_support(sigma))
+    acc = whole_space_union(m)
     for F, rel in conditions:
-        acc = union_intersect(acc, trop_region(F, sigma, rel))
+        try:
+            region = trop_region(F, sigma, rel)
+        except NegativeExponentAtZero:
+            return empty_union(m)
+        acc = union_intersect(acc, region)
         if not acc.pieces:
             break
     return acc
-
-
-def orthant_region(region: Callable[[Orthant], PolyUnion], sigma: Orthant) -> PolyUnion:
-    """region(sigma), or the empty union where a Laurent condition is undefined.
-
-    A negative exponent on a coordinate the orthant sets to zero leaves the
-    condition undefined there, so the orthant holds no point of the set.
-    """
-    try:
-        return region(sigma)
-    except NegativeExponentAtZero:
-        return empty_union(len(orthant_support(sigma)))
-
-
-def orthant_regions(
-    nvars: int, region: Callable[[Orthant], PolyUnion]
-) -> dict[Orthant, PolyUnion]:
-    """The region of every orthant of nvars variables."""
-    return {sigma: orthant_region(region, sigma) for sigma in all_orthants(nvars)}
 
 
 # ---------------------------------------------------------------------------

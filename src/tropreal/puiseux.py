@@ -84,9 +84,6 @@ class PuiseuxSeries:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def leading(self) -> Optional[tuple[Fraction, Fraction]]:
-        return self.terms[0] if self.terms else None
-
     def val(self) -> Val:
         return self.terms[0][0] if self.terms else INF
 

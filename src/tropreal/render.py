@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,10 +26,10 @@ from .polyhedra import (
     Orthant,
     PolyUnion,
     Polyhedron,
+    all_orthants,
     constraint,
     equality_normals,
     feasible_point,
-    orthant_regions,
     orthant_support,
     poly_dim,
     trop_conjunction,
@@ -91,7 +90,7 @@ def conjunction_regions(
     conditions: Sequence[tuple[TropPoly, str]]
 ) -> dict[Orthant, PolyUnion]:
     """Per-orthant exact region of the conjunction of tropical conditions."""
-    return orthant_regions(2, partial(trop_conjunction, conditions))
+    return {sigma: trop_conjunction(conditions, sigma) for sigma in all_orthants(2)}
 
 
 # -- exact overlay geometry ---------------------------------------------------

@@ -54,7 +54,6 @@ class Scenario:
     description: Optional[SADescription]
     conditions: tuple[tuple[TropPoly, str], ...]
     window: tuple[Fraction, Fraction, Fraction, Fraction]
-    rel_label: str
     proposal: Optional[Proposal] = None
     params: dict = field(default_factory=dict)
 
@@ -95,7 +94,6 @@ def _circle() -> Scenario:
         description=conjunction(2, [SignCondition(f, "le")]),
         conditions=((trop_r(f), "le"),),
         window=(Fraction(-3, 2), Fraction(3, 2), Fraction(-3, 2), Fraction(3, 2)),
-        rel_label="le",
         proposal=_circle_proposal,
         params={"poly": f},
     )
@@ -128,7 +126,6 @@ def _halfplane() -> Scenario:
         description=conjunction(2, [SignCondition(f, "ge")]),
         conditions=((trop_r(f), "ge"),),
         window=(Fraction(-3), Fraction(3), Fraction(-3), Fraction(3)),
-        rel_label="ge",
         proposal=_halfplane_proposal,
         params={"poly": f},
     )
@@ -162,7 +159,6 @@ def _cubic() -> Scenario:
         description=conjunction(2, [SignCondition(f, "ge")]),
         conditions=((trop_r(f), "ge"),),
         window=(Fraction(-3), Fraction(3), Fraction(-3), Fraction(3)),
-        rel_label="ge",
         proposal=_cubic_proposal,
         params={"poly": f, "segment_probe": (stv(1, 1), stv(1, 0))},
     )
@@ -190,7 +186,6 @@ def _rectangles() -> Scenario:
         description=None,
         conditions=((F, "lt"),),
         window=(Fraction(-9), Fraction(9), Fraction(-4), Fraction(4)),
-        rel_label="lt",
         params={
             "positive_quadrant_rectangle": {
                 "v1": (Fraction(-2), Fraction(-1)),
@@ -232,19 +227,15 @@ def _intersection(c: Fraction, name: str, bounded_description: bool) -> Scenario
         # x^2 <= 7|x|, hence |x| <= 7 and |y| <= 8
         for bound in ["10 - x", "10 + x", "10 - y", "10 + y"]:
             conds.append(SignCondition(parse_polyk(bound, nvars=2), "ge"))
-    cplus1 = PuiseuxSeries.const(c + 1)
-    vertex = rt_neg(rt_inv(cplus1.signed_trop())) if not cplus1.is_zero() else None
     return Scenario(
         name=name,
         nvars=2,
         description=conjunction(2, conds),
         conditions=tuple((trop_r(cond.poly), cond.rel) for cond in conds),
         window=(Fraction(-8), Fraction(8), Fraction(-8), Fraction(8)),
-        rel_label="ge",
         proposal=_intersection_proposal,
         params={
             "c": c,
-            "vertex_a": vertex,
             "ray_direction": (Fraction(-1), Fraction(-1)),
             "ray_orthants": ((1, 1), (-1, -1)),
         },

@@ -13,6 +13,13 @@ signed tropicalization are computed:
   Tropicalizing a valid inequality can only enlarge the set, so this is a
   certified superset.
 
+A Laurent condition is undefined where a negative exponent meets a zero
+coordinate, and an undefined condition does not hold.  The condition owns
+that rule: ``SignCondition.holds_at`` is False at such a point, and
+``trop_conjunction`` is empty on an orthant that sets such a coordinate to
+zero.  Membership and the outer region are both assembled one disjunct at
+a time, so another disjunct that holds there still counts, in any order.
+
 The exact tropicalization in between is not computed in general (that
 would need quantifier elimination over valued ordered fields); the
 sandwich check instead verifies the structural facts that make the pair of
@@ -35,7 +42,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -52,11 +58,10 @@ from .polyhedra import (
     Orthant,
     PolyUnion,
     Polyhedron,
+    all_orthants,
     complement_of_union,
     limit_polyhedron,
     open_poly_to_trop,
-    orthant_region,
-    orthant_regions,
     orthant_support,
     orthant_str,
     poly_dim,
@@ -103,7 +108,11 @@ class SignCondition:
             raise ValueError("sign conditions need a nonzero polynomial")
 
     def holds_at(self, p: Sequence[PuiseuxSeries]) -> bool:
-        return _SIGN_TESTS[self.rel](laurent_sign(self.poly, p))
+        """Whether poly(p) rel 0; False where poly is undefined at p."""
+        try:
+            return _SIGN_TESTS[self.rel](laurent_sign(self.poly, p))
+        except NegativeExponentAtZero:
+            return False
 
 
 @dataclass(frozen=True)
@@ -168,19 +177,13 @@ class SampleCloud:
     def add_candidate(self, p: Sequence[PuiseuxSeries]) -> bool:
         """Verify membership; record the tropical point on success."""
         p = tuple(p)
-        try:
-            if not sa_member(self.description, p):
-                return False
-        except NegativeExponentAtZero:
+        if not sa_member(self.description, p):
             return False
         self._points.setdefault(trop_point(p), p)
         return True
 
     def points(self) -> set[TropPoint]:
         return set(self._points)
-
-    def witness(self, z: TropPoint) -> tuple[PuiseuxSeries, ...]:
-        return self._points[z]
 
     def items(self):
         return self._points.items()
@@ -233,7 +236,8 @@ def sa_outer(S: SADescription, sigma: Orthant) -> PolyUnion:
     """Exact polyhedral superset of the sigma-part of the tropicalization.
 
     Union over disjuncts of the intersection over conditions of the region
-    of the tropicalized condition.  Orthants are never mixed; assembling a
+    of the tropicalized condition; a disjunct with a condition undefined on
+    sigma contributes nothing.  Orthants are never mixed; assembling a
     global picture is the caller's (reporting-level) concern.
     """
     if len(sigma) != S.nvars:
@@ -247,8 +251,8 @@ def sa_outer(S: SADescription, sigma: Orthant) -> PolyUnion:
 
 
 def sa_outer_all(S: SADescription) -> dict[Orthant, PolyUnion]:
-    """sa_outer on every orthant; an orthant where a condition is undefined is empty."""
-    return orthant_regions(S.nvars, partial(sa_outer, S))
+    """sa_outer on every orthant."""
+    return {sigma: sa_outer(S, sigma) for sigma in all_orthants(S.nvars)}
 
 
 def point_orthant(z: TropPoint) -> Orthant:
@@ -266,7 +270,7 @@ def outer_contains_point(
     if cache is not None and sigma in cache:
         region = cache[sigma]
     else:
-        region = orthant_region(partial(sa_outer, S), sigma)
+        region = sa_outer(S, sigma)
         if cache is not None:
             cache[sigma] = region
     return region.contains(point_valuations(z))
@@ -440,10 +444,7 @@ def collect_samples(
         if len(out) >= n:
             break
         p = proposal(rng) if proposal else sample_vector(rng, cfg, S.nvars)
-        try:
-            if not sa_member(S, p):
-                continue
-        except NegativeExponentAtZero:
+        if not sa_member(S, p):
             continue
         if sigma is not None and point_orthant(trop_point(p)) != sigma:
             continue
@@ -623,11 +624,8 @@ def witness_search(
                 pairs.append((lead + step, coeff))
             coords.append(PuiseuxSeries.from_terms(pairs))
         p = tuple(coords)
-        try:
-            if sa_member(S, p):
-                return p
-        except NegativeExponentAtZero:
-            continue
+        if sa_member(S, p):
+            return p
     return None
 
 

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: files, messages, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropreal import iojson
 from tropreal.cli import main, parse_target
@@ -251,3 +256,36 @@ def test_malformed_input_exits_without_traceback(tmp_path):
     )
     assert proc.returncode == 2
     _one_error_line(proc.stderr)
+
+
+def test_sampling_shortfall_is_a_failure_not_a_usage_error(circle_files, tmp_path, capsys):
+    # the default sampler finds no circle member at this seed, so nothing
+    # can verify the lifted inequalities
+    _, desc = circle_files
+    T = tmp_path / "T.json"
+    T.write_text(iojson.dumps(iojson.union_to_json(union_of(2, [point_polyhedron((0, 0))]))))
+    rc = main(["basis", str(desc), "--T", str(T), "--seed", "1", "--count", "40"])
+    assert rc == 1
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == "error: no verification samples of the set were found"
+
+
+_TEXT_TOKENS = "x y z t x1 x4 q 0 1 2 3 4 5 6 7 8 9 + - * ^ ( ) /".split()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TEXT_TOKENS), max_size=12))
+def test_trop_text_input_fuzz(tokens):
+    # single spaces keep every numeral to one digit, which bounds the powers
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "poly.txt"
+        path.write_text(" ".join(tokens))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["trop", str(path)])
+    lines = err.getvalue().splitlines()
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    else:
+        assert rc == 0
+        assert lines in ([], ["warning: the polynomial tropicalizes to zero"]), lines

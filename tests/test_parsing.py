@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropreal.errors import ParseError
 from tropreal.parsing import parse_polyk, parse_puiseux
 from tropreal.puiseux import PuiseuxSeries
-from tropreal.troppoly import PolyK
+from tropreal.troppoly import PolyK, eval_k
 
 const = PuiseuxSeries.const
 
@@ -75,3 +76,74 @@ def test_parse_errors():
 
 def test_unary_minus():
     assert parse_polyk("-x^2 + -3") == parse_polyk("-(x^2) - 3")
+
+
+def test_parse_error_order():
+    # a bad exponent is reported before an unknown name further on
+    with pytest.raises(ParseError, match="variable exponents must be integers"):
+        parse_polyk("(x+1)^(1/2) - q")
+
+
+# -- independent cross-check: parse, then evaluate, against direct evaluation --
+# A tree is (text, value) where value maps the point (x, y, t) to a Fraction.
+
+_rationals = st.fractions(min_value=0, max_value=20, max_denominator=6)
+
+
+def _leaf_rational(q):
+    text = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return text, lambda x, y, t: q
+
+
+def _leaf_t(k):
+    return f"t^({k})", lambda x, y, t: t**k
+
+
+_leaves = st.one_of(
+    _rationals.map(_leaf_rational),
+    st.sampled_from([
+        ("x", lambda x, y, t: x),
+        ("y", lambda x, y, t: y),
+        ("x^(-1)", lambda x, y, t: 1 / x),
+    ]),
+    st.integers(-3, 3).map(_leaf_t),
+)
+
+
+def _node(a, op, b, joint):
+    (ta, fa), (tb, fb) = a, b
+    if op == "+":
+        return f"({ta}){joint}+{joint}({tb})", lambda *p: fa(*p) + fb(*p)
+    if op == "-":
+        return f"({ta}){joint}-{joint}({tb})", lambda *p: fa(*p) - fb(*p)
+    # juxtaposition when joint is empty: '(a)(b)'
+    star = "*" if joint else ""
+    return f"({ta}){star}({tb})", lambda *p: fa(*p) * fb(*p)
+
+
+def _extend(trees):
+    joint = st.sampled_from(["", " "])
+    binary = st.builds(_node, trees, st.sampled_from("+-*"), trees, joint)
+    neg = trees.map(lambda a: (f"-({a[0]})", lambda *p: -a[1](*p)))
+    power = st.builds(
+        lambda a, k: (f"({a[0]})^{k}", lambda *p: a[1](*p) ** k), trees, st.integers(0, 3)
+    )
+    return st.one_of(binary, neg, power)
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=8)
+_nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+def _series_at(s, t):
+    # every t exponent in these trees is an integer
+    return sum((c * t ** int(e) for e, c in s.terms), Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _nonzero, _nonzero, _nonzero)
+def test_parse_matches_direct_evaluation(tree, x, y, t):
+    text, value = tree
+    f = parse_polyk(text, nvars=2)
+    series = eval_k(f, (PuiseuxSeries.const(x), PuiseuxSeries.const(y)))
+    assert _series_at(series, t) == value(x, y, t), text

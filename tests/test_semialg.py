@@ -19,6 +19,8 @@ from tropreal.polyhedra import (
 from tropreal.puiseux import PuiseuxSeries, SamplerConfig
 from tropreal.scenarios import get_scenario, vertex_parameter
 from tropreal.semialg import (
+    SADescription,
+    SampleCloud,
     SignCondition,
     adjacency_connected,
     conjunction,
@@ -248,8 +250,14 @@ def test_sa_outer_matches_direct_evaluation():
     from tropreal.errors import NegativeExponentAtZero
     from tropreal.polyhedra import embed_point, orthant_support
     from tropreal.puiseux import ps_sample
-    from tropreal.semialg import SADescription
     from tropreal.troppoly import trop_sat
+
+    def holds(cond, z):
+        # a condition undefined at z does not hold there
+        try:
+            return trop_sat(trop_r(cond.poly), z, cond.rel)
+        except NegativeExponentAtZero:
+            return False
 
     rng = random.Random(777)
     cfg = SamplerConfig(max_terms=2, exponent_denominator_bound=2, seed=1)
@@ -258,7 +266,7 @@ def test_sa_outer_matches_direct_evaluation():
     def rand_poly(nvars):
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            exps = tuple(rng.randint(0, 3) for _ in range(nvars))
+            exps = tuple(rng.randint(-2, 3) for _ in range(nvars))
             terms[exps] = ps_sample(cfg, rng)
         f = PolyK.from_terms(nvars, list(terms.items()))
         return f if not f.is_zero() else PolyK.const(nvars, PuiseuxSeries.one())
@@ -276,19 +284,31 @@ def test_sa_outer_matches_direct_evaluation():
             ),
         )
         sigma = tuple(rng.choice([-1, 0, 1]) for _ in range(nvars))
-        try:
-            region = sa_outer(S, sigma)
-        except NegativeExponentAtZero:
-            continue
+        region = sa_outer(S, sigma)
         m = len(orthant_support(sigma))
         for _ in range(20):
             V = tuple(F2(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(m))
             z = embed_point(sigma, V)
-            direct = any(
-                all(trop_sat(trop_r(c.poly), z, c.rel) for c in disj)
-                for disj in S.disjuncts
-            )
+            direct = any(all(holds(c, z) for c in disj) for disj in S.disjuncts)
             assert region.contains(V) == direct
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_undefined_disjunct_leaves_the_others(order):
+    # S = {y > 0} OR {x^-1 y >= 0}: at x = 0 only the second disjunct is undefined
+    first = (SignCondition(parse_polyk("y", nvars=2), "gt"),)
+    laurent = (SignCondition(parse_polyk("x^(-1)*y", nvars=2), "ge"),)
+    disjuncts = (first, laurent) if order == 0 else (laurent, first)
+    S = SADescription(2, disjuncts)
+    p = (PuiseuxSeries.zero(), const(1))
+    assert sa_member(S, p)
+    assert sa_outer_all(S)[(0, 1)].contains((F2(0),))
+    cloud = SampleCloud(S)
+    assert cloud.add_candidate(p)
+    assert inner_in_outer(S, cloud) == []
+    # on its own, the Laurent condition holds nowhere on orthant (0,+)
+    assert not sa_member(SADescription(2, (laurent,)), p)
+    assert sa_outer_all(conjunction(2, laurent + first))[(0, 1)].pieces == ()
 
 
 def test_connectivity_of_scenarios():
