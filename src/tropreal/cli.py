@@ -10,6 +10,7 @@ its answer, 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -69,14 +70,15 @@ def _emit(out: str | None, payload: str, human: str | None) -> None:
 
 
 def _decode(path: str, text: str, decode, *args):
-    """Decode a JSON input; a document of the wrong shape is a ParseError."""
-    data = json.loads(text)
+    """Decode a JSON input; any failure is a ParseError that names the file."""
     try:
-        return decode(data, *args)
+        return decode(json.loads(text), *args)
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from None
     except (TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed input: {exc}") from None
+    except (TropRealError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _load_polyk(path: str, nvars: int | None):
@@ -128,7 +130,13 @@ def _parse_window(text: str):
     return tuple(parts)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Its defaults are constants; the seed default is read from the
+    environment when a command runs, so sharing one parser is safe.
+    """
     ap = argparse.ArgumentParser(
         prog="tropreal",
         description="exact signed tropicalization of polynomials and semialgebraic sets",

@@ -29,9 +29,11 @@ so everything here is safe to share across threads.
 Relations against zero follow the region conventions used by the rest of
 the package: a value is == 0 when it is balanced or the zero point, >= 0
 when it is balanced or a point of sign 0/+, and > 0 only when it is a
-positive point.  The relations <= 0 and < 0 are *defined* by negating the
-value first, and != 0 as the complement of == 0; only the first three are
-primitive notions here, the rest is a documented convention choice.
+positive point.  The relations <= 0 and < 0 mean >= 0 and > 0 of the
+negated value, and != 0 is the complement of == 0.  So a balanced
+interval satisfies exactly ==, >= and <=, and a point satisfies a
+relation according to its sign alone; ``hv_relation`` reads both facts
+from one table.
 """
 
 from __future__ import annotations
@@ -284,28 +286,22 @@ def normalize_rel(rel: str) -> str:
         raise ValueError(f"unknown relation {rel!r}") from None
 
 
-def hv_relation(h: HyperValue, rel: str) -> bool:
-    """Compare a hyperfield sum against zero.
+# the outcomes satisfying each relation: the sign of a point value, or None
+# for a balanced interval, which satisfies exactly eq, ge and le
+_SATISFIED_BY = {
+    "eq": frozenset({0, None}),
+    "ge": frozenset({0, 1, None}),
+    "gt": frozenset({1}),
+    "le": frozenset({-1, 0, None}),
+    "lt": frozenset({-1}),
+    "ne": frozenset({-1, 1}),
+}
 
-    ==0 holds for balanced intervals and the zero point; >=0 when the value
-    contains a nonnegative number; >0 only for a positive point.  <=0, <0
-    apply >=0, >0 to the negated value, and !=0 is the complement of ==0.
-    """
-    rel = normalize_rel(rel)
-    if rel == "le":
-        return hv_relation(hv_neg(h), "ge")
-    if rel == "lt":
-        return hv_relation(hv_neg(h), "gt")
-    if rel == "ne":
-        return not hv_relation(h, "eq")
-    balanced = isinstance(h, Balanced)
-    if rel == "eq":
-        return balanced or h.value.sign == 0
-    if rel == "ge":
-        return balanced or h.value.sign >= 0
-    if rel == "gt":
-        return (not balanced) and h.value.sign > 0
-    raise AssertionError(rel)
+
+def hv_relation(h: HyperValue, rel: str) -> bool:
+    """Compare a hyperfield sum against zero (see the module docstring)."""
+    outcome = None if isinstance(h, Balanced) else h.value.sign
+    return outcome in _SATISFIED_BY[normalize_rel(rel)]
 
 
 # ---------------------------------------------------------------------------

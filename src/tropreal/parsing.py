@@ -12,7 +12,9 @@ t is the series parameter and may carry rational exponents (parenthesized
 when fractional or negative).  Variable exponents must be integers, and
 negative exponents are allowed only on single variables, keeping the
 expansion exact.  Multiplication may be written with '*' or by
-juxtaposition ('2x').  Rational literals are 'p' or 'p/q'.
+juxtaposition ('2x').  Rational literals are 'p' or 'p/q'.  A text uses
+at most ``MAX_VARS`` variables: a larger variable index, or a larger
+explicit ``nvars``, is a :class:`~tropreal.errors.ParseError`.
 
 The parser has no polynomial arithmetic of its own: every literal,
 variable and power of t becomes a :class:`~tropreal.troppoly.PolyK`, and
@@ -32,6 +34,10 @@ from .troppoly import PolyK
 
 _ALIASES = {"x": 0, "y": 1, "z": 2}
 
+# The most variables a text may use.  Every term stores one exponent per
+# variable, so an unbounded index (x2000000) would cost memory in proportion.
+MAX_VARS = 64
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -49,9 +55,9 @@ class _Lexer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < n and t[j].isdigit():
+                while j < n and t[j].isdecimal():
                     j += 1
                 self.tokens.append(("NUM", t[i:j]))
                 i = j
@@ -97,6 +103,8 @@ class _Parser:
     """
 
     def __init__(self, text: str, nvars: Optional[int]):
+        if nvars is not None and nvars > MAX_VARS:
+            raise ParseError(f"nvars={nvars} exceeds the limit of {MAX_VARS} variables")
         self.lx = _Lexer(text)
         known = (_var_index(t) for kind, t in self.lx.tokens if kind == "IDENT")
         self.max_var = max((k for k in known if k is not None), default=-1)
@@ -226,12 +234,19 @@ class _Parser:
 
 
 def _var_index(name: str) -> Optional[int]:
-    """The index of a variable name, or None when the name is not one."""
+    """The index of a variable name, or None when the name is not one.
+
+    Raises :class:`ParseError` for a variable beyond ``MAX_VARS``.
+    """
     if name in _ALIASES:
         return _ALIASES[name]
-    if name[0] == "x" and name[1:].isdigit() and int(name[1:]) >= 1:
-        return int(name[1:]) - 1
-    return None
+    if name[0] != "x" or not name[1:].isdecimal():
+        return None
+    number = name[1:].lstrip("0")
+    if len(number) > len(str(MAX_VARS)) or int(number or 0) > MAX_VARS:
+        shown = name if len(name) <= 12 else name[:10] + "..."
+        raise ParseError(f"variable {shown!r} exceeds the limit of {MAX_VARS} variables")
+    return int(number) - 1 if number else None
 
 
 def parse_polyk(text: str, nvars: Optional[int] = None) -> PolyK:

@@ -7,7 +7,9 @@ by Fourier-Motzkin elimination with strictness tracking: a derived
 inequality is strict precisely when one of its parents is.  This is exact
 over the rationals and, since the data is rational, the answers agree with
 the answers over the reals.  Feasibility, projection and point-finding share
-one elimination loop (``_fm_core``) and one row normalization.
+one elimination loop (``_fm_core``) and one row normalization.  Each
+polyhedron keeps its constraints as integer rows (normal, offset numerator,
+offset denominator, strictness), and the elimination reads those directly.
 
 The module also hosts the two bridges between polyhedra and tropical
 polynomials:
@@ -186,18 +188,6 @@ def point_polyhedron(coords: Sequence[Fraction]) -> Polyhedron:
 IntRow = tuple[tuple[int, ...], int, int, bool]
 
 
-def _to_int_rows(rows: Iterable[Row]) -> list[IntRow]:
-    out = []
-    for normal, c, strict in rows:
-        c = Fraction(c)
-        out.append((normal, c.numerator, c.denominator, strict))
-    return out
-
-
-def _from_int_rows(rows: Iterable[IntRow]) -> list[Row]:
-    return [(n, Fraction(cn, cd), s) for n, cn, cd, s in rows]
-
-
 def _primitive(normal: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """The normal divided by the gcd g of its entries, and g (0 for a zero normal)."""
     g = gcd(*normal)
@@ -307,24 +297,18 @@ def _fm_core(
     return None
 
 
-def _fm_eliminate(rows: Iterable[Row], targets: Iterable[int]) -> Optional[list[Row]]:
-    """Project away the target variables; None means the system is infeasible."""
-    cur = _fm_core(_to_int_rows(rows), targets)
-    return None if cur is None else _from_int_rows(cur)
+def _feasible(rows: Iterable[IntRow], nvars: int) -> bool:
+    return _fm_core(rows, range(nvars)) is not None
 
 
-def _feasible(rows: Iterable[Row], nvars: int) -> bool:
-    return _fm_core(_to_int_rows(rows), range(nvars)) is not None
-
-
-def _solve_feasible(rows: Iterable[Row], nvars: int) -> Optional[tuple[Fraction, ...]]:
+def _solve_feasible(rows: Iterable[IntRow], nvars: int) -> Optional[tuple[Fraction, ...]]:
     """An exact rational point satisfying the rows, or None when infeasible.
 
     Runs the elimination while recording each stage, then back-substitutes
     a value inside the allowed interval for every eliminated variable.
     """
     stages: list[tuple[int, list[IntRow]]] = []
-    if _fm_core(_to_int_rows(rows), range(nvars), stages) is None:
+    if _fm_core(rows, range(nvars), stages) is None:
         return None
     assign = [Fraction(0)] * nvars
     for k, system in reversed(stages):
@@ -372,7 +356,7 @@ def _solve_feasible(rows: Iterable[Row], nvars: int) -> Optional[tuple[Fraction,
 
 def feasible_point(P: Polyhedron) -> Optional[tuple[Fraction, ...]]:
     """A rational point of P, or None when P is empty."""
-    return _solve_feasible([c.row() for c in P.constraints], P.dim)
+    return _solve_feasible(P._int_rows, P.dim)
 
 
 def poly_contains(P: Polyhedron, x: Sequence[Fraction]) -> bool:
@@ -380,7 +364,7 @@ def poly_contains(P: Polyhedron, x: Sequence[Fraction]) -> bool:
 
 
 def poly_is_empty(P: Polyhedron) -> bool:
-    return not _feasible([c.row() for c in P.constraints], P.dim)
+    return not _feasible(P._int_rows, P.dim)
 
 
 def _rank(normals: list[tuple[int, ...]], dim: int) -> int:
@@ -405,12 +389,11 @@ def _rank(normals: list[tuple[int, ...]], dim: int) -> int:
 
 def equality_normals(P: Polyhedron) -> list[tuple[int, ...]]:
     """Normals of the non-strict constraints that hold with equality on all of P."""
-    rows = [c.row() for c in P.constraints]
+    rows = list(P._int_rows)
     return [
-        c.form.normal
-        for c in P.constraints
-        if not c.strict
-        and not _feasible(rows + [(c.form.normal, c.form.offset, True)], P.dim)
+        normal
+        for normal, cn, cd, strict in P._int_rows
+        if not strict and not _feasible(rows + [(normal, cn, cd, True)], P.dim)
     ]
 
 
@@ -425,9 +408,9 @@ def poly_subset(P: Polyhedron, Q: Polyhedron) -> bool:
     """P ⊆ Q, exact; an empty P is a subset of anything."""
     if P.dim != Q.dim:
         raise DimensionMismatch("cannot compare different dimensions")
-    rows = [c.row() for c in P.constraints]
-    for c in Q.constraints:
-        if _feasible(rows + [c.negated().row()], P.dim):
+    rows = list(P._int_rows)
+    for normal, cn, cd, strict in Q._int_rows:
+        if _feasible(rows + [(tuple(-a for a in normal), -cn, cd, not strict)], P.dim):
             return False
     return True
 
@@ -446,8 +429,8 @@ def poly_recession_contains(P: Polyhedron, d: Sequence[Fraction]) -> bool:
 
 def poly_has_recession_direction(P: Polyhedron, open_conditions: Sequence[Constraint]) -> bool:
     """Whether the recession cone of P meets all the given homogeneous conditions."""
-    rows: list[Row] = [(c.form.normal, Fraction(0), False) for c in P.constraints]
-    rows += [c.row() for c in open_conditions]
+    rows: list[IntRow] = [(normal, 0, 1, False) for normal, _, _, _ in P._int_rows]
+    rows += Polyhedron(P.dim, tuple(open_conditions))._int_rows
     return _feasible(rows, P.dim)
 
 
@@ -495,7 +478,7 @@ def union_prune(U: PolyUnion) -> PolyUnion:
     seen = set()
     out = []
     for p in U.pieces:
-        key = tuple(sorted((c.form.normal, c.form.offset, c.strict) for c in p.constraints))
+        key = tuple(sorted(p._int_rows))
         if key in seen:
             continue
         if poly_is_empty(p):
@@ -544,14 +527,14 @@ def union_equal(A: PolyUnion, B: PolyUnion) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _form_rows(form: AffineForm, sign: int) -> list[Row]:
+def _form_rows(form: AffineForm, sign: int) -> list[IntRow]:
+    normal, cn, cd = form.normal, form.offset.numerator, form.offset.denominator
+    neg = tuple(-a for a in normal)
     if sign < 0:
-        return [(form.normal, form.offset, True)]
+        return [(normal, cn, cd, True)]
     if sign > 0:
-        neg = form.negated()
-        return [(neg.normal, neg.offset, True)]
-    neg = form.negated()
-    return [(form.normal, form.offset, False), (neg.normal, neg.offset, False)]
+        return [(neg, -cn, cd, True)]
+    return [(normal, cn, cd, False), (neg, -cn, cd, False)]
 
 
 def enumerate_cells(forms: Sequence[AffineForm], dim: int) -> list[tuple[int, ...]]:
@@ -568,7 +551,7 @@ def enumerate_cells(forms: Sequence[AffineForm], dim: int) -> list[tuple[int, ..
         v = form.value(x)
         return 1 if v > 0 else -1 if v < 0 else 0
 
-    def rec(i: int, rows: list[Row], candidates: list[tuple[Fraction, ...]]) -> None:
+    def rec(i: int, rows: list[IntRow], candidates: list[tuple[Fraction, ...]]) -> None:
         if i == len(forms):
             results.append(tuple(signs))
             return
@@ -763,36 +746,34 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
         (si, ei, vi), (sj, ej, vj) = terms[i], terms[j]
         return AffineForm(tuple(a - b for a, b in zip(ei, ej)), vi - vj)
 
-    def dominance_piece(i: int, strict_against: set[int]) -> Polyhedron:
-        cons = []
-        for j in range(len(terms)):
-            if j == i:
-                continue
-            cons.append(Constraint(diff(i, j), j in strict_against))
-        return Polyhedron(m, tuple(cons))
+    def dominance(i: int, strict_against: set[int]) -> tuple[Constraint, ...]:
+        return tuple(
+            Constraint(diff(i, j), j in strict_against)
+            for j in range(len(terms))
+            if j != i
+        )
 
     pos = [i for i, (s, _, _) in enumerate(terms) if s > 0]
     neg = [i for i, (s, _, _) in enumerate(terms) if s < 0]
 
-    pieces: list[Polyhedron] = []
+    # each ordered pair's difference form is built at most once per call
+    cells: list[tuple[Constraint, ...]] = []
     if rel == "ge":
-        pieces = [dominance_piece(i, set()) for i in pos]
+        cells = [dominance(i, set()) for i in pos]
     elif rel == "le":
-        pieces = [dominance_piece(i, set()) for i in neg]
+        cells = [dominance(i, set()) for i in neg]
     elif rel == "gt":
-        pieces = [dominance_piece(i, set(neg)) for i in pos]
+        cells = [dominance(i, set(neg)) for i in pos]
     elif rel == "lt":
-        pieces = [dominance_piece(i, set(pos)) for i in neg]
+        cells = [dominance(i, set(pos)) for i in neg]
     elif rel == "eq":
-        for i in pos:
-            for j in neg:
-                base = dominance_piece(i, set())
-                tie = Constraint(diff(j, i), False)
-                pieces.append(Polyhedron(m, base.constraints + (tie,)))
+        for i in pos if neg else ():
+            base = dominance(i, set())
+            cells += [base + (Constraint(diff(j, i), False),) for j in neg]
     elif rel == "ne":
-        pieces = [dominance_piece(i, set(neg)) for i in pos]
-        pieces += [dominance_piece(i, set(pos)) for i in neg]
-    return union_of(m, pieces)
+        cells = [dominance(i, set(neg)) for i in pos]
+        cells += [dominance(i, set(pos)) for i in neg]
+    return union_of(m, (Polyhedron(m, cons) for cons in cells))
 
 
 def trop_conjunction(
@@ -842,7 +823,7 @@ def open_poly_to_trop(P: Polyhedron) -> TropPoly:
     if poly_is_empty(P):
         raise EmptyPolyhedron("no polynomial represents an empty open region")
     # the strongest row per primitive normal; P is nonempty, so this is not None
-    strongest = _normalize_rows(_to_int_rows(c.row() for c in P.constraints))
+    strongest = _normalize_rows(P._int_rows)
     terms: list[tuple[tuple[int, ...], SignedTropVal]] = [
         ((0,) * P.dim, stv(1, 0))
     ]
@@ -882,22 +863,22 @@ def limit_polyhedron(P: Polyhedron, drop: Sequence[int]) -> Optional[Polyhedron]
         return P.closure()
     n = P.dim
     nu = n  # auxiliary lower bound for the dropped coordinates
-    rows: list[Row] = []
-    for c in P.constraints:
-        rows.append((c.form.normal + (0,), c.form.offset, False))
+    rows: list[IntRow] = [
+        (normal + (0,), cn, cd, False) for normal, cn, cd, _ in P._int_rows
+    ]
     for k in drop_set:
         normal = tuple((1 if i == nu else -1 if i == k else 0) for i in range(n + 1))
-        rows.append((normal, Fraction(0), False))
-    projected = _fm_eliminate(rows, drop_set)
+        rows.append((normal, 0, 1, False))
+    projected = _fm_core(rows, drop_set)
     if projected is None:
         return None
     cons: list[Constraint] = []
-    for normal, offset, strict in projected:
+    for normal, cn, cd, strict in projected:
         lam = normal[nu]
         if lam > 0:
             return None
         if lam < 0:
             continue
         reduced = tuple(normal[k] for k in keep)
-        cons.append(Constraint(AffineForm(reduced, offset), strict))
+        cons.append(Constraint(AffineForm(reduced, Fraction(cn, cd)), strict))
     return Polyhedron(len(keep), tuple(cons))

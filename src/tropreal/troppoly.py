@@ -26,9 +26,22 @@ positive constant keeps its sign, and renaming exponents e -> D*e keeps
 their order, so the sign of g(p) is the sign of the integer sum at its
 lowest exponent with a nonzero coefficient.
 
+``trop_eval`` works in integers in the same way.  Each :class:`TropPoly`
+keeps its coefficient valuations as numerators over one common
+denominator D; per call the nonzero coordinates of the point are brought
+to one denominator D', so the valuation of a term is the integer
+v * D' + D * sum d_k x_k over D * D'.  Its sign is the coefficient sign,
+flipped once for every odd power of a negative coordinate.  Only the
+smallest score and the signs tied at it are kept, and one rational is
+built per call.  A zero coordinate is met in variable order: a positive
+power kills the term, a negative one raises, and the first such
+coordinate of a term decides.
+
 Everything is immutable; evaluation over shared polynomials is safe from
 concurrent contexts.  The integer form of g is cached on each
-:class:`PolyK` the first time a sign is asked for.
+:class:`PolyK` the first time a sign is asked for, and that of a
+tropical polynomial on each :class:`TropPoly` the first time it is
+evaluated.
 """
 
 from __future__ import annotations
@@ -41,13 +54,15 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NegativeExponentAtZero
 from .hyperfields import (
+    HV_ZERO,
+    Balanced,
     HyperValue,
+    Point,
     SignedTropVal,
     hv_relation,
     rt_inv,
     rt_mul,
     rt_pow,
-    rt_sum,
 )
 from .puiseux import PS_ONE, PuiseuxSeries
 
@@ -189,6 +204,10 @@ class TropPoly:
 
         return TropPoly(self.nvars, tuple((e, rt_neg(c)) for e, c in self.terms))
 
+    @cached_property
+    def _val_kernel(self) -> "_ValKernel":
+        return _ValKernel.of(self)
+
     def text(self) -> str:
         """Rendering like 'X^2 (+) Y^2 (+) -X (+) -Y (+) 1'."""
         if not self.terms:
@@ -227,32 +246,73 @@ def trop_r(f: PolyK) -> TropPoly:
     )
 
 
-def _term_value(coeff: SignedTropVal, exps: Exps, p: TropPoint) -> SignedTropVal | None:
-    """Signed value of coeff * p**exps; None when a zero coordinate kills the term."""
-    acc = coeff
-    for d, c in zip(exps, p):
-        if d == 0:
-            continue
-        if c.sign == 0:
-            if d < 0:
-                raise NegativeExponentAtZero(
-                    "negative exponent at a zero coordinate"
-                )
-            return None
-        acc = rt_mul(acc, rt_pow(c, d))
-    return acc
+class _ValKernel(NamedTuple):
+    """A tropical polynomial in integer form.
+
+    Each term is (its nonzero exponents as (variable, degree) pairs in
+    variable order, coefficient sign, coefficient valuation times ``den``);
+    ``den`` is the least common denominator of the coefficient valuations.
+    A zero coefficient keeps sign 0 and numerator 0: it still raises at a
+    zero coordinate under a negative exponent, and never counts otherwise.
+    """
+
+    den: int
+    terms: tuple[tuple[tuple[tuple[int, int], ...], int, int], ...]
+
+    @staticmethod
+    def of(F: "TropPoly") -> "_ValKernel":
+        den = lcm(*(c.val.denominator for _, c in F.terms if c.sign))
+        terms = tuple(
+            (
+                tuple((k, d) for k, d in enumerate(exps) if d),
+                c.sign,
+                c.val.numerator * (den // c.val.denominator) if c.sign else 0,
+            )
+            for exps, c in F.terms
+        )
+        return _ValKernel(den, terms)
+
+    def value_at(self, p: TropPoint) -> HyperValue:
+        """The hyperfield sum of the terms at p, scored in integers."""
+        dp = lcm(*(c.val.denominator for c in p if c.sign))
+        signs = [c.sign for c in p]
+        xs = [c.val.numerator * (dp // c.val.denominator) if c.sign else 0 for c in p]
+        den = self.den
+        best = None
+        best_sign = 0
+        balanced = False
+        for pairs, sign, v in self.terms:
+            dot = 0
+            for k, d in pairs:
+                s = signs[k]
+                if not s:
+                    if d < 0:
+                        raise NegativeExponentAtZero(
+                            "negative exponent at a zero coordinate"
+                        )
+                    break  # a positive power of a zero coordinate kills the term
+                dot += d * xs[k]
+                if s < 0 and d & 1:
+                    sign = -sign
+            else:
+                if not sign:
+                    continue
+                score = v * dp + den * dot
+                if best is None or score < best:
+                    best, best_sign, balanced = score, sign, False
+                elif score == best and sign != best_sign:
+                    balanced = True
+        if best is None:
+            return HV_ZERO
+        val = Fraction(best, den * dp)
+        return Balanced(val) if balanced else Point(SignedTropVal(best_sign, val))
 
 
 def trop_eval(F: TropPoly, p: TropPoint) -> HyperValue:
     """The multivalued value F(p), always a point or a balanced interval."""
     if len(p) != F.nvars:
         raise DimensionMismatch(f"point dim {len(p)} vs nvars {F.nvars}")
-    vals = []
-    for exps, coeff in F.terms:
-        v = _term_value(coeff, exps, p)
-        if v is not None:
-            vals.append(v)
-    return rt_sum(vals)
+    return F._val_kernel.value_at(p)
 
 
 def trop_sat(F: TropPoly, p: TropPoint, rel: str) -> bool:

@@ -199,6 +199,28 @@ def test_description_missing_key_is_named(tmp_path, capsys):
     assert "missing key 'disjuncts'" in line
 
 
+@pytest.mark.parametrize("poly, rel", [
+    ({"nvars": 2, "terms": [{"exps": [1], "coeff": {"terms": [{"exp": "0", "coeff": "1"}]}}]},
+     ">="),
+    ({"nvars": 2, "terms": [{"exps": [1, 0], "coeff": {"terms": [{"exp": "0", "coeff": "1z"}]}}]},
+     ">="),
+    ({"nvars": 2, "terms": [{"exps": [1, 0], "coeff": {"terms": [{"exp": "0", "coeff": "1"}]}}]},
+     "=>"),
+])
+def test_description_decode_error_names_the_file(tmp_path, capsys, poly, rel):
+    desc = tmp_path / "short.json"
+    desc.write_text(json.dumps({"nvars": 2, "disjuncts": [[{"poly": poly, "rel": rel}]]}))
+    assert main(["sample", str(desc), "--count", "5"]) == 2
+    assert _one_error_line(capsys.readouterr().err).startswith(f"error: {desc}: ")
+
+
+def test_invalid_json_names_the_file(tmp_path, capsys):
+    desc = tmp_path / "truncated.json"
+    desc.write_text('{"nvars": 2, "disjuncts": [')
+    assert main(["sample", str(desc)]) == 2
+    assert _one_error_line(capsys.readouterr().err).startswith(f"error: {desc}: ")
+
+
 def test_malformed_target_set_is_usage_error(circle_files, tmp_path, capsys):
     _, desc = circle_files
     T = tmp_path / "T.json"
@@ -270,7 +292,7 @@ def test_sampling_shortfall_is_a_failure_not_a_usage_error(circle_files, tmp_pat
     assert line == "error: no verification samples of the set were found"
 
 
-_TEXT_TOKENS = "x y z t x1 x4 q 0 1 2 3 4 5 6 7 8 9 + - * ^ ( ) /".split()
+_TEXT_TOKENS = "x y z t x1 x4 x64 x65 x2000000 q 0 1 2 3 4 5 6 7 8 9 + - * ^ ( ) /".split()
 
 
 @settings(max_examples=300, deadline=None)
@@ -289,3 +311,47 @@ def test_trop_text_input_fuzz(tokens):
     else:
         assert rc == 0
         assert lines in ([], ["warning: the polynomial tropicalizes to zero"]), lines
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_repeated_calls(circle_files, tmp_path, monkeypatch):
+    from tropreal import cli
+
+    _, desc = circle_files
+    halfplane = tmp_path / "halfplane.json"
+    halfplane.write_text(
+        iojson.dumps(iojson.description_to_json(get_scenario("halfplane").description))
+    )
+    sample = ["sample", str(halfplane), "--count", "10", "--out", "-"]
+    calls = [
+        ["witness", str(desc), "--target", "((+,0),(+,0))", "--budget", "30",
+         "--seed", "3", "--out", "-"],
+        ["region"],
+        ["--help"],
+        sample + ["--seed", "2"],
+        ["witness", "--help"],
+        ["sample", str(desc), "--count", "-1"],
+    ]
+    cli._build_parser.cache_clear()
+    shared = [_run_main(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_run_main(argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 2, 0, 0, 0, 2]
+    # the seed default is read from the environment when the command runs
+    monkeypatch.delenv("TROPREAL_SEED", raising=False)
+    assert _run_main(sample) != shared[3]
+    monkeypatch.setenv("TROPREAL_SEED", "2")
+    assert _run_main(sample) == shared[3]

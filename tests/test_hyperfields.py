@@ -105,6 +105,52 @@ def test_relation_aliases():
         hv_relation(hv_point(1, 0), "gte")
 
 
+_ALIASES = {
+    "eq": ["eq", "=", "==", "=0"],
+    "ge": ["ge", ">=", "≥", ">=0"],
+    "gt": ["gt", ">", ">0"],
+    "le": ["le", "<=", "≤", "<=0"],
+    "lt": ["lt", "<", "<0"],
+    "ne": ["ne", "!=", "≠", "!=0"],
+}
+
+
+def _relation_oracle(signs, rel):
+    """A relation against zero, read off the signs of a value's members.
+
+    == and != ask whether zero is a member; >= and <= whether some member
+    has that sign; > and < whether every member has it.
+    """
+    return {
+        "eq": 0 in signs,
+        "ne": 0 not in signs,
+        "ge": any(s >= 0 for s in signs),
+        "le": any(s <= 0 for s in signs),
+        "gt": all(s > 0 for s in signs),
+        "lt": all(s < 0 for s in signs),
+    }[rel]
+
+
+def test_relation_table_exhaustive():
+    cases = [
+        (Balanced(Fraction(-2)), {-1, 0, 1}),
+        (Balanced(Fraction(3, 2)), {-1, 0, 1}),
+        (HV_ZERO, {0}),
+        (hv_point(1, 0), {1}),
+        (hv_point(1, Fraction(-7, 3)), {1}),
+        (hv_point(-1, 0), {-1}),
+        (hv_point(-1, 4), {-1}),
+    ]
+    for value, signs in cases:
+        for rel, aliases in _ALIASES.items():
+            expected = _relation_oracle(signs, rel)
+            for alias in aliases:
+                assert hv_relation(value, alias) is expected, (value, alias)
+                assert hv_relation(value, f" {alias} ") is expected, (value, alias)
+    # a balanced value satisfies exactly ==, >= and <=
+    assert {r for r in _ALIASES if hv_relation(Balanced(Fraction(0)), r)} == {"eq", "ge", "le"}
+
+
 @given(hypervalues(), hypervalues())
 def test_add_commutative(a, b):
     assert rt_add(a, b) == rt_add(b, a)

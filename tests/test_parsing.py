@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropreal.errors import ParseError
-from tropreal.parsing import parse_polyk, parse_puiseux
+from tropreal.parsing import MAX_VARS, parse_polyk, parse_puiseux
 from tropreal.puiseux import PuiseuxSeries
 from tropreal.troppoly import PolyK, eval_k
 
@@ -62,6 +62,20 @@ def test_nvars_override():
     assert f.nvars == 3
     with pytest.raises(ParseError):
         parse_polyk("z", nvars=2)
+
+
+def test_variable_index_is_bounded():
+    assert parse_polyk(f"x{MAX_VARS}*y").nvars == MAX_VARS
+    assert parse_polyk("x", nvars=MAX_VARS).nvars == MAX_VARS
+    for bad in [f"x{MAX_VARS + 1}", "x2000000*y + x2000000^2", "x" + "9" * 5000]:
+        with pytest.raises(ParseError, match=f"limit of {MAX_VARS} variables"):
+            parse_polyk(bad)
+    with pytest.raises(ParseError, match=f"limit of {MAX_VARS} variables"):
+        parse_polyk("x", nvars=MAX_VARS + 1)
+    # digits other than 0-9 are not numerals
+    for bad in ["x\u00b2", "\u00b2"]:
+        with pytest.raises(ParseError):
+            parse_polyk(bad)
 
 
 def test_cancellation():

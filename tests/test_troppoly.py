@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from tropreal.errors import NegativeExponentAtZero
 from tropreal.hyperfields import (
+    RT_ZERO,
     Balanced,
     hv_contains,
     hv_point,
     rt_mul,
+    rt_pow,
+    rt_sum,
     stv,
 )
 from tropreal.parsing import parse_polyk
@@ -272,3 +275,70 @@ def test_laurent_sign_at_roots():
     assert laurent_sign(g, (x, y)) == 0
     assert laurent_sign(g.shift((-2, 0)), (x, y)) == 0
     assert laurent_sign(g + PolyK.const(2, t_pow(7)), (x, y)) == 1
+
+
+# -- independent cross-check of trop_eval's integer kernel ----------------------
+
+
+def _reference_trop_eval(F, p):
+    """F(p) term by term in the hyperfield: coefficient times coordinate powers.
+
+    A zero coordinate is met in variable order; under a negative exponent it
+    raises, under a positive one it kills the term.
+    """
+    values = []
+    for exps, coeff in F.terms:
+        acc = coeff
+        for d, c in zip(exps, p):
+            if d == 0:
+                continue
+            if c.sign == 0:
+                if d < 0:
+                    raise NegativeExponentAtZero("negative exponent at a zero coordinate")
+                acc = RT_ZERO
+                break
+            acc = rt_mul(acc, rt_pow(c, d))
+        values.append(acc)
+    return rt_sum(values)
+
+
+# few distinct valuations, so that terms often tie at the minimum
+_signed_vals = st.builds(stv, st.sampled_from([-1, 1]), _fractions(2, 2))
+_coords = st.one_of(st.just(stv(0, "inf")), _signed_vals)
+
+
+@st.composite
+def troppoly_and_point(draw):
+    nvars = draw(st.integers(1, 3))
+    terms = draw(
+        st.dictionaries(st.tuples(*[st.integers(-2, 3)] * nvars), _signed_vals, max_size=6)
+    )
+    F = TropPoly.from_terms(nvars, terms.items())
+    p = tuple(draw(_coords) for _ in range(nvars))
+    return F, p
+
+
+@settings(max_examples=500, deadline=None)
+@given(troppoly_and_point())
+def test_trop_eval_matches_term_by_term_reference(case):
+    F, p = case
+    try:
+        expected = _reference_trop_eval(F, p)
+    except NegativeExponentAtZero:
+        with pytest.raises(NegativeExponentAtZero):
+            trop_eval(F, p)
+        return
+    assert trop_eval(F, p) == expected
+
+
+def test_trop_eval_first_zero_coordinate_decides():
+    # x kills the term before y's negative exponent is reached
+    F = TropPoly.from_terms(2, [((1, -1), stv(1, 0)), ((0, 0), stv(-1, 2))])
+    zero = stv(0, "inf")
+    assert trop_eval(F, (zero, zero)) == hv_point(-1, 2)
+    G = TropPoly.from_terms(2, [((-1, 1), stv(1, 0))])
+    with pytest.raises(NegativeExponentAtZero):
+        trop_eval(G, (zero, zero))
+    # odd powers of negative coordinates flip the sign, even powers do not
+    H = TropPoly.from_terms(2, [((3, 2), stv(1, Fraction(1, 2)))])
+    assert trop_eval(H, (stv(-1, 1), stv(-1, Fraction(-1, 3)))) == hv_point(-1, Fraction(17, 6))
