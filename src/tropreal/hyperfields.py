@@ -32,15 +32,16 @@ when it is balanced or a point of sign 0/+, and > 0 only when it is a
 positive point.  The relations <= 0 and < 0 mean >= 0 and > 0 of the
 negated value, and != 0 is the complement of == 0.  So a balanced
 interval satisfies exactly ==, >= and <=, and a point satisfies a
-relation according to its sign alone; ``hv_relation`` reads both facts
-from one table.
+relation according to its sign alone; ``outcome_relation`` reads both
+facts from one table, for ``hv_relation`` and for ``trop_sat``, which
+never builds the value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 
 class _PlusInfinity:
@@ -298,10 +299,18 @@ _SATISFIED_BY = {
 }
 
 
+def outcome_relation(outcome: Optional[int], rel: str) -> bool:
+    """Whether an outcome satisfies the relation against zero.
+
+    The outcome is the sign of a point value, or None for a balanced
+    interval.
+    """
+    return outcome in _SATISFIED_BY[normalize_rel(rel)]
+
+
 def hv_relation(h: HyperValue, rel: str) -> bool:
     """Compare a hyperfield sum against zero (see the module docstring)."""
-    outcome = None if isinstance(h, Balanced) else h.value.sign
-    return outcome in _SATISFIED_BY[normalize_rel(rel)]
+    return outcome_relation(None if isinstance(h, Balanced) else h.value.sign, rel)
 
 
 # ---------------------------------------------------------------------------

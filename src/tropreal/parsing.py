@@ -178,16 +178,16 @@ class _Parser:
         tok = self.lx.next()
         kind, text = tok
         if kind == "NUM":
-            num = Fraction(int(text))
+            num = Fraction(_numeral(text))
             nxt = self.lx.peek()
             if nxt and nxt[0] == "/":
                 after = self.lx.peek(1)
                 if after and after[0] == "NUM":
                     self.lx.next()
-                    den = int(self.lx.next()[1])
+                    den = _numeral(self.lx.next()[1])
                     if den == 0:
                         raise ParseError("zero denominator")
-                    num = Fraction(int(text), den)
+                    num = Fraction(num.numerator, den)
                 else:
                     raise ParseError("'/' is only for rational literals")
             return self._const(PuiseuxSeries.const(num)), "num"
@@ -222,15 +222,23 @@ class _Parser:
         if tok and tok[0] in "+-":
             self.lx.next()
             sign = -1 if tok[0] == "-" else 1
-        num = int(self.lx.expect("NUM")[1])
+        num = _numeral(self.lx.expect("NUM")[1])
         tok = self.lx.peek()
         if tok and tok[0] == "/":
             self.lx.next()
-            den = int(self.lx.expect("NUM")[1])
+            den = _numeral(self.lx.expect("NUM")[1])
             if den == 0:
                 raise ParseError("zero denominator")
             return Fraction(sign * num, den)
         return Fraction(sign * num)
+
+
+def _numeral(text: str) -> int:
+    """The value of a NUM token; a numeral longer than Python converts is a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"numeral of {len(text)} digits is too long") from None
 
 
 def _var_index(name: str) -> Optional[int]:

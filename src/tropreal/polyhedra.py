@@ -16,7 +16,9 @@ polynomials:
 
 * ``trop_region`` turns a tropical polynomial, an orthant, and a relation
   against zero into the exact region of valuation vectors satisfying it,
-  assembled from dominance cells of the polynomial's terms;
+  assembled from dominance cells of the polynomial's terms.  The cells are
+  built as integer rows straight from the polynomial's integer valuation
+  kernel, and each piece keeps those rows instead of deriving them again;
 * ``open_poly_to_trop`` goes the other way for open polyhedra, producing a
   polynomial that is positive exactly on the polyhedron.  Its input is
   read in log-magnitude coordinates X, where the tropical point with
@@ -186,6 +188,26 @@ def point_polyhedron(coords: Sequence[Fraction]) -> Polyhedron:
 
 # internal integer rows: (normal, offset numerator, offset denominator > 0, strict)
 IntRow = tuple[tuple[int, ...], int, int, bool]
+
+
+def _from_rows(dim: int, rows: Sequence[IntRow]) -> Polyhedron:
+    """The polyhedron of integer rows whose offsets are in lowest terms.
+
+    The rows become its ``_int_rows`` as given, so they are not derived a
+    second time from the constraints, and their forms skip the coercion of
+    ``AffineForm.__post_init__``: the normals are already integer tuples.
+    """
+    cons = []
+    for normal, cn, cd, strict in rows:
+        form = object.__new__(AffineForm)
+        object.__setattr__(form, "normal", normal)
+        object.__setattr__(form, "offset", Fraction(cn, cd))
+        cons.append(Constraint(form, strict))
+    P = object.__new__(Polyhedron)
+    object.__setattr__(P, "dim", dim)
+    object.__setattr__(P, "constraints", tuple(cons))
+    object.__setattr__(P, "_int_rows", tuple(rows))
+    return P
 
 
 def _primitive(normal: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -696,34 +718,6 @@ def parse_orthant(text: str) -> Orthant:
 # ---------------------------------------------------------------------------
 
 
-def _orthant_terms(
-    F: TropPoly, sigma: Orthant
-) -> list[tuple[int, tuple[int, ...], Fraction]]:
-    """Surviving terms as (sign, support exponents, valuation offset)."""
-    if len(sigma) != F.nvars:
-        raise DimensionMismatch("orthant length does not match polynomial")
-    support = orthant_support(sigma)
-    out = []
-    for exps, coeff in F.terms:
-        sign = coeff.sign
-        dead = False
-        for k, d in enumerate(exps):
-            if sigma[k] == 0:
-                if d < 0:
-                    raise NegativeExponentAtZero(
-                        "negative exponent on a zero-sign coordinate"
-                    )
-                if d > 0:
-                    dead = True
-                    break
-            elif sigma[k] < 0 and d % 2:
-                sign = -sign
-        if dead:
-            continue
-        out.append((sign, tuple(exps[k] for k in support), Fraction(coeff.val)))
-    return out
-
-
 def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     """The exact set of support valuations V with F(embed(sigma, V)) rel 0.
 
@@ -731,49 +725,80 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     affine value L_i(V) = exps_i . V + val_i is minimal.  A relation holds
     according to the signs of the dominating terms (mixed dominant signs
     balance, which counts as == 0, >= 0 and <= 0).
+
+    The terms are read from the integer valuation kernel of F, so every
+    cell is built as integer rows: the difference L_i - L_j is the row
+    (exps_i - exps_j, (v_i - v_j) / g, D / g), where the v are valuation
+    numerators over the kernel's common denominator D and g is the gcd of
+    v_i - v_j and D.  Terms whose coefficient is zero never count, as in
+    ``trop_eval``.
     """
     rel = normalize_rel(rel)
-    terms = _orthant_terms(F, sigma)
-    m = len(orthant_support(sigma))
+    if len(sigma) != F.nvars:
+        raise DimensionMismatch("orthant length does not match polynomial")
+    support = orthant_support(sigma)
+    m = len(support)
+    place = {k: i for i, k in enumerate(support)}
 
-    if not terms:
+    # surviving terms: sign on the orthant, support exponents, valuation numerator
+    signs: list[int] = []
+    exps: list[tuple[int, ...]] = []
+    vals: list[int] = []
+    kernel = F._val_kernel
+    for pairs, sign, v in kernel.terms:
+        e = [0] * m
+        for k, d in pairs:
+            s = sigma[k]
+            if not s:
+                if d < 0:
+                    raise NegativeExponentAtZero(
+                        "negative exponent on a zero-sign coordinate"
+                    )
+                break  # a positive power of a zero coordinate kills the term
+            e[place[k]] = d
+            if s < 0 and d & 1:
+                sign = -sign
+        else:
+            if sign:
+                signs.append(sign)
+                exps.append(tuple(e))
+                vals.append(v)
+
+    if not signs:
         # the polynomial evaluates to zero on this orthant
         if rel in ("eq", "ge", "le"):
             return whole_space_union(m)
         return empty_union(m)
 
-    def diff(i: int, j: int) -> AffineForm:
-        (si, ei, vi), (sj, ej, vj) = terms[i], terms[j]
-        return AffineForm(tuple(a - b for a, b in zip(ei, ej)), vi - vj)
+    den = kernel.den
+    # a dominance row is strict exactly against a term of the opposite sign
+    # for gt, lt and ne, and never for ge, le and eq
+    mixed_strict = rel in ("gt", "lt", "ne")
 
-    def dominance(i: int, strict_against: set[int]) -> tuple[Constraint, ...]:
-        return tuple(
-            Constraint(diff(i, j), j in strict_against)
-            for j in range(len(terms))
-            if j != i
-        )
+    def row(i: int, j: int) -> IntRow:
+        """L_i - L_j <= 0, or < 0."""
+        dv = vals[i] - vals[j]
+        g = gcd(dv, den)
+        normal = tuple(a - b for a, b in zip(exps[i], exps[j]))
+        return (normal, dv // g, den // g, mixed_strict and signs[i] != signs[j])
 
-    pos = [i for i, (s, _, _) in enumerate(terms) if s > 0]
-    neg = [i for i, (s, _, _) in enumerate(terms) if s < 0]
+    def dominance(i: int) -> list[IntRow]:
+        return [row(i, j) for j in range(len(signs)) if j != i]
 
-    # each ordered pair's difference form is built at most once per call
-    cells: list[tuple[Constraint, ...]] = []
-    if rel == "ge":
-        cells = [dominance(i, set()) for i in pos]
-    elif rel == "le":
-        cells = [dominance(i, set()) for i in neg]
-    elif rel == "gt":
-        cells = [dominance(i, set(neg)) for i in pos]
-    elif rel == "lt":
-        cells = [dominance(i, set(pos)) for i in neg]
-    elif rel == "eq":
+    pos = [i for i, s in enumerate(signs) if s > 0]
+    neg = [i for i, s in enumerate(signs) if s < 0]
+
+    # each ordered pair's row is built at most once per call
+    cells: list[list[IntRow]] = []
+    if rel in ("ge", "gt", "ne"):
+        cells += [dominance(i) for i in pos]
+    if rel in ("le", "lt", "ne"):
+        cells += [dominance(i) for i in neg]
+    if rel == "eq":
         for i in pos if neg else ():
-            base = dominance(i, set())
-            cells += [base + (Constraint(diff(j, i), False),) for j in neg]
-    elif rel == "ne":
-        cells = [dominance(i, set(neg)) for i in pos]
-        cells += [dominance(i, set(pos)) for i in neg]
-    return union_of(m, (Polyhedron(m, cons) for cons in cells))
+            base = dominance(i)
+            cells += [base + [row(j, i)] for j in neg]
+    return union_of(m, (_from_rows(m, rows) for rows in cells))
 
 
 def trop_conjunction(
@@ -872,13 +897,12 @@ def limit_polyhedron(P: Polyhedron, drop: Sequence[int]) -> Optional[Polyhedron]
     projected = _fm_core(rows, drop_set)
     if projected is None:
         return None
-    cons: list[Constraint] = []
+    out: list[IntRow] = []
     for normal, cn, cd, strict in projected:
         lam = normal[nu]
         if lam > 0:
             return None
         if lam < 0:
             continue
-        reduced = tuple(normal[k] for k in keep)
-        cons.append(Constraint(AffineForm(reduced, Fraction(cn, cd)), strict))
-    return Polyhedron(len(keep), tuple(cons))
+        out.append((tuple(normal[k] for k in keep), cn, cd, strict))
+    return _from_rows(len(keep), out)

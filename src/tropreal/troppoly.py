@@ -33,7 +33,8 @@ to one denominator D', so the valuation of a term is the integer
 v * D' + D * sum d_k x_k over D * D'.  Its sign is the coefficient sign,
 flipped once for every odd power of a negative coordinate.  Only the
 smallest score and the signs tied at it are kept, and one rational is
-built per call.  A zero coordinate is met in variable order: a positive
+built per call; ``trop_sat`` builds none, since the sign outcome alone
+decides a relation.  A zero coordinate is met in variable order: a positive
 power kills the term, a negative one raises, and the first such
 coordinate of a term decides.
 
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, NegativeExponentAtZero
 from .hyperfields import (
@@ -59,7 +60,7 @@ from .hyperfields import (
     HyperValue,
     Point,
     SignedTropVal,
-    hv_relation,
+    outcome_relation,
     rt_inv,
     rt_mul,
     rt_pow,
@@ -272,8 +273,14 @@ class _ValKernel(NamedTuple):
         )
         return _ValKernel(den, terms)
 
-    def value_at(self, p: TropPoint) -> HyperValue:
-        """The hyperfield sum of the terms at p, scored in integers."""
+    def score_at(self, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
+        """Score the terms at p in integers.
+
+        Returns the minimal score, its sign, whether opposite signs tie
+        there, and the point's denominator D'.  The minimal score over
+        ``den * D'`` is the valuation of the sum; it is None, with sign 0,
+        when no term survives.
+        """
         dp = lcm(*(c.val.denominator for c in p if c.sign))
         signs = [c.sign for c in p]
         xs = [c.val.numerator * (dp // c.val.denominator) if c.sign else 0 for c in p]
@@ -302,22 +309,38 @@ class _ValKernel(NamedTuple):
                     best, best_sign, balanced = score, sign, False
                 elif score == best and sign != best_sign:
                     balanced = True
+        return best, best_sign, balanced, dp
+
+    def value_at(self, p: TropPoint) -> HyperValue:
+        """The hyperfield sum of the terms at p."""
+        best, sign, balanced, dp = self.score_at(p)
         if best is None:
             return HV_ZERO
-        val = Fraction(best, den * dp)
-        return Balanced(val) if balanced else Point(SignedTropVal(best_sign, val))
+        val = Fraction(best, self.den * dp)
+        return Balanced(val) if balanced else Point(SignedTropVal(sign, val))
+
+
+def _check_point(F: TropPoly, p: TropPoint) -> None:
+    if len(p) != F.nvars:
+        raise DimensionMismatch(f"point dim {len(p)} vs nvars {F.nvars}")
 
 
 def trop_eval(F: TropPoly, p: TropPoint) -> HyperValue:
     """The multivalued value F(p), always a point or a balanced interval."""
-    if len(p) != F.nvars:
-        raise DimensionMismatch(f"point dim {len(p)} vs nvars {F.nvars}")
+    _check_point(F, p)
     return F._val_kernel.value_at(p)
 
 
 def trop_sat(F: TropPoly, p: TropPoint, rel: str) -> bool:
-    """Whether F(p) satisfies the given relation against zero."""
-    return hv_relation(trop_eval(F, p), rel)
+    """Whether F(p) satisfies the given relation against zero.
+
+    Decided from the sign outcome of the integer scoring alone (the sign
+    of the dominant terms, or balanced when opposite signs tie); the value
+    F(p) is never built.
+    """
+    _check_point(F, p)
+    _, sign, balanced, _ = F._val_kernel.score_at(p)
+    return outcome_relation(None if balanced else sign, rel)
 
 
 def eval_k(f: PolyK, p: Sequence[PuiseuxSeries]) -> PuiseuxSeries:

@@ -280,6 +280,14 @@ def test_malformed_input_exits_without_traceback(tmp_path):
     _one_error_line(proc.stderr)
 
 
+def test_trop_overlong_numeral_is_a_usage_error(tmp_path, capsys):
+    poly = tmp_path / "long.txt"
+    poly.write_text("x + " + "9" * 5000)
+    assert main(["trop", str(poly)]) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == "error: numeral of 5000 digits is too long"
+
+
 def test_sampling_shortfall_is_a_failure_not_a_usage_error(circle_files, tmp_path, capsys):
     # the default sampler finds no circle member at this seed, so nothing
     # can verify the lifted inequalities

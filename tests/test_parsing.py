@@ -78,6 +78,14 @@ def test_variable_index_is_bounded():
             parse_polyk(bad)
 
 
+def test_overlong_numerals_are_parse_errors():
+    # Python refuses to convert digit strings beyond its limit (4300 by default)
+    long = "9" * 5000
+    for bad in [long, f"x + 1/{long}", f"t^({long})", f"t^(1/{long})", f"{long}/7"]:
+        with pytest.raises(ParseError, match="numeral of 5000 digits is too long"):
+            parse_polyk(bad)
+
+
 def test_cancellation():
     assert parse_polyk("(x+1)*(x-1) - x^2 + 1", nvars=1).is_zero()
 

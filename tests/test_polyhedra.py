@@ -255,7 +255,7 @@ def _random_troppoly(rng, nvars, laurent=False):
             rng.randint(-2 if laurent else 0, 4) for _ in range(nvars)
         )
         terms[exps] = stv(
-            rng.choice([-1, 1]), F2(rng.randint(-3, 3), rng.randint(1, 2))
+            rng.choice([-1, 1]), F2(rng.randint(-3, 3), rng.randint(1, 6))
         )
     return TropPoly.from_terms(nvars, list(terms.items()))
 
@@ -277,6 +277,57 @@ def test_region_evaluation_coherence():
             member = region.contains(V)
             sat = trop_sat(F, embed_point(sigma, V), rel)
             assert member == sat, (F, sigma, rel, V)
+
+
+def test_trop_region_ignores_zero_coefficients():
+    # a directly built TropPoly may keep a zero coefficient; like trop_eval,
+    # trop_region never counts it, but it still raises under a negative
+    # exponent at a zero coordinate
+    from tropreal.errors import NegativeExponentAtZero
+
+    zero = stv(0, "inf")
+    F = TropPoly(1, (((0,), stv(1, 0)), ((1,), zero)))
+    G = TropPoly(2, (((-1, 0), zero), ((0, 0), stv(1, 0)), ((1, 1), stv(-1, 2))))
+    rels = ["eq", "ge", "gt", "le", "lt", "ne"]
+    for H_, orthants in ((F, all_orthants(1)), (G, [(1, 1), (-1, 0), (1, -1)])):
+        for sigma in orthants:
+            m = len(orthant_support(sigma))
+            for rel in rels:
+                region = trop_region(H_, sigma, rel)
+                for a in range(-4, 5):
+                    V = tuple(F2(a + k, 2) for k in range(m))
+                    assert region.contains(V) == trop_sat(H_, embed_point(sigma, V), rel)
+    for sigma in [(0, 1), (0, 0), (0, -1)]:
+        with pytest.raises(NegativeExponentAtZero):
+            trop_region(G, sigma, "ge")
+        with pytest.raises(NegativeExponentAtZero):
+            trop_sat(G, embed_point(sigma, (F2(1),) * (2 - sigma.count(0))), "ge")
+
+
+def _rederived_rows(P):
+    return Polyhedron(P.dim, P.constraints)._int_rows
+
+
+def test_pieces_built_from_rows_match_their_constraints():
+    # trop_region and limit_polyhedron build pieces from integer rows; the
+    # rows must be exactly those the constraints give, offsets in lowest terms
+    rng = random.Random(77)
+    rels = ["eq", "ge", "gt", "le", "lt", "ne"]
+    seen = 0
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        F = _random_troppoly(rng, nvars)
+        for sigma in all_orthants(nvars):
+            for rel in rels:
+                for piece in trop_region(F, sigma, rel).pieces:
+                    assert piece._int_rows == _rederived_rows(piece)
+                    assert piece == Polyhedron(piece.dim, piece.constraints)
+                    seen += len(piece._int_rows)
+                    if piece.dim > 1:
+                        L = limit_polyhedron(piece, [piece.dim - 1])
+                        if L is not None:
+                            assert L._int_rows == _rederived_rows(L)
+    assert seen > 1000
 
 
 def test_poly_dim():

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropreal.errors import NegativeExponentAtZero
+from tropreal.errors import DimensionMismatch, NegativeExponentAtZero
 from tropreal.hyperfields import (
+    _REL_ALIASES,
     RT_ZERO,
     Balanced,
     hv_contains,
     hv_point,
+    hv_relation,
     rt_mul,
     rt_pow,
     rt_sum,
@@ -342,3 +344,47 @@ def test_trop_eval_first_zero_coordinate_decides():
     # odd powers of negative coordinates flip the sign, even powers do not
     H = TropPoly.from_terms(2, [((3, 2), stv(1, Fraction(1, 2)))])
     assert trop_eval(H, (stv(-1, 1), stv(-1, Fraction(-1, 3)))) == hv_point(-1, Fraction(17, 6))
+
+
+# -- trop_sat decides without building the value ----------------------------
+
+
+@st.composite
+def troppoly_with_zero_terms_and_point(draw):
+    """Like troppoly_and_point, sometimes with directly built zero coefficients."""
+    F, p = draw(troppoly_and_point())
+    zeros = draw(
+        st.lists(st.tuples(*[st.integers(-2, 3)] * F.nvars), max_size=2, unique=True)
+    )
+    present = {exps for exps, _ in F.terms}
+    extra = tuple((e, stv(0, "inf")) for e in zeros if e not in present)
+    if extra:
+        F = TropPoly(F.nvars, tuple(sorted(F.terms + extra)))
+    return F, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(troppoly_with_zero_terms_and_point())
+def test_trop_sat_matches_relation_of_value(case):
+    F, p = case
+    try:
+        value = trop_eval(F, p)
+    except NegativeExponentAtZero:
+        for rel in _REL_ALIASES:
+            with pytest.raises(NegativeExponentAtZero):
+                trop_sat(F, p, rel)
+        return
+    for rel in _REL_ALIASES:
+        for text in (rel, f" {rel} "):
+            assert trop_sat(F, p, text) == hv_relation(value, text), (F, p, rel)
+
+
+def test_trop_sat_error_order():
+    G = TropPoly.from_terms(2, [((-1, 1), stv(1, 0))])
+    zero = stv(0, "inf")
+    with pytest.raises(DimensionMismatch):
+        trop_sat(G, (zero,), "bogus")
+    with pytest.raises(NegativeExponentAtZero):
+        trop_sat(G, (zero, zero), "bogus")
+    with pytest.raises(ValueError, match="unknown relation"):
+        trop_sat(G, (stv(1, 0), stv(1, 0)), "bogus")
