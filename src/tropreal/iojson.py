@@ -96,9 +96,43 @@ def series_to_json(s: PuiseuxSeries) -> dict:
     }
 
 
-def series_from_json(d: dict) -> PuiseuxSeries:
+_JSON_KIND = {
+    dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+    int: "an integer", float: "a number", type(None): "null",
+}
+
+
+def _at(path: str, field: str) -> str:
+    return f"{path}.{field}" if path else field
+
+
+def _terms(d: Any, path: str) -> list:
+    """The ``terms`` list of the object d at ``path``, checked to hold objects.
+
+    A shape error is a ParseError that names the JSON path of the bad field.
+    """
+    if not isinstance(d, dict):
+        raise ParseError(f"{path or 'input'}: expected an object, got {_JSON_KIND.get(type(d))}")
+    terms, where = d["terms"], _at(path, "terms")
+    if not isinstance(terms, list):
+        raise ParseError(f"{where}: expected a list of objects, got {_JSON_KIND.get(type(terms))}")
+    for i, t in enumerate(terms):
+        if not isinstance(t, dict):
+            raise ParseError(f"{where}[{i}]: expected an object, got {_JSON_KIND.get(type(t))}")
+    return terms
+
+
+def _exps(t: dict, nvars: int, where: str) -> tuple[int, ...]:
+    exps = t["exps"]
+    if not (isinstance(exps, list) and len(exps) == nvars
+            and all(type(e) is int for e in exps)):
+        raise ParseError(f"{where}.exps: expected a list of nvars={nvars} integers")
+    return tuple(exps)
+
+
+def series_from_json(d: dict, path: str = "") -> PuiseuxSeries:
     return PuiseuxSeries.from_terms(
-        (parse_frac(t["exp"]), parse_frac(t["coeff"])) for t in d["terms"]
+        (parse_frac(t["exp"]), parse_frac(t["coeff"])) for t in _terms(d, path)
     )
 
 
@@ -111,11 +145,15 @@ def polyk_to_json(f: PolyK) -> dict:
     }
 
 
-def polyk_from_json(d: dict) -> PolyK:
-    return PolyK.from_terms(
-        int(d["nvars"]),
-        ((tuple(t["exps"]), series_from_json(t["coeff"])) for t in d["terms"]),
-    )
+def polyk_from_json(d: dict, path: str = "") -> PolyK:
+    """A PolyK from JSON; ``path`` locates d in its file for error messages."""
+    terms = _terms(d, path)
+    nvars = int(d["nvars"])
+    pairs = []
+    for i, t in enumerate(terms):
+        where = f"{_at(path, 'terms')}[{i}]"
+        pairs.append((_exps(t, nvars, where), series_from_json(t["coeff"], f"{where}.coeff")))
+    return PolyK.from_terms(nvars, pairs)
 
 
 def troppoly_to_json(F: TropPoly) -> dict:
@@ -127,10 +165,13 @@ def troppoly_to_json(F: TropPoly) -> dict:
     }
 
 
-def troppoly_from_json(d: dict) -> TropPoly:
+def troppoly_from_json(d: dict, path: str = "") -> TropPoly:
+    terms = _terms(d, path)
+    nvars = int(d["nvars"])
+    where = _at(path, "terms")
     return TropPoly.from_terms(
-        int(d["nvars"]),
-        ((tuple(t["exps"]), stv_from_json(t["coeff"])) for t in d["terms"]),
+        nvars,
+        ((_exps(t, nvars, f"{where}[{i}]"), stv_from_json(t["coeff"])) for i, t in enumerate(terms)),
     )
 
 
@@ -210,9 +251,10 @@ def description_from_json(d: dict) -> SADescription:
         int(d["nvars"]),
         tuple(
             tuple(
-                SignCondition(polyk_from_json(c["poly"]), c["rel"]) for c in disj
+                SignCondition(polyk_from_json(c["poly"], f"disjuncts[{i}][{j}].poly"), c["rel"])
+                for j, c in enumerate(disj)
             )
-            for disj in d["disjuncts"]
+            for i, disj in enumerate(d["disjuncts"])
         ),
     )
 

@@ -14,7 +14,9 @@ negative exponents are allowed only on single variables, keeping the
 expansion exact.  Multiplication may be written with '*' or by
 juxtaposition ('2x').  Rational literals are 'p' or 'p/q'.  A text uses
 at most ``MAX_VARS`` variables: a larger variable index, or a larger
-explicit ``nvars``, is a :class:`~tropreal.errors.ParseError`.
+explicit ``nvars``, is a :class:`~tropreal.errors.ParseError`.  A power
+or product that could expand to more than ``MAX_TERMS`` terms is one too,
+raised before anything is expanded.
 
 The parser has no polynomial arithmetic of its own: every literal,
 variable and power of t becomes a :class:`~tropreal.troppoly.PolyK`, and
@@ -26,6 +28,7 @@ first, which fixes the number of variables before parsing starts.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .errors import ParseError
@@ -37,6 +40,24 @@ _ALIASES = {"x": 0, "y": 1, "z": 2}
 # The most variables a text may use.  Every term stores one exponent per
 # variable, so an unbounded index (x2000000) would cost memory in proportion.
 MAX_VARS = 64
+
+# The most terms a power or a product may expand to, counting each power of
+# t in a coefficient as a term of its own.  Expansion time grows faster than
+# the term count ((x+1)^1000 alone takes seconds), so a short text could
+# otherwise run for minutes.  A power of n terms is checked against
+# comb(n+k-1, k), the number of its possible monomials, and a product
+# against len(a)*len(b).
+MAX_TERMS = 256
+
+
+def _size(f: PolyK) -> int:
+    """The terms of f as a polynomial in the variables and t."""
+    return sum(len(c.terms) for _, c in f.terms)
+
+
+def _check_budget(bound: int, what: str) -> None:
+    if bound > MAX_TERMS:
+        raise ParseError(f"{what} could expand to more than {MAX_TERMS} terms")
 
 
 class _Lexer:
@@ -152,7 +173,9 @@ class _Parser:
                 self.lx.next()
             elif tok[0] not in ("IDENT", "("):
                 break
-            acc = acc * self._factor()
+            rhs = self._factor()
+            _check_budget(_size(acc) * _size(rhs), "a product")
+            acc = acc * rhs
         return acc
 
     def _factor(self) -> PolyK:
@@ -170,6 +193,10 @@ class _Parser:
                 return self._var_power(atom_kind, k)
             if k < 0:
                 raise ParseError("negative exponents only on single variables or t")
+            n = _size(base)
+            # for n > 1 the bound is at least k + 1, so a large k needs no comb
+            if n > 1:
+                _check_budget(k + 1 if k >= MAX_TERMS else comb(n + k - 1, k), f"a power ^{k}")
             return base**k
         return base
 

@@ -10,6 +10,10 @@ the answers over the reals.  Feasibility, projection and point-finding share
 one elimination loop (``_fm_core``) and one row normalization.  Each
 polyhedron keeps its constraints as integer rows (normal, offset numerator,
 offset denominator, strictness), and the elimination reads those directly.
+Emptiness (``poly_is_empty``) is memoized by those rows and the dimension in
+a bounded LRU memo of at most 256 systems.  The memo is exact, since the
+immutable rows fully determine the answer; it pays because one region
+rebuilds the same dominance cells across orthants and relations.
 
 The module also hosts the two bridges between polyhedra and tropical
 polynomials:
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -385,8 +390,24 @@ def poly_contains(P: Polyhedron, x: Sequence[Fraction]) -> bool:
     return P.contains(x)
 
 
+# One region over every orthant and relation decides a few dozen distinct
+# systems, many of them several times.  A memo this small evicts them within
+# about ten later regions, so it shares work inside one operation, not
+# across a long run.
+@lru_cache(maxsize=256)
+def _rows_empty(rows: tuple[IntRow, ...], nvars: int) -> bool:
+    return not _feasible(rows, nvars)
+
+
 def poly_is_empty(P: Polyhedron) -> bool:
-    return not _feasible(P._int_rows, P.dim)
+    """Whether P has no point, decided by Fourier-Motzkin elimination.
+
+    The answer is memoized by P's integer rows and dimension in a bounded
+    LRU memo.  The memo is exact: the rows are immutable tuples of integers
+    and booleans, and with the dimension they fully determine the system,
+    so equal keys always have equal answers.
+    """
+    return _rows_empty(P._int_rows, P.dim)
 
 
 def _rank(normals: list[tuple[int, ...]], dim: int) -> int:

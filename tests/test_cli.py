@@ -191,6 +191,22 @@ def test_malformed_description_is_usage_error(tmp_path, capsys, command):
     assert "bad.json" in _one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("terms, field", [
+    (5, "disjuncts[0][0].poly.terms"),
+    ([{"exps": "1", "coeff": {"terms": [{"exp": "0", "coeff": "1"}]}}],
+     "disjuncts[0][0].poly.terms[0].exps"),
+])
+def test_malformed_polynomial_field_is_named(tmp_path, capsys, terms, field):
+    desc = tmp_path / "shape.json"
+    desc.write_text(json.dumps({
+        "nvars": 1,
+        "disjuncts": [[{"poly": {"nvars": 1, "terms": terms}, "rel": ">="}]],
+    }))
+    assert main(["sample", str(desc)]) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line.startswith(f"error: {desc}: {field}: expected"), line
+
+
 def test_description_missing_key_is_named(tmp_path, capsys):
     desc = tmp_path / "nodisjuncts.json"
     desc.write_text(json.dumps({"nvars": 2}))
@@ -286,6 +302,15 @@ def test_trop_overlong_numeral_is_a_usage_error(tmp_path, capsys):
     assert main(["trop", str(poly)]) == 2
     line = _one_error_line(capsys.readouterr().err)
     assert line == "error: numeral of 5000 digits is too long"
+
+
+@pytest.mark.parametrize("text", ["(x+y+1)^80", "(x+1)^1000"])
+def test_trop_over_the_term_budget_is_a_usage_error(tmp_path, capsys, text):
+    poly = tmp_path / "power.txt"
+    poly.write_text(text)
+    assert main(["trop", str(poly)]) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line.startswith("error: a power ") and "more than" in line, line
 
 
 def test_sampling_shortfall_is_a_failure_not_a_usage_error(circle_files, tmp_path, capsys):

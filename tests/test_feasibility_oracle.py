@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropreal.polyhedra import (
     Polyhedron,
+    _rows_empty,
     constraint,
     feasible_point,
     poly_dim,
@@ -133,3 +134,38 @@ def test_engine_agrees_with_simplex_oracle(P):
     if w is not None:
         assert all(c.holds(w) for c in P.constraints)
     assert poly_dim(P) == oracle_dim(P)
+
+
+# -- the emptiness memo behind poly_is_empty ---------------------------------
+
+
+def test_memo_is_bounded():
+    assert 0 < _rows_empty.cache_info().maxsize <= 256
+
+
+def test_memo_keeps_strictness_apart():
+    # {x <= 0, -x <= 0} is the origin; {x < 0, -x <= 0} is empty
+    closed = Polyhedron(1, (constraint((1,), 0, "<="), constraint((-1,), 0, "<=")))
+    half_open = Polyhedron(1, (constraint((1,), 0, "<"), constraint((-1,), 0, "<=")))
+    for order in [(closed, half_open), (half_open, closed)]:
+        _rows_empty.cache_clear()
+        for P in order + order:
+            assert poly_is_empty(P) == (P is half_open)
+
+
+def test_memo_keeps_dimension_apart():
+    _rows_empty.cache_clear()
+    for dim in range(4):
+        assert not poly_is_empty(Polyhedron(dim, ()))
+    assert _rows_empty.cache_info().currsize == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_repeated_calls_on_equal_rows_agree_with_oracle(P):
+    expected = not oracle_feasible([c.row() for c in P.constraints], P.dim)
+    twin = Polyhedron(P.dim, tuple(P.constraints))
+    assert twin is not P and twin._int_rows == P._int_rows
+    hits = _rows_empty.cache_info().hits
+    assert [poly_is_empty(P), poly_is_empty(twin), poly_is_empty(P)] == [expected] * 3
+    assert _rows_empty.cache_info().hits >= hits + 2

@@ -1,12 +1,13 @@
 """Polynomial text grammar: expansion, coefficients in t, errors."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropreal.errors import ParseError
-from tropreal.parsing import MAX_VARS, parse_polyk, parse_puiseux
+from tropreal.parsing import MAX_TERMS, MAX_VARS, parse_polyk, parse_puiseux
 from tropreal.puiseux import PuiseuxSeries
 from tropreal.troppoly import PolyK, eval_k
 
@@ -76,6 +77,22 @@ def test_variable_index_is_bounded():
     for bad in ["x\u00b2", "\u00b2"]:
         with pytest.raises(ParseError):
             parse_polyk(bad)
+
+
+def test_term_budget_fails_before_expanding():
+    # both took seconds to expand before the budget existed
+    for bad in ["(x+y+1)^80", "(x+1)^1000"]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"more than {MAX_TERMS} terms"):
+            parse_polyk(bad)
+        assert time.perf_counter() - start < 1, bad
+    # powers of t count as terms; a product is bounded by len(a)*len(b)
+    for bad in ["(t+1)^300", "(x+t+1)^30", "(x+y)^20*(x-y)^20"]:
+        with pytest.raises(ParseError, match=f"more than {MAX_TERMS} terms"):
+            parse_polyk(bad)
+    # within the budget: 231 monomials; a one-term base has no bound
+    assert len(parse_polyk("(x+y+1)^20").terms) == 231
+    assert parse_polyk("(2x)^1000") == parse_polyk(f"{2**1000}*x^1000")
 
 
 def test_overlong_numerals_are_parse_errors():
