@@ -21,8 +21,10 @@ from .hyperfields import (
     SignedTropVal,
     Val,
     as_val,
+    normalize_rel,
     stv,
 )
+from .parsing import MAX_VARS
 from .polyhedra import (
     AffineForm,
     Constraint,
@@ -106,20 +108,38 @@ def _at(path: str, field: str) -> str:
     return f"{path}.{field}" if path else field
 
 
+def _object(d: Any, path: str) -> dict:
+    if not isinstance(d, dict):
+        raise ParseError(f"{path or 'input'}: expected an object, got {_JSON_KIND.get(type(d))}")
+    return d
+
+
+def _objects(items: Any, where: str) -> list:
+    """The list ``items`` at ``where``, checked to hold objects."""
+    if not isinstance(items, list):
+        raise ParseError(f"{where}: expected a list of objects, got {_JSON_KIND.get(type(items))}")
+    for i, item in enumerate(items):
+        _object(item, f"{where}[{i}]")
+    return items
+
+
 def _terms(d: Any, path: str) -> list:
     """The ``terms`` list of the object d at ``path``, checked to hold objects.
 
     A shape error is a ParseError that names the JSON path of the bad field.
     """
-    if not isinstance(d, dict):
-        raise ParseError(f"{path or 'input'}: expected an object, got {_JSON_KIND.get(type(d))}")
-    terms, where = d["terms"], _at(path, "terms")
-    if not isinstance(terms, list):
-        raise ParseError(f"{where}: expected a list of objects, got {_JSON_KIND.get(type(terms))}")
-    for i, t in enumerate(terms):
-        if not isinstance(t, dict):
-            raise ParseError(f"{where}[{i}]: expected an object, got {_JSON_KIND.get(type(t))}")
-    return terms
+    return _objects(_object(d, path)["terms"], _at(path, "terms"))
+
+
+def _nvars(d: dict, path: str) -> int:
+    """The ``nvars`` field of the object d at ``path``: an integer within MAX_VARS."""
+    nvars = d["nvars"]
+    if type(nvars) is not int or not 0 <= nvars <= MAX_VARS:
+        got = nvars if type(nvars) is int else _JSON_KIND.get(type(nvars))
+        raise ParseError(
+            f"{_at(path, 'nvars')}: expected an integer from 0 to {MAX_VARS}, got {got}"
+        )
+    return nvars
 
 
 def _exps(t: dict, nvars: int, where: str) -> tuple[int, ...]:
@@ -148,7 +168,7 @@ def polyk_to_json(f: PolyK) -> dict:
 def polyk_from_json(d: dict, path: str = "") -> PolyK:
     """A PolyK from JSON; ``path`` locates d in its file for error messages."""
     terms = _terms(d, path)
-    nvars = int(d["nvars"])
+    nvars = _nvars(d, path)
     pairs = []
     for i, t in enumerate(terms):
         where = f"{_at(path, 'terms')}[{i}]"
@@ -167,7 +187,7 @@ def troppoly_to_json(F: TropPoly) -> dict:
 
 def troppoly_from_json(d: dict, path: str = "") -> TropPoly:
     terms = _terms(d, path)
-    nvars = int(d["nvars"])
+    nvars = _nvars(d, path)
     where = _at(path, "terms")
     return TropPoly.from_terms(
         nvars,
@@ -246,17 +266,31 @@ def description_to_json(S: SADescription) -> dict:
     }
 
 
+def _rel(c: dict, where: str) -> str:
+    rel = c["rel"]
+    if isinstance(rel, str):
+        try:
+            return normalize_rel(rel)
+        except ValueError:
+            pass
+    raise ParseError(f"{where}.rel: expected a relation such as '>=' or 'ge', got {rel!r}")
+
+
 def description_from_json(d: dict) -> SADescription:
-    return SADescription(
-        int(d["nvars"]),
-        tuple(
-            tuple(
-                SignCondition(polyk_from_json(c["poly"], f"disjuncts[{i}][{j}].poly"), c["rel"])
-                for j, c in enumerate(disj)
-            )
-            for i, disj in enumerate(d["disjuncts"])
-        ),
-    )
+    nvars = _nvars(_object(d, ""), "")
+    disjuncts = d["disjuncts"]
+    if not isinstance(disjuncts, list):
+        got = _JSON_KIND.get(type(disjuncts))
+        raise ParseError(f"disjuncts: expected a list of lists of objects, got {got}")
+    out = []
+    for i, disj in enumerate(disjuncts):
+        conds = []
+        for j, c in enumerate(_objects(disj, f"disjuncts[{i}]")):
+            where = f"disjuncts[{i}][{j}]"
+            poly = polyk_from_json(c["poly"], f"{where}.poly")
+            conds.append(SignCondition(poly, _rel(c, where)))
+        out.append(tuple(conds))
+    return SADescription(nvars, tuple(out))
 
 
 def cloud_to_json(cloud: SampleCloud) -> dict:

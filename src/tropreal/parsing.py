@@ -16,7 +16,8 @@ juxtaposition ('2x').  Rational literals are 'p' or 'p/q'.  A text uses
 at most ``MAX_VARS`` variables: a larger variable index, or a larger
 explicit ``nvars``, is a :class:`~tropreal.errors.ParseError`.  A power
 or product that could expand to more than ``MAX_TERMS`` terms is one too,
-raised before anything is expanded.
+and so is a power of one term whose coefficient could pass
+``MAX_POWER_BITS`` bits; both are raised before anything is expanded.
 
 The parser has no polynomial arithmetic of its own: every literal,
 variable and power of t becomes a :class:`~tropreal.troppoly.PolyK`, and
@@ -49,6 +50,15 @@ MAX_VARS = 64
 # against len(a)*len(b).
 MAX_TERMS = 256
 
+# The most bits a power of a single term may give its coefficient.  Such a
+# power has one term, so the term budget passes it, but c^k has up to k
+# times the bits of c, and the time to build it grows faster than k
+# (7^10000000 took 22 s).  A power is refused, before it is computed, when
+# k times the bit length of its coefficient's numerator or denominator,
+# whichever is longer, exceeds this; the bound also keeps the coefficient
+# within the 4300 digits Python converts to text.
+MAX_POWER_BITS = 10_000
+
 
 def _size(f: PolyK) -> int:
     """The terms of f as a polynomial in the variables and t."""
@@ -58,6 +68,19 @@ def _size(f: PolyK) -> int:
 def _check_budget(bound: int, what: str) -> None:
     if bound > MAX_TERMS:
         raise ParseError(f"{what} could expand to more than {MAX_TERMS} terms")
+
+
+def _check_power_bits(base: PolyK, k: int) -> None:
+    """Refuse base**k, base of at most one term, if its coefficient could pass the bound."""
+    bits = max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length())
+         for _, s in base.terms for _, c in s.terms),
+        default=0,
+    )
+    if k * bits > MAX_POWER_BITS:
+        raise ParseError(
+            f"a power ^{k} could give a coefficient of more than {MAX_POWER_BITS} bits"
+        )
 
 
 class _Lexer:
@@ -197,6 +220,8 @@ class _Parser:
             # for n > 1 the bound is at least k + 1, so a large k needs no comb
             if n > 1:
                 _check_budget(k + 1 if k >= MAX_TERMS else comb(n + k - 1, k), f"a power ^{k}")
+            else:
+                _check_power_bits(base, k)
             return base**k
         return base
 

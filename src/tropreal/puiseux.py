@@ -19,7 +19,14 @@ The sampler draws series from a bounded rational grid, stratified over
 leading exponents so that signed values of samples spread across the whole
 configured valuation window rather than clustering at generic values.
 Sampler state is confined to an explicitly passed generator; use
-independent seeds for concurrent sampling.
+independent seeds for concurrent sampling.  Every draw goes through
+:func:`rand_below`, which asks ``getrandbits`` for the same words that
+``randint`` and ``choice`` of a plain :class:`random.Random` ask for, so a
+seed gives the same series on every supported Python.  Draws stay integer
+pairs; only the exponents and coefficients that are kept become
+Fractions, through a memo of at most 256 entries.  No table is built
+from the configured ranges, so memory does not depend on how wide they
+are.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 from .errors import PuiseuxDivisionError
@@ -246,30 +254,50 @@ class SamplerConfig:
             raise ValueError("empty coefficient range")
 
 
-def _grid_range(lo: Fraction, hi: Fraction, q: int) -> tuple[int, int]:
+def _window(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
+    """The closed window [lo, hi] as integers: lo's and hi's numerators and denominators."""
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
+
+def _grid_range(window: tuple[int, int, int, int], q: int) -> tuple[int, int]:
     """ceil(lo * q) and floor(hi * q), in integer arithmetic."""
-    return -(-lo.numerator * q // lo.denominator), hi.numerator * q // hi.denominator
+    lo_num, lo_den, hi_num, hi_den = window
+    return -(-lo_num * q // lo_den), hi_num * q // hi_den
 
 
-def _grid_draw(rng: random.Random, lo: Fraction, hi: Fraction, dbound: int) -> Fraction:
-    """Uniform draw from {k/q : lo <= k/q <= hi} for a random q <= dbound."""
-    q = rng.randint(1, dbound)
-    lo_n, hi_n = _grid_range(lo, hi, q)
+def rand_below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for n > 0, as a plain :class:`random.Random` draws it.
+
+    ``randrange`` calls ``getrandbits(n.bit_length())`` until the result is
+    below n; so does this, without the argument checks, so both consume the
+    same words and return the same int.  ``randint(a, b)`` is
+    ``a + rand_below(rng, b - a + 1)`` and ``choice(seq)`` is
+    ``seq[rand_below(rng, len(seq))]``.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _grid_pair(
+    rng: random.Random, window: tuple[int, int, int, int], dbound: int
+) -> tuple[int, int]:
+    """Uniform draw (k, q) with k/q in the window for a random q <= dbound."""
+    q = 1 + rand_below(rng, dbound)
+    lo_n, hi_n = _grid_range(window, q)
     if lo_n > hi_n:  # grid for this q misses the window; denominator 1..dbound lcm helps
         q = dbound
-        lo_n, hi_n = _grid_range(lo, hi, q)
+        lo_n, hi_n = _grid_range(window, q)
         if lo_n > hi_n:
             raise ValueError("rational grid is empty in the configured range")
-    return Fraction(rng.randint(lo_n, hi_n), q)
+    return lo_n + rand_below(rng, hi_n - lo_n + 1), q
 
 
-def _nonzero_coeff(rng: random.Random, cfg: SamplerConfig) -> Fraction:
-    lo, hi = cfg.coeff_range
-    for _ in range(64):
-        c = _grid_draw(rng, lo, hi, cfg.exponent_denominator_bound)
-        if c != 0:
-            return c
-    raise ValueError("coefficient range contains only zero")
+@lru_cache(maxsize=256)
+def _fraction(k: int, q: int) -> Fraction:
+    return Fraction(k, q)
 
 
 def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> PuiseuxSeries:
@@ -277,19 +305,36 @@ def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> Puiseu
 
     The leading exponent is drawn uniformly from the configured rational
     grid (valuation stratification); further exponents, when any, are drawn
-    from the same grid above the leading one.
+    from the same grid above the leading one.  Exponents stay reduced
+    integer pairs (k, q) until the kept ones become Fractions.
     """
     if rng is None:
         rng = random.Random(cfg.seed)
-    lo, hi = cfg.exponent_range
-    n_terms = rng.randint(1, cfg.max_terms)
-    lead = _grid_draw(rng, lo, hi, cfg.exponent_denominator_bound)
-    exps = {lead}
+    exp_window = _window(*cfg.exponent_range)
+    dbound = cfg.exponent_denominator_bound
+    n_terms = 1 + rand_below(rng, cfg.max_terms)
+    lead_k, lead_q = _grid_pair(rng, exp_window, dbound)
+    g = gcd(lead_k, lead_q)
+    exps = {(lead_k // g, lead_q // g)}
     for _ in range((n_terms - 1) * 4):
         if len(exps) >= n_terms:
             break
-        e = _grid_draw(rng, lo, hi, cfg.exponent_denominator_bound)
-        if e > lead:
-            exps.add(e)
+        k, q = _grid_pair(rng, exp_window, dbound)
+        if k * lead_q > lead_k * q:
+            g = gcd(k, q)
+            exps.add((k // g, q // g))
+    if len(exps) > 1:
+        common = lcm(*(q for _, q in exps))
+        exps = sorted(exps, key=lambda e: e[0] * (common // e[1]))
+    coeff_window = _window(*cfg.coeff_range)
+    terms = []
+    for k, q in exps:
+        for _ in range(64):
+            ck, cq = _grid_pair(rng, coeff_window, dbound)
+            if ck:
+                break
+        else:
+            raise ValueError("coefficient range contains only zero")
+        terms.append((_fraction(k, q), _fraction(ck, cq)))
     # distinct sorted exponents and nonzero coefficients: already in normal form
-    return PuiseuxSeries(tuple((e, _nonzero_coeff(rng, cfg)) for e in sorted(exps)))
+    return PuiseuxSeries(tuple(terms))

@@ -74,7 +74,7 @@ from .polyhedra import (
     union_subset,
     valuation_piece_to_log,
 )
-from .puiseux import PuiseuxSeries, SamplerConfig, ps_sample
+from .puiseux import PS_ZERO, PuiseuxSeries, SamplerConfig, ps_sample, rand_below
 from .troppoly import (
     PolyK,
     TropPoint,
@@ -203,7 +203,7 @@ def sample_vector(
 ) -> tuple[PuiseuxSeries, ...]:
     """A random Puiseux vector; coordinates are occasionally exactly zero."""
     return tuple(
-        PuiseuxSeries.zero() if rng.random() < zero_prob else ps_sample(cfg, rng)
+        PS_ZERO if rng.random() < zero_prob else ps_sample(cfg, rng)
         for _ in range(nvars)
     )
 
@@ -614,11 +614,11 @@ def witness_search(
         coords: list[PuiseuxSeries] = []
         for c in z:
             if c.sign == 0:
-                coords.append(PuiseuxSeries.zero())
+                coords.append(PS_ZERO)
                 continue
             lead = Fraction(c.val)
             pairs = [(lead, c.sign * _positive_magnitude(rng, mag_hi, cfg))]
-            for _ in range(rng.randint(0, cfg.max_terms - 1)):
+            for _ in range(rand_below(rng, cfg.max_terms)):
                 step = _positive_magnitude(rng, Fraction(2), cfg)
                 coeff = _signed_magnitude(rng, mag_hi, cfg)
                 pairs.append((lead + step, coeff))
@@ -630,13 +630,13 @@ def witness_search(
 
 
 def _positive_magnitude(rng: random.Random, hi: Fraction, cfg: SamplerConfig) -> Fraction:
-    q = rng.randint(1, cfg.exponent_denominator_bound)
-    num = rng.randint(1, max(1, int(hi * q)))
+    q = 1 + rand_below(rng, cfg.exponent_denominator_bound)
+    num = 1 + rand_below(rng, max(1, int(hi * q)))
     return Fraction(num, q)
 
 
 def _signed_magnitude(rng: random.Random, hi: Fraction, cfg: SamplerConfig) -> Fraction:
-    return _positive_magnitude(rng, hi, cfg) * rng.choice([-1, 1])
+    return _positive_magnitude(rng, hi, cfg) * (-1, 1)[rand_below(rng, 2)]
 
 
 def outer_excludes(S: SADescription, z: TropPoint) -> bool:

@@ -67,3 +67,11 @@ def test_dumps_is_canonical():
     a = iojson.dumps({"b": 1, "a": [2, 3]})
     assert a == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
     assert json.loads(a) == {"a": [2, 3], "b": 1}
+
+
+@pytest.mark.parametrize("decode", [iojson.polyk_from_json, iojson.troppoly_from_json])
+@pytest.mark.parametrize("nvars", ["2", -1, 65, 2.0, None])
+def test_nvars_must_be_an_integer_within_the_variable_limit(decode, nvars):
+    with pytest.raises(ParseError, match=r"^f\.nvars: expected an integer from 0 to 64"):
+        decode({"nvars": nvars, "terms": []}, "f")
+    assert decode({"nvars": 64, "terms": []}, "f").nvars == 64

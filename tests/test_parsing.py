@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropreal.errors import ParseError
-from tropreal.parsing import MAX_TERMS, MAX_VARS, parse_polyk, parse_puiseux
+from tropreal.parsing import MAX_POWER_BITS, MAX_TERMS, MAX_VARS, parse_polyk, parse_puiseux
 from tropreal.puiseux import PuiseuxSeries
 from tropreal.troppoly import PolyK, eval_k
 
@@ -93,6 +93,25 @@ def test_term_budget_fails_before_expanding():
     # within the budget: 231 monomials; a one-term base has no bound
     assert len(parse_polyk("(x+y+1)^20").terms) == 231
     assert parse_polyk("(2x)^1000") == parse_polyk(f"{2**1000}*x^1000")
+
+
+@pytest.mark.parametrize("bad", ["7^10000000", "(2/3)^3000000", "(2/3*t)^1000000"])
+def test_power_of_one_term_is_bounded_before_computing(bad):
+    # these took from seconds to minutes to compute before the bound existed
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"more than {MAX_POWER_BITS} bits"):
+        parse_polyk(bad)
+    assert time.perf_counter() - start < 1, bad
+
+
+def test_power_of_one_term_within_the_bound():
+    assert parse_polyk("2^64") == parse_polyk(str(2**64))
+    assert parse_polyk("(x+1)^3") == parse_polyk("x^3 + 3x^2 + 3x + 1")
+    # the bound is k times the longer bit length of numerator and denominator
+    k = MAX_POWER_BITS // 2
+    assert parse_polyk(f"(3/2)^{k}") == parse_polyk(f"{3**k}/{2**k}")
+    with pytest.raises(ParseError, match="bits"):
+        parse_polyk(f"(3/2)^{k + 1}")
 
 
 def test_overlong_numerals_are_parse_errors():

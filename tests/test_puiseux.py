@@ -8,7 +8,15 @@ from hypothesis import given, strategies as st
 
 from tropreal.errors import PuiseuxDivisionError
 from tropreal.hyperfields import INF, Point, hv_contains, rt_add, rt_mul, stv
-from tropreal.puiseux import PuiseuxSeries, SamplerConfig, ps_cmp, ps_sample
+from tropreal.puiseux import (
+    PuiseuxSeries,
+    SamplerConfig,
+    _fraction,
+    ps_cmp,
+    ps_sample,
+    rand_below,
+)
+from tropreal.semialg import _positive_magnitude, _signed_magnitude
 
 P = PuiseuxSeries.from_terms
 t_pow = PuiseuxSeries.t_power
@@ -200,3 +208,144 @@ def test_sampler_golden_draws(cfg, texts):
     for s in draws:
         assert s == P(s.terms)  # already in normal form
         assert all(isinstance(x, Fraction) for term in s.terms for x in term)
+
+
+# The sampler before integer draws, kept as the reference for the draw
+# contract: ps_sample must consume the same random words and return the
+# same series as these randint-based draws.
+def _grid_range(lo, hi, q):
+    return -(-lo.numerator * q // lo.denominator), hi.numerator * q // hi.denominator
+
+
+def _grid_draw(rng, lo, hi, dbound):
+    q = rng.randint(1, dbound)
+    lo_n, hi_n = _grid_range(lo, hi, q)
+    if lo_n > hi_n:
+        q = dbound
+        lo_n, hi_n = _grid_range(lo, hi, q)
+        if lo_n > hi_n:
+            raise ValueError("rational grid is empty in the configured range")
+    return Fraction(rng.randint(lo_n, hi_n), q)
+
+
+def _nonzero_coeff(rng, cfg):
+    lo, hi = cfg.coeff_range
+    for _ in range(64):
+        c = _grid_draw(rng, lo, hi, cfg.exponent_denominator_bound)
+        if c != 0:
+            return c
+    raise ValueError("coefficient range contains only zero")
+
+
+def _reference_sample(cfg, rng):
+    lo, hi = cfg.exponent_range
+    n_terms = rng.randint(1, cfg.max_terms)
+    lead = _grid_draw(rng, lo, hi, cfg.exponent_denominator_bound)
+    exps = {lead}
+    for _ in range((n_terms - 1) * 4):
+        if len(exps) >= n_terms:
+            break
+        e = _grid_draw(rng, lo, hi, cfg.exponent_denominator_bound)
+        if e > lead:
+            exps.add(e)
+    return PuiseuxSeries(tuple((e, _nonzero_coeff(rng, cfg)) for e in sorted(exps)))
+
+
+def _outcome(draw, *args):
+    """The value of draw(*args), or the message of the ValueError it raises."""
+    try:
+        return draw(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# Windows with denominators up to 8 against denominator bounds up to 6: a
+# small q often misses a narrow window (the fallback to the bound fires),
+# and a window such as [1/7, 1/7] has no grid point at all.
+_window = st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    st.fractions(min_value=0, max_value=2, max_denominator=8),
+).map(lambda p: (p[0], p[0] + p[1]))
+_pinpoint = st.fractions(min_value=-3, max_value=3, max_denominator=8).map(lambda v: (v, v))
+
+
+@st.composite
+def sampler_configs(draw):
+    return SamplerConfig(
+        max_terms=draw(st.integers(1, 6)),
+        exponent_denominator_bound=draw(st.integers(1, 6)),
+        exponent_range=draw(st.one_of(_window, _pinpoint)),
+        coeff_range=draw(st.one_of(_window, _pinpoint)),
+    )
+
+
+@given(sampler_configs(), st.integers(0, 2**32))
+def test_sampler_matches_randint_reference(cfg, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        got, expected = _outcome(ps_sample, cfg, rng), _outcome(_reference_sample, cfg, ref)
+        assert got == expected
+        if isinstance(got, PuiseuxSeries):
+            assert all(type(x) is Fraction for term in got.terms for x in term)
+    assert rng.getstate() == ref.getstate()
+
+
+def test_sampler_reference_covers_fallback_and_empty_grid():
+    # the fallback: no multiple of 1/2 lies in [1/5, 1/4], but 1/4 does
+    narrow = SamplerConfig(exponent_denominator_bound=4,
+                           exponent_range=(Fraction(1, 5), Fraction(1, 4)))
+    rng, ref = random.Random(3), random.Random(3)
+    for _ in range(50):
+        assert ps_sample(narrow, rng) == _reference_sample(narrow, ref)
+    assert rng.getstate() == ref.getstate()
+    # no grid point at all, and a coefficient range of only zero
+    for cfg, message in [
+        (SamplerConfig(exponent_denominator_bound=6,
+                       exponent_range=(Fraction(1, 7), Fraction(1, 7))), "grid is empty"),
+        (SamplerConfig(coeff_range=(Fraction(0), Fraction(0))), "only zero"),
+    ]:
+        rng, ref = random.Random(4), random.Random(4)
+        with pytest.raises(ValueError, match=message):
+            _reference_sample(cfg, ref)
+        with pytest.raises(ValueError, match=message):
+            ps_sample(cfg, rng)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_sampler_wide_window_matches_reference_with_bounded_memo():
+    cfg = SamplerConfig(exponent_range=(-10**6, 10**6), exponent_denominator_bound=1000)
+    rng, ref = random.Random(7), random.Random(7)
+    for _ in range(200):
+        assert ps_sample(cfg, rng) == _reference_sample(cfg, ref)
+    assert rng.getstate() == ref.getstate()
+    info = _fraction.cache_info()
+    assert 0 < info.maxsize <= 256 and info.currsize <= info.maxsize
+
+
+@given(st.one_of(st.integers(1, 70), st.integers(1, 2**80)), st.integers(0, 2**32))
+def test_rand_below_is_randrange(n, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        assert rand_below(rng, n) == ref.randint(0, n - 1)
+        assert (-1, 1)[rand_below(rng, 2)] == ref.choice([-1, 1])
+    assert rng.getstate() == ref.getstate()
+
+
+def _reference_positive_magnitude(rng, hi, cfg):
+    q = rng.randint(1, cfg.exponent_denominator_bound)
+    return Fraction(rng.randint(1, max(1, int(hi * q))), q)
+
+
+@given(
+    st.integers(1, 6),
+    st.fractions(min_value=0, max_value=10, max_denominator=4),
+    st.integers(0, 2**32),
+)
+def test_witness_magnitudes_match_randint_reference(dbound, hi, seed):
+    cfg = SamplerConfig(exponent_denominator_bound=dbound)
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        assert _positive_magnitude(rng, hi, cfg) == _reference_positive_magnitude(ref, hi, cfg)
+        signed = _reference_positive_magnitude(ref, hi, cfg) * ref.choice([-1, 1])
+        assert _signed_magnitude(rng, hi, cfg) == signed
+    assert rng.getstate() == ref.getstate()
