@@ -212,23 +212,51 @@ def polyhedron_to_json(P: Polyhedron) -> dict:
     }
 
 
-def polyhedron_from_json(d: dict) -> Polyhedron:
-    cons = tuple(
-        Constraint(
-            AffineForm(tuple(int(a) for a in c["normal"]), parse_frac(c["offset"])),
-            bool(c["strict"]),
-        )
-        for c in d["constraints"]
-    )
-    return Polyhedron(int(d["dim"]), cons)
+def _constraint(c: dict, dim: int, where: str) -> Constraint:
+    normal, offset, strict = c["normal"], c["offset"], c["strict"]
+    if not (isinstance(normal, list) and len(normal) == dim
+            and all(type(a) is int for a in normal)):
+        raise ParseError(f"{where}.normal: expected a list of dim={dim} integers")
+    if type(offset) is not int and not isinstance(offset, str):
+        got = _JSON_KIND.get(type(offset))
+        raise ParseError(f"{where}.offset: expected a rational such as '-1/2', got {got}")
+    try:
+        offset = parse_frac(offset)
+    except ParseError as exc:
+        raise ParseError(f"{where}.offset: {exc}") from None
+    if type(strict) is not bool:
+        raise ParseError(f"{where}.strict: expected a boolean, got {_JSON_KIND.get(type(strict))}")
+    return Constraint(AffineForm(tuple(normal), offset), strict)
+
+
+def polyhedron_from_json(d: dict, path: str = "") -> Polyhedron:
+    """A Polyhedron from JSON; ``path`` locates d in its file for error messages."""
+    dim = _object(d, path)["dim"]
+    if type(dim) is not int or dim < 0:
+        got = dim if type(dim) is int else _JSON_KIND.get(type(dim))
+        raise ParseError(f"{_at(path, 'dim')}: expected a nonnegative integer, got {got}")
+    where = _at(path, "constraints")
+    return Polyhedron(dim, tuple(
+        _constraint(c, dim, f"{where}[{i}]") for i, c in enumerate(_objects(d["constraints"], where))
+    ))
 
 
 def union_to_json(U: PolyUnion) -> list:
     return [polyhedron_to_json(p) for p in U.pieces]
 
 
-def union_from_json(data: list, dim: int) -> PolyUnion:
-    return PolyUnion(dim, tuple(polyhedron_from_json(d) for d in data))
+def union_from_json(data: list, dim: int, path: str = "") -> PolyUnion:
+    """A union of polyhedra of dimension ``dim``; errors name the piece's path."""
+    if not isinstance(data, list):
+        got = _JSON_KIND.get(type(data))
+        raise ParseError(f"{path or 'input'}: expected a list of polyhedra, got {got}")
+    pieces = []
+    for i, d in enumerate(data):
+        P = polyhedron_from_json(d, f"{path}[{i}]")
+        if P.dim != dim:
+            raise ParseError(f"{path}[{i}].dim: expected {dim}, got {P.dim}")
+        pieces.append(P)
+    return PolyUnion(dim, tuple(pieces))
 
 
 def regions_to_json(nvars: int, regions: dict[Orthant, PolyUnion]) -> dict:
@@ -243,10 +271,10 @@ def regions_to_json(nvars: int, regions: dict[Orthant, PolyUnion]) -> dict:
 
 def regions_from_json(d: dict) -> dict[Orthant, PolyUnion]:
     out: dict[Orthant, PolyUnion] = {}
-    for entry in d["orthants"]:
+    for i, entry in enumerate(d["orthants"]):
         sigma = parse_orthant(entry["sigma"])
         m = sum(1 for s in sigma if s != 0)
-        out[sigma] = union_from_json(entry["region"], m)
+        out[sigma] = union_from_json(entry["region"], m, f"orthants[{i}].region")
     return out
 
 

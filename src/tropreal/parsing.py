@@ -16,8 +16,8 @@ juxtaposition ('2x').  Rational literals are 'p' or 'p/q'.  A text uses
 at most ``MAX_VARS`` variables: a larger variable index, or a larger
 explicit ``nvars``, is a :class:`~tropreal.errors.ParseError`.  A power
 or product that could expand to more than ``MAX_TERMS`` terms is one too,
-and so is a power of one term whose coefficient could pass
-``MAX_POWER_BITS`` bits; both are raised before anything is expanded.
+and so is a power of one term, or a product, whose coefficients could
+pass ``MAX_POWER_BITS`` bits; both are raised before anything is expanded.
 
 The parser has no polynomial arithmetic of its own: every literal,
 variable and power of t becomes a :class:`~tropreal.troppoly.PolyK`, and
@@ -50,13 +50,15 @@ MAX_VARS = 64
 # against len(a)*len(b).
 MAX_TERMS = 256
 
-# The most bits a power of a single term may give its coefficient.  Such a
-# power has one term, so the term budget passes it, but c^k has up to k
-# times the bits of c, and the time to build it grows faster than k
-# (7^10000000 took 22 s).  A power is refused, before it is computed, when
-# k times the bit length of its coefficient's numerator or denominator,
-# whichever is longer, exceeds this; the bound also keeps the coefficient
-# within the 4300 digits Python converts to text.
+# The most bits a power or a product may give a coefficient.  A power of
+# one term passes the term budget, but c^k has up to k times the bits of c,
+# and the time to build it grows faster than k (7^10000000 took 22 s).  A
+# power is refused, before it is computed, when k times the longest bit
+# length of a coefficient's numerator or denominator exceeds this, and a
+# product when the sum of its factors' longest bit lengths does, so a chain
+# of powers (7^3000*7^3000*...) cannot pass it one factor at a time.  The
+# bound also keeps a coefficient within the 4300 digits Python converts to
+# text.
 MAX_POWER_BITS = 10_000
 
 
@@ -70,17 +72,18 @@ def _check_budget(bound: int, what: str) -> None:
         raise ParseError(f"{what} could expand to more than {MAX_TERMS} terms")
 
 
-def _check_power_bits(base: PolyK, k: int) -> None:
-    """Refuse base**k, base of at most one term, if its coefficient could pass the bound."""
-    bits = max(
+def _bits(f: PolyK) -> int:
+    """The longest numerator or denominator among the coefficients of f, in bits."""
+    return max(
         (max(c.numerator.bit_length(), c.denominator.bit_length())
-         for _, s in base.terms for _, c in s.terms),
+         for _, s in f.terms for _, c in s.terms),
         default=0,
     )
-    if k * bits > MAX_POWER_BITS:
-        raise ParseError(
-            f"a power ^{k} could give a coefficient of more than {MAX_POWER_BITS} bits"
-        )
+
+
+def _check_bits(bits: int, what: str) -> None:
+    if bits > MAX_POWER_BITS:
+        raise ParseError(f"{what} could give a coefficient of more than {MAX_POWER_BITS} bits")
 
 
 class _Lexer:
@@ -198,6 +201,7 @@ class _Parser:
                 break
             rhs = self._factor()
             _check_budget(_size(acc) * _size(rhs), "a product")
+            _check_bits(_bits(acc) + _bits(rhs), "a product")
             acc = acc * rhs
         return acc
 
@@ -220,8 +224,7 @@ class _Parser:
             # for n > 1 the bound is at least k + 1, so a large k needs no comb
             if n > 1:
                 _check_budget(k + 1 if k >= MAX_TERMS else comb(n + k - 1, k), f"a power ^{k}")
-            else:
-                _check_power_bits(base, k)
+            _check_bits(k * _bits(base), f"a power ^{k}")
             return base**k
         return base
 

@@ -766,24 +766,20 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     exps: list[tuple[int, ...]] = []
     vals: list[int] = []
     kernel = F._val_kernel
+    kernel.check_defined(sigma)
     for pairs, sign, v in kernel.terms:
         e = [0] * m
         for k, d in pairs:
             s = sigma[k]
             if not s:
-                if d < 0:
-                    raise NegativeExponentAtZero(
-                        "negative exponent on a zero-sign coordinate"
-                    )
                 break  # a positive power of a zero coordinate kills the term
             e[place[k]] = d
             if s < 0 and d & 1:
                 sign = -sign
         else:
-            if sign:
-                signs.append(sign)
-                exps.append(tuple(e))
-                vals.append(v)
+            signs.append(sign)
+            exps.append(tuple(e))
+            vals.append(v)
 
     if not signs:
         # the polynomial evaluates to zero on this orthant

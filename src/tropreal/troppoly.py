@@ -7,9 +7,13 @@ zero coefficients.  :class:`TropPoly` is its shadow over the signed
 tropical hyperfield: same exponent vectors, coefficients replaced by their
 signed values.  ``trop_r`` performs that replacement.
 
-Evaluation conventions at zero coordinates: a factor x**0 contributes one,
-x**d with d > 0 contributes zero (the term is skipped), and d < 0 raises
-:class:`~tropreal.errors.NegativeExponentAtZero`.
+Evaluation conventions at zero coordinates: a factor x**0 contributes one
+and x**d with d > 0 contributes zero (the term is skipped).  One rule
+decides undefinedness, on both sides and in every evaluator: a polynomial
+is undefined at a point, and raises
+:class:`~tropreal.errors.NegativeExponentAtZero`, when some term carries a
+negative exponent on a coordinate that is zero there, whatever the other
+coordinates of that term are and whatever the variable order.
 
 Exact evaluation of a Laurent polynomial at Puiseux points avoids series
 division: signs and signed values are computed through the cleared
@@ -18,10 +22,17 @@ quotient of signed values for valuations).  ``eval_k`` returns the honest
 series value and therefore supports negative exponents only where the
 inverse stays finite, i.e. at monomial coordinates.
 
-``laurent_sign`` never builds that value.  It evaluates g in plain
-integers: exponents are brought to one common denominator D, so t**(1/D)
-becomes the integer exponent 1, and every coefficient is multiplied by a
-positive integer so that no denominators are left.  Scaling a series by a
+``laurent_sign`` never builds that value.  It decides from leading terms
+first: the signed valuation is a morphism onto the signed tropical
+hyperfield, so the sign of f(p) is that of trop(f) at trop(p) whenever the
+dominant terms there share one sign (and 0 when no term survives).  The
+terms of trop(f) are scored at the leading terms of the coordinates by the
+same integer loop as ``trop_eval`` below.  Only a balanced sum, where
+dominant terms of opposite sign tie, goes to the Puiseux-level kernel,
+which evaluates g in plain integers: exponents are brought to one common
+denominator D, so t**(1/D) becomes the integer exponent 1, and every
+coefficient is multiplied by a positive integer so that no denominators
+are left.  Scaling a series by a
 positive constant keeps its sign, and renaming exponents e -> D*e keeps
 their order, so the sign of g(p) is the sign of the integer sum at its
 lowest exponent with a nonzero coefficient.
@@ -34,15 +45,15 @@ v * D' + D * sum d_k x_k over D * D'.  Its sign is the coefficient sign,
 flipped once for every odd power of a negative coordinate.  Only the
 smallest score and the signs tied at it are kept, and one rational is
 built per call; ``trop_sat`` builds none, since the sign outcome alone
-decides a relation.  A zero coordinate is met in variable order: a positive
-power kills the term, a negative one raises, and the first such
-coordinate of a term decides.
+decides a relation.  The variables under a negative exponent are kept
+with the kernel and checked once per call; in the loop a zero coordinate
+only kills terms.
 
 Everything is immutable; evaluation over shared polynomials is safe from
-concurrent contexts.  The integer form of g is cached on each
-:class:`PolyK` the first time a sign is asked for, and that of a
-tropical polynomial on each :class:`TropPoly` the first time it is
-evaluated.
+concurrent contexts.  The integer forms of trop(f) and of g are cached
+on each :class:`PolyK` the first time a sign (and, for g, a balanced sign)
+is asked for, and that of a tropical polynomial on each :class:`TropPoly`
+the first time it is evaluated.
 """
 
 from __future__ import annotations
@@ -176,6 +187,10 @@ class PolyK:
     def _sign_kernel(self) -> "_SignKernel":
         return _SignKernel.of(self)
 
+    @cached_property
+    def _lead_kernel(self) -> "_ValKernel":
+        return _ValKernel.of(trop_r(self))
+
 
 @dataclass(frozen=True)
 class TropPoly:
@@ -253,37 +268,48 @@ class _ValKernel(NamedTuple):
     Each term is (its nonzero exponents as (variable, degree) pairs in
     variable order, coefficient sign, coefficient valuation times ``den``);
     ``den`` is the least common denominator of the coefficient valuations.
-    A zero coefficient keeps sign 0 and numerator 0: it still raises at a
-    zero coordinate under a negative exponent, and never counts otherwise.
+    ``neg`` lists the variables that carry a negative exponent in some
+    term, zero coefficients included: the polynomial is undefined wherever
+    one of them is zero.  Terms with a zero coefficient never count
+    otherwise and are left out of ``terms``.
     """
 
     den: int
+    neg: tuple[int, ...]
     terms: tuple[tuple[tuple[tuple[int, int], ...], int, int], ...]
 
     @staticmethod
     def of(F: "TropPoly") -> "_ValKernel":
         den = lcm(*(c.val.denominator for _, c in F.terms if c.sign))
+        neg = tuple(
+            k for k in range(F.nvars) if any(exps[k] < 0 for exps, _ in F.terms)
+        )
         terms = tuple(
             (
                 tuple((k, d) for k, d in enumerate(exps) if d),
                 c.sign,
-                c.val.numerator * (den // c.val.denominator) if c.sign else 0,
+                c.val.numerator * (den // c.val.denominator),
             )
             for exps, c in F.terms
+            if c.sign
         )
-        return _ValKernel(den, terms)
+        return _ValKernel(den, neg, terms)
 
-    def score_at(self, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
-        """Score the terms at p in integers.
+    def check_defined(self, signs: Sequence[int]) -> None:
+        """Raise unless every variable under a negative exponent is nonzero."""
+        for k in self.neg:
+            if not signs[k]:
+                raise NegativeExponentAtZero("negative exponent at a zero coordinate")
 
-        Returns the minimal score, its sign, whether opposite signs tie
-        there, and the point's denominator D'.  The minimal score over
-        ``den * D'`` is the valuation of the sum; it is None, with sign 0,
-        when no term survives.
+    def _score(
+        self, signs: list[int], xs: list[int], dp: int
+    ) -> tuple[Optional[int], int, bool, int]:
+        """The scoring loop shared by both front ends.
+
+        ``signs`` are the coordinate signs and ``xs`` the valuations of the
+        nonzero coordinates as numerators over ``dp``.  The caller has
+        checked that the point is defined.
         """
-        dp = lcm(*(c.val.denominator for c in p if c.sign))
-        signs = [c.sign for c in p]
-        xs = [c.val.numerator * (dp // c.val.denominator) if c.sign else 0 for c in p]
         den = self.den
         best = None
         best_sign = 0
@@ -293,23 +319,46 @@ class _ValKernel(NamedTuple):
             for k, d in pairs:
                 s = signs[k]
                 if not s:
-                    if d < 0:
-                        raise NegativeExponentAtZero(
-                            "negative exponent at a zero coordinate"
-                        )
                     break  # a positive power of a zero coordinate kills the term
                 dot += d * xs[k]
                 if s < 0 and d & 1:
                     sign = -sign
             else:
-                if not sign:
-                    continue
                 score = v * dp + den * dot
                 if best is None or score < best:
                     best, best_sign, balanced = score, sign, False
                 elif score == best and sign != best_sign:
                     balanced = True
         return best, best_sign, balanced, dp
+
+    def score_at(self, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
+        """Score the terms at p in integers.
+
+        Returns the minimal score, its sign, whether opposite signs tie
+        there, and the point's denominator D'.  The minimal score over
+        ``den * D'`` is the valuation of the sum; it is None, with sign 0,
+        when no term survives.
+        """
+        signs = [c.sign for c in p]
+        self.check_defined(signs)
+        dp = lcm(*(c.val.denominator for c in p if c.sign))
+        xs = [c.val.numerator * (dp // c.val.denominator) if c.sign else 0 for c in p]
+        return self._score(signs, xs, dp)
+
+    def score_leading(
+        self, p: Sequence[PuiseuxSeries]
+    ) -> tuple[Optional[int], int, bool, int]:
+        """``score_at`` at the signed values of a Puiseux point.
+
+        They are read from each coordinate's leading term, without building
+        the point's :class:`SignedTropVal`s.  Definedness is not checked
+        here: ``laurent_sign`` has checked it on the Laurent polynomial.
+        """
+        leads = [c.terms[0] if c.terms else None for c in p]
+        signs = [(1 if t[1].numerator > 0 else -1) if t else 0 for t in leads]
+        dp = lcm(*(t[0].denominator for t in leads if t))
+        xs = [t[0].numerator * (dp // t[0].denominator) if t else 0 for t in leads]
+        return self._score(signs, xs, dp)
 
     def value_at(self, p: TropPoint) -> HyperValue:
         """The hyperfield sum of the terms at p."""
@@ -348,11 +397,11 @@ def eval_k(f: PolyK, p: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
 
     Negative exponents are evaluated through exact monomial inversion and
     therefore require the corresponding coordinate to be a nonzero monomial
-    series; a zero coordinate under a negative exponent raises.
+    series; a zero coordinate raises if any term has a negative exponent
+    on it.
     """
     p = tuple(p)
-    if len(p) != f.nvars:
-        raise DimensionMismatch(f"point dim {len(p)} vs nvars {f.nvars}")
+    _check_laurent_point(f, p)
     powers: dict[tuple[int, int], PuiseuxSeries] = {}
     pairs: list[tuple[Fraction, Fraction]] = []
     for exps, coeff in f.terms:
@@ -362,11 +411,7 @@ def eval_k(f: PolyK, p: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
                 continue
             c = p[i]
             if c.is_zero():
-                if d < 0:
-                    raise NegativeExponentAtZero(
-                        "negative exponent at a zero coordinate"
-                    )
-                break
+                break  # a positive power of a zero coordinate kills the term
             power = powers.get((i, d))
             if power is None:
                 power = powers[(i, d)] = c ** d
@@ -506,15 +551,20 @@ class _SignKernel(NamedTuple):
 def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
     """Exact sign of f(p) for Laurent f.
 
-    f(p) and g(p) = f(p) * p**m have the same sign because every entry of
-    m is even.  g is evaluated by the integer kernel of
-    :class:`_SignKernel`: each rescaling there multiplies g(p) by a
+    First from leading terms: the leading term of each term of f(p) is the
+    term of trop(f) at trop(p), so when the dominant ones all have one
+    sign, f(p) has it too, and when no term survives, f(p) is zero.  Only
+    when dominant terms of opposite sign tie is the sign computed at the
+    Puiseux level: f(p) and g(p) = f(p) * p**m have the same sign because
+    every entry of m is even, and g is evaluated by the integer kernel of
+    :class:`_SignKernel`, where each rescaling multiplies g(p) by a
     positive constant or stretches the exponent scale, and neither changes
     the sign of the leading term.
     """
     p = tuple(p)
     _check_laurent_point(f, p)
-    return f._sign_kernel.sign_at(p)
+    _, sign, balanced, _ = f._lead_kernel.score_leading(p)
+    return f._sign_kernel.sign_at(p) if balanced else sign
 
 
 def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:

@@ -17,6 +17,7 @@ from tropreal.cli import main, parse_target
 from tropreal.hyperfields import stv
 from tropreal.polyhedra import point_polyhedron, union_of
 from tropreal.scenarios import get_scenario
+from tropreal.troppoly import trop_r
 
 
 @pytest.fixture
@@ -177,7 +178,10 @@ def test_figures_command(tmp_path):
 # sha256 of seeded CLI JSON, recorded before the sampler drew in integers:
 # the default sampler and the witness search keep their random stream on
 # every supported Python.  The circle pin uses seed 2 because at seed 1
-# 2000 draws keep no point, and an empty cloud pins nothing.
+# 2000 draws keep no point, and an empty cloud pins nothing.  The lift and
+# basis pins, recorded before laurent_sign decided from leading terms, run
+# on the circle with F = -trop(f) and T = the origin; at seed 1 both find
+# too few samples and exit 1.
 @pytest.mark.parametrize("argv, digest", [
     pytest.param(["sample", "circle", "--seed", "2", "--count", "2000"],
                  "776425aa8b9a4a3b5043d26e8c26a7e181cab67c851d246ff067c990010a6ae6",
@@ -188,11 +192,27 @@ def test_figures_command(tmp_path):
     pytest.param(["witness", "halfplane", "--seed", "1", "--target", "((+,1),(+,0))"],
                  "3e059e71c954408d97a51cf6762d9428f9f2c65a5d6589e06f899dafaef3d955",
                  id="witness-halfplane"),
+    pytest.param(["lift", "circle", "--trop", "F.json", "--seed", "2", "--count", "200"],
+                 "9b9fd0cb16a857e94973a554c2372459930b77177c2709c3b23049837ff61900",
+                 id="lift-circle"),
+    pytest.param(["basis", "circle", "--target-set", "T.json", "--seed", "2", "--count", "40"],
+                 "6bd19f34b334db3263755a90bedbd0f8dd3a7637a550ea609fbe11c8b0f22cfd",
+                 id="basis-circle"),
 ])
 def test_seeded_sampler_output_is_pinned(tmp_path, argv, digest):
     command, name, *options = argv
+    scenario = get_scenario(name)
     desc = tmp_path / f"{name}.json"
-    desc.write_text(iojson.dumps(iojson.description_to_json(get_scenario(name).description)))
+    desc.write_text(iojson.dumps(iojson.description_to_json(scenario.description)))
+    inputs = {
+        "F.json": lambda: iojson.troppoly_to_json(trop_r(scenario.params["poly"]).neg()),
+        "T.json": lambda: iojson.union_to_json(union_of(2, [point_polyhedron((0, 0))])),
+    }
+    for i, option in enumerate(options):
+        if option in inputs:
+            path = tmp_path / option
+            path.write_text(iojson.dumps(inputs[option]()))
+            options[i] = str(path)
     out = tmp_path / "out.json"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([command, str(desc), *options, "--out", str(out)]) == 0
@@ -250,6 +270,38 @@ def test_malformed_polynomial_field_is_named(tmp_path, capsys, terms, field, top
     assert main(["sample", str(desc)]) == 2
     line = _one_error_line(capsys.readouterr().err)
     assert line.startswith(f"error: {desc}: {field}: expected"), line
+
+
+def _halfspace(normal=(1, 0), offset="0", strict=False):
+    return {"normal": list(normal), "offset": offset, "strict": strict}
+
+
+@pytest.mark.parametrize("target, field", [
+    pytest.param({"dim": 2}, "input", id="not-a-list"),
+    pytest.param([5], "[0]", id="piece-integer"),
+    pytest.param([{"dim": 2, "constraints": 5}], "[0].constraints", id="constraints-integer"),
+    pytest.param([{"dim": "a", "constraints": []}], "[0].dim", id="dim-string"),
+    pytest.param([{"dim": -1, "constraints": []}], "[0].dim", id="dim-negative"),
+    pytest.param([{"dim": 3, "constraints": []}], "[0].dim", id="dim-not-the-orthant"),
+    pytest.param([{"dim": 2, "constraints": [5]}], "[0].constraints[0]", id="constraint-integer"),
+    pytest.param([{"dim": 2, "constraints": [_halfspace(), _halfspace(normal=(1,))]}],
+                 "[0].constraints[1].normal", id="normal-short"),
+    pytest.param([{"dim": 2, "constraints": [_halfspace(normal=("1", 0))]}],
+                 "[0].constraints[0].normal", id="normal-string-entry"),
+    pytest.param([{"dim": 2, "constraints": []}, {"dim": 2, "constraints": [_halfspace(offset=0.5)]}],
+                 "[1].constraints[0].offset", id="offset-number"),
+    pytest.param([{"dim": 2, "constraints": [_halfspace(offset="1/0")]}],
+                 "[0].constraints[0].offset", id="offset-bad-rational"),
+    pytest.param([{"dim": 2, "constraints": [_halfspace(strict=1)]}],
+                 "[0].constraints[0].strict", id="strict-integer"),
+])
+def test_malformed_target_set_field_is_named(circle_files, tmp_path, capsys, target, field):
+    _, desc = circle_files
+    T = tmp_path / "T.json"
+    T.write_text(json.dumps(target))
+    assert main(["basis", str(desc), "--target-set", str(T)]) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line.startswith(f"error: {T}: {field}: "), line
 
 
 def test_description_missing_key_is_named(tmp_path, capsys):
@@ -365,6 +417,14 @@ def test_trop_power_over_the_bit_bound_is_a_usage_error(tmp_path, capsys, text):
     assert main(["trop", str(poly)]) == 2
     line = _one_error_line(capsys.readouterr().err)
     assert line.startswith("error: a power ") and "bits" in line, line
+
+
+def test_trop_product_over_the_bit_bound_is_a_usage_error(tmp_path, capsys):
+    poly = tmp_path / "product.txt"
+    poly.write_text("*".join(["7^3000"] * 200))
+    assert main(["trop", str(poly)]) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line.startswith("error: a product ") and "bits" in line, line
 
 
 def test_sampling_shortfall_is_a_failure_not_a_usage_error(circle_files, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Polynomial text grammar: expansion, coefficients in t, errors."""
 
+import re
 import time
 from fractions import Fraction
 
@@ -102,6 +103,24 @@ def test_power_of_one_term_is_bounded_before_computing(bad):
     with pytest.raises(ParseError, match=f"more than {MAX_POWER_BITS} bits"):
         parse_polyk(bad)
     assert time.perf_counter() - start < 1, bad
+
+
+@pytest.mark.parametrize("bad, what", [
+    pytest.param("*".join(["7^3000"] * 200), "a product", id="product-of-powers"),
+    pytest.param("x*(2/3)^4000*y*(2/3)^4000", "a product", id="product-with-variables"),
+    pytest.param("(7^3000*x + 1)^120", "a power ^120", id="power-of-two-terms"),
+])
+def test_products_and_powers_of_sums_are_bounded_before_computing(bad, what):
+    # each factor passes the bound alone; the product (1.9 s for 200
+    # factors) and the power (99 s) did not, before their bits were counted
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=re.escape(f"{what} could give a coefficient of more than")):
+        parse_polyk(bad)
+    assert time.perf_counter() - start < 1, bad
+    # a product just within the bound parses
+    assert parse_polyk(f"(3/2)^{MAX_POWER_BITS // 4}*(3/2)^{MAX_POWER_BITS // 4}*x") == (
+        parse_polyk(f"(3/2)^{MAX_POWER_BITS // 2}*x")
+    )
 
 
 def test_power_of_one_term_within_the_bound():

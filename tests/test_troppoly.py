@@ -4,12 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropreal.errors import DimensionMismatch, NegativeExponentAtZero
 from tropreal.hyperfields import (
     _REL_ALIASES,
-    RT_ZERO,
     Balanced,
     hv_contains,
     hv_point,
@@ -20,10 +19,12 @@ from tropreal.hyperfields import (
     stv,
 )
 from tropreal.parsing import parse_polyk
+from tropreal.polyhedra import trop_region
 from tropreal.puiseux import PuiseuxSeries, SamplerConfig, ps_sample
 from tropreal.troppoly import (
     PolyK,
     TropPoly,
+    _check_laurent_point,
     _cleared,
     eval_k,
     laurent_sign,
@@ -279,26 +280,126 @@ def test_laurent_sign_at_roots():
     assert laurent_sign(g + PolyK.const(2, t_pow(7)), (x, y)) == 1
 
 
+# -- laurent_sign's leading-term path against the Puiseux-level kernel ---------
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the error it raises on an undefined point."""
+    try:
+        return fn(*args)
+    except (NegativeExponentAtZero, DimensionMismatch) as exc:
+        return type(exc)
+
+
+def _kernel_sign(f, p):
+    """laurent_sign without the leading-term path: the check, then the kernel."""
+    p = tuple(p)
+    _check_laurent_point(f, p)
+    return f._sign_kernel.sign_at(p)
+
+
+@st.composite
+def cancelling_laurent_and_point(draw):
+    """A Laurent polynomial whose dominant terms tend to cancel at the point.
+
+    A polynomial f loses the leading term of its value at p, gains a drawn
+    series (often of higher valuation), and is shifted by a monomial that
+    may carry negative exponents, so the tropical sum at p is often
+    balanced and the sign is decided further down.  The point sometimes
+    has one coordinate too many or too few.
+    """
+    nvars = draw(st.integers(1, 3))
+    terms = draw(
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 3)] * nvars), series_st()),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    f = PolyK.from_terms(nvars, terms)
+    p = tuple(
+        PuiseuxSeries.zero() if draw(st.integers(0, 6)) == 0 else draw(series_st())
+        for _ in range(nvars)
+    )
+    value = eval_k(f, p)
+    lead = PuiseuxSeries(value.terms[:1])
+    f = f - PolyK.const(nvars, lead) + PolyK.const(nvars, draw(series_st()))
+    f = f.shift(draw(st.tuples(*[st.integers(-3, 1)] * nvars)))
+    extra = draw(st.sampled_from([0] * 8 + [-1, 1]))
+    if extra < 0:
+        p = p[:-1]
+    elif extra > 0:
+        p = p + (draw(series_st()),)
+    return f, p
+
+
+_DESIGNED = [
+    pytest.param("(x-2)^2 - t^2", [[(0, 2), (1, 1)]], id="square-at-2+t-zero"),
+    pytest.param("(x-2)^2 - t^2", [[(0, 2), (1, 1), (2, 1)]], id="square-at-2+t+t2-positive"),
+    pytest.param("(x-2)^2 - t^2", [[(0, 2), (1, "1/2")]], id="square-at-2+t/2-negative"),
+    pytest.param("x^(-3)*(x-2)^2 - x^(-3)*t^2", [[(0, 2), (1, "1/2")]], id="laurent-square"),
+    pytest.param("x*y^(-1) - 1", [[(0, 1), (1, 1)], [(0, 1), (1, 1)]], id="ratio-zero"),
+    pytest.param("x*y^(-1) - 1", [[(0, 1), (1, 1)], [(0, 1), (1, 2)]], id="ratio-negative"),
+    pytest.param("x*y^(-1) - 1", [[(0, 1), (1, 1)], []], id="ratio-undefined"),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(laurent_and_point(), cancelling_laurent_and_point()))
+@example((parse_polyk("x^2*y^(-1) - 1"), (PuiseuxSeries.zero(), const(1))))
+def test_laurent_sign_matches_the_kernel(case):
+    f, p = case
+    assert _outcome(laurent_sign, f, p) == _outcome(_kernel_sign, f, p)
+
+
+@pytest.mark.parametrize("text, coords", _DESIGNED)
+def test_laurent_sign_at_designed_cancellations(text, coords):
+    f = parse_polyk(text)
+    p = tuple(PuiseuxSeries.from_terms(c) for c in coords)
+    assert _outcome(laurent_sign, f, p) == _outcome(_kernel_sign, f, p)
+    if all(c.terms for c in p):
+        # the leading terms cancel, so the kernel decides
+        assert f._lead_kernel.score_leading(p)[2]
+
+
+def _swap(F):
+    return TropPoly(F.nvars, tuple(sorted((e[::-1], c) for e, c in F.terms)))
+
+
+def test_undefinedness_does_not_depend_on_variable_order():
+    zero = PuiseuxSeries.zero()
+    z = stv(0, "inf")
+    for text in ("x*y^(-1) + 1", "x^(-1)*y + 1"):
+        f = parse_polyk(text)
+        F = trop_r(f)
+        for fn, args in (
+            (laurent_sign, (f, (zero, zero))),
+            (eval_k, (f, (zero, zero))),
+            (trop_eval, (F, (z, z))),
+            (trop_sat, (F, (z, z), "gt")),
+            (trop_region, (F, (0, 0), "gt")),
+            (F._val_kernel.score_at, ((z, z),)),
+        ):
+            with pytest.raises(NegativeExponentAtZero):
+                fn(*args)
+
+
 # -- independent cross-check of trop_eval's integer kernel ----------------------
 
 
 def _reference_trop_eval(F, p):
     """F(p) term by term in the hyperfield: coefficient times coordinate powers.
 
-    A zero coordinate is met in variable order; under a negative exponent it
-    raises, under a positive one it kills the term.
+    F is undefined, and raises, where a zero coordinate carries a negative
+    exponent in any term; otherwise a positive power of a zero coordinate
+    kills the term.
     """
+    if any(d < 0 and c.sign == 0 for exps, _ in F.terms for d, c in zip(exps, p)):
+        raise NegativeExponentAtZero("negative exponent at a zero coordinate")
     values = []
     for exps, coeff in F.terms:
         acc = coeff
         for d, c in zip(exps, p):
-            if d == 0:
-                continue
-            if c.sign == 0:
-                if d < 0:
-                    raise NegativeExponentAtZero("negative exponent at a zero coordinate")
-                acc = RT_ZERO
-                break
             acc = rt_mul(acc, rt_pow(c, d))
         values.append(acc)
     return rt_sum(values)
@@ -333,14 +434,20 @@ def test_trop_eval_matches_term_by_term_reference(case):
     assert trop_eval(F, p) == expected
 
 
-def test_trop_eval_first_zero_coordinate_decides():
-    # x kills the term before y's negative exponent is reached
-    F = TropPoly.from_terms(2, [((1, -1), stv(1, 0)), ((0, 0), stv(-1, 2))])
+def test_trop_eval_any_negative_exponent_at_zero_raises():
+    # undefined at (0, 0) in either variable order, although the positive
+    # power of the other coordinate would kill the term
     zero = stv(0, "inf")
-    assert trop_eval(F, (zero, zero)) == hv_point(-1, 2)
-    G = TropPoly.from_terms(2, [((-1, 1), stv(1, 0))])
-    with pytest.raises(NegativeExponentAtZero):
-        trop_eval(G, (zero, zero))
+    for exps in ((1, -1), (-1, 1)):
+        F = TropPoly.from_terms(2, [(exps, stv(1, 0)), ((0, 0), stv(-1, 2))])
+        with pytest.raises(NegativeExponentAtZero):
+            trop_eval(F, (zero, zero))
+        for rel in ("gt", "eq", "le"):
+            with pytest.raises(NegativeExponentAtZero):
+                trop_sat(F, (zero, zero), rel)
+    # defined where only positive powers meet the zero coordinate
+    F = TropPoly.from_terms(2, [((1, -1), stv(1, 0)), ((0, 0), stv(-1, 2))])
+    assert trop_eval(F, (zero, stv(1, 0))) == hv_point(-1, 2)
     # odd powers of negative coordinates flip the sign, even powers do not
     H = TropPoly.from_terms(2, [((3, 2), stv(1, Fraction(1, 2)))])
     assert trop_eval(H, (stv(-1, 1), stv(-1, Fraction(-1, 3)))) == hv_point(-1, Fraction(17, 6))
@@ -361,6 +468,13 @@ def troppoly_with_zero_terms_and_point(draw):
     if extra:
         F = TropPoly(F.nvars, tuple(sorted(F.terms + extra)))
     return F, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(troppoly_with_zero_terms_and_point())
+def test_trop_eval_is_invariant_under_reversing_the_variables(case):
+    F, p = case
+    assert _outcome(trop_eval, F, p) == _outcome(trop_eval, _swap(F), p[::-1])
 
 
 @settings(max_examples=300, deadline=None)
