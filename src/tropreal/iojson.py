@@ -67,8 +67,17 @@ def stv_to_json(v: SignedTropVal) -> dict:
     return {"sign": v.sign, "val": val_str(v.val)}
 
 
-def stv_from_json(d: dict) -> SignedTropVal:
-    return stv(int(d["sign"]), as_val(d["val"]))
+def stv_from_json(d: Any, path: str = "") -> SignedTropVal:
+    """A signed value; ``path`` locates d in its file for error messages.
+
+    ``sign`` must be the JSON integer -1, 0 or 1 (not a boolean, string or
+    number); ``val`` is read by :func:`as_val`.
+    """
+    sign = _object(d, path).get("sign")
+    if type(sign) is not int or sign not in (-1, 0, 1):
+        got = "nothing" if "sign" not in d else sign if type(sign) is int else _JSON_KIND.get(type(sign))
+        raise ParseError(f"{_at(path, 'sign')}: expected -1, 0 or 1, got {got}")
+    return stv(sign, as_val(d["val"]))
 
 
 def hv_to_json(h: HyperValue) -> dict:
@@ -191,7 +200,10 @@ def troppoly_from_json(d: dict, path: str = "") -> TropPoly:
     where = _at(path, "terms")
     return TropPoly.from_terms(
         nvars,
-        ((_exps(t, nvars, f"{where}[{i}]"), stv_from_json(t["coeff"])) for i, t in enumerate(terms)),
+        (
+            (_exps(t, nvars, f"{where}[{i}]"), stv_from_json(t["coeff"], f"{where}[{i}].coeff"))
+            for i, t in enumerate(terms)
+        ),
     )
 
 

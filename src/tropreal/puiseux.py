@@ -19,11 +19,14 @@ The sampler draws series from a bounded rational grid, stratified over
 leading exponents so that signed values of samples spread across the whole
 configured valuation window rather than clustering at generic values.
 Sampler state is confined to an explicitly passed generator; use
-independent seeds for concurrent sampling.  Every draw goes through
-:func:`rand_below`, which asks ``getrandbits`` for the same words that
-``randint`` and ``choice`` of a plain :class:`random.Random` ask for, so a
-seed gives the same series on every supported Python.  Draws stay integer
-pairs; only the exponents and coefficients that are kept become
+independent seeds for concurrent sampling.  The integers a draw needs
+are fixed once per :class:`SamplerConfig`, as a private plan, and
+:func:`ps_sample` draws each series in one frame from that plan.  Every
+bounded draw there is ``randrange`` written out, the loop of
+:func:`rand_below`: it asks ``getrandbits`` for the same words that
+``randint`` and ``choice`` of a plain :class:`random.Random` ask for, so
+a seed gives the same series on every supported Python.  Draws stay
+integer pairs; only the exponents and coefficients that are kept become
 Fractions, through a memo of at most 256 entries.  No table is built
 from the configured ranges, so memory does not depend on how wide they
 are.
@@ -231,6 +234,11 @@ class SamplerConfig:
     Exponents are drawn from the rational grid of the given range with
     denominators up to ``exponent_denominator_bound``; coefficients come
     from the analogous grid of ``coeff_range`` minus zero.
+
+    The integers a draw needs (the term and denominator bounds with their
+    bit lengths, and the numerators and denominators of both windows) are
+    fixed once here as a private plan.  The plan is not a field, so
+    equality, hashing and the repr see only the fields above.
     """
 
     max_terms: int = 3
@@ -240,10 +248,11 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
-        if self.exponent_denominator_bound < 1:
-            raise ValueError("exponent_denominator_bound must be positive")
+        if not isinstance(self.max_terms, int) or self.max_terms < 1:
+            raise ValueError("max_terms must be a positive integer")
+        dbound = self.exponent_denominator_bound
+        if not isinstance(dbound, int) or dbound < 1:
+            raise ValueError("exponent_denominator_bound must be a positive integer")
         lo, hi = self.exponent_range
         object.__setattr__(self, "exponent_range", (_frac(lo), _frac(hi)))
         lo, hi = self.coeff_range
@@ -252,17 +261,12 @@ class SamplerConfig:
             raise ValueError("empty exponent range")
         if self.coeff_range[0] > self.coeff_range[1]:
             raise ValueError("empty coefficient range")
-
-
-def _window(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
-    """The closed window [lo, hi] as integers: lo's and hi's numerators and denominators."""
-    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
-
-
-def _grid_range(window: tuple[int, int, int, int], q: int) -> tuple[int, int]:
-    """ceil(lo * q) and floor(hi * q), in integer arithmetic."""
-    lo_num, lo_den, hi_num, hi_den = window
-    return -(-lo_num * q // lo_den), hi_num * q // hi_den
+        (e_lo, e_hi), (c_lo, c_hi) = self.exponent_range, self.coeff_range
+        object.__setattr__(self, "_plan", (
+            self.max_terms, self.max_terms.bit_length(), dbound, dbound.bit_length(),
+            e_lo.numerator, e_lo.denominator, e_hi.numerator, e_hi.denominator,
+            c_lo.numerator, c_lo.denominator, c_hi.numerator, c_hi.denominator,
+        ))
 
 
 def rand_below(rng: random.Random, n: int) -> int:
@@ -281,20 +285,6 @@ def rand_below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _grid_pair(
-    rng: random.Random, window: tuple[int, int, int, int], dbound: int
-) -> tuple[int, int]:
-    """Uniform draw (k, q) with k/q in the window for a random q <= dbound."""
-    q = 1 + rand_below(rng, dbound)
-    lo_n, hi_n = _grid_range(window, q)
-    if lo_n > hi_n:  # grid for this q misses the window; denominator 1..dbound lcm helps
-        q = dbound
-        lo_n, hi_n = _grid_range(window, q)
-        if lo_n > hi_n:
-            raise ValueError("rational grid is empty in the configured range")
-    return lo_n + rand_below(rng, hi_n - lo_n + 1), q
-
-
 @lru_cache(maxsize=256)
 def _fraction(k: int, q: int) -> Fraction:
     return Fraction(k, q)
@@ -303,34 +293,83 @@ def _fraction(k: int, q: int) -> Fraction:
 def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> PuiseuxSeries:
     """Draw one nonzero series; deterministic for a fixed config when rng is None.
 
-    The leading exponent is drawn uniformly from the configured rational
-    grid (valuation stratification); further exponents, when any, are drawn
-    from the same grid above the leading one.  Exponents stay reduced
-    integer pairs (k, q) until the kept ones become Fractions.
+    The number of terms is drawn first.  The leading exponent is drawn
+    uniformly from the configured rational grid (valuation stratification);
+    further exponents, when any, are drawn from the same grid above the
+    leading one; then each kept exponent gets a nonzero coefficient from
+    the coefficient grid.  A grid draw takes a denominator q <= the bound,
+    falls back to q = bound when no multiple of 1/q lies in the window, and
+    then takes a numerator k with k/q in the window.
+
+    The whole series is drawn in this one frame from the integers of the
+    config's plan.  Every draw below n is ``randrange(n)`` written out:
+    ``getrandbits(n.bit_length())`` until the result is below n, so the
+    series takes the same ``getrandbits`` words as :func:`rand_below` and
+    the ``randint`` sampler before it.  Exponents stay reduced integer
+    pairs (k, q) until the kept ones become Fractions.
     """
     if rng is None:
         rng = random.Random(cfg.seed)
-    exp_window = _window(*cfg.exponent_range)
-    dbound = cfg.exponent_denominator_bound
-    n_terms = 1 + rand_below(rng, cfg.max_terms)
-    lead_k, lead_q = _grid_pair(rng, exp_window, dbound)
-    g = gcd(lead_k, lead_q)
-    exps = {(lead_k // g, lead_q // g)}
-    for _ in range((n_terms - 1) * 4):
-        if len(exps) >= n_terms:
-            break
-        k, q = _grid_pair(rng, exp_window, dbound)
-        if k * lead_q > lead_k * q:
-            g = gcd(k, q)
-            exps.add((k // g, q // g))
-    if len(exps) > 1:
+    getrandbits = rng.getrandbits
+    (max_terms, terms_bits, dbound, dbound_bits,
+     e_lo_n, e_lo_d, e_hi_n, e_hi_d, c_lo_n, c_lo_d, c_hi_n, c_hi_d) = cfg._plan
+    extra = getrandbits(terms_bits)
+    while extra >= max_terms:
+        extra = getrandbits(terms_bits)
+    # The first pass draws the lead; each later pass keeps a draw above it.
+    exps: list[tuple[int, int]] = []
+    lead_k = lead_q = 0
+    for _ in range(1 + 4 * extra):
+        q = getrandbits(dbound_bits)
+        while q >= dbound:
+            q = getrandbits(dbound_bits)
+        q += 1
+        lo = -(-e_lo_n * q // e_lo_d)
+        n = e_hi_n * q // e_hi_d - lo + 1
+        if n <= 0:
+            q = dbound
+            lo = -(-e_lo_n * q // e_lo_d)
+            n = e_hi_n * q // e_hi_d - lo + 1
+            if n <= 0:
+                raise ValueError("rational grid is empty in the configured range")
+        bits = n.bit_length()
+        k = getrandbits(bits)
+        while k >= n:
+            k = getrandbits(bits)
+        k += lo
+        if not lead_q:
+            lead_k, lead_q = k, q
+        elif k * lead_q <= lead_k * q:
+            continue
+        g = gcd(k, q)
+        e = (k // g, q // g)
+        if e not in exps:
+            exps.append(e)
+            if len(exps) > extra:
+                break
+    if len(exps) > 2:  # the lead is first and least; order the rest
         common = lcm(*(q for _, q in exps))
-        exps = sorted(exps, key=lambda e: e[0] * (common // e[1]))
-    coeff_window = _window(*cfg.coeff_range)
+        exps.sort(key=lambda e: e[0] * (common // e[1]))
     terms = []
     for k, q in exps:
         for _ in range(64):
-            ck, cq = _grid_pair(rng, coeff_window, dbound)
+            cq = getrandbits(dbound_bits)
+            while cq >= dbound:
+                cq = getrandbits(dbound_bits)
+            cq += 1
+            lo = -(-c_lo_n * cq // c_lo_d)
+            n = c_hi_n * cq // c_hi_d - lo + 1
+            if n <= 0:
+                cq = dbound
+                lo = -(-c_lo_n * cq // c_lo_d)
+                n = c_hi_n * cq // c_hi_d - lo + 1
+                if n <= 0:
+                    raise ValueError("rational grid is empty in the configured range")
+            bits = n.bit_length()
+            ck = getrandbits(bits)
+            while ck >= n:
+                ck = getrandbits(bits)
+            ck += lo
             if ck:
                 break
         else:

@@ -140,7 +140,13 @@ def sa_member(S: SADescription, p: Sequence[PuiseuxSeries]) -> bool:
     p = tuple(p)
     if len(p) != S.nvars:
         raise DimensionMismatch("point dimension does not match description")
-    return any(all(cond.holds_at(p) for cond in disj) for disj in S.disjuncts)
+    for disj in S.disjuncts:
+        for cond in disj:
+            if not cond.holds_at(p):
+                break
+        else:
+            return True
+    return False
 
 
 def split_ne(S: SADescription) -> SADescription:
@@ -202,10 +208,9 @@ def sample_vector(
     rng: random.Random, cfg: SamplerConfig, nvars: int, zero_prob: float = 0.1
 ) -> tuple[PuiseuxSeries, ...]:
     """A random Puiseux vector; coordinates are occasionally exactly zero."""
-    return tuple(
-        PS_ZERO if rng.random() < zero_prob else ps_sample(cfg, rng)
-        for _ in range(nvars)
-    )
+    return tuple([
+        PS_ZERO if rng.random() < zero_prob else ps_sample(cfg, rng) for _ in range(nvars)
+    ])
 
 
 def sa_sample_trop(

@@ -354,10 +354,21 @@ class _ValKernel(NamedTuple):
         the point's :class:`SignedTropVal`s.  Definedness is not checked
         here: ``laurent_sign`` has checked it on the Laurent polynomial.
         """
-        leads = [c.terms[0] if c.terms else None for c in p]
-        signs = [(1 if t[1].numerator > 0 else -1) if t else 0 for t in leads]
-        dp = lcm(*(t[0].denominator for t in leads if t))
-        xs = [t[0].numerator * (dp // t[0].denominator) if t else 0 for t in leads]
+        signs = []
+        nums = []
+        dens = []
+        for c in p:
+            if c.terms:
+                e, a = c.terms[0]
+                signs.append(1 if a.numerator > 0 else -1)
+                nums.append(e.numerator)
+                dens.append(e.denominator)
+            else:
+                signs.append(0)
+                nums.append(0)
+                dens.append(1)
+        dp = lcm(*dens)
+        xs = nums if dp == 1 else [k * (dp // d) for k, d in zip(nums, dens)]
         return self._score(signs, xs, dp)
 
     def value_at(self, p: TropPoint) -> HyperValue:
@@ -561,7 +572,8 @@ def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
     positive constant or stretches the exponent scale, and neither changes
     the sign of the leading term.
     """
-    p = tuple(p)
+    if type(p) is not tuple:
+        p = tuple(p)
     _check_laurent_point(f, p)
     _, sign, balanced, _ = f._lead_kernel.score_leading(p)
     return f._sign_kernel.sign_at(p) if balanced else sign

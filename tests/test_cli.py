@@ -304,6 +304,26 @@ def test_malformed_target_set_field_is_named(circle_files, tmp_path, capsys, tar
     assert line.startswith(f"error: {T}: {field}: "), line
 
 
+@pytest.mark.parametrize("coeff, field", [
+    pytest.param({"sign": "a", "val": "0"}, "terms[0].coeff.sign", id="sign-letter"),
+    pytest.param({"sign": "1", "val": "0"}, "terms[0].coeff.sign", id="sign-string"),
+    pytest.param({"sign": 1.5, "val": "0"}, "terms[0].coeff.sign", id="sign-number"),
+    pytest.param({"sign": True, "val": "0"}, "terms[0].coeff.sign", id="sign-boolean"),
+    pytest.param({"sign": 2, "val": "0"}, "terms[0].coeff.sign", id="sign-two"),
+    pytest.param({"val": "0"}, "terms[0].coeff.sign", id="sign-missing"),
+    pytest.param([1], "terms[0].coeff", id="coeff-list"),
+])
+def test_malformed_signed_value_is_named(circle_files, tmp_path, capsys, coeff, field):
+    _, desc = circle_files
+    data = iojson.troppoly_to_json(trop_r(get_scenario("circle").params["poly"]).neg())
+    data["terms"][0]["coeff"] = coeff
+    F = tmp_path / "F.json"
+    F.write_text(json.dumps(data))
+    assert main(["lift", str(desc), "--trop", str(F)]) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line.startswith(f"error: {F}: {field}: expected"), line
+
+
 def test_description_missing_key_is_named(tmp_path, capsys):
     desc = tmp_path / "nodisjuncts.json"
     desc.write_text(json.dumps({"nvars": 2}))
@@ -502,3 +522,75 @@ def test_one_parser_serves_repeated_calls(circle_files, tmp_path, monkeypatch):
     assert _run_main(sample) != shared[3]
     monkeypatch.setenv("TROPREAL_SEED", "2")
     assert _run_main(sample) == shared[3]
+
+
+# -- JSON-shape fuzz: mutated description, --trop and --target-set files -------
+
+_CIRCLE_FILES = {
+    "desc": iojson.description_to_json(get_scenario("circle").description),
+    "F": iojson.troppoly_to_json(trop_r(get_scenario("circle").params["poly"]).neg()),
+    "T": iojson.union_to_json(union_of(2, [point_polyhedron((0, 0))])),
+}
+_COMMANDS = {
+    "sample": (["sample", "desc", "--count", "20"], ["desc"]),
+    "witness": (["witness", "desc", "--target", "((+,0),(+,0))", "--budget", "20"], ["desc"]),
+    "lift": (["lift", "desc", "--trop", "F", "--count", "3", "--budget", "20"], ["desc", "F"]),
+    "basis": (["basis", "desc", "--target-set", "T", "--count", "3"], ["desc", "T"]),
+}
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([0.5, -1.0, 1e300]),
+    st.text(max_size=3), st.just([]), st.just({}),
+)
+
+
+def _json_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with one to three mutations: a dropped key, a value of another
+    type, a value wrapped in a list, or a container replaced by an entry."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        parent, value = None, doc
+        for key in path:
+            parent, value = value, value[key]
+        kind = draw(st.sampled_from(["drop", "swap", "wrap", "unwrap"]))
+        if kind == "drop" and isinstance(parent, dict):
+            del parent[path[-1]]
+            continue
+        if kind == "unwrap" and isinstance(value, (dict, list)) and value:
+            new = draw(st.sampled_from(list(value.values() if isinstance(value, dict) else value)))
+        elif kind == "wrap":
+            new = [value]
+        else:
+            new = draw(_JSON_VALUES)
+        if parent is None:
+            doc = new
+        else:
+            parent[path[-1]] = new
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_COMMANDS)), st.data())
+def test_json_shape_fuzz(command, data):
+    argv, inputs = _COMMANDS[command]
+    target = data.draw(st.sampled_from(inputs))
+    with tempfile.TemporaryDirectory() as d:
+        paths = {}
+        for name, doc in _CIRCLE_FILES.items():
+            if name == target:
+                doc = data.draw(_mutated(doc))
+            paths[name] = Path(d) / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        rc, _, err = _run_main([str(paths.get(a, a)) for a in argv] + ["--seed", "3"])
+    assert rc in (0, 1, 2), (rc, err)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error:")), lines

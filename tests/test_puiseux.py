@@ -1,5 +1,7 @@
 """Exact series arithmetic, ordering, signed values, and the sampler."""
 
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 from tropreal.errors import PuiseuxDivisionError
 from tropreal.hyperfields import INF, Point, hv_contains, rt_add, rt_mul, stv
 from tropreal.puiseux import (
+    PS_ZERO,
     PuiseuxSeries,
     SamplerConfig,
     _fraction,
@@ -16,7 +19,7 @@ from tropreal.puiseux import (
     ps_sample,
     rand_below,
 )
-from tropreal.semialg import _positive_magnitude, _signed_magnitude
+from tropreal.semialg import _positive_magnitude, _signed_magnitude, sample_vector
 
 P = PuiseuxSeries.from_terms
 t_pow = PuiseuxSeries.t_power
@@ -288,6 +291,40 @@ def test_sampler_matches_randint_reference(cfg, seed):
         if isinstance(got, PuiseuxSeries):
             assert all(type(x) is Fraction for term in got.terms for x in term)
     assert rng.getstate() == ref.getstate()
+
+
+def _reference_vector(rng, cfg, nvars, zero_prob):
+    return tuple(
+        PS_ZERO if rng.random() < zero_prob else _reference_sample(cfg, rng)
+        for _ in range(nvars)
+    )
+
+
+@given(sampler_configs(), st.integers(0, 3), st.sampled_from([0, 0.1, 1]), st.integers(0, 2**32))
+def test_sample_vector_matches_reference_stream(cfg, nvars, zero_prob, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        got = _outcome(sample_vector, rng, cfg, nvars, zero_prob)
+        assert got == _outcome(_reference_vector, ref, cfg, nvars, zero_prob)
+    assert rng.getstate() == ref.getstate()
+
+
+@given(sampler_configs(), st.integers(0, 2**32))
+def test_sampler_config_identity_survives_copies(cfg, seed):
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(SamplerConfig)}
+    assert list(fields) == [
+        "max_terms", "exponent_denominator_bound", "exponent_range", "coeff_range", "seed",
+    ]
+    fresh = SamplerConfig(**fields)
+    assert fresh == cfg and hash(fresh) == hash(cfg) and repr(fresh) == repr(cfg)
+    for copy in (pickle.loads(pickle.dumps(cfg)), dataclasses.replace(cfg, seed=seed)):
+        expected = SamplerConfig(**{**fields, "seed": copy.seed})
+        assert copy == expected and hash(copy) == hash(expected)
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            assert _outcome(ps_sample, copy, rng) == _outcome(ps_sample, expected, ref)
+        assert rng.getstate() == ref.getstate()
+        assert _outcome(ps_sample, copy) == _outcome(ps_sample, expected)
 
 
 def test_sampler_reference_covers_fallback_and_empty_grid():

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tropreal.errors import PreconditionFailed, ShapeMismatch
+from tropreal.errors import NegativeExponentAtZero, PreconditionFailed, ShapeMismatch
 from tropreal.hyperfields import stv
 from tropreal.parsing import parse_polyk
 from tropreal.polyhedra import (
@@ -328,3 +329,54 @@ def test_vertex_parameter():
     assert vertex_parameter(F2(-1, 2)) == stv(-1, 0)
     with pytest.raises(ZeroDivisionError):
         vertex_parameter(F2(-1))
+
+
+def _rationals(bound, max_denominator):
+    return st.builds(
+        Fraction,
+        st.integers(-bound * max_denominator, bound * max_denominator),
+        st.integers(1, max_denominator),
+    )
+
+
+_SERIES = st.lists(
+    st.tuples(_rationals(2, 2), _rationals(3, 2)), min_size=1, max_size=2
+).map(PuiseuxSeries.from_terms)
+
+
+@st.composite
+def description_and_points(draw):
+    """1 to 3 disjuncts of Laurent conditions, and points with zero coordinates."""
+    nvars = draw(st.integers(1, 2))
+    coords = st.one_of(st.just(PuiseuxSeries.zero()), _SERIES)
+
+    def condition():
+        terms = st.tuples(st.tuples(*[st.integers(-2, 2)] * nvars), _SERIES)
+        f = PolyK.from_terms(nvars, draw(st.lists(terms, min_size=1, max_size=4)))
+        if f.is_zero():
+            f = PolyK.const(nvars, const(1))
+        return SignCondition(f, draw(st.sampled_from(["gt", "ge", "eq", "le", "lt", "ne"])))
+
+    S = SADescription(nvars, tuple(
+        tuple(condition() for _ in range(draw(st.integers(1, 3))))
+        for _ in range(draw(st.integers(1, 3)))
+    ))
+    return S, draw(st.lists(st.tuples(*[coords] * nvars), min_size=1, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(description_and_points())
+def test_sa_member_matches_dnf_of_conditions(case):
+    S, points = case
+    for p in points:
+        expected = any(all(cond.holds_at(p) for cond in disj) for disj in S.disjuncts)
+        assert sa_member(S, p) == expected
+        assert sa_member(S, list(p)) == expected
+        for disj in S.disjuncts:
+            for cond in disj:
+                kernel = cond.poly._lead_kernel
+                try:
+                    at_trop = kernel.score_at(trop_point(p))
+                except NegativeExponentAtZero:
+                    continue  # undefined at p: the condition does not hold
+                assert kernel.score_leading(p) == at_trop
