@@ -20,7 +20,6 @@ from .hyperfields import (
     Point,
     SignedTropVal,
     Val,
-    as_val,
     normalize_rel,
     stv,
 )
@@ -53,13 +52,6 @@ def val_str(v: Val) -> str:
     return "inf" if v is INF else str(v)
 
 
-def parse_frac(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {s!r}") from exc
-
-
 # -- signed values and hypervalues -------------------------------------------
 
 
@@ -71,13 +63,13 @@ def stv_from_json(d: Any, path: str = "") -> SignedTropVal:
     """A signed value; ``path`` locates d in its file for error messages.
 
     ``sign`` must be the JSON integer -1, 0 or 1 (not a boolean, string or
-    number); ``val`` is read by :func:`as_val`.
+    number); ``val`` is a rational read by :func:`_rational`, or "inf".
     """
     sign = _object(d, path).get("sign")
     if type(sign) is not int or sign not in (-1, 0, 1):
         got = "nothing" if "sign" not in d else sign if type(sign) is int else _JSON_KIND.get(type(sign))
         raise ParseError(f"{_at(path, 'sign')}: expected -1, 0 or 1, got {got}")
-    return stv(sign, as_val(d["val"]))
+    return stv(sign, _rational(d, "val", path, inf=True))
 
 
 def hv_to_json(h: HyperValue) -> dict:
@@ -88,7 +80,7 @@ def hv_to_json(h: HyperValue) -> dict:
 
 def hv_from_json(d: dict) -> HyperValue:
     if d["kind"] == "balanced":
-        return Balanced(parse_frac(d["val"]))
+        return Balanced(_rational(d, "val", ""))
     if d["kind"] == "point":
         return Point(stv_from_json(d))
     raise ParseError(f"bad hypervalue kind {d.get('kind')!r}")
@@ -115,6 +107,27 @@ _JSON_KIND = {
 
 def _at(path: str, field: str) -> str:
     return f"{path}.{field}" if path else field
+
+
+def _rational(d: dict, field: str, path: str, inf: bool = False) -> Val:
+    """The rational ``field`` of the object d at ``path``.
+
+    It is a JSON integer or a string that ``Fraction`` parses, such as
+    "-1/2"; with ``inf``, the strings "inf", "+inf" and "oo" read as INF.
+    Anything else is a ParseError that names the JSON path of the field.
+    """
+    v = d[field]
+    if type(v) is int:
+        return Fraction(v)
+    if isinstance(v, str):
+        if inf and v.strip() in ("inf", "+inf", "oo"):
+            return INF
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    got = repr(v) if isinstance(v, str) else _JSON_KIND.get(type(v))
+    raise ParseError(f"{_at(path, field)}: expected a rational such as '-1/2', got {got}")
 
 
 def _object(d: Any, path: str) -> dict:
@@ -160,8 +173,11 @@ def _exps(t: dict, nvars: int, where: str) -> tuple[int, ...]:
 
 
 def series_from_json(d: dict, path: str = "") -> PuiseuxSeries:
+    """A series from JSON; ``path`` locates d in its file for error messages."""
+    where = _at(path, "terms")
     return PuiseuxSeries.from_terms(
-        (parse_frac(t["exp"]), parse_frac(t["coeff"])) for t in _terms(d, path)
+        (_rational(t, "exp", f"{where}[{i}]"), _rational(t, "coeff", f"{where}[{i}]"))
+        for i, t in enumerate(_terms(d, path))
     )
 
 
@@ -211,31 +227,27 @@ def troppoly_from_json(d: dict, path: str = "") -> TropPoly:
 
 
 def polyhedron_to_json(P: Polyhedron) -> dict:
+    # a row's offset cn/cd is in lowest terms with cd > 0, so this is
+    # str(Fraction(cn, cd))
     return {
         "dim": P.dim,
         "constraints": [
             {
-                "normal": list(c.form.normal),
-                "offset": frac_str(c.form.offset),
-                "strict": c.strict,
+                "normal": list(normal),
+                "offset": str(cn) if cd == 1 else f"{cn}/{cd}",
+                "strict": strict,
             }
-            for c in P.constraints
+            for normal, cn, cd, strict in P._int_rows
         ],
     }
 
 
 def _constraint(c: dict, dim: int, where: str) -> Constraint:
-    normal, offset, strict = c["normal"], c["offset"], c["strict"]
+    normal, strict = c["normal"], c["strict"]
     if not (isinstance(normal, list) and len(normal) == dim
             and all(type(a) is int for a in normal)):
         raise ParseError(f"{where}.normal: expected a list of dim={dim} integers")
-    if type(offset) is not int and not isinstance(offset, str):
-        got = _JSON_KIND.get(type(offset))
-        raise ParseError(f"{where}.offset: expected a rational such as '-1/2', got {got}")
-    try:
-        offset = parse_frac(offset)
-    except ParseError as exc:
-        raise ParseError(f"{where}.offset: {exc}") from None
+    offset = _rational(c, "offset", where)
     if type(strict) is not bool:
         raise ParseError(f"{where}.strict: expected a boolean, got {_JSON_KIND.get(type(strict))}")
     return Constraint(AffineForm(tuple(normal), offset), strict)

@@ -7,9 +7,12 @@ by Fourier-Motzkin elimination with strictness tracking: a derived
 inequality is strict precisely when one of its parents is.  This is exact
 over the rationals and, since the data is rational, the answers agree with
 the answers over the reals.  Feasibility, projection and point-finding share
-one elimination loop (``_fm_core``) and one row normalization.  Each
-polyhedron keeps its constraints as integer rows (normal, offset numerator,
-offset denominator, strictness), and the elimination reads those directly.
+one elimination loop (``_fm_core``) and one row normalization.  The
+working form of a polyhedron is its tuple of integer rows (normal, offset
+numerator, offset denominator, strictness), with offsets in lowest terms:
+membership, intersection, closure, the elimination and the JSON writer read
+those directly.  Its ``constraints`` are a view of the rows; a polyhedron
+built from rows makes them the first time something reads them.
 Emptiness (``poly_is_empty``) is memoized by those rows and the dimension in
 a bounded LRU memo of at most 256 systems.  The memo is exact, since the
 immutable rows fully determine the answer; it pays because one region
@@ -121,7 +124,14 @@ def _scale_point(x: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """A finite intersection of rational halfspaces, possibly with strict facets."""
+    """A finite intersection of rational halfspaces, possibly with strict facets.
+
+    ``_int_rows`` holds one integer row per constraint and is what the
+    library computes with.  A polyhedron made by ``_from_rows`` has only
+    the rows; its ``constraints`` are built from them on first read and
+    then stored, so equality, hash, repr, pickling and
+    ``dataclasses.replace`` see the same fields either way.
+    """
 
     dim: int
     constraints: tuple[Constraint, ...]
@@ -134,6 +144,23 @@ class Polyhedron:
             off = c.form.offset
             rows.append((c.form.normal, off.numerator, off.denominator, c.strict))
         object.__setattr__(self, "_int_rows", tuple(rows))
+
+    def __getattr__(self, name: str):
+        # reached only when ``constraints`` is not stored yet (or for a
+        # missing attribute); the rows' forms skip the coercion of
+        # AffineForm.__post_init__, their normals being integer tuples
+        rows = self.__dict__.get("_int_rows")
+        if name != "constraints" or rows is None:
+            raise AttributeError(name)
+        cons = []
+        for normal, cn, cd, strict in rows:
+            form = object.__new__(AffineForm)
+            object.__setattr__(form, "normal", normal)
+            object.__setattr__(form, "offset", Fraction(cn, cd))
+            cons.append(Constraint(form, strict))
+        cons = tuple(cons)
+        object.__setattr__(self, "constraints", cons)
+        return cons
 
     def contains(self, x: Sequence[Fraction]) -> bool:
         if len(x) != self.dim:
@@ -154,24 +181,22 @@ class Polyhedron:
         return True
 
     def closure(self) -> "Polyhedron":
-        return Polyhedron(
-            self.dim, tuple(Constraint(c.form, False) for c in self.constraints)
-        )
+        return _from_rows(self.dim, [(n, cn, cd, False) for n, cn, cd, _ in self._int_rows])
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.dim != other.dim:
             raise DimensionMismatch("cannot intersect different dimensions")
-        return Polyhedron(self.dim, self.constraints + other.constraints)
+        return _from_rows(self.dim, self._int_rows + other._int_rows)
 
     def is_open(self) -> bool:
-        return all(c.strict for c in self.constraints)
+        return all(r[3] for r in self._int_rows)
 
     def is_closed_form(self) -> bool:
-        return all(not c.strict for c in self.constraints)
+        return not any(r[3] for r in self._int_rows)
 
 
 def whole_space(dim: int) -> Polyhedron:
-    return Polyhedron(dim, ())
+    return _from_rows(dim, ())
 
 
 def point_polyhedron(coords: Sequence[Fraction]) -> Polyhedron:
@@ -198,19 +223,13 @@ IntRow = tuple[tuple[int, ...], int, int, bool]
 def _from_rows(dim: int, rows: Sequence[IntRow]) -> Polyhedron:
     """The polyhedron of integer rows whose offsets are in lowest terms.
 
-    The rows become its ``_int_rows`` as given, so they are not derived a
-    second time from the constraints, and their forms skip the coercion of
-    ``AffineForm.__post_init__``: the normals are already integer tuples.
+    The rows become its ``_int_rows`` as given, exactly those the
+    constructor would derive from the matching constraints.  No constraint
+    object is built here: ``Polyhedron.constraints`` makes them from the
+    rows if something reads them.
     """
-    cons = []
-    for normal, cn, cd, strict in rows:
-        form = object.__new__(AffineForm)
-        object.__setattr__(form, "normal", normal)
-        object.__setattr__(form, "offset", Fraction(cn, cd))
-        cons.append(Constraint(form, strict))
     P = object.__new__(Polyhedron)
     object.__setattr__(P, "dim", dim)
-    object.__setattr__(P, "constraints", tuple(cons))
     object.__setattr__(P, "_int_rows", tuple(rows))
     return P
 
@@ -465,9 +484,7 @@ def poly_equal(P: Polyhedron, Q: Polyhedron) -> bool:
 def poly_recession_contains(P: Polyhedron, d: Sequence[Fraction]) -> bool:
     """Whether d is a recession direction of the closure of nonempty P."""
     d = tuple(Fraction(v) for v in d)
-    return all(
-        sum(a * di for a, di in zip(c.form.normal, d)) <= 0 for c in P.constraints
-    )
+    return all(sum(a * di for a, di in zip(r[0], d)) <= 0 for r in P._int_rows)
 
 
 def poly_has_recession_direction(P: Polyhedron, open_conditions: Sequence[Constraint]) -> bool:
@@ -540,17 +557,21 @@ def union_intersect(A: PolyUnion, B: PolyUnion) -> PolyUnion:
 
 
 def piece_minus_union_is_empty(p: Polyhedron, pieces: Sequence[Polyhedron]) -> bool:
-    """Whether p ∖ (∪ pieces) is empty, by recursive exact subtraction."""
-    work = [p] if not poly_is_empty(p) else []
+    """Whether p ∖ (∪ pieces) is empty, by recursive exact subtraction.
+
+    The pieces of the difference are kept as row tuples: w minus q splits
+    into w ∩ q_1 ∩ ... ∩ q_(j-1) ∩ not q_j for each row q_j of q.
+    """
+    dim = p.dim
+    work = [p._int_rows] if not poly_is_empty(p) else []
     for q in pieces:
-        nxt: list[Polyhedron] = []
-        for w in work:
-            prefix: list[Constraint] = list(w.constraints)
-            for c in q.constraints:
-                cand = Polyhedron(p.dim, tuple(prefix) + (c.negated(),))
-                if not poly_is_empty(cand):
+        nxt: list[tuple[IntRow, ...]] = []
+        for prefix in work:
+            for normal, cn, cd, strict in q._int_rows:
+                cand = prefix + ((tuple(-a for a in normal), -cn, cd, not strict),)
+                if not _rows_empty(cand, dim):
                     nxt.append(cand)
-                prefix.append(c)
+                prefix += ((normal, cn, cd, strict),)
         work = nxt
         if not work:
             return True
@@ -678,17 +699,20 @@ def complement_of_union(T: PolyUnion) -> list[Polyhedron]:
 
 
 def prune_covered_pieces(pieces: Sequence[Polyhedron], dim: int) -> list[Polyhedron]:
-    """Greedy removal of pieces covered by the union of the remaining ones."""
+    """Greedy removal of pieces covered by the union of the remaining ones.
+
+    One forward pass suffices: a removal only shrinks the union of the
+    others, so a piece found uncovered stays uncovered.  The kept list is
+    the one a pass restarted after every removal would keep.
+    """
     kept = list(pieces)
-    changed = True
-    while changed:
-        changed = False
-        for i, p in enumerate(kept):
-            others = kept[:i] + kept[i + 1:]
-            if others and piece_minus_union_is_empty(p, others):
-                kept.pop(i)
-                changed = True
-                break
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1:]
+        if others and piece_minus_union_is_empty(kept[i], others):
+            del kept[i]
+        else:
+            i += 1
     return kept
 
 

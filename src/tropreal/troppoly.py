@@ -331,19 +331,39 @@ class _ValKernel(NamedTuple):
                     balanced = True
         return best, best_sign, balanced, dp
 
+    def _score_scaled(
+        self, signs: list[int], nums: list[int], dens: list[int]
+    ) -> tuple[Optional[int], int, bool, int]:
+        """``_score`` at valuations nums[k] / dens[k] (0 / 1 at a zero coordinate)."""
+        dp = lcm(*dens)
+        xs = nums if dp == 1 else [k * (dp // d) for k, d in zip(nums, dens)]
+        return self._score(signs, xs, dp)
+
     def score_at(self, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
         """Score the terms at p in integers.
 
-        Returns the minimal score, its sign, whether opposite signs tie
-        there, and the point's denominator D'.  The minimal score over
-        ``den * D'`` is the valuation of the sum; it is None, with sign 0,
-        when no term survives.
+        Each coordinate's sign and valuation are read in one pass.  Returns
+        the minimal score, its sign, whether opposite signs tie there, and
+        D', the least common denominator of the valuations of the nonzero
+        coordinates.  The minimal score over ``den * D'`` is the valuation
+        of the sum; it is None, with sign 0, when no term survives.  Raises
+        NegativeExponentAtZero where the polynomial is undefined at p.
         """
-        signs = [c.sign for c in p]
+        signs = []
+        nums = []
+        dens = []
+        for c in p:
+            s = c.sign
+            signs.append(s)
+            if s:
+                v = c.val
+                nums.append(v.numerator)
+                dens.append(v.denominator)
+            else:
+                nums.append(0)
+                dens.append(1)
         self.check_defined(signs)
-        dp = lcm(*(c.val.denominator for c in p if c.sign))
-        xs = [c.val.numerator * (dp // c.val.denominator) if c.sign else 0 for c in p]
-        return self._score(signs, xs, dp)
+        return self._score_scaled(signs, nums, dens)
 
     def score_leading(
         self, p: Sequence[PuiseuxSeries]
@@ -367,9 +387,7 @@ class _ValKernel(NamedTuple):
                 signs.append(0)
                 nums.append(0)
                 dens.append(1)
-        dp = lcm(*dens)
-        xs = nums if dp == 1 else [k * (dp // d) for k, d in zip(nums, dens)]
-        return self._score(signs, xs, dp)
+        return self._score_scaled(signs, nums, dens)
 
     def value_at(self, p: TropPoint) -> HyperValue:
         """The hyperfield sum of the terms at p."""

@@ -219,6 +219,54 @@ def test_seeded_sampler_output_is_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# A 3-variable polynomial with a negative exponent, and one without it.
+# `region --orthant all` refuses the first, which is undefined wherever
+# x2 = 0, so it is pinned on the orthant +-+.
+_G = {"nvars": 3, "terms": [
+    {"exps": [2, 0, 1], "coeff": {"sign": 1, "val": "1/2"}},
+    {"exps": [0, -1, 1], "coeff": {"sign": -1, "val": "0"}},
+    {"exps": [1, 1, 0], "coeff": {"sign": 1, "val": "-1/3"}},
+    {"exps": [0, 0, 2], "coeff": {"sign": -1, "val": "2"}},
+    {"exps": [1, 0, 0], "coeff": {"sign": -1, "val": "1"}},
+    {"exps": [0, 0, 0], "coeff": {"sign": 1, "val": "3/2"}},
+]}
+_G3 = {**_G, "terms": [{**t, "exps": [abs(d) for d in t["exps"]]} for t in _G["terms"]]}
+
+
+# sha256 of `region` JSON, recorded before region pieces were kept as
+# integer rows: the G, G3 and circle F outputs for each relation.
+@pytest.mark.parametrize("rel, digests", [
+    pytest.param("eq", ("db4f8c97ebbd968ca4ba64628af0a61196cae9b7cf4c420a7726167576ca2f04",
+                        "80af9c58df0d61796df37b19d4431cc1be92864724682903593e28bb006ed571",
+                        "79b744d92c0c1c8f9319dcf6e9d5124f91d5993c3717ca5597a86a7cd823f4bd"), id="eq"),
+    pytest.param("ge", ("3b5d048c1fdebdc49ee2b0b336d254aa50f17ed2ecabc6cf462ee36354386831",
+                        "eda1d8cb2d4ca4639db6411334679f48a2556d11c8a83aaace198e4745c751b4",
+                        "6222e1a33bc45e292209831d34ecb2163977b24fb0cfef05f2f04bf7647fa1d8"), id="ge"),
+    pytest.param("gt", ("df7cd5405516a5019f2032bd8805c4034e2752b8758b073dcddef70cb617b6d3",
+                        "26e00fb3855c2102bcf8988e363e4eaff8e88fa0f5add4676b5877aa79b3ba59",
+                        "bed188a03dbd3b82802c5b849d05f596cc32c36ec31f4e2fa4a3b4ee642868fc"), id="gt"),
+    pytest.param("le", ("8d3404b74f939c7537df41667a13508f6c5b0c9d9efcc0f234be678d1e0d9b06",
+                        "125b581bfaf8c580c38eff69e95ee704c3cc0baa368682cab0bfca4e69d8ae51",
+                        "e037fb910f84e9410bcd08a7b9bb0a6112822e6396c27986a7e22b89d8a356e8"), id="le"),
+    pytest.param("lt", ("4c1d0255f25f4f39a24da7f7541a54243c8d55abca81d50bd6afe81490dd8328",
+                        "8a2c71385d0973e15ff1edab4a951b436e175768fd49ce19868fff78edfb83f0",
+                        "b897d37c48095b9cdef93e2d230bf01d74091d2ad936b32f79ae5e7b85b5ea20"), id="lt"),
+    pytest.param("ne", ("b0a6d22bc0d0612782620aad27951605776ea84f1482315fb635168c4ab54c64",
+                        "686512d1ef156ca9f52b8ad2ad77f6fe290365d5adcc2e276d661893979adc47",
+                        "b897d37c48095b9cdef93e2d230bf01d74091d2ad936b32f79ae5e7b85b5ea20"), id="ne"),
+])
+def test_region_output_is_pinned(tmp_path, rel, digests):
+    F = iojson.troppoly_to_json(trop_r(get_scenario("circle").params["poly"]).neg())
+    runs = (("G", _G, "+-+"), ("G3", _G3, "all"), ("F", F, "all"))
+    for (name, data, orthant), digest in zip(runs, digests):
+        src, out = tmp_path / f"{name}.json", tmp_path / f"{name}-{rel}.json"
+        src.write_text(iojson.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["region", str(src), "--orthant", orthant, "--rel", rel,
+                         "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+
 def _one_error_line(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
@@ -312,6 +360,11 @@ def test_malformed_target_set_field_is_named(circle_files, tmp_path, capsys, tar
     pytest.param({"sign": 2, "val": "0"}, "terms[0].coeff.sign", id="sign-two"),
     pytest.param({"val": "0"}, "terms[0].coeff.sign", id="sign-missing"),
     pytest.param([1], "terms[0].coeff", id="coeff-list"),
+    pytest.param({"sign": 1, "val": 0.5}, "terms[0].coeff.val", id="val-number"),
+    pytest.param({"sign": 1, "val": ["0"]}, "terms[0].coeff.val", id="val-list"),
+    pytest.param({"sign": 1, "val": None}, "terms[0].coeff.val", id="val-null"),
+    pytest.param({"sign": 1, "val": False}, "terms[0].coeff.val", id="val-boolean"),
+    pytest.param({"sign": 1, "val": ""}, "terms[0].coeff.val", id="val-empty-string"),
 ])
 def test_malformed_signed_value_is_named(circle_files, tmp_path, capsys, coeff, field):
     _, desc = circle_files
@@ -322,6 +375,27 @@ def test_malformed_signed_value_is_named(circle_files, tmp_path, capsys, coeff, 
     assert main(["lift", str(desc), "--trop", str(F)]) == 2
     line = _one_error_line(capsys.readouterr().err)
     assert line.startswith(f"error: {F}: {field}: expected"), line
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("exp", 0.5, id="exp-number"),
+    pytest.param("exp", ["0"], id="exp-list"),
+    pytest.param("exp", None, id="exp-null"),
+    pytest.param("exp", {}, id="exp-object"),
+    pytest.param("exp", True, id="exp-boolean"),
+    pytest.param("exp", "1/x", id="exp-bad-string"),
+    pytest.param("coeff", 1.5, id="coeff-number"),
+    pytest.param("coeff", "1/0", id="coeff-zero-denominator"),
+])
+def test_malformed_series_value_is_named(circle_files, tmp_path, capsys, key, value):
+    _, desc = circle_files
+    data = json.loads(desc.read_text())
+    data["disjuncts"][0][0]["poly"]["terms"][0]["coeff"]["terms"][0][key] = value
+    desc.write_text(json.dumps(data))
+    assert main(["sample", str(desc), "--count", "5"]) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    field = f"disjuncts[0][0].poly.terms[0].coeff.terms[0].{key}"
+    assert line.startswith(f"error: {desc}: {field}: expected"), line
 
 
 def test_description_missing_key_is_named(tmp_path, capsys):

@@ -1,14 +1,26 @@
 """Fourier-Motzkin engine, cells, complements, and tropical regions."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tropreal.errors import EmptyPolyhedron, NotClosedInput, ShapeMismatch
-from tropreal.hyperfields import stv
+from tropreal import iojson
+from tropreal.checks import random_closed_union
+from tropreal.errors import (
+    EmptyPolyhedron,
+    NegativeExponentAtZero,
+    NotClosedInput,
+    ShapeMismatch,
+)
+from tropreal.hyperfields import RELATIONS, stv
 from tropreal.polyhedra import (
     AffineForm,
+    Constraint,
     PolyUnion,
     Polyhedron,
     all_orthants,
@@ -21,6 +33,7 @@ from tropreal.polyhedra import (
     open_poly_to_trop,
     orthant_support,
     parse_orthant,
+    piece_minus_union_is_empty,
     point_polyhedron,
     poly_contains,
     poly_dim,
@@ -166,6 +179,33 @@ def test_prune_covered_pieces():
     assert len(kept) == 2 and quadrant not in kept
 
 
+def _prune_restarting(pieces):
+    # the former prune: after every removal, test again from the first piece
+    kept = list(pieces)
+    changed = True
+    while changed:
+        changed = False
+        for i, p in enumerate(kept):
+            others = kept[:i] + kept[i + 1:]
+            if others and piece_minus_union_is_empty(p, others):
+                kept.pop(i)
+                changed = True
+                break
+    return kept
+
+
+def test_one_pass_prune_keeps_what_the_restarting_prune_keeps():
+    rng = random.Random(11)
+    removed = 0
+    for _ in range(40):
+        T = random_closed_union(rng, max_pieces=2, max_facets=3)
+        out = complement_of_union(T)
+        kept = prune_covered_pieces(out, T.dim)
+        assert kept == _prune_restarting(out)
+        removed += len(out) - len(kept)
+    assert removed > 0
+
+
 def test_open_poly_to_trop_examples():
     P = H(1, ((1,), 0, "<"))
     F = open_poly_to_trop(P)
@@ -279,12 +319,42 @@ def test_region_evaluation_coherence():
             assert member == sat, (F, sigma, rel, V)
 
 
+@st.composite
+def _integer_troppolys(draw):
+    # integer exponents and valuations: at integer points the terms' values
+    # L_i(V) are integers, so ties between dominant terms are common
+    nvars = draw(st.integers(1, 2))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(-1, 2)] * nvars),
+        st.builds(stv, st.sampled_from([-1, 1]), st.integers(-2, 2)),
+        min_size=1, max_size=5,
+    ))
+    return TropPoly.from_terms(nvars, list(terms.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_troppolys())
+def test_region_oracle_where_terms_tie(F):
+    # the strict mixed-sign rows of gt, lt and ne decide exactly the points
+    # where terms of opposite sign tie for the minimum
+    for sigma in all_orthants(F.nvars):
+        try:
+            regions = {rel: trop_region(F, sigma, rel) for rel in RELATIONS}
+        except NegativeExponentAtZero:
+            continue  # F is undefined on this orthant
+        box = [()]
+        for _ in range(len(orthant_support(sigma))):
+            box = [V + (F2(a),) for V in box for a in range(-2, 3)]
+        for rel, region in regions.items():
+            for V in box:
+                assert region.contains(V) == trop_sat(F, embed_point(sigma, V), rel), (
+                    F, sigma, rel, V)
+
+
 def test_trop_region_ignores_zero_coefficients():
     # a directly built TropPoly may keep a zero coefficient; like trop_eval,
     # trop_region never counts it, but it still raises under a negative
     # exponent at a zero coordinate
-    from tropreal.errors import NegativeExponentAtZero
-
     zero = stv(0, "inf")
     F = TropPoly(1, (((0,), stv(1, 0)), ((1,), zero)))
     G = TropPoly(2, (((-1, 0), zero), ((0, 0), stv(1, 0)), ((1, 1), stv(-1, 2))))
@@ -310,7 +380,9 @@ def _rederived_rows(P):
 
 def test_pieces_built_from_rows_match_their_constraints():
     # trop_region and limit_polyhedron build pieces from integer rows; the
-    # rows must be exactly those the constraints give, offsets in lowest terms
+    # rows must be exactly those the constraints give, offsets in lowest
+    # terms, and a piece must behave as the constructor's polyhedron of its
+    # constraints, which it builds only when they are read
     rng = random.Random(77)
     rels = ["eq", "ge", "gt", "le", "lt", "ne"]
     seen = 0
@@ -319,9 +391,34 @@ def test_pieces_built_from_rows_match_their_constraints():
         F = _random_troppoly(rng, nvars)
         for sigma in all_orthants(nvars):
             for rel in rels:
-                for piece in trop_region(F, sigma, rel).pieces:
+                region = trop_region(F, sigma, rel)
+                region.contains((F2(1, 3),) * (len(sigma) - sigma.count(0)))
+                iojson.union_to_json(region)
+                for piece in region.pieces:
+                    # nothing above read the constraints
+                    assert "constraints" not in piece.__dict__
+                    # round trips of a rows-only piece
+                    copies = [pickle.loads(pickle.dumps(piece)), copy.copy(piece),
+                              copy.deepcopy(piece)]
+                    assert all(c._int_rows == piece._int_rows for c in copies)
+                    assert all("constraints" not in c.__dict__ for c in copies)
                     assert piece._int_rows == _rederived_rows(piece)
                     assert piece == Polyhedron(piece.dim, piece.constraints)
+                    Q = Polyhedron(piece.dim, piece.constraints)
+                    assert Q == piece and hash(piece) == hash(Q)
+                    assert repr(piece) == repr(Q)
+                    assert all(c == Q and hash(c) == hash(Q) for c in copies)
+                    assert dataclasses.replace(piece) == Q
+                    other = region.pieces[0]
+                    for got, want in (
+                        (piece.intersect(other),
+                         Polyhedron(piece.dim, piece.constraints + other.constraints)),
+                        (piece.closure(), Polyhedron(piece.dim, tuple(
+                            Constraint(c.form, False) for c in piece.constraints))),
+                    ):
+                        assert got == want and got._int_rows == want._int_rows
+                    assert piece.is_open() == all(c.strict for c in Q.constraints)
+                    assert piece.is_closed_form() == (not any(c.strict for c in Q.constraints))
                     seen += len(piece._int_rows)
                     if piece.dim > 1:
                         L = limit_polyhedron(piece, [piece.dim - 1])
@@ -386,8 +483,6 @@ def test_limit_polyhedron():
 
 
 def test_trop_region_laurent_zero_orthant_errors():
-    from tropreal.errors import NegativeExponentAtZero
-
     F = TropPoly.from_terms(2, [((-1, 1), stv(1, 0)), ((0, 0), stv(-1, 0))])
     with pytest.raises(NegativeExponentAtZero):
         trop_region(F, (0, 1), "ge")
