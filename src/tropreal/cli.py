@@ -26,7 +26,7 @@ from .polyhedra import (
     orthant_str,
     orthant_support,
     parse_orthant,
-    trop_region,
+    trop_conjunction,
 )
 from .puiseux import SamplerConfig
 from .render import RenderConfig, render_region_svg, write_figures
@@ -219,7 +219,9 @@ def _cmd_region(args) -> int:
         sigmas = all_orthants(F.nvars)
     else:
         sigmas = [parse_orthant(args.orthant)]
-    regions = {sigma: trop_region(F, sigma, rel) for sigma in sigmas}
+    # an orthant where F is undefined (a negative exponent at a zero
+    # coordinate) holds nowhere, as in every conjunction of conditions
+    regions = {sigma: trop_conjunction([(F, rel)], sigma) for sigma in sigmas}
     human = "\n".join(
         f"orthant {orthant_str(sigma)}: {len(regions[sigma].pieces)} pieces"
         for sigma in sigmas

@@ -63,13 +63,20 @@ def stv_from_json(d: Any, path: str = "") -> SignedTropVal:
     """A signed value; ``path`` locates d in its file for error messages.
 
     ``sign`` must be the JSON integer -1, 0 or 1 (not a boolean, string or
-    number); ``val`` is a rational read by :func:`_rational`, or "inf".
+    number); ``val`` is a rational read by :func:`_rational`, or "inf", and
+    it is "inf" exactly when the sign is 0.
     """
     sign = _object(d, path).get("sign")
     if type(sign) is not int or sign not in (-1, 0, 1):
         got = "nothing" if "sign" not in d else sign if type(sign) is int else _JSON_KIND.get(type(sign))
         raise ParseError(f"{_at(path, 'sign')}: expected -1, 0 or 1, got {got}")
-    return stv(sign, _rational(d, "val", path, inf=True))
+    val = _rational(d, "val", path, inf=True)
+    if (sign == 0) != (val is INF):
+        raise ParseError(
+            f"{path or 'input'}: expected val 'inf' exactly when sign is 0, "
+            f"got sign {sign} and val {val_str(val)!r}"
+        )
+    return stv(sign, val)
 
 
 def hv_to_json(h: HyperValue) -> dict:
@@ -113,8 +120,10 @@ def _rational(d: dict, field: str, path: str, inf: bool = False) -> Val:
     """The rational ``field`` of the object d at ``path``.
 
     It is a JSON integer or a string that ``Fraction`` parses, such as
-    "-1/2"; with ``inf``, the strings "inf", "+inf" and "oo" read as INF.
-    Anything else is a ParseError that names the JSON path of the field.
+    "-1/2", but not in exponent notation, which ``Fraction`` would expand
+    at a cost that grows faster than the exponent; with ``inf``, the strings
+    "inf", "+inf" and "oo" read as INF.  Anything else is a ParseError that
+    names the JSON path of the field.
     """
     v = d[field]
     if type(v) is int:
@@ -123,7 +132,8 @@ def _rational(d: dict, field: str, path: str, inf: bool = False) -> Val:
         if inf and v.strip() in ("inf", "+inf", "oo"):
             return INF
         try:
-            return Fraction(v)
+            if "e" not in v.lower():
+                return Fraction(v)
         except (ValueError, ZeroDivisionError):
             pass
     got = repr(v) if isinstance(v, str) else _JSON_KIND.get(type(v))

@@ -31,12 +31,16 @@ polynomials:
   read in log-magnitude coordinates X, where the tropical point with
   valuations -X corresponds to X (see the function docstring).
 
-Cell enumeration is a recursive sign-vector search with emptiness pruning.
-This is the simple exact method; it is entirely adequate at the intended
-input sizes (around a dozen forms) and keeps every decision rational.
+The complement of a closed union (``complement_of_union``) is expanded by
+De Morgan, one piece p at a time, with a keep-whole rule: a partial piece
+that misses p is kept whole, and only the others are cut by the open
+halfspaces that negate p's rows.  ``enumerate_cells``, the sign-vector
+search over a hyperplane arrangement, and its helper ``_form_rows`` have no
+library caller; they stay (and stay exported) only because the tracer in
+``perfbench/tracer.py`` binds ``enumerate_cells`` by name, and go when the
+benchmark drops that layer.
 
-Everything is immutable and pure; cell searches may be fanned out
-concurrently as long as results are merged as sets.
+Everything is immutable and pure.
 """
 
 from __future__ import annotations
@@ -587,8 +591,11 @@ def union_equal(A: PolyUnion, B: PolyUnion) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Hyperplane-arrangement cells and complements of closed unions
+# Complements of closed unions, and hyperplane-arrangement cells
 # ---------------------------------------------------------------------------
+
+# No library path calls _form_rows or enumerate_cells; they are kept only
+# because perfbench/tracer.py binds enumerate_cells by name.
 
 
 def _form_rows(form: AffineForm, sign: int) -> list[IntRow]:
@@ -636,66 +643,32 @@ def enumerate_cells(forms: Sequence[AffineForm], dim: int) -> list[tuple[int, ..
     return results
 
 
-def _canonical_form(form: AffineForm) -> tuple[AffineForm, bool]:
-    """Primitive representative with a positive leading normal entry."""
-    normal, g = _primitive(form.normal)
-    offset = form.offset / g
-    lead = next((a for a in normal if a != 0), 0)
-    if lead < 0:
-        return AffineForm(tuple(-a for a in normal), -offset), True
-    return AffineForm(normal, offset), False
-
-
 def complement_of_union(T: PolyUnion) -> list[Polyhedron]:
     """Open polyhedra whose union is exactly the complement of the closed union T.
 
-    Every defining hyperplane of T induces an arrangement; each nonempty
-    relatively open cell outside T contributes the open polyhedron cut out
-    by the strict inequalities the cell satisfies.
+    The complement of the union of the pieces p is, by De Morgan, the
+    intersection over p of the union of the open halfspaces that negate p's
+    rows.  The product is expanded one piece at a time: a partial piece C
+    with C ∩ p empty already avoids p and is kept whole; the others are cut
+    by p's negated halfspaces.  Empty pieces and pieces with the rows of an
+    earlier one are dropped at every step, so none is returned.
     """
     for p in T.pieces:
         if not p.is_closed_form():
             raise NotClosedInput("complement requires non-strict constraints")
-    pieces = [p for p in T.pieces if not poly_is_empty(p)]
-    if not pieces:
-        return [whole_space(T.dim)]
-
-    forms: list[AffineForm] = []
-    index: dict[AffineForm, int] = {}
-    piece_maps: list[list[tuple[int, bool]]] = []
-    for p in pieces:
-        pmap: list[tuple[int, bool]] = []
-        for c in p.constraints:
-            if not any(c.form.normal):
-                # vacuous constant constraint on a nonempty piece
-                continue
-            canon, flipped = _canonical_form(c.form)
-            if canon not in index:
-                index[canon] = len(forms)
-                forms.append(canon)
-            pmap.append((index[canon], flipped))
-        piece_maps.append(pmap)
-
-    if not forms:
-        # some piece is the whole space
-        return []
-
-    out: list[Polyhedron] = []
-    for cell in enumerate_cells(forms, T.dim):
-        in_T = any(
-            all((cell[i] * (-1 if fl else 1)) <= 0 for i, fl in pmap)
-            for pmap in piece_maps
-        )
-        if in_T:
-            continue
-        cons = []
-        for i, s in enumerate(cell):
-            if s < 0:
-                cons.append(Constraint(forms[i], True))
-            elif s > 0:
-                cons.append(Constraint(forms[i].negated(), True))
-        out.append(Polyhedron(T.dim, tuple(cons)))
-    return out
+    dim = T.dim
+    acc = whole_space_union(dim)
+    for p in T.pieces:
+        halves = PolyUnion(dim, tuple(
+            _from_rows(dim, ((tuple(-a for a in n), -cn, cd, True),))
+            for n, cn, cd, _ in p._int_rows
+        ))
+        kept, cut = [], []
+        for C in acc.pieces:
+            (kept if poly_is_empty(C.intersect(p)) else cut).append(C)
+        cut = union_intersect(PolyUnion(dim, tuple(cut)), halves).pieces
+        acc = union_prune(PolyUnion(dim, tuple(kept) + cut))
+    return list(acc.pieces)
 
 
 def prune_covered_pieces(pieces: Sequence[Polyhedron], dim: int) -> list[Polyhedron]:

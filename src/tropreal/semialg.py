@@ -481,7 +481,8 @@ def lift_inequality(
     unchanged) until every verification sample satisfies f >= 0 exactly.
     Verification is sample-based: success means "verified on N samples",
     not a proof over all of S.  When no samples are passed in, they are
-    drawn only if a step needs them.
+    drawn only if a step needs them; a step that needs samples and has none
+    raises NoEpsilonFound.
     """
     if any(s != 1 for s in sigma):
         raise PreconditionFailed("lifting works in the all-positive orthant")
@@ -491,28 +492,27 @@ def lift_inequality(
     pos = [(e, c) for e, c in F.terms if c.sign > 0]
     neg = [(e, c) for e, c in F.terms if c.sign < 0]
     covered = union_subset(sa_outer(S, sigma), trop_region(F, sigma, "ge"))
-    if samples is None and (neg or not covered):
-        samples = collect_samples(
-            S, cfg, n_samples, sigma=sigma, proposal=proposal
-        )
+    if neg or not covered:
+        if samples is None:
+            samples = collect_samples(
+                S, cfg, n_samples, sigma=sigma, proposal=proposal
+            )
+        if not samples:
+            raise NoEpsilonFound("no verification samples of the set were found")
 
     if covered:
         certificate = "outer-region"
-    else:
-        points = [trop_point(p) for p in samples]
-        if not points or not all(trop_sat(F, z, "ge") for z in points):
-            raise PreconditionFailed(
-                "the tropical inequality fails on sampled points of the set"
-            )
+    elif all(trop_sat(F, trop_point(p), "ge") for p in samples):
         certificate = "inner-samples"
+    else:
+        raise PreconditionFailed(
+            "the tropical inequality fails on sampled points of the set"
+        )
 
     pos_poly = PolyK.from_terms(F.nvars, ((e, _representative(c)) for e, c in pos))
     neg_poly = PolyK.from_terms(F.nvars, ((e, _representative(c)) for e, c in neg))
     if not neg:
         return LiftResult(pos_poly, Fraction(1), 0, certificate)
-
-    if not samples:
-        raise NoEpsilonFound("no verification samples of the set were found")
 
     for k in range(1, eps_budget + 1):
         eps = Fraction(1, k)
@@ -572,9 +572,7 @@ def finite_basis(
                 "the target does not contain the sampled tropicalization"
             )
 
-    open_pieces = complement_of_union(T)
-    open_pieces = [p for p in open_pieces if not poly_is_empty(p)]
-    open_pieces = prune_covered_pieces(open_pieces, T.dim)
+    open_pieces = prune_covered_pieces(complement_of_union(T), T.dim)
 
     polys: list[PolyK] = []
     for piece in open_pieces:

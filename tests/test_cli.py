@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from tropreal import iojson
 from tropreal.cli import main, parse_target
 from tropreal.hyperfields import stv
-from tropreal.polyhedra import point_polyhedron, union_of
+from tropreal.polyhedra import point_polyhedron, trop_region, union_of
 from tropreal.scenarios import get_scenario
 from tropreal.troppoly import trop_r
 
@@ -181,7 +181,11 @@ def test_figures_command(tmp_path):
 # 2000 draws keep no point, and an empty cloud pins nothing.  The lift and
 # basis pins, recorded before laurent_sign decided from leading terms, run
 # on the circle with F = -trop(f) and T = the origin; at seed 1 both find
-# too few samples and exit 1.
+# too few samples and exit 1.  The basis pin was recorded again when
+# complements were built by De Morgan instead of arrangement cells: the
+# origin's complement has 4 open pieces instead of 8, so the same four
+# polynomials come in another order, and the region lists the same rows in
+# another order (see test_basis_output_is_pinned_up_to_order).
 @pytest.mark.parametrize("argv, digest", [
     pytest.param(["sample", "circle", "--seed", "2", "--count", "2000"],
                  "776425aa8b9a4a3b5043d26e8c26a7e181cab67c851d246ff067c990010a6ae6",
@@ -196,10 +200,15 @@ def test_figures_command(tmp_path):
                  "9b9fd0cb16a857e94973a554c2372459930b77177c2709c3b23049837ff61900",
                  id="lift-circle"),
     pytest.param(["basis", "circle", "--target-set", "T.json", "--seed", "2", "--count", "40"],
-                 "6bd19f34b334db3263755a90bedbd0f8dd3a7637a550ea609fbe11c8b0f22cfd",
+                 "2776797beb1abc39c3ebb571899396555ce011a17747868bafadce1911bb6d0b",
                  id="basis-circle"),
 ])
 def test_seeded_sampler_output_is_pinned(tmp_path, argv, digest):
+    assert hashlib.sha256(_run_on_scenario(tmp_path, argv)).hexdigest() == digest
+
+
+def _run_on_scenario(tmp_path, argv):
+    """The JSON bytes a command writes for a named scenario and named inputs."""
     command, name, *options = argv
     scenario = get_scenario(name)
     desc = tmp_path / f"{name}.json"
@@ -216,12 +225,30 @@ def test_seeded_sampler_output_is_pinned(tmp_path, argv, digest):
     out = tmp_path / "out.json"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([command, str(desc), *options, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    return out.read_bytes()
+
+
+def _canonical(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+# Order-free pin of the seeded circle basis: sha256 with its polynomials,
+# its region pieces and each piece's constraints sorted.  A change of
+# complement may reorder the basis, but not change it.
+def test_basis_output_is_pinned_up_to_order(tmp_path):
+    argv = ["basis", "circle", "--target-set", "T.json", "--seed", "2", "--count", "40"]
+    data = json.loads(_run_on_scenario(tmp_path, argv))
+    data["polys"] = sorted(map(_canonical, data["polys"]))
+    data["region"] = sorted(
+        _canonical({**piece, "constraints": sorted(map(_canonical, piece["constraints"]))})
+        for piece in data["region"]
+    )
+    digest = hashlib.sha256(_canonical(data).encode()).hexdigest()
+    assert digest == "8436f83c536be2f6c345a678ee1633f02bdd3bf3e366384db69be9490557ffe8"
 
 
 # A 3-variable polynomial with a negative exponent, and one without it.
-# `region --orthant all` refuses the first, which is undefined wherever
-# x2 = 0, so it is pinned on the orthant +-+.
+# The first is undefined wherever x2 = 0 and is pinned on the orthant +-+.
 _G = {"nvars": 3, "terms": [
     {"exps": [2, 0, 1], "coeff": {"sign": 1, "val": "1/2"}},
     {"exps": [0, -1, 1], "coeff": {"sign": -1, "val": "0"}},
@@ -265,6 +292,29 @@ def test_region_output_is_pinned(tmp_path, rel, digests):
             assert main(["region", str(src), "--orthant", orthant, "--rel", rel,
                          "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+
+def test_region_all_orthants_reads_undefined_orthants_as_empty(tmp_path, capsys):
+    # trop(x*y^-1 + z - 2) is undefined wherever y = 0
+    G = tmp_path / "G.json"
+    G.write_text(json.dumps({"nvars": 3, "terms": [
+        {"exps": [1, -1, 0], "coeff": {"sign": 1, "val": "0"}},
+        {"exps": [0, 0, 1], "coeff": {"sign": 1, "val": "0"}},
+        {"exps": [0, 0, 0], "coeff": {"sign": -1, "val": "0"}},
+    ]}))
+    out = tmp_path / "region.json"
+    assert main(["region", str(G), "--orthant", "all", "--rel", "ge", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    orthants = {o["sigma"]: o["region"] for o in json.loads(out.read_text())["orthants"]}
+    assert len(orthants) == 27
+    for sigma, region in orthants.items():
+        if sigma[1] == "0":
+            assert region == [], sigma
+    # where y != 0 the region is the one the orthant alone gives
+    assert orthants["+++"] == iojson.union_to_json(
+        trop_region(iojson.troppoly_from_json(json.loads(G.read_text())), (1, 1, 1), "ge")
+    )
+    assert orthants["+++"]
 
 
 def _one_error_line(err):
@@ -365,6 +415,10 @@ def test_malformed_target_set_field_is_named(circle_files, tmp_path, capsys, tar
     pytest.param({"sign": 1, "val": None}, "terms[0].coeff.val", id="val-null"),
     pytest.param({"sign": 1, "val": False}, "terms[0].coeff.val", id="val-boolean"),
     pytest.param({"sign": 1, "val": ""}, "terms[0].coeff.val", id="val-empty-string"),
+    pytest.param({"sign": 1, "val": "1e100000"}, "terms[0].coeff.val", id="val-exponent"),
+    pytest.param({"sign": 1, "val": "2E-3"}, "terms[0].coeff.val", id="val-exponent-upper"),
+    pytest.param({"sign": 1, "val": "inf"}, "terms[0].coeff", id="sign-nonzero-val-inf"),
+    pytest.param({"sign": 0, "val": "1"}, "terms[0].coeff", id="sign-zero-val-finite"),
 ])
 def test_malformed_signed_value_is_named(circle_files, tmp_path, capsys, coeff, field):
     _, desc = circle_files
@@ -386,6 +440,8 @@ def test_malformed_signed_value_is_named(circle_files, tmp_path, capsys, coeff, 
     pytest.param("exp", "1/x", id="exp-bad-string"),
     pytest.param("coeff", 1.5, id="coeff-number"),
     pytest.param("coeff", "1/0", id="coeff-zero-denominator"),
+    pytest.param("coeff", "1e100000", id="coeff-exponent"),
+    pytest.param("exp", "1E5", id="exp-exponent"),
 ])
 def test_malformed_series_value_is_named(circle_files, tmp_path, capsys, key, value):
     _, desc = circle_files
@@ -528,6 +584,21 @@ def test_sampling_shortfall_is_a_failure_not_a_usage_error(circle_files, tmp_pat
     T = tmp_path / "T.json"
     T.write_text(iojson.dumps(iojson.union_to_json(union_of(2, [point_polyhedron((0, 0))]))))
     rc = main(["basis", str(desc), "--T", str(T), "--seed", "1", "--count", "40"])
+    assert rc == 1
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == "error: no verification samples of the set were found"
+
+
+def test_lift_without_samples_is_a_shortfall(circle_files, tmp_path, capsys):
+    # {X (+) -1 >= 0} does not cover the circle's outer region, so only
+    # samples can certify it, and 40 draws at seed 1 keep no circle member
+    _, desc = circle_files
+    F = tmp_path / "F.json"
+    F.write_text(json.dumps({"nvars": 2, "terms": [
+        {"coeff": {"sign": -1, "val": "0"}, "exps": [0, 0]},
+        {"coeff": {"sign": 1, "val": "0"}, "exps": [1, 0]},
+    ]}))
+    rc = main(["lift", str(desc), "--trop", str(F), "--seed", "1", "--count", "40"])
     assert rc == 1
     line = _one_error_line(capsys.readouterr().err)
     assert line == "error: no verification samples of the set were found"

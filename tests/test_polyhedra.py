@@ -171,6 +171,28 @@ def test_complement_random_instances():
             assert T.contains(x) != any(p.contains(x) for p in out)
 
 
+@pytest.mark.parametrize("seed, max_pieces", [(4, 6), (3, 10)])
+def test_complement_oracle_on_larger_unions(seed, max_pieces):
+    # larger unions than test_complement_random_instances
+    rng = random.Random(seed)
+    for _ in range(30):
+        T = random_closed_union(rng, max_pieces=max_pieces)
+        out = complement_of_union(T)
+        assert all(p.is_open() for p in out)
+        keys = {tuple(sorted(p._int_rows)) for p in out}
+        assert len(keys) == len(out)
+        # no more pieces than the plain De Morgan product: one per choice of
+        # a row from every piece of T
+        product = 1
+        for p in T.pieces:
+            product *= len(p._int_rows)
+        assert len(out) <= product
+        U = PolyUnion(T.dim, tuple(out))
+        for _ in range(300):
+            x = tuple(F2(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(T.dim))
+            assert T.contains(x) != U.contains(x), (T, x)
+
+
 def test_prune_covered_pieces():
     quadrant = H(2, ((-1, 0), 0, "<"), ((0, -1), 0, "<"))
     right = H(2, ((-1, 0), 0, "<"))
