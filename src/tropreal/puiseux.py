@@ -19,17 +19,26 @@ The sampler draws series from a bounded rational grid, stratified over
 leading exponents so that signed values of samples spread across the whole
 configured valuation window rather than clustering at generic values.
 Sampler state is confined to an explicitly passed generator; use
-independent seeds for concurrent sampling.  The integers a draw needs
-are fixed once per :class:`SamplerConfig`, as a private plan, and
-:func:`ps_sample` draws each series in one frame from that plan.  Every
-bounded draw there is ``randrange`` written out, the loop of
+independent seeds for concurrent sampling.  A draw has two steps:
+:func:`ps_draw` takes the random integers of one series in one frame, and
+:func:`ps_build` turns them into a series; :func:`ps_sample` is the two
+in a row.  Every bounded draw is ``randrange`` written out, the loop of
 :func:`rand_below`: it asks ``getrandbits`` for the same words that
 ``randint`` and ``choice`` of a plain :class:`random.Random` ask for, so
-a seed gives the same series on every supported Python.  Draws stay
-integer pairs; only the exponents and coefficients that are kept become
-Fractions, through a memo of at most 256 entries.  No table is built
-from the configured ranges, so memory does not depend on how wide they
-are.
+a seed gives the same series on every supported Python.  The integers a
+draw needs are fixed once per :class:`SamplerConfig`, as a private plan;
+the grid window of a denominator is computed the first time that
+denominator is drawn, so memory depends on the denominators drawn and
+never on how wide the ranges are.  Only the exponents and coefficients
+that are kept become Fractions, through a memo of at most 256 entries.
+
+The split lets a caller decide a candidate before any series exists.
+The default candidate loop of :mod:`tropreal.semialg` reads the leading
+terms off the integers of each coordinate's draw and rejects a candidate
+that its leading terms already put outside the set; only the other
+candidates are built and tested exactly, where ``laurent_sign`` decides
+a sign from the leading terms, then from the initial form, and only when
+that cancels from the full series.
 """
 
 from __future__ import annotations
@@ -236,9 +245,10 @@ class SamplerConfig:
     from the analogous grid of ``coeff_range`` minus zero.
 
     The integers a draw needs (the term and denominator bounds with their
-    bit lengths, and the numerators and denominators of both windows) are
-    fixed once here as a private plan.  The plan is not a field, so
-    equality, hashing and the repr see only the fields above.
+    bit lengths, and the grid windows of both ranges) are fixed here as a
+    private plan; a window is computed the first time its denominator is
+    drawn.  The plan is not a field, so equality, hashing and the repr see
+    only the fields above.
     """
 
     max_terms: int = 3
@@ -261,12 +271,39 @@ class SamplerConfig:
             raise ValueError("empty exponent range")
         if self.coeff_range[0] > self.coeff_range[1]:
             raise ValueError("empty coefficient range")
-        (e_lo, e_hi), (c_lo, c_hi) = self.exponent_range, self.coeff_range
         object.__setattr__(self, "_plan", (
             self.max_terms, self.max_terms.bit_length(), dbound, dbound.bit_length(),
-            e_lo.numerator, e_lo.denominator, e_hi.numerator, e_hi.denominator,
-            c_lo.numerator, c_lo.denominator, c_hi.numerator, c_hi.denominator,
+            _GridWindows(self.exponent_range, dbound), _GridWindows(self.coeff_range, dbound),
         ))
+
+
+class _GridWindows(dict):
+    """The grid windows of one rational range, by denominator, built on first use.
+
+    The window of q is (q', lo, n, n.bit_length()): the grid points of the
+    range are k/q' for k = lo, ..., lo + n - 1.  q' is q, or the denominator
+    bound when no multiple of 1/q lies in the range; when none of 1/bound
+    does either, the lookup raises ValueError.
+    """
+
+    def __init__(self, bounds: tuple[Fraction, Fraction], dbound: int):
+        super().__init__()
+        lo, hi = bounds
+        self.lo_n, self.lo_d = lo.numerator, lo.denominator
+        self.hi_n, self.hi_d = hi.numerator, hi.denominator
+        self.dbound = dbound
+
+    def __missing__(self, q: int) -> tuple[int, int, int, int]:
+        lo = -(-self.lo_n * q // self.lo_d)
+        n = self.hi_n * q // self.hi_d - lo + 1
+        if n > 0:
+            window = (q, lo, n, n.bit_length())
+        elif q != self.dbound:
+            window = self[self.dbound]
+        else:
+            raise ValueError("rational grid is empty in the configured range")
+        self[q] = window
+        return window
 
 
 def rand_below(rng: random.Random, n: int) -> int:
@@ -290,29 +327,29 @@ def _fraction(k: int, q: int) -> Fraction:
     return Fraction(k, q)
 
 
-def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> PuiseuxSeries:
-    """Draw one nonzero series; deterministic for a fixed config when rng is None.
+SeriesDraw = list[tuple[int, int, int, int]]  # (k, q, ck, cq) per term: t**(k/q) * ck/cq
+
+
+def ps_draw(cfg: SamplerConfig, rng: random.Random) -> SeriesDraw:
+    """The integers of one :func:`ps_sample` draw, before any series is built.
 
     The number of terms is drawn first.  The leading exponent is drawn
     uniformly from the configured rational grid (valuation stratification);
     further exponents, when any, are drawn from the same grid above the
-    leading one; then each kept exponent gets a nonzero coefficient from
-    the coefficient grid.  A grid draw takes a denominator q <= the bound,
-    falls back to q = bound when no multiple of 1/q lies in the window, and
+    leading one; then each kept exponent, in increasing order, gets a
+    nonzero coefficient from the coefficient grid.  A grid draw takes a
+    denominator q <= the bound, reads the window of q from the plan, and
     then takes a numerator k with k/q in the window.
 
-    The whole series is drawn in this one frame from the integers of the
-    config's plan.  Every draw below n is ``randrange(n)`` written out:
-    ``getrandbits(n.bit_length())`` until the result is below n, so the
-    series takes the same ``getrandbits`` words as :func:`rand_below` and
-    the ``randint`` sampler before it.  Exponents stay reduced integer
-    pairs (k, q) until the kept ones become Fractions.
+    Every draw below n is ``randrange(n)`` written out:
+    ``getrandbits(n.bit_length())`` until the result is below n, so a draw
+    takes the same ``getrandbits`` words as :func:`rand_below` and the
+    ``randint`` sampler before it.  Returns one (k, q, ck, cq) per term,
+    the lead first and exponents increasing: the exponent k/q in lowest
+    terms and the coefficient ck/cq with ck nonzero.
     """
-    if rng is None:
-        rng = random.Random(cfg.seed)
     getrandbits = rng.getrandbits
-    (max_terms, terms_bits, dbound, dbound_bits,
-     e_lo_n, e_lo_d, e_hi_n, e_hi_d, c_lo_n, c_lo_d, c_hi_n, c_hi_d) = cfg._plan
+    max_terms, terms_bits, dbound, dbound_bits, exp_windows, coeff_windows = cfg._plan
     extra = getrandbits(terms_bits)
     while extra >= max_terms:
         extra = getrandbits(terms_bits)
@@ -323,16 +360,7 @@ def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> Puiseu
         q = getrandbits(dbound_bits)
         while q >= dbound:
             q = getrandbits(dbound_bits)
-        q += 1
-        lo = -(-e_lo_n * q // e_lo_d)
-        n = e_hi_n * q // e_hi_d - lo + 1
-        if n <= 0:
-            q = dbound
-            lo = -(-e_lo_n * q // e_lo_d)
-            n = e_hi_n * q // e_hi_d - lo + 1
-            if n <= 0:
-                raise ValueError("rational grid is empty in the configured range")
-        bits = n.bit_length()
+        q, lo, n, bits = exp_windows[q + 1]
         k = getrandbits(bits)
         while k >= n:
             k = getrandbits(bits)
@@ -347,7 +375,8 @@ def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> Puiseu
             exps.append(e)
             if len(exps) > extra:
                 break
-    if len(exps) > 2:  # the lead is first and least; order the rest
+    # The lead is first and least; order the rest before they get coefficients.
+    if len(exps) > 2:
         common = lcm(*(q for _, q in exps))
         exps.sort(key=lambda e: e[0] * (common // e[1]))
     terms = []
@@ -356,16 +385,7 @@ def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> Puiseu
             cq = getrandbits(dbound_bits)
             while cq >= dbound:
                 cq = getrandbits(dbound_bits)
-            cq += 1
-            lo = -(-c_lo_n * cq // c_lo_d)
-            n = c_hi_n * cq // c_hi_d - lo + 1
-            if n <= 0:
-                cq = dbound
-                lo = -(-c_lo_n * cq // c_lo_d)
-                n = c_hi_n * cq // c_hi_d - lo + 1
-                if n <= 0:
-                    raise ValueError("rational grid is empty in the configured range")
-            bits = n.bit_length()
+            cq, lo, n, bits = coeff_windows[cq + 1]
             ck = getrandbits(bits)
             while ck >= n:
                 ck = getrandbits(bits)
@@ -374,6 +394,24 @@ def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> Puiseu
                 break
         else:
             raise ValueError("coefficient range contains only zero")
-        terms.append((_fraction(k, q), _fraction(ck, cq)))
-    # distinct sorted exponents and nonzero coefficients: already in normal form
-    return PuiseuxSeries(tuple(terms))
+        terms.append((k, q, ck, cq))
+    return terms
+
+
+def ps_build(draw: SeriesDraw) -> PuiseuxSeries:
+    """The series of a :func:`ps_draw`; exponents and coefficients become Fractions here."""
+    # distinct increasing exponents and nonzero coefficients: already in normal form
+    return PuiseuxSeries(tuple(
+        [(_fraction(k, q), _fraction(ck, cq)) for k, q, ck, cq in draw]
+    ))
+
+
+def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> PuiseuxSeries:
+    """Draw one nonzero series; deterministic for a fixed config when rng is None.
+
+    This is ``ps_build(ps_draw(cfg, rng))``; see :func:`ps_draw` for the
+    distribution and the random words a draw consumes.
+    """
+    if rng is None:
+        rng = random.Random(cfg.seed)
+    return ps_build(ps_draw(cfg, rng))

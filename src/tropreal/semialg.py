@@ -34,6 +34,18 @@ on the outer region into an actual polynomial inequality valid on the set
 with complements of polyhedral unions yields a finite family of valid
 inequalities whose tropical regions intersect back to a given target set.
 
+The default sampler decides each candidate as far as it can before any
+series is built.  A candidate is drawn as integers (the same random words
+as :func:`sample_vector`), and every condition is scored at the leading
+signs and valuations of its coordinates: a condition whose dominant terms
+share a sign that its relation rejects, or that is undefined there, fails.
+A candidate with such a condition in every disjunct is dropped; the others
+are built and decided exactly by ``sa_member``, where ``laurent_sign``
+settles a balanced condition from its initial form, the sum of the
+dominant terms' leading coefficients, and only when that sum cancels from
+the full series.  Seeded output is the same as that of building and
+testing every candidate.
+
 Sampling and search are embarrassingly parallel over seeds; all exact
 checks are pure.
 """
@@ -43,7 +55,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -74,7 +86,7 @@ from .polyhedra import (
     union_subset,
     valuation_piece_to_log,
 )
-from .puiseux import PS_ZERO, PuiseuxSeries, SamplerConfig, ps_sample, rand_below
+from .puiseux import PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw, rand_below
 from .troppoly import (
     PolyK,
     TropPoint,
@@ -204,13 +216,83 @@ class SampleCloud:
         )
 
 
+_ZERO_PROB = 0.1  # the default share of exactly zero candidate coordinates
+
+
 def sample_vector(
-    rng: random.Random, cfg: SamplerConfig, nvars: int, zero_prob: float = 0.1
+    rng: random.Random, cfg: SamplerConfig, nvars: int, zero_prob: float = _ZERO_PROB
 ) -> tuple[PuiseuxSeries, ...]:
     """A random Puiseux vector; coordinates are occasionally exactly zero."""
     return tuple([
-        PS_ZERO if rng.random() < zero_prob else ps_sample(cfg, rng) for _ in range(nvars)
+        PS_ZERO if rng.random() < zero_prob else ps_build(ps_draw(cfg, rng))
+        for _ in range(nvars)
     ])
+
+
+def _candidates(
+    S: SADescription,
+    cfg: SamplerConfig,
+    rng: random.Random,
+    budget: int,
+    proposal: Optional[Callable[[random.Random], tuple[PuiseuxSeries, ...]]] = None,
+) -> Iterator[tuple[PuiseuxSeries, ...]]:
+    """The candidates among `budget` draws that may lie in S.
+
+    Every candidate of a proposal comes through.  Default candidates are
+    drawn coordinate by coordinate as :func:`sample_vector` draws them,
+    with the same random words, but as integers first (:func:`ps_draw`).
+    The leading terms then decide most of them: each condition is scored
+    at the coordinates' leading signs and valuations by the integer loop of
+    ``laurent_sign``, and a condition fails outright when a coordinate
+    under a negative exponent is zero (it is undefined) or when its
+    dominant terms share a sign that the relation rejects.  A candidate
+    with such a condition in every disjunct is not in S and is dropped
+    unbuilt; the series of the others are built, and membership is left to
+    the caller's exact test.  A balanced condition, where dominant terms of
+    opposite sign tie, is never decided here.
+    """
+    if proposal is not None:
+        for _ in range(budget):
+            yield proposal(rng)
+        return
+    nvars = S.nvars
+    draw = ps_draw
+    uniform = rng.random
+    plan = [
+        [
+            (cond.poly._lead_kernel, {s for s in (-1, 0, 1) if _SIGN_TESTS[cond.rel](s)})
+            for cond in disj
+        ]
+        for disj in S.disjuncts
+    ]
+    for _ in range(budget):
+        draws = []
+        signs = []
+        nums = []
+        dens = []
+        for _ in range(nvars):
+            if uniform() < _ZERO_PROB:
+                draws.append(None)
+                signs.append(0)
+                nums.append(0)
+                dens.append(1)
+            else:
+                d = draw(cfg, rng)
+                k, q, ck, _ = d[0]
+                draws.append(d)
+                signs.append(1 if ck > 0 else -1)
+                nums.append(k)
+                dens.append(q)
+        for disj in plan:
+            for kern, holds in disj:
+                if not all([signs[k] for k in kern.neg]):
+                    break
+                _, sign, balanced, _ = kern._score_scaled(signs, nums, dens)
+                if not balanced and sign not in holds:
+                    break
+            else:
+                yield tuple([PS_ZERO if d is None else ps_build(d) for d in draws])
+                break
 
 
 def sa_sample_trop(
@@ -226,8 +308,7 @@ def sa_sample_trop(
     """
     rng = random.Random(cfg.seed)
     cloud = SampleCloud(S)
-    for _ in range(count):
-        p = proposal(rng) if proposal else sample_vector(rng, cfg, S.nvars)
+    for p in _candidates(S, cfg, rng, count, proposal):
         cloud.add_candidate(p)
     return cloud
 
@@ -444,16 +525,17 @@ def collect_samples(
     """Up to n verified members of S (restricted to an orthant when given)."""
     rng = random.Random(cfg.seed)
     out: list[tuple[PuiseuxSeries, ...]] = []
+    if n <= 0:
+        return out
     budget = max_attempts if max_attempts is not None else max(200, 60 * n)
-    for _ in range(budget):
-        if len(out) >= n:
-            break
-        p = proposal(rng) if proposal else sample_vector(rng, cfg, S.nvars)
+    for p in _candidates(S, cfg, rng, budget, proposal):
         if not sa_member(S, p):
             continue
         if sigma is not None and point_orthant(trop_point(p)) != sigma:
             continue
         out.append(p)
+        if len(out) >= n:
+            break
     return out
 
 

@@ -27,12 +27,16 @@ first: the signed valuation is a morphism onto the signed tropical
 hyperfield, so the sign of f(p) is that of trop(f) at trop(p) whenever the
 dominant terms there share one sign (and 0 when no term survives).  The
 terms of trop(f) are scored at the leading terms of the coordinates by the
-same integer loop as ``trop_eval`` below.  Only a balanced sum, where
-dominant terms of opposite sign tie, goes to the Puiseux-level kernel,
-which evaluates g in plain integers: exponents are brought to one common
-denominator D, so t**(1/D) becomes the integer exponent 1, and every
-coefficient is multiplied by a positive integer so that no denominators
-are left.  Scaling a series by a
+same integer loop as ``trop_eval`` below.  A balanced sum, where dominant
+terms of opposite sign tie, is decided next by the initial form: the sum,
+in integers, of the dominant terms' leading coefficients at the leading
+coefficients of the coordinates.  It is the coefficient of the lowest
+power of t in f(p), up to a positive factor, so its sign is that of f(p)
+unless it cancels.  Only then does the sign go to the Puiseux-level
+kernel, which evaluates g in plain integers: exponents are brought to one
+common denominator D, so t**(1/D) becomes the integer exponent 1, and
+every coefficient is multiplied by a positive integer so that no
+denominators are left.  Scaling a series by a
 positive constant keeps its sign, and renaming exponents e -> D*e keeps
 their order, so the sign of g(p) is the sign of the integer sum at its
 lowest exponent with a nonzero coefficient.
@@ -133,15 +137,30 @@ class PolyK:
         return self + (-other)
 
     def __mul__(self, other: "PolyK") -> "PolyK":
+        """The product in one pass: each coefficient series is built once.
+
+        Products of terms are summed per exponent vector and t-exponent, and
+        only the sums become series.
+        """
         self._check(other)
-        return PolyK.from_terms(
-            self.nvars,
-            (
-                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                for e1, c1 in self.terms
-                for e2, c2 in other.terms
-            ),
-        )
+        acc: dict[Exps, dict[Fraction, Fraction]] = {}
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
+                e = tuple([a + b for a, b in zip(e1, e2)])
+                row = acc.get(e)
+                if row is None:
+                    row = acc[e] = {}
+                for t1, a1 in c1.terms:
+                    for t2, a2 in c2.terms:
+                        t = t1 + t2
+                        row[t] = row.get(t, 0) + a1 * a2
+        terms = []
+        for e, row in acc.items():
+            coeff = tuple(sorted([(t, a) for t, a in row.items() if a]))
+            if coeff:
+                terms.append((e, PuiseuxSeries(coeff)))
+        terms.sort()
+        return PolyK(self.nvars, tuple(terms))
 
     def __pow__(self, k: int) -> "PolyK":
         if not isinstance(k, int) or k < 0:
@@ -576,16 +595,67 @@ class _SignKernel(NamedTuple):
             return 0
         return 1 if total[lowest] > 0 else -1
 
+    def initial_sign(self, p: tuple[PuiseuxSeries, ...]) -> int:
+        """Sign of the initial form of g at p, or 0 when it cancels.
+
+        The terms of g are scored at the leading exponents of p, over the
+        common denominator ``den * D'``, where D' clears the leading
+        exponents.  The dominant terms' leading coefficients, taken at the
+        leading coefficients a_k = n_k / b_k of the coordinates and
+        multiplied by prod b_k**maxdeg_k as in ``sign_at``, sum to a
+        positive multiple of the coefficient of t**w in g(p), w the least
+        score; when that sum is nonzero, its sign is the sign of g(p).
+        """
+        dp = 1
+        for c, md in zip(p, self.maxdeg):
+            if md and c.terms:
+                dp = lcm(dp, c.terms[0][0].denominator)
+        # per variable of g: (scaled leading exponent, n_k, b_k, maxdeg_k),
+        # or None when the coordinate is zero or the variable not in g
+        leads: list[tuple[int, int, int, int] | None] = []
+        for c, md in zip(p, self.maxdeg):
+            if md and c.terms:
+                e, a = c.terms[0]
+                leads.append((e.numerator * (dp // e.denominator), a.numerator, a.denominator, md))
+            else:
+                leads.append(None)
+        den = self.den
+        best = None
+        total = 0
+        for exps, coeff in self.terms:
+            score, value = coeff[0]
+            score *= dp
+            for d, lead in zip(exps, leads):
+                if lead is None:
+                    if d:  # a positive power of a zero coordinate
+                        break
+                    continue
+                v, n, b, md = lead
+                if d:
+                    score += den * d * v
+                    value *= n ** d
+                if b != 1:
+                    value *= b ** (md - d)
+            else:
+                if best is None or score < best:
+                    best, total = score, value
+                elif score == best:
+                    total += value
+        return (total > 0) - (total < 0)
+
 
 def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
-    """Exact sign of f(p) for Laurent f.
+    """Exact sign of f(p) for Laurent f, decided at the first level that settles it.
 
     First from leading terms: the leading term of each term of f(p) is the
     term of trop(f) at trop(p), so when the dominant ones all have one
-    sign, f(p) has it too, and when no term survives, f(p) is zero.  Only
-    when dominant terms of opposite sign tie is the sign computed at the
-    Puiseux level: f(p) and g(p) = f(p) * p**m have the same sign because
-    every entry of m is even, and g is evaluated by the integer kernel of
+    sign, f(p) has it too, and when no term survives, f(p) is zero.  When
+    dominant terms of opposite sign tie, from the initial form: the sum of
+    their leading coefficients is the coefficient of the lowest power of t
+    in f(p), up to a positive factor (:meth:`_SignKernel.initial_sign`).
+    Only when that sum cancels is the sign computed at the Puiseux level:
+    f(p) and g(p) = f(p) * p**m have the same sign because every entry of m
+    is even, and g is evaluated by the integer kernel of
     :class:`_SignKernel`, where each rescaling multiplies g(p) by a
     positive constant or stretches the exponent scale, and neither changes
     the sign of the leading term.
@@ -594,7 +664,10 @@ def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
         p = tuple(p)
     _check_laurent_point(f, p)
     _, sign, balanced, _ = f._lead_kernel.score_leading(p)
-    return f._sign_kernel.sign_at(p) if balanced else sign
+    if not balanced:
+        return sign
+    kernel = f._sign_kernel
+    return kernel.initial_sign(p) or kernel.sign_at(p)
 
 
 def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:

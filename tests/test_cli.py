@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 from tropreal import iojson
 from tropreal.cli import main, parse_target
 from tropreal.hyperfields import stv
+from tropreal.parsing import parse_polyk
 from tropreal.polyhedra import point_polyhedron, trop_region, union_of
 from tropreal.scenarios import get_scenario
+from tropreal.semialg import SADescription, SignCondition
 from tropreal.troppoly import trop_r
 
 
@@ -202,19 +204,44 @@ def test_figures_command(tmp_path):
     pytest.param(["basis", "circle", "--target-set", "T.json", "--seed", "2", "--count", "40"],
                  "2776797beb1abc39c3ebb571899396555ce011a17747868bafadce1911bb6d0b",
                  id="basis-circle"),
+    # recorded before sampler candidates were decided from their drawn integers
+    pytest.param(["sample", "cubic", "--seed", "3", "--count", "2000"],
+                 "bb3006a28c6df6da783d65fef0adb230adf5743a67e48ba5b98cf93ca6884125",
+                 id="sample-cubic"),
+    pytest.param(["sample", "laurent-union", "--seed", "1", "--count", "2000"],
+                 "3f911052ffd1173e436828b2cfbae8f785b17867b909a16d8a12c362381477e7",
+                 id="sample-laurent-union"),
 ])
 def test_seeded_sampler_output_is_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(_run_on_scenario(tmp_path, argv)).hexdigest() == digest
 
 
+def _laurent_union():
+    """Two disjuncts; the first has a condition undefined where y = 0."""
+    def cond(text, rel):
+        return SignCondition(parse_polyk(text, 2), rel)
+
+    return SADescription(2, (
+        (cond("x*y^(-1) - 2", "gt"), cond("x + y - 3", "le")),
+        (cond("y - x^2", "ge"), cond("x - 1", "ne")),
+    ))
+
+
+# descriptions that are not scenarios, by name
+_DESCRIPTIONS = {"laurent-union": _laurent_union}
+
+
 def _run_on_scenario(tmp_path, argv):
-    """The JSON bytes a command writes for a named scenario and named inputs."""
+    """The JSON bytes a command writes for a named description and named inputs."""
     command, name, *options = argv
-    scenario = get_scenario(name)
+    if name in _DESCRIPTIONS:
+        description = _DESCRIPTIONS[name]()
+    else:
+        description = get_scenario(name).description
     desc = tmp_path / f"{name}.json"
-    desc.write_text(iojson.dumps(iojson.description_to_json(scenario.description)))
+    desc.write_text(iojson.dumps(iojson.description_to_json(description)))
     inputs = {
-        "F.json": lambda: iojson.troppoly_to_json(trop_r(scenario.params["poly"]).neg()),
+        "F.json": lambda: iojson.troppoly_to_json(trop_r(get_scenario(name).params["poly"]).neg()),
         "T.json": lambda: iojson.union_to_json(union_of(2, [point_polyhedron((0, 0))])),
     }
     for i, option in enumerate(options):

@@ -1,9 +1,11 @@
 """Inner clouds, outer regions, sandwich, lifting, bases, witnesses."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_puiseux import _outcome, _reference_vector
 
 from tropreal.errors import NegativeExponentAtZero, PreconditionFailed, ShapeMismatch
 from tropreal.hyperfields import stv
@@ -23,17 +25,21 @@ from tropreal.semialg import (
     SADescription,
     SampleCloud,
     SignCondition,
+    _candidates,
     adjacency_connected,
+    collect_samples,
     conjunction,
     finite_basis,
     inner_in_outer,
     lift_inequality,
     outer_excludes,
+    point_orthant,
     sa_member,
     sa_outer,
     sa_outer_all,
     sa_sample_trop,
     sa_sandwich_check,
+    sample_vector,
     split_ne,
     witness_search,
 )
@@ -380,3 +386,113 @@ def test_sa_member_matches_dnf_of_conditions(case):
                 except NegativeExponentAtZero:
                     continue  # undefined at p: the condition does not hold
                 assert kernel.score_leading(p) == at_trop
+
+
+# -- the default candidate loop against the plain rejection loop ---------------
+
+# Coefficients whose leading terms come from a tiny grid, so that dominant
+# terms of conditions often tie at the sampled points.
+_TINY_SERIES = st.lists(
+    st.tuples(st.sampled_from([F2(-1), F2(0), F2(1, 2), F2(1)]), st.integers(-3, 3)),
+    min_size=1, max_size=2,
+).map(PuiseuxSeries.from_terms)
+
+_EXPONENT_WINDOWS = [
+    (F2(-2), F2(2)), (F2(0), F2(2)), (F2(-1), F2(0)), (F2(0), F2(0)),
+    (F2(-1, 2), F2(1, 2)), (F2(1, 5), F2(1, 4)),  # no multiple of 1/2: the fallback
+]
+_COEFF_WINDOWS = [
+    (F2(-4), F2(4)), (F2(0), F2(3)), (F2(-3), F2(0)), (F2(-1), F2(1)), (F2(1, 5), F2(1, 4)),
+]
+
+
+@st.composite
+def sampled_descriptions(draw):
+    """A description with 1 to 3 disjuncts of Laurent conditions, and a sampler config."""
+    nvars = draw(st.integers(1, 3))
+
+    def condition():
+        terms = st.tuples(st.tuples(*[st.integers(-1, 2)] * nvars), _TINY_SERIES)
+        f = PolyK.from_terms(nvars, draw(st.lists(terms, min_size=1, max_size=4)))
+        if f.is_zero():
+            f = PolyK.const(nvars, const(1))
+        return SignCondition(f, draw(st.sampled_from(["gt", "ge", "eq", "le", "lt", "ne"])))
+
+    S = SADescription(nvars, tuple(
+        tuple(condition() for _ in range(draw(st.integers(1, 3))))
+        for _ in range(draw(st.integers(1, 3)))
+    ))
+    cfg = SamplerConfig(
+        max_terms=draw(st.integers(1, 4)),
+        exponent_denominator_bound=draw(st.integers(1, 5)),
+        exponent_range=draw(st.sampled_from(_EXPONENT_WINDOWS)),
+        coeff_range=draw(st.sampled_from(_COEFF_WINDOWS)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return S, cfg
+
+
+def _plain_vectors(S, cfg, rng, budget):
+    """The vectors of the loop the candidate filter replaces, every one built.
+
+    They come from the randint sampler that ps_sample replaced, so that a
+    fault shared by sample_vector and the candidate filter still shows.
+    """
+    return [_reference_vector(rng, cfg, S.nvars, 0.1) for _ in range(budget)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_descriptions())
+def test_candidate_filter_matches_the_plain_rejection_loop(case):
+    S, cfg = case
+    rng, ref = random.Random(cfg.seed), random.Random(cfg.seed)
+    candidates = _outcome(lambda: list(_candidates(S, cfg, rng, 80)))
+    vectors = _outcome(_plain_vectors, S, cfg, ref, 80)
+    assert rng.getstate() == ref.getstate()
+    if isinstance(vectors, str):  # an empty grid: both raise at the same draw
+        assert candidates == vectors
+        return
+    # the candidates are the plain loop's vectors, in order, minus some
+    # non-members: the same points, and every member among them
+    rest = iter(vectors)
+    assert all(any(c == v for v in rest) for c in candidates)
+    members = [p for p in vectors if sa_member(S, p)]
+    assert [p for p in candidates if sa_member(S, p)] == members
+
+
+def _plain_cloud(S, cfg, count):
+    """The loop sa_sample_trop ran before the candidate filter."""
+    rng = random.Random(cfg.seed)
+    cloud = SampleCloud(S)
+    for _ in range(count):
+        cloud.add_candidate(sample_vector(rng, cfg, S.nvars))
+    return list(cloud.items())
+
+
+def _plain_collect(S, cfg, n, sigma, budget):
+    """The loop collect_samples ran before the candidate filter."""
+    rng = random.Random(cfg.seed)
+    out = []
+    for _ in range(budget):
+        if len(out) >= n:
+            break
+        p = sample_vector(rng, cfg, S.nvars)
+        if not sa_member(S, p):
+            continue
+        if sigma is not None and point_orthant(trop_point(p)) != sigma:
+            continue
+        out.append(p)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_descriptions(), st.integers(0, 4), st.booleans())
+def test_sampling_entry_points_match_the_plain_loops(case, n, in_orthant):
+    S, cfg = case
+    expected = _outcome(lambda: _plain_cloud(S, cfg, 60))
+    got = _outcome(lambda: list(sa_sample_trop(S, 60, cfg).items()))
+    assert got == expected
+    sigma = (1,) * S.nvars if in_orthant else None
+    expected = _outcome(lambda: _plain_collect(S, cfg, n, sigma, 60))
+    got = _outcome(lambda: collect_samples(S, cfg, n, sigma=sigma, max_attempts=60))
+    assert got == expected

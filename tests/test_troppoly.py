@@ -210,6 +210,36 @@ def test_polyk_pow_is_repeated_product():
         product = product * f
 
 
+def _pairwise_product(f, g):
+    """The product as a sum of the pairwise products of terms (the plain definition)."""
+    return PolyK.from_terms(f.nvars, (
+        (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        for e1, c1 in f.terms
+        for e2, c2 in g.terms
+    ))
+
+
+@st.composite
+def polyk_pair(draw):
+    nvars = draw(st.integers(0, 3))
+    def poly():
+        terms = st.tuples(st.tuples(*[st.integers(-2, 3)] * nvars), series_st())
+        return PolyK.from_terms(nvars, draw(st.lists(terms, max_size=5)))
+    return poly(), poly()
+
+
+@settings(max_examples=150, deadline=None)
+@given(polyk_pair())
+def test_polyk_product_matches_the_pairwise_sum(pair):
+    f, g = pair
+    product = f * g
+    assert product == _pairwise_product(f, g)
+    assert product == g * f
+    for _, coeff in product.terms:
+        assert coeff == PuiseuxSeries.from_terms(coeff.terms)  # normal form
+        assert all(type(x) is Fraction for term in coeff.terms for x in term)
+
+
 def _fractions(bound, max_denominator):
     return st.builds(
         Fraction,
@@ -360,6 +390,75 @@ def test_laurent_sign_at_designed_cancellations(text, coords):
     if all(c.terms for c in p):
         # the leading terms cancel, so the kernel decides
         assert f._lead_kernel.score_leading(p)[2]
+
+
+# -- initial forms: the sign of the dominant terms' leading coefficients --------
+
+# The circle (x-2)^2 + (y-2)^2 - 1 at x = 2 + t, y = 3 + ...: the dominant
+# terms tie at valuation 0, and their leading coefficients cancel
+# (4 + 9 - 8 - 12 + 7 = 0), so the sign lies in the tails.
+_CIRCLE_TEXT = "(x-2)^2 + (y-2)^2 - 1"
+_ZERO_INITIAL_FORM = [
+    pytest.param(_CIRCLE_TEXT, [[(0, 2), (1, 1)], [(0, 3), (1, 1)]], 1, id="circle-2t+2t2"),
+    pytest.param(_CIRCLE_TEXT, [[(0, 2), (1, 1)], [(0, 3), (1, -1)]], -1, id="circle--2t+2t2"),
+    pytest.param(_CIRCLE_TEXT, [[(0, 2), (1, 1)], [(0, 3)]], 1, id="circle-t2"),
+    pytest.param(_CIRCLE_TEXT, [[(0, 2), (1, 1)], [(0, 3), (2, "-1/2")]], 1, id="circle-t4/4"),
+    pytest.param(_CIRCLE_TEXT, [[(0, 2), (1, 1)], [(0, 3), (1, "-1/4"), (2, -1)]], -1,
+                 id="circle-y-tail"),
+    pytest.param("x^(-1)*y - 3/2", [[(0, 2), ("1/2", 1)], [(0, 3)]], -1, id="laurent-ratio"),
+]
+
+
+@pytest.mark.parametrize("text, coords, sign", _ZERO_INITIAL_FORM)
+def test_laurent_sign_falls_back_when_the_initial_form_cancels(text, coords, sign):
+    f = parse_polyk(text)
+    p = tuple(PuiseuxSeries.from_terms(c) for c in coords)
+    assert f._lead_kernel.score_leading(p)[2]  # the leading terms are balanced
+    assert f._sign_kernel.initial_sign(p) == 0  # and their initial form cancels
+    g, _ = _cleared(f)  # g(p) = f(p) * p**m with m even: the same sign
+    assert laurent_sign(f, p) == _kernel_sign(f, p) == eval_k(g, p).sign() == sign
+
+
+_TINY_EXPS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)])
+_TINY_COEFFS = st.sampled_from([-2, -1, 1, 2])
+
+
+@st.composite
+def tiny_grid_series(draw):
+    """A series whose leading term comes from a tiny grid, with a random tail above it."""
+    e, c = draw(_TINY_EXPS), draw(_TINY_COEFFS)
+    tail = draw(st.lists(
+        st.tuples(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]), _fractions(3, 2)),
+        max_size=2,
+    ))
+    return PuiseuxSeries.from_terms([(e, c)] + [(e + step, a) for step, a in tail])
+
+
+@st.composite
+def tiny_grid_laurent_and_point(draw):
+    """A Laurent polynomial and a point whose leading terms come from tiny grids.
+
+    Few leading exponents and coefficients make ties of dominant terms,
+    and initial forms that cancel, common.
+    """
+    nvars = draw(st.integers(1, 2))
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(-1, 2)] * nvars), tiny_grid_series()),
+        min_size=2, max_size=6,
+    ))
+    f = PolyK.from_terms(nvars, terms)
+    p = tuple(
+        PuiseuxSeries.zero() if draw(st.integers(0, 9)) == 0 else draw(tiny_grid_series())
+        for _ in range(nvars)
+    )
+    return f, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_grid_laurent_and_point())
+def test_laurent_sign_matches_the_kernel_on_tiny_grids(case):
+    f, p = case
+    assert _outcome(laurent_sign, f, p) == _outcome(_kernel_sign, f, p)
 
 
 def _swap(F):
