@@ -31,14 +31,19 @@ polynomials:
   read in log-magnitude coordinates X, where the tropical point with
   valuations -X corresponds to X (see the function docstring).
 
-The complement of a closed union (``complement_of_union``) is expanded by
-De Morgan, one piece p at a time, with a keep-whole rule: a partial piece
-that misses p is kept whole, and only the others are cut by the open
-halfspaces that negate p's rows.  ``enumerate_cells``, the sign-vector
-search over a hyperplane arrangement, and its helper ``_form_rows`` have no
-library caller; they stay (and stay exported) only because the tracer in
-``perfbench/tracer.py`` binds ``enumerate_cells`` by name, and go when the
-benchmark drops that layer.
+Every cover question is answered by one subtraction, ``_subtract``, the
+region-difference rule of Baotić: a piece that misses the subtracted
+polyhedron q is kept whole, each other piece w becomes w ∩ ¬q_j for every
+row q_j of q (the row negated, its strictness flipped), and ``union_prune``
+drops the empty and duplicate results.  The complement of a closed union
+(``complement_of_union``) folds it over the union's pieces from the whole
+space, which is De Morgan's expansion; ``piece_minus_union_is_empty`` folds
+it over a union from one piece and asks whether anything is left, and
+``union_subset``, ``union_equal`` and ``prune_covered_pieces`` rest on that.
+``enumerate_cells``, the sign-vector search over a hyperplane arrangement,
+and its helper ``_form_rows`` have no library caller; they stay (and stay
+exported) only because the tracer in ``perfbench/tracer.py`` binds
+``enumerate_cells`` by name, and go when the benchmark drops that layer.
 
 Everything is immutable and pure.
 """
@@ -409,10 +414,6 @@ def feasible_point(P: Polyhedron) -> Optional[tuple[Fraction, ...]]:
     return _solve_feasible(P._int_rows, P.dim)
 
 
-def poly_contains(P: Polyhedron, x: Sequence[Fraction]) -> bool:
-    return P.contains(x)
-
-
 # One region over every orthant and relation decides a few dozen distinct
 # systems, many of them several times.  A memo this small evicts them within
 # about ten later regions, so it shares work inside one operation, not
@@ -468,21 +469,6 @@ def poly_dim(P: Polyhedron) -> int:
     if poly_is_empty(P):
         return -1
     return P.dim - _rank(equality_normals(P), P.dim)
-
-
-def poly_subset(P: Polyhedron, Q: Polyhedron) -> bool:
-    """P ⊆ Q, exact; an empty P is a subset of anything."""
-    if P.dim != Q.dim:
-        raise DimensionMismatch("cannot compare different dimensions")
-    rows = list(P._int_rows)
-    for normal, cn, cd, strict in Q._int_rows:
-        if _feasible(rows + [(tuple(-a for a in normal), -cn, cd, not strict)], P.dim):
-            return False
-    return True
-
-
-def poly_equal(P: Polyhedron, Q: Polyhedron) -> bool:
-    return poly_subset(P, Q) and poly_subset(Q, P)
 
 
 def poly_recession_contains(P: Polyhedron, d: Sequence[Fraction]) -> bool:
@@ -560,26 +546,37 @@ def union_intersect(A: PolyUnion, B: PolyUnion) -> PolyUnion:
     )
 
 
-def piece_minus_union_is_empty(p: Polyhedron, pieces: Sequence[Polyhedron]) -> bool:
-    """Whether p ∖ (∪ pieces) is empty, by recursive exact subtraction.
+def _subtract(pieces: Sequence[Polyhedron], q: Polyhedron) -> tuple[Polyhedron, ...]:
+    """Nonempty, distinct pieces whose union is (∪ pieces) ∖ q.
 
-    The pieces of the difference are kept as row tuples: w minus q splits
-    into w ∩ q_1 ∩ ... ∩ q_(j-1) ∩ not q_j for each row q_j of q.
+    A piece w with w ∩ q empty is kept whole.  Every other piece becomes
+    w ∩ ¬q_j for each row q_j of q, where ¬q_j is the row negated with its
+    strictness flipped; these overlap, and their union is w ∖ q.  The kept
+    pieces, then the cut ones in row order, go through ``union_prune``.
     """
-    dim = p.dim
-    work = [p._int_rows] if not poly_is_empty(p) else []
+    dim = q.dim
+    negated = [((tuple(-a for a in n), -cn, cd, not s),) for n, cn, cd, s in q._int_rows]
+    kept, cut = [], []
+    for w in pieces:
+        if poly_is_empty(w.intersect(q)):
+            kept.append(w)
+        else:
+            cut += [_from_rows(dim, w._int_rows + row) for row in negated]
+    return union_prune(PolyUnion(dim, tuple(kept + cut))).pieces
+
+
+def piece_minus_union_is_empty(p: Polyhedron, pieces: Sequence[Polyhedron]) -> bool:
+    """Whether p ∖ (∪ pieces) is empty, by exact subtraction.
+
+    ``_subtract`` takes each piece in turn from what is left of p; the
+    answer is whether nothing is left.
+    """
+    left = union_prune(PolyUnion(p.dim, (p,))).pieces
     for q in pieces:
-        nxt: list[tuple[IntRow, ...]] = []
-        for prefix in work:
-            for normal, cn, cd, strict in q._int_rows:
-                cand = prefix + ((tuple(-a for a in normal), -cn, cd, not strict),)
-                if not _rows_empty(cand, dim):
-                    nxt.append(cand)
-                prefix += ((normal, cn, cd, strict),)
-        work = nxt
-        if not work:
-            return True
-    return not work
+        if not left:
+            break
+        left = _subtract(left, q)
+    return not left
 
 
 def union_subset(A: PolyUnion, B: PolyUnion) -> bool:
@@ -648,30 +645,21 @@ def complement_of_union(T: PolyUnion) -> list[Polyhedron]:
 
     The complement of the union of the pieces p is, by De Morgan, the
     intersection over p of the union of the open halfspaces that negate p's
-    rows.  The product is expanded one piece at a time: a partial piece C
-    with C ∩ p empty already avoids p and is kept whole; the others are cut
-    by p's negated halfspaces.  Empty pieces and pieces with the rows of an
-    earlier one are dropped at every step, so none is returned.
+    rows.  It is expanded by subtracting one piece at a time from the whole
+    space with ``_subtract``: a partial piece that misses p is kept whole,
+    and the others are cut by p's negated rows, which are strict because p
+    is closed.  No returned piece is empty or repeats an earlier one's rows.
     """
     for p in T.pieces:
         if not p.is_closed_form():
             raise NotClosedInput("complement requires non-strict constraints")
-    dim = T.dim
-    acc = whole_space_union(dim)
+    acc = (whole_space(T.dim),)
     for p in T.pieces:
-        halves = PolyUnion(dim, tuple(
-            _from_rows(dim, ((tuple(-a for a in n), -cn, cd, True),))
-            for n, cn, cd, _ in p._int_rows
-        ))
-        kept, cut = [], []
-        for C in acc.pieces:
-            (kept if poly_is_empty(C.intersect(p)) else cut).append(C)
-        cut = union_intersect(PolyUnion(dim, tuple(cut)), halves).pieces
-        acc = union_prune(PolyUnion(dim, tuple(kept) + cut))
-    return list(acc.pieces)
+        acc = _subtract(acc, p)
+    return list(acc)
 
 
-def prune_covered_pieces(pieces: Sequence[Polyhedron], dim: int) -> list[Polyhedron]:
+def prune_covered_pieces(pieces: Sequence[Polyhedron]) -> list[Polyhedron]:
     """Greedy removal of pieces covered by the union of the remaining ones.
 
     One forward pass suffices: a removal only shrinks the union of the

@@ -654,7 +654,7 @@ def finite_basis(
                 "the target does not contain the sampled tropicalization"
             )
 
-    open_pieces = prune_covered_pieces(complement_of_union(T), T.dim)
+    open_pieces = prune_covered_pieces(complement_of_union(T))
 
     polys: list[PolyK] = []
     for piece in open_pieces:

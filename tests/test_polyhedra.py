@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import pickle
 import random
 from fractions import Fraction
@@ -35,13 +36,10 @@ from tropreal.polyhedra import (
     parse_orthant,
     piece_minus_union_is_empty,
     point_polyhedron,
-    poly_contains,
     poly_dim,
-    poly_equal,
     poly_has_recession_direction,
     poly_is_empty,
     poly_recession_contains,
-    poly_subset,
     prune_covered_pieces,
     trop_region,
     union_equal,
@@ -59,13 +57,18 @@ def H(dim, *cons):
     return Polyhedron(dim, tuple(constraint(n, o, r) for n, o, r in cons))
 
 
+def single(P):
+    """The one-piece union of P."""
+    return PolyUnion(P.dim, (P,))
+
+
 def test_contains_examples():
     P = H(2, ((1, 0), 0, "<="), ((0, 1), 0, "<="))
-    assert poly_contains(P, (-1, -1))
+    assert P.contains((-1, -1))
     Q = H(1, ((1,), 0, "<"))
-    assert not poly_contains(Q, (0,))
+    assert not Q.contains((0,))
     R = H(1, ((1,), 0, "<="))
-    assert poly_contains(R, (0,))
+    assert R.contains((0,))
 
 
 def test_emptiness_examples():
@@ -121,7 +124,7 @@ def test_complement_halfline():
     T = union_of(1, [H(1, ((1,), 0, "<="))])
     out = complement_of_union(T)
     assert len(out) == 1
-    assert poly_equal(out[0], H(1, ((1,), 0, ">")))
+    assert union_equal(single(out[0]), single(H(1, ((1,), 0, ">"))))
 
 
 def test_complement_of_origin():
@@ -193,11 +196,30 @@ def test_complement_oracle_on_larger_unions(seed, max_pieces):
             assert T.contains(x) != U.contains(x), (T, x)
 
 
+def test_complement_and_prune_rows_are_pinned():
+    # the rows of every complement over 30 draws, and of the kept pieces
+    # where the cover is small enough to prune quickly; recorded when the
+    # emptiness test still split each difference into disjoint pieces
+    rng = random.Random(4)
+    comp, kept = hashlib.sha256(), hashlib.sha256()
+    pruned = 0
+    for _ in range(30):
+        T = random_closed_union(rng, max_pieces=6)
+        out = complement_of_union(T)
+        comp.update(repr([p._int_rows for p in out]).encode())
+        if len(out) <= 30:
+            pruned += 1
+            kept.update(repr([p._int_rows for p in prune_covered_pieces(out)]).encode())
+    assert pruned == 24
+    assert comp.hexdigest() == "311d1ac7e310aac950527b2e223ece223860135fa67058764fc9ac65344c0218"
+    assert kept.hexdigest() == "1831c03d70401eb3ebe1aaa69d8727314c971dddbf72c22644c29c3282e48314"
+
+
 def test_prune_covered_pieces():
     quadrant = H(2, ((-1, 0), 0, "<"), ((0, -1), 0, "<"))
     right = H(2, ((-1, 0), 0, "<"))
     up = H(2, ((0, -1), 0, "<"))
-    kept = prune_covered_pieces([quadrant, right, up], 2)
+    kept = prune_covered_pieces([quadrant, right, up])
     assert len(kept) == 2 and quadrant not in kept
 
 
@@ -222,10 +244,93 @@ def test_one_pass_prune_keeps_what_the_restarting_prune_keeps():
     for _ in range(40):
         T = random_closed_union(rng, max_pieces=2, max_facets=3)
         out = complement_of_union(T)
-        kept = prune_covered_pieces(out, T.dim)
+        kept = prune_covered_pieces(out)
         assert kept == _prune_restarting(out)
         removed += len(out) - len(kept)
     assert removed > 0
+
+
+def _disjoint_split_is_empty(p, pieces):
+    # the former engine, written on constraints: w minus q splits into the
+    # disjoint pieces w ∩ q_1 ∩ ... ∩ q_(j-1) ∩ ¬q_j, with no keep-whole rule
+    work = [p.constraints] if not poly_is_empty(p) else []
+    for q in pieces:
+        nxt = []
+        for prefix in work:
+            for c in q.constraints:
+                cand = prefix + (c.negated(),)
+                if not poly_is_empty(Polyhedron(p.dim, cand)):
+                    nxt.append(cand)
+                prefix += (c,)
+        work = nxt
+        if not work:
+            return True
+    return not work
+
+
+def _random_constraint(rng, dim):
+    normal = (0,) * dim
+    while not any(normal):
+        normal = tuple(rng.randint(-2, 2) for _ in range(dim))
+    rel = rng.choice(["<=", "<", ">=", ">"])
+    return constraint(normal, F2(rng.randint(-2, 2), rng.randint(1, 2)), rel)
+
+
+def _random_cover_case(rng):
+    """A piece p and pieces that may be empty, repeat, miss p or cut it."""
+    dim = rng.randint(1, 3)
+
+    def rows(k):
+        return tuple(_random_constraint(rng, dim) for _ in range(k))
+
+    p = Polyhedron(dim, rows(rng.randint(0, 3)))
+    pieces = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(["random", "empty", "duplicate", "miss", "split", "whole"])
+        if kind == "random":
+            pieces.append(Polyhedron(dim, rows(rng.randint(0, 3))))
+        elif kind == "empty":
+            c = _random_constraint(rng, dim)
+            pieces.append(Polyhedron(dim, (c, c.negated()) + rows(rng.randint(0, 1))))
+        elif kind == "duplicate" and pieces:
+            pieces.append(rng.choice(pieces))
+        elif kind == "miss" and p.constraints:
+            c = rng.choice(p.constraints).negated()
+            pieces.append(Polyhedron(dim, (c,) + rows(rng.randint(0, 2))))
+        elif kind == "split":
+            # the two sides of a hyperplane, with or without the hyperplane
+            c = _random_constraint(rng, dim)
+            other = c.negated() if rng.random() < 0.5 else Constraint(c.form.negated(), c.strict)
+            pieces += [Polyhedron(dim, (c,)), Polyhedron(dim, (other,))]
+        elif kind == "whole":
+            pieces.append(p.closure())
+    rng.shuffle(pieces)
+    return p, pieces
+
+
+_GRID = [F2(k, 2) for k in range(-5, 6)]
+
+
+def _grid(dim):
+    points = [()]
+    for _ in range(dim):
+        points = [x + (v,) for x in points for v in _GRID]
+    return points
+
+
+def test_subtraction_agrees_with_the_disjoint_split():
+    rng = random.Random(2024)
+    answers = []
+    for _ in range(300):
+        p, pieces = _random_cover_case(rng)
+        empty = piece_minus_union_is_empty(p, pieces)
+        assert empty == _disjoint_split_is_empty(p, pieces), (p, pieces)
+        if empty:
+            for x in _grid(p.dim):
+                assert not p.contains(x) or any(q.contains(x) for q in pieces), (p, pieces, x)
+        answers.append(empty)
+    # both answers are common, so neither side is checked vacuously
+    assert 60 < sum(answers) < 240
 
 
 def test_open_poly_to_trop_examples():
@@ -461,9 +566,9 @@ def test_poly_dim():
 def test_subset_and_equal():
     A = H(2, ((1, 0), 0, "<="), ((0, 1), 0, "<="))
     B = H(2, ((1, 1), 0, "<="))
-    assert poly_subset(A, B)
-    assert not poly_subset(B, A)
-    assert poly_equal(A, A)
+    assert union_subset(single(A), single(B))
+    assert not union_subset(single(B), single(A))
+    assert union_equal(single(A), single(A))
 
 
 def test_union_subset_and_prune():
@@ -490,7 +595,7 @@ def test_recession():
 def test_limit_polyhedron():
     seg = H(2, ((1, 0), 0, "<="), ((-1, 0), 0, "<="), ((0, -1), 0, "<="))
     L = limit_polyhedron(seg, [1])
-    assert L is not None and poly_equal(L, point_polyhedron((0,)))
+    assert L is not None and union_equal(single(L), single(point_polyhedron((0,))))
 
     antidiag = H(2, ((1, 1), 0, "<="), ((-1, -1), 0, "<="))
     assert limit_polyhedron(antidiag, [1]) is None
@@ -501,7 +606,7 @@ def test_limit_polyhedron():
     # dropping nothing returns the closure
     P = H(2, ((1, 0), 0, "<"))
     L2 = limit_polyhedron(P, [])
-    assert L2 is not None and poly_equal(L2, H(2, ((1, 0), 0, "<=")))
+    assert L2 is not None and union_equal(single(L2), single(H(2, ((1, 0), 0, "<="))))
 
 
 def test_trop_region_laurent_zero_orthant_errors():
