@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import iojson
 from .errors import NoEpsilonFound, ParseError, TropRealError
-from .hyperfields import INF, normalize_rel, stv
+from .hyperfields import RT_ZERO, normalize_rel, stv
 from .parsing import parse_polyk
 from .polyhedra import (
     all_orthants,
@@ -108,7 +108,7 @@ def parse_target(text: str):
     for sign_ch, val_text in pairs:
         sign = {"+": 1, "-": -1, "0": 0}[sign_ch]
         if val_text.strip() in ("inf", "+inf", "oo"):
-            coords.append(stv(0, INF))
+            coords.append(RT_ZERO)
         else:
             if sign == 0:
                 raise TropRealError("sign 0 requires valuation inf")

@@ -23,8 +23,11 @@ exactly these two cases.  Balanced intervals are stored by their valuation
 bound alone; the member set {p : p.val >= v} ∪ {0} is implicit.
 
 Valuations never leave Q ∪ {+inf}; the transcendental e**(-v) appears only
-in rendering code.  All values are immutable and all operations are pure,
-so everything here is safe to share across threads.
+in rendering code.  All values are immutable and slotted (no per-instance
+``__dict__``), and all operations are pure, so everything here is safe to
+share across threads.  A ``Fraction`` valuation is kept, not copied, so
+the points of :func:`tropreal.polyhedra.embed_point` share the caller's
+``Fraction`` objects; that is safe because they are immutable.
 
 Relations against zero follow the region conventions used by the rest of
 the package: a value is == 0 when it is balanced or the zero point, >= 0
@@ -105,7 +108,7 @@ def val_add(a: Val, b: Val) -> Val:
     return a + b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedTropVal:
     """An element of the signed tropical hyperfield: sign * e**(-val).
 
@@ -116,7 +119,8 @@ class SignedTropVal:
     val: Val
 
     def __post_init__(self):
-        object.__setattr__(self, "val", as_val(self.val))
+        if self.val is not INF and not isinstance(self.val, Fraction):
+            object.__setattr__(self, "val", as_val(self.val))
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or 1, got {self.sign}")
         if (self.sign == 0) != (self.val is INF):
@@ -135,8 +139,11 @@ RT_MINUS_ONE = SignedTropVal(-1, Fraction(0))
 
 
 def stv(sign: int, val) -> SignedTropVal:
-    """Shorthand constructor accepting ints and strings for the valuation."""
-    return SignedTropVal(sign, as_val(val))
+    """Shorthand constructor accepting ints and strings for the valuation.
+
+    The coercion is ``SignedTropVal``'s own, done once.
+    """
+    return SignedTropVal(sign, val)
 
 
 def rt_mul(a: SignedTropVal, b: SignedTropVal) -> SignedTropVal:
@@ -170,7 +177,7 @@ def rt_pow(a: SignedTropVal, d: int) -> SignedTropVal:
     return SignedTropVal(sign, a.val * d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A single-valued hyperfield sum."""
 
@@ -180,7 +187,7 @@ class Point:
         return f"Point{self.value!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Balanced:
     """The interval [-e**(-val), e**(-val)]: all points of valuation >= val, and zero."""
 
@@ -318,7 +325,7 @@ def hv_relation(h: HyperValue, rel: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValPoint:
     """A single magnitude, as a valuation in Q ∪ {+inf}."""
 
@@ -331,7 +338,7 @@ class ValPoint:
         return f"val({self.val})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValUpSet:
     """All magnitudes of valuation >= low, including zero (val = +inf)."""
 

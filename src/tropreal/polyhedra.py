@@ -63,13 +63,13 @@ from .errors import (
     NotClosedInput,
     ShapeMismatch,
 )
-from .hyperfields import SignedTropVal, normalize_rel, stv
+from .hyperfields import RT_ZERO, SignedTropVal, normalize_rel, stv
 from .troppoly import TropPoint, TropPoly
 
 Row = tuple[tuple[int, ...], Fraction, bool]  # normal, offset, strict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineForm:
     """normal . x + offset, with integer normal and rational offset."""
 
@@ -89,7 +89,7 @@ class AffineForm:
         return AffineForm(tuple(-a for a in self.normal), -self.offset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     """form(x) <= 0, or form(x) < 0 when strict."""
 
@@ -696,14 +696,21 @@ def all_orthants(n: int) -> list[Orthant]:
 
 
 def embed_point(sigma: Orthant, V: Sequence[Fraction]) -> TropPoint:
-    """The tropical point with signs sigma and the given support valuations."""
-    support = orthant_support(sigma)
-    if len(V) != len(support):
+    """The tropical point with signs sigma and the given support valuations.
+
+    The point shares the ``Fraction`` objects of V; any other valuation
+    goes through ``Fraction``.  Zero coordinates are ``RT_ZERO``.
+    """
+    if len(V) != sum(1 for s in sigma if s != 0):
         raise DimensionMismatch("valuation vector does not match orthant support")
     coords: list[SignedTropVal] = []
     it = iter(V)
     for s in sigma:
-        coords.append(stv(s, Fraction(next(it))) if s != 0 else stv(0, "inf"))
+        if s == 0:
+            coords.append(RT_ZERO)
+        else:
+            v = next(it)
+            coords.append(SignedTropVal(s, v if type(v) is Fraction else Fraction(v)))
     return tuple(coords)
 
 

@@ -51,7 +51,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 from .errors import PuiseuxDivisionError
-from .hyperfields import INF, SignedTropVal, Val, stv
+from .hyperfields import INF, RT_ZERO, SignedTropVal, Val
 
 _RatLike = Union[int, str, Fraction]
 
@@ -60,7 +60,7 @@ def _frac(x: _RatLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PuiseuxSeries:
     """A finite formal sum of c * t**e terms in normal form."""
 
@@ -116,9 +116,9 @@ class PuiseuxSeries:
     def signed_trop(self) -> SignedTropVal:
         """The signed value: (sign of leading coefficient, leading exponent)."""
         if not self.terms:
-            return stv(0, INF)
+            return RT_ZERO
         e, c = self.terms[0]
-        return stv(1 if c > 0 else -1, e)
+        return SignedTropVal(1 if c > 0 else -1, e)
 
     def exponent_denominator(self) -> int:
         """Least common denominator of all exponents (1 for the zero series)."""

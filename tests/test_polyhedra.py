@@ -6,6 +6,7 @@ import hashlib
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,6 +332,93 @@ def test_subtraction_agrees_with_the_disjoint_split():
         answers.append(empty)
     # both answers are common, so neither side is checked vacuously
     assert 60 < sum(answers) < 240
+
+
+def _cell_points(rows, dim):
+    """One rational point in every cell of the arrangement of the rows' hyperplanes.
+
+    Membership in a union of the rows' pieces is constant on each cell, so
+    these points decide inclusion between such unions.  In dimension 1 they
+    are the breakpoints, the midpoints between them and a point beyond each
+    end.  In dimension 2 they are the vertices, one point inside each edge,
+    and one point on each side of each edge, closer to it than to any other
+    line; every region borders an edge, or the plane has no line at all.
+    """
+    lines = set()
+    for normal, cn, cd, _ in rows:
+        # one key per hyperplane: the primitive normal whose first nonzero entry is positive
+        g = gcd(*normal) * (1 if next(a for a in normal if a) > 0 else -1)
+        lines.add((tuple(a // g for a in normal), Fraction(cn, cd) / g))
+    if dim == 1:
+        cuts = sorted({-c / a for (a,), c in lines})
+        if not cuts:
+            return [(F2(0),)]
+        pts = cuts + [(x + y) / 2 for x, y in zip(cuts, cuts[1:])] + [cuts[0] - 1, cuts[-1] + 1]
+        return [(x,) for x in pts]
+    lines = list(lines)
+    if not lines:
+        return [(F2(0), F2(0))]
+    points = []
+    for (a, b), c in lines:
+        base = (F2(0), -c / b) if b else (-c / a, F2(0))
+        d = (-b, a)
+        ts = sorted({
+            -(m0 * base[0] + m1 * base[1] + mc) / (m0 * d[0] + m1 * d[1])
+            for (m0, m1), mc in lines
+            if m0 * d[0] + m1 * d[1]
+        })
+        edge_ts = [F2(0)] if not ts else (
+            [(s + t) / 2 for s, t in zip(ts, ts[1:])] + [ts[0] - 1, ts[-1] + 1])
+        points += [(base[0] + t * d[0], base[1] + t * d[1]) for t in ts]
+        for t in edge_ts:
+            e = (base[0] + t * d[0], base[1] + t * d[1])
+            # M(e ± δ(a, b)) = M(e) ± δ(m·(a, b)) keeps the sign of M(e) for every other line M
+            delta = min(
+                (abs(m0 * e[0] + m1 * e[1] + mc) / (2 * (abs(m0 * a + m1 * b) + 1))
+                 for (m0, m1), mc in lines if ((m0, m1), mc) != ((a, b), c)),
+                default=F2(1),
+            )
+            points += [e, (e[0] + delta * a, e[1] + delta * b), (e[0] - delta * a, e[1] - delta * b)]
+    return points
+
+
+def _random_union_pair(rng):
+    """Unions A and B in dimension 1 or 2; B often covers some pieces of A."""
+    dim = rng.randint(1, 2)
+
+    def piece():
+        return Polyhedron(dim, tuple(_random_constraint(rng, dim) for _ in range(rng.randint(1, 3))))
+
+    A = [piece() for _ in range(rng.randint(1, 3))]
+    B = [piece() for _ in range(rng.randint(0, 2))]
+    for p in A:
+        kind = rng.choice(["closure", "split", "none"])
+        if kind == "closure":
+            B.append(p.closure())
+        elif kind == "split":
+            # two sides of a hyperplane, which cover p unless both drop it
+            c = _random_constraint(rng, dim)
+            other = c.negated() if rng.random() < 0.5 else Constraint(c.form.negated(), c.strict)
+            B += [p.intersect(Polyhedron(dim, (c,))), p.intersect(Polyhedron(dim, (other,)))]
+    rng.shuffle(B)
+    return PolyUnion(dim, tuple(A)), PolyUnion(dim, tuple(B))
+
+
+def test_union_subset_agrees_with_the_arrangement_cells():
+    rng = random.Random(7)
+    answers = []
+    for _ in range(200):
+        A, B = _random_union_pair(rng)
+        rows = [r for p in A.pieces + B.pieces for r in p._int_rows]
+        brute = all(
+            any(q.contains(x) for q in B.pieces)
+            for x in _cell_points(rows, A.dim)
+            if any(p.contains(x) for p in A.pieces)
+        )
+        assert union_subset(A, B) == brute, (A, B)
+        answers.append(brute)
+    # both answers are common, so neither side is checked vacuously
+    assert 40 < sum(answers) < 160
 
 
 def test_open_poly_to_trop_examples():
