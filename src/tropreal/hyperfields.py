@@ -58,6 +58,10 @@ class _PlusInfinity:
             cls._instance = super().__new__(cls)
         return cls._instance
 
+    def __reduce__(self) -> str:
+        # pickled and copied by name, so every protocol gives back INF itself
+        return "INF"
+
     def __repr__(self) -> str:
         return "inf"
 

@@ -163,15 +163,14 @@ def _terms(d: Any, path: str) -> list:
     return _objects(_object(d, path)["terms"], _at(path, "terms"))
 
 
-def _nvars(d: dict, path: str) -> int:
-    """The ``nvars`` field of the object d at ``path``: an integer within MAX_VARS."""
-    nvars = d["nvars"]
-    if type(nvars) is not int or not 0 <= nvars <= MAX_VARS:
-        got = nvars if type(nvars) is int else _JSON_KIND.get(type(nvars))
-        raise ParseError(
-            f"{_at(path, 'nvars')}: expected an integer from 0 to {MAX_VARS}, got {got}"
-        )
-    return nvars
+def _width(d: dict, key: str, path: str) -> int:
+    """The field ``key`` (``nvars`` or ``dim``) of the object d at ``path``:
+    an integer within MAX_VARS."""
+    n = d[key]
+    if type(n) is not int or not 0 <= n <= MAX_VARS:
+        got = n if type(n) is int else _JSON_KIND.get(type(n))
+        raise ParseError(f"{_at(path, key)}: expected an integer from 0 to {MAX_VARS}, got {got}")
+    return n
 
 
 def _exps(t: dict, nvars: int, where: str) -> tuple[int, ...]:
@@ -203,7 +202,7 @@ def polyk_to_json(f: PolyK) -> dict:
 def polyk_from_json(d: dict, path: str = "") -> PolyK:
     """A PolyK from JSON; ``path`` locates d in its file for error messages."""
     terms = _terms(d, path)
-    nvars = _nvars(d, path)
+    nvars = _width(d, "nvars", path)
     pairs = []
     for i, t in enumerate(terms):
         where = f"{_at(path, 'terms')}[{i}]"
@@ -222,7 +221,7 @@ def troppoly_to_json(F: TropPoly) -> dict:
 
 def troppoly_from_json(d: dict, path: str = "") -> TropPoly:
     terms = _terms(d, path)
-    nvars = _nvars(d, path)
+    nvars = _width(d, "nvars", path)
     where = _at(path, "terms")
     return TropPoly.from_terms(
         nvars,
@@ -265,10 +264,7 @@ def _constraint(c: dict, dim: int, where: str) -> Constraint:
 
 def polyhedron_from_json(d: dict, path: str = "") -> Polyhedron:
     """A Polyhedron from JSON; ``path`` locates d in its file for error messages."""
-    dim = _object(d, path)["dim"]
-    if type(dim) is not int or dim < 0:
-        got = dim if type(dim) is int else _JSON_KIND.get(type(dim))
-        raise ParseError(f"{_at(path, 'dim')}: expected a nonnegative integer, got {got}")
+    dim = _width(_object(d, path), "dim", path)
     where = _at(path, "constraints")
     return Polyhedron(dim, tuple(
         _constraint(c, dim, f"{where}[{i}]") for i, c in enumerate(_objects(d["constraints"], where))
@@ -339,7 +335,7 @@ def _rel(c: dict, where: str) -> str:
 
 
 def description_from_json(d: dict) -> SADescription:
-    nvars = _nvars(_object(d, ""), "")
+    nvars = _width(_object(d, ""), "nvars", "")
     disjuncts = d["disjuncts"]
     if not isinstance(disjuncts, list):
         got = _JSON_KIND.get(type(disjuncts))

@@ -23,9 +23,12 @@ polynomials:
 
 * ``trop_region`` turns a tropical polynomial, an orthant, and a relation
   against zero into the exact region of valuation vectors satisfying it,
-  assembled from dominance cells of the polynomial's terms.  The cells are
-  built as integer rows straight from the polynomial's integer valuation
-  kernel, and each piece keeps those rows instead of deriving them again;
+  assembled from dominance cells of the polynomial's terms.  The terms
+  that survive on the orthant and the integer rows of their pairwise
+  differences come from the polynomial's integer valuation kernel through
+  ``troppoly._orthant_table``, which relations asked in a row on one
+  orthant share; ``trop_region`` sets each row's strictness, and each
+  piece keeps those rows instead of deriving them again;
 * ``open_poly_to_trop`` goes the other way for open polyhedra, producing a
   polynomial that is positive exactly on the polyhedron.  Its input is
   read in log-magnitude coordinates X, where the tropical point with
@@ -64,7 +67,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .hyperfields import RT_ZERO, SignedTropVal, normalize_rel, stv
-from .troppoly import TropPoint, TropPoly
+from .troppoly import TropPoint, TropPoly, _orthant_table
 
 Row = tuple[tuple[int, ...], Fraction, bool]  # normal, offset, strict
 
@@ -319,13 +322,6 @@ def _eliminate_var(rows: list[IntRow], k: int) -> Optional[list[IntRow]]:
     return _normalize_rows(out)
 
 
-def _cost(rows: list[IntRow], k: int) -> int:
-    """Rows that eliminating x_k derives; -1 when x_k is bounded on one side only."""
-    ups = sum(1 for r in rows if r[0][k] > 0)
-    downs = sum(1 for r in rows if r[0][k] < 0)
-    return ups * downs if ups and downs else -1
-
-
 def _fm_core(
     rows: Iterable[IntRow],
     targets: Iterable[int],
@@ -334,21 +330,45 @@ def _fm_core(
     """Eliminate the target variables; None means the system is infeasible.
 
     Each step eliminates the cheapest target still present in some row,
-    ties going to the lowest index.  When ``stages`` is given, it receives
-    each eliminated variable with the system it was eliminated from.
+    ties going to the lowest index.  One pass over the rows counts, for
+    every remaining target, the rows bounding it from above and from below;
+    the cost is their product, the number of rows eliminating it derives,
+    or -1 when the target is bounded on one side only.  Such a target's
+    rows are dropped directly: the rest of a normalized system is
+    normalized already.  When ``stages`` is given, it receives each
+    eliminated variable with the system it was eliminated from.
     """
     cur = _normalize_rows(rows)
     remaining = sorted(targets)
     while cur is not None:
+        ups = [0] * len(remaining)
+        downs = [0] * len(remaining)
+        for normal, _, _, _ in cur:
+            for i, k in enumerate(remaining):
+                a = normal[k]
+                if a > 0:
+                    ups[i] += 1
+                elif a < 0:
+                    downs[i] += 1
+        best = best_cost = None
         # no step brings back a variable that is absent from every row
-        remaining = [k for k in remaining if any(r[0][k] for r in cur)]
-        if not remaining:
+        present = []
+        for k, u, d in zip(remaining, ups, downs):
+            if u or d:
+                present.append(k)
+                cost = u * d if u and d else -1
+                if best is None or cost < best_cost:
+                    best, best_cost = k, cost
+        if best is None:
             return cur
-        k = min(remaining, key=lambda j: _cost(cur, j))
-        remaining.remove(k)
+        remaining = present
+        remaining.remove(best)
         if stages is not None:
-            stages.append((k, cur))
-        cur = _eliminate_var(cur, k)
+            stages.append((best, cur))
+        if best_cost < 0:
+            cur = [r for r in cur if not r[0][best]]
+        else:
+            cur = _eliminate_var(cur, best)
     return None
 
 
@@ -739,39 +759,22 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     according to the signs of the dominating terms (mixed dominant signs
     balance, which counts as == 0, >= 0 and <= 0).
 
-    The terms are read from the integer valuation kernel of F, so every
-    cell is built as integer rows: the difference L_i - L_j is the row
-    (exps_i - exps_j, (v_i - v_j) / g, D / g), where the v are valuation
-    numerators over the kernel's common denominator D and g is the gcd of
-    v_i - v_j and D.  Terms whose coefficient is zero never count, as in
-    ``trop_eval``.
+    The surviving terms' signs on the orthant and their differences
+    L_i - L_j, as integer rows, come from F's integer valuation kernel
+    through ``troppoly._orthant_table``, which builds a term's rows the
+    first time a relation needs them and keeps the last orthant's table,
+    so relations asked in a row on one orthant share it.  This function
+    only sets each row's strictness and assembles the cells.  Terms whose
+    coefficient is zero never count, as in ``trop_eval``.
     """
     rel = normalize_rel(rel)
     if len(sigma) != F.nvars:
         raise DimensionMismatch("orthant length does not match polynomial")
-    support = orthant_support(sigma)
-    m = len(support)
-    place = {k: i for i, k in enumerate(support)}
-
-    # surviving terms: sign on the orthant, support exponents, valuation numerator
-    signs: list[int] = []
-    exps: list[tuple[int, ...]] = []
-    vals: list[int] = []
+    m = len(orthant_support(sigma))
     kernel = F._val_kernel
     kernel.check_defined(sigma)
-    for pairs, sign, v in kernel.terms:
-        e = [0] * m
-        for k, d in pairs:
-            s = sigma[k]
-            if not s:
-                break  # a positive power of a zero coordinate kills the term
-            e[place[k]] = d
-            if s < 0 and d & 1:
-                sign = -sign
-        else:
-            signs.append(sign)
-            exps.append(tuple(e))
-            vals.append(v)
+    table = _orthant_table(kernel, tuple(sigma))
+    signs = table.signs
 
     if not signs:
         # the polynomial evaluates to zero on this orthant
@@ -779,25 +782,22 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
             return whole_space_union(m)
         return empty_union(m)
 
-    den = kernel.den
     # a dominance row is strict exactly against a term of the opposite sign
     # for gt, lt and ne, and never for ge, le and eq
     mixed_strict = rel in ("gt", "lt", "ne")
 
-    def row(i: int, j: int) -> IntRow:
-        """L_i - L_j <= 0, or < 0."""
-        dv = vals[i] - vals[j]
-        g = gcd(dv, den)
-        normal = tuple(a - b for a, b in zip(exps[i], exps[j]))
-        return (normal, dv // g, den // g, mixed_strict and signs[i] != signs[j])
-
     def dominance(i: int) -> list[IntRow]:
-        return [row(i, j) for j in range(len(signs)) if j != i]
+        """L_i - L_j <= 0, or < 0, for every other term j."""
+        si = signs[i]
+        return [
+            (*d, mixed_strict and sj != si)
+            for d, sj in zip(table.rows(i), signs)
+            if d is not None
+        ]
 
     pos = [i for i, s in enumerate(signs) if s > 0]
     neg = [i for i, s in enumerate(signs) if s < 0]
 
-    # each ordered pair's row is built at most once per call
     cells: list[list[IntRow]] = []
     if rel in ("ge", "gt", "ne"):
         cells += [dominance(i) for i in pos]
@@ -806,7 +806,7 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     if rel == "eq":
         for i in pos if neg else ():
             base = dominance(i)
-            cells += [base + [row(j, i)] for j in neg]
+            cells += [base + [(*table.rows(j)[i], False)] for j in neg]
     return union_of(m, (_from_rows(m, rows) for rows in cells))
 
 

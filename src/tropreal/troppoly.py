@@ -57,15 +57,21 @@ Everything is immutable; evaluation over shared polynomials is safe from
 concurrent contexts.  The integer forms of trop(f) and of g are cached
 on each :class:`PolyK` the first time a sign (and, for g, a balanced sign)
 is asked for, and that of a tropical polynomial on each :class:`TropPoly`
-the first time it is evaluated.
+the first time it is evaluated.  What a kernel restricts to on one orthant
+(the signs of its surviving terms, and the difference rows from which
+``polyhedra.trop_region`` assembles dominance cells) is not stored on the
+polynomial: ``_orthant_table`` keeps the last one asked for, so that
+several relations asked in a row on one orthant share it.  Its rows are
+built term by term as a relation first needs them; two threads that
+build the same term's rows build equal ones, so the race is harmless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, NegativeExponentAtZero
@@ -84,6 +90,7 @@ from .puiseux import PS_ONE, PuiseuxSeries
 
 Exps = tuple[int, ...]
 TropPoint = tuple[SignedTropVal, ...]
+DiffRow = tuple[Exps, int, int]  # normal, offset numerator, offset denominator
 
 
 @dataclass(frozen=True)
@@ -361,7 +368,9 @@ class _ValKernel(NamedTuple):
     def score_at(self, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
         """Score the terms at p in integers.
 
-        Each coordinate's sign and valuation are read in one pass.  Returns
+        Each coordinate's sign and valuation are read in one pass, the
+        valuations as numerators over a running common denominator that
+        widens when a new denominator does not divide it.  Returns
         the minimal score, its sign, whether opposite signs tie there, and
         D', the least common denominator of the valuations of the nonzero
         coordinates.  The minimal score over ``den * D'`` is the valuation
@@ -369,20 +378,23 @@ class _ValKernel(NamedTuple):
         NegativeExponentAtZero where the polynomial is undefined at p.
         """
         signs = []
-        nums = []
-        dens = []
+        xs = []
+        dp = 1
         for c in p:
             s = c.sign
             signs.append(s)
             if s:
-                v = c.val
-                nums.append(v.numerator)
-                dens.append(v.denominator)
+                n, d = c.val.as_integer_ratio()
+                if dp % d:
+                    # widen the running denominator and rescale what was read
+                    f = d // gcd(dp, d)
+                    xs = [x * f for x in xs]
+                    dp *= f
+                xs.append(n * (dp // d))
             else:
-                nums.append(0)
-                dens.append(1)
+                xs.append(0)
         self.check_defined(signs)
-        return self._score_scaled(signs, nums, dens)
+        return self._score(signs, xs, dp)
 
     def score_leading(
         self, p: Sequence[PuiseuxSeries]
@@ -415,6 +427,77 @@ class _ValKernel(NamedTuple):
             return HV_ZERO
         val = Fraction(best, self.den * dp)
         return Balanced(val) if balanced else Point(SignedTropVal(sign, val))
+
+
+class _OrthantTable:
+    """The terms of a kernel that survive on one orthant, and their dominance
+    rows, built for each term the first time they are asked for.
+
+    Term i survives unless it has a positive power of a coordinate the
+    orthant sets to zero.  ``signs[i]`` is its sign on the orthant, flipped
+    once per odd power of a negative coordinate.  Its affine value is
+    L_i(V) = e_i . V + v_i / D on the support valuations V, with e_i its
+    support exponents, v_i its valuation numerator and D the kernel's common
+    denominator.  The kernel must be defined on the orthant.
+    """
+
+    __slots__ = ("signs", "_exps", "_vals", "_den", "_rows")
+
+    def __init__(self, kernel: _ValKernel, sigma: tuple[int, ...]) -> None:
+        place = {}
+        for k, s in enumerate(sigma):
+            if s:
+                place[k] = len(place)
+        m = len(place)
+        signs: list[int] = []
+        exps: list[Exps] = []
+        vals: list[int] = []
+        for pairs, sign, v in kernel.terms:
+            e = [0] * m
+            for k, d in pairs:
+                s = sigma[k]
+                if not s:
+                    break  # a positive power of a zero coordinate kills the term
+                e[place[k]] = d
+                if s < 0 and d & 1:
+                    sign = -sign
+            else:
+                signs.append(sign)
+                exps.append(tuple(e))
+                vals.append(v)
+        self.signs = tuple(signs)
+        self._exps = exps
+        self._vals = vals
+        self._den = kernel.den
+        self._rows: list[Optional[tuple[Optional[DiffRow], ...]]] = [None] * len(signs)
+
+    def rows(self, i: int) -> tuple[Optional[DiffRow], ...]:
+        """L_i - L_j for every surviving term j, None at j == i.
+
+        The row is (e_i - e_j, (v_i - v_j) / g, D / g), with g the gcd of
+        v_i - v_j and D, so the offset is in lowest terms.
+        """
+        out = self._rows[i]
+        if out is None:
+            ei, vi, den = self._exps[i], self._vals[i], self._den
+            built: list[Optional[DiffRow]] = []
+            for j, (ej, vj) in enumerate(zip(self._exps, self._vals)):
+                if j == i:
+                    built.append(None)
+                    continue
+                dv = vi - vj
+                g = gcd(dv, den)
+                built.append((tuple([a - b for a, b in zip(ei, ej)]), dv // g, den // g))
+            out = self._rows[i] = tuple(built)
+        return out
+
+
+# Only callers that ask several relations in a row on one orthant hit this
+# memo, so it holds one table: the last one asked for.
+@lru_cache(maxsize=1)
+def _orthant_table(kernel: _ValKernel, sigma: tuple[int, ...]) -> _OrthantTable:
+    """The table of ``kernel`` on the orthant ``sigma``."""
+    return _OrthantTable(kernel, sigma)
 
 
 def _check_point(F: TropPoly, p: TropPoint) -> None:

@@ -407,6 +407,7 @@ def _halfspace(normal=(1, 0), offset="0", strict=False):
     pytest.param([{"dim": 2, "constraints": 5}], "[0].constraints", id="constraints-integer"),
     pytest.param([{"dim": "a", "constraints": []}], "[0].dim", id="dim-string"),
     pytest.param([{"dim": -1, "constraints": []}], "[0].dim", id="dim-negative"),
+    pytest.param([{"dim": 65, "constraints": []}], "[0].dim", id="dim-beyond-the-variable-limit"),
     pytest.param([{"dim": 3, "constraints": []}], "[0].dim", id="dim-not-the-orthant"),
     pytest.param([{"dim": 2, "constraints": [5]}], "[0].constraints[0]", id="constraint-integer"),
     pytest.param([{"dim": 2, "constraints": [_halfspace(), _halfspace(normal=(1,))]}],
@@ -711,6 +712,7 @@ _COMMANDS = {
 }
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([0.5, -1.0, 1e300]),
+    st.sampled_from([65, 2**70]),  # beyond MAX_VARS, as nvars or dim
     st.text(max_size=3), st.just([]), st.just({}),
 )
 

@@ -8,13 +8,20 @@ right-hand side except t <= 1, so the origin is feasible and the all-slack
 basis starts the simplex without an auxiliary phase.
 """
 
+import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from tropreal import polyhedra
 from tropreal.polyhedra import (
     Polyhedron,
+    _eliminate_var,
+    _fm_core,
+    _normalize_rows,
     _rows_empty,
+    _solve_feasible,
     constraint,
     feasible_point,
     poly_dim,
@@ -169,3 +176,69 @@ def test_repeated_calls_on_equal_rows_agree_with_oracle(P):
     hits = _rows_empty.cache_info().hits
     assert [poly_is_empty(P), poly_is_empty(twin), poly_is_empty(P)] == [expected] * 3
     assert _rows_empty.cache_info().hits >= hits + 2
+
+
+# -- the elimination order of _fm_core ----------------------------------------
+
+
+def _reference_cost(rows, k):
+    ups = sum(1 for r in rows if r[0][k] > 0)
+    downs = sum(1 for r in rows if r[0][k] < 0)
+    return ups * downs if ups and downs else -1
+
+
+def reference_fm_core(rows, targets, stages=None):
+    """The elimination loop as first written: one scan of the rows per
+    candidate target, and ``_eliminate_var`` also for a one-sided target."""
+    cur = _normalize_rows(rows)
+    remaining = sorted(targets)
+    while cur is not None:
+        remaining = [k for k in remaining if any(r[0][k] for r in cur)]
+        if not remaining:
+            return cur
+        k = min(remaining, key=lambda j: _reference_cost(cur, j))
+        remaining.remove(k)
+        if stages is not None:
+            stages.append((k, cur))
+        cur = _eliminate_var(cur, k)
+    return None
+
+
+def _random_rows(rng, dim):
+    """Integer rows: strict and non-strict, equality pairs, zero normals."""
+    rows = []
+    for _ in range(rng.randint(0, 7)):
+        normal = tuple(rng.randint(-2, 2) for _ in range(dim))
+        if rng.random() < 0.1:
+            normal = (0,) * dim
+        cn, cd = rng.randint(-4, 4), rng.randint(1, 3)
+        kind = rng.choice(["<=", "<", "=="])
+        rows.append((normal, cn, cd, kind == "<"))
+        if kind == "==":
+            rows.append((tuple(-a for a in normal), -cn, cd, False))
+    return rows
+
+
+def test_elimination_order_matches_the_reference_loop():
+    rng = random.Random(2024)
+    one_sided = ties = 0
+    for _ in range(2000):
+        dim = rng.randint(1, 4)
+        rows = _random_rows(rng, dim)
+        targets = rng.sample(range(dim), rng.randint(0, dim))
+        got_stages, want_stages = [], []
+        got = _fm_core(rows, targets, got_stages)
+        assert got == reference_fm_core(rows, targets, want_stages), (rows, targets)
+        assert got_stages == want_stages, (rows, targets)
+        with mock.patch.object(polyhedra, "_fm_core", reference_fm_core):
+            want_point = _solve_feasible(rows, dim)
+        assert _solve_feasible(rows, dim) == want_point, rows
+        done = set()
+        for k, system in want_stages:
+            live = [j for j in targets if j not in done and any(r[0][j] for r in system)]
+            costs = [_reference_cost(system, j) for j in live]
+            one_sided += _reference_cost(system, k) < 0
+            ties += costs.count(_reference_cost(system, k)) > 1
+            done.add(k)
+    # both the one-sided drop and the tie rule are exercised
+    assert one_sided > 300 and ties > 200

@@ -75,3 +75,11 @@ def test_nvars_must_be_an_integer_within_the_variable_limit(decode, nvars):
     with pytest.raises(ParseError, match=r"^f\.nvars: expected an integer from 0 to 64"):
         decode({"nvars": nvars, "terms": []}, "f")
     assert decode({"nvars": 64, "terms": []}, "f").nvars == 64
+
+
+@pytest.mark.parametrize("dim, got", [(65, "65"), (2**70, str(2**70)), (-1, "-1"), ("2", "a string")])
+def test_dim_must_be_an_integer_within_the_variable_limit(dim, got):
+    with pytest.raises(ParseError) as err:
+        iojson.polyhedron_from_json({"dim": dim, "constraints": []}, "T[0]")
+    assert str(err.value) == f"T[0].dim: expected an integer from 0 to 64, got {got}"
+    assert iojson.polyhedron_from_json({"dim": 64, "constraints": []}).dim == 64

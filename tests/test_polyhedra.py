@@ -19,12 +19,13 @@ from tropreal.errors import (
     NotClosedInput,
     ShapeMismatch,
 )
-from tropreal.hyperfields import RELATIONS, stv
+from tropreal.hyperfields import RELATIONS, normalize_rel, stv
 from tropreal.polyhedra import (
     AffineForm,
     Constraint,
     PolyUnion,
     Polyhedron,
+    _from_rows,
     all_orthants,
     complement_of_union,
     constraint,
@@ -49,7 +50,7 @@ from tropreal.polyhedra import (
     whole_space,
     whole_space_union,
 )
-from tropreal.troppoly import TropPoly, trop_sat
+from tropreal.troppoly import TropPoly, _orthant_table, trop_sat
 
 F2 = Fraction
 
@@ -587,6 +588,124 @@ def test_trop_region_ignores_zero_coefficients():
             trop_region(G, sigma, "ge")
         with pytest.raises(NegativeExponentAtZero):
             trop_sat(G, embed_point(sigma, (F2(1),) * (2 - sigma.count(0))), "ge")
+
+
+def _reference_trop_region(F, sigma, rel):
+    """``trop_region`` as first written: the surviving terms and every
+    dominance row derived again on each call."""
+    rel = normalize_rel(rel)
+    support = orthant_support(sigma)
+    m = len(support)
+    place = {k: i for i, k in enumerate(support)}
+    signs, exps, vals = [], [], []
+    kernel = F._val_kernel
+    kernel.check_defined(sigma)
+    for pairs, sign, v in kernel.terms:
+        e = [0] * m
+        for k, d in pairs:
+            s = sigma[k]
+            if not s:
+                break
+            e[place[k]] = d
+            if s < 0 and d & 1:
+                sign = -sign
+        else:
+            signs.append(sign)
+            exps.append(tuple(e))
+            vals.append(v)
+    if not signs:
+        return whole_space_union(m) if rel in ("eq", "ge", "le") else empty_union(m)
+    den = kernel.den
+    mixed_strict = rel in ("gt", "lt", "ne")
+
+    def row(i, j):
+        dv = vals[i] - vals[j]
+        g = gcd(dv, den)
+        normal = tuple(a - b for a, b in zip(exps[i], exps[j]))
+        return (normal, dv // g, den // g, mixed_strict and signs[i] != signs[j])
+
+    def dominance(i):
+        return [row(i, j) for j in range(len(signs)) if j != i]
+
+    pos = [i for i, s in enumerate(signs) if s > 0]
+    neg = [i for i, s in enumerate(signs) if s < 0]
+    cells = []
+    if rel in ("ge", "gt", "ne"):
+        cells += [dominance(i) for i in pos]
+    if rel in ("le", "lt", "ne"):
+        cells += [dominance(i) for i in neg]
+    if rel == "eq":
+        for i in pos if neg else ():
+            base = dominance(i)
+            cells += [base + [row(j, i)] for j in neg]
+    return union_of(m, (_from_rows(m, rows) for rows in cells))
+
+
+def _piece_rows(F, sigma, rel, region_of):
+    """The rows of each piece of the region in order, or the error raised."""
+    try:
+        return [P._int_rows for P in region_of(F, sigma, rel).pieces]
+    except NegativeExponentAtZero as err:
+        return type(err)
+
+
+def test_trop_region_matches_the_per_call_construction():
+    rng = random.Random(2718)
+    raised = 0
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        F = _random_troppoly(rng, nvars, laurent=rng.random() < 0.5)
+        for sigma in all_orthants(nvars):
+            for rel in RELATIONS:
+                want = _piece_rows(F, sigma, rel, _reference_trop_region)
+                assert _piece_rows(F, sigma, rel, trop_region) == want, (F, sigma, rel)
+                raised += want is NegativeExponentAtZero
+            # a list orthant, and the table built afresh
+            want = _piece_rows(F, sigma, "eq", _reference_trop_region)
+            assert _piece_rows(F, list(sigma), "eq", trop_region) == want
+            _orthant_table.cache_clear()
+            assert _piece_rows(F, sigma, "eq", trop_region) == want
+    assert raised > 100
+
+
+def test_orthant_memo_is_bounded_and_eviction_keeps_answers():
+    assert 0 < _orthant_table.cache_info().maxsize <= 256
+    rng = random.Random(5)
+    F = _random_troppoly(rng, 3, laurent=True)
+    sigma = (1, -1, 1)
+    first = _piece_rows(F, sigma, "eq", trop_region)
+    # other polynomials' tables push F's out of the memo
+    for _ in range(_orthant_table.cache_info().maxsize + 1):
+        trop_region(_random_troppoly(rng, 3), sigma, "ge")
+    hits = _orthant_table.cache_info().hits
+    assert _piece_rows(F, sigma, "eq", trop_region) == first
+    assert _orthant_table.cache_info().hits == hits
+    assert first == _piece_rows(F, sigma, "eq", _reference_trop_region)
+
+
+def test_relations_in_a_row_share_one_table_built_as_needed():
+    F = TropPoly.from_terms(3, [
+        ((1, 0, 0), stv(1, 0)), ((0, 1, 0), stv(-1, 1)),
+        ((0, 0, 1), stv(1, F2(1, 2))), ((1, 1, 0), stv(1, 2)),
+    ])
+    sigma = (1, 1, -1)  # z's odd power turns its term negative
+    _orthant_table.cache_clear()
+    trop_region(F, sigma, "ge")
+    table = _orthant_table(F._val_kernel, sigma)
+    signs = table.signs
+    assert signs == (-1, -1, 1, 1)  # terms in exponent order
+    # ge needs the rows of the positive terms only
+    built = [rows is not None for rows in table._rows]
+    assert built == [s > 0 for s in signs]
+    for rel in RELATIONS:
+        trop_region(F, sigma, rel)
+    info = _orthant_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1 + len(RELATIONS))
+    assert all(rows is not None for rows in table._rows)
+    # the next orthant replaces the table
+    trop_region(F, (1, 1, 1), "ge")
+    assert _orthant_table.cache_info().misses == 2
+    assert _orthant_table(F._val_kernel, sigma) is not table
 
 
 def _rederived_rows(P):

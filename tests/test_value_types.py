@@ -18,6 +18,7 @@ from tropreal.hyperfields import (
     ValPoint,
     ValUpSet,
     stv,
+    val_add,
 )
 from tropreal.polyhedra import AffineForm, Constraint, embed_point
 from tropreal.puiseux import PuiseuxSeries
@@ -64,8 +65,16 @@ def test_copies_of_a_slotted_value_equal_it(value):
 
 
 def test_copies_keep_the_inf_singleton():
-    for c in (pickle.loads(pickle.dumps(RT_ZERO)), copy.deepcopy(RT_ZERO)):
+    # protocols 0 and 1 rebuild objects without calling __new__, so the
+    # singleton must be pickled by name
+    copies = [pickle.loads(pickle.dumps(RT_ZERO, protocol)) for protocol in range(6)]
+    copies += [copy.copy(RT_ZERO), copy.deepcopy(RT_ZERO)]
+    for c in copies:
         assert c.val is INF
+        assert val_add(c.val, Fraction(1)) is INF and val_add(Fraction(1), c.val) is INF
+    for protocol in range(6):
+        assert pickle.loads(pickle.dumps(INF, protocol)) is INF
+    assert copy.copy(INF) is INF and copy.deepcopy(INF) is INF
 
 
 class _Half(Fraction):
