@@ -26,6 +26,7 @@ from .hyperfields import (
     Balanced,
     HV_ZERO,
     Point,
+    RELATIONS,
     RT_ZERO,
     hv_contains,
     hv_scale,
@@ -267,14 +268,13 @@ def check_morphism(seed: int, size: int = 10000) -> CheckOutcome:
 def check_region_coherence(seed: int, size: int = 1000) -> CheckOutcome:
     out = CheckOutcome("region-coherence", True)
     rng = random.Random(seed)
-    rels = ["eq", "ge", "gt", "le", "lt", "ne"]
     bad = 0
     for _ in range(size):
         nvars = rng.randint(1, 3)
         sigma = tuple(rng.choice([-1, 0, 1]) for _ in range(nvars))
         laurent = all(s != 0 for s in sigma)
         F = random_troppoly(rng, nvars, exp_lo=-2 if laurent else 0)
-        rel = rng.choice(rels)
+        rel = rng.choice(RELATIONS)
         region = trop_region(F, sigma, rel)
         m = len(orthant_support(sigma))
         for _ in range(5):

@@ -134,7 +134,7 @@ def _parse_window(text: str):
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
 
-    Its defaults are constants; the seed default is read from the
+    Its defaults are constants; ``main`` reads the seed default from the
     environment when a command runs, so sharing one parser is safe.
     """
     ap = argparse.ArgumentParser(
@@ -240,7 +240,7 @@ def _cmd_region(args) -> int:
 def _cmd_sample(args) -> int:
     _require_nonnegative(count=args.count)
     S = _load_description(args.input)
-    cfg = SamplerConfig(seed=args.seed if args.seed is not None else _default_seed())
+    cfg = SamplerConfig(seed=args.seed)
     cloud = sa_sample_trop(S, args.count, cfg)
     human = f"{len(cloud)} distinct tropical points from {args.count} attempts"
     _emit(args.out, iojson.dumps(iojson.cloud_to_json(cloud)), human)
@@ -251,8 +251,7 @@ def _cmd_witness(args) -> int:
     _require_nonnegative(budget=args.budget)
     S = _load_description(args.input)
     z = parse_target(args.target)
-    seed = args.seed if args.seed is not None else _default_seed()
-    cfg = SamplerConfig(seed=seed)
+    cfg = SamplerConfig(seed=args.seed)
     w = witness_search(S, z, args.budget, cfg)
     excluded = outer_excludes(S, z) if w is None else False
     payload = {
@@ -277,8 +276,7 @@ def _cmd_basis(args) -> int:
     sigma = parse_orthant(args.orthant) if args.orthant else tuple([1] * S.nvars)
     m = len(orthant_support(sigma))
     T = _decode(args.target_set, _read_text(args.target_set), iojson.union_from_json, m)
-    seed = args.seed if args.seed is not None else _default_seed()
-    cfg = SamplerConfig(seed=seed)
+    cfg = SamplerConfig(seed=args.seed)
     res = finite_basis(T, S, sigma, cfg, n_samples=args.count)
     payload = {
         "orthant": orthant_str(sigma),
@@ -300,8 +298,7 @@ def _cmd_lift(args) -> int:
     S = _load_description(args.input)
     F = _load_troppoly(args.trop)
     sigma = parse_orthant(args.orthant) if args.orthant else tuple([1] * S.nvars)
-    seed = args.seed if args.seed is not None else _default_seed()
-    cfg = SamplerConfig(seed=seed)
+    cfg = SamplerConfig(seed=args.seed)
     res = lift_inequality(
         F, S, sigma, cfg, n_samples=args.count, eps_budget=args.budget
     )
@@ -326,9 +323,8 @@ def _cmd_check(args) -> int:
     names = list(args.suites)
     if names == ["all"]:
         names = list(SUITE_NAMES)
-    seed = args.seed if args.seed is not None else _default_seed()
     report = run_suites(
-        names, seed, size=args.count, outdir=args.outdir, grid=args.grid
+        names, args.seed, size=args.count, outdir=args.outdir, grid=args.grid
     )
     if args.out is not None:
         if args.out == "-":
@@ -362,6 +358,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
+    if "seed" in vars(args) and args.seed is None:
+        args.seed = _default_seed()
     try:
         return _DISPATCH[args.command](args)
     except (TropRealError, OSError, ValueError, KeyError) as exc:

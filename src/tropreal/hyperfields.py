@@ -35,9 +35,13 @@ when it is balanced or a point of sign 0/+, and > 0 only when it is a
 positive point.  The relations <= 0 and < 0 mean >= 0 and > 0 of the
 negated value, and != 0 is the complement of == 0.  So a balanced
 interval satisfies exactly ==, >= and <=, and a point satisfies a
-relation according to its sign alone; ``outcome_relation`` reads both
-facts from one table, for ``hv_relation`` and for ``trop_sat``, which
-never builds the value.
+relation according to its sign alone.  ``SATISFIED_BY`` maps each
+relation to the outcomes that satisfy it (-1, 0, 1, and None for a
+balanced interval), and it is the single definition of that rule:
+``hv_relation`` and ``trop_sat`` read it through ``outcome_relation``,
+``SignCondition.holds_at`` and the sampler's candidate filter read it on
+exact signs, and ``trop_region`` reads its strictness and its cells from
+it.
 """
 
 from __future__ import annotations
@@ -300,7 +304,7 @@ def normalize_rel(rel: str) -> str:
 
 # the outcomes satisfying each relation: the sign of a point value, or None
 # for a balanced interval, which satisfies exactly eq, ge and le
-_SATISFIED_BY = {
+SATISFIED_BY = {
     "eq": frozenset({0, None}),
     "ge": frozenset({0, 1, None}),
     "gt": frozenset({1}),
@@ -316,7 +320,7 @@ def outcome_relation(outcome: Optional[int], rel: str) -> bool:
     The outcome is the sign of a point value, or None for a balanced
     interval.
     """
-    return outcome in _SATISFIED_BY[normalize_rel(rel)]
+    return outcome in SATISFIED_BY[normalize_rel(rel)]
 
 
 def hv_relation(h: HyperValue, rel: str) -> bool:

@@ -66,7 +66,7 @@ from .errors import (
     NotClosedInput,
     ShapeMismatch,
 )
-from .hyperfields import RT_ZERO, SignedTropVal, normalize_rel, stv
+from .hyperfields import RT_ZERO, SATISFIED_BY, SignedTropVal, normalize_rel, stv
 from .troppoly import TropPoint, TropPoly, _orthant_table
 
 Row = tuple[tuple[int, ...], Fraction, bool]  # normal, offset, strict
@@ -111,18 +111,18 @@ class Constraint:
 
 
 def constraint(normal: Sequence[int], offset, rel: str = "<=") -> Constraint:
-    """Constraint builder accepting <=, <, >=, > against zero."""
+    """Constraint builder for an inequality against zero.
+
+    ``rel`` is any spelling ``normalize_rel`` reads as le, lt, ge or gt;
+    an equation or a disequation is not a single constraint.
+    """
     form = AffineForm(tuple(normal), Fraction(offset))
-    rel = rel.strip()
-    if rel in ("<=", "le"):
-        return Constraint(form, False)
-    if rel in ("<", "lt"):
-        return Constraint(form, True)
-    if rel in (">=", "ge"):
-        return Constraint(form.negated(), False)
-    if rel in (">", "gt"):
-        return Constraint(form.negated(), True)
-    raise ValueError(f"unknown constraint relation {rel!r}")
+    rel = normalize_rel(rel)
+    if rel in ("eq", "ne"):
+        raise ValueError(f"not an inequality: {rel!r}")
+    if rel in ("ge", "gt"):
+        form = form.negated()
+    return Constraint(form, rel in ("lt", "gt"))
 
 
 def _scale_point(x: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -756,8 +756,9 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
 
     The region is assembled from dominance cells: term i dominates where its
     affine value L_i(V) = exps_i . V + val_i is minimal.  A relation holds
-    according to the signs of the dominating terms (mixed dominant signs
-    balance, which counts as == 0, >= 0 and <= 0).
+    where ``hyperfields.SATISFIED_BY`` accepts the sum: the sign of the
+    dominating terms, or balanced where dominating terms of both signs
+    tie.
 
     The surviving terms' signs on the orthant and their differences
     L_i - L_j, as integer rows, come from F's integer valuation kernel
@@ -767,7 +768,7 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     only sets each row's strictness and assembles the cells.  Terms whose
     coefficient is zero never count, as in ``trop_eval``.
     """
-    rel = normalize_rel(rel)
+    ok = SATISFIED_BY[normalize_rel(rel)]
     if len(sigma) != F.nvars:
         raise DimensionMismatch("orthant length does not match polynomial")
     m = len(orthant_support(sigma))
@@ -778,13 +779,11 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
 
     if not signs:
         # the polynomial evaluates to zero on this orthant
-        if rel in ("eq", "ge", "le"):
-            return whole_space_union(m)
-        return empty_union(m)
+        return whole_space_union(m) if 0 in ok else empty_union(m)
 
-    # a dominance row is strict exactly against a term of the opposite sign
-    # for gt, lt and ne, and never for ge, le and eq
-    mixed_strict = rel in ("gt", "lt", "ne")
+    # a dominance row against a term of the opposite sign is strict exactly
+    # when a balanced sum fails the relation
+    mixed_strict = None not in ok
 
     def dominance(i: int) -> list[IntRow]:
         """L_i - L_j <= 0, or < 0, for every other term j."""
@@ -799,11 +798,13 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     neg = [i for i, s in enumerate(signs) if s < 0]
 
     cells: list[list[IntRow]] = []
-    if rel in ("ge", "gt", "ne"):
+    if 1 in ok:
         cells += [dominance(i) for i in pos]
-    if rel in ("le", "lt", "ne"):
+    if -1 in ok:
         cells += [dominance(i) for i in neg]
-    if rel == "eq":
+    if None in ok and 1 not in ok and -1 not in ok:
+        # only a balanced sum satisfies the relation: the ties of a positive
+        # and a negative dominant term
         for i in pos if neg else ():
             base = dominance(i)
             cells += [base + [(*table.rows(j)[i], False)] for j in neg]
@@ -868,14 +869,8 @@ def open_poly_to_trop(P: Polyhedron) -> TropPoly:
 
 def valuation_piece_to_log(P: Polyhedron) -> Polyhedron:
     """Reinterpret a valuation-coordinate polyhedron in log coordinates X = -V."""
-    return Polyhedron(
-        P.dim,
-        tuple(
-            Constraint(
-                AffineForm(tuple(-a for a in c.form.normal), c.form.offset), c.strict
-            )
-            for c in P.constraints
-        ),
+    return _from_rows(
+        P.dim, [(tuple([-a for a in n]), cn, cd, strict) for n, cn, cd, strict in P._int_rows]
     )
 
 

@@ -184,7 +184,6 @@ def render_region_svg(
     conditions: Sequence[tuple[TropPoly, str]],
     cfg: RenderConfig,
     title: str = "",
-    overlay: bool = True,
 ) -> str:
     size = 560
     margin = 30
@@ -249,24 +248,23 @@ def render_region_svg(
             f'y2="{py(0):.2f}" stroke="{AXES}" stroke-width="1"/>'
         )
 
-    if overlay:
-        # thin pieces are invisible to the raster; draw them exactly
-        mins = min(abs(fx0), abs(fx1), abs(fy0), abs(fy1), du, dv) / 2 or du / 2
-        vmax = Fraction(-math.log(mins)).limit_denominator(10**6)
-        maxs = max(abs(fx0), abs(fx1), abs(fy0), abs(fy1))
-        vmin = Fraction(-math.log(maxs)).limit_denominator(10**6)
-        regions = conjunction_regions(conditions)
-        points, segments = thin_piece_geometry(regions, vmin, vmax)
-        for (ax, ay), (bx, by) in segments:
-            out.append(
-                f'<line x1="{px(ax):.2f}" y1="{py(ay):.2f}" x2="{px(bx):.2f}" '
-                f'y2="{py(by):.2f}" stroke="{OVERLAY}" stroke-width="2.5"/>'
-            )
-        for (ux, uy) in points:
-            out.append(
-                f'<circle cx="{px(ux):.2f}" cy="{py(uy):.2f}" r="3.5" '
-                f'fill="{OVERLAY}"/>'
-            )
+    # thin pieces are invisible to the raster; draw them exactly
+    mins = min(abs(fx0), abs(fx1), abs(fy0), abs(fy1), du, dv) / 2 or du / 2
+    vmax = Fraction(-math.log(mins)).limit_denominator(10**6)
+    maxs = max(abs(fx0), abs(fx1), abs(fy0), abs(fy1))
+    vmin = Fraction(-math.log(maxs)).limit_denominator(10**6)
+    regions = conjunction_regions(conditions)
+    points, segments = thin_piece_geometry(regions, vmin, vmax)
+    for (ax, ay), (bx, by) in segments:
+        out.append(
+            f'<line x1="{px(ax):.2f}" y1="{py(ay):.2f}" x2="{px(bx):.2f}" '
+            f'y2="{py(by):.2f}" stroke="{OVERLAY}" stroke-width="2.5"/>'
+        )
+    for (ux, uy) in points:
+        out.append(
+            f'<circle cx="{px(ux):.2f}" cy="{py(uy):.2f}" r="3.5" '
+            f'fill="{OVERLAY}"/>'
+        )
 
     out.append(
         f'<rect x="{margin}" y="{margin}" width="{inner}" height="{inner}" '

@@ -35,16 +35,16 @@ with complements of polyhedral unions yields a finite family of valid
 inequalities whose tropical regions intersect back to a given target set.
 
 The default sampler decides each candidate as far as it can before any
-series is built.  A candidate is drawn as integers (the same random words
-as :func:`sample_vector`), and every condition is scored at the leading
-signs and valuations of its coordinates: a condition whose dominant terms
-share a sign that its relation rejects, or that is undefined there, fails.
-A candidate with such a condition in every disjunct is dropped; the others
-are built and decided exactly by ``sa_member``, where ``laurent_sign``
-settles a balanced condition from its initial form, the sum of the
-dominant terms' leading coefficients, and only when that sum cancels from
-the full series.  Seeded output is the same as that of building and
-testing every candidate.
+series is built.  A candidate is drawn as integers (:func:`ps_draw`, the
+random words of :func:`ps_sample`), and every condition is scored at the
+leading signs and valuations of its coordinates: a condition whose
+dominant terms share a sign that its relation rejects, or that is
+undefined there, fails.  A candidate with such a condition in every
+disjunct is dropped; the others are built and decided exactly by
+``sa_member``, where ``laurent_sign`` settles a balanced condition from
+its initial form, the sum of the dominant terms' leading coefficients,
+and only when that sum cancels from the full series.  Seeded output is
+the same as that of building and testing every candidate.
 
 Sampling and search are embarrassingly parallel over seeds; all exact
 checks are pure.
@@ -65,7 +65,7 @@ from .errors import (
     PreconditionFailed,
     ShapeMismatch,
 )
-from .hyperfields import INF, SignedTropVal, normalize_rel
+from .hyperfields import INF, SATISFIED_BY, SignedTropVal, normalize_rel
 from .polyhedra import (
     Orthant,
     PolyUnion,
@@ -97,16 +97,6 @@ from .troppoly import (
     trop_sat,
 )
 
-_SIGN_TESTS = {
-    "gt": lambda s: s > 0,
-    "ge": lambda s: s >= 0,
-    "eq": lambda s: s == 0,
-    "le": lambda s: s <= 0,
-    "lt": lambda s: s < 0,
-    "ne": lambda s: s != 0,
-}
-
-
 @dataclass(frozen=True)
 class SignCondition:
     """poly rel 0 with rel one of >, >=, =, <=, <, != (canonical short names)."""
@@ -122,7 +112,7 @@ class SignCondition:
     def holds_at(self, p: Sequence[PuiseuxSeries]) -> bool:
         """Whether poly(p) rel 0; False where poly is undefined at p."""
         try:
-            return _SIGN_TESTS[self.rel](laurent_sign(self.poly, p))
+            return laurent_sign(self.poly, p) in SATISFIED_BY[self.rel]
         except NegativeExponentAtZero:
             return False
 
@@ -216,17 +206,7 @@ class SampleCloud:
         )
 
 
-_ZERO_PROB = 0.1  # the default share of exactly zero candidate coordinates
-
-
-def sample_vector(
-    rng: random.Random, cfg: SamplerConfig, nvars: int, zero_prob: float = _ZERO_PROB
-) -> tuple[PuiseuxSeries, ...]:
-    """A random Puiseux vector; coordinates are occasionally exactly zero."""
-    return tuple([
-        PS_ZERO if rng.random() < zero_prob else ps_build(ps_draw(cfg, rng))
-        for _ in range(nvars)
-    ])
+_ZERO_PROB = 0.1  # the share of exactly zero candidate coordinates
 
 
 def _candidates(
@@ -238,10 +218,12 @@ def _candidates(
 ) -> Iterator[tuple[PuiseuxSeries, ...]]:
     """The candidates among `budget` draws that may lie in S.
 
-    Every candidate of a proposal comes through.  Default candidates are
-    drawn coordinate by coordinate as :func:`sample_vector` draws them,
-    with the same random words, but as integers first (:func:`ps_draw`).
-    The leading terms then decide most of them: each condition is scored
+    Every candidate of a proposal comes through.  A default candidate is
+    drawn coordinate by coordinate: a coordinate is exactly zero with
+    probability ``_ZERO_PROB`` (one ``rng.random()`` word), and otherwise
+    a series drawn as integers first (:func:`ps_draw`, the random words of
+    :func:`ps_sample`).  This loop is the library's one draw path.  The
+    leading terms then decide most candidates: each condition is scored
     at the coordinates' leading signs and valuations by the integer loop of
     ``laurent_sign``, and a condition fails outright when a coordinate
     under a negative exponent is zero (it is undefined) or when its
@@ -259,10 +241,7 @@ def _candidates(
     draw = ps_draw
     uniform = rng.random
     plan = [
-        [
-            (cond.poly._lead_kernel, {s for s in (-1, 0, 1) if _SIGN_TESTS[cond.rel](s)})
-            for cond in disj
-        ]
+        [(cond.poly._lead_kernel, SATISFIED_BY[cond.rel]) for cond in disj]
         for disj in S.disjuncts
     ]
     for _ in range(budget):

@@ -211,24 +211,41 @@ def test_figures_command(tmp_path):
     pytest.param(["sample", "laurent-union", "--seed", "1", "--count", "2000"],
                  "3f911052ffd1173e436828b2cfbae8f785b17867b909a16d8a12c362381477e7",
                  id="sample-laurent-union"),
+    # 252 points; the description CI builds as laurent.json
+    pytest.param(["sample", "laurent-ne", "--seed", "2", "--count", "2000"],
+                 "01d3c94fb45e111e84405d13adb680dae8bfbb935f3dab2148ce74f7184e6713",
+                 id="sample-laurent-ne"),
 ])
 def test_seeded_sampler_output_is_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(_run_on_scenario(tmp_path, argv)).hexdigest() == digest
 
 
+def _cond(text, rel):
+    return SignCondition(parse_polyk(text, 2), rel)
+
+
 def _laurent_union():
     """Two disjuncts; the first has a condition undefined where y = 0."""
-    def cond(text, rel):
-        return SignCondition(parse_polyk(text, 2), rel)
-
     return SADescription(2, (
-        (cond("x*y^(-1) - 2", "gt"), cond("x + y - 3", "le")),
-        (cond("y - x^2", "ge"), cond("x - 1", "ne")),
+        (_cond("x*y^(-1) - 2", "gt"), _cond("x + y - 3", "le")),
+        (_cond("y - x^2", "ge"), _cond("x - 1", "ne")),
+    ))
+
+
+def _laurent_ne():
+    """A strict Laurent condition undefined where x = 0 beside a !=, or one <=.
+
+    The candidate filter's strict, != and undefined paths; the circle and
+    the cubic each have a single <= or >= condition and no negative exponent.
+    """
+    return SADescription(2, (
+        (_cond("x^(-1)*y - 1", "gt"), _cond("x - y", "ne")),
+        (_cond("x + y - 1", "le"),),
     ))
 
 
 # descriptions that are not scenarios, by name
-_DESCRIPTIONS = {"laurent-union": _laurent_union}
+_DESCRIPTIONS = {"laurent-union": _laurent_union, "laurent-ne": _laurent_ne}
 
 
 def _run_on_scenario(tmp_path, argv):

@@ -1,5 +1,6 @@
 """Arithmetic tables and axioms of the three hyperfields."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hypothesis import given, strategies as st
 from tropreal.hyperfields import (
     HV_ZERO,
     INF,
+    RELATIONS,
+    SATISFIED_BY,
     Balanced,
     Point,
     RT_ONE,
@@ -149,6 +152,34 @@ def test_relation_table_exhaustive():
                 assert hv_relation(value, f" {alias} ") is expected, (value, alias)
     # a balanced value satisfies exactly ==, >= and <=
     assert {r for r in _ALIASES if hv_relation(Balanced(Fraction(0)), r)} == {"eq", "ge", "le"}
+
+
+def _members(h):
+    """The members of h among zero and the points of sign +-1 at valuations
+    v - 1, v, v + 1 around h's valuation v (0 for the zero point)."""
+    v = h.val if isinstance(h, Balanced) else h.value.val
+    v = Fraction(0) if v is INF else v
+    pool = [RT_ZERO] + [stv(s, v + d) for s in (-1, 1) for d in (-1, 0, 1)]
+    return [x for x in pool if hv_contains(h, x)]
+
+
+_REAL_TESTS = {
+    "eq": lambda r: r == 0, "ge": lambda r: r >= 0, "le": lambda r: r <= 0,
+    "gt": lambda r: r > 0, "lt": lambda r: r < 0, "ne": lambda r: r != 0,
+}
+
+
+@given(st.one_of(hypervalues(), st.just(HV_ZERO)))
+def test_relation_table_matches_the_set_definition(h):
+    """A weak relation holds when some member satisfies it in the real order,
+    zero included; a strict one when every member does."""
+    assert set(SATISFIED_BY) == set(RELATIONS)
+    reals = [x.sign * math.exp(-x.val) if x.sign else 0.0 for x in _members(h)]
+    assert reals
+    for rel in RELATIONS:
+        holds = [_REAL_TESTS[rel](r) for r in reals]
+        expected = any(holds) if rel in ("eq", "ge", "le") else all(holds)
+        assert hv_relation(h, rel) is expected, (h, rel)
 
 
 @given(hypervalues(), hypervalues())

@@ -19,7 +19,7 @@ from tropreal.errors import (
     NotClosedInput,
     ShapeMismatch,
 )
-from tropreal.hyperfields import RELATIONS, normalize_rel, stv
+from tropreal.hyperfields import _REL_ALIASES, RELATIONS, normalize_rel, stv
 from tropreal.polyhedra import (
     AffineForm,
     Constraint,
@@ -47,6 +47,7 @@ from tropreal.polyhedra import (
     union_equal,
     union_of,
     union_subset,
+    valuation_piece_to_log,
     whole_space,
     whole_space_union,
 )
@@ -753,12 +754,40 @@ def test_pieces_built_from_rows_match_their_constraints():
                         assert got == want and got._int_rows == want._int_rows
                     assert piece.is_open() == all(c.strict for c in Q.constraints)
                     assert piece.is_closed_form() == (not any(c.strict for c in Q.constraints))
+                    # the log-coordinate reading negates the normals only
+                    X = valuation_piece_to_log(piece)
+                    assert X._int_rows == _rederived_rows(X)
+                    assert X == Polyhedron(piece.dim, tuple(
+                        Constraint(AffineForm(tuple(-a for a in c.form.normal), c.form.offset),
+                                   c.strict)
+                        for c in piece.constraints))
                     seen += len(piece._int_rows)
                     if piece.dim > 1:
                         L = limit_polyhedron(piece, [piece.dim - 1])
                         if L is not None:
                             assert L._int_rows == _rederived_rows(L)
     assert seen > 1000
+
+
+def test_constraint_reads_every_inequality_alias():
+    normal, offset = (2, -1, 0), F2(-3, 4)
+    form = AffineForm(normal, offset)
+    canonical = {
+        "le": Constraint(form, False),
+        "lt": Constraint(form, True),
+        "ge": Constraint(AffineForm((-2, 1, 0), F2(3, 4)), False),
+        "gt": Constraint(AffineForm((-2, 1, 0), F2(3, 4)), True),
+    }
+    aliases = [(a, r) for a, r in _REL_ALIASES.items() if r in canonical]
+    # more than the eight spellings the builder read on its own
+    assert {a for a, _ in aliases} > {"<=", "<", ">=", ">", "le", "lt", "ge", "gt"}
+    for alias, rel in aliases:
+        for spelled in (alias, f" {alias} "):
+            assert constraint(normal, offset, spelled) == canonical[rel], spelled
+    assert constraint(normal, offset) == canonical["le"]
+    for bad in ("=", "!=", "eq", "ne", "==", "≠", "gte", ""):
+        with pytest.raises(ValueError):
+            constraint(normal, offset, bad)
 
 
 def test_poly_dim():

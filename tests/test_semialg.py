@@ -39,7 +39,6 @@ from tropreal.semialg import (
     sa_outer_all,
     sa_sample_trop,
     sa_sandwich_check,
-    sample_vector,
     split_ne,
     witness_search,
 )
@@ -436,7 +435,7 @@ def _plain_vectors(S, cfg, rng, budget):
     """The vectors of the loop the candidate filter replaces, every one built.
 
     They come from the randint sampler that ps_sample replaced, so that a
-    fault shared by sample_vector and the candidate filter still shows.
+    fault shared by ps_draw and the candidate filter still shows.
     """
     return [_reference_vector(rng, cfg, S.nvars, 0.1) for _ in range(budget)]
 
@@ -465,7 +464,7 @@ def _plain_cloud(S, cfg, count):
     rng = random.Random(cfg.seed)
     cloud = SampleCloud(S)
     for _ in range(count):
-        cloud.add_candidate(sample_vector(rng, cfg, S.nvars))
+        cloud.add_candidate(_reference_vector(rng, cfg, S.nvars, 0.1))
     return list(cloud.items())
 
 
@@ -476,7 +475,7 @@ def _plain_collect(S, cfg, n, sigma, budget):
     for _ in range(budget):
         if len(out) >= n:
             break
-        p = sample_vector(rng, cfg, S.nvars)
+        p = _reference_vector(rng, cfg, S.nvars, 0.1)
         if not sa_member(S, p):
             continue
         if sigma is not None and point_orthant(trop_point(p)) != sigma:
