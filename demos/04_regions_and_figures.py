@@ -9,6 +9,7 @@ with the exact evaluator, so raster and set semantics can never disagree.
 
 import os
 import tempfile
+from fractions import Fraction
 
 from tropreal import get_scenario, parse_polyk, trop_r, trop_region
 from tropreal.polyhedra import orthant_str, poly_dim
@@ -21,8 +22,8 @@ for sigma in [(1, 1), (1, -1), (-1, -1), (0, 1)]:
     print(f"  orthant {orthant_str(sigma)}: {len(region.pieces)} pieces")
     for P in region.pieces:
         cons = [
-            f"{list(c.form.normal)}.V + {c.form.offset} {'<' if c.strict else '<='} 0"
-            for c in P.constraints
+            f"{list(normal)}.V + {Fraction(cn, cd)} {'<' if strict else '<='} 0"
+            for normal, cn, cd, strict in P.rows
         ]
         print(f"      dim {poly_dim(P)}: {' and '.join(cons) or 'everything'}")
 

@@ -41,7 +41,7 @@ print(f"  tropicalization preserved: {trop_r(res.poly) == F}")
 T = union_of(2, [point_polyhedron((0, 0))])
 print("\ncomplement of the origin splits into open pieces:")
 for P in complement_of_union(T):
-    print(f"  open piece with {len(P.constraints)} strict constraints")
+    print(f"  open piece with {len(P.rows)} strict constraints")
 
 print("\nfinite basis for T = {(0,0)} over the disk:")
 res = finite_basis(T, circle.description, (1, 1), cfg,

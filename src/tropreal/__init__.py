@@ -39,8 +39,6 @@ from .troppoly import (
 )
 from .parsing import parse_polyk, parse_puiseux
 from .polyhedra import (
-    AffineForm,
-    Constraint,
     PolyUnion,
     Polyhedron,
     complement_of_union,
@@ -65,9 +63,7 @@ from .scenarios import SCENARIO_NAMES, get_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineForm",
     "Balanced",
-    "Constraint",
     "HyperValue",
     "INF",
     "Point",

@@ -326,13 +326,7 @@ def _cmd_check(args) -> int:
     report = run_suites(
         names, args.seed, size=args.count, outdir=args.outdir, grid=args.grid
     )
-    if args.out is not None:
-        if args.out == "-":
-            sys.stdout.write(report.to_json())
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(report.to_json())
-    print(report.text())
+    _emit(args.out, report.to_json(), report.text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

@@ -391,13 +391,6 @@ def t_add_sets(a: TropSum, b: TropSum) -> TropSum:
     return t_add(a.val, b.val)
 
 
-def t_contains(s: TropSum, v: Val) -> bool:
-    v = as_val(v)
-    if isinstance(s, ValPoint):
-        return s.val == v
-    return v >= s.low
-
-
 # ---------------------------------------------------------------------------
 # The sign hyperfield.
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from .hyperfields import (
 )
 from .parsing import MAX_VARS
 from .polyhedra import (
-    AffineForm,
-    Constraint,
+    IntRow,
     Orthant,
     PolyUnion,
     Polyhedron,
@@ -246,12 +245,12 @@ def polyhedron_to_json(P: Polyhedron) -> dict:
                 "offset": str(cn) if cd == 1 else f"{cn}/{cd}",
                 "strict": strict,
             }
-            for normal, cn, cd, strict in P._int_rows
+            for normal, cn, cd, strict in P.rows
         ],
     }
 
 
-def _constraint(c: dict, dim: int, where: str) -> Constraint:
+def _constraint(c: dict, dim: int, where: str) -> IntRow:
     normal, strict = c["normal"], c["strict"]
     if not (isinstance(normal, list) and len(normal) == dim
             and all(type(a) is int for a in normal)):
@@ -259,7 +258,7 @@ def _constraint(c: dict, dim: int, where: str) -> Constraint:
     offset = _rational(c, "offset", where)
     if type(strict) is not bool:
         raise ParseError(f"{where}.strict: expected a boolean, got {_JSON_KIND.get(type(strict))}")
-    return Constraint(AffineForm(tuple(normal), offset), strict)
+    return (tuple(normal), offset.numerator, offset.denominator, strict)
 
 
 def polyhedron_from_json(d: dict, path: str = "") -> Polyhedron:

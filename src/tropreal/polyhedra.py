@@ -1,19 +1,18 @@
 """Exact rational polyhedra in valuation coordinates, and tropical regions.
 
-Polyhedra are stored in H-representation with integer normals and rational
-offsets; every constraint means ``normal . x + offset <= 0`` or ``< 0``.
+Polyhedra are stored in H-representation, and a polyhedron is its integer
+rows: each row (normal, cn, cd, strict) means ``normal . x + cn/cd <= 0``,
+or ``< 0`` when strict, with the offset in lowest terms and ``cd > 0``.
+Membership, intersection, closure, the elimination and the JSON writer read
+the rows directly.
+
 Emptiness, inclusion, dimension, recession, and projection are all decided
 by Fourier-Motzkin elimination with strictness tracking: a derived
 inequality is strict precisely when one of its parents is.  This is exact
 over the rationals and, since the data is rational, the answers agree with
 the answers over the reals.  Feasibility, projection and point-finding share
-one elimination loop (``_fm_core``) and one row normalization.  The
-working form of a polyhedron is its tuple of integer rows (normal, offset
-numerator, offset denominator, strictness), with offsets in lowest terms:
-membership, intersection, closure, the elimination and the JSON writer read
-those directly.  Its ``constraints`` are a view of the rows; a polyhedron
-built from rows makes them the first time something reads them.
-Emptiness (``poly_is_empty``) is memoized by those rows and the dimension in
+one elimination loop (``_fm_core``) and one row normalization.  Emptiness
+(``poly_is_empty``) is memoized by those rows and the dimension in
 a bounded LRU memo of at most 256 systems.  The memo is exact, since the
 immutable rows fully determine the answer; it pays because one region
 rebuilds the same dominance cells across orthants and relations.
@@ -43,10 +42,11 @@ drops the empty and duplicate results.  The complement of a closed union
 space, which is De Morgan's expansion; ``piece_minus_union_is_empty`` folds
 it over a union from one piece and asks whether anything is left, and
 ``union_subset``, ``union_equal`` and ``prune_covered_pieces`` rest on that.
-``enumerate_cells``, the sign-vector search over a hyperplane arrangement,
-and its helper ``_form_rows`` have no library caller; they stay (and stay
-exported) only because the tracer in ``perfbench/tracer.py`` binds
-``enumerate_cells`` by name, and go when the benchmark drops that layer.
+``enumerate_cells``, the sign-vector search over a hyperplane arrangement
+of forms (normal, cn, cd) with ``cd > 0``, and its helper ``_form_rows``
+have no library caller; they stay (and stay exported) only because the
+tracer in ``perfbench/tracer.py`` binds ``enumerate_cells`` by name, and
+go when the benchmark drops that layer.
 
 Everything is immutable and pure.
 """
@@ -67,62 +67,27 @@ from .errors import (
     ShapeMismatch,
 )
 from .hyperfields import RT_ZERO, SATISFIED_BY, SignedTropVal, normalize_rel, stv
-from .troppoly import TropPoint, TropPoly, _orthant_table
+from .troppoly import DiffRow, TropPoint, TropPoly, _orthant_table
 
-Row = tuple[tuple[int, ...], Fraction, bool]  # normal, offset, strict
-
-
-@dataclass(frozen=True, slots=True)
-class AffineForm:
-    """normal . x + offset, with integer normal and rational offset."""
-
-    normal: tuple[int, ...]
-    offset: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", tuple(int(a) for a in self.normal))
-        object.__setattr__(self, "offset", Fraction(self.offset))
-
-    def value(self, x: Sequence[Fraction]) -> Fraction:
-        if len(x) != len(self.normal):
-            raise DimensionMismatch("point dimension does not match form")
-        return sum((a * xi for a, xi in zip(self.normal, x)), self.offset)
-
-    def negated(self) -> "AffineForm":
-        return AffineForm(tuple(-a for a in self.normal), -self.offset)
+# a row (normal, offset numerator, offset denominator > 0, strict) means
+# normal . x + cn/cd <= 0, or < 0 when strict; the offset is in lowest terms
+IntRow = tuple[tuple[int, ...], int, int, bool]
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
-    """form(x) <= 0, or form(x) < 0 when strict."""
-
-    form: AffineForm
-    strict: bool = False
-
-    def holds(self, x: Sequence[Fraction]) -> bool:
-        v = self.form.value(x)
-        return v < 0 if self.strict else v <= 0
-
-    def negated(self) -> "Constraint":
-        return Constraint(self.form.negated(), not self.strict)
-
-    def row(self) -> Row:
-        return (self.form.normal, self.form.offset, self.strict)
-
-
-def constraint(normal: Sequence[int], offset, rel: str = "<=") -> Constraint:
-    """Constraint builder for an inequality against zero.
+def constraint(normal: Sequence[int], offset, rel: str = "<=") -> IntRow:
+    """The row of an inequality ``normal . x + offset rel 0``.
 
     ``rel`` is any spelling ``normalize_rel`` reads as le, lt, ge or gt;
-    an equation or a disequation is not a single constraint.
+    an equation or a disequation is not a single row.
     """
-    form = AffineForm(tuple(normal), Fraction(offset))
+    normal = tuple(int(a) for a in normal)
+    offset = Fraction(offset)
     rel = normalize_rel(rel)
     if rel in ("eq", "ne"):
         raise ValueError(f"not an inequality: {rel!r}")
     if rel in ("ge", "gt"):
-        form = form.negated()
-    return Constraint(form, rel in ("lt", "gt"))
+        normal, offset = tuple(-a for a in normal), -offset
+    return (normal, offset.numerator, offset.denominator, rel in ("lt", "gt"))
 
 
 def _scale_point(x: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -134,45 +99,26 @@ def _scale_point(x: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (den // v.denominator) for v in fr), den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polyhedron:
     """A finite intersection of rational halfspaces, possibly with strict facets.
 
-    ``_int_rows`` holds one integer row per constraint and is what the
-    library computes with.  A polyhedron made by ``_from_rows`` has only
-    the rows; its ``constraints`` are built from them on first read and
-    then stored, so equality, hash, repr, pickling and
-    ``dataclasses.replace`` see the same fields either way.
+    ``rows`` holds one ``IntRow`` per halfspace.  The constructor checks
+    that each normal has ``dim`` entries and each offset is in lowest terms
+    with a positive denominator; ``_from_rows`` skips the check for rows the
+    library derived itself.
     """
 
     dim: int
-    constraints: tuple[Constraint, ...]
+    rows: tuple[IntRow, ...]
 
     def __post_init__(self):
-        rows = []
-        for c in self.constraints:
-            if len(c.form.normal) != self.dim:
+        object.__setattr__(self, "rows", tuple(self.rows))
+        for normal, cn, cd, _ in self.rows:
+            if len(normal) != self.dim:
                 raise DimensionMismatch("constraint dimension mismatch")
-            off = c.form.offset
-            rows.append((c.form.normal, off.numerator, off.denominator, c.strict))
-        object.__setattr__(self, "_int_rows", tuple(rows))
-
-    def __getattr__(self, name: str):
-        # reached only when ``constraints`` is not stored yet (or for a
-        # missing attribute); the rows' forms skip the coercion of
-        # AffineForm.__post_init__, their normals being integer tuples
-        rows = self.__dict__.get("_int_rows")
-        if name != "constraints" or rows is None:
-            raise AttributeError(name)
-        cons = []
-        for normal, cn, cd, strict in rows:
-            form = object.__new__(AffineForm)
-            object.__setattr__(form, "normal", normal)
-            object.__setattr__(form, "offset", Fraction(cn, cd))
-            cons.append(Constraint(form, strict))
-        cons = tuple(cons)
-        object.__setattr__(self, "constraints", cons)
-        return cons
+            if cd <= 0 or gcd(cn, cd) != 1:
+                raise ValueError(f"offset {cn}/{cd} is not in lowest terms")
 
     def contains(self, x: Sequence[Fraction]) -> bool:
         if len(x) != self.dim:
@@ -182,7 +128,7 @@ class Polyhedron:
 
     def _contains_scaled(self, xi: tuple[int, ...], den: int) -> bool:
         # integer-only test of normal.x/den + off_n/off_d (<|<=) 0
-        for normal, off_n, off_d, strict in self._int_rows:
+        for normal, off_n, off_d, strict in self.rows:
             dot = 0
             for a, p in zip(normal, xi):
                 if a:
@@ -193,18 +139,18 @@ class Polyhedron:
         return True
 
     def closure(self) -> "Polyhedron":
-        return _from_rows(self.dim, [(n, cn, cd, False) for n, cn, cd, _ in self._int_rows])
+        return _from_rows(self.dim, [(n, cn, cd, False) for n, cn, cd, _ in self.rows])
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.dim != other.dim:
             raise DimensionMismatch("cannot intersect different dimensions")
-        return _from_rows(self.dim, self._int_rows + other._int_rows)
+        return _from_rows(self.dim, self.rows + other.rows)
 
     def is_open(self) -> bool:
-        return all(r[3] for r in self._int_rows)
+        return all(r[3] for r in self.rows)
 
     def is_closed_form(self) -> bool:
-        return not any(r[3] for r in self._int_rows)
+        return not any(r[3] for r in self.rows)
 
 
 def whole_space(dim: int) -> Polyhedron:
@@ -228,21 +174,11 @@ def point_polyhedron(coords: Sequence[Fraction]) -> Polyhedron:
 # ---------------------------------------------------------------------------
 
 
-# internal integer rows: (normal, offset numerator, offset denominator > 0, strict)
-IntRow = tuple[tuple[int, ...], int, int, bool]
-
-
 def _from_rows(dim: int, rows: Sequence[IntRow]) -> Polyhedron:
-    """The polyhedron of integer rows whose offsets are in lowest terms.
-
-    The rows become its ``_int_rows`` as given, exactly those the
-    constructor would derive from the matching constraints.  No constraint
-    object is built here: ``Polyhedron.constraints`` makes them from the
-    rows if something reads them.
-    """
+    """The polyhedron of rows the library derived, without the constructor's check."""
     P = object.__new__(Polyhedron)
     object.__setattr__(P, "dim", dim)
-    object.__setattr__(P, "_int_rows", tuple(rows))
+    object.__setattr__(P, "rows", tuple(rows))
     return P
 
 
@@ -431,7 +367,7 @@ def _solve_feasible(rows: Iterable[IntRow], nvars: int) -> Optional[tuple[Fracti
 
 def feasible_point(P: Polyhedron) -> Optional[tuple[Fraction, ...]]:
     """A rational point of P, or None when P is empty."""
-    return _solve_feasible(P._int_rows, P.dim)
+    return _solve_feasible(P.rows, P.dim)
 
 
 # One region over every orthant and relation decides a few dozen distinct
@@ -451,7 +387,7 @@ def poly_is_empty(P: Polyhedron) -> bool:
     and booleans, and with the dimension they fully determine the system,
     so equal keys always have equal answers.
     """
-    return _rows_empty(P._int_rows, P.dim)
+    return _rows_empty(P.rows, P.dim)
 
 
 def _rank(normals: list[tuple[int, ...]], dim: int) -> int:
@@ -476,10 +412,10 @@ def _rank(normals: list[tuple[int, ...]], dim: int) -> int:
 
 def equality_normals(P: Polyhedron) -> list[tuple[int, ...]]:
     """Normals of the non-strict constraints that hold with equality on all of P."""
-    rows = list(P._int_rows)
+    rows = list(P.rows)
     return [
         normal
-        for normal, cn, cd, strict in P._int_rows
+        for normal, cn, cd, strict in P.rows
         if not strict and not _feasible(rows + [(normal, cn, cd, True)], P.dim)
     ]
 
@@ -494,13 +430,13 @@ def poly_dim(P: Polyhedron) -> int:
 def poly_recession_contains(P: Polyhedron, d: Sequence[Fraction]) -> bool:
     """Whether d is a recession direction of the closure of nonempty P."""
     d = tuple(Fraction(v) for v in d)
-    return all(sum(a * di for a, di in zip(r[0], d)) <= 0 for r in P._int_rows)
+    return all(sum(a * di for a, di in zip(r[0], d)) <= 0 for r in P.rows)
 
 
-def poly_has_recession_direction(P: Polyhedron, open_conditions: Sequence[Constraint]) -> bool:
-    """Whether the recession cone of P meets all the given homogeneous conditions."""
-    rows: list[IntRow] = [(normal, 0, 1, False) for normal, _, _, _ in P._int_rows]
-    rows += Polyhedron(P.dim, tuple(open_conditions))._int_rows
+def poly_has_recession_direction(P: Polyhedron, open_conditions: Sequence[IntRow]) -> bool:
+    """Whether the recession cone of P meets all the given homogeneous rows."""
+    rows: list[IntRow] = [(normal, 0, 1, False) for normal, _, _, _ in P.rows]
+    rows += Polyhedron(P.dim, tuple(open_conditions)).rows
     return _feasible(rows, P.dim)
 
 
@@ -548,7 +484,7 @@ def union_prune(U: PolyUnion) -> PolyUnion:
     seen = set()
     out = []
     for p in U.pieces:
-        key = tuple(sorted(p._int_rows))
+        key = tuple(sorted(p.rows))
         if key in seen:
             continue
         if poly_is_empty(p):
@@ -575,13 +511,13 @@ def _subtract(pieces: Sequence[Polyhedron], q: Polyhedron) -> tuple[Polyhedron, 
     pieces, then the cut ones in row order, go through ``union_prune``.
     """
     dim = q.dim
-    negated = [((tuple(-a for a in n), -cn, cd, not s),) for n, cn, cd, s in q._int_rows]
+    negated = [((tuple(-a for a in n), -cn, cd, not s),) for n, cn, cd, s in q.rows]
     kept, cut = [], []
     for w in pieces:
         if poly_is_empty(w.intersect(q)):
             kept.append(w)
         else:
-            cut += [_from_rows(dim, w._int_rows + row) for row in negated]
+            cut += [_from_rows(dim, w.rows + row) for row in negated]
     return union_prune(PolyUnion(dim, tuple(kept + cut))).pieces
 
 
@@ -615,8 +551,8 @@ def union_equal(A: PolyUnion, B: PolyUnion) -> bool:
 # because perfbench/tracer.py binds enumerate_cells by name.
 
 
-def _form_rows(form: AffineForm, sign: int) -> list[IntRow]:
-    normal, cn, cd = form.normal, form.offset.numerator, form.offset.denominator
+def _form_rows(form: DiffRow, sign: int) -> list[IntRow]:
+    normal, cn, cd = form
     neg = tuple(-a for a in normal)
     if sign < 0:
         return [(normal, cn, cd, True)]
@@ -625,7 +561,7 @@ def _form_rows(form: AffineForm, sign: int) -> list[IntRow]:
     return [(normal, cn, cd, False), (neg, -cn, cd, False)]
 
 
-def enumerate_cells(forms: Sequence[AffineForm], dim: int) -> list[tuple[int, ...]]:
+def enumerate_cells(forms: Sequence[DiffRow], dim: int) -> list[tuple[int, ...]]:
     """Sign vectors of the nonempty relatively open cells of the arrangement.
 
     Recursive sign-vector search with emptiness pruning.  Witness points
@@ -635,8 +571,9 @@ def enumerate_cells(forms: Sequence[AffineForm], dim: int) -> list[tuple[int, ..
     results: list[tuple[int, ...]] = []
     signs: list[int] = []
 
-    def sign_of(form: AffineForm, x: tuple[Fraction, ...]) -> int:
-        v = form.value(x)
+    def sign_of(form: DiffRow, x: tuple[Fraction, ...]) -> int:
+        normal, cn, cd = form
+        v = sum(a * xi for a, xi in zip(normal, x)) * cd + cn
         return 1 if v > 0 else -1 if v < 0 else 0
 
     def rec(i: int, rows: list[IntRow], candidates: list[tuple[Fraction, ...]]) -> None:
@@ -858,7 +795,7 @@ def open_poly_to_trop(P: Polyhedron) -> TropPoly:
     if poly_is_empty(P):
         raise EmptyPolyhedron("no polynomial represents an empty open region")
     # the strongest row per primitive normal; P is nonempty, so this is not None
-    strongest = _normalize_rows(P._int_rows)
+    strongest = _normalize_rows(P.rows)
     terms: list[tuple[tuple[int, ...], SignedTropVal]] = [
         ((0,) * P.dim, stv(1, 0))
     ]
@@ -870,7 +807,7 @@ def open_poly_to_trop(P: Polyhedron) -> TropPoly:
 def valuation_piece_to_log(P: Polyhedron) -> Polyhedron:
     """Reinterpret a valuation-coordinate polyhedron in log coordinates X = -V."""
     return _from_rows(
-        P.dim, [(tuple([-a for a in n]), cn, cd, strict) for n, cn, cd, strict in P._int_rows]
+        P.dim, [(tuple([-a for a in n]), cn, cd, strict) for n, cn, cd, strict in P.rows]
     )
 
 
@@ -893,7 +830,7 @@ def limit_polyhedron(P: Polyhedron, drop: Sequence[int]) -> Optional[Polyhedron]
     n = P.dim
     nu = n  # auxiliary lower bound for the dropped coordinates
     rows: list[IntRow] = [
-        (normal + (0,), cn, cd, False) for normal, cn, cd, _ in P._int_rows
+        (normal + (0,), cn, cd, False) for normal, cn, cd, _ in P.rows
     ]
     for k in drop_set:
         normal = tuple((1 if i == nu else -1 if i == k else 0) for i in range(n + 1))

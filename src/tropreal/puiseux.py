@@ -120,13 +120,6 @@ class PuiseuxSeries:
         e, c = self.terms[0]
         return SignedTropVal(1 if c > 0 else -1, e)
 
-    def exponent_denominator(self) -> int:
-        """Least common denominator of all exponents (1 for the zero series)."""
-        d = 1
-        for e, _ in self.terms:
-            d = d * e.denominator // gcd(d, e.denominator)
-        return d
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":

@@ -97,7 +97,7 @@ def conjunction_regions(
 
 
 def _piece_box(P: Polyhedron, lo: Fraction, hi: Fraction) -> Polyhedron:
-    cons = list(P.constraints)
+    cons = list(P.rows)
     for k in range(P.dim):
         unit = tuple(1 if i == k else 0 for i in range(P.dim))
         cons.append(constraint(unit, -hi, "<="))
@@ -122,9 +122,9 @@ def _segment_endpoints(
             return None
         direction = (Fraction(-normal[1]), Fraction(normal[0]))
     t_lo, t_hi = None, None
-    for c in clipped.constraints:
-        a = sum(n * d for n, d in zip(c.form.normal, direction))
-        b = c.form.value(x0)
+    for normal, cn, cd, _ in clipped.rows:
+        a = sum(n * d for n, d in zip(normal, direction))
+        b = sum(n * x for n, x in zip(normal, x0)) + Fraction(cn, cd)
         if a == 0:
             continue
         bound = Fraction(-b, a)

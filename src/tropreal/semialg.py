@@ -616,7 +616,8 @@ def finite_basis(
     open polyhedra; each produces a tropical polynomial positive exactly on
     it, whose negation is lifted to a valid polynomial inequality on S.
     The returned family is verified: the intersection of the regions
-    {trop(f_i) >= 0} equals T exactly.
+    {trop(f_i) >= 0} equals T exactly.  Every such lift needs samples, so
+    with none and a nonempty cover it raises NoEpsilonFound before pruning.
     """
     if any(s != 1 for s in sigma):
         raise PreconditionFailed("finite bases are built in the all-positive orthant")
@@ -633,7 +634,11 @@ def finite_basis(
                 "the target does not contain the sampled tropicalization"
             )
 
-    open_pieces = prune_covered_pieces(complement_of_union(T))
+    cover = complement_of_union(T)
+    # every piece's lift has a negative constant term, so it needs samples
+    if cover and not samples:
+        raise NoEpsilonFound("no verification samples of the set were found")
+    open_pieces = prune_covered_pieces(cover)
 
     polys: list[PolyK] = []
     for piece in open_pieces:

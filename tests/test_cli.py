@@ -132,6 +132,17 @@ def test_check_command_exit_codes(tmp_path, capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_check_json_on_stdout_is_the_report_file(tmp_path, capsys):
+    argv = ["check", "hyperfield-axioms", "--seed", "3", "--count", "10"]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", "-"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.encode() == out.read_bytes()
+    assert json.loads(stdout)["passed"] is True
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["region"])  # missing input

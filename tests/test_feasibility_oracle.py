@@ -87,16 +87,26 @@ def rank(normals) -> int:
     return r
 
 
+def oracle_rows(P: Polyhedron) -> list:
+    """P's rows as (normal, offset, strict) with a ``Fraction`` offset."""
+    return [(normal, Fraction(cn, cd), strict) for normal, cn, cd, strict in P.rows]
+
+
+def holds(row, x) -> bool:
+    normal, offset, strict = row
+    v = sum(a * xi for a, xi in zip(normal, x)) + offset
+    return v < 0 if strict else v <= 0
+
+
 def oracle_dim(P: Polyhedron) -> int:
     """n minus the rank of the implicit equalities; -1 when P is empty."""
-    rows = [c.row() for c in P.constraints]
+    rows = oracle_rows(P)
     if not oracle_feasible(rows, P.dim):
         return -1
     equalities = [
-        c.form.normal
-        for c in P.constraints
-        if not c.strict
-        and not oracle_feasible(rows + [(c.form.normal, c.form.offset, True)], P.dim)
+        normal
+        for normal, offset, strict in rows
+        if not strict and not oracle_feasible(rows + [(normal, offset, True)], P.dim)
     ]
     return P.dim - rank(equalities)
 
@@ -134,12 +144,13 @@ def test_oracle_examples():
 @settings(max_examples=300, deadline=None)
 @given(systems())
 def test_engine_agrees_with_simplex_oracle(P):
-    feasible = oracle_feasible([c.row() for c in P.constraints], P.dim)
+    rows = oracle_rows(P)
+    feasible = oracle_feasible(rows, P.dim)
     assert poly_is_empty(P) == (not feasible)
     w = feasible_point(P)
     assert (w is not None) == feasible
     if w is not None:
-        assert all(c.holds(w) for c in P.constraints)
+        assert all(holds(r, w) for r in rows)
     assert poly_dim(P) == oracle_dim(P)
 
 
@@ -170,9 +181,9 @@ def test_memo_keeps_dimension_apart():
 @settings(max_examples=200, deadline=None)
 @given(systems())
 def test_repeated_calls_on_equal_rows_agree_with_oracle(P):
-    expected = not oracle_feasible([c.row() for c in P.constraints], P.dim)
-    twin = Polyhedron(P.dim, tuple(P.constraints))
-    assert twin is not P and twin._int_rows == P._int_rows
+    expected = not oracle_feasible(oracle_rows(P), P.dim)
+    twin = Polyhedron(P.dim, tuple(r for r in P.rows))
+    assert twin is not P and twin.rows == P.rows
     hits = _rows_empty.cache_info().hits
     assert [poly_is_empty(P), poly_is_empty(twin), poly_is_empty(P)] == [expected] * 3
     assert _rows_empty.cache_info().hits >= hits + 2

@@ -35,7 +35,6 @@ from tropreal.hyperfields import (
     stv,
     t_add,
     t_add_sets,
-    t_contains,
 )
 
 rationals = st.fractions(
@@ -257,9 +256,6 @@ def test_tropical_magnitudes():
     assert t_add(2, 2) == ValUpSet(Fraction(2))
     assert t_add(INF, 3) == ValPoint(Fraction(3))
     assert t_add(INF, INF) == ValPoint(INF)
-    assert t_contains(ValUpSet(Fraction(2)), INF)
-    assert t_contains(ValUpSet(Fraction(2)), Fraction(7, 2))
-    assert not t_contains(ValUpSet(Fraction(2)), Fraction(1))
 
 
 @given(

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from tropreal import iojson
 from tropreal.checks import random_closed_union
 from tropreal.errors import (
+    DimensionMismatch,
     EmptyPolyhedron,
     NegativeExponentAtZero,
     NotClosedInput,
@@ -21,8 +22,6 @@ from tropreal.errors import (
 )
 from tropreal.hyperfields import _REL_ALIASES, RELATIONS, normalize_rel, stv
 from tropreal.polyhedra import (
-    AffineForm,
-    Constraint,
     PolyUnion,
     Polyhedron,
     _from_rows,
@@ -60,6 +59,29 @@ def H(dim, *cons):
     return Polyhedron(dim, tuple(constraint(n, o, r) for n, o, r in cons))
 
 
+def negated(row):
+    """The row's complement: normal and offset negated, strictness flipped."""
+    normal, cn, cd, strict = row
+    return (tuple(-a for a in normal), -cn, cd, not strict)
+
+
+def reversed_side(row):
+    """The other side of the row's hyperplane, with the same strictness."""
+    normal, cn, cd, strict = row
+    return (tuple(-a for a in normal), -cn, cd, strict)
+
+
+def form(normal, offset):
+    """The arrangement form normal . x + offset as (normal, cn, cd)."""
+    offset = F2(offset)
+    return (tuple(normal), offset.numerator, offset.denominator)
+
+
+def form_value(f, x):
+    normal, cn, cd = f
+    return sum(a * xi for a, xi in zip(normal, x)) + F2(cn, cd)
+
+
 def single(P):
     """The one-piece union of P."""
     return PolyUnion(P.dim, (P,))
@@ -90,10 +112,10 @@ def test_strictness_is_tracked_through_elimination():
 
 
 def test_enumerate_cells_examples():
-    one_form = [AffineForm((1,), F2(0))]
+    one_form = [form((1,), 0)]
     assert sorted(enumerate_cells(one_form, 1)) == [(-1,), (0,), (1,)]
 
-    forms = [AffineForm((1,), F2(0)), AffineForm((1,), F2(-1))]
+    forms = [form((1,), 0), form((1,), -1)]
     cells = sorted(enumerate_cells(forms, 1))
     assert cells == [(-1, -1), (0, -1), (1, -1), (1, 0), (1, 1)]
 
@@ -105,18 +127,18 @@ def test_cells_partition_space():
     for _ in range(10):
         dim = rng.randint(1, 3)
         forms = [
-            AffineForm(
+            form(
                 tuple(rng.randint(-2, 2) for _ in range(dim)),
                 F2(rng.randint(-2, 2), rng.randint(1, 2)),
             )
             for _ in range(rng.randint(1, 4))
         ]
-        forms = [f for f in forms if any(f.normal)]
+        forms = [f for f in forms if any(f[0])]
         cells = enumerate_cells(forms, dim)
         for _ in range(50):
             x = tuple(F2(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(dim))
             signs = tuple(
-                1 if f.value(x) > 0 else -1 if f.value(x) < 0 else 0 for f in forms
+                1 if form_value(f, x) > 0 else -1 if form_value(f, x) < 0 else 0 for f in forms
             )
             assert signs in cells
             # the point lies in exactly the cell with its sign vector
@@ -185,13 +207,13 @@ def test_complement_oracle_on_larger_unions(seed, max_pieces):
         T = random_closed_union(rng, max_pieces=max_pieces)
         out = complement_of_union(T)
         assert all(p.is_open() for p in out)
-        keys = {tuple(sorted(p._int_rows)) for p in out}
+        keys = {tuple(sorted(p.rows)) for p in out}
         assert len(keys) == len(out)
         # no more pieces than the plain De Morgan product: one per choice of
         # a row from every piece of T
         product = 1
         for p in T.pieces:
-            product *= len(p._int_rows)
+            product *= len(p.rows)
         assert len(out) <= product
         U = PolyUnion(T.dim, tuple(out))
         for _ in range(300):
@@ -209,10 +231,10 @@ def test_complement_and_prune_rows_are_pinned():
     for _ in range(30):
         T = random_closed_union(rng, max_pieces=6)
         out = complement_of_union(T)
-        comp.update(repr([p._int_rows for p in out]).encode())
+        comp.update(repr([p.rows for p in out]).encode())
         if len(out) <= 30:
             pruned += 1
-            kept.update(repr([p._int_rows for p in prune_covered_pieces(out)]).encode())
+            kept.update(repr([p.rows for p in prune_covered_pieces(out)]).encode())
     assert pruned == 24
     assert comp.hexdigest() == "311d1ac7e310aac950527b2e223ece223860135fa67058764fc9ac65344c0218"
     assert kept.hexdigest() == "1831c03d70401eb3ebe1aaa69d8727314c971dddbf72c22644c29c3282e48314"
@@ -254,14 +276,14 @@ def test_one_pass_prune_keeps_what_the_restarting_prune_keeps():
 
 
 def _disjoint_split_is_empty(p, pieces):
-    # the former engine, written on constraints: w minus q splits into the
-    # disjoint pieces w ∩ q_1 ∩ ... ∩ q_(j-1) ∩ ¬q_j, with no keep-whole rule
-    work = [p.constraints] if not poly_is_empty(p) else []
+    # the former engine: w minus q splits into the disjoint pieces
+    # w ∩ q_1 ∩ ... ∩ q_(j-1) ∩ ¬q_j, with no keep-whole rule
+    work = [p.rows] if not poly_is_empty(p) else []
     for q in pieces:
         nxt = []
         for prefix in work:
-            for c in q.constraints:
-                cand = prefix + (c.negated(),)
+            for c in q.rows:
+                cand = prefix + (negated(c),)
                 if not poly_is_empty(Polyhedron(p.dim, cand)):
                     nxt.append(cand)
                 prefix += (c,)
@@ -294,16 +316,16 @@ def _random_cover_case(rng):
             pieces.append(Polyhedron(dim, rows(rng.randint(0, 3))))
         elif kind == "empty":
             c = _random_constraint(rng, dim)
-            pieces.append(Polyhedron(dim, (c, c.negated()) + rows(rng.randint(0, 1))))
+            pieces.append(Polyhedron(dim, (c, negated(c)) + rows(rng.randint(0, 1))))
         elif kind == "duplicate" and pieces:
             pieces.append(rng.choice(pieces))
-        elif kind == "miss" and p.constraints:
-            c = rng.choice(p.constraints).negated()
+        elif kind == "miss" and p.rows:
+            c = negated(rng.choice(p.rows))
             pieces.append(Polyhedron(dim, (c,) + rows(rng.randint(0, 2))))
         elif kind == "split":
             # the two sides of a hyperplane, with or without the hyperplane
             c = _random_constraint(rng, dim)
-            other = c.negated() if rng.random() < 0.5 else Constraint(c.form.negated(), c.strict)
+            other = negated(c) if rng.random() < 0.5 else reversed_side(c)
             pieces += [Polyhedron(dim, (c,)), Polyhedron(dim, (other,))]
         elif kind == "whole":
             pieces.append(p.closure())
@@ -400,7 +422,7 @@ def _random_union_pair(rng):
         elif kind == "split":
             # two sides of a hyperplane, which cover p unless both drop it
             c = _random_constraint(rng, dim)
-            other = c.negated() if rng.random() < 0.5 else Constraint(c.form.negated(), c.strict)
+            other = negated(c) if rng.random() < 0.5 else reversed_side(c)
             B += [p.intersect(Polyhedron(dim, (c,))), p.intersect(Polyhedron(dim, (other,)))]
     rng.shuffle(B)
     return PolyUnion(dim, tuple(A)), PolyUnion(dim, tuple(B))
@@ -411,7 +433,7 @@ def test_union_subset_agrees_with_the_arrangement_cells():
     answers = []
     for _ in range(200):
         A, B = _random_union_pair(rng)
-        rows = [r for p in A.pieces + B.pieces for r in p._int_rows]
+        rows = [r for p in A.pieces + B.pieces for r in p.rows]
         brute = all(
             any(q.contains(x) for q in B.pieces)
             for x in _cell_points(rows, A.dim)
@@ -645,7 +667,7 @@ def _reference_trop_region(F, sigma, rel):
 def _piece_rows(F, sigma, rel, region_of):
     """The rows of each piece of the region in order, or the error raised."""
     try:
-        return [P._int_rows for P in region_of(F, sigma, rel).pieces]
+        return [P.rows for P in region_of(F, sigma, rel).pieces]
     except NegativeExponentAtZero as err:
         return type(err)
 
@@ -709,74 +731,67 @@ def test_relations_in_a_row_share_one_table_built_as_needed():
     assert _orthant_table(F._val_kernel, sigma) is not table
 
 
-def _rederived_rows(P):
-    return Polyhedron(P.dim, P.constraints)._int_rows
+def _assert_canonical(P):
+    """P's rows are canonical, and P survives every copy unchanged."""
+    for normal, cn, cd, strict in P.rows:
+        assert len(normal) == P.dim and all(type(a) is int for a in normal)
+        offset = F2(cn, cd)
+        assert (offset.numerator, offset.denominator) == (cn, cd)
+        assert type(strict) is bool
+    copies = [pickle.loads(pickle.dumps(P)), copy.copy(P), copy.deepcopy(P),
+              dataclasses.replace(P), Polyhedron(P.dim, P.rows),
+              iojson.polyhedron_from_json(iojson.polyhedron_to_json(P))]
+    for c in copies:
+        assert type(c) is Polyhedron
+        assert c == P and hash(c) == hash(P) and c.rows == P.rows
 
 
-def test_pieces_built_from_rows_match_their_constraints():
-    # trop_region and limit_polyhedron build pieces from integer rows; the
-    # rows must be exactly those the constraints give, offsets in lowest
-    # terms, and a piece must behave as the constructor's polyhedron of its
-    # constraints, which it builds only when they are read
+def test_pieces_are_canonical_rows():
+    # every way the library builds a polyhedron from rows it derived itself
+    # gives rows the public constructor accepts as they are
     rng = random.Random(77)
-    rels = ["eq", "ge", "gt", "le", "lt", "ne"]
     seen = 0
     for _ in range(60):
         nvars = rng.randint(1, 3)
         F = _random_troppoly(rng, nvars)
         for sigma in all_orthants(nvars):
-            for rel in rels:
+            for rel in RELATIONS:
                 region = trop_region(F, sigma, rel)
-                region.contains((F2(1, 3),) * (len(sigma) - sigma.count(0)))
-                iojson.union_to_json(region)
+                other = region.pieces[0] if region.pieces else None
                 for piece in region.pieces:
-                    # nothing above read the constraints
-                    assert "constraints" not in piece.__dict__
-                    # round trips of a rows-only piece
-                    copies = [pickle.loads(pickle.dumps(piece)), copy.copy(piece),
-                              copy.deepcopy(piece)]
-                    assert all(c._int_rows == piece._int_rows for c in copies)
-                    assert all("constraints" not in c.__dict__ for c in copies)
-                    assert piece._int_rows == _rederived_rows(piece)
-                    assert piece == Polyhedron(piece.dim, piece.constraints)
-                    Q = Polyhedron(piece.dim, piece.constraints)
-                    assert Q == piece and hash(piece) == hash(Q)
-                    assert repr(piece) == repr(Q)
-                    assert all(c == Q and hash(c) == hash(Q) for c in copies)
-                    assert dataclasses.replace(piece) == Q
-                    other = region.pieces[0]
-                    for got, want in (
-                        (piece.intersect(other),
-                         Polyhedron(piece.dim, piece.constraints + other.constraints)),
-                        (piece.closure(), Polyhedron(piece.dim, tuple(
-                            Constraint(c.form, False) for c in piece.constraints))),
-                    ):
-                        assert got == want and got._int_rows == want._int_rows
-                    assert piece.is_open() == all(c.strict for c in Q.constraints)
-                    assert piece.is_closed_form() == (not any(c.strict for c in Q.constraints))
-                    # the log-coordinate reading negates the normals only
-                    X = valuation_piece_to_log(piece)
-                    assert X._int_rows == _rederived_rows(X)
-                    assert X == Polyhedron(piece.dim, tuple(
-                        Constraint(AffineForm(tuple(-a for a in c.form.normal), c.form.offset),
-                                   c.strict)
-                        for c in piece.constraints))
-                    seen += len(piece._int_rows)
+                    derived = [piece, piece.closure(), piece.intersect(other),
+                               valuation_piece_to_log(piece)]
                     if piece.dim > 1:
-                        L = limit_polyhedron(piece, [piece.dim - 1])
-                        if L is not None:
-                            assert L._int_rows == _rederived_rows(L)
-    assert seen > 1000
+                        derived.append(limit_polyhedron(piece, [piece.dim - 1]))
+                    for P in derived:
+                        if P is not None:
+                            _assert_canonical(P)
+                            seen += len(P.rows)
+    for _ in range(20):
+        for P in complement_of_union(random_closed_union(rng, max_pieces=3)):
+            _assert_canonical(P)
+            seen += len(P.rows)
+    assert seen > 5000
+
+
+def test_constructor_rejects_rows_that_are_not_canonical():
+    assert Polyhedron(2, [((1, 0), -1, 2, True)]).rows == (((1, 0), -1, 2, True),)
+    with pytest.raises(DimensionMismatch):
+        Polyhedron(2, (((1, 0, 0), 0, 1, False),))
+    with pytest.raises(DimensionMismatch):
+        Polyhedron(2, (constraint((1,), 0),))
+    for cn, cd in [(1, 0), (1, -2), (-1, -1), (2, 4), (0, 2), (6, 3)]:
+        with pytest.raises(ValueError):
+            Polyhedron(1, (((1,), cn, cd, False),))
 
 
 def test_constraint_reads_every_inequality_alias():
     normal, offset = (2, -1, 0), F2(-3, 4)
-    form = AffineForm(normal, offset)
     canonical = {
-        "le": Constraint(form, False),
-        "lt": Constraint(form, True),
-        "ge": Constraint(AffineForm((-2, 1, 0), F2(3, 4)), False),
-        "gt": Constraint(AffineForm((-2, 1, 0), F2(3, 4)), True),
+        "le": ((2, -1, 0), -3, 4, False),
+        "lt": ((2, -1, 0), -3, 4, True),
+        "ge": ((-2, 1, 0), 3, 4, False),
+        "gt": ((-2, 1, 0), 3, 4, True),
     }
     aliases = [(a, r) for a, r in _REL_ALIASES.items() if r in canonical]
     # more than the eight spellings the builder read on its own

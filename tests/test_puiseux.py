@@ -4,6 +4,7 @@ import dataclasses
 import pickle
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,12 +98,6 @@ def test_pow_is_repeated_product(a, k):
     assert a ** k == product
 
 
-def test_exponent_denominator():
-    a = P([(Fraction(1, 2), 1), (Fraction(2, 3), 1)])
-    assert a.exponent_denominator() == 6
-    assert PuiseuxSeries.zero().exponent_denominator() == 1
-
-
 @given(series(), series())
 def test_signed_trop_is_multiplicative(a, b):
     assert (a * b).signed_trop() == rt_mul(a.signed_trop(), b.signed_trop())
@@ -165,7 +160,7 @@ def test_sampler_valuations_in_range():
         s = ps_sample(cfg, rng)
         assert not s.is_zero()
         assert Fraction(-2) <= s.val() <= Fraction(2)
-        assert s.exponent_denominator() <= 6  # lcm of denominators <= 3 on few terms
+        assert lcm(*(e.denominator for e, _ in s.terms)) <= 6  # lcm of denominators <= 3 on few terms
 
 
 # The first 20 draws of two samplers, recorded before the sampler was moved

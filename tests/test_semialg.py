@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_puiseux import _outcome, _reference_vector
 
-from tropreal.errors import NegativeExponentAtZero, PreconditionFailed, ShapeMismatch
+from tropreal import semialg
+from tropreal.errors import (
+    NegativeExponentAtZero,
+    NoEpsilonFound,
+    PreconditionFailed,
+    ShapeMismatch,
+)
 from tropreal.hyperfields import stv
 from tropreal.parsing import parse_polyk
 from tropreal.polyhedra import (
@@ -219,6 +225,23 @@ def test_finite_basis_halfspace_one_var():
     assert len(res.polys) == 1
     F = trop_r(res.polys[0])
     assert F == TropPoly.from_terms(1, [((1,), stv(1, 0)), ((0,), stv(-1, 0))])
+
+
+def test_finite_basis_without_samples_fails_before_pruning(monkeypatch):
+    # x <= -1 has no point in the positive orthant, so no sample exists
+    S = conjunction(1, [SignCondition(parse_polyk("x + 1", nvars=1), "le")])
+
+    # the whole space leaves nothing to cover and needs no sample
+    res = finite_basis(whole_space_union(1), S, (1,), CFG, n_samples=10)
+    assert res.polys == ()
+
+    def no_prune(pieces):
+        raise AssertionError("the cover was pruned")
+
+    monkeypatch.setattr(semialg, "prune_covered_pieces", no_prune)
+    T = union_of(1, [H(1, ((1,), 0, "<="))])
+    with pytest.raises(NoEpsilonFound, match="no verification samples of the set were found"):
+        finite_basis(T, S, (1,), CFG, n_samples=10)
 
 
 def test_witness_search_positive_halfline():

@@ -20,7 +20,7 @@ from tropreal.hyperfields import (
     stv,
     val_add,
 )
-from tropreal.polyhedra import AffineForm, Constraint, embed_point
+from tropreal.polyhedra import Polyhedron, constraint, embed_point
 from tropreal.puiseux import PuiseuxSeries
 
 VALUES = [
@@ -32,14 +32,14 @@ VALUES = [
     ValPoint(INF),
     ValUpSet(Fraction(-1)),
     PuiseuxSeries.from_terms([(0, 1), ("1/2", -3)]),
-    AffineForm((1, -2), Fraction(1, 2)),
-    Constraint(AffineForm((0, 1), Fraction(3)), True),
+    Polyhedron(2, (constraint((1, -2), Fraction(1, 2)), constraint((0, 1), 3, ">"))),
+    Polyhedron(1, (constraint((1,), 10, ">"),)),
 ]
 
 
 def test_every_slotted_type_is_covered():
     assert {type(v) for v in VALUES} == {
-        SignedTropVal, Point, Balanced, ValPoint, ValUpSet, PuiseuxSeries, AffineForm, Constraint,
+        SignedTropVal, Point, Balanced, ValPoint, ValUpSet, PuiseuxSeries, Polyhedron,
     }
 
 
