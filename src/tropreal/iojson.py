@@ -23,7 +23,7 @@ from .hyperfields import (
     normalize_rel,
     stv,
 )
-from .parsing import MAX_VARS
+from .parsing import MAX_EXPONENT, MAX_VARS
 from .polyhedra import (
     IntRow,
     Orthant,
@@ -177,6 +177,8 @@ def _exps(t: dict, nvars: int, where: str) -> tuple[int, ...]:
     if not (isinstance(exps, list) and len(exps) == nvars
             and all(type(e) is int for e in exps)):
         raise ParseError(f"{where}.exps: expected a list of nvars={nvars} integers")
+    if any(abs(e) > MAX_EXPONENT for e in exps):
+        raise ParseError(f"{where}.exps: an exponent is beyond MAX_EXPONENT={MAX_EXPONENT}")
     return tuple(exps)
 
 

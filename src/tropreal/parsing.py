@@ -61,6 +61,13 @@ MAX_TERMS = 256
 # text.
 MAX_POWER_BITS = 10_000
 
+# The largest magnitude of an exponent of a variable in JSON input.  Sampling
+# a description takes time that grows with its exponents: the circle with
+# one exponent set to 10**7 took 17 s, and with 2**70 it did not end.  A text
+# meets the same bound on a power of a parenthesized term, through
+# MAX_POWER_BITS, since each factor adds at least one bit.
+MAX_EXPONENT = MAX_POWER_BITS
+
 
 def _size(f: PolyK) -> int:
     """The terms of f as a polynomial in the variables and t."""

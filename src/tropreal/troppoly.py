@@ -58,12 +58,16 @@ concurrent contexts.  The integer forms of trop(f) and of g are cached
 on each :class:`PolyK` the first time a sign (and, for g, a balanced sign)
 is asked for, and that of a tropical polynomial on each :class:`TropPoly`
 the first time it is evaluated.  What a kernel restricts to on one orthant
-(the signs of its surviving terms, and the difference rows from which
-``polyhedra.trop_region`` assembles dominance cells) is not stored on the
-polynomial: ``_orthant_table`` keeps the last one asked for, so that
-several relations asked in a row on one orthant share it.  Its rows are
-built term by term as a relation first needs them; two threads that
-build the same term's rows build equal ones, so the race is harmless.
+support (its surviving terms, the difference rows from which
+``polyhedra.trop_region`` assembles dominance cells, and the cells decided
+so far) is not stored on the polynomial: ``_orthant_table`` keeps the
+tables of the last 16 (kernel, support) pairs asked for.  The orthants of
+one support differ only in which terms are positive, so they share one
+table, and every caller that walks the orthants (``semialg.sa_outer_all``,
+``region --orthant all``, the ``regions`` benchmark) reads each cell from
+it after the first orthant that decides it.  Rows and cells are built as a
+relation first needs them; two threads that build the same one build equal
+ones, so the race is harmless.
 """
 
 from __future__ import annotations
@@ -91,6 +95,9 @@ from .puiseux import PS_ONE, PuiseuxSeries
 Exps = tuple[int, ...]
 TropPoint = tuple[SignedTropVal, ...]
 DiffRow = tuple[Exps, int, int]  # normal, offset numerator, offset denominator
+# a row (normal, offset numerator, offset denominator > 0, strict) means
+# normal . x + cn/cd <= 0, or < 0 when strict; the offset is in lowest terms
+IntRow = tuple[Exps, int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -430,74 +437,124 @@ class _ValKernel(NamedTuple):
 
 
 class _OrthantTable:
-    """The terms of a kernel that survive on one orthant, and their dominance
-    rows, built for each term the first time they are asked for.
+    """The terms of a kernel that survive on one orthant support, their
+    dominance rows, and every dominance cell decided on the support.
 
-    Term i survives unless it has a positive power of a coordinate the
-    orthant sets to zero.  ``signs[i]`` is its sign on the orthant, flipped
-    once per odd power of a negative coordinate.  Its affine value is
-    L_i(V) = e_i . V + v_i / D on the support valuations V, with e_i its
-    support exponents, v_i its valuation numerator and D the kernel's common
-    denominator.  The kernel must be defined on the orthant.
+    Term i survives unless it has a positive power of a coordinate outside
+    the support.  Its affine value is L_i(V) = e_i . V + v_i / D on the
+    support valuations V, with e_i its support exponents, v_i its valuation
+    numerator and D the kernel's common denominator; none of this depends
+    on the orthant's signs.  The signs only pick which terms are positive
+    and which negative: term i's sign on an orthant is its coefficient
+    sign, flipped once per odd power of a negative coordinate, and
+    ``split`` keeps the answer per orthant.  The kernel must be defined on
+    the orthants asked for.
+
+    ``cells`` and ``ties`` hold the cells that ``polyhedra.trop_region``
+    has decided, each a piece or None when it is empty.  Term i's cell
+    {L_i - L_j <= 0 for every j} is keyed by (i, strict), where bit j of
+    ``strict`` makes row j strict; an equation's tie of a positive term i
+    with a negative term j adds L_j - L_i <= 0 to i's cell with no strict
+    row, and is keyed by (i, j).  Rows and cells are built the first time a
+    relation needs them; two threads that build the same one build equal
+    ones, so the race is harmless.
     """
 
-    __slots__ = ("signs", "_exps", "_vals", "_den", "_rows")
+    __slots__ = ("_coef_signs", "_odd", "_exps", "_vals", "_den", "_rows", "_splits",
+                 "cells", "ties")
 
-    def __init__(self, kernel: _ValKernel, sigma: tuple[int, ...]) -> None:
-        place = {}
-        for k, s in enumerate(sigma):
-            if s:
-                place[k] = len(place)
+    def __init__(self, kernel: _ValKernel, support: tuple[int, ...]) -> None:
+        place = {k: i for i, k in enumerate(support)}
         m = len(place)
-        signs: list[int] = []
+        coef_signs: list[int] = []
+        odd: list[int] = []
         exps: list[Exps] = []
         vals: list[int] = []
         for pairs, sign, v in kernel.terms:
             e = [0] * m
+            bits = 0
             for k, d in pairs:
-                s = sigma[k]
-                if not s:
+                p = place.get(k)
+                if p is None:
                     break  # a positive power of a zero coordinate kills the term
-                e[place[k]] = d
-                if s < 0 and d & 1:
-                    sign = -sign
+                e[p] = d
+                if d & 1:
+                    bits |= 1 << k
             else:
-                signs.append(sign)
+                coef_signs.append(sign)
+                odd.append(bits)
                 exps.append(tuple(e))
                 vals.append(v)
-        self.signs = tuple(signs)
+        self._coef_signs = coef_signs
+        self._odd = odd  # bit k: an odd power of coordinate k
         self._exps = exps
         self._vals = vals
         self._den = kernel.den
-        self._rows: list[Optional[tuple[Optional[DiffRow], ...]]] = [None] * len(signs)
+        self._rows: list[Optional[tuple[Optional[IntRow], ...]]] = [None] * len(vals)
+        self._splits: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
+        self.cells: dict[tuple[int, int], object] = {}
+        self.ties: dict[tuple[int, int], object] = {}
 
-    def rows(self, i: int) -> tuple[Optional[DiffRow], ...]:
-        """L_i - L_j for every surviving term j, None at j == i.
+    def split(self, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+        """The terms positive and negative on the orthant sigma, as index
+        tuples and as bit sets."""
+        out = self._splits.get(sigma)
+        if out is None:
+            negative = 0
+            for k, s in enumerate(sigma):
+                if s < 0:
+                    negative |= 1 << k
+            pos: list[int] = []
+            neg: list[int] = []
+            for i, (sign, odd) in enumerate(zip(self._coef_signs, self._odd)):
+                if (odd & negative).bit_count() & 1:
+                    sign = -sign
+                (pos if sign > 0 else neg).append(i)
+            out = self._splits[sigma] = (
+                tuple(pos), tuple(neg), sum(1 << i for i in pos), sum(1 << i for i in neg)
+            )
+        return out
 
-        The row is (e_i - e_j, (v_i - v_j) / g, D / g), with g the gcd of
-        v_i - v_j and D, so the offset is in lowest terms.
+    def rows(self, i: int) -> tuple[Optional[IntRow], ...]:
+        """L_i - L_j <= 0 for every surviving term j, None at j == i.
+
+        The row is (e_i - e_j, (v_i - v_j) / g, D / g, False), with g the
+        gcd of v_i - v_j and D, so the offset is in lowest terms.
         """
         out = self._rows[i]
         if out is None:
             ei, vi, den = self._exps[i], self._vals[i], self._den
-            built: list[Optional[DiffRow]] = []
+            built: list[Optional[IntRow]] = []
             for j, (ej, vj) in enumerate(zip(self._exps, self._vals)):
                 if j == i:
                     built.append(None)
                     continue
                 dv = vi - vj
                 g = gcd(dv, den)
-                built.append((tuple([a - b for a, b in zip(ei, ej)]), dv // g, den // g))
+                built.append((tuple([a - b for a, b in zip(ei, ej)]), dv // g, den // g, False))
             out = self._rows[i] = tuple(built)
         return out
 
+    def dominance(self, i: int, strict: int) -> list[IntRow]:
+        """The rows of term i's cell: L_i - L_j <= 0 for every other term
+        j, and < 0 where bit j of ``strict`` is set."""
+        rows = self.rows(i)
+        if not strict:
+            return [r for r in rows if r is not None]
+        return [
+            (r[0], r[1], r[2], True) if strict >> j & 1 else r
+            for j, r in enumerate(rows)
+            if r is not None
+        ]
 
-# Only callers that ask several relations in a row on one orthant hit this
-# memo, so it holds one table: the last one asked for.
-@lru_cache(maxsize=1)
-def _orthant_table(kernel: _ValKernel, sigma: tuple[int, ...]) -> _OrthantTable:
-    """The table of ``kernel`` on the orthant ``sigma``."""
-    return _OrthantTable(kernel, sigma)
+
+# Every caller that walks the orthants asks for each support's table once
+# per orthant and relation: 16 tables hold the 8 supports of a 3-variable
+# polynomial, so a relation-outer loop over all its orthants builds each once.
+@lru_cache(maxsize=16)
+def _orthant_table(kernel: _ValKernel, support: tuple[int, ...]) -> _OrthantTable:
+    """The table of ``kernel`` on the orthant support ``support``."""
+    return _OrthantTable(kernel, support)
 
 
 def _check_point(F: TropPoly, p: TropPoint) -> None:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from tropreal import iojson
 from tropreal.cli import main, parse_target
 from tropreal.hyperfields import stv
-from tropreal.parsing import parse_polyk
+from tropreal.parsing import MAX_EXPONENT, parse_polyk
 from tropreal.polyhedra import point_polyhedron, trop_region, union_of
 from tropreal.scenarios import get_scenario
 from tropreal.semialg import SADescription, SignCondition
@@ -423,6 +423,24 @@ def test_malformed_polynomial_field_is_named(tmp_path, capsys, terms, field, top
     assert main(["sample", str(desc)]) == 2
     line = _one_error_line(capsys.readouterr().err)
     assert line.startswith(f"error: {desc}: {field}: expected"), line
+
+
+@pytest.mark.parametrize("exps, rc", [([0, 2**70], 2), ([0, -2**70], 2),
+                                      ([0, MAX_EXPONENT], 0)])
+def test_json_exponent_is_bounded(tmp_path, capsys, exps, rc):
+    # sampling with an exponent of 2**70 never ended
+    poly = {"nvars": 2, "terms": [
+        {"exps": exps, "coeff": {"terms": [{"exp": "0", "coeff": "1"}]}},
+        {"exps": [0, 0], "coeff": {"terms": [{"exp": "0", "coeff": "-1"}]}},
+    ]}
+    desc = tmp_path / "big.json"
+    desc.write_text(json.dumps({"nvars": 2, "disjuncts": [[{"poly": poly, "rel": ">="}]]}))
+    assert main(["sample", str(desc), "--count", "20", "--seed", "3"]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert _one_error_line(err) == (
+            f"error: {desc}: disjuncts[0][0].poly.terms[0].exps: "
+            f"an exponent is beyond MAX_EXPONENT={MAX_EXPONENT}")
 
 
 def _halfspace(normal=(1, 0), offset="0", strict=False):

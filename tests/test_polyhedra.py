@@ -706,29 +706,69 @@ def test_orthant_memo_is_bounded_and_eviction_keeps_answers():
     assert first == _piece_rows(F, sigma, "eq", _reference_trop_region)
 
 
-def test_relations_in_a_row_share_one_table_built_as_needed():
+def test_relation_outer_loop_matches_the_per_call_construction():
+    # the region --orthant all pattern: each relation walks every orthant,
+    # so every orthant of a support reads the cells the others decided
+    rng = random.Random(1414)
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        F = _random_troppoly(rng, nvars, laurent=rng.random() < 0.5)
+        for rel in RELATIONS:
+            for sigma in all_orthants(nvars):
+                want = _piece_rows(F, sigma, rel, _reference_trop_region)
+                assert _piece_rows(F, sigma, rel, trop_region) == want, (F, sigma, rel)
+
+
+def test_full_orthants_share_one_table_in_a_relation_outer_loop():
     F = TropPoly.from_terms(3, [
-        ((1, 0, 0), stv(1, 0)), ((0, 1, 0), stv(-1, 1)),
-        ((0, 0, 1), stv(1, F2(1, 2))), ((1, 1, 0), stv(1, 2)),
+        ((0, 0, 0), stv(1, 0)), ((1, 0, 0), stv(-1, 1)), ((0, 1, 0), stv(1, F2(1, 2))),
+        ((0, 0, 1), stv(-1, 2)), ((1, 1, 1), stv(1, -1)), ((2, 0, 1), stv(1, 1)),
     ])
-    sigma = (1, 1, -1)  # z's odd power turns its term negative
+    full = [sigma for sigma in all_orthants(3) if 0 not in sigma]
+    assert len(full) == 8
     _orthant_table.cache_clear()
-    trop_region(F, sigma, "ge")
-    table = _orthant_table(F._val_kernel, sigma)
-    signs = table.signs
-    assert signs == (-1, -1, 1, 1)  # terms in exponent order
+    trop_region(F, full[0], "ge")
+    table = _orthant_table(F._val_kernel, (0, 1, 2))
+    pos, neg, _, _ = table.split(full[0])
+    assert pos and neg
     # ge needs the rows of the positive terms only
-    built = [rows is not None for rows in table._rows]
-    assert built == [s > 0 for s in signs]
+    assert [rows is not None for rows in table._rows] == [
+        i in pos for i in range(len(pos) + len(neg))]
     for rel in RELATIONS:
-        trop_region(F, sigma, rel)
+        for sigma in full:
+            trop_region(F, sigma, rel)
     info = _orthant_table.cache_info()
-    assert (info.misses, info.hits) == (1, 1 + len(RELATIONS))
-    assert all(rows is not None for rows in table._rows)
-    # the next orthant replaces the table
-    trop_region(F, (1, 1, 1), "ge")
-    assert _orthant_table.cache_info().misses == 2
-    assert _orthant_table(F._val_kernel, sigma) is not table
+    assert (info.misses, info.hits) == (1, len(RELATIONS) * len(full) + 1)
+
+
+# 1 (+) Y (+) X: on (+, -) the term Y is negative, on (-, +) the term X; the
+# constant term is positive on both, and its cell is nonempty
+_THREE_TERMS = TropPoly.from_terms(2, [
+    ((0, 0), stv(1, 0)), ((0, 1), stv(1, 1)), ((1, 0), stv(1, F2(1, 2))),
+])
+
+
+def test_an_all_nonstrict_cell_is_one_piece_on_two_orthants_of_a_support():
+    F = _THREE_TERMS
+    _orthant_table.cache_clear()
+    first, second = (trop_region(F, sigma, "ge") for sigma in [(1, -1), (-1, 1)])
+    assert first.pieces[0] is second.pieces[0]
+    for sigma, region in [((1, -1), first), ((-1, 1), second)]:
+        assert [P.rows for P in region.pieces] == _piece_rows(
+            F, sigma, "ge", _reference_trop_region)
+
+
+def test_strict_rows_key_the_cell_of_a_term():
+    # the constant term is positive on both orthants, but the rows made
+    # strict by gt are against Y on one and against X on the other
+    F = _THREE_TERMS
+    _orthant_table.cache_clear()
+    regions = {sigma: trop_region(F, sigma, "gt") for sigma in [(1, -1), (-1, 1)]}
+    for sigma, region in regions.items():
+        assert [P.rows for P in region.pieces] == _piece_rows(
+            F, sigma, "gt", _reference_trop_region)
+    first, second = (region.pieces[0] for region in regions.values())
+    assert [r[3] for r in first.rows] != [r[3] for r in second.rows]
 
 
 def _assert_canonical(P):
