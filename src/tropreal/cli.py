@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import iojson
 from .errors import NoEpsilonFound, ParseError, TropRealError
@@ -112,7 +111,7 @@ def parse_target(text: str):
         else:
             if sign == 0:
                 raise TropRealError("sign 0 requires valuation inf")
-            coords.append(stv(sign, Fraction(val_text)))
+            coords.append(stv(sign, iojson.read_rational(val_text, "--target")))
     return tuple(coords)
 
 
@@ -124,7 +123,7 @@ def _require_nonnegative(**values: int) -> None:
 
 
 def _parse_window(text: str):
-    parts = [Fraction(p.strip()) for p in text.split(",")]
+    parts = [iojson.read_rational(p, "--window") for p in text.split(",")]
     if len(parts) != 4:
         raise TropRealError("window must be 'x0,x1,y0,y1'")
     return tuple(parts)
@@ -213,6 +212,7 @@ def _cmd_trop(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    window = None if args.svg is None else _parse_window(args.window)
     F = _load_troppoly(args.input)
     rel = normalize_rel(args.rel)
     if args.orthant == "all":
@@ -230,7 +230,7 @@ def _cmd_region(args) -> int:
     if args.svg is not None:
         if F.nvars != 2:
             raise TropRealError("SVG output requires exactly two variables")
-        cfg = RenderConfig(grid=args.grid, window=_parse_window(args.window))
+        cfg = RenderConfig(grid=args.grid, window=window)
         svg = render_region_svg([(F, rel)], cfg, title=f"{F.text()}  {args.rel} 0")
         with open(args.svg, "w") as fh:
             fh.write(svg)

@@ -115,14 +115,26 @@ def _at(path: str, field: str) -> str:
     return f"{path}.{field}" if path else field
 
 
+def read_rational(text: str, where: str) -> Fraction:
+    """The rational a text such as "-1/2" names; else a ParseError naming ``where``.
+
+    Exponent notation is refused: ``Fraction`` would expand it at a cost
+    that grows faster than the exponent.
+    """
+    try:
+        if "e" not in text.lower():
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ParseError(f"{where}: expected a rational such as '-1/2', got {text!r}")
+
+
 def _rational(d: dict, field: str, path: str, inf: bool = False) -> Val:
     """The rational ``field`` of the object d at ``path``.
 
-    It is a JSON integer or a string that ``Fraction`` parses, such as
-    "-1/2", but not in exponent notation, which ``Fraction`` would expand
-    at a cost that grows faster than the exponent; with ``inf``, the strings
-    "inf", "+inf" and "oo" read as INF.  Anything else is a ParseError that
-    names the JSON path of the field.
+    It is a JSON integer or a string that :func:`read_rational` reads; with
+    ``inf``, the strings "inf", "+inf" and "oo" read as INF.  Anything else
+    is a ParseError that names the JSON path of the field.
     """
     v = d[field]
     if type(v) is int:
@@ -130,13 +142,9 @@ def _rational(d: dict, field: str, path: str, inf: bool = False) -> Val:
     if isinstance(v, str):
         if inf and v.strip() in ("inf", "+inf", "oo"):
             return INF
-        try:
-            if "e" not in v.lower():
-                return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            pass
-    got = repr(v) if isinstance(v, str) else _JSON_KIND.get(type(v))
-    raise ParseError(f"{_at(path, field)}: expected a rational such as '-1/2', got {got}")
+        return read_rational(v, _at(path, field))
+    raise ParseError(f"{_at(path, field)}: expected a rational such as '-1/2', "
+                     f"got {_JSON_KIND.get(type(v))}")
 
 
 def _object(d: Any, path: str) -> dict:

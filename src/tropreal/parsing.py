@@ -18,6 +18,7 @@ explicit ``nvars``, is a :class:`~tropreal.errors.ParseError`.  A power
 or product that could expand to more than ``MAX_TERMS`` terms is one too,
 and so is a power of one term, or a product, whose coefficients could
 pass ``MAX_POWER_BITS`` bits; both are raised before anything is expanded.
+So is a result with a variable exponent beyond ``MAX_EXPONENT``.
 
 The parser has no polynomial arithmetic of its own: every literal,
 variable and power of t becomes a :class:`~tropreal.troppoly.PolyK`, and
@@ -61,11 +62,11 @@ MAX_TERMS = 256
 # text.
 MAX_POWER_BITS = 10_000
 
-# The largest magnitude of an exponent of a variable in JSON input.  Sampling
-# a description takes time that grows with its exponents: the circle with
-# one exponent set to 10**7 took 17 s, and with 2**70 it did not end.  A text
-# meets the same bound on a power of a parenthesized term, through
-# MAX_POWER_BITS, since each factor adds at least one bit.
+# The largest magnitude of an exponent of a variable, in JSON input and in a
+# parsed text.  Sampling a description takes time that grows with its
+# exponents: the circle with one exponent set to 10**7 took 17 s, and with
+# 2**70 it did not end.  A text is checked once parsed: powers and products
+# can pass the bound ((x^10000)^10000, x^10000*x^10000).
 MAX_EXPONENT = MAX_POWER_BITS
 
 
@@ -172,6 +173,8 @@ class _Parser:
             raise ParseError(
                 f"variable index {self.max_var + 1} exceeds nvars={self.nvars}"
             )
+        if any(abs(k) > MAX_EXPONENT for exps, _ in poly.terms for k in exps):
+            raise ParseError(f"an exponent of a variable is beyond MAX_EXPONENT={MAX_EXPONENT}")
         return poly
 
     def _const(self, c: PuiseuxSeries) -> PolyK:

@@ -743,10 +743,7 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
             for j in neg:
                 tie = ties.get((i, j), _UNDECIDED)
                 if tie is _UNDECIDED:
-                    rows = table.dominance(i, 0)
-                    rows.append(table.rows(j)[i])
-                    key = tuple(sorted(rows))
-                    tie = ties[(i, j)] = None if _rows_empty(key, m) else (key, _from_rows(m, rows))
+                    tie = _decide_cell(table, ties, (i, j), m, i, 0, j)
                 if tie is not None and tie[0] not in seen:
                     seen.add(tie[0])
                     pieces.append(tie[1])
@@ -761,14 +758,23 @@ def _term_cells(table, m: int, terms: Sequence[int], strict: int, out: list) -> 
     to the terms in the bit set ``strict`` strict, deciding the new ones."""
     cells = table.cells
     for i in terms:
-        P = cells.get((i, strict), _UNDECIDED)
-        if P is _UNDECIDED:
-            rows = table.dominance(i, strict)
-            P = cells[(i, strict)] = (
-                None if _rows_empty(tuple(sorted(rows)), m) else _from_rows(m, rows)
-            )
-        if P is not None:
-            out.append(P)
+        cell = cells.get((i, strict), _UNDECIDED)
+        if cell is _UNDECIDED:
+            cell = _decide_cell(table, cells, (i, strict), m, i, strict)
+        if cell is not None:
+            out.append(cell[1])
+
+
+def _decide_cell(table, store: dict, key, m: int, i: int, strict: int, tie: Optional[int] = None):
+    """Build term i's cell (rows to ``strict`` strict, cut by L_tie <= L_i
+    with a ``tie``), decide it, and store and return None if it is empty,
+    else (its sorted rows, its piece)."""
+    rows = table.dominance(i, strict)
+    if tie is not None:
+        rows.append(table.rows(tie)[i])
+    key_rows = tuple(sorted(rows))
+    cell = store[key] = None if _rows_empty(key_rows, m) else (key_rows, _from_rows(m, rows))
+    return cell
 
 
 def trop_conjunction(

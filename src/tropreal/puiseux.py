@@ -22,15 +22,18 @@ Sampler state is confined to an explicitly passed generator; use
 independent seeds for concurrent sampling.  A draw has two steps:
 :func:`ps_draw` takes the random integers of one series in one frame, and
 :func:`ps_build` turns them into a series; :func:`ps_sample` is the two
-in a row.  Every bounded draw is ``randrange`` written out, the loop of
-:func:`rand_below`: it asks ``getrandbits`` for the same words that
-``randint`` and ``choice`` of a plain :class:`random.Random` ask for, so
-a seed gives the same series on every supported Python.  The integers a
+in a row.  Every bounded draw is ``randrange(n)`` written out:
+``getrandbits(n.bit_length())`` until the result is below n, the same
+words that ``randint`` of a plain :class:`random.Random` asks for, so a
+seed gives the same series on every supported Python.  The integers a
 draw needs are fixed once per :class:`SamplerConfig`, as a private plan;
 the grid window of a denominator is computed the first time that
 denominator is drawn, so memory depends on the denominators drawn and
 never on how wide the ranges are.  Only the exponents and coefficients
 that are kept become Fractions, through a memo of at most 256 entries.
+
+``witness_search`` builds its draws with the lead pinned to a signed
+value c (``ps_build(draw, lead=c)``), so that they tropicalize to c.
 
 The split lets a caller decide a candidate before any series exists.
 The default candidate loop of :mod:`tropreal.semialg` reads the leading
@@ -299,22 +302,6 @@ class _GridWindows(dict):
         return window
 
 
-def rand_below(rng: random.Random, n: int) -> int:
-    """``rng.randrange(n)`` for n > 0, as a plain :class:`random.Random` draws it.
-
-    ``randrange`` calls ``getrandbits(n.bit_length())`` until the result is
-    below n; so does this, without the argument checks, so both consume the
-    same words and return the same int.  ``randint(a, b)`` is
-    ``a + rand_below(rng, b - a + 1)`` and ``choice(seq)`` is
-    ``seq[rand_below(rng, len(seq))]``.
-    """
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
 @lru_cache(maxsize=256)
 def _fraction(k: int, q: int) -> Fraction:
     return Fraction(k, q)
@@ -336,10 +323,10 @@ def ps_draw(cfg: SamplerConfig, rng: random.Random) -> SeriesDraw:
 
     Every draw below n is ``randrange(n)`` written out:
     ``getrandbits(n.bit_length())`` until the result is below n, so a draw
-    takes the same ``getrandbits`` words as :func:`rand_below` and the
-    ``randint`` sampler before it.  Returns one (k, q, ck, cq) per term,
-    the lead first and exponents increasing: the exponent k/q in lowest
-    terms and the coefficient ck/cq with ck nonzero.
+    takes the same ``getrandbits`` words as the ``randint`` sampler before
+    it.  Returns one (k, q, ck, cq) per term, the lead first and exponents
+    increasing: the exponent k/q in lowest terms and the coefficient ck/cq
+    with ck nonzero.
     """
     getrandbits = rng.getrandbits
     max_terms, terms_bits, dbound, dbound_bits, exp_windows, coeff_windows = cfg._plan
@@ -391,11 +378,24 @@ def ps_draw(cfg: SamplerConfig, rng: random.Random) -> SeriesDraw:
     return terms
 
 
-def ps_build(draw: SeriesDraw) -> PuiseuxSeries:
-    """The series of a :func:`ps_draw`; exponents and coefficients become Fractions here."""
+def ps_build(draw: SeriesDraw, lead: Optional[SignedTropVal] = None) -> PuiseuxSeries:
+    """The series of a :func:`ps_draw`; exponents and coefficients become Fractions here.
+
+    With ``lead``, a nonzero signed value c, every exponent is shifted by
+    c's valuation minus the drawn lead exponent and the lead coefficient
+    takes c's sign, so the series tropicalizes to c; the gaps between
+    exponents, the lead's magnitude and the tail coefficients stay as drawn.
+    """
     # distinct increasing exponents and nonzero coefficients: already in normal form
-    return PuiseuxSeries(tuple(
-        [(_fraction(k, q), _fraction(ck, cq)) for k, q, ck, cq in draw]
+    if lead is None:
+        return PuiseuxSeries(tuple(
+            [(_fraction(k, q), _fraction(ck, cq)) for k, q, ck, cq in draw]
+        ))
+    k0, q0, ck0, cq0 = draw[0]
+    shift = lead.val - _fraction(k0, q0)
+    return PuiseuxSeries((
+        (lead.val, _fraction(lead.sign * abs(ck0), cq0)),
+        *[(_fraction(k, q) + shift, _fraction(ck, cq)) for k, q, ck, cq in draw[1:]],
     ))
 
 

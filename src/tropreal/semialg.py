@@ -44,7 +44,8 @@ disjunct is dropped; the others are built and decided exactly by
 ``sa_member``, where ``laurent_sign`` settles a balanced condition from
 its initial form, the sum of the dominant terms' leading coefficients,
 and only when that sum cancels from the full series.  Seeded output is
-the same as that of building and testing every candidate.
+the same as that of building and testing every candidate.  The witness
+search takes the same draws, each with its lead pinned to the target.
 
 Sampling and search are embarrassingly parallel over seeds; all exact
 checks are pure.
@@ -86,7 +87,7 @@ from .polyhedra import (
     union_subset,
     valuation_piece_to_log,
 )
-from .puiseux import PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw, rand_below
+from .puiseux import PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw
 from .troppoly import (
     PolyK,
     TropPoint,
@@ -222,16 +223,18 @@ def _candidates(
     drawn coordinate by coordinate: a coordinate is exactly zero with
     probability ``_ZERO_PROB`` (one ``rng.random()`` word), and otherwise
     a series drawn as integers first (:func:`ps_draw`, the random words of
-    :func:`ps_sample`).  This loop is the library's one draw path.  The
-    leading terms then decide most candidates: each condition is scored
-    at the coordinates' leading signs and valuations by the integer loop of
-    ``laurent_sign``, and a condition fails outright when a coordinate
-    under a negative exponent is zero (it is undefined) or when its
-    dominant terms share a sign that the relation rejects.  A candidate
-    with such a condition in every disjunct is not in S and is dropped
-    unbuilt; the series of the others are built, and membership is left to
-    the caller's exact test.  A balanced condition, where dominant terms of
-    opposite sign tie, is never decided here.
+    :func:`ps_sample`).  :func:`ps_draw` is the library's one series draw:
+    ``witness_search`` takes the same draws and pins their leads, and only
+    a scenario's proposal draws its own way.  The leading terms then
+    decide most candidates: each condition is scored at the coordinates'
+    leading signs and valuations by the integer loop of ``laurent_sign``,
+    and a condition fails outright when a coordinate under a negative
+    exponent is zero (it is undefined) or when its dominant terms share a
+    sign that the relation rejects.  A candidate with such a condition in
+    every disjunct is not in S and is dropped unbuilt; the series of the
+    others are built, and membership is left to the caller's exact test.
+    A balanced condition, where dominant terms of opposite sign tie, is
+    never decided here.
     """
     if proposal is not None:
         for _ in range(budget):
@@ -667,45 +670,22 @@ def witness_search(
 ) -> Optional[tuple[PuiseuxSeries, ...]]:
     """Search for a member of S tropicalizing exactly to z.
 
-    Coordinates are sampled with the leading term pinned by z (exponent and
-    sign fixed, magnitude random) and random higher-order tails, so every
-    candidate tropicalizes to z by construction; only membership is tested.
-    Returns the first witness, or None when the budget is exhausted --
-    absence is a value, not an error, and is conclusive only when the outer
-    region already excludes z.
+    Each nonzero coordinate c of z is a draw of the default sampler, from
+    the grids of ``cfg``, built with its lead pinned to c
+    (``ps_build(ps_draw(cfg, rng), lead=c)``); a zero coordinate is zero
+    and draws nothing.  Every candidate tropicalizes to z by construction; only
+    membership is tested.  Returns the first witness, or None when the
+    budget is exhausted -- absence is a value, not an error, and is
+    conclusive only when the outer region already excludes z.
     """
     if len(z) != S.nvars:
         raise DimensionMismatch("target point dimension mismatch")
     rng = random.Random(cfg.seed)
-    lo, hi = cfg.coeff_range
-    mag_hi = max(abs(lo), abs(hi), Fraction(1))
     for _ in range(budget):
-        coords: list[PuiseuxSeries] = []
-        for c in z:
-            if c.sign == 0:
-                coords.append(PS_ZERO)
-                continue
-            lead = Fraction(c.val)
-            pairs = [(lead, c.sign * _positive_magnitude(rng, mag_hi, cfg))]
-            for _ in range(rand_below(rng, cfg.max_terms)):
-                step = _positive_magnitude(rng, Fraction(2), cfg)
-                coeff = _signed_magnitude(rng, mag_hi, cfg)
-                pairs.append((lead + step, coeff))
-            coords.append(PuiseuxSeries.from_terms(pairs))
-        p = tuple(coords)
+        p = tuple([PS_ZERO if c.sign == 0 else ps_build(ps_draw(cfg, rng), c) for c in z])
         if sa_member(S, p):
             return p
     return None
-
-
-def _positive_magnitude(rng: random.Random, hi: Fraction, cfg: SamplerConfig) -> Fraction:
-    q = 1 + rand_below(rng, cfg.exponent_denominator_bound)
-    num = 1 + rand_below(rng, max(1, int(hi * q)))
-    return Fraction(num, q)
-
-
-def _signed_magnitude(rng: random.Random, hi: Fraction, cfg: SamplerConfig) -> Fraction:
-    return _positive_magnitude(rng, hi, cfg) * (-1, 1)[rand_below(rng, 2)]
 
 
 def outer_excludes(S: SADescription, z: TropPoint) -> bool:

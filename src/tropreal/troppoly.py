@@ -451,7 +451,8 @@ class _OrthantTable:
     the orthants asked for.
 
     ``cells`` and ``ties`` hold the cells that ``polyhedra.trop_region``
-    has decided, each a piece or None when it is empty.  Term i's cell
+    has decided, each None when it is empty, else its sorted rows and its
+    piece.  Term i's cell
     {L_i - L_j <= 0 for every j} is keyed by (i, strict), where bit j of
     ``strict`` makes row j strict; an equation's tie of a positive term i
     with a negative term j adds L_j - L_i <= 0 to i's cell with no strict

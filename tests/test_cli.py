@@ -206,8 +206,10 @@ def test_figures_command(tmp_path):
     pytest.param(["sample", "halfplane", "--seed", "1", "--count", "2000"],
                  "ba416792078848066b0afa1919f38bf29b3231cd140660266ca8d821c418b3a8",
                  id="sample-halfplane"),
+    # recorded again when witness coordinates became sampler draws with
+    # their lead pinned to the target: (2*t + 4*t^2 + 3*t^3, 2 - 5/2*t)
     pytest.param(["witness", "halfplane", "--seed", "1", "--target", "((+,1),(+,0))"],
-                 "3e059e71c954408d97a51cf6762d9428f9f2c65a5d6589e06f899dafaef3d955",
+                 "f6461f7d56fbb0c52926d32703f92133936d5a25050289fb6a3a0ad7448476dc",
                  id="witness-halfplane"),
     pytest.param(["lift", "circle", "--trop", "F.json", "--seed", "2", "--count", "200"],
                  "9b9fd0cb16a857e94973a554c2372459930b77177c2709c3b23049837ff61900",
@@ -572,17 +574,32 @@ def test_check_nonpositive_count_is_usage_error(capsys, count):
     assert "positive" in _one_error_line(capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", [
-    ["sample", "--count", "-5"],
-    ["witness", "--target", "((+,0),(+,0))", "--budget", "-3"],
-    ["basis", "--target-set", "T.json", "--count", "-2"],
-    ["lift", "--trop", "F.json", "--count", "-1"],
-    ["lift", "--trop", "F.json", "--budget", "-4"],
+_NONNEGATIVE = "must be nonnegative"
+_RATIONAL = "expected a rational such as '-1/2'"
+
+
+# A rational flag value is read as a JSON input's rational is: a zero
+# denominator (a ZeroDivisionError traceback before) or exponent notation
+# is a usage error.
+@pytest.mark.parametrize("command, message", [
+    pytest.param(["sample", "--count", "-5"], _NONNEGATIVE, id="command0"),
+    pytest.param(["witness", "--target", "((+,0),(+,0))", "--budget", "-3"], _NONNEGATIVE,
+                 id="command1"),
+    pytest.param(["basis", "--target-set", "T.json", "--count", "-2"], _NONNEGATIVE,
+                 id="command2"),
+    pytest.param(["lift", "--trop", "F.json", "--count", "-1"], _NONNEGATIVE, id="command3"),
+    pytest.param(["lift", "--trop", "F.json", "--budget", "-4"], _NONNEGATIVE, id="command4"),
+    pytest.param(["witness", "--target", "((+,1/0),(+,0))"], _RATIONAL, id="target-1/0"),
+    pytest.param(["witness", "--target", "((+,1e5),(+,0))"], _RATIONAL, id="target-1e5"),
+    pytest.param(["region", "--svg", "x.svg", "--window", "1/0,1,0,1"], _RATIONAL,
+                 id="window-1/0"),
+    pytest.param(["region", "--svg", "x.svg", "--window", "1e5,1,0,1"], _RATIONAL,
+                 id="window-1e5"),
 ])
-def test_negative_count_or_budget_is_usage_error(circle_files, capsys, command):
+def test_negative_count_or_budget_is_usage_error(circle_files, capsys, command, message):
     _, desc = circle_files
     assert main([command[0], str(desc), *command[1:]]) == 2
-    assert "must be nonnegative" in _one_error_line(capsys.readouterr().err)
+    assert message in _one_error_line(capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("grid", ["0", "1"])

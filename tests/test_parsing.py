@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropreal.errors import ParseError
-from tropreal.parsing import MAX_POWER_BITS, MAX_TERMS, MAX_VARS, parse_polyk, parse_puiseux
+from tropreal.parsing import (
+    MAX_EXPONENT, MAX_POWER_BITS, MAX_TERMS, MAX_VARS, parse_polyk, parse_puiseux,
+)
 from tropreal.puiseux import PuiseuxSeries
 from tropreal.troppoly import PolyK, eval_k
 
@@ -131,6 +133,21 @@ def test_power_of_one_term_within_the_bound():
     assert parse_polyk(f"(3/2)^{k}") == parse_polyk(f"{3**k}/{2**k}")
     with pytest.raises(ParseError, match="bits"):
         parse_polyk(f"(3/2)^{k + 1}")
+
+
+@pytest.mark.parametrize("bad", ["x^1180591620717411303424 - 1", "(x^10000)^10000", "x^10000*x^10000"])
+def test_variable_exponents_are_bounded(bad):
+    # each parsed at once to a polynomial that JSON input refuses
+    with pytest.raises(ParseError, match=f"beyond MAX_EXPONENT={MAX_EXPONENT}"):
+        parse_polyk(bad)
+
+
+def test_variable_exponents_within_the_bound():
+    assert MAX_EXPONENT == 10000
+    assert parse_polyk("x^10000") == parse_polyk("(x^100)^100")
+    assert parse_polyk("x^(-10000)*y") == parse_polyk("y*x^(-10000)")
+    # the bound is on the result: a later factor may bring an exponent back
+    assert parse_polyk("x^10000*x^10000*x^(-10000)") == parse_polyk("x^10000")
 
 
 def test_overlong_numerals_are_parse_errors():

@@ -10,17 +10,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tropreal.errors import PuiseuxDivisionError
-from tropreal.hyperfields import INF, Point, hv_contains, rt_add, rt_mul, stv
+from tropreal.hyperfields import INF, Point, SignedTropVal, hv_contains, rt_add, rt_mul, stv
 from tropreal.puiseux import (
     PS_ZERO,
     PuiseuxSeries,
     SamplerConfig,
     _fraction,
+    ps_build,
     ps_cmp,
+    ps_draw,
     ps_sample,
-    rand_below,
 )
-from tropreal.semialg import _positive_magnitude, _signed_magnitude
 
 P = PuiseuxSeries.from_terms
 t_pow = PuiseuxSeries.t_power
@@ -345,30 +345,37 @@ def test_sampler_wide_window_matches_reference_with_bounded_memo():
     assert 0 < info.maxsize <= 256 and info.currsize <= info.maxsize
 
 
-@given(st.one_of(st.integers(1, 70), st.integers(1, 2**80)), st.integers(0, 2**32))
-def test_rand_below_is_randrange(n, seed):
-    rng, ref = random.Random(seed), random.Random(seed)
-    for _ in range(50):
-        assert rand_below(rng, n) == ref.randint(0, n - 1)
-        assert (-1, 1)[rand_below(rng, 2)] == ref.choice([-1, 1])
-    assert rng.getstate() == ref.getstate()
-
-
-def _reference_positive_magnitude(rng, hi, cfg):
-    q = rng.randint(1, cfg.exponent_denominator_bound)
-    return Fraction(rng.randint(1, max(1, int(hi * q))), q)
-
-
-@given(
-    st.integers(1, 6),
-    st.fractions(min_value=0, max_value=10, max_denominator=4),
-    st.integers(0, 2**32),
+# Signed values to pin: valuations inside the exponent windows of
+# sampler_configs and far outside them.
+_pins = st.builds(
+    SignedTropVal,
+    st.sampled_from([-1, 1]),
+    st.fractions(min_value=-40, max_value=40, max_denominator=9),
 )
-def test_witness_magnitudes_match_randint_reference(dbound, hi, seed):
-    cfg = SamplerConfig(exponent_denominator_bound=dbound)
+
+
+@given(sampler_configs(), st.lists(_pins, min_size=1, max_size=10), st.integers(0, 2**32))
+def test_pinned_build_tropicalizes_to_the_pin_and_keeps_the_draw(cfg, pins, seed):
     rng, ref = random.Random(seed), random.Random(seed)
-    for _ in range(50):
-        assert _positive_magnitude(rng, hi, cfg) == _reference_positive_magnitude(ref, hi, cfg)
-        signed = _reference_positive_magnitude(ref, hi, cfg) * ref.choice([-1, 1])
-        assert _signed_magnitude(rng, hi, cfg) == signed
-    assert rng.getstate() == ref.getstate()
+    for c in pins:
+        try:
+            draw = ps_draw(cfg, rng)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ps_draw(cfg, ref)
+            break
+        assert draw == ps_draw(cfg, ref)
+        pinned, free = ps_build(draw, lead=c), ps_build(draw)
+        assert pinned.signed_trop() == c
+        exps = [e for e, _ in pinned.terms]
+        assert all(a < b for a, b in zip(exps, exps[1:]))
+        assert all(k != 0 for _, k in pinned.terms)
+        assert all(type(x) is Fraction for term in pinned.terms for x in term)
+        # the same gaps above the lead, the same tail, the lead's magnitude
+        free_exps = [e for e, _ in free.terms]
+        assert [e - exps[0] for e in exps] == [e - free_exps[0] for e in free_exps]
+        assert pinned.terms[1:] == tuple(
+            (e - free_exps[0] + c.val, k) for e, k in free.terms[1:]
+        )
+        assert abs(pinned.terms[0][1]) == abs(free.terms[0][1])
+        assert rng.getstate() == ref.getstate()
