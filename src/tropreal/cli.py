@@ -2,9 +2,10 @@
 
 Subcommands: trop, region, sample, witness, basis, lift, check, figures.
 All randomized commands take --seed (default: the TROPREAL_SEED environment
-variable, else 0) and produce byte-identical JSON for identical inputs and
-seed.  Exit codes: 0 all good, 1 a check failed or a command could not verify
-its answer, 2 input or usage error.
+variable, else 0; a set value that is not an integer is a usage error) and
+produce byte-identical JSON for identical inputs and seed.  Exit codes: 0
+all good, 1 a check failed or a command could not verify its answer, 2
+input or usage error.
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ EXIT_USAGE = 2
 
 
 def _default_seed() -> int:
+    text = os.environ.get("TROPREAL_SEED", "")
     try:
-        return int(os.environ.get("TROPREAL_SEED", "0"))
+        return int(text) if text else 0
     except ValueError:
-        return 0
+        raise ValueError(f"TROPREAL_SEED is not an integer: {text!r}") from None
 
 
 def _read_text(path: str) -> str:
@@ -352,9 +354,9 @@ _DISPATCH = {
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if "seed" in vars(args) and args.seed is None:
-        args.seed = _default_seed()
     try:
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
         return _DISPATCH[args.command](args)
     except (TropRealError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,9 @@ signed tropicalization are computed:
 * an *outer* approximation: per orthant, the intersection over describing
   conditions of the exact polyhedral region of the tropicalized condition.
   Tropicalizing a valid inequality can only enlarge the set, so this is a
-  certified superset.
+  certified superset.  A description splits its ``!=`` conditions and
+  tropicalizes each condition once, for all orthants; whether the outer
+  pieces are connected is decided by one walk over them.
 
 A Laurent condition is undefined where a negative exponent meets a zero
 coordinate, and an undefined condition does not hold.  The condition owns
@@ -56,6 +58,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -132,6 +135,13 @@ class SADescription:
             for cond in disj:
                 if cond.poly.nvars != self.nvars:
                     raise DimensionMismatch("condition nvars mismatch")
+
+    @cached_property
+    def _outer_conditions(self) -> tuple[tuple[tuple[TropPoly, str], ...], ...]:
+        """The disjuncts of ``split_ne``, each condition as (shadow, relation)."""
+        return tuple(
+            tuple((trop_r(c.poly), c.rel) for c in disj) for disj in split_ne(self).disjuncts
+        )
 
 
 def conjunction(nvars: int, conditions: Iterable[SignCondition]) -> SADescription:
@@ -244,7 +254,7 @@ def _candidates(
     draw = ps_draw
     uniform = rng.random
     plan = [
-        [(cond.poly._lead_kernel, SATISFIED_BY[cond.rel]) for cond in disj]
+        [(trop_r(cond.poly)._val_kernel, SATISFIED_BY[cond.rel]) for cond in disj]
         for disj in S.disjuncts
     ]
     for _ in range(budget):
@@ -305,17 +315,16 @@ def sa_outer(S: SADescription, sigma: Orthant) -> PolyUnion:
 
     Union over disjuncts of the intersection over conditions of the region
     of the tropicalized condition; a disjunct with a condition undefined on
-    sigma contributes nothing.  Orthants are never mixed; assembling a
-    global picture is the caller's (reporting-level) concern.
+    sigma contributes nothing.  One prune, keeping first copies, joins the
+    disjuncts' pieces.  Orthants are never mixed; assembling a global
+    picture is the caller's (reporting-level) concern.
     """
     if len(sigma) != S.nvars:
         raise DimensionMismatch("orthant length does not match description")
-    m = len(orthant_support(sigma))
-    out = PolyUnion(m, ())
-    for disj in split_ne(S).disjuncts:
-        acc = trop_conjunction(((trop_r(c.poly), c.rel) for c in disj), sigma)
-        out = union_prune(PolyUnion(m, out.pieces + acc.pieces))
-    return out
+    pieces: list[Polyhedron] = []
+    for conditions in S._outer_conditions:
+        pieces += trop_conjunction(conditions, sigma).pieces
+    return union_prune(PolyUnion(len(orthant_support(sigma)), tuple(pieces)))
 
 
 def sa_outer_all(S: SADescription) -> dict[Orthant, PolyUnion]:
@@ -734,39 +743,24 @@ def _touches(
     return False
 
 
-def adjacency_graph(
-    regions: dict[Orthant, PolyUnion]
-) -> tuple[list[tuple[Orthant, int]], set[tuple[int, int]]]:
-    """Nodes are nonempty pieces (orthant, index); edges join touching pieces."""
-    nodes: list[tuple[Orthant, int]] = []
-    pieces: list[tuple[Polyhedron, Orthant]] = []
-    for sigma in sorted(regions):
-        for i, piece in enumerate(regions[sigma].pieces):
-            if not poly_is_empty(piece):
-                nodes.append((sigma, i))
-                pieces.append((piece, sigma))
-    edges: set[tuple[int, int]] = set()
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            if _touches(pieces[i][0], pieces[i][1], pieces[j][0], pieces[j][1]):
-                edges.add((i, j))
-    return nodes, edges
-
-
 def adjacency_connected(regions: dict[Orthant, PolyUnion]) -> bool:
-    nodes, edges = adjacency_graph(regions)
-    if len(nodes) <= 1:
-        return True
-    adj: dict[int, set[int]] = {i: set() for i in range(len(nodes))}
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(nodes)
+    """Whether the nonempty pieces, joined where they touch, form one cluster.
+
+    A walk: the reached set grows from the first nonempty piece (orthants
+    in sorted order), and each piece reached is tested with ``_touches``
+    only against the pieces not reached yet.  No piece, or one, is connected.
+    """
+    unreached = [
+        (piece, sigma)
+        for sigma in sorted(regions)
+        for piece in regions[sigma].pieces
+        if not poly_is_empty(piece)
+    ]
+    stack, unreached = unreached[:1], unreached[1:]
+    while stack and unreached:
+        A, sa = stack.pop()
+        rest = []
+        for B, sb in unreached:
+            (stack if _touches(A, sa, B, sb) else rest).append((B, sb))
+        unreached = rest
+    return not unreached

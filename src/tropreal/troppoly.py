@@ -54,11 +54,13 @@ with the kernel and checked once per call; in the loop a zero coordinate
 only kills terms.
 
 Everything is immutable; evaluation over shared polynomials is safe from
-concurrent contexts.  The integer forms of trop(f) and of g are cached
-on each :class:`PolyK` the first time a sign (and, for g, a balanced sign)
-is asked for, and that of a tropical polynomial on each :class:`TropPoly`
-the first time it is evaluated.  What a kernel restricts to on one orthant
-support (its surviving terms, the difference rows from which
+concurrent contexts.  Each :class:`PolyK` has one shadow, built by the
+first ``trop_r`` and returned by every later one, and that shadow keeps
+its integer form the first time it is evaluated: one :class:`_ValKernel`
+per polynomial, read by ``trop_eval``, ``laurent_sign`` and the sampler
+alike.  The integer form of g is cached on the :class:`PolyK` the first
+time a balanced sign is asked for.  What a kernel restricts to on one
+orthant support (its surviving terms, the difference rows from which
 ``polyhedra.trop_region`` assembles dominance cells, and the cells decided
 so far) is not stored on the polynomial: ``_orthant_table`` keeps the
 tables of the last 16 (kernel, support) pairs asked for.  The orthants of
@@ -221,8 +223,10 @@ class PolyK:
         return _SignKernel.of(self)
 
     @cached_property
-    def _lead_kernel(self) -> "_ValKernel":
-        return _ValKernel.of(trop_r(self))
+    def _trop(self) -> "TropPoly":
+        return TropPoly.from_terms(
+            self.nvars, ((exps, coeff.signed_trop()) for exps, coeff in self.terms)
+        )
 
 
 @dataclass(frozen=True)
@@ -289,10 +293,8 @@ def _var_names(nvars: int) -> list[str]:
 
 
 def trop_r(f: PolyK) -> TropPoly:
-    """Replace every coefficient by its signed value (terms mapping to zero drop out)."""
-    return TropPoly.from_terms(
-        f.nvars, ((exps, coeff.signed_trop()) for exps, coeff in f.terms)
-    )
+    """Every coefficient by its signed value (zero terms drop out); built once per f."""
+    return f._trop
 
 
 class _ValKernel(NamedTuple):
@@ -804,7 +806,7 @@ def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
     if type(p) is not tuple:
         p = tuple(p)
     _check_laurent_point(f, p)
-    _, sign, balanced, _ = f._lead_kernel.score_leading(p)
+    _, sign, balanced, _ = f._trop._val_kernel.score_leading(p)
     if not balanced:
         return sign
     kernel = f._sign_kernel

@@ -758,6 +758,18 @@ def test_one_parser_serves_repeated_calls(circle_files, tmp_path, monkeypatch):
     assert _run_main(sample) != shared[3]
     monkeypatch.setenv("TROPREAL_SEED", "2")
     assert _run_main(sample) == shared[3]
+    # an empty value means 0, as an unset one does; one that is not an
+    # integer is a usage error naming the variable, and writes nothing
+    monkeypatch.setenv("TROPREAL_SEED", "")
+    assert _run_main(sample) == _run_main(sample + ["--seed", "0"])
+    for bad in ("abc", "1.5", "2 3", "0x10", "\n"):
+        monkeypatch.setenv("TROPREAL_SEED", bad)
+        rc, out, err = _run_main(sample)
+        assert (rc, out) == (2, ""), bad
+        assert err.startswith("error: ") and "TROPREAL_SEED" in err, bad
+        assert err.count("\n") == 1, bad
+    # an explicit --seed does not read the variable
+    assert _run_main(sample + ["--seed", "2"]) == shared[3]
 
 
 # -- JSON-shape fuzz: mutated description, --trop and --target-set files -------

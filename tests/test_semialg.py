@@ -1,5 +1,6 @@
 """Inner clouds, outer regions, sandwich, lifting, bases, witnesses."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,19 +20,25 @@ from tropreal.parsing import parse_polyk
 from tropreal.polyhedra import (
     constraint,
     Polyhedron,
+    PolyUnion,
+    orthant_support,
     point_polyhedron,
     poly_dim,
+    poly_is_empty,
+    trop_conjunction,
     union_equal,
     union_of,
+    union_prune,
     whole_space_union,
 )
-from tropreal.puiseux import PuiseuxSeries, SamplerConfig
+from tropreal.puiseux import PuiseuxSeries, SamplerConfig, ps_sample
 from tropreal.scenarios import get_scenario, vertex_parameter
 from tropreal.semialg import (
     SADescription,
     SampleCloud,
     SignCondition,
     _candidates,
+    _touches,
     adjacency_connected,
     collect_samples,
     conjunction,
@@ -48,7 +55,7 @@ from tropreal.semialg import (
     split_ne,
     witness_search,
 )
-from tropreal.troppoly import PolyK, TropPoly, trop_point, trop_r
+from tropreal.troppoly import PolyK, TropPoly, _ValKernel, laurent_sign, trop_point, trop_r
 
 F2 = Fraction
 const = PuiseuxSeries.const
@@ -340,10 +347,130 @@ def test_undefined_disjunct_leaves_the_others(order):
     assert sa_outer_all(conjunction(2, laurent + first))[(0, 1)].pieces == ()
 
 
+# -- the outer region and its connectivity against the plain constructions -----
+
+
+def _connected_all_pairs(regions):
+    """Reference: every edge between nonempty pieces, then a search of the graph."""
+    pieces = [
+        (piece, sigma)
+        for sigma in sorted(regions)
+        for piece in regions[sigma].pieces
+        if not poly_is_empty(piece)
+    ]
+    if len(pieces) <= 1:
+        return True
+    adj = {i: set() for i in range(len(pieces))}
+    for i, j in itertools.combinations(range(len(pieces)), 2):
+        if _touches(*pieces[i], *pieces[j]):
+            adj[i].add(j)
+            adj[j].add(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for nxt in adj[stack.pop()] - seen:
+            seen.add(nxt)
+            stack.append(nxt)
+    return len(seen) == len(pieces)
+
+
+def _sa_outer_per_disjunct(S, sigma):
+    """Reference: split the != conditions, tropicalize each condition afresh,
+    and prune the union after every disjunct."""
+    m = len(orthant_support(sigma))
+    out = PolyUnion(m, ())
+    for disj in split_ne(S).disjuncts:
+        fresh = [
+            (TropPoly.from_terms(S.nvars, ((e, c.signed_trop()) for e, c in cond.poly.terms)),
+             cond.rel)
+            for cond in disj
+        ]
+        out = union_prune(PolyUnion(m, out.pieces + trop_conjunction(fresh, sigma).pieces))
+    return out
+
+
+def _random_description(rng, nvars):
+    """2 or 3 disjuncts of 1 or 2 conditions, with negative exponents and many !=."""
+    cfg = SamplerConfig(max_terms=2, exponent_denominator_bound=2, seed=1)
+
+    def poly():
+        terms = {
+            tuple(rng.randint(-1, 2) for _ in range(nvars)): ps_sample(cfg, rng)
+            for _ in range(rng.randint(1, 3))
+        }
+        f = PolyK.from_terms(nvars, list(terms.items()))
+        return f if not f.is_zero() else PolyK.const(nvars, PuiseuxSeries.one())
+
+    rels = ["ne", "ne", "gt", "ge", "eq", "le", "lt"]
+    return SADescription(nvars, tuple(
+        tuple(SignCondition(poly(), rng.choice(rels)) for _ in range(rng.randint(1, 2)))
+        for _ in range(rng.randint(2, 3))
+    ))
+
+
 def test_connectivity_of_scenarios():
-    for scen in (CIRCLE, HALFPLANE, CUBIC):
-        regions = sa_outer_all(scen.description)
-        assert adjacency_connected(regions), scen.name
+    # the intersection families' outer pieces fall apart; the others hang together
+    for name in ("circle", "halfplane", "cubic", "intersection_tight", "intersection_wide"):
+        regions = sa_outer_all(get_scenario(name).description)
+        connected = adjacency_connected(regions)
+        assert connected == _connected_all_pairs(regions), name
+        assert connected == (not name.startswith("intersection")), name
+
+
+def test_connectivity_walk_matches_all_pairs_on_random_descriptions():
+    rng = random.Random(2511)
+    answers = []
+    for k in range(60):
+        regions = sa_outer_all(_random_description(rng, 1 + k % 3))
+        answers.append(adjacency_connected(regions))
+        assert answers[-1] == _connected_all_pairs(regions), k
+    assert 5 <= sum(answers) <= 55  # both answers occur
+
+
+def test_connectivity_of_no_piece_and_of_one_piece():
+    assert adjacency_connected({})
+    assert adjacency_connected({(1,): PolyUnion(1, ())})
+    one = {(1, 1): union_of(2, [point_polyhedron((0, 0))]), (0, 1): PolyUnion(1, ())}
+    assert adjacency_connected(one)
+    assert _connected_all_pairs({}) and _connected_all_pairs(one)
+
+
+def test_sa_outer_matches_a_prune_per_disjunct():
+    rng = random.Random(2512)
+    for k in range(60):
+        S = _random_description(rng, 1 + k % 3)
+        regions = sa_outer_all(S)
+        for sigma, region in regions.items():
+            assert region.pieces == _sa_outer_per_disjunct(S, sigma).pieces, (k, sigma)
+
+
+def test_one_shadow_and_one_kernel_per_polynomial(monkeypatch):
+    f = parse_polyk("x^(-1)*y - t*x + 2", nvars=2)
+    F = trop_r(f)
+    assert trop_r(f) is F
+    S = SADescription(2, ((SignCondition(f, "ne"),), (SignCondition(f, "ge"),)))
+    scored = []
+    for name in ("score_leading", "_score_scaled"):
+        def spy(self, *args, _original=getattr(_ValKernel, name)):
+            scored.append(self)
+            return _original(self, *args)
+
+        monkeypatch.setattr(_ValKernel, name, spy)
+    laurent_sign(f, (const(2), const(3)))
+    by_laurent_sign = len(scored)
+    list(_candidates(S, CFG, random.Random(1), 30))  # the sampler plan
+    assert 0 < by_laurent_sign < len(scored)
+    assert all(kernel is F._val_kernel for kernel in scored)
+    # the outer region splits the != and tropicalizes each condition once
+    calls = {"split_ne": 0, "trop_r": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(semialg, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(semialg, name, counted)
+    sa_outer_all(S)
+    assert calls == {"split_ne": 1, "trop_r": 3}
+    assert all(G is F for conds in S._outer_conditions for G, _ in conds)
 
 
 def test_cubic_outer_has_isolated_point_piece():
@@ -402,7 +529,7 @@ def test_sa_member_matches_dnf_of_conditions(case):
         assert sa_member(S, list(p)) == expected
         for disj in S.disjuncts:
             for cond in disj:
-                kernel = cond.poly._lead_kernel
+                kernel = trop_r(cond.poly)._val_kernel
                 try:
                     at_trop = kernel.score_at(trop_point(p))
                 except NegativeExponentAtZero:

@@ -389,7 +389,7 @@ def test_laurent_sign_at_designed_cancellations(text, coords):
     assert _outcome(laurent_sign, f, p) == _outcome(_kernel_sign, f, p)
     if all(c.terms for c in p):
         # the leading terms cancel, so the kernel decides
-        assert f._lead_kernel.score_leading(p)[2]
+        assert trop_r(f)._val_kernel.score_leading(p)[2]
 
 
 # -- initial forms: the sign of the dominant terms' leading coefficients --------
@@ -413,7 +413,7 @@ _ZERO_INITIAL_FORM = [
 def test_laurent_sign_falls_back_when_the_initial_form_cancels(text, coords, sign):
     f = parse_polyk(text)
     p = tuple(PuiseuxSeries.from_terms(c) for c in coords)
-    assert f._lead_kernel.score_leading(p)[2]  # the leading terms are balanced
+    assert trop_r(f)._val_kernel.score_leading(p)[2]  # the leading terms are balanced
     assert f._sign_kernel.initial_sign(p) == 0  # and their initial form cancels
     g, _ = _cleared(f)  # g(p) = f(p) * p**m with m even: the same sign
     assert laurent_sign(f, p) == _kernel_sign(f, p) == eval_k(g, p).sign() == sign
