@@ -22,8 +22,11 @@ Sampler state is confined to an explicitly passed generator; use
 independent seeds for concurrent sampling.  A draw has two steps:
 :func:`ps_draw` takes the random integers of one series in one frame, and
 :func:`ps_build` turns them into a series; :func:`ps_sample` is the two
-in a row.  Every bounded draw is ``randrange(n)`` written out:
-``getrandbits(n.bit_length())`` until the result is below n, the same
+in a row.  :func:`ps_draw` is itself two draws in a row: the lead
+(:func:`ps_draw_lead`: its exponent, then its coefficient) and the tail
+(:func:`ps_draw_tail`: the number of terms, the exponents above the lead,
+then their coefficients).  Every bounded draw is ``randrange(n)`` written
+out: ``getrandbits(n.bit_length())`` until the result is below n, the same
 words that ``randint`` of a plain :class:`random.Random` asks for, so a
 seed gives the same series on every supported Python.  The integers a
 draw needs are fixed once per :class:`SamplerConfig`, as a private plan;
@@ -35,13 +38,14 @@ that are kept become Fractions, through a memo of at most 256 entries.
 ``witness_search`` builds its draws with the lead pinned to a signed
 value c (``ps_build(draw, lead=c)``), so that they tropicalize to c.
 
-The split lets a caller decide a candidate before any series exists.
-The default candidate loop of :mod:`tropreal.semialg` reads the leading
-terms off the integers of each coordinate's draw and rejects a candidate
-that its leading terms already put outside the set; only the other
-candidates are built and tested exactly, where ``laurent_sign`` decides
-a sign from the leading terms, then from the initial form, and only when
-that cancels from the full series.
+The split lets a caller decide a candidate before any series exists, and
+before its tails are drawn.  The default candidate loop of
+:mod:`tropreal.semialg` draws each coordinate's lead, rejects a candidate
+that its leads already put outside the set, and draws tails only for the
+other candidates; those are built and tested exactly, where
+``laurent_sign`` decides a sign from the leading terms, then from the
+initial form, and only when that cancels from the lowest terms of the
+full series.
 """
 
 from __future__ import annotations
@@ -310,33 +314,64 @@ def _fraction(k: int, q: int) -> Fraction:
 SeriesDraw = list[tuple[int, int, int, int]]  # (k, q, ck, cq) per term: t**(k/q) * ck/cq
 
 
-def ps_draw(cfg: SamplerConfig, rng: random.Random) -> SeriesDraw:
-    """The integers of one :func:`ps_sample` draw, before any series is built.
+def ps_draw_lead(cfg: SamplerConfig, rng: random.Random) -> tuple[int, int, int, int]:
+    """The lead (k, q, ck, cq) of one draw: t**(k/q) * ck/cq, with k/q in lowest terms.
 
-    The number of terms is drawn first.  The leading exponent is drawn
-    uniformly from the configured rational grid (valuation stratification);
-    further exponents, when any, are drawn from the same grid above the
-    leading one; then each kept exponent, in increasing order, gets a
-    nonzero coefficient from the coefficient grid.  A grid draw takes a
-    denominator q <= the bound, reads the window of q from the plan, and
-    then takes a numerator k with k/q in the window.
+    The exponent is drawn uniformly from the configured rational grid
+    (valuation stratification), then its nonzero coefficient from the
+    coefficient grid.  A grid draw takes a denominator q <= the bound,
+    reads the window of q from the plan, and then takes a numerator k with
+    k/q in the window; a coefficient draw is repeated, at most 64 times,
+    until it is nonzero.  Every draw below n is ``randrange(n)`` written
+    out: ``getrandbits(n.bit_length())`` until the result is below n.
+    """
+    getrandbits = rng.getrandbits
+    _, _, dbound, dbound_bits, exp_windows, coeff_windows = cfg._plan
+    q = getrandbits(dbound_bits)
+    while q >= dbound:
+        q = getrandbits(dbound_bits)
+    q, lo, n, bits = exp_windows[q + 1]
+    k = getrandbits(bits)
+    while k >= n:
+        k = getrandbits(bits)
+    k += lo
+    g = gcd(k, q)
+    for _ in range(64):
+        cq = getrandbits(dbound_bits)
+        while cq >= dbound:
+            cq = getrandbits(dbound_bits)
+        cq, lo, n, bits = coeff_windows[cq + 1]
+        ck = getrandbits(bits)
+        while ck >= n:
+            ck = getrandbits(bits)
+        ck += lo
+        if ck:
+            return k // g, q // g, ck, cq
+    raise ValueError("coefficient range contains only zero")
 
-    Every draw below n is ``randrange(n)`` written out:
-    ``getrandbits(n.bit_length())`` until the result is below n, so a draw
-    takes the same ``getrandbits`` words as the ``randint`` sampler before
-    it.  Returns one (k, q, ck, cq) per term, the lead first and exponents
-    increasing: the exponent k/q in lowest terms and the coefficient ck/cq
-    with ck nonzero.
+
+def ps_draw_tail(
+    cfg: SamplerConfig, rng: random.Random, lead: tuple[int, int, int, int]
+) -> SeriesDraw:
+    """The draw of a series with the given lead: ``lead``, then one
+    (k, q, ck, cq) per tail term, exponents increasing.
+
+    The number of terms is drawn first; further exponents, when any, are
+    drawn from the exponent grid, keeping distinct ones above the lead's,
+    at most four tries per term; then each kept exponent, in increasing
+    order, gets a nonzero coefficient.  The grid draws are those of
+    :func:`ps_draw_lead`.
     """
     getrandbits = rng.getrandbits
     max_terms, terms_bits, dbound, dbound_bits, exp_windows, coeff_windows = cfg._plan
     extra = getrandbits(terms_bits)
     while extra >= max_terms:
         extra = getrandbits(terms_bits)
-    # The first pass draws the lead; each later pass keeps a draw above it.
+    if not extra:
+        return [lead]
+    lead_k, lead_q, _, _ = lead
     exps: list[tuple[int, int]] = []
-    lead_k = lead_q = 0
-    for _ in range(1 + 4 * extra):
+    for _ in range(4 * extra):
         q = getrandbits(dbound_bits)
         while q >= dbound:
             q = getrandbits(dbound_bits)
@@ -345,21 +380,19 @@ def ps_draw(cfg: SamplerConfig, rng: random.Random) -> SeriesDraw:
         while k >= n:
             k = getrandbits(bits)
         k += lo
-        if not lead_q:
-            lead_k, lead_q = k, q
-        elif k * lead_q <= lead_k * q:
+        if k * lead_q <= lead_k * q:
             continue
         g = gcd(k, q)
         e = (k // g, q // g)
         if e not in exps:
             exps.append(e)
-            if len(exps) > extra:
+            if len(exps) == extra:
                 break
-    # The lead is first and least; order the rest before they get coefficients.
-    if len(exps) > 2:
+    # order the tail before it gets coefficients
+    if len(exps) > 1:
         common = lcm(*(q for _, q in exps))
         exps.sort(key=lambda e: e[0] * (common // e[1]))
-    terms = []
+    terms = [lead]
     for k, q in exps:
         for _ in range(64):
             cq = getrandbits(dbound_bits)
@@ -376,6 +409,21 @@ def ps_draw(cfg: SamplerConfig, rng: random.Random) -> SeriesDraw:
             raise ValueError("coefficient range contains only zero")
         terms.append((k, q, ck, cq))
     return terms
+
+
+def ps_draw(cfg: SamplerConfig, rng: random.Random) -> SeriesDraw:
+    """The integers of one :func:`ps_sample` draw, before any series is built.
+
+    The lead first (:func:`ps_draw_lead`: its exponent, then its
+    coefficient), then the tail (:func:`ps_draw_tail`: the number of
+    terms, the exponents above the lead, then their coefficients).  The
+    lead coefficient does not depend on the number of terms or on the
+    tail, so a series has the distribution it had when the number of terms
+    was drawn first.  Returns one (k, q, ck, cq) per term, the lead first
+    and exponents increasing: the exponent k/q in lowest terms and the
+    coefficient ck/cq with ck nonzero.
+    """
+    return ps_draw_tail(cfg, rng, ps_draw_lead(cfg, rng))
 
 
 def ps_build(draw: SeriesDraw, lead: Optional[SignedTropVal] = None) -> PuiseuxSeries:

@@ -37,17 +37,21 @@ with complements of polyhedral unions yields a finite family of valid
 inequalities whose tropical regions intersect back to a given target set.
 
 The default sampler decides each candidate as far as it can before any
-series is built.  A candidate is drawn as integers (:func:`ps_draw`, the
-random words of :func:`ps_sample`), and every condition is scored at the
-leading signs and valuations of its coordinates: a condition whose
+series is built, and before any tail is drawn.  A candidate's coordinates
+are drawn lead first (:func:`ps_draw_lead`), and every condition is scored
+at the leading signs and valuations of its coordinates: a condition whose
 dominant terms share a sign that its relation rejects, or that is
 undefined there, fails.  A candidate with such a condition in every
-disjunct is dropped; the others are built and decided exactly by
-``sa_member``, where ``laurent_sign`` settles a balanced condition from
-its initial form, the sum of the dominant terms' leading coefficients,
-and only when that sum cancels from the full series.  Seeded output is
-the same as that of building and testing every candidate.  The witness
-search takes the same draws, each with its lead pinned to the target.
+disjunct is dropped with no tail drawn; a dict local to the sampling call
+keeps each decision per tuple of lead signs and exponents, up to a fixed
+bound.  The others get their tails (:func:`ps_draw_tail`), are built and
+decided exactly by ``sa_member``, where ``laurent_sign`` settles a
+balanced condition from its initial form, the sum of the dominant terms'
+leading coefficients, and only when that sum cancels from the lowest
+terms of the full series.  A dropped candidate is outside the set
+whatever its tails would have been, so dropping it loses no member.  The
+witness search takes whole draws (:func:`ps_draw`), each with its lead
+pinned to the target.
 
 Sampling and search are embarrassingly parallel over seeds; all exact
 checks are pure.
@@ -90,11 +94,20 @@ from .polyhedra import (
     union_subset,
     valuation_piece_to_log,
 )
-from .puiseux import PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw
+from .puiseux import (
+    PS_ZERO,
+    PuiseuxSeries,
+    SamplerConfig,
+    ps_build,
+    ps_draw,
+    ps_draw_lead,
+    ps_draw_tail,
+)
 from .troppoly import (
     PolyK,
     TropPoint,
     TropPoly,
+    _ValKernel,
     laurent_sign,
     trop_point,
     trop_r,
@@ -218,6 +231,7 @@ class SampleCloud:
 
 
 _ZERO_PROB = 0.1  # the share of exactly zero candidate coordinates
+_DECIDED_BOUND = 4096  # the most lead decisions one candidate loop remembers
 
 
 def _candidates(
@@ -230,61 +244,82 @@ def _candidates(
     """The candidates among `budget` draws that may lie in S.
 
     Every candidate of a proposal comes through.  A default candidate is
-    drawn coordinate by coordinate: a coordinate is exactly zero with
-    probability ``_ZERO_PROB`` (one ``rng.random()`` word), and otherwise
-    a series drawn as integers first (:func:`ps_draw`, the random words of
-    :func:`ps_sample`).  :func:`ps_draw` is the library's one series draw:
-    ``witness_search`` takes the same draws and pins their leads, and only
-    a scenario's proposal draws its own way.  The leading terms then
+    drawn lead first, coordinate by coordinate: a coordinate is exactly
+    zero with probability ``_ZERO_PROB`` (one ``rng.random()`` word), and
+    otherwise its lead is drawn (:func:`ps_draw_lead`).  The leads then
     decide most candidates: each condition is scored at the coordinates'
     leading signs and valuations by the integer loop of ``laurent_sign``,
     and a condition fails outright when a coordinate under a negative
     exponent is zero (it is undefined) or when its dominant terms share a
     sign that the relation rejects.  A candidate with such a condition in
-    every disjunct is not in S and is dropped unbuilt; the series of the
-    others are built, and membership is left to the caller's exact test.
-    A balanced condition, where dominant terms of opposite sign tie, is
-    never decided here.
+    every disjunct is not in S and is dropped, and none of its tails is
+    drawn.  For the others, each nonzero coordinate's tail is drawn
+    (:func:`ps_draw_tail`), in coordinate order, the series are built, and
+    membership is left to the caller's exact test.  A balanced condition,
+    where dominant terms of opposite sign tie, is never decided here.
+
+    A decision depends only on the leads' signs and reduced exponents, so
+    a dict local to the call keeps it per tuple of those, up to
+    ``_DECIDED_BOUND`` entries; later keys are decided each time.
+    :func:`ps_draw` is the lead and the tail in a row: ``witness_search``
+    takes such draws and pins their leads, and only a scenario's proposal
+    draws its own way.
     """
     if proposal is not None:
         for _ in range(budget):
             yield proposal(rng)
         return
     nvars = S.nvars
-    draw = ps_draw
+    draw_lead = ps_draw_lead
+    draw_tail = ps_draw_tail
     uniform = rng.random
     plan = [
         [(trop_r(cond.poly)._val_kernel, SATISFIED_BY[cond.rel]) for cond in disj]
         for disj in S.disjuncts
     ]
+    decided: dict[tuple[int, ...], bool] = {}
     for _ in range(budget):
-        draws = []
-        signs = []
-        nums = []
-        dens = []
+        leads = []
+        flat: list[int] = []
         for _ in range(nvars):
             if uniform() < _ZERO_PROB:
-                draws.append(None)
-                signs.append(0)
-                nums.append(0)
-                dens.append(1)
+                leads.append(None)
+                flat += (0, 0, 1)
             else:
-                d = draw(cfg, rng)
-                k, q, ck, _ = d[0]
-                draws.append(d)
-                signs.append(1 if ck > 0 else -1)
-                nums.append(k)
-                dens.append(q)
-        for disj in plan:
-            for kern, holds in disj:
-                if not all([signs[k] for k in kern.neg]):
-                    break
-                _, sign, balanced, _ = kern._score_scaled(signs, nums, dens)
-                if not balanced and sign not in holds:
-                    break
-            else:
-                yield tuple([PS_ZERO if d is None else ps_build(d) for d in draws])
+                lead = draw_lead(cfg, rng)
+                leads.append(lead)
+                flat += (1 if lead[2] > 0 else -1, lead[0], lead[1])
+        key = tuple(flat)
+        keep = decided.get(key)
+        if keep is None:
+            keep = _leads_may_hold(plan, key)
+            if len(decided) < _DECIDED_BOUND:
+                decided[key] = keep
+        if keep:
+            yield tuple([
+                PS_ZERO if lead is None else ps_build(draw_tail(cfg, rng, lead))
+                for lead in leads
+            ])
+
+
+def _leads_may_hold(
+    plan: list[list[tuple[_ValKernel, frozenset]]], key: tuple[int, ...]
+) -> bool:
+    """Whether some disjunct of the plan survives at the leads ``key``:
+    (sign, exponent numerator, exponent denominator) per coordinate."""
+    signs = list(key[0::3])
+    nums = list(key[1::3])
+    dens = list(key[2::3])
+    for disj in plan:
+        for kern, holds in disj:
+            if not all([signs[k] for k in kern.neg]):
                 break
+            _, sign, balanced, _ = kern._score_scaled(signs, nums, dens)
+            if not balanced and sign not in holds:
+                break
+        else:
+            return True
+    return False
 
 
 def sa_sample_trop(

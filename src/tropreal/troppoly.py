@@ -39,7 +39,9 @@ every coefficient is multiplied by a positive integer so that no
 denominators are left.  Scaling a series by a
 positive constant keeps its sign, and renaming exponents e -> D*e keeps
 their order, so the sign of g(p) is the sign of the integer sum at its
-lowest exponent with a nonzero coefficient.
+lowest exponent with a nonzero coefficient.  Only the lowest terms of
+that sum are computed: powers are taken by squaring on series truncated
+above a bound, and the bound doubles until a nonzero coefficient shows.
 
 ``trop_eval`` works in integers in the same way.  Each :class:`TropPoly`
 keeps its coefficient valuations as numerators over one common
@@ -631,13 +633,30 @@ def _check_laurent_point(f: PolyK, p: tuple[PuiseuxSeries, ...]) -> None:
 IntSeries = dict[int, int]  # exponent numerator over a shared denominator -> coefficient
 
 
-def _int_mul(a: IntSeries, b: IntSeries) -> IntSeries:
+def _int_mul(a: IntSeries, b: IntSeries, top: int) -> IntSeries:
+    """a * b without the exponents above ``top``; a and b have none below 0."""
     out: IntSeries = {}
     for ea, ca in a.items():
+        room = top - ea
         for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, 0) + ca * cb
+            if eb <= room:
+                e = ea + eb
+                out[e] = out.get(e, 0) + ca * cb
     return out
+
+
+def _int_pow(x: IntSeries, d: int, top: int) -> IntSeries:
+    """x**d, d >= 1, without the exponents above ``top``, by squaring; x has
+    none below 0."""
+    base = {e: c for e, c in x.items() if e <= top}
+    out = None
+    while True:
+        if d & 1:
+            out = base if out is None else _int_mul(out, base, top)
+        d >>= 1
+        if not d:
+            return out
+        base = _int_mul(base, base, top)
 
 
 class _SignKernel(NamedTuple):
@@ -687,56 +706,100 @@ class _SignKernel(NamedTuple):
         coefficient denominators of x_k.  Multiplied by prod b_k**maxdeg_k,
         the term c * x**e becomes c * prod b_k**(maxdeg_k - e_k) * X_k**e_k:
         integers only, and the same positive factor for every term.
+
+        Only the lowest terms of g(p) are computed.  Each X_k is t**v_k * U_k
+        with U_k free of negative exponents, so a term's exponents are at
+        least its score, c's leading exponent plus e . v, and every
+        coefficient of g(p) at or below w + delta, w the least score, is
+        exact when each U_k**e_k (taken by squaring) drops its exponents
+        above delta.  delta doubles, from the least rise above w that g(p)
+        can take, until the lowest of those coefficients is nonzero, or
+        until w + delta reaches the largest exponent g(p) can have, where
+        g(p) is zero.
         """
         den = self.den
         for c, md in zip(p, self.maxdeg):
             if md:
                 for e, _ in c.terms:
                     den = lcm(den, e.denominator)
-        # rows[k][d] = X_k**d and bpows[k][d] = b_k**(maxdeg_k - d); rows[k]
-        # is None when x_k is zero or not in g, bpows[k] when b_k = 1
-        rows: list[list[IntSeries] | None] = []
-        bpows: list[list[int] | None] = []
+        # per variable of g: (v_k, U_k, the top exponent of U_k, b_k,
+        # maxdeg_k), or None when x_k is zero or not in g
+        coords: list[tuple[int, IntSeries, int, int, int] | None] = []
         for c, md in zip(p, self.maxdeg):
             if not md or c.is_zero():
-                rows.append(None)
-                bpows.append(None)
+                coords.append(None)
                 continue
             b = 1
             for _, a in c.terms:
                 b = lcm(b, a.denominator)
+            v = c.terms[0][0].numerator * (den // c.terms[0][0].denominator)
             x = {
-                e.numerator * (den // e.denominator): a.numerator * (b // a.denominator)
+                e.numerator * (den // e.denominator) - v: a.numerator * (b // a.denominator)
                 for e, a in c.terms
             }
-            row = [{0: 1}, x]
-            for _ in range(md - 1):
-                row.append(_int_mul(row[-1], x))
-            rows.append(row)
-            bpows.append([b ** (md - d) for d in range(md + 1)] if b != 1 else None)
+            coords.append((v, x, max(x), b, md))
 
         stretch = den // self.den
-        total: IntSeries = {}
+        # the terms that survive at p: their exponents, and their scaled
+        # coefficient times t**(e . v) as (exponent, coefficient) pairs
+        live = []
+        lowest = highest = None
         for exps, coeff in self.terms:
             factor = 1
-            powers = []
-            for d, row, bp in zip(exps, rows, bpows):
-                if d:
-                    if row is None:  # a positive power of a zero coordinate
+            shift = reach = 0
+            for d, x in zip(exps, coords):
+                if x is None:
+                    if d:  # a positive power of a zero coordinate
                         break
-                    powers.append(row[d])
-                if bp is not None:
-                    factor *= bp[d]
+                    continue
+                v, _, top, b, md = x
+                shift += d * v
+                reach += d * top
+                if b != 1:
+                    factor *= b ** (md - d)
             else:
-                acc = {e * stretch: c * factor for e, c in coeff}
-                for power in powers:
-                    acc = _int_mul(acc, power)
-                for e, v in acc.items():
-                    total[e] = total.get(e, 0) + v
-        lowest = min((e for e, v in total.items() if v), default=None)
+                acc = [(e * stretch + shift, c * factor) for e, c in coeff]
+                live.append((exps, acc))
+                lo, hi = acc[0][0], acc[-1][0] + reach
+                if lowest is None or lo < lowest:
+                    lowest = lo
+                if highest is None or hi > highest:
+                    highest = hi
         if lowest is None:
             return 0
-        return 1 if total[lowest] > 0 else -1
+        # the first rise above w that g(p) can take: a gap of some U_k, or
+        # one from w to an exponent of a term's coefficient
+        rises = [e - lowest for _, acc in live for e, _ in acc if e > lowest]
+        rises += [min(e for e in x[1] if e) for x in coords if x is not None and len(x[1]) > 1]
+        delta = min(rises, default=1)
+        while True:
+            limit = lowest + delta
+            powers: dict[tuple[int, int], IntSeries] = {}
+            total: IntSeries = {}
+            for exps, acc in live:
+                # the product of the U_k**e_k, truncated at delta
+                prod = None
+                for k, d in enumerate(exps):
+                    if d:
+                        power = powers.get((k, d))
+                        if power is None:
+                            power = powers[(k, d)] = _int_pow(coords[k][1], d, delta)
+                        prod = power if prod is None else _int_mul(prod, power, delta)
+                if prod is None:
+                    prod = {0: 1}
+                for base, c in acc:
+                    if base > limit:
+                        break
+                    room = limit - base
+                    for e, v in prod.items():
+                        if e <= room:
+                            total[base + e] = total.get(base + e, 0) + c * v
+            first = min((e for e, v in total.items() if v), default=None)
+            if first is not None:
+                return 1 if total[first] > 0 else -1
+            if limit >= highest:
+                return 0
+            delta *= 2
 
     def initial_sign(self, p: tuple[PuiseuxSeries, ...]) -> int:
         """Sign of the initial form of g at p, or 0 when it cancels.
@@ -799,9 +862,9 @@ def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
     Only when that sum cancels is the sign computed at the Puiseux level:
     f(p) and g(p) = f(p) * p**m have the same sign because every entry of m
     is even, and g is evaluated by the integer kernel of
-    :class:`_SignKernel`, where each rescaling multiplies g(p) by a
-    positive constant or stretches the exponent scale, and neither changes
-    the sign of the leading term.
+    :class:`_SignKernel` on its lowest terms, where each rescaling
+    multiplies g(p) by a positive constant or stretches the exponent scale,
+    and neither changes the sign of the leading term.
     """
     if type(p) is not tuple:
         p = tuple(p)

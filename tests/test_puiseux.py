@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from tropreal.errors import PuiseuxDivisionError
 from tropreal.hyperfields import INF, Point, SignedTropVal, hv_contains, rt_add, rt_mul, stv
 from tropreal.puiseux import (
-    PS_ZERO,
     PuiseuxSeries,
     SamplerConfig,
     _fraction,
@@ -163,18 +162,17 @@ def test_sampler_valuations_in_range():
         assert lcm(*(e.denominator for e, _ in s.terms)) <= 6  # lcm of denominators <= 3 on few terms
 
 
-# The first 20 draws of two samplers, recorded before the sampler was moved
-# to integer grid bounds and direct construction: the draws must not change.
+# The first 20 draws of two samplers, recorded when the lead came to be
+# drawn before the number of terms (the reference sampler agrees).
 GOLDEN_DRAWS = [
     (
         SamplerConfig(seed=11),
         [
-            "4*t^(3/2)", "4*t^2", "-3*t^(3/2)", "2*t - 3*t^2", "-4*t^(-1)",
-            "2*t", "-4*t^(-1)", "4*t^(3/2)", "-2*t^2", "-4*t^(-3/2) + 1/2*t",
-            "-5/2*t^(-1)", "t^(-1)", "-4*t^(-3/2) + 3/2*t^2",
-            "-t^(-1) + 4 + 2*t^2", "7/2*t", "-3*t^(-2) - t^(-1)",
-            "5/2*t^(-2)", "3/2*t^(-2) - 3*t^(-1)", "-4*t + 3*t^2",
-            "3*t^(-2) - 2*t^2",
+            "3*t^2", "-4*t^2", "3*t^(-1) - 4*t^(-1/2)", "5/2*t - t^2", "2*t - 3*t^2",
+            "2*t^(1/2)", "-4*t^(-1)", "4*t^(3/2)", "-2*t^2", "2*t^(-1) + 1/2 - 3*t^2",
+            "-t^(-2)", "-2*t^(1/2) - 3*t - 7/2*t^2", "4*t^(-2) + 5/2*t", "-3",
+            "-t + t^2", "-4*t^2", "-3*t^(-1) - 3", "-4*t^(-3/2) + 2*t^2", "-3*t^2",
+            "1 - 3*t^(3/2)",
         ],
     ),
     (
@@ -186,13 +184,13 @@ GOLDEN_DRAWS = [
             seed=2026,
         ),
         [
-            "3*t^(5/2)", "7/3*t^2", "4/3*t + 2*t^(4/3) + 3*t^(3/2) + 2*t^2",
-            "3*t^(1/3)", "8/3*t^2 + 3*t^(5/2)", "2 + 7/3*t^2",
-            "5/2*t^(2/3) + t^2 + 3/2*t^(7/3)", "8/3",
-            "3*t + 2*t^(3/2) + 3*t^2 + 3*t^(5/2)", "2*t^(-1/2) + t + 5/3*t^2",
-            "2/3*t^(-3/2) - 1/3*t^(-1)", "t^2 + 3*t^(7/3)", "3*t", "4/3*t",
-            "3/2*t^2", "7/3*t^(-1) + 3 + 4/3*t^(5/3) + t^2", "t^(2/3)",
-            "-1/2*t^(-1) + 1", "5/2 + 3*t^(1/2)", "3*t + 2*t^2 + t^(5/2)",
+            "7/3*t", "7/3*t^2", "2*t^(1/3) - 1/2*t^(5/3) + 4/3*t^(7/3)", "3*t^2",
+            "2*t^(5/2)", "7/3*t^2 + 3*t^(7/3)", "t + 3*t^(3/2) + 2*t^(5/2)", "3*t^2",
+            "7/3*t^2", "-1/3*t^(-1/3) + 8/3*t + 2*t^2", "t^(7/3)",
+            "2*t + 3*t^2 + t^(7/3)", "t^(-2/3) + 1 + t^(4/3) + 3/2*t^2", "3/2*t^(5/2)",
+            "2*t + t^(4/3) + 8/3*t^2 + 2/3*t^(5/2)", "1 + 3*t",
+            "-1/3*t^(-1) + 2*t^(-2/3) + 2*t^2", "3*t - 1/3*t^2 + 2*t^(7/3)",
+            "2*t^(-1/3) + 2*t^(1/3) + 3*t^(3/2) + 2*t^2", "5/2*t^(1/3) + t + 3*t^2",
         ],
     ),
 ]
@@ -208,9 +206,11 @@ def test_sampler_golden_draws(cfg, texts):
         assert all(isinstance(x, Fraction) for term in s.terms for x in term)
 
 
-# The sampler before integer draws, kept as the reference for the draw
-# contract: ps_sample must consume the same random words and return the
-# same series as these randint-based draws.
+# A randint-based sampler, kept as the reference for the draw contract:
+# ps_sample must consume the same random words and return the same series
+# as these draws.  It is the sampler before integer draws, reordered as
+# ps_draw_lead and ps_draw_tail draw: the lead exponent, the lead
+# coefficient, the number of terms, then the tail.
 def _grid_range(lo, hi, q):
     return -(-lo.numerator * q // lo.denominator), hi.numerator * q // hi.denominator
 
@@ -235,10 +235,15 @@ def _nonzero_coeff(rng, cfg):
     raise ValueError("coefficient range contains only zero")
 
 
-def _reference_sample(cfg, rng):
+def _reference_lead(cfg, rng):
+    lo, hi = cfg.exponent_range
+    lead = _grid_draw(rng, lo, hi, cfg.exponent_denominator_bound)
+    return lead, _nonzero_coeff(rng, cfg)
+
+
+def _reference_tail(cfg, rng, lead):
     lo, hi = cfg.exponent_range
     n_terms = rng.randint(1, cfg.max_terms)
-    lead = _grid_draw(rng, lo, hi, cfg.exponent_denominator_bound)
     exps = {lead}
     for _ in range((n_terms - 1) * 4):
         if len(exps) >= n_terms:
@@ -246,7 +251,13 @@ def _reference_sample(cfg, rng):
         e = _grid_draw(rng, lo, hi, cfg.exponent_denominator_bound)
         if e > lead:
             exps.add(e)
-    return PuiseuxSeries(tuple((e, _nonzero_coeff(rng, cfg)) for e in sorted(exps)))
+    return [(e, _nonzero_coeff(rng, cfg)) for e in sorted(exps - {lead})]
+
+
+def _reference_sample(cfg, rng):
+    """The lead exponent, its coefficient, the number of terms, then the tail."""
+    lead = _reference_lead(cfg, rng)
+    return PuiseuxSeries((lead, *_reference_tail(cfg, rng, lead[0])))
 
 
 def _outcome(draw, *args):
@@ -286,13 +297,6 @@ def test_sampler_matches_randint_reference(cfg, seed):
         if isinstance(got, PuiseuxSeries):
             assert all(type(x) is Fraction for term in got.terms for x in term)
     assert rng.getstate() == ref.getstate()
-
-
-def _reference_vector(rng, cfg, nvars, zero_prob):
-    return tuple(
-        PS_ZERO if rng.random() < zero_prob else _reference_sample(cfg, rng)
-        for _ in range(nvars)
-    )
 
 
 @given(sampler_configs(), st.integers(0, 2**32))

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_puiseux import _outcome, _reference_vector
+from test_puiseux import _outcome, _reference_lead, _reference_tail
+from test_troppoly import _reference_trop_eval
 
 from tropreal import semialg
 from tropreal.errors import (
@@ -15,7 +16,7 @@ from tropreal.errors import (
     PreconditionFailed,
     ShapeMismatch,
 )
-from tropreal.hyperfields import stv
+from tropreal.hyperfields import Balanced, hv_relation, stv
 from tropreal.parsing import parse_polyk
 from tropreal.polyhedra import (
     constraint,
@@ -31,7 +32,7 @@ from tropreal.polyhedra import (
     union_prune,
     whole_space_union,
 )
-from tropreal.puiseux import PuiseuxSeries, SamplerConfig, ps_sample
+from tropreal.puiseux import PS_ZERO, PuiseuxSeries, SamplerConfig, ps_sample
 from tropreal.scenarios import get_scenario, vertex_parameter
 from tropreal.semialg import (
     SADescription,
@@ -581,13 +582,53 @@ def sampled_descriptions(draw):
     return S, cfg
 
 
-def _plain_vectors(S, cfg, rng, budget):
-    """The vectors of the loop the candidate filter replaces, every one built.
+def _leads_may_hold(S, leads):
+    """Whether some disjunct survives at the leads' signed values.
 
-    They come from the randint sampler that ps_sample replaced, so that a
-    fault shared by ps_draw and the candidate filter still shows.
+    Decided by term-by-term hyperfield evaluation: a condition fails where
+    it is undefined, or where its value is a point whose sign the relation
+    rejects; a balanced value may hold.
     """
-    return [_reference_vector(rng, cfg, S.nvars, 0.1) for _ in range(budget)]
+    z = tuple(
+        stv(0, "inf") if lead is None else stv(1 if lead[1] > 0 else -1, lead[0])
+        for lead in leads
+    )
+    for disj in S.disjuncts:
+        for cond in disj:
+            try:
+                value = _reference_trop_eval(trop_r(cond.poly), z)
+            except NegativeExponentAtZero:
+                break
+            if not isinstance(value, Balanced) and not hv_relation(value, cond.rel):
+                break
+        else:
+            return True
+    return False
+
+
+def _plain_draws(S, cfg, rng, budget):
+    """The default candidate loop written plainly, as (kept, vector) pairs.
+
+    Per candidate, the zero flags and leads of the randint reference
+    sampler, a decision on the leads with no memo, and then the tails, in
+    coordinate order.  A dropped candidate's tails are drawn from a copy
+    of rng, so that its vector can be tested but rng draws what the
+    candidate filter draws.
+    """
+    for _ in range(budget):
+        leads = [
+            None if rng.random() < 0.1 else _reference_lead(cfg, rng) for _ in range(S.nvars)
+        ]
+        kept = _leads_may_hold(S, leads)
+        source = rng
+        if not kept:
+            source = random.Random()
+            source.setstate(rng.getstate())
+        yield kept, tuple(
+            PS_ZERO if lead is None
+            else PuiseuxSeries((lead, *_reference_tail(cfg, source, lead[0])))
+            for lead in leads
+        )
 
 
 @settings(max_examples=200, deadline=None)
@@ -596,37 +637,36 @@ def test_candidate_filter_matches_the_plain_rejection_loop(case):
     S, cfg = case
     rng, ref = random.Random(cfg.seed), random.Random(cfg.seed)
     candidates = _outcome(lambda: list(_candidates(S, cfg, rng, 80)))
-    vectors = _outcome(_plain_vectors, S, cfg, ref, 80)
+    draws = _outcome(lambda: list(_plain_draws(S, cfg, ref, 80)))
     assert rng.getstate() == ref.getstate()
-    if isinstance(vectors, str):  # an empty grid: both raise at the same draw
-        assert candidates == vectors
+    if isinstance(draws, str):  # an empty grid: both raise at the same draw
+        assert candidates == draws
         return
-    # the candidates are the plain loop's vectors, in order, minus some
-    # non-members: the same points, and every member among them
-    rest = iter(vectors)
-    assert all(any(c == v for v in rest) for c in candidates)
-    members = [p for p in vectors if sa_member(S, p)]
-    assert [p for p in candidates if sa_member(S, p)] == members
+    # the kept candidates, in order; and every dropped one is not in S
+    assert candidates == [p for kept, p in draws if kept]
+    assert not any(sa_member(S, p) for kept, p in draws if not kept)
 
 
 def _plain_cloud(S, cfg, count):
-    """The loop sa_sample_trop ran before the candidate filter."""
+    """The loop sa_sample_trop runs, written plainly."""
     rng = random.Random(cfg.seed)
     cloud = SampleCloud(S)
-    for _ in range(count):
-        cloud.add_candidate(_reference_vector(rng, cfg, S.nvars, 0.1))
+    for kept, p in _plain_draws(S, cfg, rng, count):
+        if kept:
+            cloud.add_candidate(p)
     return list(cloud.items())
 
 
 def _plain_collect(S, cfg, n, sigma, budget):
-    """The loop collect_samples ran before the candidate filter."""
+    """The loop collect_samples runs, written plainly."""
     rng = random.Random(cfg.seed)
     out = []
-    for _ in range(budget):
-        if len(out) >= n:
+    draws = _plain_draws(S, cfg, rng, budget)
+    while len(out) < n:
+        kept, p = next(draws, (None, None))
+        if kept is None:
             break
-        p = _reference_vector(rng, cfg, S.nvars, 0.1)
-        if not sa_member(S, p):
+        if not kept or not sa_member(S, p):
             continue
         if sigma is not None and point_orthant(trop_point(p)) != sigma:
             continue

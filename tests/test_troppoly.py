@@ -1,6 +1,7 @@
 """Tropicalization of polynomials and exact evaluation on both sides."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from tropreal.hyperfields import (
     rt_sum,
     stv,
 )
-from tropreal.parsing import parse_polyk
+from tropreal.parsing import MAX_EXPONENT, parse_polyk
 from tropreal.polyhedra import trop_region
 from tropreal.puiseux import PuiseuxSeries, SamplerConfig, ps_sample
 from tropreal.troppoly import (
@@ -459,6 +460,32 @@ def tiny_grid_laurent_and_point(draw):
 def test_laurent_sign_matches_the_kernel_on_tiny_grids(case):
     f, p = case
     assert _outcome(laurent_sign, f, p) == _outcome(_kernel_sign, f, p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    laurent_and_point(), cancelling_laurent_and_point(), tiny_grid_laurent_and_point()
+))
+def test_sign_kernel_matches_the_value_of_the_cleared_polynomial(case):
+    f, p = case
+    g, _ = _cleared(f)
+    if len(p) != f.nvars or any(
+        d < 0 and c.is_zero() for exps, _ in f.terms for d, c in zip(exps, p)
+    ):
+        return  # no value: laurent_sign raises before the kernel runs
+    assert f._sign_kernel.sign_at(p) == eval_k(g, p).sign()
+
+
+@pytest.mark.parametrize("c", ["3", "1/2", "-1/3", "-4"])
+def test_sign_kernel_truncates_a_power_at_the_exponent_bound(c):
+    # y^10000 - 1 at y = 1 + c*t^(1/2) + t is 10000*c*t^(1/2) + ...; its
+    # leading terms cancel, and so does its initial form
+    f = parse_polyk(f"y^{MAX_EXPONENT} - 1", 2)
+    p = (const(1), PuiseuxSeries.from_terms([(0, 1), (Fraction(1, 2), Fraction(c)), (1, 1)]))
+    assert f._sign_kernel.initial_sign(p) == 0
+    start = time.perf_counter()
+    assert f._sign_kernel.sign_at(p) == laurent_sign(f, p) == (1 if Fraction(c) > 0 else -1)
+    assert time.perf_counter() - start < 1.0
 
 
 def _swap(F):
