@@ -14,7 +14,8 @@ negative exponents are allowed only on single variables, keeping the
 expansion exact.  Multiplication may be written with '*' or by
 juxtaposition ('2x').  Rational literals are 'p' or 'p/q'.  A text uses
 at most ``MAX_VARS`` variables: a larger variable index, or a larger
-explicit ``nvars``, is a :class:`~tropreal.errors.ParseError`.  A power
+explicit ``nvars``, is a :class:`~tropreal.errors.ParseError`, and so is a
+negative ``nvars``.  A power
 or product that could expand to more than ``MAX_TERMS`` terms is one too,
 and so is a power of one term, or a product, whose coefficients could
 pass ``MAX_POWER_BITS`` bits; both are raised before anything is expanded.
@@ -160,6 +161,8 @@ class _Parser:
     def __init__(self, text: str, nvars: Optional[int]):
         if nvars is not None and nvars > MAX_VARS:
             raise ParseError(f"nvars={nvars} exceeds the limit of {MAX_VARS} variables")
+        if nvars is not None and nvars < 0:
+            raise ParseError(f"nvars={nvars} is negative")
         self.lx = _Lexer(text)
         known = (_var_index(t) for kind, t in self.lx.tokens if kind == "IDENT")
         self.max_var = max((k for k in known if k is not None), default=-1)

@@ -25,11 +25,12 @@ polynomials:
 * ``trop_region`` turns a tropical polynomial, an orthant, and a relation
   against zero into the exact region of valuation vectors satisfying it,
   assembled from dominance cells of the polynomial's terms.  The cells
-  come from one table per orthant support (``troppoly._orthant_table``),
-  shared by every orthant and relation on that support: it holds the
-  surviving terms, the integer rows of their pairwise differences, and
-  each cell once it is decided, so ``trop_region`` only picks the cells
-  that the orthant's signs and the relation select;
+  come from one table per orthant support (``_OrthantTable``; the last
+  16 are kept), shared by every orthant and relation on that support: it
+  holds the surviving terms, the integer rows of their pairwise
+  differences, and each cell once it is decided, so ``trop_region`` only
+  picks the cells that the orthant's signs and the relation select.  Every
+  relation, ``ne`` included, is read from ``hyperfields.SATISFIED_BY``;
 * ``open_poly_to_trop`` goes the other way for open polyhedra, producing a
   polynomial that is positive exactly on the polyhedron.  Its input is
   read in log-magnitude coordinates X, where the tropical point with
@@ -69,7 +70,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .hyperfields import RT_ZERO, SATISFIED_BY, SignedTropVal, normalize_rel, stv
-from .troppoly import DiffRow, IntRow, TropPoint, TropPoly, _orthant_table
+from .troppoly import TropPoint, TropPoly
+
+# a row (normal, offset numerator, offset denominator > 0, strict) means
+# normal . x + cn/cd <= 0, or < 0 when strict; the offset is in lowest terms
+IntRow = tuple[tuple[int, ...], int, int, bool]
 
 
 def constraint(normal: Sequence[int], offset, rel: str = "<=") -> IntRow:
@@ -552,6 +557,8 @@ def union_equal(A: PolyUnion, B: PolyUnion) -> bool:
 # No library path calls _form_rows or enumerate_cells; they are kept only
 # because perfbench/tracer.py binds enumerate_cells by name.
 
+DiffRow = tuple[tuple[int, ...], int, int]  # normal, offset numerator, offset denominator
+
 
 def _form_rows(form: DiffRow, sign: int) -> list[IntRow]:
     normal, cn, cd = form
@@ -690,6 +697,162 @@ def parse_orthant(text: str) -> Orthant:
 # ---------------------------------------------------------------------------
 
 
+class _OrthantTable:
+    """The terms of a valuation kernel that survive on one orthant support,
+    their dominance rows, and every dominance cell decided on the support.
+
+    The kernel is a tropical polynomial's integer form
+    (``TropPoly._val_kernel``).  Term i survives unless it has a positive
+    power of a coordinate outside the support.  Its affine value is
+    L_i(V) = e_i . V + v_i / D on the support valuations V, with e_i its
+    support exponents, v_i its valuation numerator and D the kernel's common
+    denominator; none of this depends on the orthant's signs.  The signs
+    only pick which terms are positive and which negative: term i's sign on
+    an orthant is its coefficient sign, flipped once per odd power of a
+    negative coordinate, and ``split`` keeps the answer per orthant.  The
+    kernel must be defined on the orthants asked for.
+
+    ``_cells`` and ``_ties`` hold the cells decided so far, each None when
+    it is empty, else its sorted rows and its piece.  Term i's cell
+    {L_i - L_j <= 0 for every j} is keyed by (i, strict), where bit j of
+    ``strict`` makes row j strict; an equation's tie of a positive term i
+    with a negative term j adds L_j - L_i <= 0 to i's cell with no strict
+    row, and is keyed by (i, j).  Rows and cells are built the first time a
+    relation needs them; two threads that build the same one build equal
+    ones, so the race is harmless.
+    """
+
+    __slots__ = ("_m", "_coef_signs", "_odd", "_exps", "_vals", "_den", "_rows",
+                 "_splits", "_cells", "_ties")
+
+    def __init__(self, kernel, support: tuple[int, ...]) -> None:
+        place = {k: i for i, k in enumerate(support)}
+        m = self._m = len(place)
+        coef_signs: list[int] = []
+        odd: list[int] = []
+        exps: list[tuple[int, ...]] = []
+        vals: list[int] = []
+        for pairs, sign, v in kernel.terms:
+            e = [0] * m
+            bits = 0
+            for k, d in pairs:
+                p = place.get(k)
+                if p is None:
+                    break  # a positive power of a zero coordinate kills the term
+                e[p] = d
+                if d & 1:
+                    bits |= 1 << k
+            else:
+                coef_signs.append(sign)
+                odd.append(bits)
+                exps.append(tuple(e))
+                vals.append(v)
+        self._coef_signs = coef_signs
+        self._odd = odd  # bit k: an odd power of coordinate k
+        self._exps = exps
+        self._vals = vals
+        self._den = kernel.den
+        self._rows: list[Optional[tuple[Optional[IntRow], ...]]] = [None] * len(vals)
+        self._splits: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
+        self._cells: dict[tuple[int, int], object] = {}
+        self._ties: dict[tuple[int, int], object] = {}
+
+    def split(self, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+        """The terms positive and negative on the orthant sigma, as index
+        tuples and as bit sets."""
+        out = self._splits.get(sigma)
+        if out is None:
+            negative = 0
+            for k, s in enumerate(sigma):
+                if s < 0:
+                    negative |= 1 << k
+            pos: list[int] = []
+            neg: list[int] = []
+            for i, (sign, odd) in enumerate(zip(self._coef_signs, self._odd)):
+                if (odd & negative).bit_count() & 1:
+                    sign = -sign
+                (pos if sign > 0 else neg).append(i)
+            out = self._splits[sigma] = (
+                tuple(pos), tuple(neg), sum(1 << i for i in pos), sum(1 << i for i in neg)
+            )
+        return out
+
+    def rows(self, i: int) -> tuple[Optional[IntRow], ...]:
+        """L_i - L_j <= 0 for every surviving term j, None at j == i.
+
+        The row is (e_i - e_j, (v_i - v_j) / g, D / g, False), with g the
+        gcd of v_i - v_j and D, so the offset is in lowest terms.
+        """
+        out = self._rows[i]
+        if out is None:
+            ei, vi, den = self._exps[i], self._vals[i], self._den
+            built: list[Optional[IntRow]] = []
+            for j, (ej, vj) in enumerate(zip(self._exps, self._vals)):
+                if j == i:
+                    built.append(None)
+                    continue
+                dv = vi - vj
+                g = gcd(dv, den)
+                built.append((tuple([a - b for a, b in zip(ei, ej)]), dv // g, den // g, False))
+            out = self._rows[i] = tuple(built)
+        return out
+
+    def term_cells(self, terms: Sequence[int], strict: int, out: list[Polyhedron]) -> None:
+        """Append to ``out`` the nonempty cells of the given terms, with the
+        rows to the terms in the bit set ``strict`` strict, deciding the new
+        ones."""
+        cells = self._cells
+        for i in terms:
+            cell = cells.get((i, strict), _UNDECIDED)
+            if cell is _UNDECIDED:
+                cell = self._decide(cells, (i, strict), i, strict)
+            if cell is not None:
+                out.append(cell[1])
+
+    def tie_cells(self, pos: Sequence[int], neg: Sequence[int], out: list[Polyhedron]) -> None:
+        """Append to ``out`` the distinct nonempty ties of a positive term
+        with a negative one, deciding the new ones; different pairs of terms
+        can give the same rows."""
+        seen = set()
+        ties = self._ties
+        for i in pos:
+            for j in neg:
+                tie = ties.get((i, j), _UNDECIDED)
+                if tie is _UNDECIDED:
+                    tie = self._decide(ties, (i, j), i, 0, j)
+                if tie is not None and tie[0] not in seen:
+                    seen.add(tie[0])
+                    out.append(tie[1])
+
+    def _decide(self, store: dict, key, i: int, strict: int, tie: Optional[int] = None):
+        """Build term i's cell (rows to ``strict`` strict, cut by L_tie <= L_i
+        with a ``tie``), decide it, and store and return None if it is empty,
+        else (its sorted rows, its piece)."""
+        rows = [
+            (r[0], r[1], r[2], True) if strict >> j & 1 else r
+            for j, r in enumerate(self.rows(i))
+            if r is not None
+        ]
+        if tie is not None:
+            rows.append(self.rows(tie)[i])
+        key_rows = tuple(sorted(rows))
+        m = self._m
+        cell = store[key] = None if _rows_empty(key_rows, m) else (key_rows, _from_rows(m, rows))
+        return cell
+
+
+_UNDECIDED = object()
+
+
+# Every caller that walks the orthants asks for each support's table once
+# per orthant and relation: 16 tables hold the 8 supports of a 3-variable
+# polynomial, so a relation-outer loop over all its orthants builds each once.
+@lru_cache(maxsize=16)
+def _orthant_table(kernel, support: tuple[int, ...]) -> _OrthantTable:
+    """The table of ``kernel`` on the orthant support ``support``."""
+    return _OrthantTable(kernel, support)
+
+
 def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     """The exact set of support valuations V with F(embed(sigma, V)) rel 0.
 
@@ -697,15 +860,16 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     affine value L_i(V) = exps_i . V + val_i is minimal.  A relation holds
     where ``hyperfields.SATISFIED_BY`` accepts the sum: the sign of the
     dominating terms, or balanced where dominating terms of both signs
-    tie.
+    tie.  So the region of ``ne`` is the pieces of ``gt`` followed by
+    those of ``lt``: a disequation needs no rewriting into two conditions.
 
     The region is a selection from the table of F's integer valuation
-    kernel on the orthant's support (``troppoly._orthant_table``): the
-    signs only pick which cells count and which rows are strict, so every
-    orthant and relation of one support shares the table's rows and the
-    cells it has decided: each cell is built, and found empty or not,
-    once.  Term cells go into the union as they are: two distinct terms
-    never give the same rows, since the normals of term i's cell sum to
+    kernel on the orthant's support (``_orthant_table``): the signs only
+    pick which cells count and which rows are strict, so every orthant and
+    relation of one support shares the table's rows and the cells it has
+    decided: each cell is built, and found empty or not, once.  Term cells
+    go into the union as they are: two distinct terms never give the same
+    rows, since the normals of term i's cell sum to
     n * e_i - (e_1 + ... + e_n) and the surviving terms' support exponents
     are distinct.  An equation's ties keep the duplicate test, because
     different pairs of terms can give the same rows.  Terms whose
@@ -731,50 +895,14 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     mixed_strict = None not in ok
     pieces: list[Polyhedron] = []
     if 1 in ok:
-        _term_cells(table, m, pos, neg_bits if mixed_strict else 0, pieces)
+        table.term_cells(pos, neg_bits if mixed_strict else 0, pieces)
     if -1 in ok:
-        _term_cells(table, m, neg, pos_bits if mixed_strict else 0, pieces)
+        table.term_cells(neg, pos_bits if mixed_strict else 0, pieces)
     if None in ok and 1 not in ok and -1 not in ok:
         # only a balanced sum satisfies the relation: the ties of a positive
         # and a negative dominant term
-        seen = set()
-        ties = table.ties
-        for i in pos if neg else ():
-            for j in neg:
-                tie = ties.get((i, j), _UNDECIDED)
-                if tie is _UNDECIDED:
-                    tie = _decide_cell(table, ties, (i, j), m, i, 0, j)
-                if tie is not None and tie[0] not in seen:
-                    seen.add(tie[0])
-                    pieces.append(tie[1])
+        table.tie_cells(pos, neg, pieces)
     return PolyUnion(m, tuple(pieces))
-
-
-_UNDECIDED = object()
-
-
-def _term_cells(table, m: int, terms: Sequence[int], strict: int, out: list) -> None:
-    """Append to ``out`` the nonempty cells of the given terms, with the rows
-    to the terms in the bit set ``strict`` strict, deciding the new ones."""
-    cells = table.cells
-    for i in terms:
-        cell = cells.get((i, strict), _UNDECIDED)
-        if cell is _UNDECIDED:
-            cell = _decide_cell(table, cells, (i, strict), m, i, strict)
-        if cell is not None:
-            out.append(cell[1])
-
-
-def _decide_cell(table, store: dict, key, m: int, i: int, strict: int, tie: Optional[int] = None):
-    """Build term i's cell (rows to ``strict`` strict, cut by L_tie <= L_i
-    with a ``tie``), decide it, and store and return None if it is empty,
-    else (its sorted rows, its piece)."""
-    rows = table.dominance(i, strict)
-    if tie is not None:
-        rows.append(table.rows(tie)[i])
-    key_rows = tuple(sorted(rows))
-    cell = store[key] = None if _rows_empty(key_rows, m) else (key_rows, _from_rows(m, rows))
-    return cell
 
 
 def trop_conjunction(

@@ -1,10 +1,14 @@
 """SVG rendering of two-variable tropical regions in multiplicative coordinates.
 
+One call computes the exact region of the conjunction on each of the nine
+orthants of the plane (``conjunction_regions``), and both layers read it.
+
 The raster layer samples a grid over a multiplicative window.  Node
 placement uses floating point (u, v) -> (-ln|u|, -ln|v|), but each node is
-then fixed as an exact rational valuation and classified with the exact
-evaluator, so the colors agree with ``trop_sat`` at every sampled node by
-construction; the float map only decides *where* the nodes are.
+then fixed as an exact rational valuation and colored by whether the exact
+region of its orthant contains it, so the colors agree with ``trop_sat``
+at every sampled node by construction; the float map only decides *where*
+the nodes are.  A node on an axis is left blank.
 
 Regions of dimension below two (segments and isolated points, which a
 raster cannot see) are drawn as an exact overlay: their endpoints are
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NegativeExponentAtZero
-from .hyperfields import stv
 from .polyhedra import (
     Orthant,
     PolyUnion,
@@ -34,7 +36,7 @@ from .polyhedra import (
     poly_dim,
     trop_conjunction,
 )
-from .troppoly import TropPoly, trop_sat
+from .troppoly import TropPoly
 
 BACKGROUND = "#ffffff"
 REGION = "#9ecae1"
@@ -72,18 +74,13 @@ def node_valuation(u: float) -> Optional[tuple[int, Fraction]]:
     return sign, Fraction(-math.log(abs(u))).limit_denominator(10**9)
 
 
-def classify_node(
-    conditions: Sequence[tuple[TropPoly, str]], u: float, v: float
-) -> bool:
-    """Exact conjunction test at the rationalized sample node."""
+def classify_node(regions: dict[Orthant, PolyUnion], u: float, v: float) -> bool:
+    """Whether the rationalized sample node lies in the exact region of its
+    orthant; False on an axis."""
     nu, nv = node_valuation(u), node_valuation(v)
     if nu is None or nv is None:
         return False
-    point = (stv(nu[0], nu[1]), stv(nv[0], nv[1]))
-    try:
-        return all(trop_sat(F, point, rel) for F, rel in conditions)
-    except NegativeExponentAtZero:
-        return False
+    return regions[(nu[0], nv[0])].contains((nu[1], nv[1]))
 
 
 def conjunction_regions(
@@ -200,13 +197,14 @@ def render_region_svg(
     n = cfg.grid
     du = (fx1 - fx0) / n
     dv = (fy1 - fy0) / n
+    regions = conjunction_regions(conditions)
     cells = []
     for i in range(n):
         u = fx0 + (i + 0.5) * du
         row = []
         for j in range(n):
             v = fy0 + (j + 0.5) * dv
-            row.append(classify_node(conditions, u, v))
+            row.append(classify_node(regions, u, v))
         cells.append(row)
 
     out = [
@@ -253,7 +251,6 @@ def render_region_svg(
     vmax = Fraction(-math.log(mins)).limit_denominator(10**6)
     maxs = max(abs(fx0), abs(fx1), abs(fy0), abs(fy1))
     vmin = Fraction(-math.log(maxs)).limit_denominator(10**6)
-    regions = conjunction_regions(conditions)
     points, segments = thin_piece_geometry(regions, vmin, vmax)
     for (ax, ay), (bx, by) in segments:
         out.append(

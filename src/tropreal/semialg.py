@@ -11,8 +11,9 @@ signed tropicalization are computed:
 * an *outer* approximation: per orthant, the intersection over describing
   conditions of the exact polyhedral region of the tropicalized condition.
   Tropicalizing a valid inequality can only enlarge the set, so this is a
-  certified superset.  A description splits its ``!=`` conditions and
-  tropicalizes each condition once, for all orthants; whether the outer
+  certified superset.  A description tropicalizes each condition as
+  written, once, for all orthants: the region of a ``!=`` is that of ``>``
+  followed by that of ``<``, so it needs no rewriting.  Whether the outer
   pieces are connected is decided by one walk over them.
 
 A Laurent condition is undefined where a negative exponent meets a zero
@@ -151,10 +152,8 @@ class SADescription:
 
     @cached_property
     def _outer_conditions(self) -> tuple[tuple[tuple[TropPoly, str], ...], ...]:
-        """The disjuncts of ``split_ne``, each condition as (shadow, relation)."""
-        return tuple(
-            tuple((trop_r(c.poly), c.rel) for c in disj) for disj in split_ne(self).disjuncts
-        )
+        """The disjuncts as written, each condition as (shadow, relation)."""
+        return tuple(tuple((trop_r(c.poly), c.rel) for c in disj) for disj in self.disjuncts)
 
 
 def conjunction(nvars: int, conditions: Iterable[SignCondition]) -> SADescription:
@@ -173,25 +172,6 @@ def sa_member(S: SADescription, p: Sequence[PuiseuxSeries]) -> bool:
         else:
             return True
     return False
-
-
-def split_ne(S: SADescription) -> SADescription:
-    """Replace every != condition by the two strict alternatives."""
-    out: list[tuple[SignCondition, ...]] = []
-    for disj in S.disjuncts:
-        expanded: list[list[SignCondition]] = [[]]
-        for cond in disj:
-            if cond.rel != "ne":
-                for e in expanded:
-                    e.append(cond)
-            else:
-                expanded = [
-                    e + [SignCondition(cond.poly, r)]
-                    for e in expanded
-                    for r in ("gt", "lt")
-                ]
-        out.extend(tuple(e) for e in expanded)
-    return SADescription(S.nvars, tuple(out))
 
 
 # ---------------------------------------------------------------------------

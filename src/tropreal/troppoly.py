@@ -20,7 +20,9 @@ division: signs and signed values are computed through the cleared
 polynomial g = f * x**m (sign-preserving even powers for signs, an exact
 quotient of signed values for valuations).  ``eval_k`` returns the honest
 series value and therefore supports negative exponents only where the
-inverse stays finite, i.e. at monomial coordinates.
+inverse stays finite, i.e. at monomial coordinates; no library path calls
+it, and it stays as the reference that the integer kernels are tested
+against.
 
 ``laurent_sign`` never builds that value.  It decides from leading terms
 first: the signed valuation is a morphism onto the signed tropical
@@ -42,6 +44,8 @@ their order, so the sign of g(p) is the sign of the integer sum at its
 lowest exponent with a nonzero coefficient.  Only the lowest terms of
 that sum are computed: powers are taken by squaring on series truncated
 above a bound, and the bound doubles until a nonzero coefficient shows.
+``signed_trop_of_value`` reads the signed value of g(p) from that same
+lowest term: its sign, and its exponent over D.
 
 ``trop_eval`` works in integers in the same way.  Each :class:`TropPoly`
 keeps its coefficient valuations as numerators over one common
@@ -59,32 +63,26 @@ Everything is immutable; evaluation over shared polynomials is safe from
 concurrent contexts.  Each :class:`PolyK` has one shadow, built by the
 first ``trop_r`` and returned by every later one, and that shadow keeps
 its integer form the first time it is evaluated: one :class:`_ValKernel`
-per polynomial, read by ``trop_eval``, ``laurent_sign`` and the sampler
-alike.  The integer form of g is cached on the :class:`PolyK` the first
-time a balanced sign is asked for.  What a kernel restricts to on one
-orthant support (its surviving terms, the difference rows from which
-``polyhedra.trop_region`` assembles dominance cells, and the cells decided
-so far) is not stored on the polynomial: ``_orthant_table`` keeps the
-tables of the last 16 (kernel, support) pairs asked for.  The orthants of
-one support differ only in which terms are positive, so they share one
-table, and every caller that walks the orthants (``semialg.sa_outer_all``,
-``region --orthant all``, the ``regions`` benchmark) reads each cell from
-it after the first orthant that decides it.  Rows and cells are built as a
-relation first needs them; two threads that build the same one build equal
-ones, so the race is harmless.
+per polynomial, read by ``trop_eval``, ``laurent_sign``, the sampler and
+``polyhedra.trop_region`` alike.  The integer form of g is cached on the
+:class:`PolyK` the first time a balanced sign or a signed value is asked
+for.  No polyhedral notion lives here: the rows, the dominance cells of a
+kernel on an orthant and the table that keeps them are in ``polyhedra``,
+beside ``trop_region``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, NegativeExponentAtZero
 from .hyperfields import (
     HV_ZERO,
+    RT_ZERO,
     Balanced,
     HyperValue,
     Point,
@@ -98,10 +96,6 @@ from .puiseux import PS_ONE, PuiseuxSeries
 
 Exps = tuple[int, ...]
 TropPoint = tuple[SignedTropVal, ...]
-DiffRow = tuple[Exps, int, int]  # normal, offset numerator, offset denominator
-# a row (normal, offset numerator, offset denominator > 0, strict) means
-# normal . x + cn/cd <= 0, or < 0 when strict; the offset is in lowest terms
-IntRow = tuple[Exps, int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -440,128 +434,6 @@ class _ValKernel(NamedTuple):
         return Balanced(val) if balanced else Point(SignedTropVal(sign, val))
 
 
-class _OrthantTable:
-    """The terms of a kernel that survive on one orthant support, their
-    dominance rows, and every dominance cell decided on the support.
-
-    Term i survives unless it has a positive power of a coordinate outside
-    the support.  Its affine value is L_i(V) = e_i . V + v_i / D on the
-    support valuations V, with e_i its support exponents, v_i its valuation
-    numerator and D the kernel's common denominator; none of this depends
-    on the orthant's signs.  The signs only pick which terms are positive
-    and which negative: term i's sign on an orthant is its coefficient
-    sign, flipped once per odd power of a negative coordinate, and
-    ``split`` keeps the answer per orthant.  The kernel must be defined on
-    the orthants asked for.
-
-    ``cells`` and ``ties`` hold the cells that ``polyhedra.trop_region``
-    has decided, each None when it is empty, else its sorted rows and its
-    piece.  Term i's cell
-    {L_i - L_j <= 0 for every j} is keyed by (i, strict), where bit j of
-    ``strict`` makes row j strict; an equation's tie of a positive term i
-    with a negative term j adds L_j - L_i <= 0 to i's cell with no strict
-    row, and is keyed by (i, j).  Rows and cells are built the first time a
-    relation needs them; two threads that build the same one build equal
-    ones, so the race is harmless.
-    """
-
-    __slots__ = ("_coef_signs", "_odd", "_exps", "_vals", "_den", "_rows", "_splits",
-                 "cells", "ties")
-
-    def __init__(self, kernel: _ValKernel, support: tuple[int, ...]) -> None:
-        place = {k: i for i, k in enumerate(support)}
-        m = len(place)
-        coef_signs: list[int] = []
-        odd: list[int] = []
-        exps: list[Exps] = []
-        vals: list[int] = []
-        for pairs, sign, v in kernel.terms:
-            e = [0] * m
-            bits = 0
-            for k, d in pairs:
-                p = place.get(k)
-                if p is None:
-                    break  # a positive power of a zero coordinate kills the term
-                e[p] = d
-                if d & 1:
-                    bits |= 1 << k
-            else:
-                coef_signs.append(sign)
-                odd.append(bits)
-                exps.append(tuple(e))
-                vals.append(v)
-        self._coef_signs = coef_signs
-        self._odd = odd  # bit k: an odd power of coordinate k
-        self._exps = exps
-        self._vals = vals
-        self._den = kernel.den
-        self._rows: list[Optional[tuple[Optional[IntRow], ...]]] = [None] * len(vals)
-        self._splits: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
-        self.cells: dict[tuple[int, int], object] = {}
-        self.ties: dict[tuple[int, int], object] = {}
-
-    def split(self, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-        """The terms positive and negative on the orthant sigma, as index
-        tuples and as bit sets."""
-        out = self._splits.get(sigma)
-        if out is None:
-            negative = 0
-            for k, s in enumerate(sigma):
-                if s < 0:
-                    negative |= 1 << k
-            pos: list[int] = []
-            neg: list[int] = []
-            for i, (sign, odd) in enumerate(zip(self._coef_signs, self._odd)):
-                if (odd & negative).bit_count() & 1:
-                    sign = -sign
-                (pos if sign > 0 else neg).append(i)
-            out = self._splits[sigma] = (
-                tuple(pos), tuple(neg), sum(1 << i for i in pos), sum(1 << i for i in neg)
-            )
-        return out
-
-    def rows(self, i: int) -> tuple[Optional[IntRow], ...]:
-        """L_i - L_j <= 0 for every surviving term j, None at j == i.
-
-        The row is (e_i - e_j, (v_i - v_j) / g, D / g, False), with g the
-        gcd of v_i - v_j and D, so the offset is in lowest terms.
-        """
-        out = self._rows[i]
-        if out is None:
-            ei, vi, den = self._exps[i], self._vals[i], self._den
-            built: list[Optional[IntRow]] = []
-            for j, (ej, vj) in enumerate(zip(self._exps, self._vals)):
-                if j == i:
-                    built.append(None)
-                    continue
-                dv = vi - vj
-                g = gcd(dv, den)
-                built.append((tuple([a - b for a, b in zip(ei, ej)]), dv // g, den // g, False))
-            out = self._rows[i] = tuple(built)
-        return out
-
-    def dominance(self, i: int, strict: int) -> list[IntRow]:
-        """The rows of term i's cell: L_i - L_j <= 0 for every other term
-        j, and < 0 where bit j of ``strict`` is set."""
-        rows = self.rows(i)
-        if not strict:
-            return [r for r in rows if r is not None]
-        return [
-            (r[0], r[1], r[2], True) if strict >> j & 1 else r
-            for j, r in enumerate(rows)
-            if r is not None
-        ]
-
-
-# Every caller that walks the orthants asks for each support's table once
-# per orthant and relation: 16 tables hold the 8 supports of a 3-variable
-# polynomial, so a relation-outer loop over all its orthants builds each once.
-@lru_cache(maxsize=16)
-def _orthant_table(kernel: _ValKernel, support: tuple[int, ...]) -> _OrthantTable:
-    """The table of ``kernel`` on the orthant support ``support``."""
-    return _OrthantTable(kernel, support)
-
-
 def _check_point(F: TropPoly, p: TropPoint) -> None:
     if len(p) != F.nvars:
         raise DimensionMismatch(f"point dim {len(p)} vs nvars {F.nvars}")
@@ -699,8 +571,9 @@ class _SignKernel(NamedTuple):
         )
         return _SignKernel(den, maxdeg, terms)
 
-    def sign_at(self, p: tuple[PuiseuxSeries, ...]) -> int:
-        """Sign of g(p), computed as the sign of K * g(p) for an integer K > 0.
+    def signed_value(self, p: tuple[PuiseuxSeries, ...]) -> SignedTropVal:
+        """Signed value of g(p), read from the lowest term of K * g(p) for an
+        integer K > 0.
 
         Write x_k = X_k / b_k, where the integer b_k > 0 clears the
         coefficient denominators of x_k.  Multiplied by prod b_k**maxdeg_k,
@@ -715,7 +588,9 @@ class _SignKernel(NamedTuple):
         above delta.  delta doubles, from the least rise above w that g(p)
         can take, until the lowest of those coefficients is nonzero, or
         until w + delta reaches the largest exponent g(p) can have, where
-        g(p) is zero.
+        g(p) is zero.  K is a positive rational, of valuation 0, so K * g(p)
+        has the signed value of g(p); the lowest exponent is over the common
+        denominator of g's and p's exponents.
         """
         den = self.den
         for c, md in zip(p, self.maxdeg):
@@ -766,7 +641,7 @@ class _SignKernel(NamedTuple):
                 if highest is None or hi > highest:
                     highest = hi
         if lowest is None:
-            return 0
+            return RT_ZERO
         # the first rise above w that g(p) can take: a gap of some U_k, or
         # one from w to an exponent of a term's coefficient
         rises = [e - lowest for _, acc in live for e, _ in acc if e > lowest]
@@ -796,9 +671,9 @@ class _SignKernel(NamedTuple):
                             total[base + e] = total.get(base + e, 0) + c * v
             first = min((e for e, v in total.items() if v), default=None)
             if first is not None:
-                return 1 if total[first] > 0 else -1
+                return SignedTropVal(1 if total[first] > 0 else -1, Fraction(first, den))
             if limit >= highest:
-                return 0
+                return RT_ZERO
             delta *= 2
 
     def initial_sign(self, p: tuple[PuiseuxSeries, ...]) -> int:
@@ -808,7 +683,7 @@ class _SignKernel(NamedTuple):
         common denominator ``den * D'``, where D' clears the leading
         exponents.  The dominant terms' leading coefficients, taken at the
         leading coefficients a_k = n_k / b_k of the coordinates and
-        multiplied by prod b_k**maxdeg_k as in ``sign_at``, sum to a
+        multiplied by prod b_k**maxdeg_k as in ``signed_value``, sum to a
         positive multiple of the coefficient of t**w in g(p), w the least
         score; when that sum is nonzero, its sign is the sign of g(p).
         """
@@ -873,20 +748,22 @@ def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
     if not balanced:
         return sign
     kernel = f._sign_kernel
-    return kernel.initial_sign(p) or kernel.sign_at(p)
+    return kernel.initial_sign(p) or kernel.signed_value(p).sign
 
 
 def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:
     """Signed value of f(p), exact also for Laurent f at non-monomial coordinates.
 
     Uses f(p) = g(p) / x**m with g polynomial; the signed value of the
-    quotient is the quotient of signed values.
+    quotient is the quotient of signed values.  The signed value of g(p) is
+    read from its lowest terms by the truncated integer kernel
+    (:meth:`_SignKernel.signed_value`), so no power of a coordinate is
+    built in full.
     """
     p = tuple(p)
     _check_laurent_point(f, p)
-    g, m = f._clearing
-    out = eval_k(g, p).signed_trop()
-    for mk, c in zip(m, p):
+    out = f._sign_kernel.signed_value(p)
+    for mk, c in zip(f._clearing[1], p):
         if mk:
             out = rt_mul(out, rt_pow(rt_inv(c.signed_trop()), mk))
     return out

@@ -664,6 +664,18 @@ def test_malformed_input_exits_without_traceback(tmp_path):
     _one_error_line(proc.stderr)
 
 
+def test_trop_negative_nvars_is_a_usage_error(tmp_path):
+    poly = tmp_path / "p.txt"
+    poly.write_text("x + 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropreal.cli", "trop", str(poly), "--nvars", "-1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "nvars=-1" in _one_error_line(proc.stderr)
+
+
 def test_trop_overlong_numeral_is_a_usage_error(tmp_path, capsys):
     poly = tmp_path / "long.txt"
     poly.write_text("x + " + "9" * 5000)

@@ -25,6 +25,7 @@ from tropreal.polyhedra import (
     PolyUnion,
     Polyhedron,
     _from_rows,
+    _orthant_table,
     all_orthants,
     complement_of_union,
     constraint,
@@ -50,7 +51,7 @@ from tropreal.polyhedra import (
     whole_space,
     whole_space_union,
 )
-from tropreal.troppoly import TropPoly, _orthant_table, trop_sat
+from tropreal.troppoly import TropPoly, trop_sat
 
 F2 = Fraction
 
@@ -689,6 +690,28 @@ def test_trop_region_matches_the_per_call_construction():
             _orthant_table.cache_clear()
             assert _piece_rows(F, sigma, "eq", trop_region) == want
     assert raised > 100
+
+
+def test_ne_region_is_the_gt_pieces_then_the_lt_pieces():
+    # a disequation's region is the strict cells of both signs, row for row,
+    # so a description never needs to rewrite its != conditions
+    rng = random.Random(3141)
+    raised = 0
+    for k in range(80):
+        nvars = rng.randint(1, 3)
+        F = _random_troppoly(rng, nvars, laurent=rng.random() < 0.5)
+        for sigma in all_orthants(nvars):
+            if k % 2:
+                _orthant_table.cache_clear()  # ne decides the cells first
+            ne = _piece_rows(F, sigma, "ne", trop_region)
+            gt = _piece_rows(F, sigma, "gt", trop_region)
+            lt = _piece_rows(F, sigma, "lt", trop_region)
+            if ne is NegativeExponentAtZero:
+                assert gt is lt is NegativeExponentAtZero
+                raised += 1
+                continue
+            assert ne == gt + lt, (F, sigma)
+    assert raised > 20
 
 
 def test_orthant_memo_is_bounded_and_eviction_keeps_answers():

@@ -1,14 +1,15 @@
 """Raster classification agrees with exact evaluation; overlays are exact."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from tropreal.hyperfields import stv
-from tropreal.parsing import parse_polyk
 from tropreal.polyhedra import union_equal
 from tropreal.render import (
+    REGION,
     RenderConfig,
     classify_node,
     conjunction_regions,
@@ -30,15 +31,54 @@ def test_node_valuation_is_exact_rationalization():
     assert sign == -1
 
 
-def test_classification_matches_trop_sat_on_grid():
-    F = trop_r(parse_polyk("2x + 3y - 5"))
-    conditions = [(F, "ge")]
-    for u in (-2.3, -0.7, 0.4, 1.9):
-        for v in (-1.1, 0.6, 2.8):
-            su, Vu = node_valuation(u)
-            sv, Vv = node_valuation(v)
-            point = (stv(su, Vu), stv(sv, Vv))
-            assert classify_node(conditions, u, v) == trop_sat(F, point, "ge")
+def _raster_nodes(svg, grid):
+    """The (i, j) grid nodes that the SVG colors as region, read back from
+    its column runs: node (i, j) has u = x0 + (i + 1/2) du and v = y0 + (j + 1/2) dv."""
+    frame = re.search(r'<rect x="(\d+)" y="\d+" width="(\d+)" height="\d+" fill="none"', svg)
+    margin, inner = float(frame[1]), float(frame[2])
+    cw = inner / grid
+    colored = set()
+    for x, y, h in re.findall(
+        rf'<rect x="([\d.]+)" y="([\d.]+)" width="[\d.]+" height="([\d.]+)" fill="{REGION}"/>', svg
+    ):
+        i = round((float(x) - margin) / cw)
+        top = round((margin + inner - float(y)) / cw)
+        colored.update((i, j) for j in range(top - round(float(h) / cw), top))
+    return colored
+
+
+def _node_satisfies(conditions, u, v):
+    """The conjunction's trop_sat at the rationalized node; a node on an
+    axis is never colored."""
+    nu, nv = node_valuation(u), node_valuation(v)
+    if nu is None or nv is None:
+        return False
+    point = (stv(*nu), stv(*nv))
+    return all(trop_sat(F, point, rel) for F, rel in conditions)
+
+
+def test_raster_colors_match_trop_sat_at_every_node():
+    grid = 17
+    filled = 0
+    for name in SCENARIO_NAMES:
+        scen = get_scenario(name)
+        cfg = RenderConfig(grid=grid, window=scen.window)
+        colored = _raster_nodes(render_region_svg(scen.conditions, cfg), grid)
+        x0, x1, y0, y1 = (float(w) for w in cfg.window)
+        du, dv = (x1 - x0) / grid, (y1 - y0) / grid
+        regions = conjunction_regions(scen.conditions)
+        want = set()
+        for i in range(grid):
+            u = x0 + (i + 0.5) * du
+            for j in range(grid):
+                v = y0 + (j + 0.5) * dv
+                sat = _node_satisfies(scen.conditions, u, v)
+                assert classify_node(regions, u, v) == sat, (name, u, v)
+                if sat:
+                    want.add((i, j))
+        assert colored == want, name
+        filled += 0 < len(want) < grid * grid
+    assert filled >= 3  # regions with interior, and nodes outside them
 
 
 def test_circle_overlay_geometry():

@@ -53,7 +53,6 @@ from tropreal.semialg import (
     sa_outer_all,
     sa_sample_trop,
     sa_sandwich_check,
-    split_ne,
     witness_search,
 )
 from tropreal.troppoly import PolyK, TropPoly, _ValKernel, laurent_sign, trop_point, trop_r
@@ -78,13 +77,6 @@ def test_sa_member_circle():
     assert sa_member(S, (const(2), const(2)))
     assert sa_member(S, (const(2) + t_pow(1), const(2)))
     assert not sa_member(S, (const(0), const(0)))
-
-
-def test_split_ne():
-    S = conjunction(1, [SignCondition(parse_polyk("x", nvars=1), "ne")])
-    split = split_ne(S)
-    assert len(split.disjuncts) == 2
-    assert {d[0].rel for d in split.disjuncts} == {"gt", "lt"}
 
 
 def test_circle_cloud_is_single_point():
@@ -374,12 +366,24 @@ def _connected_all_pairs(regions):
     return len(seen) == len(pieces)
 
 
+def _split_ne(S):
+    """S with every != condition replaced by the two strict alternatives."""
+    out = []
+    for disj in S.disjuncts:
+        expanded = [[]]
+        for cond in disj:
+            rels = ("gt", "lt") if cond.rel == "ne" else (cond.rel,)
+            expanded = [e + [SignCondition(cond.poly, r)] for e in expanded for r in rels]
+        out.extend(tuple(e) for e in expanded)
+    return SADescription(S.nvars, tuple(out))
+
+
 def _sa_outer_per_disjunct(S, sigma):
-    """Reference: split the != conditions, tropicalize each condition afresh,
-    and prune the union after every disjunct."""
+    """Reference: tropicalize each condition afresh, as written, and prune
+    the union after every disjunct."""
     m = len(orthant_support(sigma))
     out = PolyUnion(m, ())
-    for disj in split_ne(S).disjuncts:
+    for disj in S.disjuncts:
         fresh = [
             (TropPoly.from_terms(S.nvars, ((e, c.signed_trop()) for e, c in cond.poly.terms)),
              cond.rel)
@@ -440,8 +444,11 @@ def test_sa_outer_matches_a_prune_per_disjunct():
     for k in range(60):
         S = _random_description(rng, 1 + k % 3)
         regions = sa_outer_all(S)
+        split = sa_outer_all(_split_ne(S))
         for sigma, region in regions.items():
             assert region.pieces == _sa_outer_per_disjunct(S, sigma).pieces, (k, sigma)
+            # a != as written covers what its two strict alternatives cover
+            assert union_equal(region, split[sigma]), (k, sigma)
 
 
 def test_one_shadow_and_one_kernel_per_polynomial(monkeypatch):
@@ -461,16 +468,11 @@ def test_one_shadow_and_one_kernel_per_polynomial(monkeypatch):
     list(_candidates(S, CFG, random.Random(1), 30))  # the sampler plan
     assert 0 < by_laurent_sign < len(scored)
     assert all(kernel is F._val_kernel for kernel in scored)
-    # the outer region splits the != and tropicalizes each condition once
-    calls = {"split_ne": 0, "trop_r": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(semialg, name)):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(semialg, name, counted)
+    # the outer region tropicalizes each condition as written, once
+    calls = []
+    monkeypatch.setattr(semialg, "trop_r", lambda f: calls.append(f) or trop_r(f))
     sa_outer_all(S)
-    assert calls == {"split_ne": 1, "trop_r": 3}
+    assert calls == [f, f]
     assert all(G is F for conds in S._outer_conditions for G, _ in conds)
 
 

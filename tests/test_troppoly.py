@@ -14,6 +14,7 @@ from tropreal.hyperfields import (
     hv_contains,
     hv_point,
     hv_relation,
+    rt_inv,
     rt_mul,
     rt_pow,
     rt_sum,
@@ -326,7 +327,7 @@ def _kernel_sign(f, p):
     """laurent_sign without the leading-term path: the check, then the kernel."""
     p = tuple(p)
     _check_laurent_point(f, p)
-    return f._sign_kernel.sign_at(p)
+    return f._sign_kernel.signed_value(p).sign
 
 
 @st.composite
@@ -462,6 +463,19 @@ def test_laurent_sign_matches_the_kernel_on_tiny_grids(case):
     assert _outcome(laurent_sign, f, p) == _outcome(_kernel_sign, f, p)
 
 
+def _reference_signed_value(f, p):
+    """The signed value of f(p) from the value of the cleared polynomial,
+    built in full by eval_k, over the signed value of p**m."""
+    p = tuple(p)
+    _check_laurent_point(f, p)
+    g, m = _cleared(f)
+    out = eval_k(g, p).signed_trop()
+    for mk, c in zip(m, p):
+        if mk:
+            out = rt_mul(out, rt_pow(rt_inv(c.signed_trop()), mk))
+    return out
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(
     laurent_and_point(), cancelling_laurent_and_point(), tiny_grid_laurent_and_point()
@@ -473,7 +487,8 @@ def test_sign_kernel_matches_the_value_of_the_cleared_polynomial(case):
         d < 0 and c.is_zero() for exps, _ in f.terms for d, c in zip(exps, p)
     ):
         return  # no value: laurent_sign raises before the kernel runs
-    assert f._sign_kernel.sign_at(p) == eval_k(g, p).sign()
+    assert f._sign_kernel.signed_value(p) == eval_k(g, p).signed_trop()
+    assert signed_trop_of_value(f, p) == _reference_signed_value(f, p)
 
 
 @pytest.mark.parametrize("c", ["3", "1/2", "-1/3", "-4"])
@@ -484,7 +499,9 @@ def test_sign_kernel_truncates_a_power_at_the_exponent_bound(c):
     p = (const(1), PuiseuxSeries.from_terms([(0, 1), (Fraction(1, 2), Fraction(c)), (1, 1)]))
     assert f._sign_kernel.initial_sign(p) == 0
     start = time.perf_counter()
-    assert f._sign_kernel.sign_at(p) == laurent_sign(f, p) == (1 if Fraction(c) > 0 else -1)
+    sign = 1 if Fraction(c) > 0 else -1
+    assert f._sign_kernel.signed_value(p).sign == laurent_sign(f, p) == sign
+    assert signed_trop_of_value(f, p) == stv(sign, Fraction(1, 2))
     assert time.perf_counter() - start < 1.0
 
 
