@@ -875,7 +875,12 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     different pairs of terms can give the same rows.  Terms whose
     coefficient is zero never count, as in ``trop_eval``.
     """
-    ok = SATISFIED_BY[normalize_rel(rel)]
+    return _outcome_region(F, sigma, SATISFIED_BY[normalize_rel(rel)])
+
+
+def _outcome_region(F: TropPoly, sigma: Orthant, ok: frozenset) -> PolyUnion:
+    """``trop_region`` for the set ``ok`` of outcomes that satisfy: signs
+    -1, 0, 1, and None for a balanced sum."""
     if len(sigma) != F.nvars:
         raise DimensionMismatch("orthant length does not match polynomial")
     kernel = F._val_kernel
@@ -915,11 +920,21 @@ def trop_conjunction(
     the orthant sets to zero is undefined there and holds nowhere, so the
     intersection is then empty.
     """
+    return _outcome_conjunction(
+        ((F, SATISFIED_BY[normalize_rel(rel)]) for F, rel in conditions), sigma
+    )
+
+
+def _outcome_conjunction(
+    conditions: Iterable[tuple[TropPoly, frozenset]], sigma: Orthant
+) -> PolyUnion:
+    """``trop_conjunction`` for conditions given as (F, the outcomes that
+    satisfy), as in ``_outcome_region``."""
     m = len(orthant_support(sigma))
     acc = whole_space_union(m)
-    for F, rel in conditions:
+    for F, ok in conditions:
         try:
-            region = trop_region(F, sigma, rel)
+            region = _outcome_region(F, sigma, ok)
         except NegativeExponentAtZero:
             return empty_union(m)
         acc = union_intersect(acc, region)

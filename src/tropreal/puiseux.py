@@ -43,9 +43,8 @@ before its tails are drawn.  The default candidate loop of
 :mod:`tropreal.semialg` draws each coordinate's lead, rejects a candidate
 that its leads already put outside the set, and draws tails only for the
 other candidates; those are built and tested exactly, where
-``laurent_sign`` decides a sign from the leading terms, then from the
-initial form, and only when that cancels from the lowest terms of the
-full series.
+``laurent_sign`` decides a sign from the initial form, and only when that
+cancels from the lowest terms of the full series.
 """
 
 from __future__ import annotations

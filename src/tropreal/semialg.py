@@ -11,10 +11,15 @@ signed tropicalization are computed:
 * an *outer* approximation: per orthant, the intersection over describing
   conditions of the exact polyhedral region of the tropicalized condition.
   Tropicalizing a valid inequality can only enlarge the set, so this is a
-  certified superset.  A description tropicalizes each condition as
-  written, once, for all orthants: the region of a ``!=`` is that of ``>``
-  followed by that of ``<``, so it needs no rewriting.  Whether the outer
-  pieces are connected is decided by one walk over them.
+  certified superset.  Where dominant terms of opposite sign tie, the sum
+  is balanced and the lower terms decide the sign, so any relation may
+  hold there: the outer region of a condition admits a balanced sum
+  beside the signs of ``SATISFIED_BY[rel]``.  Its rows are all weak, and
+  only an equation keeps to the ties.  A description tropicalizes each
+  condition as written, once, for all orthants and for the sampler: the
+  outer region of a ``!=`` is the cells of its positive terms followed by
+  those of its negative terms, so it needs no rewriting.  Whether the
+  outer pieces are connected is decided by one walk over them.
 
 A Laurent condition is undefined where a negative exponent meets a zero
 coordinate, and an undefined condition does not hold.  The condition owns
@@ -79,6 +84,7 @@ from .polyhedra import (
     Orthant,
     PolyUnion,
     Polyhedron,
+    _outcome_conjunction,
     all_orthants,
     complement_of_union,
     limit_polyhedron,
@@ -151,9 +157,14 @@ class SADescription:
                     raise DimensionMismatch("condition nvars mismatch")
 
     @cached_property
-    def _outer_conditions(self) -> tuple[tuple[tuple[TropPoly, str], ...], ...]:
-        """The disjuncts as written, each condition as (shadow, relation)."""
-        return tuple(tuple((trop_r(c.poly), c.rel) for c in disj) for disj in self.disjuncts)
+    def _outer_conditions(self) -> tuple[tuple[tuple[TropPoly, frozenset], ...], ...]:
+        """The disjuncts as written, each condition as (shadow, the outcomes
+        its tropicalization admits): those of its relation, and a balanced
+        sum, where the condition may hold."""
+        return tuple(
+            tuple((trop_r(c.poly), SATISFIED_BY[c.rel] | {None}) for c in disj)
+            for disj in self.disjuncts
+        )
 
 
 def conjunction(nvars: int, conditions: Iterable[SignCondition]) -> SADescription:
@@ -253,10 +264,7 @@ def _candidates(
     draw_lead = ps_draw_lead
     draw_tail = ps_draw_tail
     uniform = rng.random
-    plan = [
-        [(trop_r(cond.poly)._val_kernel, SATISFIED_BY[cond.rel]) for cond in disj]
-        for disj in S.disjuncts
-    ]
+    plan = [[(F._val_kernel, ok) for F, ok in disj] for disj in S._outer_conditions]
     decided: dict[tuple[int, ...], bool] = {}
     for _ in range(budget):
         leads = []
@@ -295,7 +303,7 @@ def _leads_may_hold(
             if not all([signs[k] for k in kern.neg]):
                 break
             _, sign, balanced, _ = kern._score_scaled(signs, nums, dens)
-            if not balanced and sign not in holds:
+            if (None if balanced else sign) not in holds:
                 break
         else:
             return True
@@ -329,7 +337,11 @@ def sa_outer(S: SADescription, sigma: Orthant) -> PolyUnion:
     """Exact polyhedral superset of the sigma-part of the tropicalization.
 
     Union over disjuncts of the intersection over conditions of the region
-    of the tropicalized condition; a disjunct with a condition undefined on
+    of the tropicalized condition, where a balanced sum satisfies every
+    relation: ``trop_region``'s region for the outcomes
+    ``SATISFIED_BY[rel] | {None}``, with no strict row.  A strict condition
+    can hold where its dominant terms tie, so ``trop_region(F, sigma, "gt")``
+    itself would leave out members.  A disjunct with a condition undefined on
     sigma contributes nothing.  One prune, keeping first copies, joins the
     disjuncts' pieces.  Orthants are never mixed; assembling a global
     picture is the caller's (reporting-level) concern.
@@ -338,7 +350,7 @@ def sa_outer(S: SADescription, sigma: Orthant) -> PolyUnion:
         raise DimensionMismatch("orthant length does not match description")
     pieces: list[Polyhedron] = []
     for conditions in S._outer_conditions:
-        pieces += trop_conjunction(conditions, sigma).pieces
+        pieces += _outcome_conjunction(conditions, sigma).pieces
     return union_prune(PolyUnion(len(orthant_support(sigma)), tuple(pieces)))
 
 
@@ -452,24 +464,6 @@ class SandwichReport:
         }
 
 
-def _normalize_weak_conjunction(S: SADescription) -> SADescription:
-    """Rewrite a single conjunction of weak conditions as {f_i <= 0} form."""
-    if len(S.disjuncts) != 1:
-        raise ShapeMismatch("need a single conjunction")
-    out = []
-    for cond in S.disjuncts[0]:
-        if cond.rel == "le":
-            out.append(cond)
-        elif cond.rel == "ge":
-            out.append(SignCondition(-cond.poly, "le"))
-        elif cond.rel == "eq":
-            out.append(SignCondition(cond.poly, "le"))
-            out.append(SignCondition(-cond.poly, "le"))
-        else:
-            raise ShapeMismatch(f"relation {cond.rel} is not a weak inequality")
-    return conjunction(S.nvars, out)
-
-
 def sa_sandwich_check(
     S: SADescription,
     cfg: SamplerConfig,
@@ -478,21 +472,26 @@ def sa_sandwich_check(
 ) -> SandwichReport:
     """Inner-in-outer containment and witness coverage of fat outer pieces.
 
-    The input must be a single conjunction of weak conditions.  The outer
-    region minus the tropicalization has empty interior for such sets, so
-    every full-dimensional outer piece should contain an inner sample;
+    The input must be a single conjunction of weak conditions (``le``,
+    ``ge`` or ``eq``), and it is taken as written.  The outer region minus
+    the tropicalization has empty interior for such sets, so every
+    full-dimensional outer piece should contain an inner sample;
     persistently flagged pieces indicate a bug (or far too few samples).
     """
-    weak = _normalize_weak_conjunction(S)
-    cloud = sa_sample_trop(weak, attempts, cfg, proposal=proposal)
-    escaped = inner_in_outer(weak, cloud)
+    if len(S.disjuncts) != 1:
+        raise ShapeMismatch("need a single conjunction")
+    for cond in S.disjuncts[0]:
+        if cond.rel not in ("le", "ge", "eq"):
+            raise ShapeMismatch(f"relation {cond.rel} is not a weak inequality")
+    cloud = sa_sample_trop(S, attempts, cfg, proposal=proposal)
+    escaped = inner_in_outer(S, cloud)
 
     by_orthant: dict[Orthant, list[tuple[Fraction, ...]]] = {}
     for z in cloud.points():
         by_orthant.setdefault(point_orthant(z), []).append(point_valuations(z))
 
     records: list[PieceRecord] = []
-    for sigma, region in sa_outer_all(weak).items():
+    for sigma, region in sa_outer_all(S).items():
         m = len(orthant_support(sigma))
         inner_here = by_orthant.get(sigma, [])
         for i, piece in enumerate(region.pieces):

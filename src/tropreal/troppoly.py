@@ -24,28 +24,23 @@ inverse stays finite, i.e. at monomial coordinates; no library path calls
 it, and it stays as the reference that the integer kernels are tested
 against.
 
-``laurent_sign`` never builds that value.  It decides from leading terms
-first: the signed valuation is a morphism onto the signed tropical
-hyperfield, so the sign of f(p) is that of trop(f) at trop(p) whenever the
-dominant terms there share one sign (and 0 when no term survives).  The
-terms of trop(f) are scored at the leading terms of the coordinates by the
-same integer loop as ``trop_eval`` below.  A balanced sum, where dominant
-terms of opposite sign tie, is decided next by the initial form: the sum,
-in integers, of the dominant terms' leading coefficients at the leading
-coefficients of the coordinates.  It is the coefficient of the lowest
-power of t in f(p), up to a positive factor, so its sign is that of f(p)
-unless it cancels.  Only then does the sign go to the Puiseux-level
-kernel, which evaluates g in plain integers: exponents are brought to one
-common denominator D, so t**(1/D) becomes the integer exponent 1, and
-every coefficient is multiplied by a positive integer so that no
-denominators are left.  Scaling a series by a
-positive constant keeps its sign, and renaming exponents e -> D*e keeps
-their order, so the sign of g(p) is the sign of the integer sum at its
-lowest exponent with a nonzero coefficient.  Only the lowest terms of
-that sum are computed: powers are taken by squaring on series truncated
-above a bound, and the bound doubles until a nonzero coefficient shows.
-``signed_trop_of_value`` reads the signed value of g(p) from that same
-lowest term: its sign, and its exponent over D.
+``laurent_sign`` never builds that value.  It reads the sign of g(p) from
+the Puiseux-level kernel, which evaluates g in plain integers: exponents
+are brought to one common denominator D, so t**(1/D) becomes the integer
+exponent 1, and every coefficient is multiplied by a positive integer so
+that no denominators are left.  Scaling a series by a positive constant
+keeps its sign, and renaming exponents e -> D*e keeps their order, so the
+sign of g(p) is the sign of the integer sum at its lowest exponent with a
+nonzero coefficient.  That lowest term is found in two steps.  First the
+initial form: the terms of g are scored at the leading terms of the
+coordinates, and the dominant terms' leading coefficients are summed.  The
+sum is the coefficient of the lowest power of t in g(p), up to a positive
+factor, so when it is nonzero it decides; it is nonzero whenever the
+dominant terms share one sign.  Only when it cancels, or no term
+survives, are the lowest terms of g(p) computed: powers are taken by
+squaring on series truncated above a bound, and the bound doubles until
+a nonzero coefficient shows.  ``signed_trop_of_value`` reads the signed
+value of g(p) from that same lowest term: its sign, and its exponent.
 
 ``trop_eval`` works in integers in the same way.  Each :class:`TropPoly`
 keeps its coefficient valuations as numerators over one common
@@ -63,12 +58,12 @@ Everything is immutable; evaluation over shared polynomials is safe from
 concurrent contexts.  Each :class:`PolyK` has one shadow, built by the
 first ``trop_r`` and returned by every later one, and that shadow keeps
 its integer form the first time it is evaluated: one :class:`_ValKernel`
-per polynomial, read by ``trop_eval``, ``laurent_sign``, the sampler and
-``polyhedra.trop_region`` alike.  The integer form of g is cached on the
-:class:`PolyK` the first time a balanced sign or a signed value is asked
-for.  No polyhedral notion lives here: the rows, the dominance cells of a
-kernel on an orthant and the table that keeps them are in ``polyhedra``,
-beside ``trop_region``.
+per polynomial, read by ``trop_eval``, the sampler and
+``polyhedra.trop_region`` alike.  The exact side does not read the
+shadow: the integer form of g is cached on the :class:`PolyK` the first
+time a sign or a signed value is asked for.  No polyhedral notion lives
+here: the rows, the dominance cells of a kernel on an orthant and the
+table that keeps them are in ``polyhedra``, beside ``trop_region``.
 """
 
 from __future__ import annotations
@@ -365,7 +360,8 @@ class _ValKernel(NamedTuple):
     def _score_scaled(
         self, signs: list[int], nums: list[int], dens: list[int]
     ) -> tuple[Optional[int], int, bool, int]:
-        """``_score`` at valuations nums[k] / dens[k] (0 / 1 at a zero coordinate)."""
+        """``_score`` at valuations nums[k] / dens[k] (0 / 1 at a zero
+        coordinate): the sampler scores its candidates' leads this way."""
         dp = lcm(*dens)
         xs = nums if dp == 1 else [k * (dp // d) for k, d in zip(nums, dens)]
         return self._score(signs, xs, dp)
@@ -400,30 +396,6 @@ class _ValKernel(NamedTuple):
                 xs.append(0)
         self.check_defined(signs)
         return self._score(signs, xs, dp)
-
-    def score_leading(
-        self, p: Sequence[PuiseuxSeries]
-    ) -> tuple[Optional[int], int, bool, int]:
-        """``score_at`` at the signed values of a Puiseux point.
-
-        They are read from each coordinate's leading term, without building
-        the point's :class:`SignedTropVal`s.  Definedness is not checked
-        here: ``laurent_sign`` has checked it on the Laurent polynomial.
-        """
-        signs = []
-        nums = []
-        dens = []
-        for c in p:
-            if c.terms:
-                e, a = c.terms[0]
-                signs.append(1 if a.numerator > 0 else -1)
-                nums.append(e.numerator)
-                dens.append(e.denominator)
-            else:
-                signs.append(0)
-                nums.append(0)
-                dens.append(1)
-        return self._score_scaled(signs, nums, dens)
 
     def value_at(self, p: TropPoint) -> HyperValue:
         """The hyperfield sum of the terms at p."""
@@ -572,25 +544,87 @@ class _SignKernel(NamedTuple):
         return _SignKernel(den, maxdeg, terms)
 
     def signed_value(self, p: tuple[PuiseuxSeries, ...]) -> SignedTropVal:
+        """Signed value of g(p): from its initial form when that does not
+        cancel, else from its lowest terms (:meth:`_truncated_value`).
+
+        The terms of g are scored at the leading exponents of p, over the
+        common denominator ``den * D'``, where D' clears the leading
+        exponents.  Write the leading coefficient of x_k as n_k / b_k in
+        lowest terms, and K = prod b_k**maxdeg_k.  At those coefficients, K
+        times a term's leading coefficient c * prod (n_k / b_k)**e_k is the
+        integer c * prod n_k**e_k * (K / prod b_k**e_k).  Over the dominant
+        terms these sum to a positive multiple of the coefficient of t**w
+        in g(p), w the least score, and no lower power of t has a nonzero
+        coefficient; so when the sum is nonzero, its sign at w is the
+        signed value of g(p).
+        """
+        den = self.den
+        # per variable of g: (den times the leading exponent as a numerator
+        # over the running denominator dp, n_k, b_k), or None when the
+        # coordinate is zero or the variable not in g; K = prod b_k**maxdeg_k
+        leads: list[tuple[int, int, int] | None] = []
+        dp = K = 1
+        for c, md in zip(p, self.maxdeg):
+            if md and c.terms:
+                e, a = c.terms[0]
+                en, ed = e.as_integer_ratio()
+                if dp % ed:
+                    # widen the running denominator and rescale what was read
+                    f = ed // gcd(dp, ed)
+                    leads = [None if x is None else (x[0] * f, x[1], x[2]) for x in leads]
+                    dp *= f
+                n, b = a.as_integer_ratio()
+                if b != 1:
+                    K *= b ** md
+                leads.append((den * en * (dp // ed), n, b))
+            else:
+                leads.append(None)
+        best = None
+        initial = 0
+        for exps, coeff in self.terms:
+            score, value = coeff[0]
+            score *= dp
+            scale = 1  # prod b_k**e_k, which divides K
+            for d, lead in zip(exps, leads):
+                if d:
+                    if lead is None:  # a positive power of a zero coordinate
+                        break
+                    v, n, b = lead
+                    score += d * v
+                    value *= n ** d
+                    if b != 1:
+                        scale *= b ** d
+            else:
+                if K != 1:
+                    value *= K // scale
+                if best is None or score < best:
+                    best, initial = score, value
+                elif score == best:
+                    initial += value
+        if initial:
+            return SignedTropVal(1 if initial > 0 else -1, Fraction(best, den * dp))
+        return self._truncated_value(p)
+
+    def _truncated_value(self, p: tuple[PuiseuxSeries, ...]) -> SignedTropVal:
         """Signed value of g(p), read from the lowest term of K * g(p) for an
         integer K > 0.
 
         Write x_k = X_k / b_k, where the integer b_k > 0 clears the
         coefficient denominators of x_k.  Multiplied by prod b_k**maxdeg_k,
         the term c * x**e becomes c * prod b_k**(maxdeg_k - e_k) * X_k**e_k:
-        integers only, and the same positive factor for every term.
+        integers only, and the same positive factor for every term.  K is a
+        positive rational, of valuation 0, so K * g(p) has the signed value
+        of g(p).
 
-        Only the lowest terms of g(p) are computed.  Each X_k is t**v_k * U_k
-        with U_k free of negative exponents, so a term's exponents are at
-        least its score, c's leading exponent plus e . v, and every
-        coefficient of g(p) at or below w + delta, w the least score, is
-        exact when each U_k**e_k (taken by squaring) drops its exponents
-        above delta.  delta doubles, from the least rise above w that g(p)
-        can take, until the lowest of those coefficients is nonzero, or
-        until w + delta reaches the largest exponent g(p) can have, where
-        g(p) is zero.  K is a positive rational, of valuation 0, so K * g(p)
-        has the signed value of g(p); the lowest exponent is over the common
-        denominator of g's and p's exponents.
+        Only the lowest terms of g(p) are computed.  Each X_k is
+        t**v_k * U_k with U_k free of negative exponents, so a term's
+        exponents are at least its score, and every coefficient of g(p) at
+        or below w + delta, w the least score, is exact when each U_k**e_k
+        (taken by squaring) drops its exponents above delta.  delta doubles,
+        from the least rise above w that g(p) can take, until the lowest of
+        those coefficients is nonzero, or until w + delta reaches the
+        largest exponent g(p) can have, where g(p) is zero.  That lowest
+        exponent is over the common denominator of g's and p's exponents.
         """
         den = self.den
         for c, md in zip(p, self.maxdeg):
@@ -676,79 +710,22 @@ class _SignKernel(NamedTuple):
                 return RT_ZERO
             delta *= 2
 
-    def initial_sign(self, p: tuple[PuiseuxSeries, ...]) -> int:
-        """Sign of the initial form of g at p, or 0 when it cancels.
-
-        The terms of g are scored at the leading exponents of p, over the
-        common denominator ``den * D'``, where D' clears the leading
-        exponents.  The dominant terms' leading coefficients, taken at the
-        leading coefficients a_k = n_k / b_k of the coordinates and
-        multiplied by prod b_k**maxdeg_k as in ``signed_value``, sum to a
-        positive multiple of the coefficient of t**w in g(p), w the least
-        score; when that sum is nonzero, its sign is the sign of g(p).
-        """
-        dp = 1
-        for c, md in zip(p, self.maxdeg):
-            if md and c.terms:
-                dp = lcm(dp, c.terms[0][0].denominator)
-        # per variable of g: (scaled leading exponent, n_k, b_k, maxdeg_k),
-        # or None when the coordinate is zero or the variable not in g
-        leads: list[tuple[int, int, int, int] | None] = []
-        for c, md in zip(p, self.maxdeg):
-            if md and c.terms:
-                e, a = c.terms[0]
-                leads.append((e.numerator * (dp // e.denominator), a.numerator, a.denominator, md))
-            else:
-                leads.append(None)
-        den = self.den
-        best = None
-        total = 0
-        for exps, coeff in self.terms:
-            score, value = coeff[0]
-            score *= dp
-            for d, lead in zip(exps, leads):
-                if lead is None:
-                    if d:  # a positive power of a zero coordinate
-                        break
-                    continue
-                v, n, b, md = lead
-                if d:
-                    score += den * d * v
-                    value *= n ** d
-                if b != 1:
-                    value *= b ** (md - d)
-            else:
-                if best is None or score < best:
-                    best, total = score, value
-                elif score == best:
-                    total += value
-        return (total > 0) - (total < 0)
-
 
 def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
-    """Exact sign of f(p) for Laurent f, decided at the first level that settles it.
+    """Exact sign of f(p) for Laurent f.
 
-    First from leading terms: the leading term of each term of f(p) is the
-    term of trop(f) at trop(p), so when the dominant ones all have one
-    sign, f(p) has it too, and when no term survives, f(p) is zero.  When
-    dominant terms of opposite sign tie, from the initial form: the sum of
-    their leading coefficients is the coefficient of the lowest power of t
-    in f(p), up to a positive factor (:meth:`_SignKernel.initial_sign`).
-    Only when that sum cancels is the sign computed at the Puiseux level:
     f(p) and g(p) = f(p) * p**m have the same sign because every entry of m
-    is even, and g is evaluated by the integer kernel of
-    :class:`_SignKernel` on its lowest terms, where each rescaling
-    multiplies g(p) by a positive constant or stretches the exponent scale,
-    and neither changes the sign of the leading term.
+    is even, and the sign of g(p) is that of its lowest term
+    (:meth:`_SignKernel.signed_value`): the initial form when the dominant
+    terms' leading coefficients do not cancel, else the lowest terms of the
+    truncated integer kernel.  Every rescaling there multiplies g(p) by a
+    positive constant or stretches the exponent scale, and neither changes
+    the sign of the lowest term.  When no term survives, f(p) is zero.
     """
     if type(p) is not tuple:
         p = tuple(p)
     _check_laurent_point(f, p)
-    _, sign, balanced, _ = f._trop._val_kernel.score_leading(p)
-    if not balanced:
-        return sign
-    kernel = f._sign_kernel
-    return kernel.initial_sign(p) or kernel.signed_value(p).sign
+    return f._sign_kernel.signed_value(p).sign
 
 
 def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:
@@ -756,9 +733,9 @@ def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:
 
     Uses f(p) = g(p) / x**m with g polynomial; the signed value of the
     quotient is the quotient of signed values.  The signed value of g(p) is
-    read from its lowest terms by the truncated integer kernel
-    (:meth:`_SignKernel.signed_value`), so no power of a coordinate is
-    built in full.
+    read from its initial form or, when that cancels, from its lowest terms
+    by the truncated integer kernel (:meth:`_SignKernel.signed_value`), so
+    no power of a coordinate is built in full.
     """
     p = tuple(p)
     _check_laurent_point(f, p)

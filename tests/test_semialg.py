@@ -16,9 +16,10 @@ from tropreal.errors import (
     PreconditionFailed,
     ShapeMismatch,
 )
-from tropreal.hyperfields import Balanced, hv_relation, stv
+from tropreal.hyperfields import SATISFIED_BY, Balanced, hv_relation, stv
 from tropreal.parsing import parse_polyk
 from tropreal.polyhedra import (
+    _outcome_conjunction,
     constraint,
     Polyhedron,
     PolyUnion,
@@ -160,6 +161,21 @@ def test_sandwich_report_serializes():
     assert "inner cloud" in report.text()
 
 
+def test_sandwich_takes_an_equation_as_written():
+    f = CIRCLE.description.disjuncts[0][0].poly
+    S = conjunction(2, [SignCondition(f, "eq")])
+    report = sa_sandwich_check(S, CFG, attempts=300, proposal=CIRCLE.proposal)
+    regions = sa_outer_all(S)
+    assert [(p.sigma, p.index, p.dim) for p in report.pieces] == [
+        (sigma, i, poly_dim(piece))
+        for sigma, region in regions.items()
+        for i, piece in enumerate(region.pieces)
+    ]
+    # the ties of f = 0 cover what f <= 0 and -f <= 0 cover together
+    both = sa_outer_all(conjunction(2, [SignCondition(f, "le"), SignCondition(-f, "le")]))
+    assert all(union_equal(regions[sigma], both[sigma]) for sigma in regions)
+
+
 def test_sandwich_shape_mismatch():
     S = conjunction(1, [SignCondition(parse_polyk("x", nvars=1), "gt")])
     with pytest.raises(ShapeMismatch):
@@ -279,12 +295,14 @@ def test_sa_outer_matches_direct_evaluation():
     from tropreal.errors import NegativeExponentAtZero
     from tropreal.polyhedra import embed_point, orthant_support
     from tropreal.puiseux import ps_sample
-    from tropreal.troppoly import trop_sat
+    from tropreal.troppoly import trop_eval, trop_sat
 
     def holds(cond, z):
-        # a condition undefined at z does not hold there
+        # a condition undefined at z does not hold there; one whose dominant
+        # terms tie with opposite signs may hold, whatever its relation
+        F = trop_r(cond.poly)
         try:
-            return trop_sat(trop_r(cond.poly), z, cond.rel)
+            return trop_sat(F, z, cond.rel) or isinstance(trop_eval(F, z), Balanced)
         except NegativeExponentAtZero:
             return False
 
@@ -379,17 +397,17 @@ def _split_ne(S):
 
 
 def _sa_outer_per_disjunct(S, sigma):
-    """Reference: tropicalize each condition afresh, as written, and prune
-    the union after every disjunct."""
+    """Reference: tropicalize each condition afresh, as written, with a
+    balanced sum admitted, and prune the union after every disjunct."""
     m = len(orthant_support(sigma))
     out = PolyUnion(m, ())
     for disj in S.disjuncts:
         fresh = [
             (TropPoly.from_terms(S.nvars, ((e, c.signed_trop()) for e, c in cond.poly.terms)),
-             cond.rel)
+             SATISFIED_BY[cond.rel] | {None})
             for cond in disj
         ]
-        out = union_prune(PolyUnion(m, out.pieces + trop_conjunction(fresh, sigma).pieces))
+        out = union_prune(PolyUnion(m, out.pieces + _outcome_conjunction(fresh, sigma).pieces))
     return out
 
 
@@ -451,26 +469,60 @@ def test_sa_outer_matches_a_prune_per_disjunct():
             assert union_equal(region, split[sigma]), (k, sigma)
 
 
+def _laurent_union():
+    """x^(-1)*y - 1 > 0 and x - y != 0, or x + y - 1 <= 0."""
+    c = lambda text, rel: SignCondition(parse_polyk(text, 2), rel)
+    return SADescription(2, ((c("x^(-1)*y - 1", "gt"), c("x - y", "ne")),
+                             (c("x + y - 1", "le"),)))
+
+
+def test_outer_bound_holds_a_member_where_a_strict_condition_is_balanced():
+    S = _laurent_union()
+    # x^(-1)*y - 1 = 1/2 + ... > 0 although its two terms tie at valuation 0
+    w = (PuiseuxSeries.from_terms([(-1, 2), (0, -3)]), PuiseuxSeries.from_terms([(-1, 3)]))
+    z = trop_point(w)
+    assert sa_member(S, w) and z == (stv(1, -1), stv(1, -1))
+    assert not outer_excludes(S, z)
+    cloud = SampleCloud(S)
+    assert cloud.add_candidate(w)
+    assert inner_in_outer(S, cloud) == []
+    # the region of the strict condition itself stays strict
+    F = trop_r(S.disjuncts[0][0].poly)
+    assert not trop_conjunction([(F, "gt")], (1, 1)).contains((F2(-1), F2(-1)))
+
+
+def test_outer_bound_holds_every_sampled_member_of_random_descriptions():
+    rng = random.Random(77)
+    for k in range(120):
+        S = _random_description(rng, 1 + k % 3)
+        cloud = sa_sample_trop(S, 300, SamplerConfig(seed=k))
+        assert inner_in_outer(S, cloud) == [], k
+
+
 def test_one_shadow_and_one_kernel_per_polynomial(monkeypatch):
     f = parse_polyk("x^(-1)*y - t*x + 2", nvars=2)
     F = trop_r(f)
     assert trop_r(f) is F
     S = SADescription(2, ((SignCondition(f, "ne"),), (SignCondition(f, "ge"),)))
     scored = []
-    for name in ("score_leading", "_score_scaled"):
-        def spy(self, *args, _original=getattr(_ValKernel, name)):
-            scored.append(self)
-            return _original(self, *args)
+    original = _ValKernel._score
 
-        monkeypatch.setattr(_ValKernel, name, spy)
+    def spy(self, *args):
+        scored.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(_ValKernel, "_score", spy)
+    # the exact sign reads the polynomial's own integer form, not its shadow
     laurent_sign(f, (const(2), const(3)))
-    by_laurent_sign = len(scored)
-    list(_candidates(S, CFG, random.Random(1), 30))  # the sampler plan
-    assert 0 < by_laurent_sign < len(scored)
-    assert all(kernel is F._val_kernel for kernel in scored)
-    # the outer region tropicalizes each condition as written, once
+    laurent_sign(f, (const(2), PuiseuxSeries.from_terms([(0, -4), (1, 1)])))  # balanced
+    assert not scored
+    # the sampler plan and the outer region tropicalize each condition as
+    # written, once
     calls = []
     monkeypatch.setattr(semialg, "trop_r", lambda f: calls.append(f) or trop_r(f))
+    list(_candidates(S, CFG, random.Random(1), 30))
+    assert scored
+    assert all(kernel is F._val_kernel for kernel in scored)
     sa_outer_all(S)
     assert calls == [f, f]
     assert all(G is F for conds in S._outer_conditions for G, _ in conds)
@@ -537,7 +589,15 @@ def test_sa_member_matches_dnf_of_conditions(case):
                     at_trop = kernel.score_at(trop_point(p))
                 except NegativeExponentAtZero:
                     continue  # undefined at p: the condition does not hold
-                assert kernel.score_leading(p) == at_trop
+                # the sampler scores the leads as trop_eval scores trop(p)
+                vals = [c.terms[0][0] if c.terms else F2(0) for c in p]
+                assert kernel._score_scaled(
+                    [c.sign() for c in p], [v.numerator for v in vals], [v.denominator for v in vals]
+                ) == at_trop
+                _, sign, balanced, _ = at_trop
+                if not balanced:
+                    # dominant terms of one sign decide the exact sign
+                    assert laurent_sign(cond.poly, p) == sign
 
 
 # -- the default candidate loop against the plain rejection loop ---------------

@@ -312,7 +312,7 @@ def test_laurent_sign_at_roots():
     assert laurent_sign(g + PolyK.const(2, t_pow(7)), (x, y)) == 1
 
 
-# -- laurent_sign's leading-term path against the Puiseux-level kernel ---------
+# -- laurent_sign's initial form against the truncated kernel -----------------
 
 
 def _outcome(fn, *args):
@@ -324,10 +324,11 @@ def _outcome(fn, *args):
 
 
 def _kernel_sign(f, p):
-    """laurent_sign without the leading-term path: the check, then the kernel."""
+    """laurent_sign without the initial form: the check, then the truncated
+    kernel."""
     p = tuple(p)
     _check_laurent_point(f, p)
-    return f._sign_kernel.signed_value(p).sign
+    return f._sign_kernel._truncated_value(p).sign
 
 
 @st.composite
@@ -390,8 +391,11 @@ def test_laurent_sign_at_designed_cancellations(text, coords):
     p = tuple(PuiseuxSeries.from_terms(c) for c in coords)
     assert _outcome(laurent_sign, f, p) == _outcome(_kernel_sign, f, p)
     if all(c.terms for c in p):
-        # the leading terms cancel, so the kernel decides
-        assert trop_r(f)._val_kernel.score_leading(p)[2]
+        # the leading terms tie with opposite signs, so the initial form
+        # or the kernel decides
+        assert isinstance(trop_eval(trop_r(f), trop_point(p)), Balanced)
+        g, _ = _cleared(f)
+        assert laurent_sign(f, p) == eval_k(g, p).sign()
 
 
 # -- initial forms: the sign of the dominant terms' leading coefficients --------
@@ -415,9 +419,11 @@ _ZERO_INITIAL_FORM = [
 def test_laurent_sign_falls_back_when_the_initial_form_cancels(text, coords, sign):
     f = parse_polyk(text)
     p = tuple(PuiseuxSeries.from_terms(c) for c in coords)
-    assert trop_r(f)._val_kernel.score_leading(p)[2]  # the leading terms are balanced
-    assert f._sign_kernel.initial_sign(p) == 0  # and their initial form cancels
     g, _ = _cleared(f)  # g(p) = f(p) * p**m with m even: the same sign
+    at_leads = trop_eval(trop_r(g), trop_point(p))
+    assert isinstance(at_leads, Balanced)  # the leading terms are balanced
+    # and their initial form cancels: g(p) lies above their valuation
+    assert eval_k(g, p).signed_trop().val > at_leads.val
     assert laurent_sign(f, p) == _kernel_sign(f, p) == eval_k(g, p).sign() == sign
 
 
@@ -487,7 +493,8 @@ def test_sign_kernel_matches_the_value_of_the_cleared_polynomial(case):
         d < 0 and c.is_zero() for exps, _ in f.terms for d, c in zip(exps, p)
     ):
         return  # no value: laurent_sign raises before the kernel runs
-    assert f._sign_kernel.signed_value(p) == eval_k(g, p).signed_trop()
+    value = eval_k(g, p).signed_trop()
+    assert f._sign_kernel.signed_value(p) == f._sign_kernel._truncated_value(p) == value
     assert signed_trop_of_value(f, p) == _reference_signed_value(f, p)
 
 
@@ -497,7 +504,7 @@ def test_sign_kernel_truncates_a_power_at_the_exponent_bound(c):
     # leading terms cancel, and so does its initial form
     f = parse_polyk(f"y^{MAX_EXPONENT} - 1", 2)
     p = (const(1), PuiseuxSeries.from_terms([(0, 1), (Fraction(1, 2), Fraction(c)), (1, 1)]))
-    assert f._sign_kernel.initial_sign(p) == 0
+    assert trop_eval(trop_r(f), trop_point(p)) == Balanced(Fraction(0))
     start = time.perf_counter()
     sign = 1 if Fraction(c) > 0 else -1
     assert f._sign_kernel.signed_value(p).sign == laurent_sign(f, p) == sign
