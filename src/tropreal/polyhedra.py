@@ -14,10 +14,10 @@ the answers over the reals.  Feasibility, projection and point-finding share
 one elimination loop (``_fm_core``) and one row normalization.  Emptiness
 is memoized by the rows and the dimension in a bounded LRU memo of at most
 256 systems (``_rows_empty``): ``poly_is_empty`` keys it by the rows as they
-are, and ``union_prune`` and the cells of ``trop_region`` by the sorted rows
-that are also their duplicate key.  The memo is exact, since the immutable
-rows fully determine the answer and the elimination's answer does not
-depend on their order.
+are, and ``union_prune``, the ties of ``trop_region`` and the strict cells of
+its thin terms by the sorted rows that are also their duplicate key.  The
+memo is exact, since the immutable rows fully determine the answer and the
+elimination's answer does not depend on their order.
 
 The module also hosts the two bridges between polyhedra and tropical
 polynomials:
@@ -28,8 +28,13 @@ polynomials:
   come from one table per orthant support (``_OrthantTable``; the last
   16 are kept), shared by every orthant and relation on that support: it
   holds the surviving terms, the integer rows of their pairwise
-  differences, and each cell once it is decided, so ``trop_region`` only
-  picks the cells that the orthant's signs and the relation select.  Every
+  differences, each term's cell shape and each cell once it is decided, so
+  ``trop_region`` only picks the cells that the orthant's signs and the
+  relation select.  A term's shape is decided once per support: full when
+  its cell with every row strict is nonempty, empty when its closed cell
+  is, thin otherwise.  A full or empty shape decides every strict variant
+  of the cell, so only a thin term's strict variants are eliminated one by
+  one, and the tie of two terms is decided once for both orders.  Every
   relation, ``ne`` included, is read from ``hyperfields.SATISFIED_BY``;
 * ``open_poly_to_trop`` goes the other way for open polyhedra, producing a
   polynomial that is positive exactly on the polyhedron.  Its input is
@@ -373,14 +378,16 @@ def feasible_point(P: Polyhedron) -> Optional[tuple[Fraction, ...]]:
     return _solve_feasible(P.rows, P.dim)
 
 
-# The orthant tables keep each dominance cell they decide, so this memo
-# serves what they do not keep: a cell decided again after its table was
-# evicted, the pieces of union_prune (through union_intersect, _subtract and
-# piece_minus_union_is_empty), and poly_is_empty's callers.  Over one round
-# of the regions benchmark (seed 5) it answered 680 of 7,176 lookups from
-# memory; before the tables kept their cells, 18,069 of 24,579.  A memo this
-# small evicts a system within about ten later regions, so it shares work
-# inside one operation, not across a long run.
+# The orthant tables decide each term's cell shape without this memo and
+# keep every cell and tie they decide, so it serves the ties and the strict
+# cells of thin terms (also when decided again after their table was
+# evicted), the pieces of union_prune (through union_intersect, _subtract
+# and piece_minus_union_is_empty), and poly_is_empty's callers.  Over one
+# round of the regions benchmark (seed 5) it answered 257 of 1,585 lookups
+# from memory; before the tables decided shapes, 643 of 6,891; before they
+# kept their cells, 18,069 of 24,579.  A memo this small evicts a system
+# within about ten later regions, so it shares work inside one operation,
+# not across a long run.
 @lru_cache(maxsize=256)
 def _rows_empty(rows: tuple[IntRow, ...], nvars: int) -> bool:
     return not _feasible(rows, nvars)
@@ -476,6 +483,15 @@ class PolyUnion:
 
 def union_of(dim: int, pieces: Iterable[Polyhedron]) -> PolyUnion:
     return union_prune(PolyUnion(dim, tuple(pieces)))
+
+
+def _from_pieces(dim: int, pieces: Sequence[Polyhedron]) -> PolyUnion:
+    """The union of pieces the library built in ``dim``, without the
+    constructor's check."""
+    U = object.__new__(PolyUnion)
+    object.__setattr__(U, "dim", dim)
+    object.__setattr__(U, "pieces", tuple(pieces))
+    return U
 
 
 def whole_space_union(dim: int) -> PolyUnion:
@@ -651,7 +667,7 @@ Orthant = tuple[int, ...]
 
 
 def orthant_support(sigma: Orthant) -> tuple[int, ...]:
-    return tuple(k for k, s in enumerate(sigma) if s != 0)
+    return tuple([k for k, s in enumerate(sigma) if s != 0])
 
 
 def all_orthants(n: int) -> list[Orthant]:
@@ -699,7 +715,8 @@ def parse_orthant(text: str) -> Orthant:
 
 class _OrthantTable:
     """The terms of a valuation kernel that survive on one orthant support,
-    their dominance rows, and every dominance cell decided on the support.
+    their dominance rows, the shape of each term's dominance cell, and every
+    cell decided on the support.
 
     The kernel is a tropical polynomial's integer form
     (``TropPoly._val_kernel``).  Term i survives unless it has a positive
@@ -712,18 +729,32 @@ class _OrthantTable:
     negative coordinate, and ``split`` keeps the answer per orthant.  The
     kernel must be defined on the orthants asked for.
 
-    ``_cells`` and ``_ties`` hold the cells decided so far, each None when
-    it is empty, else its sorted rows and its piece.  Term i's cell
-    {L_i - L_j <= 0 for every j} is keyed by (i, strict), where bit j of
-    ``strict`` makes row j strict; an equation's tie of a positive term i
-    with a negative term j adds L_j - L_i <= 0 to i's cell with no strict
-    row, and is keyed by (i, j).  Rows and cells are built the first time a
-    relation needs them; two threads that build the same one build equal
-    ones, so the race is harmless.
+    Term i's closed cell C_i is {L_i - L_j <= 0 for every j}, and a relation
+    asks for it with the rows to some terms strict.  Its *shape* is decided
+    once per support (``shape``): full when the cell with every row strict
+    is nonempty, empty when C_i is, thin otherwise.  The cell with every
+    row strict lies in every variant and every variant lies in C_i, so only
+    a thin term's strict variants need an elimination of their own.  In the
+    terms of the regular subdivision of the Newton polytope (Maclagan and
+    Sturmfels, section 3.1), C_i has interior when the lifted point
+    (e_i, v_i / D) is a vertex of the lower hull of the lifted points, and
+    is thin when it lies on that hull but is no vertex, as x does in
+    1 + x + x^2 with every valuation 0.
+
+    ``_cells`` holds term i's cell keyed by (i, strict), where bit j of
+    ``strict`` makes row j strict: its piece, or None when it is empty.
+    ``_ties`` holds an equation's tie of a positive term i with a negative
+    term j, keyed by (i, j): C_i cut by L_j - L_i <= 0, which is
+    C_i ∩ C_j, as None when it is empty, else its sorted rows (the
+    duplicate key) and its piece.  A tie is empty when either term's shape
+    is, and the tie (j, i) of another orthant reads the emptiness of
+    (i, j); its piece keeps its own rows.  Rows, shapes and cells are built
+    the first time a relation needs them; two threads that build the same
+    one build equal ones, so the race is harmless.
     """
 
     __slots__ = ("_m", "_coef_signs", "_odd", "_exps", "_vals", "_den", "_rows",
-                 "_splits", "_cells", "_ties")
+                 "_shapes", "_splits", "_cells", "_ties")
 
     def __init__(self, kernel, support: tuple[int, ...]) -> None:
         place = {k: i for i, k in enumerate(support)}
@@ -753,17 +784,21 @@ class _OrthantTable:
         self._vals = vals
         self._den = kernel.den
         self._rows: list[Optional[tuple[Optional[IntRow], ...]]] = [None] * len(vals)
+        self._shapes: list[Optional[str]] = [None] * len(vals)
         self._splits: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
-        self._cells: dict[tuple[int, int], object] = {}
+        self._cells: dict[tuple[int, int], Optional[Polyhedron]] = {}
         self._ties: dict[tuple[int, int], object] = {}
 
     def split(self, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
         """The terms positive and negative on the orthant sigma, as index
-        tuples and as bit sets."""
+        tuples and as bit sets.  An entry of sigma other than -1, 0 and 1
+        raises ValueError."""
         out = self._splits.get(sigma)
         if out is None:
             negative = 0
             for k, s in enumerate(sigma):
+                if s not in (-1, 0, 1):
+                    raise ValueError(f"orthant entry {s!r} is not -1, 0 or 1")
                 if s < 0:
                     negative |= 1 << k
             pos: list[int] = []
@@ -797,6 +832,23 @@ class _OrthantTable:
             out = self._rows[i] = tuple(built)
         return out
 
+    def shape(self, i: int) -> str:
+        """Term i's shape on the support: ``_FULL``, ``_THIN`` or ``_EMPTY``.
+
+        One elimination decides a full term, two any other."""
+        shape = self._shapes[i]
+        if shape is None:
+            closed = [r for r in self.rows(i) if r is not None]
+            m = self._m
+            if _feasible([(n, cn, cd, True) for n, cn, cd, _ in closed], m):
+                shape = _FULL
+            elif _feasible(closed, m):
+                shape = _THIN
+            else:
+                shape = _EMPTY
+            self._shapes[i] = shape
+        return shape
+
     def term_cells(self, terms: Sequence[int], strict: int, out: list[Polyhedron]) -> None:
         """Append to ``out`` the nonempty cells of the given terms, with the
         rows to the terms in the bit set ``strict`` strict, deciding the new
@@ -805,9 +857,25 @@ class _OrthantTable:
         for i in terms:
             cell = cells.get((i, strict), _UNDECIDED)
             if cell is _UNDECIDED:
-                cell = self._decide(cells, (i, strict), i, strict)
+                cell = cells[(i, strict)] = self._term_cell(i, strict)
             if cell is not None:
-                out.append(cell[1])
+                out.append(cell)
+
+    def _term_cell(self, i: int, strict: int) -> Optional[Polyhedron]:
+        """Term i's cell with the rows to ``strict`` strict, or None when it
+        is empty; only a thin term's strict variant is eliminated."""
+        shape = self.shape(i)
+        if shape is _EMPTY:
+            return None
+        rows = [
+            (r[0], r[1], r[2], True) if strict >> j & 1 else r
+            for j, r in enumerate(self.rows(i))
+            if r is not None
+        ]
+        m = self._m
+        if shape is _THIN and strict and _rows_empty(tuple(sorted(rows)), m):
+            return None
+        return _from_rows(m, rows)
 
     def tie_cells(self, pos: Sequence[int], neg: Sequence[int], out: list[Polyhedron]) -> None:
         """Append to ``out`` the distinct nonempty ties of a positive term
@@ -819,29 +887,29 @@ class _OrthantTable:
             for j in neg:
                 tie = ties.get((i, j), _UNDECIDED)
                 if tie is _UNDECIDED:
-                    tie = self._decide(ties, (i, j), i, 0, j)
+                    tie = ties[(i, j)] = self._tie(i, j)
                 if tie is not None and tie[0] not in seen:
                     seen.add(tie[0])
                     out.append(tie[1])
 
-    def _decide(self, store: dict, key, i: int, strict: int, tie: Optional[int] = None):
-        """Build term i's cell (rows to ``strict`` strict, cut by L_tie <= L_i
-        with a ``tie``), decide it, and store and return None if it is empty,
-        else (its sorted rows, its piece)."""
-        rows = [
-            (r[0], r[1], r[2], True) if strict >> j & 1 else r
-            for j, r in enumerate(self.rows(i))
-            if r is not None
-        ]
-        if tie is not None:
-            rows.append(self.rows(tie)[i])
-        key_rows = tuple(sorted(rows))
+    def _tie(self, i: int, j: int):
+        """C_i cut by L_j - L_i <= 0: None when it is empty, else (its
+        sorted rows, its piece)."""
+        other = self._ties.get((j, i), _UNDECIDED)
+        if other is None or self.shape(i) is _EMPTY or self.shape(j) is _EMPTY:
+            return None
+        rows = [r for r in self.rows(i) if r is not None]
+        rows.append(self.rows(j)[i])
+        key = tuple(sorted(rows))
         m = self._m
-        cell = store[key] = None if _rows_empty(key_rows, m) else (key_rows, _from_rows(m, rows))
-        return cell
+        if other is _UNDECIDED and _rows_empty(key, m):
+            return None
+        return key, _from_rows(m, rows)
 
 
 _UNDECIDED = object()
+# a term's cell shape on a support (``_OrthantTable.shape``)
+_FULL, _THIN, _EMPTY = "full", "thin", "empty"
 
 
 # Every caller that walks the orthants asks for each support's table once
@@ -866,8 +934,13 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     The region is a selection from the table of F's integer valuation
     kernel on the orthant's support (``_orthant_table``): the signs only
     pick which cells count and which rows are strict, so every orthant and
-    relation of one support shares the table's rows and the cells it has
-    decided: each cell is built, and found empty or not, once.  Term cells
+    relation of one support shares the table's rows, its terms' shapes and
+    the cells it has decided.  Each cell is built once.  A term's shape
+    (full, thin or empty) is decided once, by one elimination for a full
+    term and two for any other, and it decides every strict variant of a
+    full or empty term's cell; only a thin term's strict variants are
+    eliminated one by one.  An equation's tie of two terms is decided once
+    for both orders, and not at all when either shape is empty.  Term cells
     go into the union as they are: two distinct terms never give the same
     rows, since the normals of term i's cell sum to
     n * e_i - (e_1 + ... + e_n) and the surviving terms' support exponents
@@ -907,7 +980,7 @@ def _outcome_region(F: TropPoly, sigma: Orthant, ok: frozenset) -> PolyUnion:
         # only a balanced sum satisfies the relation: the ties of a positive
         # and a negative dominant term
         table.tie_cells(pos, neg, pieces)
-    return PolyUnion(m, tuple(pieces))
+    return _from_pieces(m, pieces)
 
 
 def trop_conjunction(

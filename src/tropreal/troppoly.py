@@ -35,7 +35,8 @@ nonzero coefficient.  That lowest term is found in two steps.  First the
 initial form: the terms of g are scored at the leading terms of the
 coordinates, and the dominant terms' leading coefficients are summed.  The
 sum is the coefficient of the lowest power of t in g(p), up to a positive
-factor, so when it is nonzero it decides; it is nonzero whenever the
+factor, so when it is nonzero it decides, and ``laurent_sign`` takes its
+sign without building a signed value; it is nonzero whenever the
 dominant terms share one sign.  Only when it cancels, or no term
 survives, are the lowest terms of g(p) computed: powers are taken by
 squaring on series truncated above a bound, and the bound doubles until
@@ -544,8 +545,18 @@ class _SignKernel(NamedTuple):
         return _SignKernel(den, maxdeg, terms)
 
     def signed_value(self, p: tuple[PuiseuxSeries, ...]) -> SignedTropVal:
-        """Signed value of g(p): from its initial form when that does not
-        cancel, else from its lowest terms (:meth:`_truncated_value`).
+        """Signed value of g(p): from its initial form (:meth:`_initial`)
+        when that does not cancel, else from its lowest terms
+        (:meth:`_truncated_value`)."""
+        initial, best, den = self._initial(p)
+        if initial:
+            return SignedTropVal(1 if initial > 0 else -1, Fraction(best, den))
+        return self._truncated_value(p)
+
+    def _initial(self, p: tuple[PuiseuxSeries, ...]) -> tuple[int, Optional[int], int]:
+        """(c, w, d): the initial form of g(p) is a positive multiple of
+        c * t**(w / d), and c is 0 when it cancels (w is None when no term
+        survives).
 
         The terms of g are scored at the leading exponents of p, over the
         common denominator ``den * D'``, where D' clears the leading
@@ -601,9 +612,7 @@ class _SignKernel(NamedTuple):
                     best, initial = score, value
                 elif score == best:
                     initial += value
-        if initial:
-            return SignedTropVal(1 if initial > 0 else -1, Fraction(best, den * dp))
-        return self._truncated_value(p)
+        return initial, best, den * dp
 
     def _truncated_value(self, p: tuple[PuiseuxSeries, ...]) -> SignedTropVal:
         """Signed value of g(p), read from the lowest term of K * g(p) for an
@@ -715,17 +724,23 @@ def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
     """Exact sign of f(p) for Laurent f.
 
     f(p) and g(p) = f(p) * p**m have the same sign because every entry of m
-    is even, and the sign of g(p) is that of its lowest term
-    (:meth:`_SignKernel.signed_value`): the initial form when the dominant
-    terms' leading coefficients do not cancel, else the lowest terms of the
-    truncated integer kernel.  Every rescaling there multiplies g(p) by a
-    positive constant or stretches the exponent scale, and neither changes
-    the sign of the lowest term.  When no term survives, f(p) is zero.
+    is even, and the sign of g(p) is that of its lowest term: the sign of
+    the initial form (:meth:`_SignKernel._initial`) when the dominant
+    terms' leading coefficients do not cancel, with no signed value built,
+    else that of the lowest terms of the truncated integer kernel
+    (:meth:`_SignKernel._truncated_value`).  Every rescaling there
+    multiplies g(p) by a positive constant or stretches the exponent scale,
+    and neither changes the sign of the lowest term.  When no term
+    survives, f(p) is zero.
     """
     if type(p) is not tuple:
         p = tuple(p)
     _check_laurent_point(f, p)
-    return f._sign_kernel.signed_value(p).sign
+    kernel = f._sign_kernel
+    initial = kernel._initial(p)[0]
+    if initial:
+        return 1 if initial > 0 else -1
+    return kernel._truncated_value(p).sign
 
 
 def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:

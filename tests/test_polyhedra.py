@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropreal import iojson
-from tropreal.checks import random_closed_union
+from tropreal.checks import random_closed_union, random_troppoly
 from tropreal.errors import (
     DimensionMismatch,
     EmptyPolyhedron,
@@ -24,8 +24,10 @@ from tropreal.hyperfields import _REL_ALIASES, RELATIONS, normalize_rel, stv
 from tropreal.polyhedra import (
     PolyUnion,
     Polyhedron,
+    _feasible,
     _from_rows,
     _orthant_table,
+    _rows_empty,
     all_orthants,
     complement_of_union,
     constraint,
@@ -43,6 +45,7 @@ from tropreal.polyhedra import (
     poly_is_empty,
     poly_recession_contains,
     prune_covered_pieces,
+    trop_conjunction,
     trop_region,
     union_equal,
     union_of,
@@ -51,6 +54,7 @@ from tropreal.polyhedra import (
     whole_space,
     whole_space_union,
 )
+from tropreal.semialg import SADescription, SignCondition, sa_outer
 from tropreal.troppoly import TropPoly, trop_sat
 
 F2 = Fraction
@@ -614,10 +618,10 @@ def test_trop_region_ignores_zero_coefficients():
             trop_sat(G, embed_point(sigma, (F2(1),) * (2 - sigma.count(0))), "ge")
 
 
-def _reference_trop_region(F, sigma, rel):
-    """``trop_region`` as first written: the surviving terms and every
-    dominance row derived again on each call."""
-    rel = normalize_rel(rel)
+def _reference_terms(F, sigma):
+    """(m, signs, row): the signs of the terms surviving on sigma, and
+    row(i, j, strict) the row L_i - L_j <= 0 (< 0 when strict), both
+    derived afresh on each call."""
     support = orthant_support(sigma)
     m = len(support)
     place = {k: i for i, k in enumerate(support)}
@@ -637,19 +641,29 @@ def _reference_trop_region(F, sigma, rel):
             signs.append(sign)
             exps.append(tuple(e))
             vals.append(v)
-    if not signs:
-        return whole_space_union(m) if rel in ("eq", "ge", "le") else empty_union(m)
     den = kernel.den
-    mixed_strict = rel in ("gt", "lt", "ne")
 
-    def row(i, j):
+    def row(i, j, strict):
         dv = vals[i] - vals[j]
         g = gcd(dv, den)
         normal = tuple(a - b for a, b in zip(exps[i], exps[j]))
-        return (normal, dv // g, den // g, mixed_strict and signs[i] != signs[j])
+        return (normal, dv // g, den // g, strict)
+
+    return m, signs, row
+
+
+def _reference_cells(F, sigma, rel):
+    """(m, the rows of every cell the relation selects, in order), or
+    (m, None) when no term survives."""
+    rel = normalize_rel(rel)
+    m, signs, row = _reference_terms(F, sigma)
+    if not signs:
+        return m, None
+    mixed_strict = rel in ("gt", "lt", "ne")
 
     def dominance(i):
-        return [row(i, j) for j in range(len(signs)) if j != i]
+        return [row(i, j, mixed_strict and signs[i] != signs[j])
+                for j in range(len(signs)) if j != i]
 
     pos = [i for i, s in enumerate(signs) if s > 0]
     neg = [i for i, s in enumerate(signs) if s < 0]
@@ -661,8 +675,37 @@ def _reference_trop_region(F, sigma, rel):
     if rel == "eq":
         for i in pos if neg else ():
             base = dominance(i)
-            cells += [base + [row(j, i)] for j in neg]
+            cells += [base + [row(j, i, False)] for j in neg]
+    return m, cells
+
+
+def _no_term_region(m, rel):
+    return whole_space_union(m) if normalize_rel(rel) in ("eq", "ge", "le") else empty_union(m)
+
+
+def _reference_trop_region(F, sigma, rel):
+    """``trop_region`` as first written: the surviving terms and every
+    dominance row derived again on each call, and the cells pruned by
+    ``union_of``."""
+    m, cells = _reference_cells(F, sigma, rel)
+    if cells is None:
+        return _no_term_region(m, rel)
     return union_of(m, (_from_rows(m, rows) for rows in cells))
+
+
+def _naive_trop_region(F, sigma, rel):
+    """The cells of ``_reference_trop_region``, each decided by ``_feasible``
+    on its own rows: no table, shape or memo."""
+    m, cells = _reference_cells(F, sigma, rel)
+    if cells is None:
+        return _no_term_region(m, rel)
+    seen, pieces = set(), []
+    for rows in cells:
+        key = tuple(sorted(rows))
+        if key not in seen and _feasible(rows, m):
+            seen.add(key)
+            pieces.append(_from_rows(m, rows))
+    return PolyUnion(m, tuple(pieces))
 
 
 def _piece_rows(F, sigma, rel, region_of):
@@ -792,6 +835,119 @@ def test_strict_rows_key_the_cell_of_a_term():
             F, sigma, "gt", _reference_trop_region)
     first, second = (region.pieces[0] for region in regions.values())
     assert [r[3] for r in first.rows] != [r[3] for r in second.rows]
+
+
+def _small_valuation_troppoly(rng, nvars, laurent):
+    """Valuations from {0, 1/2} and small exponents: terms whose lifts lie
+    on a common lower face make thin cells."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = tuple(rng.randint(-1 if laurent else 0, 2) for _ in range(nvars))
+        terms[exps] = stv(rng.choice([-1, 1]), F2(rng.choice([0, 0, 0, 1]), 2))
+    return TropPoly.from_terms(nvars, list(terms.items()))
+
+
+def test_trop_region_matches_every_cell_decided_on_its_own_rows():
+    # the table decides a term's shape once per support and a tie once per
+    # unordered pair; the naive construction runs one elimination per cell
+    rng = random.Random(1810)
+    thin = 0
+    for k in range(300):
+        nvars = rng.randint(1, 3)
+        F = _small_valuation_troppoly(rng, nvars, laurent=k % 3 == 0)
+        for sigma in all_orthants(nvars):
+            for rel in RELATIONS:
+                want = _piece_rows(F, sigma, rel, _naive_trop_region)
+                assert _piece_rows(F, sigma, rel, trop_region) == want, (F, sigma, rel)
+            if want is NegativeExponentAtZero:
+                continue
+            m, signs, row = _reference_terms(F, sigma)
+            for i in range(len(signs)):
+                others = [j for j in range(len(signs)) if j != i]
+                thin += _feasible([row(i, j, False) for j in others], m) and not _feasible(
+                    [row(i, j, True) for j in others], m)
+    assert thin > 100
+
+
+def test_a_thin_cell_is_a_point_for_weak_relations_and_empty_for_strict_ones():
+    # 1 + x + x^2 with every valuation 0: the cell of x is the point {0},
+    # where all three terms tie; on (-) x is the only negative term
+    F = TropPoly.from_terms(1, [((0,), stv(1, 0)), ((1,), stv(1, 0)), ((2,), stv(1, 0))])
+    _orthant_table.cache_clear()
+    table = _orthant_table(F._val_kernel, (0,))
+    assert {e: table.shape(i) for i, e in enumerate(table._exps)} == {
+        (0,): "full", (1,): "thin", (2,): "full"}
+    origin = single(point_polyhedron((0,)))
+    assert trop_region(F, (-1,), "lt").pieces == ()
+    le = trop_region(F, (-1,), "le")
+    assert len(le.pieces) == 1 and union_equal(le, origin)
+    eq = trop_region(F, (-1,), "eq")
+    assert len(eq.pieces) == 2
+    assert all(union_equal(single(P), origin) for P in eq.pieces)
+    # on (+) every term is positive, so gt asks for the closed cells
+    gt = trop_region(F, (1,), "gt")
+    assert any(union_equal(single(P), origin) for P in gt.pieces)
+    assert [P.rows for P in gt.pieces] == _piece_rows(F, (1,), "gt", _naive_trop_region)
+
+
+def test_each_shape_and_each_unordered_tie_is_decided_once(monkeypatch):
+    # on the full support of 1 (+) Y (+) X every term's cell is full, so
+    # every relation on all four orthants runs three eliminations for the
+    # shapes and three for the ties: (1, Y) and (X, Y) on (+, -), (1, X)
+    # on (-, +), whose (Y, X) reads (X, Y), and nothing new on (-, -)
+    import tropreal.polyhedra as polyhedra
+
+    keys = [(sigma, rel) for sigma in [(1, 1), (1, -1), (-1, 1), (-1, -1)] for rel in RELATIONS]
+    want = [_piece_rows(_THREE_TERMS, *key, _naive_trop_region) for key in keys]
+    calls = []
+    feasible = polyhedra._feasible
+    monkeypatch.setattr(polyhedra, "_feasible", lambda rows, n: calls.append(n) or feasible(rows, n))
+    _orthant_table.cache_clear()
+    _rows_empty.cache_clear()
+    got = [_piece_rows(_THREE_TERMS, *key, trop_region) for key in keys]
+    assert len(calls) == 6
+    assert got == want
+
+
+def test_an_orthant_entry_other_than_a_sign_is_refused():
+    from tropreal.parsing import parse_polyk
+
+    F = _THREE_TERMS
+    S = SADescription(2, ((SignCondition(parse_polyk("1 + x + y", 2), "ge"),),))
+    for sigma in [(2, 1), (1, F2(1, 2)), (1, 0.5), (-3, 0)]:
+        for rel in ("gt", "ge", "eq"):
+            with pytest.raises(ValueError, match="orthant entry"):
+                trop_region(F, sigma, rel)
+        with pytest.raises(ValueError, match="orthant entry"):
+            trop_conjunction([(F, "ge")], sigma)
+        with pytest.raises(ValueError, match="orthant entry"):
+            sa_outer(S, sigma)
+    # the sign vectors themselves are unaffected
+    assert trop_region(F, (1, 1), "gt").pieces and trop_region(F, (1, 0), "ge").pieces
+
+
+# sha256 of the regions below, recorded before each term's shape was decided
+# once per support: the tables must not change a single row
+_REGIONS_SHA256 = "e0cbfb19d4f2a7c14c319acbfe1541abcbde156e5b3772650be1b12a4a9e38dc"
+
+
+def test_regions_of_seeded_polynomials_are_pinned():
+    rng = random.Random(20261)
+    digest = hashlib.sha256()
+    count = 0
+    for k in range(200):
+        nvars = rng.randint(1, 3)
+        F = random_troppoly(rng, nvars, exp_lo=-1 if k % 2 else 0)
+        for sigma in all_orthants(nvars):
+            for rel in RELATIONS:
+                try:
+                    text = iojson.dumps(iojson.union_to_json(trop_region(F, sigma, rel)))
+                except NegativeExponentAtZero:
+                    text = "undefined\n"
+                digest.update(text.encode())
+                count += 1
+    assert count == 14112
+    assert digest.hexdigest() == _REGIONS_SHA256
 
 
 def _assert_canonical(P):
