@@ -22,14 +22,14 @@ for z, w in cloud.items():
     print(f"  {z}   witness ({w[0].text()}, {w[1].text()})")
 
 print("\nsandwich report for the disk:")
-report = sa_sandwich_check(circle.description, cfg, attempts=2500,
-                           proposal=circle.proposal)
+report = sa_sandwich_check(sa_sample_trop(circle.description, 2500, cfg,
+                                          proposal=circle.proposal))
 print(report.text())
 
 cubic = get_scenario("cubic")
 print("\nsandwich report for the cubic region:")
-report = sa_sandwich_check(cubic.description, cfg, attempts=2500,
-                           proposal=cubic.proposal)
+report = sa_sandwich_check(sa_sample_trop(cubic.description, 2500, cfg,
+                                          proposal=cubic.proposal))
 print(report.text())
 
 print("\nwitness search pins the leading terms and randomizes tails:")

@@ -229,10 +229,9 @@ def check_hyperfield_axioms(seed: int, size: int = 10000, small: int = 1000) -> 
 
     bad = 0
     for _ in range(small):
-        vals = [
+        a, b, c = [
             _rand_val(rng) if rng.random() > 0.1 else "inf" for _ in range(3)
         ]
-        a, b, c = [v if isinstance(v, Fraction) else v for v in vals]
         lhs = t_add_sets(t_add(a, b), ValPoint(c))
         rhs = t_add_sets(ValPoint(a), t_add(b, c))
         if lhs != rhs:
@@ -370,9 +369,8 @@ def check_lift(seed: int, pairs: int = 20, n_verify: int = 500) -> CheckOutcome:
         origin = embed_point(sigma, tuple(F2(0) for _ in range(dim)))
         if not trop_sat(F, origin, "ge"):
             continue  # not a valid tropical inequality for a unit-magnitude box
-        res = lift_inequality(
-            F, S, sigma, cfg, n_samples=80, proposal=proposal, eps_budget=4000
-        )
+        samples = collect_samples(S, cfg, 80, sigma=sigma, proposal=proposal)
+        res = lift_inequality(F, S, sigma, cfg, samples=samples, eps_budget=4000)
         if trop_r(res.poly) != F:
             bad_trop += 1
         fresh_cfg = SamplerConfig(seed=seed + 7919 + done)
@@ -397,15 +395,17 @@ def check_basis(seed: int) -> CheckOutcome:
     cfg = SamplerConfig(seed=seed)
     circle = get_scenario("circle")
     T = union_of(2, [point_polyhedron((0, 0))])
-    res = finite_basis(
-        T, circle.description, (1, 1), cfg, proposal=circle.proposal, n_samples=80
+    samples = collect_samples(
+        circle.description, cfg, 80, sigma=(1, 1), proposal=circle.proposal
     )
+    res = finite_basis(T, circle.description, (1, 1), cfg, samples=samples)
     out.add(union_equal(res.region, T), f"disk: {len(res.polys)} polynomials cut the origin")
 
     T2 = whole_space_union(2)
-    res2 = finite_basis(
-        T2, circle.description, (1, 1), cfg, proposal=circle.proposal, n_samples=40
+    samples = collect_samples(
+        circle.description, cfg, 40, sigma=(1, 1), proposal=circle.proposal
     )
+    res2 = finite_basis(T2, circle.description, (1, 1), cfg, samples=samples)
     out.add(
         len(res2.polys) == 0 and union_equal(res2.region, T2),
         "whole orthant needs an empty family",
@@ -422,7 +422,8 @@ def check_basis(seed: int) -> CheckOutcome:
         return (PuiseuxSeries.const(1) + PuiseuxSeries.const(c),)
 
     T3 = union_of(1, [Polyhedron(1, (constraint((1,), 0, "<="),))])
-    res3 = finite_basis(T3, S, (1,), cfg, proposal=proposal, n_samples=40)
+    samples = collect_samples(S, cfg, 40, sigma=(1,), proposal=proposal)
+    res3 = finite_basis(T3, S, (1,), cfg, samples=samples)
     out.add(
         len(res3.polys) == 1 and union_equal(res3.region, T3),
         "halfline target needs one inequality",
@@ -461,7 +462,7 @@ def check_sandwich(seed: int, attempts: int = 4000) -> CheckOutcome:
     for name in ("circle", "halfplane", "cubic"):
         scen = get_scenario(name)
         report = sa_sandwich_check(
-            scen.description, cfg, attempts=attempts, proposal=scen.proposal
+            sa_sample_trop(scen.description, attempts, cfg, proposal=scen.proposal)
         )
         out.add(report.inner_inside_outer, f"{name}: inner cloud inside outer region")
         out.add(

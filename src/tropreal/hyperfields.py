@@ -143,7 +143,6 @@ class SignedTropVal:
 
 RT_ZERO = SignedTropVal(0, INF)
 RT_ONE = SignedTropVal(1, Fraction(0))
-RT_MINUS_ONE = SignedTropVal(-1, Fraction(0))
 
 
 def stv(sign: int, val) -> SignedTropVal:

@@ -30,7 +30,6 @@ from .polyhedra import (
     PolyUnion,
     Polyhedron,
     orthant_str,
-    parse_orthant,
 )
 from .puiseux import PuiseuxSeries
 from .semialg import SADescription, SampleCloud, SignCondition
@@ -306,15 +305,6 @@ def regions_to_json(nvars: int, regions: dict[Orthant, PolyUnion]) -> dict:
             for sigma in sorted(regions)
         ],
     }
-
-
-def regions_from_json(d: dict) -> dict[Orthant, PolyUnion]:
-    out: dict[Orthant, PolyUnion] = {}
-    for i, entry in enumerate(d["orthants"]):
-        sigma = parse_orthant(entry["sigma"])
-        m = sum(1 for s in sigma if s != 0)
-        out[sigma] = union_from_json(entry["region"], m, f"orthants[{i}].region")
-    return out
 
 
 # -- semialgebraic descriptions ------------------------------------------------

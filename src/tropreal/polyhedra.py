@@ -14,10 +14,11 @@ the answers over the reals.  Feasibility, projection and point-finding share
 one elimination loop (``_fm_core``) and one row normalization.  Emptiness
 is memoized by the rows and the dimension in a bounded LRU memo of at most
 256 systems (``_rows_empty``): ``poly_is_empty`` keys it by the rows as they
-are, and ``union_prune``, the ties of ``trop_region`` and the strict cells of
-its thin terms by the sorted rows that are also their duplicate key.  The
-memo is exact, since the immutable rows fully determine the answer and the
-elimination's answer does not depend on their order.
+are, and ``union_prune`` by the sorted rows that are also its duplicate key.
+The memo is exact, since the immutable rows fully determine the answer and
+the elimination's answer does not depend on their order.  The orthant
+tables of ``trop_region`` keep every answer they decide, so they call the
+elimination directly.
 
 The module also hosts the two bridges between polyhedra and tropical
 polynomials:
@@ -378,16 +379,17 @@ def feasible_point(P: Polyhedron) -> Optional[tuple[Fraction, ...]]:
     return _solve_feasible(P.rows, P.dim)
 
 
-# The orthant tables decide each term's cell shape without this memo and
-# keep every cell and tie they decide, so it serves the ties and the strict
-# cells of thin terms (also when decided again after their table was
-# evicted), the pieces of union_prune (through union_intersect, _subtract
-# and piece_minus_union_is_empty), and poly_is_empty's callers.  Over one
-# round of the regions benchmark (seed 5) it answered 257 of 1,585 lookups
-# from memory; before the tables decided shapes, 643 of 6,891; before they
-# kept their cells, 18,069 of 24,579.  A memo this small evicts a system
-# within about ten later regions, so it shares work inside one operation,
-# not across a long run.
+# The orthant tables decide their shapes, cells and ties without this memo
+# and keep every answer, so it serves the pieces of union_prune (through
+# union_intersect, _subtract and piece_minus_union_is_empty) and
+# poly_is_empty's callers.  Over one round of the regions benchmark (seed 1)
+# it answered 96 of 166 union_prune lookups and 45 of 119 poly_is_empty
+# lookups from memory, and without it the round made 2,895 eliminations
+# instead of 2,754 (outer-intersection_tight 254 instead of 157).  When the
+# tables still asked it, it answered 7 of their 1,175 tie lookups and 0 of
+# their 12 thin-cell lookups.  A memo this small evicts a system within
+# about ten later regions, so it shares work inside one operation, not
+# across a long run.
 @lru_cache(maxsize=256)
 def _rows_empty(rows: tuple[IntRow, ...], nvars: int) -> bool:
     return not _feasible(rows, nvars)
@@ -873,7 +875,7 @@ class _OrthantTable:
             if r is not None
         ]
         m = self._m
-        if shape is _THIN and strict and _rows_empty(tuple(sorted(rows)), m):
+        if shape is _THIN and strict and not _feasible(rows, m):
             return None
         return _from_rows(m, rows)
 
@@ -900,11 +902,10 @@ class _OrthantTable:
             return None
         rows = [r for r in self.rows(i) if r is not None]
         rows.append(self.rows(j)[i])
-        key = tuple(sorted(rows))
         m = self._m
-        if other is _UNDECIDED and _rows_empty(key, m):
+        if other is _UNDECIDED and not _feasible(rows, m):
             return None
-        return key, _from_rows(m, rows)
+        return tuple(sorted(rows)), _from_rows(m, rows)
 
 
 _UNDECIDED = object()
@@ -1004,16 +1005,17 @@ def _outcome_conjunction(
     """``trop_conjunction`` for conditions given as (F, the outcomes that
     satisfy), as in ``_outcome_region``."""
     m = len(orthant_support(sigma))
-    acc = whole_space_union(m)
+    acc = None
     for F, ok in conditions:
         try:
             region = _outcome_region(F, sigma, ok)
         except NegativeExponentAtZero:
             return empty_union(m)
-        acc = union_intersect(acc, region)
+        # a region's pieces are nonempty and distinct: the first is the start
+        acc = region if acc is None else union_intersect(acc, region)
         if not acc.pieces:
             break
-    return acc
+    return whole_space_union(m) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

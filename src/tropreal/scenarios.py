@@ -1,10 +1,11 @@
 """Built-in worked scenarios used by the check suites, figures, and demos.
 
 Each scenario bundles a semialgebraic description (when there is one), the
-tropical conjunction used for figure rasterization, a default rendering
-window in multiplicative coordinates, and a tuned candidate generator for
-inner sampling.  Proposals only affect where candidates are drawn; every
-candidate is verified exactly before it enters any cloud.
+tropical conjunction used for figure rasterization and a default rendering
+window in multiplicative coordinates.  The circle, halfplane and cubic also
+carry a tuned candidate generator for inner sampling; the others leave
+sampling to the default sampler.  Proposals only affect where candidates
+are drawn; every candidate is verified exactly before it enters any cloud.
 
 The scenarios:
 
@@ -198,24 +199,6 @@ def _rectangles() -> Scenario:
 # -- intersection family --------------------------------------------------------
 
 
-def _intersection_proposal(rng: random.Random):
-    r = rng.random()
-    if r < 0.4:
-        # near-diagonal points, possibly with infinite magnitude
-        if rng.random() < 0.5:
-            x = PuiseuxSeries.t_power(
-                Fraction(-rng.randint(1, 3)), Fraction(rng.randint(1, 3))
-            )
-        else:
-            x = _const(_grid(rng, -6, 6))
-        delta = _grid(rng, -1, 1, 8)
-        y = x + _const(delta)
-        return (x, y)
-    x = _const(_grid(rng, -6, 6))
-    y = _const(_grid(rng, -6, 6))
-    return (_maybe_tail(rng, x), _maybe_tail(rng, y))
-
-
 def _intersection(c: Fraction, name: str, bounded_description: bool) -> Scenario:
     f = parse_polyk("1 - (x-y)^2")
     g = parse_polyk("2*x^2 + 2*x - x*y") + PolyK.from_terms(
@@ -233,7 +216,6 @@ def _intersection(c: Fraction, name: str, bounded_description: bool) -> Scenario
         description=conjunction(2, conds),
         conditions=tuple((trop_r(cond.poly), cond.rel) for cond in conds),
         window=(Fraction(-8), Fraction(8), Fraction(-8), Fraction(8)),
-        proposal=_intersection_proposal,
         params={
             "c": c,
             "ray_direction": (Fraction(-1), Fraction(-1)),

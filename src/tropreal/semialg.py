@@ -34,13 +34,18 @@ sandwich check instead verifies the structural facts that make the pair of
 approximations informative: the inner cloud lies in the outer region, and
 outer pieces of full dimension ought to be witnessed, since the difference
 between the outer region and the tropicalization has empty interior for
-conjunctions of weak inequalities.
+conjunctions of weak inequalities.  It takes the inner cloud, already
+drawn, and reads the description from it.
 
 The lifting construction turns a tropical polynomial that is nonnegative
 on the outer region into an actual polynomial inequality valid on the set
 (verified on samples), with the prescribed tropicalization; chaining it
 with complements of polyhedral unions yields a finite family of valid
 inequalities whose tropical regions intersect back to a given target set.
+Both take their verification samples from the caller, or draw them from
+the default sampler when none are passed in; only the samplers
+(``sa_sample_trop`` and ``collect_samples``) choose how candidates are
+drawn.
 
 The default sampler decides each candidate as far as it can before any
 series is built, and before any tail is drawn.  A candidate's coordinates
@@ -97,7 +102,6 @@ from .polyhedra import (
     trop_conjunction,
     trop_region,
     union_equal,
-    union_prune,
     union_subset,
     valuation_piece_to_log,
 )
@@ -342,16 +346,22 @@ def sa_outer(S: SADescription, sigma: Orthant) -> PolyUnion:
     ``SATISFIED_BY[rel] | {None}``, with no strict row.  A strict condition
     can hold where its dominant terms tie, so ``trop_region(F, sigma, "gt")``
     itself would leave out members.  A disjunct with a condition undefined on
-    sigma contributes nothing.  One prune, keeping first copies, joins the
-    disjuncts' pieces.  Orthants are never mixed; assembling a global
-    picture is the caller's (reporting-level) concern.
+    sigma contributes nothing.  A single disjunct's region is returned as it
+    is.  Several are joined keeping the first copy of each piece; a
+    conjunction's pieces are nonempty already, so no piece is decided again.
+    Orthants are never mixed; assembling a global picture is the caller's
+    (reporting-level) concern.
     """
     if len(sigma) != S.nvars:
         raise DimensionMismatch("orthant length does not match description")
-    pieces: list[Polyhedron] = []
-    for conditions in S._outer_conditions:
-        pieces += _outcome_conjunction(conditions, sigma).pieces
-    return union_prune(PolyUnion(len(orthant_support(sigma)), tuple(pieces)))
+    regions = [_outcome_conjunction(conditions, sigma) for conditions in S._outer_conditions]
+    if len(regions) == 1:
+        return regions[0]
+    first: dict[tuple, Polyhedron] = {}
+    for region in regions:
+        for p in region.pieces:
+            first.setdefault(tuple(sorted(p.rows)), p)
+    return PolyUnion(len(orthant_support(sigma)), tuple(first.values()))
 
 
 def sa_outer_all(S: SADescription) -> dict[Orthant, PolyUnion]:
@@ -464,34 +474,33 @@ class SandwichReport:
         }
 
 
-def sa_sandwich_check(
-    S: SADescription,
-    cfg: SamplerConfig,
-    attempts: int = 4000,
-    proposal: Optional[Callable] = None,
-) -> SandwichReport:
+def sa_sandwich_check(cloud: SampleCloud) -> SandwichReport:
     """Inner-in-outer containment and witness coverage of fat outer pieces.
 
-    The input must be a single conjunction of weak conditions (``le``,
-    ``ge`` or ``eq``), and it is taken as written.  The outer region minus
-    the tropicalization has empty interior for such sets, so every
-    full-dimensional outer piece should contain an inner sample;
+    The inner approximation is the cloud, and its description is the set.
+    That description must be a single conjunction of weak conditions
+    (``le``, ``ge`` or ``eq``), and it is taken as written.  The outer
+    region minus the tropicalization has empty interior for such sets, so
+    every full-dimensional outer piece should contain a cloud point;
     persistently flagged pieces indicate a bug (or far too few samples).
+    The outer region is computed once, on every orthant, and both checks
+    read it.
     """
+    S = cloud.description
     if len(S.disjuncts) != 1:
         raise ShapeMismatch("need a single conjunction")
     for cond in S.disjuncts[0]:
         if cond.rel not in ("le", "ge", "eq"):
             raise ShapeMismatch(f"relation {cond.rel} is not a weak inequality")
-    cloud = sa_sample_trop(S, attempts, cfg, proposal=proposal)
-    escaped = inner_in_outer(S, cloud)
+    regions = sa_outer_all(S)
+    escaped = [z for z in sorted_points(cloud.points()) if not outer_contains_point(S, z, regions)]
 
     by_orthant: dict[Orthant, list[tuple[Fraction, ...]]] = {}
     for z in cloud.points():
         by_orthant.setdefault(point_orthant(z), []).append(point_valuations(z))
 
     records: list[PieceRecord] = []
-    for sigma, region in sa_outer_all(S).items():
+    for sigma, region in regions.items():
         m = len(orthant_support(sigma))
         inner_here = by_orthant.get(sigma, [])
         for i, piece in enumerate(region.pieces):
@@ -527,7 +536,13 @@ def collect_samples(
     proposal: Optional[Callable] = None,
     max_attempts: Optional[int] = None,
 ) -> list[tuple[PuiseuxSeries, ...]]:
-    """Up to n verified members of S (restricted to an orthant when given)."""
+    """Up to n verified members of S (restricted to an orthant when given).
+
+    An orthant of another length than S has variables is refused before
+    any draw: no sample could ever lie in it.
+    """
+    if sigma is not None and len(sigma) != S.nvars:
+        raise DimensionMismatch("orthant length does not match description")
     rng = random.Random(cfg.seed)
     out: list[tuple[PuiseuxSeries, ...]] = []
     if n <= 0:
@@ -552,7 +567,6 @@ def lift_inequality(
     samples: Optional[Sequence[tuple[PuiseuxSeries, ...]]] = None,
     n_samples: int = 200,
     eps_budget: int = 1000,
-    proposal: Optional[Callable] = None,
 ) -> LiftResult:
     """A polynomial f with trop(f) = F exactly and f >= 0 on samples of S.
 
@@ -581,9 +595,7 @@ def lift_inequality(
     covered = union_subset(sa_outer(S, sigma), trop_region(F, sigma, "ge"))
     if neg or not covered:
         if samples is None:
-            samples = collect_samples(
-                S, cfg, n_samples, sigma=sigma, proposal=proposal
-            )
+            samples = collect_samples(S, cfg, n_samples, sigma=sigma)
         if not samples:
             raise NoEpsilonFound("no verification samples of the set were found")
 
@@ -633,7 +645,6 @@ def finite_basis(
     cfg: SamplerConfig,
     samples: Optional[Sequence[tuple[PuiseuxSeries, ...]]] = None,
     n_samples: int = 200,
-    proposal: Optional[Callable] = None,
 ) -> BasisResult:
     """Valid polynomial inequalities whose tropical regions intersect to T.
 
@@ -644,15 +655,21 @@ def finite_basis(
     The returned family is verified: the intersection of the regions
     {trop(f_i) >= 0} equals T exactly.  Every such lift needs samples, so
     with none and a nonempty cover it raises NoEpsilonFound before pruning.
+    An orthant or a target of the wrong dimension raises DimensionMismatch
+    before any sample is drawn.
     """
     if any(s != 1 for s in sigma):
         raise PreconditionFailed("finite bases are built in the all-positive orthant")
+    if len(sigma) != S.nvars:
+        raise DimensionMismatch("orthant length does not match description")
+    if T.dim != len(sigma):
+        raise DimensionMismatch("target dimension does not match the orthant support")
     for piece in T.pieces:
         if not piece.is_closed_form():
             raise NotClosedInput("the target must be a closed union")
 
     if samples is None:
-        samples = collect_samples(S, cfg, n_samples, sigma=sigma, proposal=proposal)
+        samples = collect_samples(S, cfg, n_samples, sigma=sigma)
     for p in samples:
         z = trop_point(p)
         if point_orthant(z) == sigma and not T.contains(point_valuations(z)):
@@ -669,10 +686,7 @@ def finite_basis(
     polys: list[PolyK] = []
     for piece in open_pieces:
         F_p = open_poly_to_trop(valuation_piece_to_log(piece))
-        lifted = lift_inequality(
-            F_p.neg(), S, sigma, cfg, samples=samples, proposal=proposal
-        )
-        polys.append(lifted.poly)
+        polys.append(lift_inequality(F_p.neg(), S, sigma, cfg, samples=samples).poly)
 
     region = basis_region(polys, sigma)
     if not union_equal(region, T):

@@ -722,6 +722,27 @@ def test_sampling_shortfall_is_a_failure_not_a_usage_error(circle_files, tmp_pat
     assert line == "error: no verification samples of the set were found"
 
 
+def test_basis_orthant_of_the_wrong_length_is_refused_before_any_draw(
+    circle_files, tmp_path, capsys, monkeypatch
+):
+    # the circle has two variables, so no sample lies in a one-entry orthant:
+    # the whole candidate budget was drawn before it exited 1 with a shortfall
+    from tropreal import semialg
+
+    def no_draw(*args):
+        raise AssertionError("a candidate was drawn")
+
+    monkeypatch.setattr(semialg, "_candidates", no_draw)
+    _, desc = circle_files
+    T = tmp_path / "T1.json"
+    T.write_text(iojson.dumps(iojson.union_to_json(union_of(1, [point_polyhedron((0,))]))))
+    rc = main(["basis", str(desc), "--target-set", str(T), "--orthant", "+",
+               "--seed", "1", "--count", "10"])
+    assert rc == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == "error: orthant length does not match description"
+
+
 def test_lift_without_samples_is_a_shortfall(circle_files, tmp_path, capsys):
     # {X (+) -1 >= 0} does not cover the circle's outer region, so only
     # samples can certify it, and 40 draws at seed 1 keep no circle member

@@ -9,7 +9,7 @@ from tropreal import iojson
 from tropreal.errors import ParseError
 from tropreal.hyperfields import Balanced, Point, stv
 from tropreal.parsing import parse_polyk
-from tropreal.polyhedra import Polyhedron, constraint, trop_region
+from tropreal.polyhedra import Polyhedron, constraint, orthant_support, trop_region
 from tropreal.puiseux import PuiseuxSeries
 from tropreal.scenarios import get_scenario
 from tropreal.troppoly import trop_r
@@ -50,10 +50,11 @@ def test_polyhedron_and_regions_roundtrip():
     F = trop_r(parse_polyk("x + y - 1"))
     regions = {(1, 1): trop_region(F, (1, 1), "ge"), (1, 0): trop_region(F, (1, 0), "ge")}
     blob = iojson.regions_to_json(2, regions)
-    back = iojson.regions_from_json(blob)
-    assert set(back) == set(regions)
-    for sigma in regions:
-        assert back[sigma] == regions[sigma]
+    assert blob["nvars"] == 2
+    assert [entry["sigma"] for entry in blob["orthants"]] == ["+0", "++"]
+    for entry, sigma in zip(blob["orthants"], sorted(regions)):
+        m = len(orthant_support(sigma))
+        assert iojson.union_from_json(entry["region"], m) == regions[sigma]
 
 
 def test_description_roundtrip_and_rel_symbols():

@@ -1,6 +1,7 @@
 """Inner clouds, outer regions, sandwich, lifting, bases, witnesses."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from test_puiseux import _outcome, _reference_lead, _reference_tail
 from test_troppoly import _reference_trop_eval
 
-from tropreal import semialg
+from tropreal import iojson, semialg
 from tropreal.errors import (
     NegativeExponentAtZero,
     NoEpsilonFound,
@@ -20,6 +21,7 @@ from tropreal.hyperfields import SATISFIED_BY, Balanced, hv_relation, stv
 from tropreal.parsing import parse_polyk
 from tropreal.polyhedra import (
     _outcome_conjunction,
+    all_orthants,
     constraint,
     Polyhedron,
     PolyUnion,
@@ -119,6 +121,22 @@ def test_outer_whole_space_for_empty_conditions():
     assert union_equal(sa_outer(S, (1, -1)), whole_space_union(2))
 
 
+def test_outer_regions_decide_each_piece_once(monkeypatch):
+    # a conjunction starts from its first region, whose pieces are nonempty
+    # already, and one disjunct's region is returned as it is, so no piece is
+    # decided twice: 144 eliminations over the five scenarios with cold memos
+    import tropreal.polyhedra as polyhedra
+
+    calls = []
+    feasible = polyhedra._feasible
+    monkeypatch.setattr(polyhedra, "_feasible", lambda rows, n: calls.append(n) or feasible(rows, n))
+    for name in ("circle", "cubic", "halfplane", "intersection_tight", "intersection_wide"):
+        polyhedra._orthant_table.cache_clear()
+        polyhedra._rows_empty.cache_clear()
+        sa_outer_all(get_scenario(name).description)
+    assert len(calls) <= 144
+
+
 def test_inner_in_outer_scenarios():
     for scen in (CIRCLE, HALFPLANE, CUBIC):
         cloud = sa_sample_trop(scen.description, 1500, CFG, proposal=scen.proposal)
@@ -127,8 +145,9 @@ def test_inner_in_outer_scenarios():
 
 
 def test_sandwich_circle():
-    report = sa_sandwich_check(CIRCLE.description, CFG, attempts=1500,
-                               proposal=CIRCLE.proposal)
+    report = sa_sandwich_check(
+        sa_sample_trop(CIRCLE.description, 1500, CFG, proposal=CIRCLE.proposal)
+    )
     assert report.inner_inside_outer
     assert report.flagged_pieces == []
     pos = [p for p in report.pieces if p.sigma == (1, 1)]
@@ -136,16 +155,18 @@ def test_sandwich_circle():
 
 
 def test_sandwich_halfplane_witnesses_fat_pieces():
-    report = sa_sandwich_check(HALFPLANE.description, CFG, attempts=3000,
-                               proposal=HALFPLANE.proposal)
+    report = sa_sandwich_check(
+        sa_sample_trop(HALFPLANE.description, 3000, CFG, proposal=HALFPLANE.proposal)
+    )
     assert report.ok
     pos = [p for p in report.pieces if p.sigma == (1, 1)]
     assert pos and all(p.full_dimensional and p.witnessed for p in pos)
 
 
 def test_sandwich_cubic_segment_is_thin():
-    report = sa_sandwich_check(CUBIC.description, CFG, attempts=3000,
-                               proposal=CUBIC.proposal)
+    report = sa_sandwich_check(
+        sa_sample_trop(CUBIC.description, 3000, CFG, proposal=CUBIC.proposal)
+    )
     assert report.ok
     pos = [p for p in report.pieces if p.sigma == (1, 1)]
     dims = sorted(p.dim for p in pos)
@@ -153,8 +174,9 @@ def test_sandwich_cubic_segment_is_thin():
 
 
 def test_sandwich_report_serializes():
-    report = sa_sandwich_check(CIRCLE.description, CFG, attempts=400,
-                               proposal=CIRCLE.proposal)
+    report = sa_sandwich_check(
+        sa_sample_trop(CIRCLE.description, 400, CFG, proposal=CIRCLE.proposal)
+    )
     blob = report.to_json_dict()
     assert blob["ok"] and blob["inner_inside_outer"]
     assert all(set(p) >= {"orthant", "dim", "witnessed"} for p in blob["pieces"])
@@ -164,7 +186,7 @@ def test_sandwich_report_serializes():
 def test_sandwich_takes_an_equation_as_written():
     f = CIRCLE.description.disjuncts[0][0].poly
     S = conjunction(2, [SignCondition(f, "eq")])
-    report = sa_sandwich_check(S, CFG, attempts=300, proposal=CIRCLE.proposal)
+    report = sa_sandwich_check(sa_sample_trop(S, 300, CFG, proposal=CIRCLE.proposal))
     regions = sa_outer_all(S)
     assert [(p.sigma, p.index, p.dim) for p in report.pieces] == [
         (sigma, i, poly_dim(piece))
@@ -176,16 +198,37 @@ def test_sandwich_takes_an_equation_as_written():
     assert all(union_equal(regions[sigma], both[sigma]) for sigma in regions)
 
 
-def test_sandwich_shape_mismatch():
-    S = conjunction(1, [SignCondition(parse_polyk("x", nvars=1), "gt")])
-    with pytest.raises(ShapeMismatch):
-        sa_sandwich_check(S, CFG, attempts=10)
+def test_sandwich_shape_mismatch(monkeypatch):
+    # the shape is the description's: refused before the outer region is built
+    def no_outer(S):
+        raise AssertionError("the outer region was built")
+
+    monkeypatch.setattr(semialg, "sa_outer_all", no_outer)
+    x = parse_polyk("x", nvars=1)
+    strict = conjunction(1, [SignCondition(x, "gt")])
+    two = SADescription(1, ((SignCondition(x, "ge"),), (SignCondition(-x, "ge"),)))
+    for S, message in [(strict, "relation gt is not a weak inequality"),
+                       (two, "need a single conjunction")]:
+        with pytest.raises(ShapeMismatch, match=message):
+            sa_sandwich_check(SampleCloud(S))
+
+
+def test_sandwich_builds_each_orthant_once(monkeypatch):
+    # the containment and the coverage check read one outer region
+    cloud = sa_sample_trop(HALFPLANE.description, 3000, CFG, proposal=HALFPLANE.proposal)
+    calls = []
+    outer = semialg.sa_outer
+    monkeypatch.setattr(semialg, "sa_outer", lambda S, sigma: calls.append(sigma) or outer(S, sigma))
+    report = sa_sandwich_check(cloud)
+    assert sorted(calls) == sorted(all_orthants(2))
+    assert report.ok and report.inner_count == len(cloud)
 
 
 def test_lift_simple():
     F = TropPoly.from_terms(2, [((1, 0), stv(1, 0)), ((0, 0), stv(-1, 0))])
-    res = lift_inequality(F, CIRCLE.description, (1, 1), CFG,
-                          proposal=CIRCLE.proposal, n_samples=60)
+    samples = collect_samples(CIRCLE.description, CFG, 60, sigma=(1, 1),
+                              proposal=CIRCLE.proposal)
+    res = lift_inequality(F, CIRCLE.description, (1, 1), CFG, samples=samples)
     assert trop_r(res.poly) == F
     assert res.epsilon <= 1
     for p in (res.samples_checked,):
@@ -208,20 +251,38 @@ def test_lift_precondition_failure():
         lift_inequality(F, CIRCLE.description, (1, -1), CFG)
 
 
+# the four polynomials that finite_basis(..., proposal=CIRCLE.proposal,
+# n_samples=60) returned when it still took a proposal
+_CIRCLE_POINT_BASIS = (
+    '[{"nvars":2,"terms":[{"coeff":{"terms":[{"coeff":"-1","exp":"0"}]},"exps":[0,0]},'
+    '{"coeff":{"terms":[{"coeff":"1","exp":"0"}]},"exps":[1,0]}]},'
+    '{"nvars":2,"terms":[{"coeff":{"terms":[{"coeff":"1","exp":"0"}]},"exps":[-1,0]},'
+    '{"coeff":{"terms":[{"coeff":"-1/3","exp":"0"}]},"exps":[0,0]}]},'
+    '{"nvars":2,"terms":[{"coeff":{"terms":[{"coeff":"-1","exp":"0"}]},"exps":[0,0]},'
+    '{"coeff":{"terms":[{"coeff":"1","exp":"0"}]},"exps":[0,1]}]},'
+    '{"nvars":2,"terms":[{"coeff":{"terms":[{"coeff":"1","exp":"0"}]},"exps":[0,-1]},'
+    '{"coeff":{"terms":[{"coeff":"-1/3","exp":"0"}]},"exps":[0,0]}]}]'
+)
+
+
 def test_finite_basis_circle_point():
     T = union_of(2, [point_polyhedron((0, 0))])
-    res = finite_basis(T, CIRCLE.description, (1, 1), CFG,
-                       proposal=CIRCLE.proposal, n_samples=60)
+    samples = collect_samples(CIRCLE.description, CFG, 60, sigma=(1, 1),
+                              proposal=CIRCLE.proposal)
+    res = finite_basis(T, CIRCLE.description, (1, 1), CFG, samples=samples)
     assert union_equal(res.region, T)
     assert len(res.polys) >= 4
     for f in res.polys:
         assert trop_r(f).nvars == 2
+    got = [iojson.polyk_to_json(f) for f in res.polys]
+    assert json.dumps(got, sort_keys=True, separators=(",", ":")) == _CIRCLE_POINT_BASIS
 
 
 def test_finite_basis_whole_orthant():
     T = whole_space_union(2)
-    res = finite_basis(T, CIRCLE.description, (1, 1), CFG,
-                       proposal=CIRCLE.proposal, n_samples=30)
+    samples = collect_samples(CIRCLE.description, CFG, 30, sigma=(1, 1),
+                              proposal=CIRCLE.proposal)
+    res = finite_basis(T, CIRCLE.description, (1, 1), CFG, samples=samples)
     assert res.polys == ()
     assert union_equal(res.region, T)
 
@@ -236,7 +297,8 @@ def test_finite_basis_halfspace_one_var():
         return (const(1) + const(c) if rng.random() < 0.5 else const(c),)
 
     T = union_of(1, [H(1, ((1,), 0, "<="))])
-    res = finite_basis(T, S, (1,), CFG, proposal=proposal, n_samples=40)
+    samples = collect_samples(S, CFG, 40, sigma=(1,), proposal=proposal)
+    res = finite_basis(T, S, (1,), CFG, samples=samples)
     assert union_equal(res.region, T)
     assert len(res.polys) == 1
     F = trop_r(res.polys[0])
