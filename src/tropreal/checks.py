@@ -545,12 +545,7 @@ def check_halfplane_density(
     )
     ok = len(members) >= n_members
     out.add(ok, f"collected {len(members)}/{n_members} exact members")
-    cache: dict = {}
-    inside = sum(
-        1
-        for p in members
-        if outer_contains_point(scen.description, trop_point(p), cache)
-    )
+    inside = sum(1 for p in members if outer_contains_point(scen.description, trop_point(p)))
     out.add(inside == len(members), f"{inside}/{len(members)} members land inside")
 
     rng = random.Random(seed + 1)
@@ -630,12 +625,10 @@ def check_intersection_recession(seed: int = 0) -> CheckOutcome:
             if len(orthant_support(sigma)) == 2
             for piece in region.pieces
             for conds in neg_conditions
-            if not poly_is_empty(piece)
         )
         rays_present = all(
             any(
-                poly_recession_contains(piece, ray_dir) and not poly_is_empty(piece)
-                for piece in regions[sigma].pieces
+                poly_recession_contains(piece, ray_dir) for piece in regions[sigma].pieces
             )
             for sigma in scen.params["ray_orthants"]
         )

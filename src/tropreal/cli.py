@@ -217,6 +217,11 @@ def _cmd_region(args) -> int:
     window = None if args.svg is None else _parse_window(args.window)
     F = _load_troppoly(args.input)
     rel = normalize_rel(args.rel)
+    if args.svg is not None:
+        # refuse the raster's inputs before anything is computed or written
+        if F.nvars != 2:
+            raise TropRealError("SVG output requires exactly two variables")
+        cfg = RenderConfig(grid=args.grid, window=window)
     if args.orthant == "all":
         sigmas = all_orthants(F.nvars)
     else:
@@ -230,9 +235,6 @@ def _cmd_region(args) -> int:
     )
     _emit(args.out, iojson.dumps(iojson.regions_to_json(F.nvars, regions)), human)
     if args.svg is not None:
-        if F.nvars != 2:
-            raise TropRealError("SVG output requires exactly two variables")
-        cfg = RenderConfig(grid=args.grid, window=window)
         svg = render_region_svg([(F, rel)], cfg, title=f"{F.text()}  {args.rel} 0")
         with open(args.svg, "w") as fh:
             fh.write(svg)

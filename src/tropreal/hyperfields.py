@@ -261,12 +261,6 @@ def rt_sum(terms: Iterable[SignedTropVal]) -> HyperValue:
     return Balanced(m)
 
 
-def hv_neg(h: HyperValue) -> HyperValue:
-    if isinstance(h, Balanced):
-        return h
-    return Point(rt_neg(h.value))
-
-
 def hv_scale(x: SignedTropVal, h: HyperValue) -> HyperValue:
     """The set {x * w : w in h}, again a HyperValue."""
     if x.sign == 0:

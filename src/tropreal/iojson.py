@@ -15,9 +15,6 @@ from typing import Any
 from .errors import ParseError
 from .hyperfields import (
     INF,
-    Balanced,
-    HyperValue,
-    Point,
     SignedTropVal,
     Val,
     normalize_rel,
@@ -75,20 +72,6 @@ def stv_from_json(d: Any, path: str = "") -> SignedTropVal:
             f"got sign {sign} and val {val_str(val)!r}"
         )
     return stv(sign, val)
-
-
-def hv_to_json(h: HyperValue) -> dict:
-    if isinstance(h, Balanced):
-        return {"kind": "balanced", "val": frac_str(h.val)}
-    return {"kind": "point", **stv_to_json(h.value)}
-
-
-def hv_from_json(d: dict) -> HyperValue:
-    if d["kind"] == "balanced":
-        return Balanced(_rational(d, "val", ""))
-    if d["kind"] == "point":
-        return Point(stv_from_json(d))
-    raise ParseError(f"bad hypervalue kind {d.get('kind')!r}")
 
 
 def point_to_json(p: TropPoint) -> list:

@@ -383,9 +383,9 @@ def feasible_point(P: Polyhedron) -> Optional[tuple[Fraction, ...]]:
 # and keep every answer, so it serves the pieces of union_prune (through
 # union_intersect, _subtract and piece_minus_union_is_empty) and
 # poly_is_empty's callers.  Over one round of the regions benchmark (seed 1)
-# it answered 96 of 166 union_prune lookups and 45 of 119 poly_is_empty
-# lookups from memory, and without it the round made 2,895 eliminations
-# instead of 2,754 (outer-intersection_tight 254 instead of 157).  When the
+# it answered 96 of 166 union_prune lookups and 12 of 36 poly_is_empty
+# lookups from memory, and without it the round made 2,812 eliminations
+# instead of 2,704 (outer-intersection_tight 204 instead of 121).  When the
 # tables still asked it, it answered 7 of their 1,175 tie lookups and 0 of
 # their 12 thin-cell lookups.  A memo this small evicts a system within
 # about ten later regions, so it shares work inside one operation, not

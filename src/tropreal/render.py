@@ -276,11 +276,12 @@ def write_figures(outdir: str, grid: int = 160) -> list[str]:
     from . import iojson
     from .scenarios import SCENARIO_NAMES, get_scenario
 
+    scenarios = [get_scenario(name) for name in SCENARIO_NAMES]
+    # every config is checked before the directory is made
+    configs = [RenderConfig(grid=grid, window=scen.window) for scen in scenarios]
     os.makedirs(outdir, exist_ok=True)
     written = []
-    for name in SCENARIO_NAMES:
-        scen = get_scenario(name)
-        cfg = RenderConfig(grid=grid, window=scen.window)
+    for name, scen, cfg in zip(SCENARIO_NAMES, scenarios, configs):
         label = {
             "circle": "disk: tropical inequality <= 0 (two segments)",
             "halfplane": "halfplane: X (+) Y (+) -1 >= 0",

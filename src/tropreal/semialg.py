@@ -19,7 +19,16 @@ signed tropicalization are computed:
   condition as written, once, for all orthants and for the sampler: the
   outer region of a ``!=`` is the cells of its positive terms followed by
   those of its negative terms, so it needs no rewriting.  Whether the
-  outer pieces are connected is decided by one walk over them.
+  outer pieces are connected is decided by one walk over them, which
+  takes them as nonempty, as the regions are built.
+
+Whether one tropical point lies in the outer bound is decided at that
+point alone, by the test the sampler puts to its candidates' leads
+(``_leads_may_hold``): each condition is scored at the point's signs and
+valuations, and holds there unless it is undefined or its dominant terms
+share a sign its relation rejects.  That is membership in the region of
+the point's orthant, so ``outer_contains_point`` and ``outer_excludes``
+build no region.
 
 A Laurent condition is undefined where a negative exponent meets a zero
 coordinate, and an undefined condition does not hold.  The condition owns
@@ -35,7 +44,9 @@ approximations informative: the inner cloud lies in the outer region, and
 outer pieces of full dimension ought to be witnessed, since the difference
 between the outer region and the tropicalization has empty interior for
 conjunctions of weak inequalities.  It takes the inner cloud, already
-drawn, and reads the description from it.
+drawn, and reads the description from it.  It reads containment from the
+polyhedral regions it reports pieces of, not from the point test, so
+the sampler's filter is checked against an independent method.
 
 The lifting construction turns a tropical polynomial that is nonnegative
 on the outer region into an actual polynomial inequality valid on the set
@@ -170,6 +181,14 @@ class SADescription:
             for disj in self.disjuncts
         )
 
+    @cached_property
+    def _outer_plan(self) -> tuple[tuple[tuple[_ValKernel, frozenset], ...], ...]:
+        """``_outer_conditions`` with each shadow in integer form: what the
+        outer bound's point test, ``_leads_may_hold``, reads."""
+        return tuple(
+            tuple((F._val_kernel, ok) for F, ok in disj) for disj in self._outer_conditions
+        )
+
 
 def conjunction(nvars: int, conditions: Iterable[SignCondition]) -> SADescription:
     return SADescription(nvars, (tuple(conditions),))
@@ -268,7 +287,7 @@ def _candidates(
     draw_lead = ps_draw_lead
     draw_tail = ps_draw_tail
     uniform = rng.random
-    plan = [[(F._val_kernel, ok) for F, ok in disj] for disj in S._outer_conditions]
+    plan = S._outer_plan
     decided: dict[tuple[int, ...], bool] = {}
     for _ in range(budget):
         leads = []
@@ -295,10 +314,17 @@ def _candidates(
 
 
 def _leads_may_hold(
-    plan: list[list[tuple[_ValKernel, frozenset]]], key: tuple[int, ...]
+    plan: tuple[tuple[tuple[_ValKernel, frozenset], ...], ...], key: tuple[int, ...]
 ) -> bool:
     """Whether some disjunct of the plan survives at the leads ``key``:
-    (sign, exponent numerator, exponent denominator) per coordinate."""
+    (sign, exponent numerator, exponent denominator) per coordinate, and
+    (0, 0, 1) at a zero coordinate.
+
+    This is the outer bound's point test.  With ``S._outer_plan`` it holds
+    exactly where ``sa_outer`` of the key's orthant contains the key's
+    valuations: the sampler drops candidates by it, and
+    ``outer_contains_point`` answers by it.
+    """
     signs = list(key[0::3])
     nums = list(key[1::3])
     dens = list(key[2::3])
@@ -377,23 +403,16 @@ def point_valuations(z: TropPoint) -> tuple[Fraction, ...]:
     return tuple(c.val for c in z if c.sign != 0)
 
 
-def outer_contains_point(
-    S: SADescription, z: TropPoint, cache: Optional[dict] = None
-) -> bool:
-    sigma = point_orthant(z)
-    if cache is not None and sigma in cache:
-        region = cache[sigma]
-    else:
-        region = sa_outer(S, sigma)
-        if cache is not None:
-            cache[sigma] = region
-    return region.contains(point_valuations(z))
-
-
-def inner_in_outer(S: SADescription, cloud: SampleCloud) -> list[TropPoint]:
-    """The (expected-empty) list of cloud points escaping the outer region."""
-    cache: dict = {}
-    return [z for z in sorted_points(cloud.points()) if not outer_contains_point(S, z, cache)]
+def outer_contains_point(S: SADescription, z: TropPoint) -> bool:
+    """Whether the outer bound holds z, decided at z alone: ``_leads_may_hold``
+    reads z's signs and valuations as the sampler reads a candidate's leads,
+    and no region is built."""
+    if len(z) != S.nvars:
+        raise DimensionMismatch("point dimension does not match description")
+    key: list[int] = []
+    for c in z:
+        key += (c.sign, c.val.numerator, c.val.denominator) if c.sign else (0, 0, 1)
+    return _leads_may_hold(S._outer_plan, tuple(key))
 
 
 def sorted_points(points: Iterable[TropPoint]) -> list[TropPoint]:
@@ -493,7 +512,11 @@ def sa_sandwich_check(cloud: SampleCloud) -> SandwichReport:
         if cond.rel not in ("le", "ge", "eq"):
             raise ShapeMismatch(f"relation {cond.rel} is not a weak inequality")
     regions = sa_outer_all(S)
-    escaped = [z for z in sorted_points(cloud.points()) if not outer_contains_point(S, z, regions)]
+    escaped = [
+        z
+        for z in sorted_points(cloud.points())
+        if not regions[point_orthant(z)].contains(point_valuations(z))
+    ]
 
     by_orthant: dict[Orthant, list[tuple[Fraction, ...]]] = {}
     for z in cloud.points():
@@ -772,18 +795,15 @@ def _touches(
 
 
 def adjacency_connected(regions: dict[Orthant, PolyUnion]) -> bool:
-    """Whether the nonempty pieces, joined where they touch, form one cluster.
+    """Whether the pieces, joined where they touch, form one cluster.
 
-    A walk: the reached set grows from the first nonempty piece (orthants
-    in sorted order), and each piece reached is tested with ``_touches``
-    only against the pieces not reached yet.  No piece, or one, is connected.
+    The pieces must be nonempty, as ``sa_outer_all`` and ``trop_region``
+    return them; an empty piece would count as a cluster of its own.  A
+    walk: the reached set grows from the first piece (orthants in sorted
+    order), and each piece reached is tested with ``_touches`` only
+    against the pieces not reached yet.  No piece, or one, is connected.
     """
-    unreached = [
-        (piece, sigma)
-        for sigma in sorted(regions)
-        for piece in regions[sigma].pieces
-        if not poly_is_empty(piece)
-    ]
+    unreached = [(piece, sigma) for sigma in sorted(regions) for piece in regions[sigma].pieces]
     stack, unreached = unreached[:1], unreached[1:]
     while stack and unreached:
         A, sa = stack.pop()

@@ -632,6 +632,37 @@ def test_negative_count_or_budget_is_usage_error(circle_files, capsys, command, 
     assert message in _one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("poly, flags, message", [
+    pytest.param("x + y + z - 1", [], "SVG output requires exactly two variables",
+                 id="three-variables"),
+    pytest.param("x + y - 1", ["--grid", "1"], "grid must be at least 2", id="grid-1"),
+    pytest.param("x + y - 1", ["--window", "1,0,0,1"], "window must be a nondegenerate",
+                 id="window-reversed"),
+])
+def test_region_refuses_its_raster_inputs_before_writing(tmp_path, capsys, poly, flags, message):
+    # the regions were computed, printed and written before the raster's
+    # inputs were read
+    F = tmp_path / "F.json"
+    F.write_text(iojson.dumps(iojson.troppoly_to_json(trop_r(parse_polyk(poly)))))
+    out, svg = tmp_path / "r.json", tmp_path / "x.svg"
+    capsys.readouterr()
+    rc = main(["region", str(F), "--svg", str(svg), "--out", str(out), *flags])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert message in _one_error_line(captured.err)
+    assert not out.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_figures_refuses_a_small_grid_before_making_its_directory(tmp_path, capsys, grid):
+    outdir = tmp_path / "D" / "E"
+    assert main(["figures", "--grid", grid, "--outdir", str(outdir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid must be at least 2" in _one_error_line(captured.err)
+    assert not (tmp_path / "D").exists()
+
+
 @pytest.mark.parametrize("grid", ["0", "1"])
 def test_check_figures_small_grid_is_usage_error(capsys, grid):
     assert main(["check", "figures", "--grid", grid]) == 2

@@ -20,7 +20,6 @@ from tropreal.hyperfields import (
     ValPoint,
     ValUpSet,
     hv_contains,
-    hv_neg,
     hv_point,
     hv_relation,
     hv_scale,
@@ -295,7 +294,6 @@ def test_signed_trop_val_invariants():
         Balanced(INF)
 
 
-def test_hv_neg_and_scale_zero():
-    assert hv_neg(Balanced(Fraction(3))) == Balanced(Fraction(3))
+def test_hv_scale_zero():
     assert hv_scale(RT_ZERO, Balanced(Fraction(3))) == HV_ZERO
     assert hv_scale(stv(-1, 1), Balanced(Fraction(3))) == Balanced(Fraction(4))

@@ -7,7 +7,7 @@ import pytest
 
 from tropreal import iojson
 from tropreal.errors import ParseError
-from tropreal.hyperfields import Balanced, Point, stv
+from tropreal.hyperfields import stv
 from tropreal.parsing import parse_polyk
 from tropreal.polyhedra import Polyhedron, constraint, orthant_support, trop_region
 from tropreal.puiseux import PuiseuxSeries
@@ -20,14 +20,6 @@ def test_signed_value_roundtrip():
         assert iojson.stv_from_json(iojson.stv_to_json(v)) == v
     assert iojson.stv_to_json(stv(0, "inf")) == {"sign": 0, "val": "inf"}
     assert iojson.stv_to_json(stv(-1, Fraction(1, 2))) == {"sign": -1, "val": "1/2"}
-
-
-def test_hypervalue_roundtrip():
-    for h in [Point(stv(1, 0)), Point(stv(0, "inf")), Balanced(Fraction(5, 3))]:
-        assert iojson.hv_from_json(iojson.hv_to_json(h)) == h
-    assert iojson.hv_to_json(Balanced(Fraction(5, 3)))["kind"] == "balanced"
-    with pytest.raises(ParseError):
-        iojson.hv_from_json({"kind": "wat"})
 
 
 def test_series_roundtrip():

@@ -47,10 +47,11 @@ from tropreal.semialg import (
     collect_samples,
     conjunction,
     finite_basis,
-    inner_in_outer,
     lift_inequality,
+    outer_contains_point,
     outer_excludes,
     point_orthant,
+    point_valuations,
     sa_member,
     sa_outer,
     sa_outer_all,
@@ -124,24 +125,47 @@ def test_outer_whole_space_for_empty_conditions():
 def test_outer_regions_decide_each_piece_once(monkeypatch):
     # a conjunction starts from its first region, whose pieces are nonempty
     # already, and one disjunct's region is returned as it is, so no piece is
-    # decided twice: 144 eliminations over the five scenarios with cold memos
+    # decided twice: 144 eliminations over the five scenarios with cold memos.
+    # The connectivity walk takes those pieces as nonempty and decides no
+    # piece's emptiness again.
     import tropreal.polyhedra as polyhedra
 
     calls = []
     feasible = polyhedra._feasible
     monkeypatch.setattr(polyhedra, "_feasible", lambda rows, n: calls.append(n) or feasible(rows, n))
-    for name in ("circle", "cubic", "halfplane", "intersection_tight", "intersection_wide"):
+    with_walk = {"circle": 10, "cubic": 9, "halfplane": 6, "intersection_tight": 121,
+                 "intersection_wide": 23}
+    outer_calls = 0
+    for name, bound in with_walk.items():
         polyhedra._orthant_table.cache_clear()
         polyhedra._rows_empty.cache_clear()
-        sa_outer_all(get_scenario(name).description)
-    assert len(calls) <= 144
+        calls.clear()
+        regions = sa_outer_all(get_scenario(name).description)
+        outer_calls += len(calls)
+        assert adjacency_connected(regions) == (not name.startswith("intersection")), name
+        assert len(calls) <= bound, (name, len(calls))
+    assert outer_calls <= 144
+
+
+def _outside_outer_regions(S, cloud):
+    """The cloud points that the polyhedral outer region of their orthant
+    leaves out: the reference the point test and the sampler are held to."""
+    regions = {}
+    out = []
+    for z in cloud.points():
+        sigma = point_orthant(z)
+        if sigma not in regions:
+            regions[sigma] = sa_outer(S, sigma)
+        if not regions[sigma].contains(point_valuations(z)):
+            out.append(z)
+    return out
 
 
 def test_inner_in_outer_scenarios():
     for scen in (CIRCLE, HALFPLANE, CUBIC):
         cloud = sa_sample_trop(scen.description, 1500, CFG, proposal=scen.proposal)
         assert len(cloud) > 0
-        assert inner_in_outer(scen.description, cloud) == []
+        assert _outside_outer_regions(scen.description, cloud) == []
 
 
 def test_sandwich_circle():
@@ -414,7 +438,7 @@ def test_undefined_disjunct_leaves_the_others(order):
     assert sa_outer_all(S)[(0, 1)].contains((F2(0),))
     cloud = SampleCloud(S)
     assert cloud.add_candidate(p)
-    assert inner_in_outer(S, cloud) == []
+    assert _outside_outer_regions(S, cloud) == []
     # on its own, the Laurent condition holds nowhere on orthant (0,+)
     assert not sa_member(SADescription(2, (laurent,)), p)
     assert sa_outer_all(conjunction(2, laurent + first))[(0, 1)].pieces == ()
@@ -547,7 +571,7 @@ def test_outer_bound_holds_a_member_where_a_strict_condition_is_balanced():
     assert not outer_excludes(S, z)
     cloud = SampleCloud(S)
     assert cloud.add_candidate(w)
-    assert inner_in_outer(S, cloud) == []
+    assert _outside_outer_regions(S, cloud) == []
     # the region of the strict condition itself stays strict
     F = trop_r(S.disjuncts[0][0].poly)
     assert not trop_conjunction([(F, "gt")], (1, 1)).contains((F2(-1), F2(-1)))
@@ -558,7 +582,58 @@ def test_outer_bound_holds_every_sampled_member_of_random_descriptions():
     for k in range(120):
         S = _random_description(rng, 1 + k % 3)
         cloud = sa_sample_trop(S, 300, SamplerConfig(seed=k))
-        assert inner_in_outer(S, cloud) == [], k
+        assert _outside_outer_regions(S, cloud) == [], k
+
+
+def _random_tropical_point(rng, nvars):
+    """Signs with a fifth of zero coordinates, valuations from a small grid
+    so that dominant terms often tie."""
+    return tuple(
+        stv(0, "inf") if rng.random() < 0.2
+        else stv(rng.choice((-1, 1)), F2(rng.randint(-4, 4), rng.randint(1, 2)))
+        for _ in range(nvars)
+    )
+
+
+def test_point_test_is_membership_in_the_outer_region():
+    # the region of the point's orthant is the reference; its pieces are
+    # nonempty, as the piece readers take them
+    rng = random.Random(5)
+    for k in range(120):
+        S = _random_description(rng, 1 + k % 3)
+        regions = {}
+        for _ in range(30):
+            z = _random_tropical_point(rng, S.nvars)
+            sigma = point_orthant(z)
+            if sigma not in regions:
+                regions[sigma] = sa_outer(S, sigma)
+                assert not any(poly_is_empty(p) for p in regions[sigma].pieces), (k, sigma)
+            inside = regions[sigma].contains(point_valuations(z))
+            assert outer_contains_point(S, z) == inside, (k, z)
+            assert outer_excludes(S, z) == (not inside), (k, z)
+
+
+def test_point_queries_build_no_region(monkeypatch):
+    import tropreal.polyhedra as polyhedra
+
+    points = [(stv(1, 0), stv(1, 0)), (stv(1, 1), stv(1, 1)), CUBIC.params["segment_probe"],
+              (stv(0, "inf"), stv(1, 0)), (stv(-1, -2), stv(1, 1)), (stv(1, -2), stv(1, -2))]
+    cases = [
+        (scen.description, z, sa_outer(scen.description, point_orthant(z)).contains(point_valuations(z)))
+        for scen in (CIRCLE, HALFPLANE, CUBIC)
+        for z in points
+    ]
+    assert {inside for _, _, inside in cases} == {True, False}
+
+    def no_elimination(rows, n):
+        raise AssertionError("a point query ran an elimination")
+
+    polyhedra._orthant_table.cache_clear()
+    polyhedra._rows_empty.cache_clear()
+    monkeypatch.setattr(polyhedra, "_feasible", no_elimination)
+    for S, z, inside in cases:
+        assert outer_contains_point(S, z) == inside
+        assert outer_excludes(S, z) == (not inside)
 
 
 def test_one_shadow_and_one_kernel_per_polynomial(monkeypatch):
