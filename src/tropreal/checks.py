@@ -754,7 +754,7 @@ def run_suites(
     if size is not None and size < 1:
         raise ValueError(f"the suite size must be positive, not {size}")
     if kw.get("grid") is not None:
-        RenderConfig(grid=kw["grid"])  # rejects a grid below 2, as `region --grid` does
+        RenderConfig(grid=kw["grid"])  # rejects a grid below 2 or above MAX_GRID, as `region --grid` does
     digest_src = json.dumps(
         {"suites": names, "seed": seed, "size": size}, sort_keys=True
     )

@@ -11,6 +11,7 @@ input or usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -226,19 +227,38 @@ def _cmd_region(args) -> int:
         sigmas = all_orthants(F.nvars)
     else:
         sigmas = [parse_orthant(args.orthant)]
-    # an orthant where F is undefined (a negative exponent at a zero
-    # coordinate) holds nowhere, as in every conjunction of conditions
-    regions = {sigma: trop_conjunction([(F, rel)], sigma) for sigma in sigmas}
-    human = "\n".join(
-        f"orthant {orthant_str(sigma)}: {len(regions[sigma].pieces)} pieces"
-        for sigma in sigmas
-    )
-    _emit(args.out, iojson.dumps(iojson.regions_to_json(F.nvars, regions)), human)
-    if args.svg is not None:
-        svg = render_region_svg([(F, rel)], cfg, title=f"{F.text()}  {args.rel} 0")
-        with open(args.svg, "w") as fh:
-            fh.write(svg)
+    with _svg_target(args.svg) as svg:
+        # an orthant where F is undefined (a negative exponent at a zero
+        # coordinate) holds nowhere, as in every conjunction of conditions
+        regions = {sigma: trop_conjunction([(F, rel)], sigma) for sigma in sigmas}
+        human = "\n".join(
+            f"orthant {orthant_str(sigma)}: {len(regions[sigma].pieces)} pieces"
+            for sigma in sigmas
+        )
+        _emit(args.out, iojson.dumps(iojson.regions_to_json(F.nvars, regions)), human)
+        if svg is not None:
+            svg.write(render_region_svg([(F, rel)], cfg, title=f"{F.text()}  {args.rel} 0"))
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _svg_target(path: str | None):
+    """The SVG file at ``path`` opened for writing, or None without a path.
+
+    It is opened before anything is computed, so a path that cannot be
+    written fails first, and it is removed again if the command fails
+    after that, so ``region --svg`` writes all of its output or none.
+    """
+    if path is None:
+        yield None
+        return
+    fh = open(path, "w")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def _cmd_sample(args) -> int:

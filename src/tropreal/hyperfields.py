@@ -38,10 +38,12 @@ interval satisfies exactly ==, >= and <=, and a point satisfies a
 relation according to its sign alone.  ``SATISFIED_BY`` maps each
 relation to the outcomes that satisfy it (-1, 0, 1, and None for a
 balanced interval), and it is the single definition of that rule:
-``hv_relation`` and ``trop_sat`` read it through ``outcome_relation``,
-``SignCondition.holds_at`` and the sampler's candidate filter read it on
-exact signs, and ``trop_region`` reads its strictness and its cells from
-it.
+``hv_relation`` reads it through ``outcome_relation``, ``trop_sat`` reads
+it directly, ``SignCondition.holds_at`` and the sampler's candidate
+filter read it on exact signs, and ``trop_region`` reads its strictness
+and its cells from it.  ``satisfied_by`` looks a canonical relation name
+up as it is; only an alias, or a name with surrounding whitespace, goes
+through ``normalize_rel``.
 """
 
 from __future__ import annotations
@@ -307,13 +309,19 @@ SATISFIED_BY = {
 }
 
 
+def satisfied_by(rel: str) -> frozenset:
+    """``SATISFIED_BY`` of the relation: one lookup for a canonical name,
+    ``normalize_rel`` for an alias (which raises for an unknown one)."""
+    return SATISFIED_BY.get(rel) or SATISFIED_BY[normalize_rel(rel)]
+
+
 def outcome_relation(outcome: Optional[int], rel: str) -> bool:
     """Whether an outcome satisfies the relation against zero.
 
     The outcome is the sign of a point value, or None for a balanced
     interval.
     """
-    return outcome in SATISFIED_BY[normalize_rel(rel)]
+    return outcome in satisfied_by(rel)
 
 
 def hv_relation(h: HyperValue, rel: str) -> bool:

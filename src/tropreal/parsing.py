@@ -70,6 +70,13 @@ MAX_POWER_BITS = 10_000
 # can pass the bound ((x^10000)^10000, x^10000*x^10000).
 MAX_EXPONENT = MAX_POWER_BITS
 
+# The most raster nodes a side of an SVG figure may have (``--grid`` of
+# ``region``, ``figures`` and ``check figures``).  Each node is an exact
+# membership test, so the time grows with the square of the grid: the
+# circle's region took 1.6 s at the default 160 and 5.1 s at 320 on a
+# 2-vCPU VM, and this bound keeps a figure to about a minute.
+MAX_GRID = 1024
+
 
 def _size(f: PolyK) -> int:
     """The terms of f as a polynomial in the variables and t."""

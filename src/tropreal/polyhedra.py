@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import neg
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -75,7 +76,7 @@ from .errors import (
     NotClosedInput,
     ShapeMismatch,
 )
-from .hyperfields import RT_ZERO, SATISFIED_BY, SignedTropVal, normalize_rel, stv
+from .hyperfields import RT_ZERO, SignedTropVal, normalize_rel, satisfied_by, stv
 from .troppoly import TropPoint, TropPoly
 
 # a row (normal, offset numerator, offset denominator > 0, strict) means
@@ -191,14 +192,6 @@ def _from_rows(dim: int, rows: Sequence[IntRow]) -> Polyhedron:
     return P
 
 
-def _primitive(normal: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The normal divided by the gcd g of its entries, and g (0 for a zero normal)."""
-    g = gcd(*normal)
-    if g > 1:
-        return tuple(a // g for a in normal), g
-    return normal, g
-
-
 def _normalize_rows(rows: Iterable[IntRow]) -> Optional[list[IntRow]]:
     """Primitive-direction dedup keeping the strongest constraint.
 
@@ -206,12 +199,14 @@ def _normalize_rows(rows: Iterable[IntRow]) -> Optional[list[IntRow]]:
     """
     best: dict[tuple[int, ...], tuple[int, int, bool]] = {}
     for normal, cn, cd, strict in rows:
-        if not any(normal):
+        g = gcd(*normal)
+        if not g:  # a zero normal: the row is a constant
             if cn > 0 or (strict and cn == 0):
                 return None
             continue
-        normal, g = _primitive(normal)
-        cd *= g
+        if g > 1:
+            normal = tuple([a // g for a in normal])
+            cd *= g
         gg = gcd(cn, cd)
         if gg > 1:
             cn //= gg
@@ -234,7 +229,7 @@ def _eliminate_var(rows: list[IntRow], k: int) -> Optional[list[IntRow]]:
     eq = None
     for n, cn, cd, s in rows:
         if not s and n[k] != 0:
-            if (tuple(-a for a in n), -cn, cd) in nonstrict:
+            if (tuple(map(neg, n)), -cn, cd) in nonstrict:
                 eq = (n, cn, cd)
                 break
     if eq is not None:
@@ -248,13 +243,14 @@ def _eliminate_var(rows: list[IntRow], k: int) -> Optional[list[IntRow]]:
             if mk == 0:
                 out.append((m, dn, dd, t))
                 continue
-            normal = tuple(aa * mi - sa * mk * ni for mi, ni in zip(m, n))
+            normal = tuple([aa * mi - sa * mk * ni for mi, ni in zip(m, n)])
             out.append((normal, aa * dn * cd - sa * mk * cn * dd, dd * cd, t))
         return _normalize_rows(out)
 
-    uppers = [r for r in rows if r[0][k] > 0]
-    lowers = [r for r in rows if r[0][k] < 0]
-    others = [r for r in rows if r[0][k] == 0]
+    uppers, lowers, others = [], [], []
+    for r in rows:
+        a = r[0][k]
+        (uppers if a > 0 else lowers if a < 0 else others).append(r)
     if not uppers or not lowers:
         return _normalize_rows(others)
     out = list(others)
@@ -262,7 +258,7 @@ def _eliminate_var(rows: list[IntRow], k: int) -> Optional[list[IntRow]]:
         a = nu[k]
         for nl, ln, ld, sl in lowers:
             b = -nl[k]
-            normal = tuple(b * u + a * l for u, l in zip(nu, nl))
+            normal = tuple([b * u + a * l for u, l in zip(nu, nl)])
             out.append((normal, b * un * ld + a * ln * ud, ud * ld, su or sl))
     return _normalize_rows(out)
 
@@ -275,9 +271,9 @@ def _fm_core(
     """Eliminate the target variables; None means the system is infeasible.
 
     Each step eliminates the cheapest target still present in some row,
-    ties going to the lowest index.  One pass over the rows counts, for
-    every remaining target, the rows bounding it from above and from below;
-    the cost is their product, the number of rows eliminating it derives,
+    ties going to the lowest index.  For every remaining target one pass
+    over the rows counts those bounding it from above and from below; the
+    cost is their product, the number of rows eliminating it derives,
     or -1 when the target is bounded on one side only.  Such a target's
     rows are dropped directly: the rest of a normalized system is
     normalized already.  When ``stages`` is given, it receives each
@@ -286,19 +282,17 @@ def _fm_core(
     cur = _normalize_rows(rows)
     remaining = sorted(targets)
     while cur is not None:
-        ups = [0] * len(remaining)
-        downs = [0] * len(remaining)
-        for normal, _, _, _ in cur:
-            for i, k in enumerate(remaining):
-                a = normal[k]
-                if a > 0:
-                    ups[i] += 1
-                elif a < 0:
-                    downs[i] += 1
         best = best_cost = None
         # no step brings back a variable that is absent from every row
         present = []
-        for k, u, d in zip(remaining, ups, downs):
+        for k in remaining:
+            u = d = 0
+            for r in cur:
+                a = r[0][k]
+                if a > 0:
+                    u += 1
+                elif a < 0:
+                    d += 1
             if u or d:
                 present.append(k)
                 cost = u * d if u and d else -1
@@ -747,41 +741,43 @@ class _OrthantTable:
     ``strict`` makes row j strict: its piece, or None when it is empty.
     ``_ties`` holds an equation's tie of a positive term i with a negative
     term j, keyed by (i, j): C_i cut by L_j - L_i <= 0, which is
-    C_i ∩ C_j, as None when it is empty, else its sorted rows (the
-    duplicate key) and its piece.  A tie is empty when either term's shape
-    is, and the tie (j, i) of another orthant reads the emptiness of
-    (i, j); its piece keeps its own rows.  Rows, shapes and cells are built
-    the first time a relation needs them; two threads that build the same
-    one build equal ones, so the race is harmless.
+    C_i ∩ C_j, as None when it is empty, else its id and its piece.  A tie
+    is empty when either term's shape is, and the tie (j, i) of another
+    orthant reads the emptiness of (i, j); its piece keeps its own rows.
+    Different pairs of terms can give the same rows, and one orthant lists
+    such a piece once: ``_tie_ids`` maps a tie's sorted rows, built once
+    when the tie is decided, to the number i * n + j of the first pair
+    that gave them (n terms), so ``tie_cells`` compares ints.  Rows,
+    shapes, cells and ids are built the first time a relation needs them;
+    two threads that build the same one build equal ones, and the first id
+    stored for some rows is the one both read, so the race is harmless.
     """
 
-    __slots__ = ("_m", "_coef_signs", "_odd", "_exps", "_vals", "_den", "_rows",
-                 "_shapes", "_splits", "_cells", "_ties")
+    __slots__ = ("_m", "defined", "_coef_signs", "_odd", "_exps", "_vals", "_den",
+                 "_rows", "_shapes", "_splits", "_cells", "_ties", "_tie_ids")
 
     def __init__(self, kernel, support: tuple[int, ...]) -> None:
         place = {k: i for i, k in enumerate(support)}
         m = self._m = len(place)
+        # the bits of the coordinates outside the support: they are zero
+        zeromask = ~sum(1 << k for k in support)
+        self.defined = not kernel.negmask & zeromask
         coef_signs: list[int] = []
         odd: list[int] = []
         exps: list[tuple[int, ...]] = []
         vals: list[int] = []
-        for pairs, sign, v in kernel.terms:
+        for pairs, odd_bits, live, sign, v in kernel.terms:
+            if live & zeromask:
+                continue  # a positive power of a zero coordinate kills the term
             e = [0] * m
-            bits = 0
             for k, d in pairs:
-                p = place.get(k)
-                if p is None:
-                    break  # a positive power of a zero coordinate kills the term
-                e[p] = d
-                if d & 1:
-                    bits |= 1 << k
-            else:
-                coef_signs.append(sign)
-                odd.append(bits)
-                exps.append(tuple(e))
-                vals.append(v)
+                e[place[k]] = d
+            coef_signs.append(sign)
+            odd.append(odd_bits)
+            exps.append(tuple(e))
+            vals.append(v)
         self._coef_signs = coef_signs
-        self._odd = odd  # bit k: an odd power of coordinate k
+        self._odd = odd  # the kernel's bits: an odd power of coordinate k
         self._exps = exps
         self._vals = vals
         self._den = kernel.den
@@ -790,6 +786,7 @@ class _OrthantTable:
         self._splits: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
         self._cells: dict[tuple[int, int], Optional[Polyhedron]] = {}
         self._ties: dict[tuple[int, int], object] = {}
+        self._tie_ids: dict[tuple[IntRow, ...], int] = {}
 
     def split(self, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
         """The terms positive and negative on the orthant sigma, as index
@@ -882,7 +879,7 @@ class _OrthantTable:
     def tie_cells(self, pos: Sequence[int], neg: Sequence[int], out: list[Polyhedron]) -> None:
         """Append to ``out`` the distinct nonempty ties of a positive term
         with a negative one, deciding the new ones; different pairs of terms
-        can give the same rows."""
+        can give the same rows, and the same tie id."""
         seen = set()
         ties = self._ties
         for i in pos:
@@ -895,8 +892,8 @@ class _OrthantTable:
                     out.append(tie[1])
 
     def _tie(self, i: int, j: int):
-        """C_i cut by L_j - L_i <= 0: None when it is empty, else (its
-        sorted rows, its piece)."""
+        """C_i cut by L_j - L_i <= 0: None when it is empty, else (the id of
+        its sorted rows, its piece)."""
         other = self._ties.get((j, i), _UNDECIDED)
         if other is None or self.shape(i) is _EMPTY or self.shape(j) is _EMPTY:
             return None
@@ -905,7 +902,8 @@ class _OrthantTable:
         m = self._m
         if other is _UNDECIDED and not _feasible(rows, m):
             return None
-        return tuple(sorted(rows)), _from_rows(m, rows)
+        tie_id = self._tie_ids.setdefault(tuple(sorted(rows)), i * len(self._vals) + j)
+        return tie_id, _from_rows(m, rows)
 
 
 _UNDECIDED = object()
@@ -949,7 +947,7 @@ def trop_region(F: TropPoly, sigma: Orthant, rel: str) -> PolyUnion:
     different pairs of terms can give the same rows.  Terms whose
     coefficient is zero never count, as in ``trop_eval``.
     """
-    return _outcome_region(F, sigma, SATISFIED_BY[normalize_rel(rel)])
+    return _outcome_region(F, sigma, satisfied_by(rel))
 
 
 def _outcome_region(F: TropPoly, sigma: Orthant, ok: frozenset) -> PolyUnion:
@@ -957,12 +955,12 @@ def _outcome_region(F: TropPoly, sigma: Orthant, ok: frozenset) -> PolyUnion:
     -1, 0, 1, and None for a balanced sum."""
     if len(sigma) != F.nvars:
         raise DimensionMismatch("orthant length does not match polynomial")
-    kernel = F._val_kernel
-    kernel.check_defined(sigma)
     sigma = tuple(sigma)
     support = orthant_support(sigma)
     m = len(support)
-    table = _orthant_table(kernel, support)
+    table = _orthant_table(F._val_kernel, support)
+    if not table.defined:
+        raise NegativeExponentAtZero("negative exponent at a zero coordinate")
     pos, neg, pos_bits, neg_bits = table.split(sigma)
 
     if not pos and not neg:
@@ -995,7 +993,7 @@ def trop_conjunction(
     intersection is then empty.
     """
     return _outcome_conjunction(
-        ((F, SATISFIED_BY[normalize_rel(rel)]) for F, rel in conditions), sigma
+        ((F, satisfied_by(rel)) for F, rel in conditions), sigma
     )
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .parsing import MAX_GRID
 from .polyhedra import (
     Orthant,
     PolyUnion,
@@ -60,6 +61,8 @@ class RenderConfig:
     def __post_init__(self):
         if self.grid < 2:
             raise ValueError("grid must be at least 2")
+        if self.grid > MAX_GRID:
+            raise ValueError(f"grid must be at most MAX_GRID={MAX_GRID}")
         x0, x1, y0, y1 = (Fraction(w) for w in self.window)
         if x0 >= x1 or y0 >= y1:
             raise ValueError("window must be a nondegenerate rectangle")

@@ -130,6 +130,7 @@ from .troppoly import (
     TropPoint,
     TropPoly,
     _ValKernel,
+    _scaled_point,
     laurent_sign,
     trop_point,
     trop_r,
@@ -325,14 +326,13 @@ def _leads_may_hold(
     valuations: the sampler drops candidates by it, and
     ``outer_contains_point`` answers by it.
     """
-    signs = list(key[0::3])
-    nums = list(key[1::3])
-    dens = list(key[2::3])
+    point = _scaled_point(key[0::3], key[1::3], key[2::3])
+    zeromask = point[1]
     for disj in plan:
         for kern, holds in disj:
-            if not all([signs[k] for k in kern.neg]):
+            if kern.negmask & zeromask:
                 break
-            _, sign, balanced, _ = kern._score_scaled(signs, nums, dens)
+            _, sign, balanced, _ = kern._score(*point)
             if (None if balanced else sign) not in holds:
                 break
         else:

@@ -47,13 +47,19 @@ value of g(p) from that same lowest term: its sign, and its exponent.
 keeps its coefficient valuations as numerators over one common
 denominator D; per call the nonzero coordinates of the point are brought
 to one denominator D', so the valuation of a term is the integer
-v * D' + D * sum d_k x_k over D * D'.  Its sign is the coefficient sign,
-flipped once for every odd power of a negative coordinate.  Only the
-smallest score and the signs tied at it are kept, and one rational is
-built per call; ``trop_sat`` builds none, since the sign outcome alone
-decides a relation.  The variables under a negative exponent are kept
-with the kernel and checked once per call; in the loop a zero coordinate
-only kills terms.
+v * D' + D * sum d_k x_k over D * D'.  Every term carries two bit sets,
+made once with the kernel: the variables it raises to an odd power and
+those it raises to any nonzero power.  A point is read once into the bit
+sets of its negative and of its zero coordinates, so a term that meets a
+zero coordinate is skipped with one AND, and a term's sign is its
+coefficient sign flipped by the parity of its odd bits among the negative
+coordinates; that parity is only worked out for a term that reaches the
+smallest score.  Only the smallest score and the signs tied at it are
+kept, and one rational is built per call; ``trop_sat`` builds none, since
+the sign outcome alone decides a relation.  The variables under a
+negative exponent are one more bit set of the kernel, and a point is
+undefined exactly when it meets the zero coordinates.  The sampler's lead
+test and ``polyhedra``'s orthant tables read the same bits.
 
 Everything is immutable; evaluation over shared polynomials is safe from
 concurrent contexts.  Each :class:`PolyK` has one shadow, built by the
@@ -79,14 +85,15 @@ from .errors import DimensionMismatch, NegativeExponentAtZero
 from .hyperfields import (
     HV_ZERO,
     RT_ZERO,
+    SATISFIED_BY,
     Balanced,
     HyperValue,
     Point,
     SignedTropVal,
-    outcome_relation,
     rt_inv,
     rt_mul,
     rt_pow,
+    satisfied_by,
 )
 from .puiseux import PS_ONE, PuiseuxSeries
 
@@ -289,114 +296,122 @@ def trop_r(f: PolyK) -> TropPoly:
     return f._trop
 
 
-class _ValKernel(NamedTuple):
+@dataclass(frozen=True, slots=True, eq=False)
+class _ValKernel:
     """A tropical polynomial in integer form.
 
-    Each term is (its nonzero exponents as (variable, degree) pairs in
-    variable order, coefficient sign, coefficient valuation times ``den``);
-    ``den`` is the least common denominator of the coefficient valuations.
-    ``neg`` lists the variables that carry a negative exponent in some
-    term, zero coefficients included: the polynomial is undefined wherever
-    one of them is zero.  Terms with a zero coefficient never count
-    otherwise and are left out of ``terms``.
+    Each term is (pairs, odd, live, sign, v): its nonzero exponents as
+    (variable, degree) pairs in variable order; the bit sets of the
+    variables it carries to an odd power (``odd``) and to a nonzero power
+    (``live``); its coefficient sign; and its coefficient valuation times
+    ``den``, the least common denominator of the coefficient valuations.
+    A term with a positive power of a zero coordinate vanishes there, so
+    it counts at a point exactly when ``live`` misses the point's zero
+    coordinates, and its sign there is its coefficient sign, flipped when
+    ``odd`` meets the point's negative coordinates in an odd number of
+    bits.  ``negmask`` has bit k set when variable k carries a negative
+    exponent in some term, zero coefficients included: the polynomial is
+    undefined wherever one of them is zero.  Terms with a zero coefficient
+    never count otherwise and are left out of ``terms``.
+
+    A kernel is built once per :class:`TropPoly` and compared by identity:
+    ``polyhedra._orthant_table`` keys its memo by the kernel, and hashing
+    one costs an ``id``, not a walk over its terms.
     """
 
     den: int
-    neg: tuple[int, ...]
-    terms: tuple[tuple[tuple[tuple[int, int], ...], int, int], ...]
+    negmask: int
+    terms: tuple[tuple[tuple[tuple[int, int], ...], int, int, int, int], ...]
 
     @staticmethod
     def of(F: "TropPoly") -> "_ValKernel":
         den = lcm(*(c.val.denominator for _, c in F.terms if c.sign))
-        neg = tuple(
-            k for k in range(F.nvars) if any(exps[k] < 0 for exps, _ in F.terms)
-        )
-        terms = tuple(
-            (
-                tuple((k, d) for k, d in enumerate(exps) if d),
-                c.sign,
-                c.val.numerator * (den // c.val.denominator),
-            )
-            for exps, c in F.terms
-            if c.sign
-        )
-        return _ValKernel(den, neg, terms)
-
-    def check_defined(self, signs: Sequence[int]) -> None:
-        """Raise unless every variable under a negative exponent is nonzero."""
-        for k in self.neg:
-            if not signs[k]:
-                raise NegativeExponentAtZero("negative exponent at a zero coordinate")
+        negmask = 0
+        terms = []
+        for exps, c in F.terms:
+            pairs = tuple((k, d) for k, d in enumerate(exps) if d)
+            odd = live = 0
+            for k, d in pairs:
+                live |= 1 << k
+                if d & 1:
+                    odd |= 1 << k
+                if d < 0:
+                    negmask |= 1 << k
+            if c.sign:
+                terms.append((pairs, odd, live, c.sign, c.val.numerator * (den // c.val.denominator)))
+        return _ValKernel(den, negmask, tuple(terms))
 
     def _score(
-        self, signs: list[int], xs: list[int], dp: int
+        self, negmask: int, zeromask: int, xs: Sequence[int], dp: int
     ) -> tuple[Optional[int], int, bool, int]:
-        """The scoring loop shared by both front ends.
+        """The scoring loop shared by every front end.
 
-        ``signs`` are the coordinate signs and ``xs`` the valuations of the
-        nonzero coordinates as numerators over ``dp``.  The caller has
-        checked that the point is defined.
+        Bit k of ``negmask`` (``zeromask``) is set when coordinate k is
+        negative (zero), and ``xs`` holds the valuations of the nonzero
+        coordinates as numerators over ``dp``.  The caller has checked that
+        the point is defined.  A term's sign is only worked out when its
+        score reaches the best so far.
         """
         den = self.den
         best = None
         best_sign = 0
         balanced = False
-        for pairs, sign, v in self.terms:
+        for pairs, odd, live, sign, v in self.terms:
+            if live & zeromask:
+                continue  # a positive power of a zero coordinate kills the term
             dot = 0
             for k, d in pairs:
-                s = signs[k]
-                if not s:
-                    break  # a positive power of a zero coordinate kills the term
                 dot += d * xs[k]
-                if s < 0 and d & 1:
+            score = v * dp + den * dot
+            if best is None or score < best:
+                if (odd & negmask).bit_count() & 1:
                     sign = -sign
-            else:
-                score = v * dp + den * dot
-                if best is None or score < best:
-                    best, best_sign, balanced = score, sign, False
-                elif score == best and sign != best_sign:
-                    balanced = True
+                best, best_sign, balanced = score, sign, False
+            elif score == best and not balanced:
+                if (odd & negmask).bit_count() & 1:
+                    sign = -sign
+                balanced = sign != best_sign
         return best, best_sign, balanced, dp
-
-    def _score_scaled(
-        self, signs: list[int], nums: list[int], dens: list[int]
-    ) -> tuple[Optional[int], int, bool, int]:
-        """``_score`` at valuations nums[k] / dens[k] (0 / 1 at a zero
-        coordinate): the sampler scores its candidates' leads this way."""
-        dp = lcm(*dens)
-        xs = nums if dp == 1 else [k * (dp // d) for k, d in zip(nums, dens)]
-        return self._score(signs, xs, dp)
 
     def score_at(self, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
         """Score the terms at p in integers.
 
-        Each coordinate's sign and valuation are read in one pass, the
-        valuations as numerators over a running common denominator that
-        widens when a new denominator does not divide it.  Returns
-        the minimal score, its sign, whether opposite signs tie there, and
-        D', the least common denominator of the valuations of the nonzero
-        coordinates.  The minimal score over ``den * D'`` is the valuation
-        of the sum; it is None, with sign 0, when no term survives.  Raises
-        NegativeExponentAtZero where the polynomial is undefined at p.
+        One pass over the coordinates reads the bit sets of the negative
+        and of the zero coordinates, and the valuations as numerators over
+        a running common denominator that widens when a new denominator
+        does not divide it.  Returns the minimal score, its sign, whether
+        opposite signs tie there, and D', the least common denominator of
+        the valuations of the nonzero coordinates.  The minimal score over
+        ``den * D'`` is the valuation of the sum; it is None, with sign 0,
+        when no term survives.  Raises NegativeExponentAtZero where the
+        polynomial is undefined at p.
         """
-        signs = []
+        negmask = zeromask = 0
+        bit = 1
         xs = []
         dp = 1
         for c in p:
             s = c.sign
-            signs.append(s)
             if s:
+                if s < 0:
+                    negmask |= bit
                 n, d = c.val.as_integer_ratio()
-                if dp % d:
-                    # widen the running denominator and rescale what was read
-                    f = d // gcd(dp, d)
-                    xs = [x * f for x in xs]
-                    dp *= f
-                xs.append(n * (dp // d))
+                if d != dp:
+                    if dp % d:
+                        # widen the running denominator and rescale what was read
+                        f = d // gcd(dp, d)
+                        for i in range(len(xs)):
+                            xs[i] *= f
+                        dp *= f
+                    n *= dp // d
+                xs.append(n)
             else:
+                zeromask |= bit
                 xs.append(0)
-        self.check_defined(signs)
-        return self._score(signs, xs, dp)
+            bit <<= 1
+        if self.negmask & zeromask:
+            raise NegativeExponentAtZero("negative exponent at a zero coordinate")
+        return self._score(negmask, zeromask, xs, dp)
 
     def value_at(self, p: TropPoint) -> HyperValue:
         """The hyperfield sum of the terms at p."""
@@ -407,14 +422,10 @@ class _ValKernel(NamedTuple):
         return Balanced(val) if balanced else Point(SignedTropVal(sign, val))
 
 
-def _check_point(F: TropPoly, p: TropPoint) -> None:
-    if len(p) != F.nvars:
-        raise DimensionMismatch(f"point dim {len(p)} vs nvars {F.nvars}")
-
-
 def trop_eval(F: TropPoly, p: TropPoint) -> HyperValue:
     """The multivalued value F(p), always a point or a balanced interval."""
-    _check_point(F, p)
+    if len(p) != F.nvars:
+        raise DimensionMismatch(f"point dim {len(p)} vs nvars {F.nvars}")
     return F._val_kernel.value_at(p)
 
 
@@ -423,11 +434,34 @@ def trop_sat(F: TropPoly, p: TropPoint, rel: str) -> bool:
 
     Decided from the sign outcome of the integer scoring alone (the sign
     of the dominant terms, or balanced when opposite signs tie); the value
-    F(p) is never built.
+    F(p) is never built.  A canonical relation name costs one lookup in
+    ``SATISFIED_BY``; an alias is normalized, after the point is checked.
     """
-    _check_point(F, p)
+    if len(p) != F.nvars:
+        raise DimensionMismatch(f"point dim {len(p)} vs nvars {F.nvars}")
     _, sign, balanced, _ = F._val_kernel.score_at(p)
-    return outcome_relation(None if balanced else sign, rel)
+    ok = SATISFIED_BY.get(rel) or satisfied_by(rel)  # satisfied_by, its lookup inline
+    return (None if balanced else sign) in ok
+
+
+def _scaled_point(
+    signs: Sequence[int], nums: Sequence[int], dens: Sequence[int]
+) -> tuple[int, int, Sequence[int], int]:
+    """What ``_ValKernel._score`` reads of the point with the given
+    coordinate signs and valuations nums[k] / dens[k] (0 / 1 at a zero
+    coordinate): the bit sets of its negative and of its zero coordinates,
+    and its valuations as numerators over their least common denominator,
+    with that denominator.  The sampler scores its candidates' leads this
+    way."""
+    negmask = zeromask = 0
+    for k, s in enumerate(signs):
+        if s < 0:
+            negmask |= 1 << k
+        elif not s:
+            zeromask |= 1 << k
+    dp = lcm(*dens)
+    xs = nums if dp == 1 else [n * (dp // d) for n, d in zip(nums, dens)]
+    return negmask, zeromask, xs, dp
 
 
 def eval_k(f: PolyK, p: Sequence[PuiseuxSeries]) -> PuiseuxSeries:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from tropreal import iojson
 from tropreal.cli import main, parse_target
 from tropreal.hyperfields import stv
-from tropreal.parsing import MAX_EXPONENT, parse_polyk
+from tropreal.parsing import MAX_EXPONENT, MAX_GRID, parse_polyk
 from tropreal.polyhedra import point_polyhedron, trop_region, union_of
 from tropreal.scenarios import get_scenario
 from tropreal.semialg import SADescription, SignCondition
@@ -651,6 +651,56 @@ def test_region_refuses_its_raster_inputs_before_writing(tmp_path, capsys, poly,
     assert rc == 2 and captured.out == ""
     assert message in _one_error_line(captured.err)
     assert not out.exists() and not svg.exists()
+
+
+def _circle_trop_file(tmp_path):
+    F = tmp_path / "F.json"
+    F.write_text(iojson.dumps(iojson.troppoly_to_json(trop_r(get_scenario("circle").params["poly"]).neg())))
+    return F
+
+
+def test_region_svg_in_a_missing_directory_writes_nothing(tmp_path, capsys):
+    # the regions were printed and --out written before the SVG target failed
+    F = _circle_trop_file(tmp_path)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    rc = main(["region", str(F), "--svg", str(tmp_path / "nodir" / "x.svg"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "No such file or directory" in _one_error_line(captured.err)
+    assert not out.exists()
+
+
+def test_region_out_in_a_missing_directory_leaves_no_svg(tmp_path, capsys):
+    F = _circle_trop_file(tmp_path)
+    svg = tmp_path / "x.svg"
+    capsys.readouterr()
+    rc = main(["region", str(F), "--svg", str(svg), "--out", str(tmp_path / "nodir" / "r.json")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "No such file or directory" in _one_error_line(captured.err)
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("command", ["region", "figures", "check"])
+def test_a_grid_above_max_grid_is_refused_before_any_output(tmp_path, capsys, command):
+    # the raster's work grows with grid squared: a grid just over the cap is
+    # refused before a node is classified
+    grid = str(MAX_GRID + 1)
+    F, svg, out, outdir = (tmp_path / "F.json", tmp_path / "x.svg", tmp_path / "r.json",
+                           tmp_path / "D")
+    F.write_text(iojson.dumps(iojson.troppoly_to_json(trop_r(parse_polyk("x + y - 1")))))
+    argv = {
+        "region": ["region", str(F), "--svg", str(svg), "--out", str(out), "--grid", grid],
+        "figures": ["figures", "--grid", grid, "--outdir", str(outdir)],
+        "check": ["check", "figures", "--grid", grid, "--outdir", str(outdir), "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"grid must be at most MAX_GRID={MAX_GRID}" in _one_error_line(captured.err)
+    assert not any(p.exists() for p in (svg, out, outdir))
 
 
 @pytest.mark.parametrize("grid", ["0", "1"])

@@ -621,35 +621,32 @@ def test_trop_region_ignores_zero_coefficients():
 def _reference_terms(F, sigma):
     """(m, signs, row): the signs of the terms surviving on sigma, and
     row(i, j, strict) the row L_i - L_j <= 0 (< 0 when strict), both
-    derived afresh on each call."""
+    derived afresh on each call from F's exponent vectors and signed
+    coefficients, without the integer kernel.  A negative exponent on a
+    coordinate sigma sets to zero raises, zero coefficients included; a
+    term with a positive power of such a coordinate, or a zero
+    coefficient, does not survive; a surviving term's sign is its
+    coefficient sign times sigma_k**d_k over its exponents."""
     support = orthant_support(sigma)
-    m = len(support)
-    place = {k: i for i, k in enumerate(support)}
+    if any(d < 0 and not s for exps, _ in F.terms for d, s in zip(exps, sigma)):
+        raise NegativeExponentAtZero("negative exponent at a zero coordinate")
     signs, exps, vals = [], [], []
-    kernel = F._val_kernel
-    kernel.check_defined(sigma)
-    for pairs, sign, v in kernel.terms:
-        e = [0] * m
-        for k, d in pairs:
-            s = sigma[k]
-            if not s:
-                break
-            e[place[k]] = d
-            if s < 0 and d & 1:
-                sign = -sign
-        else:
-            signs.append(sign)
-            exps.append(tuple(e))
-            vals.append(v)
-    den = kernel.den
+    for e, c in F.terms:
+        if c.sign == 0 or any(d and not s for d, s in zip(e, sigma)):
+            continue
+        sign = c.sign
+        for d, s in zip(e, sigma):
+            sign *= s ** (d % 2)
+        signs.append(sign)
+        exps.append(tuple(e[k] for k in support))
+        vals.append(c.val)
 
     def row(i, j, strict):
         dv = vals[i] - vals[j]
-        g = gcd(dv, den)
         normal = tuple(a - b for a, b in zip(exps[i], exps[j]))
-        return (normal, dv // g, den // g, strict)
+        return (normal, dv.numerator, dv.denominator, strict)
 
-    return m, signs, row
+    return len(support), signs, row
 
 
 def _reference_cells(F, sigma, rel):
@@ -907,6 +904,31 @@ def test_each_shape_and_each_unordered_tie_is_decided_once(monkeypatch):
     got = [_piece_rows(_THREE_TERMS, *key, trop_region) for key in keys]
     assert len(calls) == 6
     assert got == want
+
+
+def test_two_pairs_of_terms_with_the_same_tie_rows_give_one_piece():
+    # -1 (+) X (+) X^2 (+) -X^3 with every valuation 0: on (+) the ties
+    # (X, -X^3) and (X^2, -1) have the same rows, {V = 0} written as
+    # X - 1, X - X^2, X - X^3 and X^3 - X, or X^2 - 1, X^2 - X, X^2 - X^3
+    # and 1 - X^2, each <= 0 and each row taken in one of the two orders
+    F = TropPoly.from_terms(1, [
+        ((0,), stv(-1, 0)), ((1,), stv(1, 0)), ((2,), stv(1, 0)), ((3,), stv(-1, 0)),
+    ])
+    m, signs, row = _reference_terms(F, (1,))
+    assert signs == [-1, 1, 1, -1]
+
+    def tie(i, j):
+        return sorted([row(i, k, False) for k in range(4) if k != i] + [row(j, i, False)])
+
+    assert tie(1, 3) == tie(2, 0)
+    assert len({tuple(tie(i, j)) for i in (1, 2) for j in (0, 3)}) == 3
+    for fresh in (True, False):
+        if fresh:
+            _orthant_table.cache_clear()
+        eq = _piece_rows(F, (1,), "eq", trop_region)
+        assert eq == _piece_rows(F, (1,), "eq", _naive_trop_region)
+        assert eq == _piece_rows(F, (1,), "eq", _reference_trop_region)
+        assert len(eq) == 3 and sorted(eq[1]) == tie(1, 3)
 
 
 def test_an_orthant_entry_other_than_a_sign_is_refused():

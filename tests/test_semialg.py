@@ -59,7 +59,9 @@ from tropreal.semialg import (
     sa_sandwich_check,
     witness_search,
 )
-from tropreal.troppoly import PolyK, TropPoly, _ValKernel, laurent_sign, trop_point, trop_r
+from tropreal.troppoly import (
+    PolyK, TropPoly, _ValKernel, _scaled_point, laurent_sign, trop_point, trop_r,
+)
 
 F2 = Fraction
 const = PuiseuxSeries.const
@@ -728,9 +730,9 @@ def test_sa_member_matches_dnf_of_conditions(case):
                     continue  # undefined at p: the condition does not hold
                 # the sampler scores the leads as trop_eval scores trop(p)
                 vals = [c.terms[0][0] if c.terms else F2(0) for c in p]
-                assert kernel._score_scaled(
+                assert kernel._score(*_scaled_point(
                     [c.sign() for c in p], [v.numerator for v in vals], [v.denominator for v in vals]
-                ) == at_trop
+                )) == at_trop
                 _, sign, balanced, _ = at_trop
                 if not balanced:
                     # dominant terms of one sign decide the exact sign
