@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import re
+import stat
 import sys
 
 from . import iojson
@@ -227,7 +228,7 @@ def _cmd_region(args) -> int:
         sigmas = all_orthants(F.nvars)
     else:
         sigmas = [parse_orthant(args.orthant)]
-    with _svg_target(args.svg) as svg:
+    with _svg_target(args.svg) as write_svg:
         # an orthant where F is undefined (a negative exponent at a zero
         # coordinate) holds nowhere, as in every conjunction of conditions
         regions = {sigma: trop_conjunction([(F, rel)], sigma) for sigma in sigmas}
@@ -235,29 +236,45 @@ def _cmd_region(args) -> int:
             f"orthant {orthant_str(sigma)}: {len(regions[sigma].pieces)} pieces"
             for sigma in sigmas
         )
+        if write_svg is not None:
+            svg = render_region_svg([(F, rel)], cfg, title=f"{F.text()}  {args.rel} 0")
+        # everything is computed; only writes follow
         _emit(args.out, iojson.dumps(iojson.regions_to_json(F.nvars, regions)), human)
-        if svg is not None:
-            svg.write(render_region_svg([(F, rel)], cfg, title=f"{F.text()}  {args.rel} 0"))
+        if write_svg is not None:
+            write_svg(svg)
     return EXIT_OK
 
 
 @contextlib.contextmanager
 def _svg_target(path: str | None):
-    """The SVG file at ``path`` opened for writing, or None without a path.
+    """A writer for the SVG file at ``path``, or None without a path.
 
-    It is opened before anything is computed, so a path that cannot be
-    written fails first, and it is removed again if the command fails
-    after that, so ``region --svg`` writes all of its output or none.
+    The file is opened before anything is computed, without truncating it,
+    so a path that cannot be written fails first.  The writer replaces the
+    file's contents; the command calls it last, once everything else has
+    succeeded.  If the command fails, a file that it created is removed, and
+    a file that was there before keeps its bytes.
     """
     if path is None:
         yield None
         return
-    fh = open(path, "w")
+    try:
+        fh, created = open(path, "x"), True
+    except FileExistsError:
+        fh, created = open(path, "a"), False
+
+    def write(text: str) -> None:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(0)
+        fh.write(text)
+
     try:
         with fh:
-            yield fh
+            yield write
     except BaseException:
-        os.unlink(path)
+        if created:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
         raise
 
 

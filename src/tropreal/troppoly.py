@@ -85,7 +85,6 @@ from .errors import DimensionMismatch, NegativeExponentAtZero
 from .hyperfields import (
     HV_ZERO,
     RT_ZERO,
-    SATISFIED_BY,
     Balanced,
     HyperValue,
     Point,
@@ -434,14 +433,13 @@ def trop_sat(F: TropPoly, p: TropPoint, rel: str) -> bool:
 
     Decided from the sign outcome of the integer scoring alone (the sign
     of the dominant terms, or balanced when opposite signs tie); the value
-    F(p) is never built.  A canonical relation name costs one lookup in
-    ``SATISFIED_BY``; an alias is normalized, after the point is checked.
+    F(p) is never built.  The relation is read by ``satisfied_by``, after
+    the point is checked.
     """
     if len(p) != F.nvars:
         raise DimensionMismatch(f"point dim {len(p)} vs nvars {F.nvars}")
     _, sign, balanced, _ = F._val_kernel.score_at(p)
-    ok = SATISFIED_BY.get(rel) or satisfied_by(rel)  # satisfied_by, its lookup inline
-    return (None if balanced else sign) in ok
+    return (None if balanced else sign) in satisfied_by(rel)
 
 
 def _scaled_point(

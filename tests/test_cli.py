@@ -682,6 +682,29 @@ def test_region_out_in_a_missing_directory_leaves_no_svg(tmp_path, capsys):
     assert not svg.exists()
 
 
+def test_region_failure_keeps_an_existing_svg(tmp_path, capsys):
+    # a failing command leaves a file it did not create byte for byte
+    F = _circle_trop_file(tmp_path)
+    svg = tmp_path / "old.svg"
+    svg.write_bytes(b"<svg>kept</svg>\n")
+    capsys.readouterr()
+    rc = main(["region", str(F), "--svg", str(svg), "--out", str(tmp_path / "nodir" / "r.json")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "No such file or directory" in _one_error_line(captured.err)
+    assert svg.read_bytes() == b"<svg>kept</svg>\n"
+
+
+def test_region_replaces_an_existing_svg(tmp_path, capsys):
+    F = _circle_trop_file(tmp_path)
+    fresh, svg = tmp_path / "fresh.svg", tmp_path / "old.svg"
+    svg.write_text("x" * 10**6)
+    assert main(["region", str(F), "--svg", str(fresh), "--grid", "8"]) == 0
+    assert main(["region", str(F), "--svg", str(svg), "--grid", "8"]) == 0
+    assert svg.read_bytes() == fresh.read_bytes()
+    assert fresh.read_text().startswith("<svg")
+
+
 @pytest.mark.parametrize("command", ["region", "figures", "check"])
 def test_a_grid_above_max_grid_is_refused_before_any_output(tmp_path, capsys, command):
     # the raster's work grows with grid squared: a grid just over the cap is
