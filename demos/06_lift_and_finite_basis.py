@@ -34,7 +34,7 @@ F = TropPoly.from_terms(2, [((1, 0), stv(1, 0)), ((0, 0), stv(-1, 0))])
 print(f"lifting {F.text()} >= 0 over the disk:")
 samples = collect_samples(circle.description, cfg, 120, sigma=(1, 1),
                           proposal=circle.proposal)
-res = lift_inequality(F, circle.description, (1, 1), cfg, samples=samples)
+res = lift_inequality(F, circle.description, samples)
 print(f"  f = {poly_text(res.poly)}")
 print(f"  epsilon = {res.epsilon}, verified on {res.samples_checked} samples "
       f"({res.certificate})")
@@ -46,7 +46,7 @@ for P in complement_of_union(T):
     print(f"  open piece with {len(P.rows)} strict constraints")
 
 print("\nfinite basis for T = {(0,0)} over the disk:")
-res = finite_basis(T, circle.description, (1, 1), cfg, samples=samples)
+res = finite_basis(T, circle.description, samples)
 for f in res.polys:
     print(f"  f = {poly_text(f):44s}   trop = {trop_r(f).text()}")
 print(f"  intersection of the {len(res.polys)} regions equals T: verified")

@@ -370,7 +370,7 @@ def check_lift(seed: int, pairs: int = 20, n_verify: int = 500) -> CheckOutcome:
         if not trop_sat(F, origin, "ge"):
             continue  # not a valid tropical inequality for a unit-magnitude box
         samples = collect_samples(S, cfg, 80, sigma=sigma, proposal=proposal)
-        res = lift_inequality(F, S, sigma, cfg, samples=samples, eps_budget=4000)
+        res = lift_inequality(F, S, samples, eps_budget=4000)
         if trop_r(res.poly) != F:
             bad_trop += 1
         fresh_cfg = SamplerConfig(seed=seed + 7919 + done)
@@ -398,14 +398,14 @@ def check_basis(seed: int) -> CheckOutcome:
     samples = collect_samples(
         circle.description, cfg, 80, sigma=(1, 1), proposal=circle.proposal
     )
-    res = finite_basis(T, circle.description, (1, 1), cfg, samples=samples)
+    res = finite_basis(T, circle.description, samples)
     out.add(union_equal(res.region, T), f"disk: {len(res.polys)} polynomials cut the origin")
 
     T2 = whole_space_union(2)
     samples = collect_samples(
         circle.description, cfg, 40, sigma=(1, 1), proposal=circle.proposal
     )
-    res2 = finite_basis(T2, circle.description, (1, 1), cfg, samples=samples)
+    res2 = finite_basis(T2, circle.description, samples)
     out.add(
         len(res2.polys) == 0 and union_equal(res2.region, T2),
         "whole orthant needs an empty family",
@@ -423,7 +423,7 @@ def check_basis(seed: int) -> CheckOutcome:
 
     T3 = union_of(1, [Polyhedron(1, (constraint((1,), 0, "<="),))])
     samples = collect_samples(S, cfg, 40, sigma=(1,), proposal=proposal)
-    res3 = finite_basis(T3, S, (1,), cfg, samples=samples)
+    res3 = finite_basis(T3, S, samples)
     out.add(
         len(res3.polys) == 1 and union_equal(res3.region, T3),
         "halfline target needs one inequality",

@@ -26,13 +26,13 @@ from .parsing import parse_polyk
 from .polyhedra import (
     all_orthants,
     orthant_str,
-    orthant_support,
     parse_orthant,
     trop_conjunction,
 )
 from .puiseux import SamplerConfig
 from .render import RenderConfig, render_region_svg, write_figures
 from .semialg import (
+    collect_samples,
     finite_basis,
     lift_inequality,
     outer_excludes,
@@ -177,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="semialgebraic description JSON file")
     p.add_argument("--target-set", "--T", required=True,
                    help="polyhedral union JSON file")
-    p.add_argument("--orthant", default=None, help="defaults to all-positive")
     p.add_argument("--count", type=int, default=200, help="verification samples")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -185,7 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="lift a valid tropical inequality to the set")
     p.add_argument("input", help="semialgebraic description JSON file")
     p.add_argument("--trop", required=True, help="tropical polynomial JSON file")
-    p.add_argument("--orthant", default=None, help="defaults to all-positive")
     p.add_argument("--count", type=int, default=200, help="verification samples")
     p.add_argument("--budget", type=int, default=1000, help="scale search depth")
     p.add_argument("--seed", type=int, default=None)
@@ -314,11 +312,10 @@ def _cmd_witness(args) -> int:
 def _cmd_basis(args) -> int:
     _require_nonnegative(count=args.count)
     S = _load_description(args.input)
-    sigma = parse_orthant(args.orthant) if args.orthant else tuple([1] * S.nvars)
-    m = len(orthant_support(sigma))
-    T = _decode(args.target_set, _read_text(args.target_set), iojson.union_from_json, m)
-    cfg = SamplerConfig(seed=args.seed)
-    res = finite_basis(T, S, sigma, cfg, n_samples=args.count)
+    T = _decode(args.target_set, _read_text(args.target_set), iojson.union_from_json, S.nvars)
+    sigma = (1,) * S.nvars
+    samples = collect_samples(S, SamplerConfig(seed=args.seed), args.count, sigma=sigma)
+    res = finite_basis(T, S, samples)
     payload = {
         "orthant": orthant_str(sigma),
         "polys": [iojson.polyk_to_json(f) for f in res.polys],
@@ -338,11 +335,10 @@ def _cmd_lift(args) -> int:
     _require_nonnegative(count=args.count, budget=args.budget)
     S = _load_description(args.input)
     F = _load_troppoly(args.trop)
-    sigma = parse_orthant(args.orthant) if args.orthant else tuple([1] * S.nvars)
-    cfg = SamplerConfig(seed=args.seed)
-    res = lift_inequality(
-        F, S, sigma, cfg, n_samples=args.count, eps_budget=args.budget
-    )
+    # an F with no negative term is lifted as it is, and reads no sample
+    n = args.count if any(c.sign < 0 for _, c in F.terms) else 0
+    samples = collect_samples(S, SamplerConfig(seed=args.seed), n, sigma=(1,) * S.nvars)
+    res = lift_inequality(F, S, samples, eps_budget=args.budget)
     payload = {
         "poly": iojson.polyk_to_json(res.poly),
         "epsilon": str(res.epsilon),

@@ -38,10 +38,10 @@ interval satisfies exactly ==, >= and <=, and a point satisfies a
 relation according to its sign alone.  ``SATISFIED_BY`` maps each
 relation to the outcomes that satisfy it (-1, 0, 1, and None for a
 balanced interval), and it is the single definition of that rule:
-``hv_relation`` reads it through ``outcome_relation``, ``trop_sat`` reads
-it directly, ``SignCondition.holds_at`` and the sampler's candidate
-filter read it on exact signs, and ``trop_region`` reads its strictness
-and its cells from it.  ``satisfied_by`` looks a canonical relation name
+``hv_relation`` and ``trop_sat`` read it directly,
+``SignCondition.holds_at`` and the sampler's candidate filter read it on
+exact signs, and ``trop_region`` reads its strictness and its cells from
+it.  ``satisfied_by`` looks a canonical relation name
 up as it is; only an alias, or a name with surrounding whitespace, goes
 through ``normalize_rel``.
 """
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 
 class _PlusInfinity:
@@ -315,18 +315,9 @@ def satisfied_by(rel: str) -> frozenset:
     return SATISFIED_BY.get(rel) or SATISFIED_BY[normalize_rel(rel)]
 
 
-def outcome_relation(outcome: Optional[int], rel: str) -> bool:
-    """Whether an outcome satisfies the relation against zero.
-
-    The outcome is the sign of a point value, or None for a balanced
-    interval.
-    """
-    return outcome in satisfied_by(rel)
-
-
 def hv_relation(h: HyperValue, rel: str) -> bool:
     """Compare a hyperfield sum against zero (see the module docstring)."""
-    return outcome_relation(None if isinstance(h, Balanced) else h.value.sign, rel)
+    return (None if isinstance(h, Balanced) else h.value.sign) in satisfied_by(rel)
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,9 @@ MAX_EXPONENT = MAX_POWER_BITS
 # The most raster nodes a side of an SVG figure may have (``--grid`` of
 # ``region``, ``figures`` and ``check figures``).  Each node is an exact
 # membership test, so the time grows with the square of the grid: the
-# circle's region took 1.6 s at the default 160 and 5.1 s at 320 on a
-# 2-vCPU VM, and this bound keeps a figure to about a minute.
+# circle's ``region --svg`` took 0.4 s at the default 160, 1.0 s at 320 and
+# 8.5 s at 1024 on a 2-vCPU VM, and this bound keeps a figure to about ten
+# seconds.
 MAX_GRID = 1024
 
 

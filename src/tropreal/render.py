@@ -77,10 +77,13 @@ def node_valuation(u: float) -> Optional[tuple[int, Fraction]]:
     return sign, Fraction(-math.log(abs(u))).limit_denominator(10**9)
 
 
-def classify_node(regions: dict[Orthant, PolyUnion], u: float, v: float) -> bool:
-    """Whether the rationalized sample node lies in the exact region of its
-    orthant; False on an axis."""
-    nu, nv = node_valuation(u), node_valuation(v)
+def classify_node(
+    regions: dict[Orthant, PolyUnion],
+    nu: Optional[tuple[int, Fraction]],
+    nv: Optional[tuple[int, Fraction]],
+) -> bool:
+    """Whether the sample node with these ``node_valuation``s lies in the
+    exact region of its orthant; False on an axis."""
     if nu is None or nv is None:
         return False
     return regions[(nu[0], nv[0])].contains((nu[1], nv[1]))
@@ -201,14 +204,10 @@ def render_region_svg(
     du = (fx1 - fx0) / n
     dv = (fy1 - fy0) / n
     regions = conjunction_regions(conditions)
-    cells = []
-    for i in range(n):
-        u = fx0 + (i + 0.5) * du
-        row = []
-        for j in range(n):
-            v = fy0 + (j + 0.5) * dv
-            row.append(classify_node(regions, u, v))
-        cells.append(row)
+    # each column and each row of nodes is rationalized once
+    columns = [node_valuation(fx0 + (i + 0.5) * du) for i in range(n)]
+    rows = [node_valuation(fy0 + (j + 0.5) * dv) for j in range(n)]
+    cells = [[classify_node(regions, nu, nv) for nv in rows] for nu in columns]
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

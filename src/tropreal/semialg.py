@@ -53,8 +53,8 @@ on the outer region into an actual polynomial inequality valid on the set
 (verified on samples), with the prescribed tropicalization; chaining it
 with complements of polyhedral unions yields a finite family of valid
 inequalities whose tropical regions intersect back to a given target set.
-Both take their verification samples from the caller, or draw them from
-the default sampler when none are passed in; only the samplers
+Both work in the all-positive orthant and take their verification samples
+from the caller; neither draws any, so only the samplers
 (``sa_sample_trop`` and ``collect_samples``) choose how candidates are
 drawn.
 
@@ -473,25 +473,6 @@ class SandwichReport:
             )
         return "\n".join(lines)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "inner_count": self.inner_count,
-            "inner_inside_outer": self.inner_inside_outer,
-            "escaped": len(self.escaped),
-            "pieces": [
-                {
-                    "orthant": orthant_str(p.sigma),
-                    "index": p.index,
-                    "dim": p.dim,
-                    "full_dimensional": p.full_dimensional,
-                    "witnessed": p.witnessed,
-                    "flagged": p.flagged,
-                }
-                for p in self.pieces
-            ],
-            "ok": self.ok,
-        }
-
 
 def sa_sandwich_check(cloud: SampleCloud) -> SandwichReport:
     """Inner-in-outer containment and witness coverage of fat outer pieces.
@@ -585,42 +566,35 @@ def collect_samples(
 def lift_inequality(
     F: TropPoly,
     S: SADescription,
-    sigma: Orthant,
-    cfg: SamplerConfig,
-    samples: Optional[Sequence[tuple[PuiseuxSeries, ...]]] = None,
-    n_samples: int = 200,
+    samples: Sequence[tuple[PuiseuxSeries, ...]],
     eps_budget: int = 1000,
 ) -> LiftResult:
     """A polynomial f with trop(f) = F exactly and f >= 0 on samples of S.
 
-    Requires the all-positive orthant and that F >= 0 is a valid tropical
-    inequality for S.  Validity is certified at the strongest available
-    level: if {F >= 0} covers the whole outer region, the certificate is
-    "outer-region"; otherwise F must hold at every sampled tropical point
-    of the set (an exact necessary condition, certificate "inner-samples";
-    the outer region can strictly exceed the tropicalization, so a valid F
-    need not cover it).  The positive part of F is realized by canonical
-    monomial coefficients; the negative part is scaled by epsilon in
-    {1, 1/2, 1/3, ...} (all of unit magnitude, so the tropicalization is
-    unchanged) until every verification sample satisfies f >= 0 exactly.
-    Verification is sample-based: success means "verified on N samples",
-    not a proof over all of S.  When no samples are passed in, they are
-    drawn only if a step needs them; a step that needs samples and has none
-    raises NoEpsilonFound.
+    Works in the all-positive orthant and requires that F >= 0 is a valid
+    tropical inequality for S there.  Validity is certified at the
+    strongest available level: if {F >= 0} covers the whole outer region,
+    the certificate is "outer-region"; otherwise F must hold at every
+    sampled tropical point of the set (an exact necessary condition,
+    certificate "inner-samples"; the outer region can strictly exceed the
+    tropicalization, so a valid F need not cover it).  The positive part
+    of F is realized by canonical monomial coefficients; the negative part
+    is scaled by epsilon in {1, 1/2, 1/3, ...} (all of unit magnitude, so
+    the tropicalization is unchanged) until every verification sample
+    satisfies f >= 0 exactly.  Verification is sample-based: success means
+    "verified on N samples", not a proof over all of S.  Only an F with a
+    negative term reads the samples (one without is positive on the whole
+    orthant), and such an F with none raises NoEpsilonFound.
     """
-    if any(s != 1 for s in sigma):
-        raise PreconditionFailed("lifting works in the all-positive orthant")
-    if F.nvars != S.nvars or len(sigma) != S.nvars:
+    if F.nvars != S.nvars:
         raise DimensionMismatch("dimension mismatch")
+    sigma = (1,) * S.nvars
 
     pos = [(e, c) for e, c in F.terms if c.sign > 0]
     neg = [(e, c) for e, c in F.terms if c.sign < 0]
+    if neg and not samples:
+        raise NoEpsilonFound("no verification samples of the set were found")
     covered = union_subset(sa_outer(S, sigma), trop_region(F, sigma, "ge"))
-    if neg or not covered:
-        if samples is None:
-            samples = collect_samples(S, cfg, n_samples, sigma=sigma)
-        if not samples:
-            raise NoEpsilonFound("no verification samples of the set were found")
 
     if covered:
         certificate = "outer-region"
@@ -664,35 +638,27 @@ def basis_region(polys: Sequence[PolyK], sigma: Orthant) -> PolyUnion:
 def finite_basis(
     T: PolyUnion,
     S: SADescription,
-    sigma: Orthant,
-    cfg: SamplerConfig,
-    samples: Optional[Sequence[tuple[PuiseuxSeries, ...]]] = None,
-    n_samples: int = 200,
+    samples: Sequence[tuple[PuiseuxSeries, ...]],
 ) -> BasisResult:
     """Valid polynomial inequalities whose tropical regions intersect to T.
 
-    T must be closed and contain the sampled tropicalization of the set in
-    the given (all-positive) orthant.  The complement of T is covered by
-    open polyhedra; each produces a tropical polynomial positive exactly on
-    it, whose negation is lifted to a valid polynomial inequality on S.
-    The returned family is verified: the intersection of the regions
-    {trop(f_i) >= 0} equals T exactly.  Every such lift needs samples, so
-    with none and a nonempty cover it raises NoEpsilonFound before pruning.
-    An orthant or a target of the wrong dimension raises DimensionMismatch
-    before any sample is drawn.
+    Works in the all-positive orthant.  T must be closed and contain the
+    tropicalization of the samples in that orthant.  The complement of T
+    is covered by open polyhedra; each produces a tropical polynomial
+    positive exactly on it, whose negation is lifted to a valid polynomial
+    inequality on S.  The returned family is verified: the intersection of
+    the regions {trop(f_i) >= 0} equals T exactly.  Every such lift needs
+    samples, so with none and a nonempty cover it raises NoEpsilonFound
+    before pruning.  A target of the wrong dimension raises
+    DimensionMismatch.
     """
-    if any(s != 1 for s in sigma):
-        raise PreconditionFailed("finite bases are built in the all-positive orthant")
-    if len(sigma) != S.nvars:
-        raise DimensionMismatch("orthant length does not match description")
-    if T.dim != len(sigma):
+    sigma = (1,) * S.nvars
+    if T.dim != S.nvars:
         raise DimensionMismatch("target dimension does not match the orthant support")
     for piece in T.pieces:
         if not piece.is_closed_form():
             raise NotClosedInput("the target must be a closed union")
 
-    if samples is None:
-        samples = collect_samples(S, cfg, n_samples, sigma=sigma)
     for p in samples:
         z = trop_point(p)
         if point_orthant(z) == sigma and not T.contains(point_valuations(z)):
@@ -709,7 +675,7 @@ def finite_basis(
     polys: list[PolyK] = []
     for piece in open_pieces:
         F_p = open_poly_to_trop(valuation_piece_to_log(piece))
-        polys.append(lift_inequality(F_p.neg(), S, sigma, cfg, samples=samples).poly)
+        polys.append(lift_inequality(F_p.neg(), S, samples).poly)
 
     region = basis_region(polys, sigma)
     if not union_equal(region, T):

@@ -826,11 +826,11 @@ def test_sampling_shortfall_is_a_failure_not_a_usage_error(circle_files, tmp_pat
     assert line == "error: no verification samples of the set were found"
 
 
-def test_basis_orthant_of_the_wrong_length_is_refused_before_any_draw(
+def test_basis_target_of_the_wrong_width_is_refused_before_any_draw(
     circle_files, tmp_path, capsys, monkeypatch
 ):
-    # the circle has two variables, so no sample lies in a one-entry orthant:
-    # the whole candidate budget was drawn before it exited 1 with a shortfall
+    # the target is decoded at the description's two variables, so a
+    # one-variable target is a decode error before the command draws
     from tropreal import semialg
 
     def no_draw(*args):
@@ -840,11 +840,43 @@ def test_basis_orthant_of_the_wrong_length_is_refused_before_any_draw(
     _, desc = circle_files
     T = tmp_path / "T1.json"
     T.write_text(iojson.dumps(iojson.union_to_json(union_of(1, [point_polyhedron((0,))]))))
-    rc = main(["basis", str(desc), "--target-set", str(T), "--orthant", "+",
-               "--seed", "1", "--count", "10"])
+    rc = main(["basis", str(desc), "--target-set", str(T), "--seed", "1", "--count", "10"])
     assert rc == 2
     line = _one_error_line(capsys.readouterr().err)
-    assert line == "error: orthant length does not match description"
+    assert line.startswith(f"error: {T}: [0].dim: "), line
+
+
+def test_lift_with_no_negative_term_draws_no_candidate(
+    circle_files, tmp_path, capsys, monkeypatch
+):
+    # X (+) 0 is positive on the whole orthant, so the outer region
+    # certifies it and no sample is read
+    from tropreal import semialg
+
+    def no_draw(*args):
+        raise AssertionError("a candidate was drawn")
+
+    monkeypatch.setattr(semialg, "_candidates", no_draw)
+    _, desc = circle_files
+    F = tmp_path / "F.json"
+    F.write_text(json.dumps({"nvars": 2, "terms": [
+        {"coeff": {"sign": 1, "val": "0"}, "exps": [0, 0]},
+        {"coeff": {"sign": 1, "val": "0"}, "exps": [1, 0]},
+    ]}))
+    out = tmp_path / "lift.json"
+    assert main(["lift", str(desc), "--trop", str(F), "--seed", "1", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["samples_checked"] == 0
+    assert data["certificate"] == "outer-region"
+
+
+@pytest.mark.parametrize("command", ["lift", "basis"])
+def test_lift_and_basis_take_no_orthant(circle_files, command):
+    _, desc = circle_files
+    argv = [command, str(desc), "--trop" if command == "lift" else "--target-set", "x.json"]
+    rc, out, err = _run_main(argv + ["--orthant", "++"])
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --orthant ++" in err
 
 
 def test_lift_without_samples_is_a_shortfall(circle_files, tmp_path, capsys):

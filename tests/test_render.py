@@ -73,7 +73,7 @@ def test_raster_colors_match_trop_sat_at_every_node():
             for j in range(grid):
                 v = y0 + (j + 0.5) * dv
                 sat = _node_satisfies(scen.conditions, u, v)
-                assert classify_node(regions, u, v) == sat, (name, u, v)
+                assert classify_node(regions, node_valuation(u), node_valuation(v)) == sat, (name, u, v)
                 if sat:
                     want.add((i, j))
         assert colored == want, name

@@ -203,9 +203,7 @@ def test_sandwich_report_serializes():
     report = sa_sandwich_check(
         sa_sample_trop(CIRCLE.description, 400, CFG, proposal=CIRCLE.proposal)
     )
-    blob = report.to_json_dict()
-    assert blob["ok"] and blob["inner_inside_outer"]
-    assert all(set(p) >= {"orthant", "dim", "witnessed"} for p in blob["pieces"])
+    assert report.ok and report.inner_inside_outer
     assert "inner cloud" in report.text()
 
 
@@ -254,7 +252,7 @@ def test_lift_simple():
     F = TropPoly.from_terms(2, [((1, 0), stv(1, 0)), ((0, 0), stv(-1, 0))])
     samples = collect_samples(CIRCLE.description, CFG, 60, sigma=(1, 1),
                               proposal=CIRCLE.proposal)
-    res = lift_inequality(F, CIRCLE.description, (1, 1), CFG, samples=samples)
+    res = lift_inequality(F, CIRCLE.description, samples)
     assert trop_r(res.poly) == F
     assert res.epsilon <= 1
     for p in (res.samples_checked,):
@@ -263,18 +261,18 @@ def test_lift_simple():
 
 def test_lift_no_negative_terms():
     F = TropPoly.from_terms(2, [((0, 0), stv(1, 0))])
-    res = lift_inequality(F, CIRCLE.description, (1, 1), CFG)
+    res = lift_inequality(F, CIRCLE.description, [])
     assert res.poly == PolyK.from_terms(2, [((0, 0), const(1))])
     assert res.samples_checked == 0
 
 
 def test_lift_precondition_failure():
-    # -1 is never >= 0 on the outer region
+    # -1 is never >= 0 on the outer region, nor at any sampled point
     F = TropPoly.from_terms(2, [((0, 0), stv(-1, 0))])
+    samples = collect_samples(CIRCLE.description, CFG, 60, sigma=(1, 1),
+                              proposal=CIRCLE.proposal)
     with pytest.raises(PreconditionFailed):
-        lift_inequality(F, CIRCLE.description, (1, 1), CFG)
-    with pytest.raises(PreconditionFailed):
-        lift_inequality(F, CIRCLE.description, (1, -1), CFG)
+        lift_inequality(F, CIRCLE.description, samples)
 
 
 # the four polynomials that finite_basis(..., proposal=CIRCLE.proposal,
@@ -295,7 +293,7 @@ def test_finite_basis_circle_point():
     T = union_of(2, [point_polyhedron((0, 0))])
     samples = collect_samples(CIRCLE.description, CFG, 60, sigma=(1, 1),
                               proposal=CIRCLE.proposal)
-    res = finite_basis(T, CIRCLE.description, (1, 1), CFG, samples=samples)
+    res = finite_basis(T, CIRCLE.description, samples)
     assert union_equal(res.region, T)
     assert len(res.polys) >= 4
     for f in res.polys:
@@ -308,7 +306,7 @@ def test_finite_basis_whole_orthant():
     T = whole_space_union(2)
     samples = collect_samples(CIRCLE.description, CFG, 30, sigma=(1, 1),
                               proposal=CIRCLE.proposal)
-    res = finite_basis(T, CIRCLE.description, (1, 1), CFG, samples=samples)
+    res = finite_basis(T, CIRCLE.description, samples)
     assert res.polys == ()
     assert union_equal(res.region, T)
 
@@ -324,7 +322,7 @@ def test_finite_basis_halfspace_one_var():
 
     T = union_of(1, [H(1, ((1,), 0, "<="))])
     samples = collect_samples(S, CFG, 40, sigma=(1,), proposal=proposal)
-    res = finite_basis(T, S, (1,), CFG, samples=samples)
+    res = finite_basis(T, S, samples)
     assert union_equal(res.region, T)
     assert len(res.polys) == 1
     F = trop_r(res.polys[0])
@@ -334,9 +332,11 @@ def test_finite_basis_halfspace_one_var():
 def test_finite_basis_without_samples_fails_before_pruning(monkeypatch):
     # x <= -1 has no point in the positive orthant, so no sample exists
     S = conjunction(1, [SignCondition(parse_polyk("x + 1", nvars=1), "le")])
+    samples = collect_samples(S, CFG, 10, sigma=(1,))
+    assert samples == []
 
     # the whole space leaves nothing to cover and needs no sample
-    res = finite_basis(whole_space_union(1), S, (1,), CFG, n_samples=10)
+    res = finite_basis(whole_space_union(1), S, samples)
     assert res.polys == ()
 
     def no_prune(pieces):
@@ -345,7 +345,7 @@ def test_finite_basis_without_samples_fails_before_pruning(monkeypatch):
     monkeypatch.setattr(semialg, "prune_covered_pieces", no_prune)
     T = union_of(1, [H(1, ((1,), 0, "<="))])
     with pytest.raises(NoEpsilonFound, match="no verification samples of the set were found"):
-        finite_basis(T, S, (1,), CFG, n_samples=10)
+        finite_basis(T, S, samples)
 
 
 def test_witness_search_positive_halfline():
