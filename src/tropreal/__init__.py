@@ -25,7 +25,7 @@ from .hyperfields import (
     stv,
     t_add,
 )
-from .puiseux import PuiseuxSeries, SamplerConfig, ps_cmp, ps_sample, signed_trop
+from .puiseux import PuiseuxSeries, SamplerConfig, ps_sample
 from .troppoly import (
     PolyK,
     TropPoly,
@@ -90,7 +90,6 @@ __all__ = [
     "open_poly_to_trop",
     "parse_polyk",
     "parse_puiseux",
-    "ps_cmp",
     "ps_sample",
     "rt_add",
     "rt_inv",
@@ -103,7 +102,6 @@ __all__ = [
     "sa_outer",
     "sa_sample_trop",
     "sa_sandwich_check",
-    "signed_trop",
     "stv",
     "t_add",
     "trop_eval",

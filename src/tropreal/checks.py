@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
+from . import iojson
 from .errors import UnknownSuite
 from .hyperfields import (
     Balanced,
@@ -117,7 +118,7 @@ class RunReport:
             "details": self.details,
             "passed": self.passed,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return iojson.dumps(payload)
 
     def text(self) -> str:
         lines = []

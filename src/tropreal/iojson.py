@@ -3,13 +3,15 @@
 Rationals travel as strings "p/q" (or "p"), the infinite valuation as
 "inf".  Relations are emitted as symbols (">=", "<", ...).  ``dumps``
 sorts keys and ends with a newline so identical data always produces
-byte-identical files.
+byte-identical files: its text is exactly that of
+``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, built in one pass.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .errors import ParseError
@@ -36,7 +38,38 @@ REL_SYMBOL = {"gt": ">", "ge": ">=", "eq": "=", "le": "<=", "lt": "<", "ne": "!=
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    The stdlib encodes with an indent in pure Python; this appends to one
+    list.  Keys are strings; a scalar goes through ``json.dumps``, so a
+    value JSON refuses is still refused.
+    """
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _encode(obj: Any, newline: str, out: list) -> None:
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        inner, sep = newline + "  ", "{"
+        for key in sorted(obj):
+            out += (sep, inner, _quote(key), ": ")
+            _encode(obj[key], inner, out)
+            sep = ","
+        out.append(newline + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for item in obj:
+            out += (sep, inner)
+            _encode(item, inner, out)
+            sep = ","
+        out.append(newline + "]" if obj else "[]")
+    elif type(obj) is int:
+        out.append(repr(obj))
+    else:
+        out.append(json.dumps(obj))
 
 
 def frac_str(q: Fraction) -> str:

@@ -78,7 +78,7 @@ class PuiseuxSeries:
         acc: dict[Fraction, Fraction] = {}
         for e, c in pairs:
             e, c = _frac(e), _frac(c)
-            acc[e] = acc.get(e, Fraction(0)) + c
+            acc[e] = acc[e] + c if e in acc else c
         norm = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
         return PuiseuxSeries(norm)
 
@@ -220,14 +220,6 @@ class PuiseuxSeries:
 
 PS_ZERO = PuiseuxSeries.zero()
 PS_ONE = PuiseuxSeries.one()
-
-
-def ps_cmp(a: PuiseuxSeries, b: PuiseuxSeries) -> int:
-    return a.cmp(b)
-
-
-def signed_trop(a: PuiseuxSeries) -> SignedTropVal:
-    return a.signed_trop()
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,8 @@ class PolyK:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
                 raise DimensionMismatch(f"exponent vector {exps} vs nvars {nvars}")
-            acc[exps] = acc.get(exps, PuiseuxSeries.zero()) + coeff
+            # a PuiseuxSeries is in normal form: the first coefficient is kept as it is
+            acc[exps] = acc[exps] + coeff if exps in acc else coeff
         terms = tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
         return PolyK(nvars, terms)
 

@@ -50,6 +50,39 @@ def test_trop_command(circle_files, tmp_path, capsys):
     assert data["nvars"] == 2 and len(data["terms"]) == 5
 
 
+@pytest.mark.parametrize("old", [b"x" * 10**5, b"{}", b""])
+def test_out_rewrites_an_existing_file_to_exactly_the_new_bytes(circle_files, tmp_path, old):
+    # a longer file keeps no stale tail, a shorter or empty one grows
+    poly, _ = circle_files
+    fresh, out = tmp_path / "fresh.json", tmp_path / "old.json"
+    out.write_bytes(old)
+    assert main(["trop", str(poly), "--out", str(fresh)]) == 0
+    assert main(["trop", str(poly), "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert main(["trop", str(poly), "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_out_to_a_file_that_is_not_regular(circle_files, tmp_path, capsys):
+    poly, _ = circle_files
+    assert main(["trop", str(poly), "--out", "/dev/null"]) == 0
+    capsys.readouterr()
+    assert main(["trop", str(poly), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Is a directory" in _one_error_line(captured.err)
+
+
+def test_figures_rerun_into_its_directory_matches_a_fresh_run(tmp_path):
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    for outdir in (again, again, fresh):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["figures", "--outdir", str(outdir), "--grid", "40"]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in again.iterdir()) == names and len(names) == 12
+    for name in names:
+        assert (again / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_region_command_and_svg(circle_files, tmp_path, capsys):
     poly, _ = circle_files
     trop = tmp_path / "trop.json"

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tropreal import iojson
 from tropreal.errors import ParseError
@@ -60,6 +61,46 @@ def test_dumps_is_canonical():
     a = iojson.dumps({"b": 1, "a": [2, 3]})
     assert a == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
     assert json.loads(a) == {"a": [2, 3], "b": 1}
+
+
+_TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=6) | st.sampled_from(
+    ["", "\u2028", "\ud800", "\x00\x1f\x7f", "é\"\\/", "\U0001f600"])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+            | st.floats(allow_nan=False) | _TEXT)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(_TREES)
+def test_dumps_is_the_stdlib_call_byte_for_byte(obj):
+    assert iojson.dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [{"a": Fraction(1, 2)}, [{1, 2}], ({"b": object()},)])
+def test_dumps_refuses_what_json_refuses(bad):
+    with pytest.raises(TypeError):
+        iojson.dumps(bad)
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "007", "-12", "3/4", " 5 ", "-1/2", "1.5", "+3", "1_0", "٣"])
+def test_read_rational_reads_integers_as_fraction_does(text):
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        with pytest.raises(ParseError, match="expected a rational"):
+            iojson.read_rational(text, "x")
+    else:
+        assert iojson.read_rational(text, "x") == expected
+
+
+@pytest.mark.parametrize("text", ["", "-", "--1", "1e3", "1/0", "9" * 5000])
+def test_read_rational_refuses_what_fraction_refuses(text):
+    with pytest.raises(ParseError, match=r"^x: expected a rational"):
+        iojson.read_rational(text, "x")
 
 
 @pytest.mark.parametrize("decode", [iojson.polyk_from_json, iojson.troppoly_from_json])

@@ -16,7 +16,6 @@ from tropreal.puiseux import (
     SamplerConfig,
     _fraction,
     ps_build,
-    ps_cmp,
     ps_draw,
     ps_sample,
 )
@@ -70,9 +69,9 @@ def test_signed_trop():
 
 
 def test_cmp_examples():
-    assert ps_cmp(t_pow(1), const(Fraction(1, 2))) < 0
-    assert ps_cmp(t_pow(1), t_pow(1)) == 0
-    assert ps_cmp(t_pow(-2, -1), const(1000)) < 0
+    assert t_pow(1).cmp(const(Fraction(1, 2))) < 0
+    assert t_pow(1).cmp(t_pow(1)) == 0
+    assert t_pow(-2, -1).cmp(const(1000)) < 0
 
 
 def test_order_infinitesimal():

@@ -257,6 +257,31 @@ def series_st(max_terms=3):
     ).map(PuiseuxSeries.from_terms)
 
 
+def _summed(pairs, zero):
+    acc = {}
+    for key, value in pairs:
+        acc[key] = acc.get(key, zero) + value
+    return sorted(acc.items())
+
+
+_SERIES_TERMS = st.lists(st.tuples(st.integers(-1, 1), st.sampled_from([-2, -1, 1, Fraction(1, 2)])),
+                         max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SERIES_TERMS, st.lists(st.tuples(st.integers(0, 1), _SERIES_TERMS), max_size=5))
+def test_from_terms_sums_duplicate_and_cancelling_terms_as_before(series_terms, poly_terms):
+    # the first term of an exponent is kept as it is; this is the sum from zero it replaced
+    pairs = [(Fraction(e), Fraction(c)) for e, c in series_terms]
+    s = PuiseuxSeries.from_terms(series_terms)
+    assert s == PuiseuxSeries(tuple((e, c) for e, c in _summed(pairs, Fraction(0)) if c != 0))
+    pairs = [((e,), PuiseuxSeries.from_terms(t)) for e, t in poly_terms]
+    f = PolyK.from_terms(1, pairs)
+    assert f == PolyK(1, tuple((e, c) for e, c in _summed(pairs, PuiseuxSeries.zero()) if not c.is_zero()))
+    assert PuiseuxSeries.from_terms(series_terms + [(e, -c) for e, c in series_terms]).is_zero()
+    assert PolyK.from_terms(1, pairs + [(e, -c) for e, c in pairs]) == PolyK.zero(1)
+
+
 @st.composite
 def laurent_and_point(draw):
     """A Laurent polynomial with series coefficients and a Puiseux point.
