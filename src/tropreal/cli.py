@@ -21,7 +21,7 @@ import sys
 
 from . import iojson
 from .errors import NoEpsilonFound, ParseError, TropRealError
-from .hyperfields import RT_ZERO, normalize_rel, stv
+from .hyperfields import INF_SPELLINGS, RT_ZERO, normalize_rel, stv
 from .parsing import parse_polyk
 from .polyhedra import (
     all_orthants,
@@ -59,10 +59,28 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` names the file that stdout already writes to.
+
+    A stdout with no descriptor (an in-memory stream) names no file, and
+    costs no ``stat``.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return False
+    try:
+        ours, theirs = os.fstat(fd), os.stat(path)
+    except OSError:
+        return False
+    return (ours.st_dev, ours.st_ino) == (theirs.st_dev, theirs.st_ino)
+
+
 def _emit(out: str | None, payload: str, human: str | None) -> None:
-    """'-' sends JSON to stdout; a path writes JSON there; the human text
-    prints whenever stdout is not already carrying the JSON."""
-    if out == "-":
+    """'-', or a path naming stdout's own file, sends JSON to stdout; any
+    other path writes JSON there; the human text prints whenever stdout is
+    not already carrying the JSON."""
+    if out == "-" or (out is not None and _is_stdout(out)):
         sys.stdout.write(payload)
         return
     if out is not None:
@@ -110,7 +128,7 @@ def parse_target(text: str):
     coords = []
     for sign_ch, val_text in pairs:
         sign = {"+": 1, "-": -1, "0": 0}[sign_ch]
-        if val_text.strip() in ("inf", "+inf", "oo"):
+        if val_text.strip() in INF_SPELLINGS:
             coords.append(RT_ZERO)
         else:
             if sign == 0:

@@ -94,6 +94,9 @@ class _PlusInfinity:
 
 INF = _PlusInfinity()
 
+# the strings that read as INF wherever a valuation is read from text
+INF_SPELLINGS = ("inf", "+inf", "oo")
+
 Val = Union[Fraction, _PlusInfinity]
 
 
@@ -102,7 +105,7 @@ def as_val(v) -> Val:
     if v is INF or isinstance(v, _PlusInfinity):
         return INF
     if isinstance(v, str):
-        if v.strip() in ("inf", "+inf", "oo"):
+        if v.strip() in INF_SPELLINGS:
             return INF
         return Fraction(v)
     if isinstance(v, Fraction):

@@ -17,6 +17,7 @@ from typing import Any
 from .errors import ParseError
 from .hyperfields import (
     INF,
+    INF_SPELLINGS,
     SignedTropVal,
     Val,
     normalize_rel,
@@ -155,7 +156,7 @@ def _rational(d: dict, field: str, path: str, inf: bool = False) -> Val:
     if type(v) is int:
         return Fraction(v)
     if isinstance(v, str):
-        if inf and v.strip() in ("inf", "+inf", "oo"):
+        if inf and v.strip() in INF_SPELLINGS:
             return INF
         return read_rational(v, _at(path, field))
     raise ParseError(f"{_at(path, field)}: expected a rational such as '-1/2', "

@@ -1,0 +1,177 @@
+"""Print the sha256 of every seeded output pinned in tests/golden.sha256.
+
+Run from the root of the checkout; it takes no arguments:
+
+    PYTHONPATH=src python tests/golden.py | diff tests/golden.sha256 -
+
+It builds its inputs in a temporary directory, runs every seeded command in
+this interpreter (the CLI through ``tropreal.cli.main``, demos 05 and 06
+through ``runpy``) and prints one ``<sha256>  <name>`` line per output.  It
+writes nothing into the checkout.  Any failure raises before a line is
+printed, so a failed run never matches the manifest.
+
+An intended output change is re-recorded with
+
+    PYTHONPATH=src python tests/golden.py > tests/golden.sha256
+
+and shows as a diff of the manifest.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import runpy
+import tempfile
+from pathlib import Path
+
+from tropreal import cli, iojson, parsing, polyhedra, scenarios, semialg, troppoly
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "golden.sha256"
+DEMOS = ("05_inner_outer_sandwich.py", "06_lift_and_finite_basis.py")
+RELATIONS = ("eq", "ge", "gt", "le", "lt", "ne")
+
+
+def _condition(text: str, rel: str):
+    return semialg.SignCondition(parsing.parse_polyk(text, 2), rel)
+
+
+def inputs() -> dict:
+    """The input files by name, as the JSON values they hold."""
+    circle, halfplane, cubic = map(scenarios.get_scenario, ("circle", "halfplane", "cubic"))
+    return {
+        "circle.json": iojson.description_to_json(circle.description),
+        "F.json": iojson.troppoly_to_json(troppoly.trop_r(circle.params["poly"]).neg()),
+        "halfplane.json": iojson.description_to_json(halfplane.description),
+        "cubic.json": iojson.description_to_json(cubic.description),
+        "T.json": iojson.union_to_json(
+            polyhedra.union_of(2, [polyhedra.point_polyhedron((0, 0))])
+        ),
+        # trop of a 3-variable Laurent polynomial: the G of the region pins in tests/test_cli.py
+        "G.json": iojson.troppoly_to_json(troppoly.trop_r(parsing.parse_polyk(
+            "t^(1/2)*x^2*z - y^(-1)*z + t^(-1/3)*x*y - t^2*z^2 - t*x + t^(3/2)"
+        ))),
+        # 1 + x + x^2 with every valuation 0: the cell of x is the point {0}, a thin cell
+        "thin.json": iojson.troppoly_to_json(troppoly.trop_r(parsing.parse_polyk("1 + x + x^2"))),
+        # a strict Laurent condition beside a !=, or a <=: the laurent-ne sampler pin in tests/test_cli.py
+        "laurent.json": iojson.description_to_json(semialg.SADescription(2, (
+            (_condition("x^(-1)*y - 1", "gt"), _condition("x - y", "ne")),
+            (_condition("x + y - 1", "le"),),
+        ))),
+        # y^MAX_EXPONENT - 1 >= 0: an exact sign at the exponent bound stays small
+        "big.json": iojson.description_to_json(semialg.SADescription(2, (
+            (_condition(f"y^{parsing.MAX_EXPONENT} - 1", "ge"),),
+        ))),
+    }
+
+
+def write_inputs(tmp: Path) -> None:
+    for name, value in inputs().items():
+        (tmp / name).write_text(iojson.dumps(value), encoding="utf-8")
+
+
+# each output by name, and the command that writes it to --out; "{d}" is
+# the directory of the inputs
+COMMANDS = {
+    "sample-big.json": "sample {d}/big.json --seed 1 --count 2000",
+    "check.json": "check all --seed 1",
+    "sample-circle.json": "sample {d}/circle.json --seed 2 --count 2000",
+    "sample-cubic.json": "sample {d}/cubic.json --seed 3 --count 2000",
+    "sample-laurent.json": "sample {d}/laurent.json --seed 2 --count 2000",
+    "lift-circle.json": "lift {d}/circle.json --trop {d}/F.json --seed 2 --count 200",
+    "witness-halfplane.json": "witness {d}/halfplane.json --target ((+,1),(+,0)) --seed 1",
+    "witness-circle.json": "witness {d}/circle.json --target ((+,0),(+,0)) --seed 2",
+    # the Laurent union with its x - y != 0: a witness search, and the outer region when it finds none
+    "witness-laurent.json":
+        "witness {d}/laurent.json --target ((+,-1),(+,-1)) --budget 50 --seed 1",
+    # with no search, the outer region alone: it holds the member (2t^-1 - 3, 3t^-1)
+    "witness-laurent-outer.json":
+        "witness {d}/laurent.json --target ((+,-1),(+,-1)) --budget 0 --seed 1",
+    # with no search, a point the circle's outer region leaves out
+    "witness-circle-outer.json": "witness {d}/circle.json --target ((+,-2),(+,-2)) --budget 0",
+    "basis-circle.json": "basis {d}/circle.json --target-set {d}/T.json --seed 2 --count 40",
+    "region-F-ne.json": "region {d}/F.json --orthant all --rel ne",
+    **{f"region-G-{rel}.json": f"region {{d}}/G.json --orthant all --rel {rel}"
+       for rel in RELATIONS},
+    # the weak relations read the thin cell {0} of x, each orthant of the support in turn
+    **{f"region-thin-{rel}.json": f"region {{d}}/thin.json --orthant all --rel {rel}"
+       for rel in ("le", "eq")},
+}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def manifest() -> dict:
+    """The committed digests by name."""
+    lines = MANIFEST.read_text(encoding="utf-8").splitlines()
+    return {name: sha for sha, name in (line.split("  ", 1) for line in lines)}
+
+
+def run_cli(*argv: str) -> str:
+    """Run one command in this interpreter; return what it printed."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        rc = cli.main(list(argv))
+    assert rc == 0, (argv, rc)
+    return printed.getvalue()
+
+
+def run_command(tmp: Path, name: str, out: Path | None = None) -> bytes:
+    """The bytes that ``COMMANDS[name]`` writes to ``out`` (default: a
+    fresh file named ``name`` in ``tmp``)."""
+    out = out or tmp / name
+    run_cli(*(arg.format(d=tmp) for arg in COMMANDS[name].split()), "--out", str(out))
+    return out.read_bytes()
+
+
+def read_dir(path: Path) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+def outputs(tmp: Path) -> dict:
+    """Every pinned output by name, in a fixed order, with its invariants checked."""
+    found = {f"input/{name}": (tmp / name).read_bytes() for name in inputs()}
+    for name in COMMANDS:
+        found[name] = run_command(tmp, name)
+    # --out - prints exactly the bytes --out FILE writes
+    found["check-stdout.json"] = run_cli("check", "all", "--seed", "1", "--out", "-").encode()
+    run_cli("figures", "--grid", "40", "--outdir", str(tmp / "figures"))
+    figures = read_dir(tmp / "figures")
+    found.update({f"figures/{name}": data for name, data in figures.items()})
+    for demo in DEMOS:
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
+        found[f"demo-{demo[:2]}.txt"] = printed.getvalue().encode()
+    # reruns over existing files write the bytes of a fresh run: the check
+    # report over the longer cubic sample, and the figures over themselves
+    found["check-over-sample.json"] = run_command(
+        tmp, "check.json", out=tmp / "sample-cubic.json"
+    )
+    run_cli("figures", "--grid", "40", "--outdir", str(tmp / "figures"))
+    rerun = read_dir(tmp / "figures")
+    found.update({f"figures-rerun/{name}": data for name, data in rerun.items()})
+
+    assert found["check-stdout.json"] == found["check.json"]
+    assert found["check-over-sample.json"] == found["check.json"]
+    assert rerun == figures
+    assert len(figures) == 12, sorted(figures)
+    # facts of the outer regions that a re-record must not flip
+    assert json.loads(found["witness-laurent-outer.json"])["excluded_by_outer"] is False
+    assert json.loads(found["witness-circle-outer.json"])["excluded_by_outer"] is True
+    return found
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
+        write_inputs(tmp)
+        found = outputs(tmp)
+    print("".join(f"{digest(data)}  {name}\n" for name, data in found.items()), end="")
+
+
+if __name__ == "__main__":
+    main()

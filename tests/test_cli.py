@@ -72,6 +72,23 @@ def test_out_to_a_file_that_is_not_regular(circle_files, tmp_path, capsys):
     assert captured.out == "" and "Is a directory" in _one_error_line(captured.err)
 
 
+@pytest.mark.parametrize("out", ["/dev/stdout", "itself"])
+def test_out_naming_the_file_stdout_writes_is_out_dash(tmp_path, out):
+    # the JSON goes through stdout, and no human line overwrites its start
+    halfplane = tmp_path / "halfplane.json"
+    halfplane.write_text(
+        iojson.dumps(iojson.description_to_json(get_scenario("halfplane").description))
+    )
+    argv = [sys.executable, "-m", "tropreal.cli", "witness", str(halfplane),
+            "--target", "((+,1),(+,0))", "--seed", "1", "--out"]
+    dash = subprocess.run(argv + ["-"], capture_output=True, check=True).stdout
+    redirected = tmp_path / "f"
+    with open(redirected, "wb") as fh:
+        target = "/dev/stdout" if out == "/dev/stdout" else str(redirected)
+        subprocess.run(argv + [target], stdout=fh, check=True)
+    assert dash.startswith(b"{") and redirected.read_bytes() == dash
+
+
 def test_figures_rerun_into_its_directory_matches_a_fresh_run(tmp_path):
     again, fresh = tmp_path / "again", tmp_path / "fresh"
     for outdir in (again, again, fresh):
