@@ -62,7 +62,6 @@ from .polyhedra import (
     whole_space_union,
 )
 from .puiseux import PuiseuxSeries, SamplerConfig, ps_sample
-from .render import RenderConfig, write_figures
 from .scenarios import get_scenario, vertex_parameter
 from .semialg import (
     SignCondition,
@@ -686,7 +685,7 @@ def check_rectangles() -> CheckOutcome:
     return out
 
 
-def check_figures(seed: int = 0, outdir: Optional[str] = None, grid: int = 160) -> CheckOutcome:
+def check_figures(seed: int = 0) -> CheckOutcome:
     out = CheckOutcome("figures", True)
 
     sub = check_rectangles()
@@ -708,10 +707,6 @@ def check_figures(seed: int = 0, outdir: Optional[str] = None, grid: int = 160) 
         seed, attempts=2000, proposal=get_scenario("circle").proposal
     )
     out.add(circle.passed, "disk scenario facts (reduced sample size)")
-
-    if outdir is not None:
-        written = write_figures(outdir, grid=grid)
-        out.add(bool(written), f"wrote {len(written)} SVG/JSON artifacts to {outdir}")
     return out
 
 
@@ -720,33 +715,29 @@ def check_figures(seed: int = 0, outdir: Optional[str] = None, grid: int = 160) 
 # ---------------------------------------------------------------------------
 
 SUITES: dict[str, Callable[..., CheckOutcome]] = {
-    "hyperfield-axioms": lambda seed, size=None, **kw: check_hyperfield_axioms(
+    "hyperfield-axioms": lambda seed, size=None: check_hyperfield_axioms(
         seed, size or 10000
     ),
-    "morphism": lambda seed, size=None, **kw: check_morphism(seed, size or 10000),
-    "region-coherence": lambda seed, size=None, **kw: check_region_coherence(
+    "morphism": lambda seed, size=None: check_morphism(seed, size or 10000),
+    "region-coherence": lambda seed, size=None: check_region_coherence(
         seed, size or 1000
     ),
-    "complement": lambda seed, size=None, **kw: check_complement(seed, size or 50),
-    "fp-lemma": lambda seed, size=None, **kw: check_fp_lemma(seed, size or 50),
-    "lift": lambda seed, size=None, **kw: check_lift(seed, size or 20),
-    "basis": lambda seed, size=None, **kw: check_basis(seed),
-    "orthant-remark": lambda seed, size=None, **kw: check_orthant_remark(
+    "complement": lambda seed, size=None: check_complement(seed, size or 50),
+    "fp-lemma": lambda seed, size=None: check_fp_lemma(seed, size or 50),
+    "lift": lambda seed, size=None: check_lift(seed, size or 20),
+    "basis": lambda seed, size=None: check_basis(seed),
+    "orthant-remark": lambda seed, size=None: check_orthant_remark(
         seed, size or 100
     ),
-    "figures": lambda seed, size=None, outdir=None, grid=None, **kw: check_figures(
-        seed, outdir=outdir, grid=160 if grid is None else grid
-    ),
-    "sandwich": lambda seed, size=None, **kw: check_sandwich(seed, size or 4000),
-    "connectivity": lambda seed, size=None, **kw: check_connectivity(seed),
+    "figures": lambda seed, size=None: check_figures(seed),
+    "sandwich": lambda seed, size=None: check_sandwich(seed, size or 4000),
+    "connectivity": lambda seed, size=None: check_connectivity(seed),
 }
 
 SUITE_NAMES = tuple(sorted(SUITES))
 
 
-def run_suites(
-    names: list[str], seed: int, size: Optional[int] = None, **kw
-) -> RunReport:
+def run_suites(names: list[str], seed: int, size: Optional[int] = None) -> RunReport:
     for name in names:
         if name not in SUITES:
             raise UnknownSuite(
@@ -754,8 +745,6 @@ def run_suites(
             )
     if size is not None and size < 1:
         raise ValueError(f"the suite size must be positive, not {size}")
-    if kw.get("grid") is not None:
-        RenderConfig(grid=kw["grid"])  # rejects a grid below 2 or above MAX_GRID, as `region --grid` does
     digest_src = json.dumps(
         {"suites": names, "seed": seed, "size": size}, sort_keys=True
     )
@@ -765,7 +754,7 @@ def run_suites(
     elapsed: dict[str, float] = {}
     for name in names:
         t0 = time.time()
-        outcome = SUITES[name](seed, size=size, **kw)
+        outcome = SUITES[name](seed, size=size)
         elapsed[name] = time.time() - t0
         outcomes[name] = outcome.passed
         details[name] = outcome.details

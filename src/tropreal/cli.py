@@ -22,7 +22,7 @@ import sys
 from . import iojson
 from .errors import NoEpsilonFound, ParseError, TropRealError
 from .hyperfields import INF_SPELLINGS, RT_ZERO, normalize_rel, stv
-from .parsing import parse_polyk
+from .parsing import MAX_ALL_ORTHANT_VARS, parse_polyk
 from .polyhedra import (
     all_orthants,
     orthant_str,
@@ -117,14 +117,17 @@ def _load_description(path: str):
     return _decode(path, _read_text(path), iojson.description_from_json)
 
 
-_TARGET_RE = re.compile(r"\(\s*([+\-0])\s*,\s*([^()\s]+)\s*\)")
+_PAIR = r"\(\s*([+\-0])\s*,\s*([^()\s]+)\s*\)"
+_PAIR_RE = re.compile(_PAIR)
+# the whole text is one parenthesized, comma-separated list of pairs
+_TARGET_RE = re.compile(rf"\s*\(\s*{_PAIR}(?:\s*,\s*{_PAIR})*\s*\)\s*")
 
 
 def parse_target(text: str):
     """Parse a tropical point like '((+,1),(+,0))' or '((-,3/2),(0,inf))'."""
-    pairs = _TARGET_RE.findall(text)
-    if not pairs:
+    if not _TARGET_RE.fullmatch(text):
         raise TropRealError(f"cannot parse target point {text!r}")
+    pairs = _PAIR_RE.findall(text)
     coords = []
     for sign_ch, val_text in pairs:
         sign = {"+": 1, "-": -1, "0": 0}[sign_ch]
@@ -212,8 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", type=int, default=None, help="override the main size")
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--outdir", default=None, help="artifact directory (figures suite)")
-    p.add_argument("--grid", type=int, default=None)
 
     p = sub.add_parser("figures", help="render the built-in scenarios to SVG")
     p.add_argument("--outdir", default="figures")
@@ -241,6 +242,9 @@ def _cmd_region(args) -> int:
             raise TropRealError("SVG output requires exactly two variables")
         cfg = RenderConfig(grid=args.grid, window=window)
     if args.orthant == "all":
+        if F.nvars > MAX_ALL_ORTHANT_VARS:
+            raise TropRealError(f"--orthant all takes at most MAX_ALL_ORTHANT_VARS="
+                                f"{MAX_ALL_ORTHANT_VARS} variables, not {F.nvars}")
         sigmas = all_orthants(F.nvars)
     else:
         sigmas = [parse_orthant(args.orthant)]
@@ -378,9 +382,7 @@ def _cmd_check(args) -> int:
     names = list(args.suites)
     if names == ["all"]:
         names = list(SUITE_NAMES)
-    report = run_suites(
-        names, args.seed, size=args.count, outdir=args.outdir, grid=args.grid
-    )
+    report = run_suites(names, args.seed, size=args.count)
     _emit(args.out, report.to_json(), report.text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -71,12 +71,17 @@ MAX_POWER_BITS = 10_000
 MAX_EXPONENT = MAX_POWER_BITS
 
 # The most raster nodes a side of an SVG figure may have (``--grid`` of
-# ``region``, ``figures`` and ``check figures``).  Each node is an exact
-# membership test, so the time grows with the square of the grid: the
-# circle's ``region --svg`` took 0.4 s at the default 160, 1.0 s at 320 and
-# 8.5 s at 1024 on a 2-vCPU VM, and this bound keeps a figure to about ten
-# seconds.
+# ``region`` and ``figures``).  Each node is an exact membership test, so
+# the time grows with the square of the grid: the circle's ``region --svg``
+# took 0.4 s at the default 160, 1.0 s at 320 and 8.5 s at 1024 on a 2-vCPU
+# VM, and this bound keeps a figure to about ten seconds.
 MAX_GRID = 1024
+
+# The most variables ``region --orthant all`` takes: it computes 3^n
+# regions.  With ``x1 - 1`` it took 1.6 s at n = 10, 5.3 s at 11 and 18.5 s
+# at 12; at n = 20 (700 bytes of JSON) it ran out of memory in
+# ``polyhedra.all_orthants`` under an 800 MB address-space limit.
+MAX_ALL_ORTHANT_VARS = 10
 
 
 def _size(f: PolyK) -> int:

@@ -1,14 +1,19 @@
 """Print the sha256 of every seeded output pinned in tests/golden.sha256.
 
+The outputs are the CLI's files, the stdout of two demos, and rows of the
+exact layers that no command prints.  The manifest is the only place a
+digest is written down.
+
 Run from the root of the checkout; it takes no arguments:
 
     PYTHONPATH=src python tests/golden.py | diff tests/golden.sha256 -
 
 It builds its inputs in a temporary directory, runs every seeded command in
 this interpreter (the CLI through ``tropreal.cli.main``, demos 05 and 06
-through ``runpy``) and prints one ``<sha256>  <name>`` line per output.  It
-writes nothing into the checkout.  Any failure raises before a line is
-printed, so a failed run never matches the manifest.
+through ``runpy``, the library rows through ``library``) and prints one
+``<sha256>  <name>`` line per output.  It writes nothing into the checkout.
+Any failure raises before a line is printed, so a failed run never matches
+the manifest.
 
 An intended output change is re-recorded with
 
@@ -23,16 +28,18 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import runpy
 import tempfile
 from pathlib import Path
 
-from tropreal import cli, iojson, parsing, polyhedra, scenarios, semialg, troppoly
+from tropreal import checks, cli, iojson, parsing, polyhedra, scenarios, semialg, troppoly
+from tropreal.errors import NegativeExponentAtZero
+from tropreal.hyperfields import RELATIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden.sha256"
 DEMOS = ("05_inner_outer_sandwich.py", "06_lift_and_finite_basis.py")
-RELATIONS = ("eq", "ge", "gt", "le", "lt", "ne")
 
 
 def _condition(text: str, rel: str):
@@ -42,6 +49,10 @@ def _condition(text: str, rel: str):
 def inputs() -> dict:
     """The input files by name, as the JSON values they hold."""
     circle, halfplane, cubic = map(scenarios.get_scenario, ("circle", "halfplane", "cubic"))
+    # trop of a 3-variable Laurent polynomial, undefined wherever y = 0
+    G = iojson.troppoly_to_json(troppoly.trop_r(parsing.parse_polyk(
+        "t^(1/2)*x^2*z - y^(-1)*z + t^(-1/3)*x*y - t^2*z^2 - t*x + t^(3/2)"
+    )))
     return {
         "circle.json": iojson.description_to_json(circle.description),
         "F.json": iojson.troppoly_to_json(troppoly.trop_r(circle.params["poly"]).neg()),
@@ -50,13 +61,11 @@ def inputs() -> dict:
         "T.json": iojson.union_to_json(
             polyhedra.union_of(2, [polyhedra.point_polyhedron((0, 0))])
         ),
-        # trop of a 3-variable Laurent polynomial: the G of the region pins in tests/test_cli.py
-        "G.json": iojson.troppoly_to_json(troppoly.trop_r(parsing.parse_polyk(
-            "t^(1/2)*x^2*z - y^(-1)*z + t^(-1/3)*x*y - t^2*z^2 - t*x + t^(3/2)"
-        ))),
+        "G.json": G,
         # 1 + x + x^2 with every valuation 0: the cell of x is the point {0}, a thin cell
         "thin.json": iojson.troppoly_to_json(troppoly.trop_r(parsing.parse_polyk("1 + x + x^2"))),
-        # a strict Laurent condition beside a !=, or a <=: the laurent-ne sampler pin in tests/test_cli.py
+        # a strict Laurent condition undefined where x = 0 beside a !=, or a
+        # <=: the candidate filter's strict, != and undefined paths
         "laurent.json": iojson.description_to_json(semialg.SADescription(2, (
             (_condition("x^(-1)*y - 1", "gt"), _condition("x - y", "ne")),
             (_condition("x + y - 1", "le"),),
@@ -64,6 +73,14 @@ def inputs() -> dict:
         # y^MAX_EXPONENT - 1 >= 0: an exact sign at the exponent bound stays small
         "big.json": iojson.description_to_json(semialg.SADescription(2, (
             (_condition(f"y^{parsing.MAX_EXPONENT} - 1", "ge"),),
+        ))),
+        # G with every exponent made nonnegative: defined on every orthant
+        "G3.json": {**G, "terms": [{**t, "exps": [abs(k) for k in t["exps"]]}
+                                   for t in G["terms"]]},
+        # two disjuncts; the first has a condition undefined where y = 0
+        "laurent-union.json": iojson.description_to_json(semialg.SADescription(2, (
+            (_condition("x*y^(-1) - 2", "gt"), _condition("x + y - 3", "le")),
+            (_condition("y - x^2", "ge"), _condition("x - 1", "ne")),
         ))),
     }
 
@@ -99,6 +116,15 @@ COMMANDS = {
     # the weak relations read the thin cell {0} of x, each orthant of the support in turn
     **{f"region-thin-{rel}.json": f"region {{d}}/thin.json --orthant all --rel {rel}"
        for rel in ("le", "eq")},
+    "sample-halfplane.json": "sample {d}/halfplane.json --seed 1 --count 2000",
+    "sample-laurent-union.json": "sample {d}/laurent-union.json --seed 1 --count 2000",
+    # G on an orthant where it is defined, G3 and F on all of them
+    **{f"region-G+-+-{rel}.json": f"region {{d}}/G.json --orthant +-+ --rel {rel}"
+       for rel in RELATIONS},
+    **{f"region-G3-{rel}.json": f"region {{d}}/G3.json --orthant all --rel {rel}"
+       for rel in RELATIONS},
+    **{f"region-F-{rel}.json": f"region {{d}}/F.json --orthant all --rel {rel}"
+       for rel in RELATIONS if rel != "ne"},
 }
 
 
@@ -128,6 +154,56 @@ def run_command(tmp: Path, name: str, out: Path | None = None) -> bytes:
     return out.read_bytes()
 
 
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def order_free(basis: bytes) -> bytes:
+    """A ``basis`` output with its polynomials, its region pieces and each
+    piece's constraints sorted.  A reordering of the complement may reorder
+    the basis, which changes its bytes but not these."""
+    data = json.loads(basis)
+    data["polys"] = sorted(map(_canonical, data["polys"]))
+    data["region"] = sorted(
+        _canonical({**piece, "constraints": sorted(map(_canonical, piece["constraints"]))})
+        for piece in data["region"]
+    )
+    return _canonical(data).encode()
+
+
+def library() -> dict:
+    """Rows of the exact layers by name, with their invariants checked: the
+    complements of 30 random closed unions, the pieces that pruning keeps of
+    each complement small enough to prune quickly, and the regions of 200
+    seeded tropical polynomials on every orthant, for every relation."""
+    rng = random.Random(4)
+    complements, kept = [], []
+    for _ in range(30):
+        out = polyhedra.complement_of_union(checks.random_closed_union(rng, max_pieces=6))
+        complements.append(repr([p.rows for p in out]))
+        if len(out) <= 30:
+            kept.append(repr([p.rows for p in polyhedra.prune_covered_pieces(out)]))
+    assert len(kept) == 24
+    rng = random.Random(20261)
+    regions = []
+    for k in range(200):
+        nvars = rng.randint(1, 3)
+        F = checks.random_troppoly(rng, nvars, exp_lo=-1 if k % 2 else 0)
+        for sigma in polyhedra.all_orthants(nvars):
+            for rel in RELATIONS:
+                try:
+                    region = polyhedra.trop_region(F, sigma, rel)
+                    regions.append(iojson.dumps(iojson.union_to_json(region)))
+                except NegativeExponentAtZero:
+                    regions.append("undefined\n")
+    assert len(regions) == 14112
+    return {
+        "library/complement-rows.txt": "".join(complements).encode(),
+        "library/pruned-rows.txt": "".join(kept).encode(),
+        "library/trop-regions.txt": "".join(regions).encode(),
+    }
+
+
 def read_dir(path: Path) -> dict:
     return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
 
@@ -137,6 +213,7 @@ def outputs(tmp: Path) -> dict:
     found = {f"input/{name}": (tmp / name).read_bytes() for name in inputs()}
     for name in COMMANDS:
         found[name] = run_command(tmp, name)
+    found["basis-circle-order-free.json"] = order_free(found["basis-circle.json"])
     # --out - prints exactly the bytes --out FILE writes
     found["check-stdout.json"] = run_cli("check", "all", "--seed", "1", "--out", "-").encode()
     run_cli("figures", "--grid", "40", "--outdir", str(tmp / "figures"))
@@ -154,6 +231,7 @@ def outputs(tmp: Path) -> dict:
     run_cli("figures", "--grid", "40", "--outdir", str(tmp / "figures"))
     rerun = read_dir(tmp / "figures")
     found.update({f"figures-rerun/{name}": data for name, data in rerun.items()})
+    found.update(library())
 
     assert found["check-stdout.json"] == found["check.json"]
     assert found["check-over-sample.json"] == found["check.json"]

@@ -21,9 +21,8 @@ SMALL = {
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
-def test_suite_passes(name, tmp_path):
-    kw = {"outdir": str(tmp_path)} if name == "figures" else {"outdir": None}
-    outcome = SUITES[name](11, size=SMALL[name], grid=12, **kw)
+def test_suite_passes(name):
+    outcome = SUITES[name](11, size=SMALL[name])
     assert outcome.passed, outcome.details
 
 

@@ -1,7 +1,8 @@
-"""A cheap subset of tests/golden.py, run in this interpreter.
+"""tests/golden.py in this interpreter, all but its slow outputs.
 
-tests/golden.py runs every seeded command pinned in tests/golden.sha256.
-These tests run the inputs and the commands that take well under a second,
+tests/golden.py prints the digest of every output pinned in
+tests/golden.sha256.  These tests check its inputs, every command but the
+five-second ``check all``, the order-free basis line and the library rows,
 so every tier-1 run compares them with the manifest under its own random
 hash seed.
 """
@@ -11,13 +12,7 @@ import pytest
 import golden
 
 PINNED = golden.manifest()
-SUBSET = [
-    "witness-halfplane.json",
-    "lift-circle.json",
-    *(f"region-G-{rel}.json" for rel in golden.RELATIONS),
-    "region-thin-le.json",
-    "region-thin-eq.json",
-]
+CHEAP = [name for name in golden.COMMANDS if name != "check.json"]
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +32,15 @@ def test_inputs_match_the_manifest(inputs_dir):
         assert golden.digest((inputs_dir / name).read_bytes()) == PINNED[f"input/{name}"], name
 
 
-@pytest.mark.parametrize("name", SUBSET)
+@pytest.mark.parametrize("name", CHEAP)
 def test_output_matches_the_manifest(inputs_dir, tmp_path, name):
     data = golden.run_command(inputs_dir, name, out=tmp_path / name)
     assert golden.digest(data) == PINNED[name]
+    if name == "basis-circle.json":
+        order_free = golden.digest(golden.order_free(data))
+        assert order_free == PINNED["basis-circle-order-free.json"]
+
+
+def test_library_rows_match_the_manifest():
+    for name, data in golden.library().items():
+        assert golden.digest(data) == PINNED[name], name
