@@ -10,8 +10,8 @@ Run from the root of the checkout; it takes no arguments:
 
 It builds its inputs in a temporary directory, runs every seeded command in
 this interpreter (the CLI through ``tropreal.cli.main``, demos 05 and 06
-through ``runpy``, the library rows through ``library``) and prints one
-``<sha256>  <name>`` line per output.  It writes nothing into the checkout.
+through ``runpy``, the library rows through ``complement_rows`` and
+``region_rows``) and prints one ``<sha256>  <name>`` line per output.  It writes nothing into the checkout.
 Any failure raises before a line is printed, so a failed run never matches
 the manifest.
 
@@ -171,11 +171,9 @@ def order_free(basis: bytes) -> bytes:
     return _canonical(data).encode()
 
 
-def library() -> dict:
-    """Rows of the exact layers by name, with their invariants checked: the
-    complements of 30 random closed unions, the pieces that pruning keeps of
-    each complement small enough to prune quickly, and the regions of 200
-    seeded tropical polynomials on every orthant, for every relation."""
+def complement_rows() -> dict:
+    """Rows of the complements of 30 random closed unions, and of the pieces
+    that pruning keeps of each complement small enough to prune quickly."""
     rng = random.Random(4)
     complements, kept = [], []
     for _ in range(30):
@@ -184,6 +182,15 @@ def library() -> dict:
         if len(out) <= 30:
             kept.append(repr([p.rows for p in polyhedra.prune_covered_pieces(out)]))
     assert len(kept) == 24
+    return {
+        "library/complement-rows.txt": "".join(complements).encode(),
+        "library/pruned-rows.txt": "".join(kept).encode(),
+    }
+
+
+def region_rows() -> dict:
+    """The regions of 200 seeded tropical polynomials on every orthant, for
+    every relation."""
     rng = random.Random(20261)
     regions = []
     for k in range(200):
@@ -197,11 +204,7 @@ def library() -> dict:
                 except NegativeExponentAtZero:
                     regions.append("undefined\n")
     assert len(regions) == 14112
-    return {
-        "library/complement-rows.txt": "".join(complements).encode(),
-        "library/pruned-rows.txt": "".join(kept).encode(),
-        "library/trop-regions.txt": "".join(regions).encode(),
-    }
+    return {"library/trop-regions.txt": "".join(regions).encode()}
 
 
 def read_dir(path: Path) -> dict:
@@ -231,7 +234,8 @@ def outputs(tmp: Path) -> dict:
     run_cli("figures", "--grid", "40", "--outdir", str(tmp / "figures"))
     rerun = read_dir(tmp / "figures")
     found.update({f"figures-rerun/{name}": data for name, data in rerun.items()})
-    found.update(library())
+    found.update(complement_rows())
+    found.update(region_rows())
 
     assert found["check-stdout.json"] == found["check.json"]
     assert found["check-over-sample.json"] == found["check.json"]
