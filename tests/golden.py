@@ -90,6 +90,8 @@ def write_inputs(tmp: Path) -> None:
         (tmp / name).write_text(iojson.dumps(value), encoding="utf-8")
 
 
+CHEAP_CHECK = "check-connectivity-basis.json"
+
 # each output by name, and the command that writes it to --out; "{d}" is
 # the directory of the inputs
 COMMANDS = {
@@ -125,6 +127,9 @@ COMMANDS = {
        for rel in RELATIONS},
     **{f"region-F-{rel}.json": f"region {{d}}/F.json --orthant all --rel {rel}"
        for rel in RELATIONS if rel != "ne"},
+    # two quick suites: the report that --out - prints and that a rerun
+    # writes over a longer file
+    CHEAP_CHECK: "check connectivity basis --seed 1",
 }
 
 
@@ -146,12 +151,12 @@ def run_cli(*argv: str) -> str:
     return printed.getvalue()
 
 
-def run_command(tmp: Path, name: str, out: Path | None = None) -> bytes:
+def run_command(tmp: Path, name: str, out: Path | str | None = None) -> bytes:
     """The bytes that ``COMMANDS[name]`` writes to ``out`` (default: a
-    fresh file named ``name`` in ``tmp``)."""
+    fresh file named ``name`` in ``tmp``; ``"-"``: stdout)."""
     out = out or tmp / name
-    run_cli(*(arg.format(d=tmp) for arg in COMMANDS[name].split()), "--out", str(out))
-    return out.read_bytes()
+    printed = run_cli(*(arg.format(d=tmp) for arg in COMMANDS[name].split()), "--out", str(out))
+    return printed.encode() if out == "-" else out.read_bytes()
 
 
 def _canonical(value) -> str:
@@ -218,7 +223,7 @@ def outputs(tmp: Path) -> dict:
         found[name] = run_command(tmp, name)
     found["basis-circle-order-free.json"] = order_free(found["basis-circle.json"])
     # --out - prints exactly the bytes --out FILE writes
-    found["check-stdout.json"] = run_cli("check", "all", "--seed", "1", "--out", "-").encode()
+    found["check-stdout.json"] = run_command(tmp, CHEAP_CHECK, out="-")
     run_cli("figures", "--grid", "40", "--outdir", str(tmp / "figures"))
     figures = read_dir(tmp / "figures")
     found.update({f"figures/{name}": data for name, data in figures.items()})
@@ -226,10 +231,10 @@ def outputs(tmp: Path) -> dict:
         with contextlib.redirect_stdout(io.StringIO()) as printed:
             runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
         found[f"demo-{demo[:2]}.txt"] = printed.getvalue().encode()
-    # reruns over existing files write the bytes of a fresh run: the check
-    # report over the longer cubic sample, and the figures over themselves
+    # reruns over existing files write the bytes of a fresh run: the quick
+    # check report over the longer cubic sample, and the figures over themselves
     found["check-over-sample.json"] = run_command(
-        tmp, "check.json", out=tmp / "sample-cubic.json"
+        tmp, CHEAP_CHECK, out=tmp / "sample-cubic.json"
     )
     run_cli("figures", "--grid", "40", "--outdir", str(tmp / "figures"))
     rerun = read_dir(tmp / "figures")
@@ -237,8 +242,8 @@ def outputs(tmp: Path) -> dict:
     found.update(complement_rows())
     found.update(region_rows())
 
-    assert found["check-stdout.json"] == found["check.json"]
-    assert found["check-over-sample.json"] == found["check.json"]
+    assert found["check-stdout.json"] == found[CHEAP_CHECK]
+    assert found["check-over-sample.json"] == found[CHEAP_CHECK]
     assert rerun == figures
     assert len(figures) == 12, sorted(figures)
     # facts of the outer regions that a re-record must not flip

@@ -1,100 +1,74 @@
-"""Acceptance suite: every criterion at its stated size, exact tolerances.
+"""Acceptance suite: every criterion is a registered check suite, run at its
+default sizes with exact tolerances.
 
 Each test prints one PASS/FAIL line per criterion (run with -s or look at
 captured output).  All assertions are exact: set equality of polyhedral
 regions, exact rational arithmetic, zero-failure property batches.
 """
 
-import time
-
-import pytest
-
-from tropreal.checks import (
-    check_basis,
-    check_circle_exact,
-    check_complement,
-    check_connectivity,
-    check_cubic_facts,
-    check_fp_lemma,
-    check_halfplane_density,
-    check_hyperfield_axioms,
-    check_intersection_recession,
-    check_lift,
-    check_morphism,
-    check_orthant_remark,
-)
+from tropreal.checks import run_suites
 
 SEED = 20260810
 
 
-def _report(number: int, label: str, outcome) -> None:
-    status = "PASS" if outcome.passed else "FAIL"
+def _criterion(number: int, suite: str, label: str):
+    report = run_suites([suite], SEED)
+    details = report.details[suite]
+    status = "PASS" if report.passed else "FAIL"
     print(f"criterion {number:2d} [{status}] {label}")
-    for line in outcome.details:
+    for line in details:
         print(f"    {line}")
-    assert outcome.passed, f"criterion {number} failed: {outcome.details}"
+    assert report.passed, f"criterion {number} failed: {details}"
+    return report
 
 
 def test_criterion_01_circle_single_point_and_segments():
-    out = check_circle_exact(SEED, attempts=10000)
-    _report(1, "disk: single tropical point, exact two-segment region", out)
+    _criterion(1, "circle-exact", "disk: single tropical point, exact two-segment region")
 
 
 def test_criterion_02_halfplane_region_and_witnesses():
-    out = check_halfplane_density(
-        SEED, n_members=1000, n_region_points=100, budget=1000
-    )
-    _report(2, "halfplane: exact region, members inside, witnesses found", out)
+    _criterion(2, "halfplane-density", "halfplane: exact region, members inside, witnesses found")
 
 
 def test_criterion_03_cubic_isolated_point_and_segment():
-    out = check_cubic_facts(SEED, attempts=10000)
-    _report(3, "cubic: isolated point witnessed, spurious segment barren", out)
+    _criterion(3, "cubic-facts", "cubic: isolated point witnessed, spurious segment barren")
 
 
 def test_criterion_04_hyperfield_axioms():
-    out = check_hyperfield_axioms(SEED, size=10000, small=1000)
-    _report(4, "hyperfield axiom batches, zero failures", out)
+    _criterion(4, "hyperfield-axioms", "hyperfield axiom batches, zero failures")
 
 
 def test_criterion_05_morphism():
-    out = check_morphism(SEED, size=10000)
-    _report(5, "signed-value morphism on random series pairs", out)
+    _criterion(5, "morphism", "signed-value morphism on random series pairs")
 
 
 def test_criterion_06_complement():
-    out = check_complement(SEED, instances=50, points=1000)
-    _report(6, "complement of closed unions, membership XOR", out)
+    _criterion(6, "complement", "complement of closed unions, membership XOR")
 
 
 def test_criterion_07_fp_lemma():
-    out = check_fp_lemma(SEED, instances=50, points=1000)
-    _report(7, "open polyhedron == positive region, pointwise", out)
+    _criterion(7, "fp-lemma", "open polyhedron == positive region, pointwise")
 
 
 def test_criterion_08_lift():
-    out = check_lift(SEED, pairs=20, n_verify=500)
-    _report(8, "lifted inequalities: exact tropicalization, fresh samples", out)
+    _criterion(8, "lift", "lifted inequalities: exact tropicalization, fresh samples")
 
 
 def test_criterion_09_finite_basis():
-    out = check_basis(SEED)
-    _report(9, "finite basis cuts the target set exactly", out)
+    _criterion(9, "basis", "finite basis cuts the target set exactly")
 
 
 def test_criterion_10_orthant_remark():
-    out = check_orthant_remark(SEED, count=100)
-    _report(10, "negative regions confined to the open positive orthant", out)
+    _criterion(10, "orthant-remark", "negative regions confined to the open positive orthant")
 
 
 def test_criterion_11_intersection_recession():
-    t0 = time.time()
-    out = check_intersection_recession(SEED)
-    took = time.time() - t0
-    out.add(took < 10.0, f"both runs together took {took:.2f}s")
-    _report(11, "intersection family: bounded vs infinite rays", out)
+    report = _criterion(
+        11, "intersection-recession", "intersection family: bounded vs infinite rays"
+    )
+    took = report.elapsed["intersection-recession"]
+    assert took < 10.0, f"both runs together took {took:.2f}s"
 
 
 def test_criterion_12_connectivity():
-    out = check_connectivity(SEED)
-    _report(12, "adjacency graphs of outer regions connected", out)
+    _criterion(12, "connectivity", "adjacency graphs of outer regions connected")

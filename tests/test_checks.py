@@ -2,28 +2,32 @@
 
 import pytest
 
-from tropreal.checks import SUITE_NAMES, SUITES, run_suites
+from tropreal.checks import SUITE_NAMES, run_suites
 from tropreal.errors import UnknownSuite
 
 SMALL = {
-    "hyperfield-axioms": 400,
-    "morphism": 400,
-    "region-coherence": 120,
-    "complement": 6,
-    "fp-lemma": 6,
-    "lift": 3,
     "basis": None,
-    "orthant-remark": 40,
-    "figures": None,
-    "sandwich": 1200,
+    "circle-exact": 2000,
+    "complement": 6,
     "connectivity": None,
+    "cubic-facts": 2000,
+    "fp-lemma": 6,
+    "halfplane-density": 200,
+    "hyperfield-axioms": 400,
+    "intersection-recession": None,
+    "lift": 3,
+    "morphism": 400,
+    "orthant-remark": 40,
+    "rectangles": None,
+    "region-coherence": 120,
+    "sandwich": 1200,
 }
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_passes(name):
-    outcome = SUITES[name](11, size=SMALL[name])
-    assert outcome.passed, outcome.details
+    rep = run_suites([name], seed=11, size=SMALL[name])
+    assert rep.passed, rep.details[name]
 
 
 def test_run_suites_report_shape():

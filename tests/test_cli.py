@@ -178,13 +178,27 @@ def test_check_command_exit_codes(tmp_path, capsys, monkeypatch):
     import tropreal.checks as checks
     from tropreal.checks import CheckOutcome
 
-    def failing(seed, size=None, **kw):
+    def failing(seed):
         return CheckOutcome("doomed", False, ["FAIL: engineered"])
 
-    monkeypatch.setitem(checks.SUITES, "doomed", failing)
+    monkeypatch.setitem(checks.SUITES, "doomed", (failing, None))
     rc = main(["check", "doomed"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("names", ["figures", "lift lift", "basis lift basis"])
+def test_check_refuses_an_unknown_or_repeated_suite_before_running_any(
+    capsys, monkeypatch, names
+):
+    import tropreal.checks as checks
+
+    for name in ("basis", "lift"):
+        monkeypatch.setitem(checks.SUITES, name, (None, None))  # running it raises
+    assert main(["check", *names.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err)
 
 
 def test_check_json_on_stdout_is_the_report_file(tmp_path, capsys):
@@ -662,7 +676,7 @@ def test_figures_refuses_a_small_grid_before_making_its_directory(tmp_path, caps
 def test_check_writes_no_figures(capsys, option):
     # `figures --outdir D --grid G` writes them
     with pytest.raises(SystemExit) as exc:
-        main(["check", "figures", option, "2"])
+        main(["check", "all", option, "2"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err
 

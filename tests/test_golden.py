@@ -2,7 +2,8 @@
 
 tests/golden.py prints the digest of every output pinned in
 tests/golden.sha256.  These tests check its inputs, every command but the
-five-second ``check all``, the order-free basis line and the library rows,
+five-second ``check all``, the quick check report on stdout and over a
+longer file, the order-free basis line and the library rows,
 so every tier-1 run compares them with the manifest under its own random
 hash seed.
 """
@@ -36,6 +37,17 @@ def test_inputs_match_the_manifest(inputs_dir):
 def test_output_matches_the_manifest(inputs_dir, tmp_path, name):
     data = golden.run_command(inputs_dir, name, out=tmp_path / name)
     assert golden.digest(data) == PINNED[name]
+
+
+def test_check_report_on_stdout_and_over_a_longer_file_matches_the_manifest(
+    inputs_dir, tmp_path
+):
+    printed = golden.run_command(inputs_dir, golden.CHEAP_CHECK, out="-")
+    assert golden.digest(printed) == PINNED["check-stdout.json"]
+    longer = tmp_path / "longer.json"
+    longer.write_bytes(b" " * 100_000)
+    rewritten = golden.run_command(inputs_dir, golden.CHEAP_CHECK, out=longer)
+    assert golden.digest(rewritten) == PINNED["check-over-sample.json"]
 
 
 def test_basis_output_matches_the_manifest_up_to_order(inputs_dir, tmp_path):
