@@ -34,7 +34,7 @@ huge = parse_puiseux("t^(-2)")
 print(f"  -t^(-2) < 1000 ?  {(-huge) < PuiseuxSeries.const(1000)}")
 
 print("\nthe sampler draws from a rational grid, stratified over valuations:")
-cfg = SamplerConfig(max_terms=3, exponent_denominator_bound=2, seed=12)
+cfg = SamplerConfig(seed=12)
 import random
 
 rng = random.Random(cfg.seed)

@@ -244,14 +244,13 @@ def troppoly_to_json(F: TropPoly) -> dict:
     }
 
 
-def troppoly_from_json(d: dict, path: str = "") -> TropPoly:
-    terms = _terms(d, path)
-    nvars = _width(d, "nvars", path)
-    where = _at(path, "terms")
+def troppoly_from_json(d: dict) -> TropPoly:
+    terms = _terms(d, "")
+    nvars = _width(d, "nvars", "")
     return TropPoly.from_terms(
         nvars,
         (
-            (_exps(t, nvars, f"{where}[{i}]"), stv_from_json(t["coeff"], f"{where}[{i}].coeff"))
+            (_exps(t, nvars, f"terms[{i}]"), stv_from_json(t["coeff"], f"terms[{i}].coeff"))
             for i, t in enumerate(terms)
         ),
     )
@@ -300,16 +299,16 @@ def union_to_json(U: PolyUnion) -> list:
     return [polyhedron_to_json(p) for p in U.pieces]
 
 
-def union_from_json(data: list, dim: int, path: str = "") -> PolyUnion:
-    """A union of polyhedra of dimension ``dim``; errors name the piece's path."""
+def union_from_json(data: list, dim: int) -> PolyUnion:
+    """A union of polyhedra of dimension ``dim``; errors name the piece's index."""
     if not isinstance(data, list):
         got = _JSON_KIND.get(type(data))
-        raise ParseError(f"{path or 'input'}: expected a list of polyhedra, got {got}")
+        raise ParseError(f"input: expected a list of polyhedra, got {got}")
     pieces = []
     for i, d in enumerate(data):
-        P = polyhedron_from_json(d, f"{path}[{i}]")
+        P = polyhedron_from_json(d, f"[{i}]")
         if P.dim != dim:
-            raise ParseError(f"{path}[{i}].dim: expected {dim}, got {P.dim}")
+            raise ParseError(f"[{i}].dim: expected {dim}, got {P.dim}")
         pieces.append(P)
     return PolyUnion(dim, tuple(pieces))
 

@@ -15,11 +15,20 @@ exponent (+inf for zero), its magnitude is e**(-valuation), and its signed
 value is the pair (sign of leading coefficient, valuation), an element of
 the signed tropical hyperfield of :mod:`tropreal.hyperfields`.
 
-The sampler draws series from a bounded rational grid, stratified over
+The sampler draws series from a fixed rational grid, stratified over
 leading exponents so that signed values of samples spread across the whole
-configured valuation window rather than clustering at generic values.
-Sampler state is confined to an explicitly passed generator; use
-independent seeds for concurrent sampling.  A draw has two steps:
+valuation window rather than clustering at generic values.  The grid is:
+
+- exponents k/q with q <= 2, in [-2, 2];
+- nonzero coefficients k/q with q <= 2, in [-4, 4];
+- at most 3 terms per series.
+
+So every sample has a valuation in [-2, 2], and sampling cannot reach a
+set whose tropical points all lie outside that box (the candidate loops of
+:mod:`tropreal.semialg` add zero coordinates, of valuation +inf).  Only the
+seed is settable (:class:`SamplerConfig`).  Sampler state is confined to
+an explicitly passed generator; use independent seeds for concurrent
+sampling.  A draw has two steps:
 :func:`ps_draw` takes the random integers of one series in one frame, and
 :func:`ps_build` turns them into a series; :func:`ps_sample` is the two
 in a row.  :func:`ps_draw` is itself two draws in a row: the lead
@@ -29,11 +38,9 @@ then their coefficients).  Every bounded draw is ``randrange(n)`` written
 out: ``getrandbits(n.bit_length())`` until the result is below n, the same
 words that ``randint`` of a plain :class:`random.Random` asks for, so a
 seed gives the same series on every supported Python.  The integers a
-draw needs are fixed once per :class:`SamplerConfig`, as a private plan;
-the grid window of a denominator is computed the first time that
-denominator is drawn, so memory depends on the denominators drawn and
-never on how wide the ranges are.  Only the exponents and coefficients
-that are kept become Fractions, through a memo of at most 256 entries.
+draw needs are fixed once, at import, as a private plan.  Only the
+exponents and coefficients that are kept become Fractions, through a memo
+of at most 256 entries.
 
 ``witness_search`` builds its draws with the lead pinned to a signed
 value c (``ps_build(draw, lead=c)``), so that they tropicalize to c.
@@ -229,72 +236,29 @@ PS_ONE = PuiseuxSeries.one()
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Bounds and seed for the stratified series sampler.
+    """The seed of the stratified series sampler.
 
-    Exponents are drawn from the rational grid of the given range with
-    denominators up to ``exponent_denominator_bound``; coefficients come
-    from the analogous grid of ``coeff_range`` minus zero.
-
-    The integers a draw needs (the term and denominator bounds with their
-    bit lengths, and the grid windows of both ranges) are fixed here as a
-    private plan; a window is computed the first time its denominator is
-    drawn.  The plan is not a field, so equality, hashing and the repr see
-    only the fields above.
+    The grid it draws from is fixed: see the module docstring.
     """
 
-    max_terms: int = 3
-    exponent_denominator_bound: int = 2
-    exponent_range: tuple[Fraction, Fraction] = (Fraction(-2), Fraction(2))
-    coeff_range: tuple[Fraction, Fraction] = (Fraction(-4), Fraction(4))
     seed: int = 0
 
-    def __post_init__(self):
-        if not isinstance(self.max_terms, int) or self.max_terms < 1:
-            raise ValueError("max_terms must be a positive integer")
-        dbound = self.exponent_denominator_bound
-        if not isinstance(dbound, int) or dbound < 1:
-            raise ValueError("exponent_denominator_bound must be a positive integer")
-        lo, hi = self.exponent_range
-        object.__setattr__(self, "exponent_range", (_frac(lo), _frac(hi)))
-        lo, hi = self.coeff_range
-        object.__setattr__(self, "coeff_range", (_frac(lo), _frac(hi)))
-        if self.exponent_range[0] > self.exponent_range[1]:
-            raise ValueError("empty exponent range")
-        if self.coeff_range[0] > self.coeff_range[1]:
-            raise ValueError("empty coefficient range")
-        object.__setattr__(self, "_plan", (
-            self.max_terms, self.max_terms.bit_length(), dbound, dbound.bit_length(),
-            _GridWindows(self.exponent_range, dbound), _GridWindows(self.coeff_range, dbound),
-        ))
+
+def _window(q: int, bound: int) -> tuple[int, int, int, int]:
+    """The window (q, lo, n, n.bit_length()) of [-bound, bound] for the
+    denominator q: the grid points are k/q for k = lo, ..., lo + n - 1."""
+    n = 2 * bound * q + 1
+    return q, -bound * q, n, n.bit_length()
 
 
-class _GridWindows(dict):
-    """The grid windows of one rational range, by denominator, built on first use.
-
-    The window of q is (q', lo, n, n.bit_length()): the grid points of the
-    range are k/q' for k = lo, ..., lo + n - 1.  q' is q, or the denominator
-    bound when no multiple of 1/q lies in the range; when none of 1/bound
-    does either, the lookup raises ValueError.
-    """
-
-    def __init__(self, bounds: tuple[Fraction, Fraction], dbound: int):
-        super().__init__()
-        lo, hi = bounds
-        self.lo_n, self.lo_d = lo.numerator, lo.denominator
-        self.hi_n, self.hi_d = hi.numerator, hi.denominator
-        self.dbound = dbound
-
-    def __missing__(self, q: int) -> tuple[int, int, int, int]:
-        lo = -(-self.lo_n * q // self.lo_d)
-        n = self.hi_n * q // self.hi_d - lo + 1
-        if n > 0:
-            window = (q, lo, n, n.bit_length())
-        elif q != self.dbound:
-            window = self[self.dbound]
-        else:
-            raise ValueError("rational grid is empty in the configured range")
-        self[q] = window
-        return window
+# The sampler's plan: the bound on the number of terms and the bound on
+# denominators, each with its bit length, then the windows of the
+# denominators 1 and 2 in each range.
+_PLAN = (
+    3, (3).bit_length(), 2, (2).bit_length(),
+    (_window(1, 2), _window(2, 2)),  # exponents in [-2, 2]
+    (_window(1, 4), _window(2, 4)),  # coefficients in [-4, 4]
+)
 
 
 @lru_cache(maxsize=256)
@@ -305,45 +269,42 @@ def _fraction(k: int, q: int) -> Fraction:
 SeriesDraw = list[tuple[int, int, int, int]]  # (k, q, ck, cq) per term: t**(k/q) * ck/cq
 
 
-def ps_draw_lead(cfg: SamplerConfig, rng: random.Random) -> tuple[int, int, int, int]:
+def ps_draw_lead(rng: random.Random) -> tuple[int, int, int, int]:
     """The lead (k, q, ck, cq) of one draw: t**(k/q) * ck/cq, with k/q in lowest terms.
 
-    The exponent is drawn uniformly from the configured rational grid
+    The exponent is drawn uniformly from the rational exponent grid
     (valuation stratification), then its nonzero coefficient from the
-    coefficient grid.  A grid draw takes a denominator q <= the bound,
-    reads the window of q from the plan, and then takes a numerator k with
-    k/q in the window; a coefficient draw is repeated, at most 64 times,
-    until it is nonzero.  Every draw below n is ``randrange(n)`` written
-    out: ``getrandbits(n.bit_length())`` until the result is below n.
+    coefficient grid.  A grid draw takes a denominator q <= 2, reads the
+    window of q from the plan, and then takes a numerator k with k/q in the
+    window; a coefficient draw is repeated until it is nonzero.  Every draw
+    below n is ``randrange(n)`` written out: ``getrandbits(n.bit_length())``
+    until the result is below n.
     """
     getrandbits = rng.getrandbits
-    _, _, dbound, dbound_bits, exp_windows, coeff_windows = cfg._plan
+    _, _, dbound, dbound_bits, exp_windows, coeff_windows = _PLAN
     q = getrandbits(dbound_bits)
     while q >= dbound:
         q = getrandbits(dbound_bits)
-    q, lo, n, bits = exp_windows[q + 1]
+    q, lo, n, bits = exp_windows[q]
     k = getrandbits(bits)
     while k >= n:
         k = getrandbits(bits)
     k += lo
     g = gcd(k, q)
-    for _ in range(64):
+    while True:
         cq = getrandbits(dbound_bits)
         while cq >= dbound:
             cq = getrandbits(dbound_bits)
-        cq, lo, n, bits = coeff_windows[cq + 1]
+        cq, lo, n, bits = coeff_windows[cq]
         ck = getrandbits(bits)
         while ck >= n:
             ck = getrandbits(bits)
         ck += lo
         if ck:
             return k // g, q // g, ck, cq
-    raise ValueError("coefficient range contains only zero")
 
 
-def ps_draw_tail(
-    cfg: SamplerConfig, rng: random.Random, lead: tuple[int, int, int, int]
-) -> SeriesDraw:
+def ps_draw_tail(rng: random.Random, lead: tuple[int, int, int, int]) -> SeriesDraw:
     """The draw of a series with the given lead: ``lead``, then one
     (k, q, ck, cq) per tail term, exponents increasing.
 
@@ -354,7 +315,7 @@ def ps_draw_tail(
     :func:`ps_draw_lead`.
     """
     getrandbits = rng.getrandbits
-    max_terms, terms_bits, dbound, dbound_bits, exp_windows, coeff_windows = cfg._plan
+    max_terms, terms_bits, dbound, dbound_bits, exp_windows, coeff_windows = _PLAN
     extra = getrandbits(terms_bits)
     while extra >= max_terms:
         extra = getrandbits(terms_bits)
@@ -366,7 +327,7 @@ def ps_draw_tail(
         q = getrandbits(dbound_bits)
         while q >= dbound:
             q = getrandbits(dbound_bits)
-        q, lo, n, bits = exp_windows[q + 1]
+        q, lo, n, bits = exp_windows[q]
         k = getrandbits(bits)
         while k >= n:
             k = getrandbits(bits)
@@ -385,24 +346,21 @@ def ps_draw_tail(
         exps.sort(key=lambda e: e[0] * (common // e[1]))
     terms = [lead]
     for k, q in exps:
-        for _ in range(64):
+        ck = 0
+        while not ck:
             cq = getrandbits(dbound_bits)
             while cq >= dbound:
                 cq = getrandbits(dbound_bits)
-            cq, lo, n, bits = coeff_windows[cq + 1]
+            cq, lo, n, bits = coeff_windows[cq]
             ck = getrandbits(bits)
             while ck >= n:
                 ck = getrandbits(bits)
             ck += lo
-            if ck:
-                break
-        else:
-            raise ValueError("coefficient range contains only zero")
         terms.append((k, q, ck, cq))
     return terms
 
 
-def ps_draw(cfg: SamplerConfig, rng: random.Random) -> SeriesDraw:
+def ps_draw(rng: random.Random) -> SeriesDraw:
     """The integers of one :func:`ps_sample` draw, before any series is built.
 
     The lead first (:func:`ps_draw_lead`: its exponent, then its
@@ -414,7 +372,7 @@ def ps_draw(cfg: SamplerConfig, rng: random.Random) -> SeriesDraw:
     and exponents increasing: the exponent k/q in lowest terms and the
     coefficient ck/cq with ck nonzero.
     """
-    return ps_draw_tail(cfg, rng, ps_draw_lead(cfg, rng))
+    return ps_draw_tail(rng, ps_draw_lead(rng))
 
 
 def ps_build(draw: SeriesDraw, lead: Optional[SignedTropVal] = None) -> PuiseuxSeries:
@@ -441,9 +399,9 @@ def ps_build(draw: SeriesDraw, lead: Optional[SignedTropVal] = None) -> PuiseuxS
 def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> PuiseuxSeries:
     """Draw one nonzero series; deterministic for a fixed config when rng is None.
 
-    This is ``ps_build(ps_draw(cfg, rng))``; see :func:`ps_draw` for the
+    This is ``ps_build(ps_draw(rng))``; see :func:`ps_draw` for the
     distribution and the random words a draw consumes.
     """
     if rng is None:
         rng = random.Random(cfg.seed)
-    return ps_build(ps_draw(cfg, rng))
+    return ps_build(ps_draw(rng))

@@ -63,9 +63,9 @@ def _grid(rng: random.Random, lo: float, hi: float, q: int = 4) -> Fraction:
     return Fraction(rng.randint(int(lo * q), int(hi * q)), q)
 
 
-def _maybe_tail(rng: random.Random, s: PuiseuxSeries, above: Fraction = Fraction(0)) -> PuiseuxSeries:
+def _maybe_tail(rng: random.Random, s: PuiseuxSeries) -> PuiseuxSeries:
     if rng.random() < 0.3:
-        e = above + Fraction(rng.randint(1, 4), rng.randint(1, 2))
+        e = Fraction(rng.randint(1, 4), rng.randint(1, 2))
         c = _grid(rng, -2, 2)
         if c:
             return s + PuiseuxSeries.t_power(e, c)

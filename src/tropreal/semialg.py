@@ -238,12 +238,6 @@ class SampleCloud:
     def __len__(self) -> int:
         return len(self._points)
 
-    def verify(self) -> bool:
-        return all(
-            sa_member(self.description, w) and trop_point(w) == z
-            for z, w in self._points.items()
-        )
-
 
 _ZERO_PROB = 0.1  # the share of exactly zero candidate coordinates
 _DECIDED_BOUND = 4096  # the most lead decisions one candidate loop remembers
@@ -251,7 +245,6 @@ _DECIDED_BOUND = 4096  # the most lead decisions one candidate loop remembers
 
 def _candidates(
     S: SADescription,
-    cfg: SamplerConfig,
     rng: random.Random,
     budget: int,
     proposal: Optional[Callable[[random.Random], tuple[PuiseuxSeries, ...]]] = None,
@@ -298,7 +291,7 @@ def _candidates(
                 leads.append(None)
                 flat += (0, 0, 1)
             else:
-                lead = draw_lead(cfg, rng)
+                lead = draw_lead(rng)
                 leads.append(lead)
                 flat += (1 if lead[2] > 0 else -1, lead[0], lead[1])
         key = tuple(flat)
@@ -309,7 +302,7 @@ def _candidates(
                 decided[key] = keep
         if keep:
             yield tuple([
-                PS_ZERO if lead is None else ps_build(draw_tail(cfg, rng, lead))
+                PS_ZERO if lead is None else ps_build(draw_tail(rng, lead))
                 for lead in leads
             ])
 
@@ -353,7 +346,7 @@ def sa_sample_trop(
     """
     rng = random.Random(cfg.seed)
     cloud = SampleCloud(S)
-    for p in _candidates(S, cfg, rng, count, proposal):
+    for p in _candidates(S, rng, count, proposal):
         cloud.add_candidate(p)
     return cloud
 
@@ -552,7 +545,7 @@ def collect_samples(
     if n <= 0:
         return out
     budget = max_attempts if max_attempts is not None else max(200, 60 * n)
-    for p in _candidates(S, cfg, rng, budget, proposal):
+    for p in _candidates(S, rng, budget, proposal):
         if not sa_member(S, p):
             continue
         if sigma is not None and point_orthant(trop_point(p)) != sigma:
@@ -582,9 +575,13 @@ def lift_inequality(
     is scaled by epsilon in {1, 1/2, 1/3, ...} (all of unit magnitude, so
     the tropicalization is unchanged) until every verification sample
     satisfies f >= 0 exactly.  Verification is sample-based: success means
-    "verified on N samples", not a proof over all of S.  Only an F with a
-    negative term reads the samples (one without is positive on the whole
-    orthant), and such an F with none raises NoEpsilonFound.
+    "verified on N samples", not a proof over all of S.  Epsilon is chosen
+    from the given samples only, so a part of S that they miss is not
+    covered and f can be negative there: ``tropreal check lift --seed 1
+    --count 100`` reports ``FAIL: nonnegative on 500 fresh samples per
+    instance (1 failures)``.  Only an F with a negative term reads the
+    samples (one without is positive on the whole orthant), and such an F
+    with none raises NoEpsilonFound.
     """
     if F.nvars != S.nvars:
         raise DimensionMismatch("dimension mismatch")
@@ -696,10 +693,10 @@ def witness_search(
 ) -> Optional[tuple[PuiseuxSeries, ...]]:
     """Search for a member of S tropicalizing exactly to z.
 
-    Each nonzero coordinate c of z is a draw of the default sampler, from
-    the grids of ``cfg``, built with its lead pinned to c
-    (``ps_build(ps_draw(cfg, rng), lead=c)``); a zero coordinate is zero
-    and draws nothing.  Every candidate tropicalizes to z by construction; only
+    Each nonzero coordinate c of z is a draw of the default sampler, seeded
+    by ``cfg``, built with its lead pinned to c
+    (``ps_build(ps_draw(rng), lead=c)``); a zero coordinate is zero and
+    draws nothing.  Every candidate tropicalizes to z by construction; only
     membership is tested.  Returns the first witness, or None when the
     budget is exhausted -- absence is a value, not an error, and is
     conclusive only when the outer region already excludes z.
@@ -708,7 +705,7 @@ def witness_search(
         raise DimensionMismatch("target point dimension mismatch")
     rng = random.Random(cfg.seed)
     for _ in range(budget):
-        p = tuple([PS_ZERO if c.sign == 0 else ps_build(ps_draw(cfg, rng), c) for c in z])
+        p = tuple([PS_ZERO if c.sign == 0 else ps_build(ps_draw(rng), c) for c in z])
         if sa_member(S, p):
             return p
     return None

@@ -1,6 +1,6 @@
 """Print the sha256 of every seeded output pinned in tests/golden.sha256.
 
-The outputs are the CLI's files, the stdout of two demos, and rows of the
+The outputs are the CLI's files, the stdout of three demos, and rows of the
 exact layers that no command prints.  The manifest is the only place a
 digest is written down.
 
@@ -9,8 +9,8 @@ Run from the root of the checkout; it takes no arguments:
     PYTHONPATH=src python tests/golden.py | diff tests/golden.sha256 -
 
 It builds its inputs in a temporary directory, runs every seeded command in
-this interpreter (the CLI through ``tropreal.cli.main``, demos 05 and 06
-through ``runpy``, the library rows through ``complement_rows`` and
+this interpreter (the CLI through ``tropreal.cli.main``, demos 02, 05 and
+06 through ``runpy``, the library rows through ``complement_rows`` and
 ``region_rows``) and prints one ``<sha256>  <name>`` line per output.  It writes nothing into the checkout.
 Any failure raises before a line is printed, so a failed run never matches
 the manifest.
@@ -39,7 +39,7 @@ from tropreal.hyperfields import RELATIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden.sha256"
-DEMOS = ("05_inner_outer_sandwich.py", "06_lift_and_finite_basis.py")
+DEMOS = ("02_puiseux_series.py", "05_inner_outer_sandwich.py", "06_lift_and_finite_basis.py")
 
 
 def _condition(text: str, rel: str):

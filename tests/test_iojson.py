@@ -106,9 +106,9 @@ def test_read_rational_refuses_what_fraction_refuses(text):
 @pytest.mark.parametrize("decode", [iojson.polyk_from_json, iojson.troppoly_from_json])
 @pytest.mark.parametrize("nvars", ["2", -1, 65, 2.0, None])
 def test_nvars_must_be_an_integer_within_the_variable_limit(decode, nvars):
-    with pytest.raises(ParseError, match=r"^f\.nvars: expected an integer from 0 to 64"):
-        decode({"nvars": nvars, "terms": []}, "f")
-    assert decode({"nvars": 64, "terms": []}, "f").nvars == 64
+    with pytest.raises(ParseError, match=r"^nvars: expected an integer from 0 to 64"):
+        decode({"nvars": nvars, "terms": []})
+    assert decode({"nvars": 64, "terms": []}).nvars == 64
 
 
 @pytest.mark.parametrize("dim, got", [(65, "65"), (2**70, str(2**70)), (-1, "-1"), ("2", "a string")])

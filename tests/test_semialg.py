@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_puiseux import _outcome, _reference_lead, _reference_tail
+from test_puiseux import _reference_lead, _reference_tail
 from test_troppoly import _reference_trop_eval
 
 from tropreal import iojson, semialg
@@ -89,7 +89,8 @@ def test_circle_cloud_is_single_point():
     cloud = sa_sample_trop(CIRCLE.description, 2000, CFG, proposal=CIRCLE.proposal)
     assert len(cloud) >= 1
     assert cloud.points() == {(stv(1, 0), stv(1, 0))}
-    assert cloud.verify()
+    for z, w in cloud.items():
+        assert sa_member(CIRCLE.description, w) and trop_point(w) == z
 
 
 def test_positive_halfline_cloud():
@@ -395,7 +396,7 @@ def test_sa_outer_matches_direct_evaluation():
             return False
 
     rng = random.Random(777)
-    cfg = SamplerConfig(max_terms=2, exponent_denominator_bound=2, seed=1)
+    cfg = SamplerConfig(seed=1)
     rels = ["gt", "ge", "eq", "le", "lt", "ne"]
 
     def rand_poly(nvars):
@@ -501,7 +502,7 @@ def _sa_outer_per_disjunct(S, sigma):
 
 def _random_description(rng, nvars):
     """2 or 3 disjuncts of 1 or 2 conditions, with negative exponents and many !=."""
-    cfg = SamplerConfig(max_terms=2, exponent_denominator_bound=2, seed=1)
+    cfg = SamplerConfig(seed=1)
 
     def poly():
         terms = {
@@ -659,7 +660,7 @@ def test_one_shadow_and_one_kernel_per_polynomial(monkeypatch):
     # written, once
     calls = []
     monkeypatch.setattr(semialg, "trop_r", lambda f: calls.append(f) or trop_r(f))
-    list(_candidates(S, CFG, random.Random(1), 30))
+    list(_candidates(S, random.Random(1), 30))
     assert scored
     assert all(kernel is F._val_kernel for kernel in scored)
     sa_outer_all(S)
@@ -748,15 +749,6 @@ _TINY_SERIES = st.lists(
     min_size=1, max_size=2,
 ).map(PuiseuxSeries.from_terms)
 
-_EXPONENT_WINDOWS = [
-    (F2(-2), F2(2)), (F2(0), F2(2)), (F2(-1), F2(0)), (F2(0), F2(0)),
-    (F2(-1, 2), F2(1, 2)), (F2(1, 5), F2(1, 4)),  # no multiple of 1/2: the fallback
-]
-_COEFF_WINDOWS = [
-    (F2(-4), F2(4)), (F2(0), F2(3)), (F2(-3), F2(0)), (F2(-1), F2(1)), (F2(1, 5), F2(1, 4)),
-]
-
-
 @st.composite
 def sampled_descriptions(draw):
     """A description with 1 to 3 disjuncts of Laurent conditions, and a sampler config."""
@@ -773,14 +765,7 @@ def sampled_descriptions(draw):
         tuple(condition() for _ in range(draw(st.integers(1, 3))))
         for _ in range(draw(st.integers(1, 3)))
     ))
-    cfg = SamplerConfig(
-        max_terms=draw(st.integers(1, 4)),
-        exponent_denominator_bound=draw(st.integers(1, 5)),
-        exponent_range=draw(st.sampled_from(_EXPONENT_WINDOWS)),
-        coeff_range=draw(st.sampled_from(_COEFF_WINDOWS)),
-        seed=draw(st.integers(0, 2**32)),
-    )
-    return S, cfg
+    return S, SamplerConfig(seed=draw(st.integers(0, 2**32)))
 
 
 def _leads_may_hold(S, leads):
@@ -807,7 +792,7 @@ def _leads_may_hold(S, leads):
     return False
 
 
-def _plain_draws(S, cfg, rng, budget):
+def _plain_draws(S, rng, budget):
     """The default candidate loop written plainly, as (kept, vector) pairs.
 
     Per candidate, the zero flags and leads of the randint reference
@@ -818,7 +803,7 @@ def _plain_draws(S, cfg, rng, budget):
     """
     for _ in range(budget):
         leads = [
-            None if rng.random() < 0.1 else _reference_lead(cfg, rng) for _ in range(S.nvars)
+            None if rng.random() < 0.1 else _reference_lead(rng) for _ in range(S.nvars)
         ]
         kept = _leads_may_hold(S, leads)
         source = rng
@@ -827,7 +812,7 @@ def _plain_draws(S, cfg, rng, budget):
             source.setstate(rng.getstate())
         yield kept, tuple(
             PS_ZERO if lead is None
-            else PuiseuxSeries((lead, *_reference_tail(cfg, source, lead[0])))
+            else PuiseuxSeries((lead, *_reference_tail(source, lead[0])))
             for lead in leads
         )
 
@@ -837,12 +822,9 @@ def _plain_draws(S, cfg, rng, budget):
 def test_candidate_filter_matches_the_plain_rejection_loop(case):
     S, cfg = case
     rng, ref = random.Random(cfg.seed), random.Random(cfg.seed)
-    candidates = _outcome(lambda: list(_candidates(S, cfg, rng, 80)))
-    draws = _outcome(lambda: list(_plain_draws(S, cfg, ref, 80)))
+    candidates = list(_candidates(S, rng, 80))
+    draws = list(_plain_draws(S, ref, 80))
     assert rng.getstate() == ref.getstate()
-    if isinstance(draws, str):  # an empty grid: both raise at the same draw
-        assert candidates == draws
-        return
     # the kept candidates, in order; and every dropped one is not in S
     assert candidates == [p for kept, p in draws if kept]
     assert not any(sa_member(S, p) for kept, p in draws if not kept)
@@ -852,7 +834,7 @@ def _plain_cloud(S, cfg, count):
     """The loop sa_sample_trop runs, written plainly."""
     rng = random.Random(cfg.seed)
     cloud = SampleCloud(S)
-    for kept, p in _plain_draws(S, cfg, rng, count):
+    for kept, p in _plain_draws(S, rng, count):
         if kept:
             cloud.add_candidate(p)
     return list(cloud.items())
@@ -862,7 +844,7 @@ def _plain_collect(S, cfg, n, sigma, budget):
     """The loop collect_samples runs, written plainly."""
     rng = random.Random(cfg.seed)
     out = []
-    draws = _plain_draws(S, cfg, rng, budget)
+    draws = _plain_draws(S, rng, budget)
     while len(out) < n:
         kept, p = next(draws, (None, None))
         if kept is None:
@@ -879,10 +861,7 @@ def _plain_collect(S, cfg, n, sigma, budget):
 @given(sampled_descriptions(), st.integers(0, 4), st.booleans())
 def test_sampling_entry_points_match_the_plain_loops(case, n, in_orthant):
     S, cfg = case
-    expected = _outcome(lambda: _plain_cloud(S, cfg, 60))
-    got = _outcome(lambda: list(sa_sample_trop(S, 60, cfg).items()))
-    assert got == expected
+    assert list(sa_sample_trop(S, 60, cfg).items()) == _plain_cloud(S, cfg, 60)
     sigma = (1,) * S.nvars if in_orthant else None
-    expected = _outcome(lambda: _plain_collect(S, cfg, n, sigma, 60))
-    got = _outcome(lambda: collect_samples(S, cfg, n, sigma=sigma, max_attempts=60))
-    assert got == expected
+    expected = _plain_collect(S, cfg, n, sigma, 60)
+    assert collect_samples(S, cfg, n, sigma=sigma, max_attempts=60) == expected

@@ -152,7 +152,7 @@ def test_fundamental_membership_sampled():
     # the tropical value of f at the tropicalized point contains the
     # tropicalized value of f at the point
     rng = random.Random(2024)
-    cfg = SamplerConfig(max_terms=3, exponent_denominator_bound=2, seed=0)
+    cfg = SamplerConfig()
     polys = [
         CIRCLE,
         LINE,
@@ -169,7 +169,7 @@ def test_fundamental_membership_sampled():
 
 def test_one_sided_implications_sampled():
     rng = random.Random(77)
-    cfg = SamplerConfig(max_terms=2, exponent_denominator_bound=2, seed=0)
+    cfg = SamplerConfig()
     polys = [CIRCLE, LINE, parse_polyk("x^2 - y"), parse_polyk("x*y + x - 1")]
     zero = PuiseuxSeries.zero()
     gt_seen = ge_seen = 0
