@@ -10,7 +10,7 @@ interior, so full-dimensional outer pieces should all be witnessed.
 
 from tropreal import SamplerConfig, get_scenario, sa_sample_trop, sa_sandwich_check, witness_search
 from tropreal.hyperfields import stv
-from tropreal.semialg import outer_excludes
+from tropreal.semialg import outer_contains_point
 from tropreal.troppoly import trop_point
 
 cfg = SamplerConfig(seed=42)
@@ -40,5 +40,5 @@ assert trop_point(w) == z
 
 z_far = (stv(1, 1), stv(1, 1))
 print(f"  target {z_far}: excluded by the outer region? "
-      f"{outer_excludes(circle.description, z_far)}")
+      f"{not outer_contains_point(circle.description, z_far)}")
 print(f"  search result: {witness_search(circle.description, z_far, 500, cfg)}")

@@ -35,7 +35,7 @@ from .semialg import (
     collect_samples,
     finite_basis,
     lift_inequality,
-    outer_excludes,
+    outer_contains_point,
     sa_sample_trop,
     witness_search,
 )
@@ -314,7 +314,7 @@ def _cmd_witness(args) -> int:
     z = parse_target(args.target)
     cfg = SamplerConfig(seed=args.seed)
     w = witness_search(S, z, args.budget, cfg)
-    excluded = outer_excludes(S, z) if w is None else False
+    excluded = w is None and not outer_contains_point(S, z)
     payload = {
         "target": iojson.point_to_json(z),
         "witness": None if w is None else [iojson.series_to_json(c) for c in w],

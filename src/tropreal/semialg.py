@@ -23,12 +23,12 @@ signed tropicalization are computed:
   takes them as nonempty, as the regions are built.
 
 Whether one tropical point lies in the outer bound is decided at that
-point alone, by the test the sampler puts to its candidates' leads
-(``_leads_may_hold``): each condition is scored at the point's signs and
+point alone, by ``outer_contains_point``, which the sampler also puts to
+its candidates' leads: each condition is scored at the point's signs and
 valuations, and holds there unless it is undefined or its dominant terms
 share a sign its relation rejects.  That is membership in the region of
-the point's orthant, so ``outer_contains_point`` and ``outer_excludes``
-build no region.
+the point's orthant, read from the same ``_outer_conditions`` as
+``sa_outer``, and no region is built.
 
 A Laurent condition is undefined where a negative exponent meets a zero
 coordinate, and an undefined condition does not hold.  The condition owns
@@ -95,7 +95,7 @@ from .errors import (
     PreconditionFailed,
     ShapeMismatch,
 )
-from .hyperfields import INF, SATISFIED_BY, SignedTropVal, normalize_rel
+from .hyperfields import INF, RT_ZERO, SATISFIED_BY, SignedTropVal, normalize_rel
 from .polyhedra import (
     Orthant,
     PolyUnion,
@@ -129,8 +129,6 @@ from .troppoly import (
     PolyK,
     TropPoint,
     TropPoly,
-    _ValKernel,
-    _scaled_point,
     laurent_sign,
     trop_point,
     trop_r,
@@ -180,14 +178,6 @@ class SADescription:
         return tuple(
             tuple((trop_r(c.poly), SATISFIED_BY[c.rel] | {None}) for c in disj)
             for disj in self.disjuncts
-        )
-
-    @cached_property
-    def _outer_plan(self) -> tuple[tuple[tuple[_ValKernel, frozenset], ...], ...]:
-        """``_outer_conditions`` with each shadow in integer form: what the
-        outer bound's point test, ``_leads_may_hold``, reads."""
-        return tuple(
-            tuple((F._val_kernel, ok) for F, ok in disj) for disj in self._outer_conditions
         )
 
 
@@ -255,16 +245,16 @@ def _candidates(
     drawn lead first, coordinate by coordinate: a coordinate is exactly
     zero with probability ``_ZERO_PROB`` (one ``rng.random()`` word), and
     otherwise its lead is drawn (:func:`ps_draw_lead`).  The leads then
-    decide most candidates: each condition is scored at the coordinates'
-    leading signs and valuations by the integer loop of ``laurent_sign``,
-    and a condition fails outright when a coordinate under a negative
-    exponent is zero (it is undefined) or when its dominant terms share a
-    sign that the relation rejects.  A candidate with such a condition in
-    every disjunct is not in S and is dropped, and none of its tails is
-    drawn.  For the others, each nonzero coordinate's tail is drawn
-    (:func:`ps_draw_tail`), in coordinate order, the series are built, and
-    membership is left to the caller's exact test.  A balanced condition,
-    where dominant terms of opposite sign tie, is never decided here.
+    decide most candidates: the point of the leads' signs and valuations
+    is put to ``outer_contains_point``, where a condition fails outright
+    when a coordinate under a negative exponent is zero (it is undefined)
+    or when its dominant terms share a sign that the relation rejects.  A
+    candidate outside the outer bound is not in S and is dropped, and none
+    of its tails is drawn.  For the others, each nonzero coordinate's tail
+    is drawn (:func:`ps_draw_tail`), in coordinate order, the series are
+    built, and membership is left to the caller's exact test.  A balanced
+    condition, where dominant terms of opposite sign tie, is never decided
+    here.
 
     A decision depends only on the leads' signs and reduced exponents, so
     a dict local to the call keeps it per tuple of those, up to
@@ -281,7 +271,6 @@ def _candidates(
     draw_lead = ps_draw_lead
     draw_tail = ps_draw_tail
     uniform = rng.random
-    plan = S._outer_plan
     decided: dict[tuple[int, ...], bool] = {}
     for _ in range(budget):
         leads = []
@@ -297,7 +286,11 @@ def _candidates(
         key = tuple(flat)
         keep = decided.get(key)
         if keep is None:
-            keep = _leads_may_hold(plan, key)
+            keep = outer_contains_point(S, tuple([
+                RT_ZERO if lead is None
+                else SignedTropVal(1 if lead[2] > 0 else -1, Fraction(lead[0], lead[1]))
+                for lead in leads
+            ]))
             if len(decided) < _DECIDED_BOUND:
                 decided[key] = keep
         if keep:
@@ -305,32 +298,6 @@ def _candidates(
                 PS_ZERO if lead is None else ps_build(draw_tail(rng, lead))
                 for lead in leads
             ])
-
-
-def _leads_may_hold(
-    plan: tuple[tuple[tuple[_ValKernel, frozenset], ...], ...], key: tuple[int, ...]
-) -> bool:
-    """Whether some disjunct of the plan survives at the leads ``key``:
-    (sign, exponent numerator, exponent denominator) per coordinate, and
-    (0, 0, 1) at a zero coordinate.
-
-    This is the outer bound's point test.  With ``S._outer_plan`` it holds
-    exactly where ``sa_outer`` of the key's orthant contains the key's
-    valuations: the sampler drops candidates by it, and
-    ``outer_contains_point`` answers by it.
-    """
-    point = _scaled_point(key[0::3], key[1::3], key[2::3])
-    zeromask = point[1]
-    for disj in plan:
-        for kern, holds in disj:
-            if kern.negmask & zeromask:
-                break
-            _, sign, balanced, _ = kern._score(*point)
-            if (None if balanced else sign) not in holds:
-                break
-        else:
-            return True
-    return False
 
 
 def sa_sample_trop(
@@ -397,15 +364,23 @@ def point_valuations(z: TropPoint) -> tuple[Fraction, ...]:
 
 
 def outer_contains_point(S: SADescription, z: TropPoint) -> bool:
-    """Whether the outer bound holds z, decided at z alone: ``_leads_may_hold``
-    reads z's signs and valuations as the sampler reads a candidate's leads,
-    and no region is built."""
+    """Whether the outer bound holds z, decided at z alone and with no region
+    built: some disjunct has every condition defined at z, with its outcome
+    there (the sign of the dominant terms, or None where opposite signs tie)
+    among those its tropicalization admits."""
     if len(z) != S.nvars:
         raise DimensionMismatch("point dimension does not match description")
-    key: list[int] = []
-    for c in z:
-        key += (c.sign, c.val.numerator, c.val.denominator) if c.sign else (0, 0, 1)
-    return _leads_may_hold(S._outer_plan, tuple(key))
+    for disj in S._outer_conditions:
+        for F, ok in disj:
+            try:
+                _, sign, balanced, _ = F._val_kernel.score_at(z)
+            except NegativeExponentAtZero:
+                break
+            if (None if balanced else sign) not in ok:
+                break
+        else:
+            return True
+    return False
 
 
 def sorted_points(points: Iterable[TropPoint]) -> list[TropPoint]:
@@ -584,7 +559,7 @@ def lift_inequality(
     with none raises NoEpsilonFound.
     """
     if F.nvars != S.nvars:
-        raise DimensionMismatch("dimension mismatch")
+        raise DimensionMismatch(f"F has {F.nvars} variable(s) and the description has {S.nvars}")
     sigma = (1,) * S.nvars
 
     pos = [(e, c) for e, c in F.terms if c.sign > 0]
@@ -702,18 +677,15 @@ def witness_search(
     conclusive only when the outer region already excludes z.
     """
     if len(z) != S.nvars:
-        raise DimensionMismatch("target point dimension mismatch")
+        raise DimensionMismatch(
+            f"the target has {len(z)} coordinate(s) and the description has {S.nvars} variable(s)"
+        )
     rng = random.Random(cfg.seed)
     for _ in range(budget):
         p = tuple([PS_ZERO if c.sign == 0 else ps_build(ps_draw(rng), c) for c in z])
         if sa_member(S, p):
             return p
     return None
-
-
-def outer_excludes(S: SADescription, z: TropPoint) -> bool:
-    """Whether the outer region already rules z out (making absence conclusive)."""
-    return not outer_contains_point(S, z)
 
 
 # ---------------------------------------------------------------------------

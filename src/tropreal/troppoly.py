@@ -58,8 +58,8 @@ smallest score.  Only the smallest score and the signs tied at it are
 kept, and one rational is built per call; ``trop_sat`` builds none, since
 the sign outcome alone decides a relation.  The variables under a
 negative exponent are one more bit set of the kernel, and a point is
-undefined exactly when it meets the zero coordinates.  The sampler's lead
-test and ``polyhedra``'s orthant tables read the same bits.
+undefined exactly when it meets the zero coordinates.  The outer bound's
+point test and ``polyhedra``'s orthant tables read the same bits.
 
 Everything is immutable; evaluation over shared polynomials is safe from
 concurrent contexts.  Each :class:`PolyK` has one shadow, built by the
@@ -341,38 +341,6 @@ class _ValKernel:
                 terms.append((pairs, odd, live, c.sign, c.val.numerator * (den // c.val.denominator)))
         return _ValKernel(den, negmask, tuple(terms))
 
-    def _score(
-        self, negmask: int, zeromask: int, xs: Sequence[int], dp: int
-    ) -> tuple[Optional[int], int, bool, int]:
-        """The scoring loop shared by every front end.
-
-        Bit k of ``negmask`` (``zeromask``) is set when coordinate k is
-        negative (zero), and ``xs`` holds the valuations of the nonzero
-        coordinates as numerators over ``dp``.  The caller has checked that
-        the point is defined.  A term's sign is only worked out when its
-        score reaches the best so far.
-        """
-        den = self.den
-        best = None
-        best_sign = 0
-        balanced = False
-        for pairs, odd, live, sign, v in self.terms:
-            if live & zeromask:
-                continue  # a positive power of a zero coordinate kills the term
-            dot = 0
-            for k, d in pairs:
-                dot += d * xs[k]
-            score = v * dp + den * dot
-            if best is None or score < best:
-                if (odd & negmask).bit_count() & 1:
-                    sign = -sign
-                best, best_sign, balanced = score, sign, False
-            elif score == best and not balanced:
-                if (odd & negmask).bit_count() & 1:
-                    sign = -sign
-                balanced = sign != best_sign
-        return best, best_sign, balanced, dp
-
     def score_at(self, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
         """Score the terms at p in integers.
 
@@ -384,7 +352,8 @@ class _ValKernel:
         the valuations of the nonzero coordinates.  The minimal score over
         ``den * D'`` is the valuation of the sum; it is None, with sign 0,
         when no term survives.  Raises NegativeExponentAtZero where the
-        polynomial is undefined at p.
+        polynomial is undefined at p.  A term's sign is only worked out when
+        its score reaches the best so far.
         """
         negmask = zeromask = 0
         bit = 1
@@ -411,7 +380,26 @@ class _ValKernel:
             bit <<= 1
         if self.negmask & zeromask:
             raise NegativeExponentAtZero("negative exponent at a zero coordinate")
-        return self._score(negmask, zeromask, xs, dp)
+        den = self.den
+        best = None
+        best_sign = 0
+        balanced = False
+        for pairs, odd, live, sign, v in self.terms:
+            if live & zeromask:
+                continue  # a positive power of a zero coordinate kills the term
+            dot = 0
+            for k, d in pairs:
+                dot += d * xs[k]
+            score = v * dp + den * dot
+            if best is None or score < best:
+                if (odd & negmask).bit_count() & 1:
+                    sign = -sign
+                best, best_sign, balanced = score, sign, False
+            elif score == best and not balanced:
+                if (odd & negmask).bit_count() & 1:
+                    sign = -sign
+                balanced = sign != best_sign
+        return best, best_sign, balanced, dp
 
     def value_at(self, p: TropPoint) -> HyperValue:
         """The hyperfield sum of the terms at p."""
@@ -441,26 +429,6 @@ def trop_sat(F: TropPoly, p: TropPoint, rel: str) -> bool:
         raise DimensionMismatch(f"point dim {len(p)} vs nvars {F.nvars}")
     _, sign, balanced, _ = F._val_kernel.score_at(p)
     return (None if balanced else sign) in satisfied_by(rel)
-
-
-def _scaled_point(
-    signs: Sequence[int], nums: Sequence[int], dens: Sequence[int]
-) -> tuple[int, int, Sequence[int], int]:
-    """What ``_ValKernel._score`` reads of the point with the given
-    coordinate signs and valuations nums[k] / dens[k] (0 / 1 at a zero
-    coordinate): the bit sets of its negative and of its zero coordinates,
-    and its valuations as numerators over their least common denominator,
-    with that denominator.  The sampler scores its candidates' leads this
-    way."""
-    negmask = zeromask = 0
-    for k, s in enumerate(signs):
-        if s < 0:
-            negmask |= 1 << k
-        elif not s:
-            zeromask |= 1 << k
-    dp = lcm(*dens)
-    xs = nums if dp == 1 else [n * (dp // d) for n, d in zip(nums, dens)]
-    return negmask, zeromask, xs, dp
 
 
 def eval_k(f: PolyK, p: Sequence[PuiseuxSeries]) -> PuiseuxSeries:

@@ -770,6 +770,37 @@ def test_basis_target_of_the_wrong_width_is_refused_before_any_draw(
     assert line.startswith(f"error: {T}: [0].dim: "), line
 
 
+def test_basis_target_that_misses_the_samples_is_named(circle_files, tmp_path, capsys):
+    # the circle's samples tropicalize to (0, 0), which T = {(1, 1)} misses
+    _, desc = circle_files
+    T = tmp_path / "T11.json"
+    T.write_text(iojson.dumps(iojson.union_to_json(union_of(2, [point_polyhedron((1, 1))]))))
+    rc = main(["basis", str(desc), "--target-set", str(T), "--seed", "2", "--count", "40"])
+    assert rc == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == "error: the target does not contain the sampled tropicalization"
+
+
+def test_lift_of_another_width_names_both_widths(circle_files, tmp_path, capsys):
+    # F1 is the tropicalization of x - 1, in one variable; the circle has two
+    _, desc = circle_files
+    F = tmp_path / "F1.json"
+    F.write_text(iojson.dumps(iojson.troppoly_to_json(trop_r(parse_polyk("x - 1", 1)))))
+    rc = main(["lift", str(desc), "--trop", str(F), "--seed", "2", "--count", "40"])
+    assert rc == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == "error: F has 1 variable(s) and the description has 2"
+
+
+def test_witness_target_of_another_width_names_both_widths(circle_files, capsys):
+    _, desc = circle_files
+    rc = main(["witness", str(desc), "--target", "((+,0),(+,0),(+,0))",
+               "--budget", "10", "--seed", "2"])
+    assert rc == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == "error: the target has 3 coordinate(s) and the description has 2 variable(s)"
+
+
 def test_lift_with_no_negative_term_draws_no_candidate(
     circle_files, tmp_path, capsys, monkeypatch
 ):

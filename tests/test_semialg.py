@@ -49,7 +49,6 @@ from tropreal.semialg import (
     finite_basis,
     lift_inequality,
     outer_contains_point,
-    outer_excludes,
     point_orthant,
     point_valuations,
     sa_member,
@@ -60,7 +59,7 @@ from tropreal.semialg import (
     witness_search,
 )
 from tropreal.troppoly import (
-    PolyK, TropPoly, _ValKernel, _scaled_point, laurent_sign, trop_point, trop_r,
+    PolyK, TropPoly, _ValKernel, laurent_sign, trop_point, trop_r,
 )
 
 F2 = Fraction
@@ -349,6 +348,24 @@ def test_finite_basis_without_samples_fails_before_pruning(monkeypatch):
         finite_basis(T, S, samples)
 
 
+@pytest.mark.parametrize("point", [(1, 1), (0, 1)])
+def test_finite_basis_refuses_a_target_that_misses_a_sample(monkeypatch, point):
+    # the circle's samples in the positive orthant tropicalize to (0, 0);
+    # the target check refuses a target without it before the complement
+    # is built, and names the target, not a lift that fails later
+    samples = collect_samples(CIRCLE.description, SamplerConfig(seed=2), 40, sigma=(1, 1))
+    assert samples
+
+    def no_complement(T):
+        raise AssertionError("the complement was built")
+
+    monkeypatch.setattr(semialg, "complement_of_union", no_complement)
+    T = union_of(2, [point_polyhedron(point)])
+    with pytest.raises(PreconditionFailed) as exc:
+        finite_basis(T, CIRCLE.description, samples)
+    assert str(exc.value) == "the target does not contain the sampled tropicalization"
+
+
 def test_witness_search_positive_halfline():
     S = conjunction(1, [SignCondition(parse_polyk("x", nvars=1), "gt")])
     w = witness_search(S, (stv(1, 5),), 100, CFG)
@@ -365,7 +382,7 @@ def test_witness_search_circle():
 
 def test_witness_excluded_by_outer():
     z = (stv(1, 1), stv(1, 1))
-    assert outer_excludes(CIRCLE.description, z)
+    assert not outer_contains_point(CIRCLE.description, z)
     assert witness_search(CIRCLE.description, z, 300, CFG) is None
 
 
@@ -373,7 +390,7 @@ def test_witness_absent_on_outer_segment():
     # on the outer segment but not in the tropicalization: search fails,
     # and the failure is inconclusive by the outer region alone
     z = (stv(1, 1), stv(1, 0))
-    assert not outer_excludes(CIRCLE.description, z)
+    assert outer_contains_point(CIRCLE.description, z)
     assert witness_search(CIRCLE.description, z, 500, CFG) is None
 
 
@@ -571,7 +588,7 @@ def test_outer_bound_holds_a_member_where_a_strict_condition_is_balanced():
     w = (PuiseuxSeries.from_terms([(-1, 2), (0, -3)]), PuiseuxSeries.from_terms([(-1, 3)]))
     z = trop_point(w)
     assert sa_member(S, w) and z == (stv(1, -1), stv(1, -1))
-    assert not outer_excludes(S, z)
+    assert outer_contains_point(S, z)
     cloud = SampleCloud(S)
     assert cloud.add_candidate(w)
     assert _outside_outer_regions(S, cloud) == []
@@ -613,7 +630,6 @@ def test_point_test_is_membership_in_the_outer_region():
                 assert not any(poly_is_empty(p) for p in regions[sigma].pieces), (k, sigma)
             inside = regions[sigma].contains(point_valuations(z))
             assert outer_contains_point(S, z) == inside, (k, z)
-            assert outer_excludes(S, z) == (not inside), (k, z)
 
 
 def test_point_queries_build_no_region(monkeypatch):
@@ -636,7 +652,6 @@ def test_point_queries_build_no_region(monkeypatch):
     monkeypatch.setattr(polyhedra, "_feasible", no_elimination)
     for S, z, inside in cases:
         assert outer_contains_point(S, z) == inside
-        assert outer_excludes(S, z) == (not inside)
 
 
 def test_one_shadow_and_one_kernel_per_polynomial(monkeypatch):
@@ -645,19 +660,19 @@ def test_one_shadow_and_one_kernel_per_polynomial(monkeypatch):
     assert trop_r(f) is F
     S = SADescription(2, ((SignCondition(f, "ne"),), (SignCondition(f, "ge"),)))
     scored = []
-    original = _ValKernel._score
+    original = _ValKernel.score_at
 
     def spy(self, *args):
         scored.append(self)
         return original(self, *args)
 
-    monkeypatch.setattr(_ValKernel, "_score", spy)
+    monkeypatch.setattr(_ValKernel, "score_at", spy)
     # the exact sign reads the polynomial's own integer form, not its shadow
     laurent_sign(f, (const(2), const(3)))
     laurent_sign(f, (const(2), PuiseuxSeries.from_terms([(0, -4), (1, 1)])))  # balanced
     assert not scored
-    # the sampler plan and the outer region tropicalize each condition as
-    # written, once
+    # the sampler's point test and the outer region tropicalize each
+    # condition as written, once
     calls = []
     monkeypatch.setattr(semialg, "trop_r", lambda f: calls.append(f) or trop_r(f))
     list(_candidates(S, random.Random(1), 30))
@@ -729,11 +744,6 @@ def test_sa_member_matches_dnf_of_conditions(case):
                     at_trop = kernel.score_at(trop_point(p))
                 except NegativeExponentAtZero:
                     continue  # undefined at p: the condition does not hold
-                # the sampler scores the leads as trop_eval scores trop(p)
-                vals = [c.terms[0][0] if c.terms else F2(0) for c in p]
-                assert kernel._score(*_scaled_point(
-                    [c.sign() for c in p], [v.numerator for v in vals], [v.denominator for v in vals]
-                )) == at_trop
                 _, sign, balanced, _ = at_trop
                 if not balanced:
                     # dominant terms of one sign decide the exact sign
@@ -768,7 +778,7 @@ def sampled_descriptions(draw):
     return S, SamplerConfig(seed=draw(st.integers(0, 2**32)))
 
 
-def _leads_may_hold(S, leads):
+def _plain_lead_decision(S, leads):
     """Whether some disjunct survives at the leads' signed values.
 
     Decided by term-by-term hyperfield evaluation: a condition fails where
@@ -805,7 +815,7 @@ def _plain_draws(S, rng, budget):
         leads = [
             None if rng.random() < 0.1 else _reference_lead(rng) for _ in range(S.nvars)
         ]
-        kept = _leads_may_hold(S, leads)
+        kept = _plain_lead_decision(S, leads)
         source = rng
         if not kept:
             source = random.Random()
