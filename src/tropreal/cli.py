@@ -32,6 +32,7 @@ from .polyhedra import (
 from .puiseux import SamplerConfig
 from .render import RenderConfig, render_region_svg, write_figures
 from .semialg import (
+    check_lift_width,
     collect_samples,
     finite_basis,
     lift_inequality,
@@ -357,6 +358,7 @@ def _cmd_lift(args) -> int:
     _require_nonnegative(count=args.count, budget=args.budget)
     S = _load_description(args.input)
     F = _load_troppoly(args.trop)
+    check_lift_width(F, S)
     # an F with no negative term is lifted as it is, and reads no sample
     n = args.count if any(c.sign < 0 for _, c in F.terms) else 0
     samples = collect_samples(S, SamplerConfig(seed=args.seed), n, sigma=(1,) * S.nvars)

@@ -11,7 +11,15 @@ by Fourier-Motzkin elimination with strictness tracking: a derived
 inequality is strict precisely when one of its parents is.  This is exact
 over the rationals and, since the data is rational, the answers agree with
 the answers over the reals.  Feasibility, projection and point-finding share
-one elimination loop (``_fm_core``) and one row normalization.  Emptiness
+one elimination loop (``_fm_core``) and one row normalization.  Each step
+pairs every upper bound of the eliminated variable with every lower one,
+equality pairs included.  A feasibility question (every variable eliminated,
+no stages kept) decides its last variable from its tightest upper and lower
+bound instead of deriving constant rows, and a system of one variable is
+decided so before any normalization.  The one equation known in advance, the
+hyperplane L_i = L_j of a tie of two terms, is substituted before the
+elimination (``_substitute``), so a tie is decided in one variable fewer
+than its cell.  Emptiness
 is memoized by the rows and the dimension in a bounded LRU memo of at most
 256 systems (``_rows_empty``): ``poly_is_empty`` keys it by the rows as they
 are, and ``union_prune`` by the sorted rows that are also its duplicate key.
@@ -66,7 +74,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import neg
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -223,30 +230,14 @@ def _normalize_rows(rows: Iterable[IntRow]) -> Optional[list[IntRow]]:
 
 
 def _eliminate_var(rows: list[IntRow], k: int) -> Optional[list[IntRow]]:
-    # an equality pair f <= 0, -f <= 0 pinning x_k allows direct substitution,
-    # which is linear instead of quadratic in the number of rows
-    nonstrict = {(n, cn, cd) for n, cn, cd, s in rows if not s}
-    eq = None
-    for n, cn, cd, s in rows:
-        if not s and n[k] != 0:
-            if (tuple(map(neg, n)), -cn, cd) in nonstrict:
-                eq = (n, cn, cd)
-                break
-    if eq is not None:
-        n, cn, cd = eq
-        a = n[k]
-        sa = 1 if a > 0 else -1
-        aa = abs(a)
-        out = []
-        for m, dn, dd, t in rows:
-            mk = m[k]
-            if mk == 0:
-                out.append((m, dn, dd, t))
-                continue
-            normal = tuple([aa * mi - sa * mk * ni for mi, ni in zip(m, n)])
-            out.append((normal, aa * dn * cd - sa * mk * cn * dd, dd * cd, t))
-        return _normalize_rows(out)
+    """Eliminate x_k by pairing every row bounding it from above with every
+    row bounding it from below; the result is normalized.
 
+    An equality pair f <= 0, -f <= 0 pinning x_k is paired like any other
+    rows: its derived rows are the substitution's, plus rows the others
+    imply.  The one caller that knows an equation in advance, a tie of two
+    terms, substitutes it first (``_substitute``).
+    """
     uppers, lowers, others = [], [], []
     for r in rows:
         a = r[0][k]
@@ -263,8 +254,61 @@ def _eliminate_var(rows: list[IntRow], k: int) -> Optional[list[IntRow]]:
     return _normalize_rows(out)
 
 
+def _substitute(rows: Iterable[IntRow], eq: IntRow, k: int) -> list[IntRow]:
+    """The rows on the hyperplane of ``eq`` (its row as an equation, with a
+    nonzero coefficient of x_k), x_k substituted out and its coordinate
+    dropped; the rows are not normalized."""
+    n, cn, cd, _ = eq
+    a = n[k]
+    sa = 1 if a > 0 else -1
+    aa = abs(a)
+    out = []
+    for m, dn, dd, t in rows:
+        mk = m[k]
+        if mk == 0:
+            out.append((m[:k] + m[k + 1:], dn, dd, t))
+            continue
+        normal = [aa * mi - sa * mk * ni for mi, ni in zip(m, n)]
+        del normal[k]
+        out.append((tuple(normal), aa * dn * cd - sa * mk * cn * dd, dd * cd, t))
+    return out
+
+
+def _bounds_meet(rows: Iterable[IntRow], k: int) -> bool:
+    """Whether rows in the one variable x_k (every other coefficient zero)
+    have a common point.
+
+    The tightest upper and the tightest lower bound decide it: they meet
+    when the lower one is below the upper one, or equal to it with neither
+    strict.  A row with a zero normal is a constant and decides itself.
+    Bounds are compared as integer fractions, with no normalization.
+    """
+    hn = hd = ln = ld = None
+    hs = ls = False
+    for normal, cn, cd, strict in rows:
+        a = normal[k]
+        if a > 0:  # x_k <= -cn / (a cd)
+            n, d = -cn, a * cd
+            if hn is None or n * hd < hn * d:
+                hn, hd, hs = n, d, strict
+            elif strict and n * hd == hn * d:
+                hs = True
+        elif a < 0:  # x_k >= cn / (-a cd)
+            n, d = cn, -a * cd
+            if ln is None or n * ld > ln * d:
+                ln, ld, ls = n, d, strict
+            elif strict and n * ld == ln * d:
+                ls = True
+        elif cn > 0 or (strict and cn == 0):
+            return False
+    if hn is None or ln is None:
+        return True
+    gap = hn * ld - ln * hd  # the sign of upper minus lower
+    return gap > 0 or (gap == 0 and not (hs or ls))
+
+
 def _fm_core(
-    rows: Iterable[IntRow],
+    rows: Sequence[IntRow],
     targets: Iterable[int],
     stages: Optional[list[tuple[int, list[IntRow]]]] = None,
 ) -> Optional[list[IntRow]]:
@@ -278,9 +322,18 @@ def _fm_core(
     rows are dropped directly: the rest of a normalized system is
     normalized already.  When ``stages`` is given, it receives each
     eliminated variable with the system it was eliminated from.
+
+    A full elimination (every variable a target, no ``stages``) only asks
+    whether the system is feasible, so it decides its last variable from
+    that variable's tightest bounds (``_bounds_meet``) and returns ``[]``
+    or None, instead of building and normalizing the constant rows; a
+    system of one variable is decided so before any normalization.
     """
-    cur = _normalize_rows(rows)
     remaining = sorted(targets)
+    full = stages is None and bool(rows) and len(remaining) == len(rows[0][0])
+    if full and len(remaining) == 1:
+        return [] if _bounds_meet(rows, remaining[0]) else None
+    cur = _normalize_rows(rows)
     while cur is not None:
         best = best_cost = None
         # no step brings back a variable that is absent from every row
@@ -300,6 +353,9 @@ def _fm_core(
                     best, best_cost = k, cost
         if best is None:
             return cur
+        if full and len(present) == 1:
+            # every other variable is eliminated: the rows bound best alone
+            return [] if _bounds_meet(cur, best) else None
         remaining = present
         remaining.remove(best)
         if stages is not None:
@@ -311,7 +367,7 @@ def _fm_core(
     return None
 
 
-def _feasible(rows: Iterable[IntRow], nvars: int) -> bool:
+def _feasible(rows: Sequence[IntRow], nvars: int) -> bool:
     return _fm_core(rows, range(nvars)) is not None
 
 
@@ -742,8 +798,10 @@ class _OrthantTable:
     ``_ties`` holds an equation's tie of a positive term i with a negative
     term j, keyed by (i, j): C_i cut by L_j - L_i <= 0, which is
     C_i ∩ C_j, as None when it is empty, else its id and its piece.  A tie
-    is empty when either term's shape is, and the tie (j, i) of another
-    orthant reads the emptiness of (i, j); its piece keeps its own rows.
+    is empty when either term's shape is, the tie (j, i) of another
+    orthant reads the emptiness of (i, j), and any other tie is decided on
+    the hyperplane L_i = L_j, in one variable fewer (``_tie``); its piece
+    keeps its own rows.
     Different pairs of terms can give the same rows, and one orthant lists
     such a piece once: ``_tie_ids`` maps a tie's sorted rows, built once
     when the tie is decided, to the number i * n + j of the first pair
@@ -893,15 +951,28 @@ class _OrthantTable:
 
     def _tie(self, i: int, j: int):
         """C_i cut by L_j - L_i <= 0: None when it is empty, else (the id of
-        its sorted rows, its piece)."""
+        its sorted rows, its piece).
+
+        The tie lies on the hyperplane L_i = L_j, C_i's row to j taken as an
+        equation.  It is decided on that hyperplane: the equation gives the
+        first support coordinate where e_i and e_j differ in terms of the
+        others (``_substitute``), so one elimination decides C_i's other
+        rows in m - 1 variables.  The piece keeps the tie's own m-variable
+        rows."""
         other = self._ties.get((j, i), _UNDECIDED)
         if other is None or self.shape(i) is _EMPTY or self.shape(j) is _EMPTY:
             return None
-        rows = [r for r in self.rows(i) if r is not None]
-        rows.append(self.rows(j)[i])
+        cell = self.rows(i)
         m = self._m
-        if other is _UNDECIDED and not _feasible(rows, m):
-            return None
+        if other is _UNDECIDED:
+            eq = cell[j]
+            # surviving terms have distinct support exponents, so some k exists
+            k = next(k for k, a in enumerate(eq[0]) if a)
+            rest = [r for r in cell if r is not None and r is not eq]
+            if not _feasible(_substitute(rest, eq, k), m - 1):
+                return None
+        rows = [r for r in cell if r is not None]
+        rows.append(self.rows(j)[i])
         tie_id = self._tie_ids.setdefault(tuple(sorted(rows)), i * len(self._vals) + j)
         return tie_id, _from_rows(m, rows)
 

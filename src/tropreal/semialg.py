@@ -531,6 +531,14 @@ def collect_samples(
     return out
 
 
+def check_lift_width(F: TropPoly, S: SADescription) -> None:
+    """Raise DimensionMismatch unless F and S have the same number of
+    variables; a caller that draws samples for ``lift_inequality`` asks
+    first, so a wrong width is refused before any draw."""
+    if F.nvars != S.nvars:
+        raise DimensionMismatch(f"F has {F.nvars} variable(s) and the description has {S.nvars}")
+
+
 def lift_inequality(
     F: TropPoly,
     S: SADescription,
@@ -558,8 +566,7 @@ def lift_inequality(
     samples (one without is positive on the whole orthant), and such an F
     with none raises NoEpsilonFound.
     """
-    if F.nvars != S.nvars:
-        raise DimensionMismatch(f"F has {F.nvars} variable(s) and the description has {S.nvars}")
+    check_lift_width(F, S)
     sigma = (1,) * S.nvars
 
     pos = [(e, c) for e, c in F.terms if c.sign > 0]

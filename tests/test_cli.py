@@ -770,6 +770,26 @@ def test_basis_target_of_the_wrong_width_is_refused_before_any_draw(
     assert line.startswith(f"error: {T}: [0].dim: "), line
 
 
+def test_lift_trop_of_the_wrong_width_is_refused_before_any_draw(
+    circle_files, tmp_path, capsys, monkeypatch
+):
+    # F1 is the tropicalization of x - 1, in one variable; the circle has
+    # two, and the widths are compared before the verification samples
+    from tropreal import semialg
+
+    def no_draw(*args):
+        raise AssertionError("a candidate was drawn")
+
+    monkeypatch.setattr(semialg, "_candidates", no_draw)
+    _, desc = circle_files
+    F = tmp_path / "F1.json"
+    F.write_text(iojson.dumps(iojson.troppoly_to_json(trop_r(parse_polyk("x - 1", 1)))))
+    rc = main(["lift", str(desc), "--trop", str(F), "--seed", "1"])
+    assert rc == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == "error: F has 1 variable(s) and the description has 2"
+
+
 def test_basis_target_that_misses_the_samples_is_named(circle_files, tmp_path, capsys):
     # the circle's samples tropicalize to (0, 0), which T = {(1, 1)} misses
     _, desc = circle_files

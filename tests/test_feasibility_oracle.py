@@ -10,16 +10,20 @@ basis starts the simplex without an auxiliary phase.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from tropreal import polyhedra
+from tropreal.checks import random_troppoly
 from tropreal.polyhedra import (
     Polyhedron,
     _eliminate_var,
+    _feasible,
     _fm_core,
     _normalize_rows,
+    _OrthantTable,
     _rows_empty,
     _solve_feasible,
     constraint,
@@ -253,3 +257,69 @@ def test_elimination_order_matches_the_reference_loop():
             done.add(k)
     # both the one-sided drop and the tie rule are exercised
     assert one_sided > 300 and ties > 200
+
+
+# -- ties decided on their hyperplane, last variables decided by bounds --------
+
+
+def test_each_tie_agrees_with_the_oracle_on_its_own_rows():
+    # a table decides the tie of terms i and j on the hyperplane L_i = L_j,
+    # in one variable fewer; the oracle reads C_i plus L_j - L_i <= 0 as
+    # they are.  Every ordered pair is decided by its own substitution.
+    rng = random.Random(1973)
+    counts = {True: 0, False: 0}
+    for k in range(150):
+        nvars = 1 + k % 3
+        F = random_troppoly(rng, nvars, exp_lo=-1 if k % 4 == 0 else 0)
+        for m in range(nvars + 1):
+            for support in combinations(range(nvars), m):
+                table = _OrthantTable(F._val_kernel, support)
+                if not table.defined:
+                    continue
+                n = len(table._vals)
+                for i in range(n):
+                    for j in range(n):
+                        if i == j:
+                            continue
+                        rows = [r for r in table.rows(i) if r is not None]
+                        rows.append(table.rows(j)[i])
+                        want = oracle_feasible(
+                            [(normal, Fraction(cn, cd), s) for normal, cn, cd, s in rows], m)
+                        assert (table._tie(i, j) is not None) == want, (F, support, i, j)
+                        counts[want] += 1
+    assert counts[True] > 500 and counts[False] > 150, counts
+
+
+def test_one_variable_systems_agree_with_the_oracle():
+    # rows of one variable, not in lowest terms, drawn from a few bounds so
+    # that the tightest upper and lower bounds often meet
+    rng = random.Random(1810)
+    seen = dict.fromkeys(["equal", "equal strict", "one-sided", "constant", "crossed"], 0)
+    for _ in range(3000):
+        rows = []
+        uppers, lowers = [], []
+        for _ in range(rng.randint(0, 4)):
+            strict = rng.random() < 0.4
+            kind = rng.choice(["upper", "lower", "constant"])
+            if kind == "constant":
+                a, offset = 0, Fraction(rng.randint(-1, 1), 2)
+                seen["constant"] += 1
+            else:
+                b = Fraction(rng.randint(-1, 1), rng.randint(1, 2))
+                a = rng.randint(1, 3) * (1 if kind == "upper" else -1)
+                offset = -a * b  # a x - a b <= 0: x <= b when a > 0, x >= b when a < 0
+                (uppers if a > 0 else lowers).append((b, strict))
+            scale = rng.randint(1, 3)
+            rows.append(((a,), offset.numerator * scale, offset.denominator * scale, strict))
+        if uppers and lowers:
+            hi, lo = min(b for b, _ in uppers), max(b for b, _ in lowers)
+            if hi == lo:
+                seen["equal"] += 1
+                strict_at = [s for b, s in uppers + lowers if b == hi]
+                seen["equal strict"] += any(strict_at)
+            seen["crossed"] += hi < lo
+        elif uppers or lowers:
+            seen["one-sided"] += 1
+        want = oracle_feasible([(n, Fraction(cn, cd), s) for n, cn, cd, s in rows], 1)
+        assert _feasible(rows, 1) == want, rows
+    assert min(seen.values()) > 100, seen

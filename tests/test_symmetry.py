@@ -1,21 +1,35 @@
 """The paper's group actions as metamorphic checks.
 
-Real tropicalization commutes with the sign flip x_i -> -x_i and the torus
-shift x_i -> t**a * x_i.  Moving a description, a Puiseux point and a
-tropical point by the same map must leave membership and the outer
-bound's point test unchanged: the moved set is described by the moved
-conditions, and its tropical points are the moved tropical points.
+Real tropicalization commutes with the sign flip x_i -> -x_i, the torus
+shift x_i -> t**a * x_i and the permutations of the variables.  Moving a
+description, a Puiseux point and a tropical point by the same map must
+leave membership and the outer bound's point test unchanged: the moved set
+is described by the moved conditions, and its tropical points are the
+moved tropical points.  Likewise the region of a moved tropical polynomial
+on the moved orthant is the moved region: a flip leaves it as it is, a
+shift translates it, and a permutation reorders its coordinates.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 from test_semialg import description_and_points
 
-from tropreal.hyperfields import SignedTropVal, stv
+from tropreal.checks import random_troppoly
+from tropreal.errors import NegativeExponentAtZero
+from tropreal.hyperfields import RELATIONS, SignedTropVal, stv
+from tropreal.polyhedra import (
+    Polyhedron,
+    PolyUnion,
+    all_orthants,
+    constraint,
+    trop_region,
+    union_equal,
+)
 from tropreal.puiseux import PuiseuxSeries
 from tropreal.semialg import SADescription, SignCondition, outer_contains_point, sa_member
-from tropreal.troppoly import PolyK, trop_point
+from tropreal.troppoly import PolyK, TropPoly, trop_point
 
 
 def _move(S, poly_map):
@@ -85,3 +99,82 @@ def test_membership_and_outer_bound_commute_with_flips_and_shifts(case, data):
         inside = outer_contains_point(S, z)
         assert outer_contains_point(flipped, flip_trop(z, i)) == inside
         assert outer_contains_point(shifted, shift_trop(z, i, a)) == inside
+
+
+# -- trop_region ---------------------------------------------------------------
+
+
+def _move_rows(U: PolyUnion, row_map) -> PolyUnion:
+    """U with every row (normal, offset) replaced by row_map's."""
+    return PolyUnion(U.dim, tuple(
+        Polyhedron(U.dim, tuple(
+            constraint(*row_map(n, Fraction(cn, cd)), "<" if strict else "<=")
+            for n, cn, cd, strict in P.rows
+        ))
+        for P in U.pieces
+    ))
+
+
+def _region(F, sigma, rel):
+    try:
+        return trop_region(F, sigma, rel)
+    except NegativeExponentAtZero:
+        return NegativeExponentAtZero
+
+
+def _flip_trop(F, i):
+    return TropPoly(F.nvars, tuple(
+        (e, SignedTropVal(-c.sign, c.val) if e[i] & 1 else c) for e, c in F.terms
+    ))
+
+
+def _shift_trop(F, i, a):
+    """x_i -> t**a * x_i: the valuation of the coefficient of x**e moves by -a * e_i."""
+    return TropPoly(F.nvars, tuple((e, SignedTropVal(c.sign, c.val - a * e[i])) for e, c in F.terms))
+
+
+def _permute_trop(F, perm):
+    """Variable k becomes variable perm[k]."""
+    def move(e):
+        out = [0] * len(e)
+        for k, d in enumerate(e):
+            out[perm[k]] = d
+        return tuple(out)
+
+    return TropPoly.from_terms(F.nvars, [(move(e), c) for e, c in F.terms])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_trop_region_commutes_with_flips_shifts_and_permutations(nvars, seed, data):
+    F = random_troppoly(random.Random(seed), nvars, exp_lo=-1 if seed % 3 == 0 else 0, exp_hi=3)
+    i = data.draw(st.integers(0, nvars - 1))
+    a = data.draw(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2)))
+    perm = data.draw(st.permutations(range(nvars)))
+    flipped, shifted, permuted = _flip_trop(F, i), _shift_trop(F, i, a), _permute_trop(F, perm)
+    for sigma in all_orthants(nvars):
+        support = [k for k, s in enumerate(sigma) if s]
+        moved_sigma = [0] * nvars
+        for k, s in enumerate(sigma):
+            moved_sigma[perm[k]] = s
+        moved_sigma = tuple(moved_sigma)
+        # the moved region's coordinate q is the old region's coordinate order[q]
+        order = [support.index(k) for k in sorted(support, key=perm.__getitem__)]
+        for rel in RELATIONS:
+            want = _region(F, sigma, rel)
+            got_flipped = _region(flipped, tuple(-s if k == i else s for k, s in enumerate(sigma)), rel)
+            got_shifted = _region(shifted, sigma, rel)
+            got_permuted = _region(permuted, moved_sigma, rel)
+            if want is NegativeExponentAtZero:
+                assert got_flipped is got_shifted is got_permuted is NegativeExponentAtZero
+                continue
+            assert union_equal(got_flipped, want), (F, sigma, rel, i)
+            if i in support:
+                q = support.index(i)
+                # V -> V + a e_q: a row n.V + c <= 0 becomes n.V + c - a n_q <= 0
+                want_shifted = _move_rows(want, lambda n, c: (n, c - a * n[q]))
+            else:
+                want_shifted = want
+            assert union_equal(got_shifted, want_shifted), (F, sigma, rel, i, a)
+            want_permuted = _move_rows(want, lambda n, c: (tuple(n[o] for o in order), c))
+            assert union_equal(got_permuted, want_permuted), (F, sigma, rel, perm)
