@@ -776,10 +776,10 @@ class _OrthantTable:
     L_i(V) = e_i . V + v_i / D on the support valuations V, with e_i its
     support exponents, v_i its valuation numerator and D the kernel's common
     denominator; none of this depends on the orthant's signs.  The signs
-    only pick which terms are positive and which negative: term i's sign on
-    an orthant is its coefficient sign, flipped once per odd power of a
-    negative coordinate, and ``split`` keeps the answer per orthant.  The
-    kernel must be defined on the orthants asked for.
+    only pick which terms are positive and which negative: ``split`` reads
+    them from the kernel's plan of the orthant (``_ValKernel.plan``), whose
+    alive terms are the table's, in the same order, and keeps the answer
+    per orthant.  The kernel must be defined on the orthants asked for.
 
     Term i's closed cell C_i is {L_i - L_j <= 0 for every j}, and a relation
     asks for it with the rows to some terms strict.  Its *shape* is decided
@@ -811,7 +811,7 @@ class _OrthantTable:
     stored for some rows is the one both read, so the race is harmless.
     """
 
-    __slots__ = ("_m", "defined", "_coef_signs", "_odd", "_exps", "_vals", "_den",
+    __slots__ = ("_m", "defined", "_kernel", "_exps", "_vals", "_den",
                  "_rows", "_shapes", "_splits", "_cells", "_ties", "_tie_ids")
 
     def __init__(self, kernel, support: tuple[int, ...]) -> None:
@@ -820,22 +820,17 @@ class _OrthantTable:
         # the bits of the coordinates outside the support: they are zero
         zeromask = ~sum(1 << k for k in support)
         self.defined = not kernel.negmask & zeromask
-        coef_signs: list[int] = []
-        odd: list[int] = []
+        self._kernel = kernel
         exps: list[tuple[int, ...]] = []
         vals: list[int] = []
-        for pairs, odd_bits, live, sign, v in kernel.terms:
+        for pairs, _, live, _, v in kernel.terms:
             if live & zeromask:
                 continue  # a positive power of a zero coordinate kills the term
             e = [0] * m
             for k, d in pairs:
                 e[place[k]] = d
-            coef_signs.append(sign)
-            odd.append(odd_bits)
             exps.append(tuple(e))
             vals.append(v)
-        self._coef_signs = coef_signs
-        self._odd = odd  # the kernel's bits: an odd power of coordinate k
         self._exps = exps
         self._vals = vals
         self._den = kernel.den
@@ -852,18 +847,18 @@ class _OrthantTable:
         raises ValueError."""
         out = self._splits.get(sigma)
         if out is None:
-            negative = 0
+            negative = zero = 0
             for k, s in enumerate(sigma):
                 if s not in (-1, 0, 1):
                     raise ValueError(f"orthant entry {s!r} is not -1, 0 or 1")
                 if s < 0:
                     negative |= 1 << k
-            pos: list[int] = []
-            neg: list[int] = []
-            for i, (sign, odd) in enumerate(zip(self._coef_signs, self._odd)):
-                if (odd & negative).bit_count() & 1:
-                    sign = -sign
-                (pos if sign > 0 else neg).append(i)
+                elif not s:
+                    zero |= 1 << k
+            # the plan lists the alive terms in kernel order, which is the table's
+            _, alive = self._kernel.plan(negative, zero)
+            pos = [i for i, (_, sign, _) in enumerate(alive) if sign > 0]
+            neg = [i for i, (_, sign, _) in enumerate(alive) if sign < 0]
             out = self._splits[sigma] = (
                 tuple(pos), tuple(neg), sum(1 << i for i in pos), sum(1 << i for i in neg)
             )

@@ -373,10 +373,10 @@ def outer_contains_point(S: SADescription, z: TropPoint) -> bool:
     for disj in S._outer_conditions:
         for F, ok in disj:
             try:
-                _, sign, balanced, _ = F._val_kernel.score_at(z)
+                outcome = F._val_kernel.outcome_at(z)
             except NegativeExponentAtZero:
                 break
-            if (None if balanced else sign) not in ok:
+            if outcome not in ok:
                 break
         else:
             return True

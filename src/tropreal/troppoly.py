@@ -49,17 +49,23 @@ denominator D; per call the nonzero coordinates of the point are brought
 to one denominator D', so the valuation of a term is the integer
 v * D' + D * sum d_k x_k over D * D'.  Every term carries two bit sets,
 made once with the kernel: the variables it raises to an odd power and
-those it raises to any nonzero power.  A point is read once into the bit
-sets of its negative and of its zero coordinates, so a term that meets a
-zero coordinate is skipped with one AND, and a term's sign is its
-coefficient sign flipped by the parity of its odd bits among the negative
-coordinates; that parity is only worked out for a term that reaches the
-smallest score.  Only the smallest score and the signs tied at it are
-kept, and one rational is built per call; ``trop_sat`` builds none, since
-the sign outcome alone decides a relation.  The variables under a
-negative exponent are one more bit set of the kernel, and a point is
-undefined exactly when it meets the zero coordinates.  The outer bound's
-point test and ``polyhedra``'s orthant tables read the same bits.
+those it raises to any nonzero power.  A point's signs are read first,
+into the bit sets of its negative and of its zero coordinates, and they
+pick the orthant's *plan*: the terms alive there (a term that meets a zero
+coordinate is dead), each with its coefficient sign flipped by the parity
+of its odd bits among the negative coordinates, and the sign they share
+when they all carry one (0 when none is alive).  Plans are built once per
+orthant and kept in one bounded cache.  In the signed tropical
+hyperfield a sum of terms of one sign has that sign (Jell, Scheiderer and
+Yu), so ``trop_sat`` and the outer bound's point test decide a shared-sign
+orthant from the signs alone; on any other orthant only the alive terms
+are scored.  Only the smallest score and the signs tied at it are kept,
+and one rational is built per ``trop_eval`` call; ``trop_sat`` builds
+none, since the sign outcome alone decides a relation.  The variables
+under a negative exponent are one more bit set of the kernel, and a point
+is undefined exactly when it meets the zero coordinates.
+``polyhedra``'s orthant tables read the same bits, and take each
+orthant's positive and negative terms from its plan.
 
 Everything is immutable; evaluation over shared polynomials is safe from
 concurrent contexts.  Each :class:`PolyK` has one shadow, built by the
@@ -77,7 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -98,6 +104,12 @@ from .puiseux import PS_ONE, PuiseuxSeries
 
 Exps = tuple[int, ...]
 TropPoint = tuple[SignedTropVal, ...]
+# a kernel term's nonzero exponents as (variable, degree) pairs
+Pairs = tuple[tuple[int, int], ...]
+# an orthant's alive terms as (pairs, sign on the orthant, valuation
+# numerator), and its plan (``_ValKernel.plan``): the shared sign, or None
+Alive = tuple[tuple[Pairs, int, int], ...]
+Plan = tuple[Optional[int], Alive]
 
 
 @dataclass(frozen=True)
@@ -306,22 +318,24 @@ class _ValKernel:
     (``live``); its coefficient sign; and its coefficient valuation times
     ``den``, the least common denominator of the coefficient valuations.
     A term with a positive power of a zero coordinate vanishes there, so
-    it counts at a point exactly when ``live`` misses the point's zero
+    it is alive at a point exactly when ``live`` misses the point's zero
     coordinates, and its sign there is its coefficient sign, flipped when
     ``odd`` meets the point's negative coordinates in an odd number of
-    bits.  ``negmask`` has bit k set when variable k carries a negative
-    exponent in some term, zero coefficients included: the polynomial is
-    undefined wherever one of them is zero.  Terms with a zero coefficient
-    never count otherwise and are left out of ``terms``.
+    bits.  Both depend on the point's orthant alone, and :meth:`plan`
+    keeps them per orthant.  ``negmask`` has bit k set when variable k
+    carries a negative exponent in some term, zero coefficients included:
+    the polynomial is undefined wherever one of them is zero.  Terms with
+    a zero coefficient never count otherwise and are left out of
+    ``terms``.
 
     A kernel is built once per :class:`TropPoly` and compared by identity:
-    ``polyhedra._orthant_table`` keys its memo by the kernel, and hashing
-    one costs an ``id``, not a walk over its terms.
+    ``polyhedra._orthant_table`` and the plan cache key their memos by the
+    kernel, and hashing one costs an ``id``, not a walk over its terms.
     """
 
     den: int
     negmask: int
-    terms: tuple[tuple[tuple[tuple[int, int], ...], int, int, int, int], ...]
+    terms: tuple[tuple[Pairs, int, int, int, int], ...]
 
     @staticmethod
     def of(F: "TropPoly") -> "_ValKernel":
@@ -341,29 +355,83 @@ class _ValKernel:
                 terms.append((pairs, odd, live, c.sign, c.val.numerator * (den // c.val.denominator)))
         return _ValKernel(den, negmask, tuple(terms))
 
-    def score_at(self, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
-        """Score the terms at p in integers.
+    # callers ask for one orthant's plan many times in a row: 64 plans hold
+    # the 27 orthants of a 3-variable polynomial with room to spare
+    @lru_cache(maxsize=64)
+    def plan(self, negmask: int, zeromask: int) -> Plan:
+        """The plan of the orthant with negative coordinates ``negmask`` and
+        zero coordinates ``zeromask``: (shared, alive).
 
-        One pass over the coordinates reads the bit sets of the negative
-        and of the zero coordinates, and the valuations as numerators over
-        a running common denominator that widens when a new denominator
-        does not divide it.  Returns the minimal score, its sign, whether
-        opposite signs tie there, and D', the least common denominator of
-        the valuations of the nonzero coordinates.  The minimal score over
-        ``den * D'`` is the valuation of the sum; it is None, with sign 0,
-        when no term survives.  Raises NegativeExponentAtZero where the
-        polynomial is undefined at p.  A term's sign is only worked out when
-        its score reaches the best so far.
+        ``alive`` holds the terms that count there, in kernel order, each as
+        (pairs, sign, v) with its sign on the orthant: its coefficient sign,
+        flipped when ``odd`` meets ``negmask`` in an odd number of bits.
+        ``shared`` is that sign when every alive term carries it, 0 when no
+        term is alive, and None when both signs occur.  A sum of terms of
+        one sign has that sign whatever the valuations, so only a plan with
+        ``shared`` None needs the point's valuations.  Plans are kept per
+        (kernel, negmask, zeromask) in one bounded cache, so neither mask is
+        packed into a fixed width.
         """
+        alive = []
+        signs = 0  # bit 0: a positive alive term, bit 1: a negative one
+        for pairs, odd, live, sign, v in self.terms:
+            if live & zeromask:
+                continue  # a positive power of a zero coordinate kills the term
+            if (odd & negmask).bit_count() & 1:
+                sign = -sign
+            alive.append((pairs, sign, v))
+            signs |= 1 if sign > 0 else 2
+        shared = (0, 1, -1, None)[signs]
+        return shared, tuple(alive)
+
+    def _plan_at(self, p: TropPoint) -> Plan:
+        """The plan of p's orthant, read from the signs of p alone.  Raises
+        NegativeExponentAtZero where the polynomial is undefined at p."""
         negmask = zeromask = 0
         bit = 1
+        for c in p:
+            s = c.sign
+            if s < 0:
+                negmask |= bit
+            elif not s:
+                zeromask |= bit
+            bit <<= 1
+        if self.negmask & zeromask:
+            raise NegativeExponentAtZero("negative exponent at a zero coordinate")
+        return self.plan(negmask, zeromask)
+
+    def outcome_at(self, p: TropPoint) -> Optional[int]:
+        """The sign outcome of the terms at p: the sign of the dominant
+        terms, 0 when no term is alive, or None when opposite signs tie.
+        When the alive terms share a sign, no valuation is read.  Raises
+        NegativeExponentAtZero where the polynomial is undefined at p."""
+        shared, alive = self._plan_at(p)
+        if shared is not None:
+            return shared
+        _, sign, balanced, _ = self._score(alive, p)
+        return None if balanced else sign
+
+    def score_at(self, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
+        """Score the alive terms of p's plan in integers.
+
+        Returns the minimal score, its sign, whether opposite signs tie
+        there, and D', the least common denominator of the valuations of
+        the nonzero coordinates.  The minimal score over ``den * D'`` is the
+        valuation of the sum; it is None, with sign 0, when no term is
+        alive.  Raises NegativeExponentAtZero where the polynomial is
+        undefined at p.
+        """
+        return self._score(self._plan_at(p)[1], p)
+
+    def _score(self, alive: Alive, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
+        """``score_at`` over the plan's alive terms.  One pass over the
+        coordinates reads the valuations as numerators over a running common
+        denominator that widens when a new denominator does not divide it;
+        a zero coordinate reads as 0, and no alive term raises it."""
         xs = []
         dp = 1
         for c in p:
-            s = c.sign
-            if s:
-                if s < 0:
-                    negmask |= bit
+            if c.sign:
                 n, d = c.val.as_integer_ratio()
                 if d != dp:
                     if dp % d:
@@ -375,29 +443,19 @@ class _ValKernel:
                     n *= dp // d
                 xs.append(n)
             else:
-                zeromask |= bit
                 xs.append(0)
-            bit <<= 1
-        if self.negmask & zeromask:
-            raise NegativeExponentAtZero("negative exponent at a zero coordinate")
         den = self.den
         best = None
         best_sign = 0
         balanced = False
-        for pairs, odd, live, sign, v in self.terms:
-            if live & zeromask:
-                continue  # a positive power of a zero coordinate kills the term
+        for pairs, sign, v in alive:
             dot = 0
             for k, d in pairs:
                 dot += d * xs[k]
             score = v * dp + den * dot
             if best is None or score < best:
-                if (odd & negmask).bit_count() & 1:
-                    sign = -sign
                 best, best_sign, balanced = score, sign, False
             elif score == best and not balanced:
-                if (odd & negmask).bit_count() & 1:
-                    sign = -sign
                 balanced = sign != best_sign
         return best, best_sign, balanced, dp
 
@@ -420,15 +478,15 @@ def trop_eval(F: TropPoly, p: TropPoint) -> HyperValue:
 def trop_sat(F: TropPoly, p: TropPoint, rel: str) -> bool:
     """Whether F(p) satisfies the given relation against zero.
 
-    Decided from the sign outcome of the integer scoring alone (the sign
-    of the dominant terms, or balanced when opposite signs tie); the value
-    F(p) is never built.  The relation is read by ``satisfied_by``, after
-    the point is checked.
+    Decided from the sign outcome alone (``_ValKernel.outcome_at``): the
+    sign the alive terms share on p's orthant, read from p's signs with no
+    valuation, or else the sign of the dominant terms, or balanced when
+    opposite signs tie; the value F(p) is never built.  The relation is
+    read by ``satisfied_by``, after the point is checked.
     """
     if len(p) != F.nvars:
         raise DimensionMismatch(f"point dim {len(p)} vs nvars {F.nvars}")
-    _, sign, balanced, _ = F._val_kernel.score_at(p)
-    return (None if balanced else sign) in satisfied_by(rel)
+    return F._val_kernel.outcome_at(p) in satisfied_by(rel)
 
 
 def eval_k(f: PolyK, p: Sequence[PuiseuxSeries]) -> PuiseuxSeries:

@@ -660,13 +660,13 @@ def test_one_shadow_and_one_kernel_per_polynomial(monkeypatch):
     assert trop_r(f) is F
     S = SADescription(2, ((SignCondition(f, "ne"),), (SignCondition(f, "ge"),)))
     scored = []
-    original = _ValKernel.score_at
+    original = _ValKernel.outcome_at
 
     def spy(self, *args):
         scored.append(self)
         return original(self, *args)
 
-    monkeypatch.setattr(_ValKernel, "score_at", spy)
+    monkeypatch.setattr(_ValKernel, "outcome_at", spy)
     # the exact sign reads the polynomial's own integer form, not its shadow
     laurent_sign(f, (const(2), const(3)))
     laurent_sign(f, (const(2), PuiseuxSeries.from_terms([(0, -4), (1, 1)])))  # balanced

@@ -7,7 +7,11 @@ leave membership and the outer bound's point test unchanged: the moved set
 is described by the moved conditions, and its tropical points are the
 moved tropical points.  Likewise the region of a moved tropical polynomial
 on the moved orthant is the moved region: a flip leaves it as it is, a
-shift translates it, and a permutation reorders its coordinates.
+shift translates it, and a permutation reorders its coordinates.  The
+value-group scaling t -> t**k, k > 0 rational, scales every valuation by
+k, of the coefficients and of the point alike, and a tropical polynomial
+satisfies a relation at a point exactly when its moved image does at the
+moved point, under each of the four maps.
 """
 
 import random
@@ -29,7 +33,7 @@ from tropreal.polyhedra import (
 )
 from tropreal.puiseux import PuiseuxSeries
 from tropreal.semialg import SADescription, SignCondition, outer_contains_point, sa_member
-from tropreal.troppoly import PolyK, TropPoly, trop_point
+from tropreal.troppoly import PolyK, TropPoly, trop_point, trop_sat
 
 
 def _move(S, poly_map):
@@ -178,3 +182,52 @@ def test_trop_region_commutes_with_flips_shifts_and_permutations(nvars, seed, da
             assert union_equal(got_shifted, want_shifted), (F, sigma, rel, i, a)
             want_permuted = _move_rows(want, lambda n, c: (tuple(n[o] for o in order), c))
             assert union_equal(got_permuted, want_permuted), (F, sigma, rel, perm)
+
+
+# -- trop_sat ------------------------------------------------------------------
+
+
+def _scale_trop(F, k):
+    """t -> t**k: every coefficient valuation is scaled by k."""
+    return TropPoly(F.nvars, tuple((e, SignedTropVal(c.sign, c.val * k)) for e, c in F.terms))
+
+
+def _scale_point(z, k):
+    return tuple(SignedTropVal(c.sign, c.val * k) if c.sign else c for c in z)
+
+
+def _permute_point(z, perm):
+    out = [None] * len(z)
+    for k, c in enumerate(z):
+        out[perm[k]] = c
+    return tuple(out)
+
+
+def _sat(F, z, rel):
+    try:
+        return trop_sat(F, z, rel)
+    except NegativeExponentAtZero:
+        return NegativeExponentAtZero
+
+
+_SCALINGS = (Fraction(2), Fraction(1, 2), Fraction(3))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_trop_sat_commutes_with_flips_shifts_permutations_and_scalings(nvars, seed, data):
+    F = random_troppoly(random.Random(seed), nvars, exp_lo=-1 if seed % 3 == 0 else 0, exp_hi=3)
+    i = data.draw(st.integers(0, nvars - 1))
+    a = data.draw(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2)))
+    perm = data.draw(st.permutations(range(nvars)))
+    points = data.draw(st.lists(st.tuples(*[_TROP_COORD] * nvars), min_size=1, max_size=8))
+    flipped, shifted, permuted = _flip_trop(F, i), _shift_trop(F, i, a), _permute_trop(F, perm)
+    scaled = [(k, _scale_trop(F, k)) for k in _SCALINGS]
+    for z in points:
+        for rel in RELATIONS:
+            want = _sat(F, z, rel)
+            assert _sat(flipped, flip_trop(z, i), rel) == want, (F, z, rel, i)
+            assert _sat(shifted, shift_trop(z, i, a), rel) == want, (F, z, rel, i, a)
+            assert _sat(permuted, _permute_point(z, perm), rel) == want, (F, z, rel, perm)
+            for k, G in scaled:
+                assert _sat(G, _scale_point(z, k), rel) == want, (F, z, rel, k)

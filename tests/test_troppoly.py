@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from tropreal.errors import DimensionMismatch, NegativeExponentAtZero
 from tropreal.hyperfields import (
     _REL_ALIASES,
+    RELATIONS,
     Balanced,
     hv_contains,
     hv_point,
@@ -23,6 +24,7 @@ from tropreal.hyperfields import (
 from tropreal.parsing import MAX_EXPONENT, parse_polyk
 from tropreal.polyhedra import trop_region
 from tropreal.puiseux import PuiseuxSeries, SamplerConfig, ps_sample
+from tropreal.semialg import SADescription, SignCondition, outer_contains_point
 from tropreal.troppoly import (
     PolyK,
     TropPoly,
@@ -554,6 +556,7 @@ def test_undefinedness_does_not_depend_on_variable_order():
             (trop_sat, (F, (z, z), "gt")),
             (trop_region, (F, (0, 0), "gt")),
             (F._val_kernel.score_at, ((z, z),)),
+            (F._val_kernel.outcome_at, ((z, z),)),
         ):
             with pytest.raises(NegativeExponentAtZero):
                 fn(*args)
@@ -677,3 +680,77 @@ def test_trop_sat_error_order():
         trop_sat(G, (zero, zero), "bogus")
     with pytest.raises(ValueError, match="unknown relation"):
         trop_sat(G, (stv(1, 0), stv(1, 0)), "bogus")
+
+
+# -- trop_sat and the outer point test against the term-by-term reference -------
+
+
+def _as_polyk(F):
+    """A polynomial whose shadow is F: each coefficient sign * t**val."""
+    return PolyK(F.nvars, tuple(
+        (e, PuiseuxSeries.from_terms([(c.val, c.sign)])) for e, c in F.terms
+    ))
+
+
+@st.composite
+def shared_and_scored(draw):
+    """A point with a nonzero first coordinate and two polynomials defined
+    there, every term alive: one whose terms all carry one sign on the
+    point's orthant (one term or several), and one with terms of both
+    signs, so that only its valuations decide."""
+    nvars = draw(st.integers(1, 3))
+    p = (draw(_signed_vals),) + tuple(draw(_coords) for _ in range(nvars - 1))
+    # no power of a zero coordinate, so that every term is alive and defined
+    exps = st.tuples(*[st.integers(-2, 3) if c.sign else st.just(0) for c in p])
+
+    def build(targets, support):
+        terms = []
+        for s, e in zip(targets, support):
+            flip = -1 if sum(d & 1 for d, c in zip(e, p) if c.sign < 0) & 1 else 1
+            terms.append((e, stv(s * flip, draw(_fractions(2, 2)))))
+        return TropPoly.from_terms(nvars, terms)
+
+    support = draw(st.lists(exps, min_size=1, max_size=5, unique=True))
+    shared = build([draw(st.sampled_from([-1, 1]))] * len(support), support)
+    support = draw(st.lists(exps, min_size=2, max_size=6, unique=True))
+    n = len(support) - 2
+    scored = build([1, -1, *draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))],
+                   support)
+    return shared, scored, p
+
+
+def _check_against_reference(F, p):
+    """trop_sat for all six relations, and the outer bound's test of the one
+    condition f rel 0 with trop(f) = F, against ``_reference_trop_eval``
+    (a sign condition needs a nonzero f)."""
+    f = _as_polyk(F)
+    assert trop_r(f) == F
+    try:
+        expected = _reference_trop_eval(F, p)
+    except NegativeExponentAtZero:
+        expected = None
+    for rel in RELATIONS:
+        S = SADescription(F.nvars, ((SignCondition(f, rel),),)) if F.terms else None
+        if expected is None:
+            with pytest.raises(NegativeExponentAtZero):
+                trop_sat(F, p, rel)
+            assert S is None or not outer_contains_point(S, p)
+            continue
+        holds = hv_relation(expected, rel)
+        assert trop_sat(F, p, rel) == holds, (F, p, rel)
+        if S is not None:
+            # the tropicalized condition also admits a balanced sum
+            inside = holds or isinstance(expected, Balanced)
+            assert outer_contains_point(S, p) == inside, (F, p, rel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(troppoly_and_point(), shared_and_scored())
+def test_trop_sat_and_outer_point_test_match_term_by_term_reference(free, cases):
+    shared, scored, p = cases
+    # one polynomial takes the shared-sign branch and one is scored
+    assert shared._val_kernel._plan_at(p)[0] in (-1, 1)
+    assert scored._val_kernel._plan_at(p)[0] is None
+    _check_against_reference(*free)
+    _check_against_reference(shared, p)
+    _check_against_reference(scored, p)
