@@ -10,19 +10,20 @@ Emptiness, inclusion, dimension, recession, and projection are all decided
 by Fourier-Motzkin elimination with strictness tracking: a derived
 inequality is strict precisely when one of its parents is.  This is exact
 over the rationals and, since the data is rational, the answers agree with
-the answers over the reals.  Feasibility, projection and point-finding share
-one elimination loop (``_fm_core``) and one row normalization.  Each step
-pairs every upper bound of the eliminated variable with every lower one,
-equality pairs included.  A feasibility question (every variable eliminated,
-no stages kept) decides its last variable from its tightest upper and lower
-bound instead of deriving constant rows, and a system of one variable is
-decided so before any normalization.  The one equation known in advance, the
-hyperplane L_i = L_j of a tie of two terms, is substituted before the
-elimination (``_substitute``), so a tie is decided in one variable fewer
-than its cell.  Emptiness
-is memoized by the rows and the dimension in a bounded LRU memo of at most
-256 systems (``_rows_empty``): ``poly_is_empty`` keys it by the rows as they
-are, and ``union_prune`` by the sorted rows that are also its duplicate key.
+the answers over the reals.  Points, intervals and dimensions come from one
+engine.  One elimination loop (``_fm_core``) and one row normalization: a
+step pairs every upper bound of a variable with every lower one, equality
+pairs included.  One bound rule (``_interval``), the tightest upper and
+lower bound of a variable in rows of it alone: it decides a feasibility
+question's last variable (a one-variable system before any normalization)
+instead of deriving constant rows, picks ``_solve_feasible``'s values and
+clips the renderer's segments.  One equation step (``_substitute``): it
+decides a tie of two terms on its hyperplane L_i = L_j, in one variable
+fewer than its cell, and ``poly_dim`` counts independent implicit
+equations with it.  Emptiness is memoized by the rows and the dimension in
+a bounded LRU memo of at most 256 systems (``_rows_empty``):
+``poly_is_empty`` keys it by the rows as they are, and ``union_prune`` by
+the sorted rows that are also its duplicate key.
 The memo is exact, since the immutable rows fully determine the answer and
 the elimination's answer does not depend on their order.  The orthant
 tables of ``trop_region`` keep every answer they decide, so they call the
@@ -274,14 +275,17 @@ def _substitute(rows: Iterable[IntRow], eq: IntRow, k: int) -> list[IntRow]:
     return out
 
 
-def _bounds_meet(rows: Iterable[IntRow], k: int) -> bool:
-    """Whether rows in the one variable x_k (every other coefficient zero)
-    have a common point.
+def _interval(rows: Iterable[IntRow], k: int) -> Optional[tuple]:
+    """The tightest upper and lower bound of x_k over rows in the one
+    variable x_k (every other coefficient zero), or None when the rows have
+    no common point.
 
-    The tightest upper and the tightest lower bound decide it: they meet
-    when the lower one is below the upper one, or equal to it with neither
-    strict.  A row with a zero normal is a constant and decides itself.
-    Bounds are compared as integer fractions, with no normalization.
+    The answer is (hn, hd, hs, ln, ld, ls): x_k <= hn/hd, strictly when hs,
+    and x_k >= ln/ld, strictly when ls, with hd, ld > 0 and not reduced;
+    hn is None when no row bounds x_k from above, and ln when none bounds
+    it from below.  The bounds meet when the lower one is below the upper
+    one, or equal to it with neither strict.  A row with a zero normal is a
+    constant and decides itself.
     """
     hn = hd = ln = ld = None
     hs = ls = False
@@ -300,11 +304,12 @@ def _bounds_meet(rows: Iterable[IntRow], k: int) -> bool:
             elif strict and n * ld == ln * d:
                 ls = True
         elif cn > 0 or (strict and cn == 0):
-            return False
-    if hn is None or ln is None:
-        return True
-    gap = hn * ld - ln * hd  # the sign of upper minus lower
-    return gap > 0 or (gap == 0 and not (hs or ls))
+            return None
+    if hn is not None and ln is not None:
+        gap = hn * ld - ln * hd  # the sign of upper minus lower
+        if gap < 0 or (gap == 0 and (hs or ls)):
+            return None
+    return hn, hd, hs, ln, ld, ls
 
 
 def _fm_core(
@@ -325,14 +330,15 @@ def _fm_core(
 
     A full elimination (every variable a target, no ``stages``) only asks
     whether the system is feasible, so it decides its last variable from
-    that variable's tightest bounds (``_bounds_meet``) and returns ``[]``
-    or None, instead of building and normalizing the constant rows; a
-    system of one variable is decided so before any normalization.
+    that variable's tightest bounds (``_interval``, the rule that also
+    chooses ``_solve_feasible``'s values) and returns ``[]`` or None,
+    instead of building and normalizing the constant rows; a system of one
+    variable is decided so before any normalization.
     """
     remaining = sorted(targets)
     full = stages is None and bool(rows) and len(remaining) == len(rows[0][0])
     if full and len(remaining) == 1:
-        return [] if _bounds_meet(rows, remaining[0]) else None
+        return None if _interval(rows, remaining[0]) is None else []
     cur = _normalize_rows(rows)
     while cur is not None:
         best = best_cost = None
@@ -355,7 +361,7 @@ def _fm_core(
             return cur
         if full and len(present) == 1:
             # every other variable is eliminated: the rows bound best alone
-            return [] if _bounds_meet(cur, best) else None
+            return None if _interval(cur, best) is None else []
         remaining = present
         remaining.remove(best)
         if stages is not None:
@@ -374,58 +380,51 @@ def _feasible(rows: Sequence[IntRow], nvars: int) -> bool:
 def _solve_feasible(rows: Iterable[IntRow], nvars: int) -> Optional[tuple[Fraction, ...]]:
     """An exact rational point satisfying the rows, or None when infeasible.
 
-    Runs the elimination while recording each stage, then back-substitutes
-    a value inside the allowed interval for every eliminated variable.
+    Runs the elimination while recording each stage, then back-substitutes,
+    last stage first: given the values already chosen, a stage's rows that
+    hold its variable are rows in it alone, and the value is read from
+    their ``_interval`` by ``feasible_point``'s rule.  The point is checked
+    against the whole normalized system.
     """
     stages: list[tuple[int, list[IntRow]]] = []
     if _fm_core(rows, range(nvars), stages) is None:
         return None
     assign = [Fraction(0)] * nvars
     for k, system in reversed(stages):
-        lo = hi = None
-        lo_strict = hi_strict = False
+        line = []
         for normal, cn, cd, strict in system:
             a = normal[k]
-            if a == 0:
-                continue
-            rest = sum(
-                normal[j] * assign[j] for j in range(nvars) if j != k and normal[j]
-            ) + Fraction(cn, cd)
-            bound = -rest / a
-            if a > 0:
-                if hi is None or bound < hi:
-                    hi, hi_strict = bound, strict
-                elif bound == hi:
-                    hi_strict = hi_strict or strict
-            else:
-                if lo is None or bound > lo:
-                    lo, lo_strict = bound, strict
-                elif bound == lo:
-                    lo_strict = lo_strict or strict
-        if lo is None and hi is None:
-            value = Fraction(0)
-        elif lo is None:
-            value = hi - 1
-        elif hi is None:
-            value = lo + 1
-        elif lo < hi:
-            value = (lo + hi) / 2
-        elif lo == hi and not (lo_strict or hi_strict):
-            value = lo
-        else:
+            if a:
+                rest = sum(
+                    normal[j] * assign[j] for j in range(nvars) if j != k and normal[j]
+                ) + Fraction(cn, cd)
+                line.append(((a,), rest.numerator, rest.denominator, strict))
+        bounds = _interval(line, 0)
+        if bounds is None:
             return None
-        assign[k] = value
+        hn, hd, _, ln, ld, _ = bounds
+        if hn is None:
+            assign[k] = Fraction(0) if ln is None else Fraction(ln, ld) + 1
+        elif ln is None:
+            assign[k] = Fraction(hn, hd) - 1
+        else:
+            assign[k] = (Fraction(ln, ld) + Fraction(hn, hd)) / 2
     point = tuple(assign)
     # the first stage holds the whole normalized system; with no stage it is empty
-    for normal, cn, cd, strict in stages[0][1] if stages else ():
-        v = sum(a * x for a, x in zip(normal, point)) * cd + cn
-        if v > 0 or (strict and v == 0):
-            return None
+    if stages and not _from_rows(nvars, stages[0][1]).contains(point):
+        return None
     return point
 
 
 def feasible_point(P: Polyhedron) -> Optional[tuple[Fraction, ...]]:
-    """A rational point of P, or None when P is empty."""
+    """A rational point of P, or None when P is empty.
+
+    Each coordinate, chosen last eliminated first, is the midpoint of its
+    tightest bounds given those already chosen, hi - 1 with only an upper
+    bound, lo + 1 with only a lower one, and 0 with neither.  The drawn
+    figures read only that the point lies in P: a segment's clipped
+    endpoints are the same from any of its points.
+    """
     return _solve_feasible(P.rows, P.dim)
 
 
@@ -456,26 +455,6 @@ def poly_is_empty(P: Polyhedron) -> bool:
     return _rows_empty(P.rows, P.dim)
 
 
-def _rank(normals: list[tuple[int, ...]], dim: int) -> int:
-    mat = [[Fraction(a) for a in n] for n in normals]
-    rank = 0
-    col = 0
-    while col < dim and rank < len(mat):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col] / pv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def equality_normals(P: Polyhedron) -> list[tuple[int, ...]]:
     """Normals of the non-strict constraints that hold with equality on all of P."""
     rows = list(P.rows)
@@ -487,10 +466,24 @@ def equality_normals(P: Polyhedron) -> list[tuple[int, ...]]:
 
 
 def poly_dim(P: Polyhedron) -> int:
-    """Dimension of the affine hull; -1 for the empty polyhedron."""
+    """Dimension of the affine hull; -1 for the empty polyhedron.
+
+    The implicit equations (``equality_normals``) are substituted out one
+    at a time with the elimination's equation step (``_substitute``); an
+    equation whose normal the earlier steps have made zero depends on them
+    and is skipped.  The dimension is P.dim less the equations substituted.
+    """
     if poly_is_empty(P):
         return -1
-    return P.dim - _rank(equality_normals(P), P.dim)
+    dim = P.dim
+    eqs = [(normal, 0, 1, False) for normal in equality_normals(P)]
+    while eqs:
+        eq = eqs.pop()
+        k = next((k for k, a in enumerate(eq[0]) if a), None)
+        if k is not None:
+            eqs = _substitute(eqs, eq, k)
+            dim -= 1
+    return dim
 
 
 def poly_recession_contains(P: Polyhedron, d: Sequence[Fraction]) -> bool:

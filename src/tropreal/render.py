@@ -29,6 +29,7 @@ from .polyhedra import (
     Orthant,
     PolyUnion,
     Polyhedron,
+    _interval,
     all_orthants,
     constraint,
     equality_normals,
@@ -117,26 +118,24 @@ def _segment_endpoints(
     if x0 is None:
         return None
     if P.dim == 1:
-        direction: tuple[Fraction, ...] = (Fraction(1),)
+        direction: tuple[int, ...] = (1,)
     else:
         normals = equality_normals(clipped)
         normal = next((n for n in normals if any(n)), None)
         if normal is None:
             return None
-        direction = (Fraction(-normal[1]), Fraction(normal[0]))
-    t_lo, t_hi = None, None
+        direction = (-normal[1], normal[0])
+    # each row on the line x0 + t * direction is a row in t alone
+    line = []
     for normal, cn, cd, _ in clipped.rows:
         a = sum(n * d for n, d in zip(normal, direction))
         b = sum(n * x for n, x in zip(normal, x0)) + Fraction(cn, cd)
-        if a == 0:
-            continue
-        bound = Fraction(-b, a)
-        if a > 0:
-            t_hi = bound if t_hi is None else min(t_hi, bound)
-        else:
-            t_lo = bound if t_lo is None else max(t_lo, bound)
-    if t_lo is None or t_hi is None or t_lo > t_hi:
+        line.append(((a,), b.numerator, b.denominator, False))
+    bounds = _interval(line, 0)
+    if bounds is None or bounds[0] is None or bounds[3] is None:
         return None
+    hn, hd, _, ln, ld, _ = bounds
+    t_lo, t_hi = Fraction(ln, ld), Fraction(hn, hd)
     p1 = tuple(x + t_lo * d for x, d in zip(x0, direction))
     p2 = tuple(x + t_hi * d for x, d in zip(x0, direction))
     return p1, p2

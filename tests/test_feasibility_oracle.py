@@ -22,6 +22,7 @@ from tropreal.polyhedra import (
     _eliminate_var,
     _feasible,
     _fm_core,
+    _interval,
     _normalize_rows,
     _OrthantTable,
     _rows_empty,
@@ -311,8 +312,9 @@ def test_one_variable_systems_agree_with_the_oracle():
                 (uppers if a > 0 else lowers).append((b, strict))
             scale = rng.randint(1, 3)
             rows.append(((a,), offset.numerator * scale, offset.denominator * scale, strict))
+        hi = min((b for b, _ in uppers), default=None)
+        lo = max((b for b, _ in lowers), default=None)
         if uppers and lowers:
-            hi, lo = min(b for b, _ in uppers), max(b for b, _ in lowers)
             if hi == lo:
                 seen["equal"] += 1
                 strict_at = [s for b, s in uppers + lowers if b == hi]
@@ -322,4 +324,12 @@ def test_one_variable_systems_agree_with_the_oracle():
             seen["one-sided"] += 1
         want = oracle_feasible([(n, Fraction(cn, cd), s) for n, cn, cd, s in rows], 1)
         assert _feasible(rows, 1) == want, rows
+        got = _interval(rows, 0)
+        assert (got is None) == (not want), rows
+        if got is not None:
+            hn, hd, hs, ln, ld, ls = got
+            assert (None if hn is None else Fraction(hn, hd)) == hi, rows
+            assert (None if ln is None else Fraction(ln, ld)) == lo, rows
+            assert hs == any(s for b, s in uppers if b == hi), rows
+            assert ls == any(s for b, s in lowers if b == lo), rows
     assert min(seen.values()) > 100, seen

@@ -1009,6 +1009,14 @@ def test_poly_dim():
     assert poly_dim(seg) == 1
     assert poly_dim(H(1, ((1,), 0, "<"), ((-1,), 0, "<"))) == -1
     assert poly_dim(H(1, ((-1,), 0, "<"))) == 1
+    # x = 0, y = 0 and the dependent x + y = 0
+    eqs = [(n, 0, r) for n in [(1, 0), (0, 1), (1, 1)] for r in ("<=", ">=")]
+    assert poly_dim(H(2, *eqs)) == 0
+    # x + y = 1 given twice, the second time doubled
+    twice = [(n, o, r) for n, o in [((1, 1), -1), ((2, 2), -2)] for r in ("<=", ">=")]
+    assert poly_dim(H(2, *twice)) == 1
+    # 0 <= 0 holds with equality everywhere, but its zero normal is no equation
+    assert poly_dim(H(2, ((0, 0), 0, "<="))) == 2
 
 
 def test_subset_and_equal():
@@ -1065,6 +1073,24 @@ def test_trop_region_laurent_zero_orthant_errors():
     assert trop_region(F, (1, 1), "ge").pieces
     # and in (-,+) the Laurent term flips sign, leaving nothing nonnegative
     assert trop_region(F, (-1, 1), "ge").pieces == ()
+
+
+def test_feasible_point_value_rule():
+    # each coordinate is chosen from its tightest bounds, last eliminated first
+    from tropreal.polyhedra import feasible_point
+
+    cases = [
+        (H(1), (0,)),  # no bound
+        (H(1, ((1,), -3, "<=")), (2,)),  # x <= 3: hi - 1
+        (H(1, ((1,), -3, ">=")), (4,)),  # x >= 3: lo + 1
+        (H(1, ((1,), -2, "<"), ((1,), -1, ">")), (F2(3, 2),)),  # 1 < x < 2: the midpoint
+        (H(1, ((2,), -5, "<="), ((2,), -5, ">=")), (F2(5, 2),)),  # x = 5/2: the point
+        (H(1, ((1,), -1, "<="), ((1,), -1, ">")), None),  # x <= 1 < x: empty
+        # -1 <= x <= 1 gives x = 0 first, then y < x = 0 gives y = -1
+        (H(2, ((1, 0), -1, "<="), ((1, 0), 1, ">="), ((-1, 1), 0, "<")), (0, -1)),
+    ]
+    for P, want in cases:
+        assert feasible_point(P) == want, P
 
 
 def test_feasible_point_agrees_with_emptiness():

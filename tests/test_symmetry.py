@@ -9,9 +9,10 @@ moved tropical points.  Likewise the region of a moved tropical polynomial
 on the moved orthant is the moved region: a flip leaves it as it is, a
 shift translates it, and a permutation reorders its coordinates.  The
 value-group scaling t -> t**k, k > 0 rational, scales every valuation by
-k, of the coefficients and of the point alike, and a tropical polynomial
-satisfies a relation at a point exactly when its moved image does at the
-moved point, under each of the four maps.
+k, of the coefficients and of the point alike, so it scales the region by
+k on every orthant.  A tropical polynomial satisfies a relation at a point
+exactly when its moved image does at the moved point, under each of the
+four maps.
 """
 
 import random
@@ -148,14 +149,23 @@ def _permute_trop(F, perm):
     return TropPoly.from_terms(F.nvars, [(move(e), c) for e, c in F.terms])
 
 
+def _scale_trop(F, k):
+    """t -> t**k: every coefficient valuation is scaled by k."""
+    return TropPoly(F.nvars, tuple((e, SignedTropVal(c.sign, c.val * k)) for e, c in F.terms))
+
+
+_SCALINGS = (Fraction(2), Fraction(1, 2), Fraction(3))
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
-def test_trop_region_commutes_with_flips_shifts_and_permutations(nvars, seed, data):
+def test_trop_region_commutes_with_flips_shifts_permutations_and_scalings(nvars, seed, data):
     F = random_troppoly(random.Random(seed), nvars, exp_lo=-1 if seed % 3 == 0 else 0, exp_hi=3)
     i = data.draw(st.integers(0, nvars - 1))
     a = data.draw(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2)))
     perm = data.draw(st.permutations(range(nvars)))
     flipped, shifted, permuted = _flip_trop(F, i), _shift_trop(F, i, a), _permute_trop(F, perm)
+    scaled = [(k, _scale_trop(F, k)) for k in _SCALINGS]
     for sigma in all_orthants(nvars):
         support = [k for k, s in enumerate(sigma) if s]
         moved_sigma = [0] * nvars
@@ -169,8 +179,10 @@ def test_trop_region_commutes_with_flips_shifts_and_permutations(nvars, seed, da
             got_flipped = _region(flipped, tuple(-s if k == i else s for k, s in enumerate(sigma)), rel)
             got_shifted = _region(shifted, sigma, rel)
             got_permuted = _region(permuted, moved_sigma, rel)
+            got_scaled = [(k, _region(G, sigma, rel)) for k, G in scaled]
             if want is NegativeExponentAtZero:
                 assert got_flipped is got_shifted is got_permuted is NegativeExponentAtZero
+                assert all(got is NegativeExponentAtZero for _, got in got_scaled)
                 continue
             assert union_equal(got_flipped, want), (F, sigma, rel, i)
             if i in support:
@@ -182,14 +194,13 @@ def test_trop_region_commutes_with_flips_shifts_and_permutations(nvars, seed, da
             assert union_equal(got_shifted, want_shifted), (F, sigma, rel, i, a)
             want_permuted = _move_rows(want, lambda n, c: (tuple(n[o] for o in order), c))
             assert union_equal(got_permuted, want_permuted), (F, sigma, rel, perm)
+            for k, got in got_scaled:
+                # V -> k V: a row n.V + c <= 0 becomes n.V + k c <= 0
+                want_scaled = _move_rows(want, lambda n, c: (n, c * k))
+                assert union_equal(got, want_scaled), (F, sigma, rel, k)
 
 
 # -- trop_sat ------------------------------------------------------------------
-
-
-def _scale_trop(F, k):
-    """t -> t**k: every coefficient valuation is scaled by k."""
-    return TropPoly(F.nvars, tuple((e, SignedTropVal(c.sign, c.val * k)) for e, c in F.terms))
 
 
 def _scale_point(z, k):
@@ -208,9 +219,6 @@ def _sat(F, z, rel):
         return trop_sat(F, z, rel)
     except NegativeExponentAtZero:
         return NegativeExponentAtZero
-
-
-_SCALINGS = (Fraction(2), Fraction(1, 2), Fraction(3))
 
 
 @settings(max_examples=15, deadline=None)
