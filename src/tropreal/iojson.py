@@ -135,10 +135,12 @@ def read_rational(text: str, where: str) -> Fraction:
     """The rational a text such as "-1/2" names; else a ParseError naming ``where``.
 
     Exponent notation is refused: ``Fraction`` would expand it at a cost
-    that grows faster than the exponent.
+    that grows faster than the exponent.  Underscores are refused too:
+    ``Fraction`` accepts "1_0" from Python 3.11 on and refuses it before,
+    and a text must read the same on every Python.
     """
     try:
-        if "e" not in text.lower():
+        if "e" not in text.lower() and "_" not in text:
             return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass

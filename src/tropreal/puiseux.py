@@ -29,7 +29,7 @@ set whose tropical points all lie outside that box (the candidate loops of
 seed is settable (:class:`SamplerConfig`).  Sampler state is confined to
 an explicitly passed generator; use independent seeds for concurrent
 sampling.  A draw has two steps:
-:func:`ps_draw` takes the random integers of one series in one frame, and
+:func:`ps_draw` takes the random integers of one series, and
 :func:`ps_build` turns them into a series; :func:`ps_sample` is the two
 in a row.  :func:`ps_draw` is itself two draws in a row: the lead
 (:func:`ps_draw_lead`: its exponent, then its coefficient) and the tail
@@ -38,20 +38,35 @@ then their coefficients).  Every bounded draw is ``randrange(n)`` written
 out: ``getrandbits(n.bit_length())`` until the result is below n, the same
 words that ``randint`` of a plain :class:`random.Random` asks for, so a
 seed gives the same series on every supported Python.  The integers a
-draw needs are fixed once, at import, as a private plan.  Only the
-exponents and coefficients that are kept become Fractions, through a memo
-of at most 256 entries.
+draw needs are fixed once, at import, as a private plan.  Its exponent
+windows are lead tables: the raw numerator draws of a denominator's
+window, each as its exponent in lowest terms with its code, the
+exponent's index among the grid's 9 exponents, so no draw reduces a
+fraction and exponents compare by their codes.  Only the exponents and
+coefficients that are kept become Fractions, through a memo of at most
+256 entries.
+
+Leads are drawn in one place, :func:`ps_lead_stream`: a generator that
+draws the leads of one candidate vector per resume, its grid's rejection
+loops inline, with no call per coordinate.  A coordinate may be zero,
+decided by one ``rng.random()`` word before its lead.  With each vector
+comes its integer lead key, one digit per coordinate in base
+``LEAD_BASE`` = 19: 0 for a zero coordinate, else 2*code + 1 for a
+positive lead and 2*code + 2 for a negative one.  Equal keys mean equal
+signed lead values.  :func:`ps_draw_lead` is the lead of a
+one-coordinate stream with no zero coordinates.
 
 ``witness_search`` builds its draws with the lead pinned to a signed
 value c (``ps_build(draw, lead=c)``), so that they tropicalize to c.
 
 The split lets a caller decide a candidate before any series exists, and
 before its tails are drawn.  The default candidate loop of
-:mod:`tropreal.semialg` draws each coordinate's lead, rejects a candidate
-that its leads already put outside the set, and draws tails only for the
-other candidates; those are built and tested exactly, where
-``laurent_sign`` decides a sign from the initial form, and only when that
-cancels from the lowest terms of the full series.
+:mod:`tropreal.semialg` takes a candidate's leads and key from the
+stream, rejects a candidate that its leads already put outside the set,
+and draws tails only for the other candidates, between resumes; those
+are built and tested exactly, where ``laurent_sign`` decides a sign from
+the initial form, and only when that cancels from the lowest terms of the
+full series.
 """
 
 from __future__ import annotations
@@ -60,8 +75,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import PuiseuxDivisionError
 from .hyperfields import INF, RT_ZERO, SignedTropVal, Val
@@ -251,12 +265,39 @@ def _window(q: int, bound: int) -> tuple[int, int, int, int]:
     return q, -bound * q, n, n.bit_length()
 
 
+_EXPONENT_WINDOWS = (_window(1, 2), _window(2, 2))  # exponents in [-2, 2]
+
+# The grid's distinct exponents, increasing; an exponent's code is its index here.
+_LEAD_EXPONENTS = tuple(sorted({
+    Fraction(lo + i, q) for q, lo, n, _ in _EXPONENT_WINDOWS for i in range(n)
+}))
+_LEAD_CODES = {(e.numerator, e.denominator): code for code, e in enumerate(_LEAD_EXPONENTS)}
+
+# The digits of a lead key: 0 for a zero coordinate, 2*code + 1 for a
+# positive lead and 2*code + 2 for a negative one.
+LEAD_BASE = 2 * len(_LEAD_EXPONENTS) + 1
+
+
+def _lead_table(
+    window: tuple[int, int, int, int],
+) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+    """An exponent window as the sampler reads it, (n, n.bit_length(), table):
+    the raw draw i < n is the grid point (lo + i)/q, and table[i] is it as
+    (k, q, code), in lowest terms."""
+    q, lo, n, bits = window
+    table = tuple(
+        (e.numerator, e.denominator, _LEAD_CODES[e.numerator, e.denominator])
+        for e in (Fraction(lo + i, q) for i in range(n))
+    )
+    return n, bits, table
+
+
 # The sampler's plan: the bound on the number of terms and the bound on
-# denominators, each with its bit length, then the windows of the
-# denominators 1 and 2 in each range.
+# denominators, each with its bit length, then the exponent windows of the
+# denominators 1 and 2, as lead tables, and their coefficient windows.
 _PLAN = (
     3, (3).bit_length(), 2, (2).bit_length(),
-    (_window(1, 2), _window(2, 2)),  # exponents in [-2, 2]
+    tuple(_lead_table(w) for w in _EXPONENT_WINDOWS),
     (_window(1, 4), _window(2, 4)),  # coefficients in [-4, 4]
 )
 
@@ -267,44 +308,81 @@ def _fraction(k: int, q: int) -> Fraction:
 
 
 SeriesDraw = list[tuple[int, int, int, int]]  # (k, q, ck, cq) per term: t**(k/q) * ck/cq
+Lead = tuple[int, int, int, int]  # (k, q, ck, cq): t**(k/q) * ck/cq, k/q in lowest terms
 
 
-def ps_draw_lead(rng: random.Random) -> tuple[int, int, int, int]:
-    """The lead (k, q, ck, cq) of one draw: t**(k/q) * ck/cq, with k/q in lowest terms.
+def ps_lead_stream(
+    rng: random.Random, nvars: int, zero_prob: float
+) -> Iterator[tuple[list[Optional[Lead]], int]]:
+    """The leads of candidates with nvars coordinates, one candidate per resume,
+    each with its integer lead key.
 
-    The exponent is drawn uniformly from the rational exponent grid
-    (valuation stratification), then its nonzero coefficient from the
-    coefficient grid.  A grid draw takes a denominator q <= 2, reads the
-    window of q from the plan, and then takes a numerator k with k/q in the
-    window; a coefficient draw is repeated until it is nonzero.  Every draw
-    below n is ``randrange(n)`` written out: ``getrandbits(n.bit_length())``
-    until the result is below n.
+    Coordinate by coordinate, a coordinate is zero (None) when
+    ``rng.random() < zero_prob``, a word that is drawn only when zero_prob
+    is positive; otherwise its lead is drawn.  The exponent is drawn
+    uniformly from the rational exponent grid (valuation stratification),
+    then its nonzero coefficient from the coefficient grid.  A grid draw
+    takes a denominator q <= 2 and then a raw numerator i below the size n
+    of q's window; an exponent is read from the window's lead table, in
+    lowest terms, and a coefficient draw is repeated until it is nonzero.
+    Every draw below n is ``randrange(n)`` written out:
+    ``getrandbits(n.bit_length())`` until the result is below n.
+
+    The key has one digit per coordinate, the first the most significant,
+    in base ``LEAD_BASE``: 0 for a zero coordinate, else 2*code + 1 for a
+    positive lead and 2*code + 2 for a negative one, where code is the
+    lead exponent's index among the grid's exponents.  Two candidates have
+    the same key exactly when their leads have the same signs and
+    exponents.  Only the words of the candidates resumed for are drawn, so
+    a caller may draw tails between resumes.
     """
     getrandbits = rng.getrandbits
+    uniform = rng.random
     _, _, dbound, dbound_bits, exp_windows, coeff_windows = _PLAN
-    q = getrandbits(dbound_bits)
-    while q >= dbound:
-        q = getrandbits(dbound_bits)
-    q, lo, n, bits = exp_windows[q]
-    k = getrandbits(bits)
-    while k >= n:
-        k = getrandbits(bits)
-    k += lo
-    g = gcd(k, q)
+    base = LEAD_BASE
+    coords = range(nvars)
     while True:
-        cq = getrandbits(dbound_bits)
-        while cq >= dbound:
-            cq = getrandbits(dbound_bits)
-        cq, lo, n, bits = coeff_windows[cq]
-        ck = getrandbits(bits)
-        while ck >= n:
-            ck = getrandbits(bits)
-        ck += lo
-        if ck:
-            return k // g, q // g, ck, cq
+        leads: list[Optional[Lead]] = []
+        key = 0
+        for _ in coords:
+            if zero_prob and uniform() < zero_prob:
+                leads.append(None)
+                key *= base
+                continue
+            q = getrandbits(dbound_bits)
+            while q >= dbound:
+                q = getrandbits(dbound_bits)
+            n, bits, table = exp_windows[q]
+            k = getrandbits(bits)
+            while k >= n:
+                k = getrandbits(bits)
+            k, q, code = table[k]
+            ck = 0
+            while not ck:
+                cq = getrandbits(dbound_bits)
+                while cq >= dbound:
+                    cq = getrandbits(dbound_bits)
+                cq, lo, n, bits = coeff_windows[cq]
+                ck = getrandbits(bits)
+                while ck >= n:
+                    ck = getrandbits(bits)
+                ck += lo
+            leads.append((k, q, ck, cq))
+            key = key * base + 2 * code + (1 if ck > 0 else 2)
+        yield leads, key
 
 
-def ps_draw_tail(rng: random.Random, lead: tuple[int, int, int, int]) -> SeriesDraw:
+def ps_draw_lead(rng: random.Random) -> Lead:
+    """The lead (k, q, ck, cq) of one draw: t**(k/q) * ck/cq, with k/q in lowest terms.
+
+    The exponent is drawn uniformly from the rational exponent grid, then
+    its nonzero coefficient from the coefficient grid: the lead of a
+    one-coordinate :func:`ps_lead_stream` with no zero coordinates.
+    """
+    return next(ps_lead_stream(rng, 1, 0))[0][0]
+
+
+def ps_draw_tail(rng: random.Random, lead: Lead) -> SeriesDraw:
     """The draw of a series with the given lead: ``lead``, then one
     (k, q, ck, cq) per tail term, exponents increasing.
 
@@ -312,7 +390,7 @@ def ps_draw_tail(rng: random.Random, lead: tuple[int, int, int, int]) -> SeriesD
     drawn from the exponent grid, keeping distinct ones above the lead's,
     at most four tries per term; then each kept exponent, in increasing
     order, gets a nonzero coefficient.  The grid draws are those of
-    :func:`ps_draw_lead`.
+    :func:`ps_lead_stream`, and exponents are compared by their codes.
     """
     getrandbits = rng.getrandbits
     max_terms, terms_bits, dbound, dbound_bits, exp_windows, coeff_windows = _PLAN
@@ -321,31 +399,25 @@ def ps_draw_tail(rng: random.Random, lead: tuple[int, int, int, int]) -> SeriesD
         extra = getrandbits(terms_bits)
     if not extra:
         return [lead]
-    lead_k, lead_q, _, _ = lead
-    exps: list[tuple[int, int]] = []
+    lead_code = _LEAD_CODES[lead[0], lead[1]]
+    exps: list[tuple[int, int, int]] = []
     for _ in range(4 * extra):
         q = getrandbits(dbound_bits)
         while q >= dbound:
             q = getrandbits(dbound_bits)
-        q, lo, n, bits = exp_windows[q]
+        n, bits, table = exp_windows[q]
         k = getrandbits(bits)
         while k >= n:
             k = getrandbits(bits)
-        k += lo
-        if k * lead_q <= lead_k * q:
-            continue
-        g = gcd(k, q)
-        e = (k // g, q // g)
-        if e not in exps:
+        e = table[k]
+        if e[2] > lead_code and e not in exps:
             exps.append(e)
             if len(exps) == extra:
                 break
     # order the tail before it gets coefficients
-    if len(exps) > 1:
-        common = lcm(*(q for _, q in exps))
-        exps.sort(key=lambda e: e[0] * (common // e[1]))
+    exps.sort(key=lambda e: e[2])
     terms = [lead]
-    for k, q in exps:
+    for k, q, _ in exps:
         ck = 0
         while not ck:
             cq = getrandbits(dbound_bits)

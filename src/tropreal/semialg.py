@@ -59,21 +59,22 @@ from the caller; neither draws any, so only the samplers
 drawn.
 
 The default sampler decides each candidate as far as it can before any
-series is built, and before any tail is drawn.  A candidate's coordinates
-are drawn lead first (:func:`ps_draw_lead`), and every condition is scored
-at the leading signs and valuations of its coordinates: a condition whose
-dominant terms share a sign that its relation rejects, or that is
-undefined there, fails.  A candidate with such a condition in every
-disjunct is dropped with no tail drawn; a dict local to the sampling call
-keeps each decision per tuple of lead signs and exponents, up to a fixed
-bound.  The others get their tails (:func:`ps_draw_tail`), are built and
-decided exactly by ``sa_member``, where ``laurent_sign`` settles a
-balanced condition from its initial form, the sum of the dominant terms'
-leading coefficients, and only when that sum cancels from the lowest
-terms of the full series.  A dropped candidate is outside the set
-whatever its tails would have been, so dropping it loses no member.  The
-witness search takes whole draws (:func:`ps_draw`), each with its lead
-pinned to the target.
+series is built, and before any tail is drawn.  A candidate's leads come
+first, all its coordinates' at once, from one stream
+(:func:`ps_lead_stream`) that also gives their integer lead key, and
+every condition is scored at the leading signs and valuations of its
+coordinates: a condition whose dominant terms share a sign that its
+relation rejects, or that is undefined there, fails.  A candidate with
+such a condition in every disjunct is dropped with no tail drawn; a dict
+local to the sampling call keeps each decision per lead key, up to a
+fixed bound.  The others get their tails (:func:`ps_draw_tail`), between
+resumes of the stream, and are built and decided exactly by
+``sa_member``, where ``laurent_sign`` settles a balanced condition from
+its initial form, the sum of the dominant terms' leading coefficients,
+and only when that sum cancels from the lowest terms of the full series.
+A dropped candidate is outside the set whatever its tails would have
+been, so dropping it loses no member.  The witness search takes whole
+draws (:func:`ps_draw`), each with its lead pinned to the target.
 
 Sampling and search are embarrassingly parallel over seeds; all exact
 checks are pure.
@@ -122,8 +123,8 @@ from .puiseux import (
     SamplerConfig,
     ps_build,
     ps_draw,
-    ps_draw_lead,
     ps_draw_tail,
+    ps_lead_stream,
 )
 from .troppoly import (
     PolyK,
@@ -241,49 +242,36 @@ def _candidates(
 ) -> Iterator[tuple[PuiseuxSeries, ...]]:
     """The candidates among `budget` draws that may lie in S.
 
-    Every candidate of a proposal comes through.  A default candidate is
-    drawn lead first, coordinate by coordinate: a coordinate is exactly
-    zero with probability ``_ZERO_PROB`` (one ``rng.random()`` word), and
-    otherwise its lead is drawn (:func:`ps_draw_lead`).  The leads then
+    Every candidate of a proposal comes through.  A default candidate's
+    leads come from :func:`ps_lead_stream`, one candidate per resume: each
+    coordinate is exactly zero with probability ``_ZERO_PROB`` (one
+    ``rng.random()`` word), and otherwise its lead is drawn.  The leads then
     decide most candidates: the point of the leads' signs and valuations
     is put to ``outer_contains_point``, where a condition fails outright
     when a coordinate under a negative exponent is zero (it is undefined)
     or when its dominant terms share a sign that the relation rejects.  A
     candidate outside the outer bound is not in S and is dropped, and none
     of its tails is drawn.  For the others, each nonzero coordinate's tail
-    is drawn (:func:`ps_draw_tail`), in coordinate order, the series are
-    built, and membership is left to the caller's exact test.  A balanced
-    condition, where dominant terms of opposite sign tie, is never decided
-    here.
+    is drawn (:func:`ps_draw_tail`), in coordinate order and before the
+    stream is resumed, so the random words come in the order of the plain
+    loop; the series are built, and membership is left to the caller's
+    exact test.  A balanced condition, where dominant terms of opposite
+    sign tie, is never decided here.
 
-    A decision depends only on the leads' signs and reduced exponents, so
-    a dict local to the call keeps it per tuple of those, up to
-    ``_DECIDED_BOUND`` entries; later keys are decided each time.
-    :func:`ps_draw` is the lead and the tail in a row: ``witness_search``
-    takes such draws and pins their leads, and only a scenario's proposal
-    draws its own way.
+    A decision depends only on the leads' signs and reduced exponents,
+    which the stream's integer lead key names, so a dict local to the call
+    keeps it per key, up to ``_DECIDED_BOUND`` entries; later keys are
+    decided each time.  :func:`ps_draw` is the lead and the tail in a row:
+    ``witness_search`` takes such draws and pins their leads, and only a
+    scenario's proposal draws its own way.
     """
     if proposal is not None:
         for _ in range(budget):
             yield proposal(rng)
         return
-    nvars = S.nvars
-    draw_lead = ps_draw_lead
     draw_tail = ps_draw_tail
-    uniform = rng.random
-    decided: dict[tuple[int, ...], bool] = {}
-    for _ in range(budget):
-        leads = []
-        flat: list[int] = []
-        for _ in range(nvars):
-            if uniform() < _ZERO_PROB:
-                leads.append(None)
-                flat += (0, 0, 1)
-            else:
-                lead = draw_lead(rng)
-                leads.append(lead)
-                flat += (1 if lead[2] > 0 else -1, lead[0], lead[1])
-        key = tuple(flat)
+    decided: dict[int, bool] = {}
+    for _, (leads, key) in zip(range(budget), ps_lead_stream(rng, S.nvars, _ZERO_PROB)):
         keep = decided.get(key)
         if keep is None:
             keep = outer_contains_point(S, tuple([

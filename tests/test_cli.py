@@ -481,6 +481,8 @@ def test_malformed_signed_value_is_named(circle_files, tmp_path, capsys, coeff, 
     pytest.param("coeff", "1/0", id="coeff-zero-denominator"),
     pytest.param("coeff", "1e100000", id="coeff-exponent"),
     pytest.param("exp", "1E5", id="exp-exponent"),
+    pytest.param("exp", "1_0", id="exp-underscore"),
+    pytest.param("coeff", "1/2_0", id="coeff-underscore"),
 ])
 def test_malformed_series_value_is_named(circle_files, tmp_path, capsys, key, value):
     _, desc = circle_files
@@ -542,8 +544,8 @@ _RATIONAL = "expected a rational such as '-1/2'"
 
 
 # A rational flag value is read as a JSON input's rational is: a zero
-# denominator (a ZeroDivisionError traceback before) or exponent notation
-# is a usage error.
+# denominator (a ZeroDivisionError traceback before), exponent notation or
+# an underscore is a usage error.
 @pytest.mark.parametrize("command, message", [
     pytest.param(["sample", "--count", "-5"], _NONNEGATIVE, id="command0"),
     pytest.param(["witness", "--target", "((+,0),(+,0))", "--budget", "-3"], _NONNEGATIVE,
@@ -554,6 +556,7 @@ _RATIONAL = "expected a rational such as '-1/2'"
     pytest.param(["lift", "--trop", "F.json", "--budget", "-4"], _NONNEGATIVE, id="command4"),
     pytest.param(["witness", "--target", "((+,1/0),(+,0))"], _RATIONAL, id="target-1/0"),
     pytest.param(["witness", "--target", "((+,1e5),(+,0))"], _RATIONAL, id="target-1e5"),
+    pytest.param(["witness", "--target", "((+,1_0),(+,0))"], _RATIONAL, id="target-1_0"),
     pytest.param(["witness", "--target", "((0,1),(+,0))"], "sign 0 requires valuation inf",
                  id="target-sign-0"),
     pytest.param(["witness", "--target", "((+,0),(+,0),(+,2", "--budget", "50"],
@@ -562,6 +565,8 @@ _RATIONAL = "expected a rational such as '-1/2'"
                  id="window-1/0"),
     pytest.param(["region", "--svg", "x.svg", "--window", "1e5,1,0,1"], _RATIONAL,
                  id="window-1e5"),
+    pytest.param(["region", "--svg", "x.svg", "--window", "1_0,1,0,1"], _RATIONAL,
+                 id="window-1_0"),
 ])
 def test_negative_count_or_budget_is_usage_error(circle_files, capsys, command, message):
     _, desc = circle_files

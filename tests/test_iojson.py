@@ -86,7 +86,7 @@ def test_dumps_refuses_what_json_refuses(bad):
         iojson.dumps(bad)
 
 
-@pytest.mark.parametrize("text", ["0", "-0", "007", "-12", "3/4", " 5 ", "-1/2", "1.5", "+3", "1_0", "٣"])
+@pytest.mark.parametrize("text", ["0", "-0", "007", "-12", "3/4", " 5 ", "-1/2", "1.5", "+3", "٣"])
 def test_read_rational_reads_integers_as_fraction_does(text):
     try:
         expected = Fraction(text)
@@ -101,6 +101,20 @@ def test_read_rational_reads_integers_as_fraction_does(text):
 def test_read_rational_refuses_what_fraction_refuses(text):
     with pytest.raises(ParseError, match=r"^x: expected a rational"):
         iojson.read_rational(text, "x")
+
+
+# Fraction reads these from Python 3.11 on and refuses them before; they
+# are refused on every Python, so that a file reads the same everywhere.
+@pytest.mark.parametrize("text", ["1_0", "-1_000/3", "1/2_0", "1_0.5"])
+def test_read_rational_refuses_underscores_on_every_python(text):
+    with pytest.raises(ParseError, match=r"^x: expected a rational"):
+        iojson.read_rational(text, "x")
+
+
+def test_series_with_an_underscore_names_the_field():
+    data = {"terms": [{"exp": "0", "coeff": "1"}, {"exp": "1_0", "coeff": "1"}]}
+    with pytest.raises(ParseError, match=r"^s\.terms\[1\]\.exp: expected a rational"):
+        iojson.series_from_json(data, "s")
 
 
 @pytest.mark.parametrize("decode", [iojson.polyk_from_json, iojson.troppoly_from_json])

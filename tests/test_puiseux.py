@@ -1,6 +1,7 @@
 """Exact series arithmetic, ordering, signed values, and the sampler."""
 
 import dataclasses
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -11,11 +12,14 @@ from hypothesis import given, strategies as st
 from tropreal.errors import PuiseuxDivisionError
 from tropreal.hyperfields import INF, Point, SignedTropVal, hv_contains, rt_add, rt_mul, stv
 from tropreal.puiseux import (
+    LEAD_BASE,
+    _PLAN,
     PuiseuxSeries,
     SamplerConfig,
     _fraction,
     ps_build,
     ps_draw,
+    ps_lead_stream,
     ps_sample,
 )
 
@@ -222,6 +226,45 @@ def test_sampler_matches_randint_reference(seed):
     assert rng.getstate() == ref.getstate()
     info = _fraction.cache_info()
     assert 0 < info.maxsize <= 256 and info.currsize <= info.maxsize
+
+
+def test_lead_table_reads_each_raw_draw_as_the_reference_grid_does():
+    # _grid_draw(rng, 2) takes q = randint(1, 2), then randint(-2q, 2q):
+    # the raw draw i below 4q + 1 is the exponent (i - 2q)/q
+    exponents = sorted({Fraction(k, q) for q in (1, 2) for k in range(-2 * q, 2 * q + 1)})
+    assert len(exponents) == 9 and LEAD_BASE == 2 * 9 + 1
+    _, _, dbound, _, windows, _ = _PLAN
+    assert len(windows) == dbound
+    for q, (n, bits, table) in enumerate(windows, start=1):
+        assert n == 4 * q + 1 and bits == n.bit_length() and len(table) == n
+        for i, (k, kq, code) in enumerate(table):
+            e = Fraction(i - 2 * q, q)
+            assert (k, kq) == (e.numerator, e.denominator)
+            assert exponents[code] == e
+
+
+def _signed_lead(lead):
+    return None if lead is None else (1 if lead[2] > 0 else -1, Fraction(lead[0], lead[1]))
+
+
+def test_lead_keys_give_each_signed_exponent_its_own_digit():
+    rng = random.Random(3)
+    digits = {}
+    for (lead,), key in itertools.islice(ps_lead_stream(rng, 1, 0.1), 4000):
+        signed = _signed_lead(lead)
+        assert 0 <= key < LEAD_BASE
+        assert (key == 0) == (lead is None)
+        assert digits.setdefault(key, signed) == signed
+    # every digit drawn, and no two digits for one signed exponent
+    assert sorted(digits) == list(range(LEAD_BASE))
+    assert len(set(digits.values())) == LEAD_BASE
+    # a key of several coordinates is their digits, the first the most significant
+    inverse = {signed: digit for digit, signed in digits.items()}
+    for leads, key in itertools.islice(ps_lead_stream(rng, 3, 0.1), 500):
+        expected = 0
+        for lead in leads:
+            expected = expected * LEAD_BASE + inverse[_signed_lead(lead)]
+        assert key == expected
 
 
 @given(st.integers(0, 2**32), st.integers(0, 2**32))

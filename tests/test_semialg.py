@@ -840,6 +840,24 @@ def test_candidate_filter_matches_the_plain_rejection_loop(case):
     assert not any(sa_member(S, p) for kept, p in draws if not kept)
 
 
+def test_candidate_filter_past_its_memo_bound_matches_the_plain_rejection_loop():
+    # four variables give 19**4 lead keys, so 5,000 candidates draw more
+    # distinct keys than the memo keeps, and the later ones are decided
+    # each time they come
+    S = conjunction(4, [
+        SignCondition(parse_polyk("x1*x2 - x3*x4 - 1", nvars=4), "ge"),
+        SignCondition(parse_polyk("x1 - x3", nvars=4), "gt"),
+    ])
+    rng, ref = random.Random(0), random.Random(0)
+    candidates = list(_candidates(S, rng, 5000))
+    draws = list(_plain_draws(S, ref, 5000))
+    assert len({trop_point(p) for _, p in draws}) > semialg._DECIDED_BOUND
+    assert rng.getstate() == ref.getstate()
+    expected = [p for kept, p in draws if kept]
+    assert 0 < len(expected) < len(draws)
+    assert candidates == expected
+
+
 def _plain_cloud(S, cfg, count):
     """The loop sa_sample_trop runs, written plainly."""
     rng = random.Random(cfg.seed)

@@ -12,7 +12,8 @@ value-group scaling t -> t**k, k > 0 rational, scales every valuation by
 k, of the coefficients and of the point alike, so it scales the region by
 k on every orthant.  A tropical polynomial satisfies a relation at a point
 exactly when its moved image does at the moved point, under each of the
-four maps.
+four maps.  With the same seed, the witness search for a shifted target in
+the shifted set finds the shifted witness, or none when there is none.
 """
 
 import random
@@ -32,8 +33,14 @@ from tropreal.polyhedra import (
     trop_region,
     union_equal,
 )
-from tropreal.puiseux import PuiseuxSeries
-from tropreal.semialg import SADescription, SignCondition, outer_contains_point, sa_member
+from tropreal.puiseux import PuiseuxSeries, SamplerConfig
+from tropreal.semialg import (
+    SADescription,
+    SignCondition,
+    outer_contains_point,
+    sa_member,
+    witness_search,
+)
 from tropreal.troppoly import PolyK, TropPoly, trop_point, trop_sat
 
 
@@ -104,6 +111,24 @@ def test_membership_and_outer_bound_commute_with_flips_and_shifts(case, data):
         inside = outer_contains_point(S, z)
         assert outer_contains_point(flipped, flip_trop(z, i)) == inside
         assert outer_contains_point(shifted, shift_trop(z, i, a)) == inside
+
+
+# A witness draw pins its lead to the target, so a shift of the target's
+# coordinate i by a shifts every exponent of the drawn coordinate i by a:
+# with the same seed, the search for the shifted target draws the shifted
+# candidates, and the shifted set holds exactly those.
+@settings(max_examples=30, deadline=None)
+@given(description_and_points(), st.data())
+def test_witness_search_commutes_with_shifts(case, data):
+    S, points = case
+    i = data.draw(st.integers(0, S.nvars - 1))
+    a = data.draw(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2)))
+    cfg = SamplerConfig(seed=data.draw(st.integers(0, 2**32 - 1)))
+    shifted = shift(S, i, a)
+    for z in dict.fromkeys(trop_point(p) for p in points):
+        w = witness_search(S, z, 20, cfg)
+        moved = witness_search(shifted, shift_trop(z, i, a), 20, cfg)
+        assert moved == (None if w is None else shift_point(w, i, a))
 
 
 # -- trop_region ---------------------------------------------------------------
