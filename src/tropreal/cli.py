@@ -21,7 +21,7 @@ import sys
 
 from . import iojson
 from .errors import NoEpsilonFound, ParseError, TropRealError
-from .hyperfields import INF_SPELLINGS, RT_ZERO, normalize_rel, stv
+from .hyperfields import RT_ZERO, SignedTropVal, as_val, normalize_rel, read_rational
 from .parsing import MAX_ALL_ORTHANT_VARS, parse_polyk
 from .polyhedra import (
     all_orthants,
@@ -56,7 +56,8 @@ def _default_seed() -> int:
 
 
 def _read_text(path: str) -> str:
-    with open(path) as fh:
+    # UTF-8 whatever the locale: JSON is UTF-8 (RFC 8259)
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -128,16 +129,13 @@ def parse_target(text: str):
     """Parse a tropical point like '((+,1),(+,0))' or '((-,3/2),(0,inf))'."""
     if not _TARGET_RE.fullmatch(text):
         raise TropRealError(f"cannot parse target point {text!r}")
-    pairs = _PAIR_RE.findall(text)
     coords = []
-    for sign_ch, val_text in pairs:
-        sign = {"+": 1, "-": -1, "0": 0}[sign_ch]
-        if val_text.strip() in INF_SPELLINGS:
-            coords.append(RT_ZERO)
-        else:
-            if sign == 0:
-                raise TropRealError("sign 0 requires valuation inf")
-            coords.append(stv(sign, iojson.read_rational(val_text, "--target")))
+    try:
+        for sign_ch, val_text in _PAIR_RE.findall(text):
+            z = SignedTropVal({"+": 1, "-": -1, "0": 0}[sign_ch], as_val(val_text))
+            coords.append(RT_ZERO if z.sign == 0 else z)
+    except (ParseError, ValueError) as exc:
+        raise ParseError(f"--target: {exc}") from None
     return tuple(coords)
 
 
@@ -149,7 +147,7 @@ def _require_nonnegative(**values: int) -> None:
 
 
 def _parse_window(text: str):
-    parts = [iojson.read_rational(p, "--window") for p in text.split(",")]
+    parts = [read_rational(p, "--window") for p in text.split(",")]
     if len(parts) != 4:
         raise TropRealError("window must be 'x0,x1,y0,y1'")
     return tuple(parts)

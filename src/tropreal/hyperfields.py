@@ -44,13 +44,21 @@ exact signs, and ``trop_region`` reads its strictness and its cells from
 it.  ``satisfied_by`` looks a canonical relation name
 up as it is; only an alias, or a name with surrounding whitespace, goes
 through ``normalize_rel``.
+
+Every module reads a caller's numbers by one rule: an integer is what
+``operator.index`` takes; a rational (``as_rational``) is a ``Fraction``,
+an integer or a ``read_rational`` text, and a float is a TypeError; a
+valuation (``as_val``) may also be ``INF`` or one of ``INF_SPELLINGS``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .errors import ParseError
 
 
 class _PlusInfinity:
@@ -100,19 +108,41 @@ INF_SPELLINGS = ("inf", "+inf", "oo")
 Val = Union[Fraction, _PlusInfinity]
 
 
+def read_rational(text: str, where: str = "") -> Fraction:
+    """The rational a text such as "-1/2" names; else a ParseError naming ``where``.
+
+    Exponent notation is refused: ``Fraction`` would expand it at a cost
+    that grows faster than the exponent.  Underscores are refused too:
+    ``Fraction`` accepts "1_0" from Python 3.11 on and refuses it before,
+    and a text must read the same on every Python.
+    """
+    try:
+        if "e" not in text.lower() and "_" not in text:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    prefix = f"{where}: " if where else ""
+    raise ParseError(f"{prefix}expected a rational such as '-1/2', got {text!r}")
+
+
+def as_rational(x) -> Fraction:
+    """The exact rational x stands for: a ``Fraction`` (a subclass as a plain
+    one), an integer, or a text :func:`read_rational` reads; else a TypeError."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, str):
+        return read_rational(x)
+    try:
+        return Fraction(x if isinstance(x, Fraction) else operator.index(x))
+    except TypeError:
+        raise TypeError(f"not an exact rational: {x!r}") from None
+
+
 def as_val(v) -> Val:
-    """Coerce ints/strings to an exact valuation; 'inf' and INF pass through."""
-    if v is INF or isinstance(v, _PlusInfinity):
+    """The valuation v stands for: INF, an ``INF_SPELLINGS`` text, or :func:`as_rational`'s."""
+    if v is INF or (isinstance(v, str) and v.strip() in INF_SPELLINGS):
         return INF
-    if isinstance(v, str):
-        if v.strip() in INF_SPELLINGS:
-            return INF
-        return Fraction(v)
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"not a valuation: {v!r}")
+    return as_rational(v)
 
 
 def val_add(a: Val, b: Val) -> Val:
@@ -132,12 +162,12 @@ class SignedTropVal:
     val: Val
 
     def __post_init__(self):
-        if self.val is not INF and not isinstance(self.val, Fraction):
+        if type(self.val) is not Fraction and self.val is not INF:
             object.__setattr__(self, "val", as_val(self.val))
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or 1, got {self.sign}")
         if (self.sign == 0) != (self.val is INF):
-            raise ValueError("sign is 0 exactly for the zero element (val = +inf)")
+            raise ValueError("sign 0 requires valuation inf, and valuation inf requires sign 0")
 
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -151,10 +181,7 @@ RT_ONE = SignedTropVal(1, Fraction(0))
 
 
 def stv(sign: int, val) -> SignedTropVal:
-    """Shorthand constructor accepting ints and strings for the valuation.
-
-    The coercion is ``SignedTropVal``'s own, done once.
-    """
+    """``SignedTropVal(sign, val)``, whose valuation is read by :func:`as_val`."""
     return SignedTropVal(sign, val)
 
 

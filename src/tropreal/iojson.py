@@ -17,10 +17,11 @@ from typing import Any
 from .errors import ParseError
 from .hyperfields import (
     INF,
-    INF_SPELLINGS,
     SignedTropVal,
     Val,
+    as_val,
     normalize_rel,
+    read_rational,
     stv,
 )
 from .parsing import MAX_EXPONENT, MAX_VARS
@@ -131,36 +132,19 @@ def _at(path: str, field: str) -> str:
     return f"{path}.{field}" if path else field
 
 
-def read_rational(text: str, where: str) -> Fraction:
-    """The rational a text such as "-1/2" names; else a ParseError naming ``where``.
-
-    Exponent notation is refused: ``Fraction`` would expand it at a cost
-    that grows faster than the exponent.  Underscores are refused too:
-    ``Fraction`` accepts "1_0" from Python 3.11 on and refuses it before,
-    and a text must read the same on every Python.
-    """
-    try:
-        if "e" not in text.lower() and "_" not in text:
-            return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ParseError(f"{where}: expected a rational such as '-1/2', got {text!r}")
-
-
 def _rational(d: dict, field: str, path: str, inf: bool = False) -> Val:
-    """The rational ``field`` of the object d at ``path``.
-
-    It is a JSON integer or a string that :func:`read_rational` reads; with
-    ``inf``, the strings "inf", "+inf" and "oo" read as INF.  Anything else
-    is a ParseError that names the JSON path of the field.
+    """The rational ``field`` of the object d at ``path``: a JSON integer, or
+    a string read by :func:`read_rational` (with ``inf``, by :func:`as_val`).
+    Anything else is a ParseError that names the JSON path of the field.
     """
     v = d[field]
     if type(v) is int:
         return Fraction(v)
     if isinstance(v, str):
-        if inf and v.strip() in INF_SPELLINGS:
-            return INF
-        return read_rational(v, _at(path, field))
+        try:
+            return as_val(v) if inf else read_rational(v)
+        except ParseError as exc:
+            raise ParseError(f"{_at(path, field)}: {exc}") from None
     raise ParseError(f"{_at(path, field)}: expected a rational such as '-1/2', "
                      f"got {_JSON_KIND.get(type(v))}")
 

@@ -16,7 +16,7 @@ step pairs every upper bound of a variable with every lower one, equality
 pairs included.  One bound rule (``_interval``), the tightest upper and
 lower bound of a variable in rows of it alone: it decides a feasibility
 question's last variable (a one-variable system before any normalization)
-instead of deriving constant rows, picks ``_solve_feasible``'s values and
+instead of deriving constant rows, picks ``feasible_point``'s values and
 clips the renderer's segments.  One equation step (``_substitute``): it
 decides a tie of two terms on its hyperplane L_i = L_j, in one variable
 fewer than its cell, and ``poly_dim`` counts independent implicit
@@ -75,6 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -84,7 +85,7 @@ from .errors import (
     NotClosedInput,
     ShapeMismatch,
 )
-from .hyperfields import RT_ZERO, SignedTropVal, normalize_rel, satisfied_by, stv
+from .hyperfields import RT_ZERO, SignedTropVal, as_rational, normalize_rel, satisfied_by, stv
 from .troppoly import TropPoint, TropPoly
 
 # a row (normal, offset numerator, offset denominator > 0, strict) means
@@ -96,10 +97,11 @@ def constraint(normal: Sequence[int], offset, rel: str = "<=") -> IntRow:
     """The row of an inequality ``normal . x + offset rel 0``.
 
     ``rel`` is any spelling ``normalize_rel`` reads as le, lt, ge or gt;
-    an equation or a disequation is not a single row.
+    an equation or a disequation is not a single row.  The offset is read
+    by ``as_rational``.
     """
-    normal = tuple(int(a) for a in normal)
-    offset = Fraction(offset)
+    normal = tuple(map(index, normal))
+    offset = as_rational(offset)
     rel = normalize_rel(rel)
     if rel in ("eq", "ne"):
         raise ValueError(f"not an inequality: {rel!r}")
@@ -110,7 +112,7 @@ def constraint(normal: Sequence[int], offset, rel: str = "<=") -> IntRow:
 
 def _scale_point(x: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Represent a rational point as integers over a common denominator."""
-    fr = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
+    fr = [v if type(v) is Fraction else as_rational(v) for v in x]
     den = 1
     for v in fr:
         den = den * v.denominator // gcd(den, v.denominator)
@@ -177,7 +179,7 @@ def whole_space(dim: int) -> Polyhedron:
 
 def point_polyhedron(coords: Sequence[Fraction]) -> Polyhedron:
     """The single point {coords} as a closed polyhedron."""
-    coords = tuple(Fraction(c) for c in coords)
+    coords = tuple(map(as_rational, coords))
     n = len(coords)
     cons = []
     for k, v in enumerate(coords):
@@ -331,7 +333,7 @@ def _fm_core(
     A full elimination (every variable a target, no ``stages``) only asks
     whether the system is feasible, so it decides its last variable from
     that variable's tightest bounds (``_interval``, the rule that also
-    chooses ``_solve_feasible``'s values) and returns ``[]`` or None,
+    chooses ``feasible_point``'s values) and returns ``[]`` or None,
     instead of building and normalizing the constant rows; a system of one
     variable is decided so before any normalization.
     """
@@ -377,15 +379,19 @@ def _feasible(rows: Sequence[IntRow], nvars: int) -> bool:
     return _fm_core(rows, range(nvars)) is not None
 
 
-def _solve_feasible(rows: Iterable[IntRow], nvars: int) -> Optional[tuple[Fraction, ...]]:
-    """An exact rational point satisfying the rows, or None when infeasible.
+def feasible_point(P: Polyhedron) -> Optional[tuple[Fraction, ...]]:
+    """A rational point of P, or None when P is empty.
 
     Runs the elimination while recording each stage, then back-substitutes,
     last stage first: given the values already chosen, a stage's rows that
-    hold its variable are rows in it alone, and the value is read from
-    their ``_interval`` by ``feasible_point``'s rule.  The point is checked
-    against the whole normalized system.
+    hold its variable are rows in it alone, and the value is the midpoint
+    of their ``_interval``, hi - 1 with only an upper bound, lo + 1 with
+    only a lower one, and 0 with neither.  The point is checked against the
+    whole normalized system.  The drawn figures read only that the point
+    lies in P: a segment's clipped endpoints are the same from any of its
+    points.
     """
+    rows, nvars = P.rows, P.dim
     stages: list[tuple[int, list[IntRow]]] = []
     if _fm_core(rows, range(nvars), stages) is None:
         return None
@@ -414,18 +420,6 @@ def _solve_feasible(rows: Iterable[IntRow], nvars: int) -> Optional[tuple[Fracti
     if stages and not _from_rows(nvars, stages[0][1]).contains(point):
         return None
     return point
-
-
-def feasible_point(P: Polyhedron) -> Optional[tuple[Fraction, ...]]:
-    """A rational point of P, or None when P is empty.
-
-    Each coordinate, chosen last eliminated first, is the midpoint of its
-    tightest bounds given those already chosen, hi - 1 with only an upper
-    bound, lo + 1 with only a lower one, and 0 with neither.  The drawn
-    figures read only that the point lies in P: a segment's clipped
-    endpoints are the same from any of its points.
-    """
-    return _solve_feasible(P.rows, P.dim)
 
 
 # The orthant tables decide their shapes, cells and ties without this memo
@@ -488,7 +482,7 @@ def poly_dim(P: Polyhedron) -> int:
 
 def poly_recession_contains(P: Polyhedron, d: Sequence[Fraction]) -> bool:
     """Whether d is a recession direction of the closure of nonempty P."""
-    d = tuple(Fraction(v) for v in d)
+    d = tuple(map(as_rational, d))
     return all(sum(a * di for a, di in zip(r[0], d)) <= 0 for r in P.rows)
 
 
@@ -655,7 +649,7 @@ def enumerate_cells(forms: Sequence[DiffRow], dim: int) -> list[tuple[int, ...]]
             rows2 = rows + _form_rows(form, s)
             cand2 = [x for x in candidates if sign_of(form, x) == s]
             if not cand2:
-                w = _solve_feasible(rows2, dim)
+                w = feasible_point(_from_rows(dim, rows2))
                 if w is None:
                     continue
                 cand2 = [w]
@@ -725,8 +719,8 @@ def all_orthants(n: int) -> list[Orthant]:
 def embed_point(sigma: Orthant, V: Sequence[Fraction]) -> TropPoint:
     """The tropical point with signs sigma and the given support valuations.
 
-    The point shares the ``Fraction`` objects of V; any other valuation
-    goes through ``Fraction``.  Zero coordinates are ``RT_ZERO``.
+    The point shares the ``Fraction`` objects of V; any other valuation is
+    read as ``SignedTropVal`` reads it.  Zero coordinates are ``RT_ZERO``.
     """
     if len(V) != sum(1 for s in sigma if s != 0):
         raise DimensionMismatch("valuation vector does not match orthant support")
@@ -736,8 +730,7 @@ def embed_point(sigma: Orthant, V: Sequence[Fraction]) -> TropPoint:
         if s == 0:
             coords.append(RT_ZERO)
         else:
-            v = next(it)
-            coords.append(SignedTropVal(s, v if type(v) is Fraction else Fraction(v)))
+            coords.append(SignedTropVal(s, next(it)))
     return tuple(coords)
 
 

@@ -75,16 +75,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .errors import PuiseuxDivisionError
-from .hyperfields import INF, RT_ZERO, SignedTropVal, Val
-
-_RatLike = Union[int, str, Fraction]
-
-
-def _frac(x: _RatLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .hyperfields import INF, RT_ZERO, SignedTropVal, Val, as_rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,11 +88,12 @@ class PuiseuxSeries:
     terms: tuple[tuple[Fraction, Fraction], ...]  # (exponent, coefficient), exponents increasing
 
     @staticmethod
-    def from_terms(pairs: Iterable[tuple[_RatLike, _RatLike]]) -> "PuiseuxSeries":
+    def from_terms(pairs: Iterable[tuple]) -> "PuiseuxSeries":
         """Build a series from (exponent, coefficient) pairs, normalizing."""
         acc: dict[Fraction, Fraction] = {}
         for e, c in pairs:
-            e, c = _frac(e), _frac(c)
+            if type(e) is not Fraction or type(c) is not Fraction:
+                e, c = as_rational(e), as_rational(c)
             acc[e] = acc[e] + c if e in acc else c
         norm = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
         return PuiseuxSeries(norm)
@@ -108,8 +103,8 @@ class PuiseuxSeries:
         return PuiseuxSeries(())
 
     @staticmethod
-    def const(c: _RatLike) -> "PuiseuxSeries":
-        c = _frac(c)
+    def const(c) -> "PuiseuxSeries":
+        c = as_rational(c)
         return PuiseuxSeries(((Fraction(0), c),) if c != 0 else ())
 
     @staticmethod
@@ -117,11 +112,11 @@ class PuiseuxSeries:
         return PuiseuxSeries.const(1)
 
     @staticmethod
-    def t_power(e: _RatLike, c: _RatLike = 1) -> "PuiseuxSeries":
-        c = _frac(c)
+    def t_power(e, c=1) -> "PuiseuxSeries":
+        c = as_rational(c)
         if c == 0:
             return PuiseuxSeries(())
-        return PuiseuxSeries(((_frac(e), c),))
+        return PuiseuxSeries(((as_rational(e), c),))
 
     # -- structure ---------------------------------------------------------
 
@@ -167,8 +162,8 @@ class PuiseuxSeries:
             (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
         )
 
-    def scale(self, c: _RatLike) -> "PuiseuxSeries":
-        c = _frac(c)
+    def scale(self, c) -> "PuiseuxSeries":
+        c = as_rational(c)
         if c == 0:
             return PuiseuxSeries(())
         return PuiseuxSeries(tuple((e, c * k) for e, k in self.terms))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .hyperfields import as_rational
 from .parsing import MAX_GRID
 from .polyhedra import (
     Orthant,
@@ -64,7 +65,7 @@ class RenderConfig:
             raise ValueError("grid must be at least 2")
         if self.grid > MAX_GRID:
             raise ValueError(f"grid must be at most MAX_GRID={MAX_GRID}")
-        x0, x1, y0, y1 = (Fraction(w) for w in self.window)
+        x0, x1, y0, y1 = map(as_rational, self.window)
         if x0 >= x1 or y0 >= y1:
             raise ValueError("window must be a nondegenerate rectangle")
         object.__setattr__(self, "window", (x0, x1, y0, y1))

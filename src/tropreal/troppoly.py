@@ -85,6 +85,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, NegativeExponentAtZero
@@ -125,7 +126,7 @@ class PolyK:
     ) -> "PolyK":
         acc: dict[Exps, PuiseuxSeries] = {}
         for exps, coeff in pairs:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != nvars:
                 raise DimensionMismatch(f"exponent vector {exps} vs nvars {nvars}")
             # a PuiseuxSeries is in normal form: the first coefficient is kept as it is
@@ -253,7 +254,7 @@ class TropPoly:
     ) -> "TropPoly":
         seen: dict[Exps, SignedTropVal] = {}
         for exps, coeff in pairs:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != nvars:
                 raise DimensionMismatch(f"exponent vector {exps} vs nvars {nvars}")
             if coeff.sign == 0:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -92,6 +93,30 @@ def test_out_naming_the_file_stdout_writes_is_out_dash(tmp_path, out):
         target = "/dev/stdout" if out == "/dev/stdout" else str(redirected)
         subprocess.run(argv + [target], stdout=fh, check=True)
     assert dash.startswith(b"{") and redirected.read_bytes() == dash
+
+
+def test_input_files_are_read_as_utf8_under_any_locale(tmp_path):
+    # the documented relation alias "≥" is two non-ASCII bytes in the file;
+    # under the C locale they were decoded as ASCII and the command exited 2
+    data = iojson.description_to_json(get_scenario("halfplane").description)
+    ascii_desc, utf8_desc = tmp_path / "ascii.json", tmp_path / "utf8.json"
+    ascii_desc.write_text(iojson.dumps(data))
+    for disj in data["disjuncts"]:
+        for cond in disj:
+            cond["rel"] = {">=": "≥", "<=": "≤", "!=": "≠"}.get(cond["rel"], cond["rel"])
+    utf8_desc.write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
+    assert "≥".encode("utf-8") in utf8_desc.read_bytes()
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    outs = []
+    for desc in (ascii_desc, utf8_desc):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropreal.cli", "sample", str(desc), "--seed", "1",
+             "--count", "200", "--out", "-"],
+            capture_output=True, env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outs.append(proc.stdout)
+    assert outs[0].startswith(b"{") and outs[0] == outs[1]
 
 
 def test_figures_rerun_into_its_directory_matches_a_fresh_run(tmp_path):

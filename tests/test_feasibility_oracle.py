@@ -25,8 +25,8 @@ from tropreal.polyhedra import (
     _interval,
     _normalize_rows,
     _OrthantTable,
+    _from_rows,
     _rows_empty,
-    _solve_feasible,
     constraint,
     feasible_point,
     poly_dim,
@@ -247,8 +247,8 @@ def test_elimination_order_matches_the_reference_loop():
         assert got == reference_fm_core(rows, targets, want_stages), (rows, targets)
         assert got_stages == want_stages, (rows, targets)
         with mock.patch.object(polyhedra, "_fm_core", reference_fm_core):
-            want_point = _solve_feasible(rows, dim)
-        assert _solve_feasible(rows, dim) == want_point, rows
+            want_point = feasible_point(_from_rows(dim, rows))
+        assert feasible_point(_from_rows(dim, rows)) == want_point, rows
         done = set()
         for k, system in want_stages:
             live = [j for j in targets if j not in done and any(r[0][j] for r in system)]

@@ -10,10 +10,12 @@ on the moved orthant is the moved region: a flip leaves it as it is, a
 shift translates it, and a permutation reorders its coordinates.  The
 value-group scaling t -> t**k, k > 0 rational, scales every valuation by
 k, of the coefficients and of the point alike, so it scales the region by
-k on every orthant.  A tropical polynomial satisfies a relation at a point
-exactly when its moved image does at the moved point, under each of the
-four maps.  With the same seed, the witness search for a shifted target in
-the shifted set finds the shifted witness, or none when there is none.
+k on every orthant; the outer bound of a moved description moves so
+too, under each of the four maps.  A tropical polynomial satisfies a
+relation at a point exactly when its moved image does at the moved point,
+under each of the four maps.  With the same seed, the witness search for
+a shifted target in the shifted set finds the shifted witness, or none
+when there is none.
 """
 
 import random
@@ -39,6 +41,7 @@ from tropreal.semialg import (
     SignCondition,
     outer_contains_point,
     sa_member,
+    sa_outer_all,
     witness_search,
 )
 from tropreal.troppoly import PolyK, TropPoly, trop_point, trop_sat
@@ -264,3 +267,46 @@ def test_trop_sat_commutes_with_flips_shifts_permutations_and_scalings(nvars, se
             assert _sat(permuted, _permute_point(z, perm), rel) == want, (F, z, rel, perm)
             for k, G in scaled:
                 assert _sat(G, _scale_point(z, k), rel) == want, (F, z, rel, k)
+
+
+# -- sa_outer_all ----------------------------------------------------------------
+
+
+def scale(S, k):
+    """The image of S under t -> t**k: every exponent of every coefficient is scaled by k."""
+    return _move(S, lambda f: PolyK(f.nvars, tuple(
+        (e, PuiseuxSeries(tuple((x * k, c) for x, c in s.terms))) for e, s in f.terms
+    )))
+
+
+def permute(S, perm):
+    """Variable k becomes variable perm[k]."""
+    return _move(S, lambda f: PolyK.from_terms(
+        f.nvars, [(_permute_point(e, perm), c) for e, c in f.terms]
+    ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(description_and_points(), st.data())
+def test_outer_regions_commute_with_flips_shifts_permutations_and_scalings(case, data):
+    S, _ = case
+    i = data.draw(st.integers(0, S.nvars - 1))
+    a = data.draw(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2)))
+    perm = data.draw(st.permutations(range(S.nvars)))
+    flipped, shifted = sa_outer_all(flip(S, i)), sa_outer_all(shift(S, i, a))
+    permuted = sa_outer_all(permute(S, perm))
+    scaled = [(k, sa_outer_all(scale(S, k))) for k in _SCALINGS]
+    for sigma, want in sa_outer_all(S).items():
+        support = [k for k, s in enumerate(sigma) if s]
+        assert union_equal(flipped[flip_point(sigma, i)], want), (S, sigma, i)
+        if i in support:
+            q = support.index(i)
+            want_shifted = _move_rows(want, lambda n, c: (n, c - a * n[q]))
+        else:
+            want_shifted = want
+        assert union_equal(shifted[sigma], want_shifted), (S, sigma, i, a)
+        order = [support.index(k) for k in sorted(support, key=perm.__getitem__)]
+        want_permuted = _move_rows(want, lambda n, c: (tuple(n[o] for o in order), c))
+        assert union_equal(permuted[_permute_point(sigma, perm)], want_permuted), (S, sigma, perm)
+        for k, got in scaled:
+            assert union_equal(got[sigma], _move_rows(want, lambda n, c: (n, c * k))), (S, sigma, k)
