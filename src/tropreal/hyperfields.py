@@ -39,9 +39,9 @@ relation according to its sign alone.  ``SATISFIED_BY`` maps each
 relation to the outcomes that satisfy it (-1, 0, 1, and None for a
 balanced interval), and it is the single definition of that rule:
 ``hv_relation`` and ``trop_sat`` read it directly,
-``SignCondition.holds_at`` and the sampler's candidate filter read it on
-exact signs, and ``trop_region`` reads its strictness and its cells from
-it.  ``satisfied_by`` looks a canonical relation name
+``SignCondition.holds_at``, ``sa_member`` and the sampler's verdicts read
+it on exact signs, and ``trop_region`` reads its strictness and its cells
+from it.  ``satisfied_by`` looks a canonical relation name
 up as it is; only an alias, or a name with surrounding whitespace, goes
 through ``normalize_rel``.
 
@@ -156,12 +156,16 @@ class SignedTropVal:
     """An element of the signed tropical hyperfield: sign * e**(-val).
 
     Invariant: sign == 0 exactly when val is +inf (the zero element).
+    The sign is read by the integer rule, ``operator.index``, and kept as
+    an int: a bool becomes 0 or 1, and a float is a TypeError.
     """
 
     sign: int
     val: Val
 
     def __post_init__(self):
+        if type(self.sign) is not int:
+            object.__setattr__(self, "sign", operator.index(self.sign))
         if type(self.val) is not Fraction and self.val is not INF:
             object.__setattr__(self, "val", as_val(self.val))
         if self.sign not in (-1, 0, 1):

@@ -62,11 +62,13 @@ value c (``ps_build(draw, lead=c)``), so that they tropicalize to c.
 The split lets a caller decide a candidate before any series exists, and
 before its tails are drawn.  The default candidate loop of
 :mod:`tropreal.semialg` takes a candidate's leads and key from the
-stream, rejects a candidate that its leads already put outside the set,
-and draws tails only for the other candidates, between resumes; those
-are built and tested exactly, where ``laurent_sign`` decides a sign from
-the initial form, and only when that cancels from the lowest terms of the
-full series.
+stream, rejects a candidate that the signs and exponents of its leads
+already put outside the set, and draws tails only for the other
+candidates, between resumes.  Those are then decided on their lead
+coefficients, as integers: each condition's initial form at the leads
+decides its sign unless it cancels.  Only members, and candidates whose
+initial form cancels, are built here; the latter are tested exactly from
+the lowest terms of the full series.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ floats for the final line placement.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +51,11 @@ FRAME = "#222222"
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """Raster density and multiplicative window."""
+    """Raster density and multiplicative window.
+
+    ``grid`` is read by the integer rule, ``operator.index``, and
+    ``window`` by ``as_rational``; a float is refused in both.
+    """
 
     grid: int = 160
     window: tuple[Fraction, Fraction, Fraction, Fraction] = (
@@ -61,6 +66,7 @@ class RenderConfig:
     )
 
     def __post_init__(self):
+        object.__setattr__(self, "grid", operator.index(self.grid))
         if self.grid < 2:
             raise ValueError("grid must be at least 2")
         if self.grid > MAX_GRID:

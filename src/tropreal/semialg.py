@@ -32,10 +32,12 @@ the point's orthant, read from the same ``_outer_conditions`` as
 
 A Laurent condition is undefined where a negative exponent meets a zero
 coordinate, and an undefined condition does not hold.  The condition owns
-that rule: ``SignCondition.holds_at`` is False at such a point, and
-``trop_conjunction`` is empty on an orthant that sets such a coordinate to
-zero.  Membership and the outer region are both assembled one disjunct at
-a time, so another disjunct that holds there still counts, in any order.
+that rule: ``SignCondition.holds_at`` is False at such a point, the
+membership walk reads it from the mask of the condition's sign kernel,
+and ``trop_conjunction`` is empty on an orthant that sets such a
+coordinate to zero.  Membership and the outer region are both assembled
+one disjunct at a time, so another disjunct that holds there still
+counts, in any order.
 
 The exact tropicalization in between is not computed in general (that
 would need quantifier elimination over valued ordered fields); the
@@ -58,23 +60,31 @@ from the caller; neither draws any, so only the samplers
 (``sa_sample_trop`` and ``collect_samples``) choose how candidates are
 drawn.
 
-The default sampler decides each candidate as far as it can before any
-series is built, and before any tail is drawn.  A candidate's leads come
-first, all its coordinates' at once, from one stream
-(:func:`ps_lead_stream`) that also gives their integer lead key, and
-every condition is scored at the leading signs and valuations of its
-coordinates: a condition whose dominant terms share a sign that its
-relation rejects, or that is undefined there, fails.  A candidate with
-such a condition in every disjunct is dropped with no tail drawn; a dict
-local to the sampling call keeps each decision per lead key, up to a
-fixed bound.  The others get their tails (:func:`ps_draw_tail`), between
-resumes of the stream, and are built and decided exactly by
-``sa_member``, where ``laurent_sign`` settles a balanced condition from
-its initial form, the sum of the dominant terms' leading coefficients,
-and only when that sum cancels from the lowest terms of the full series.
-A dropped candidate is outside the set whatever its tails would have
-been, so dropping it loses no member.  The witness search takes whole
-draws (:func:`ps_draw`), each with its lead pinned to the target.
+The default sampler decides each candidate from its drawn integers, and
+builds a series only for a member or where an initial form cancels.  A
+candidate's leads come first, all its coordinates' at once, from one
+stream (:func:`ps_lead_stream`) that also gives their integer lead key.
+First the lead signs and exponents: every condition is scored at the
+leading signs and valuations of the coordinates, and a condition whose
+dominant terms share a sign that its relation rejects, or that is
+undefined there, fails.  A candidate with such a condition in every
+disjunct is dropped with no tail drawn; a dict local to the sampling call
+keeps each decision per lead key, up to a fixed bound.  The others get
+their tails (:func:`ps_draw_tail`), between resumes of the stream,
+whatever becomes of them, so the random words do not depend on the
+verdict.  Then the lead coefficients: one three-valued walk over the
+disjuncts (:func:`_verdict`) evaluates each condition's initial form, the
+sum of the dominant terms' leading coefficients, at the drawn leads, in
+integers; where it does not cancel it has the sign of the condition,
+whatever the tails are.  The walk answers member, not a member, or
+undecided.  A refuted candidate is dropped with no series built, a
+member is built and kept, and only an undecided one is built and decided
+by ``sa_member``, which is the same walk with the series at hand: it
+reads a cancelled condition's sign from the lowest terms of the full
+series.  A dropped candidate is outside the set whatever its tails are,
+so dropping it loses no member.  The witness search takes whole draws
+(:func:`ps_draw`), each with its lead pinned to the target, and judges
+each by the same walk at the pinned leads.
 
 Sampling and search are embarrassingly parallel over seeds; all exact
 checks are pure.
@@ -119,6 +129,7 @@ from .polyhedra import (
 )
 from .puiseux import (
     PS_ZERO,
+    Lead,
     PuiseuxSeries,
     SamplerConfig,
     ps_build,
@@ -130,7 +141,9 @@ from .troppoly import (
     PolyK,
     TropPoint,
     TropPoly,
+    _SignKernel,
     laurent_sign,
+    series_leads,
     trop_point,
     trop_r,
     trop_sat,
@@ -181,23 +194,78 @@ class SADescription:
             for disj in self.disjuncts
         )
 
+    @cached_property
+    def _sign_conditions(self) -> tuple[tuple[tuple[_SignKernel, frozenset], ...], ...]:
+        """The disjuncts as written, each condition as (the integer form of
+        its cleared polynomial, the signs its relation accepts)."""
+        return tuple([
+            tuple([(c.poly._sign_kernel, SATISFIED_BY[c.rel]) for c in disj])
+            for disj in self.disjuncts
+        ])
+
 
 def conjunction(nvars: int, conditions: Iterable[SignCondition]) -> SADescription:
     return SADescription(nvars, (tuple(conditions),))
 
 
 def sa_member(S: SADescription, p: Sequence[PuiseuxSeries]) -> bool:
-    """Exact membership of a Puiseux point, by DNF evaluation of signs."""
+    """Exact membership of a Puiseux point, by DNF evaluation of signs.
+
+    The walk of :func:`_verdict`, at the leads of p's coordinates
+    (:func:`series_leads`) and with p itself to read a sign from where an
+    initial form cancels, so every condition is decided.
+    """
     p = tuple(p)
     if len(p) != S.nvars:
         raise DimensionMismatch("point dimension does not match description")
-    for disj in S.disjuncts:
-        for cond in disj:
-            if not cond.holds_at(p):
+    return _verdict(S, series_leads(p), p)
+
+
+def _verdict(
+    S: SADescription,
+    leads: Sequence[Optional[Lead]],
+    p: Optional[tuple[PuiseuxSeries, ...]] = None,
+) -> Optional[bool]:
+    """Whether a point with these leads is in S: True, False, or None when
+    that lies in tails that p does not give.
+
+    The leads are those of :meth:`_SignKernel._initial`, (k, q, ck, cq) per
+    coordinate or None for a zero coordinate.  The disjuncts are walked in
+    order, and in each the conditions, in three steps.  A condition with a
+    negative exponent on a zero coordinate is undefined there, and does not
+    hold.  Otherwise its sign is that of its initial form at the leads
+    (:meth:`_SignKernel.lead_sign`), whatever the tails are, unless that
+    cancels; a disjunct with a decided sign its relation rejects fails.
+    Only a disjunct that nothing refuted then reads the tails, for the
+    conditions whose initial form cancelled, from the series p
+    (:meth:`_SignKernel._truncated_value`); with no p, that disjunct is
+    undecided.  So with p the answer is always True or False.
+    """
+    zeromask = 0
+    bit = 1
+    for lead in leads:
+        if lead is None:
+            zeromask |= bit
+        bit <<= 1
+    undecided = False
+    for disj in S._sign_conditions:
+        cancelled = []
+        for kernel, ok in disj:
+            if kernel.negmask & zeromask:
+                break  # undefined at a zero coordinate
+            sign = kernel.lead_sign(leads)
+            if sign is None:
+                cancelled.append((kernel, ok))
+            elif sign not in ok:
                 break
         else:
-            return True
-    return False
+            if not cancelled:
+                return True
+            if p is None:
+                undecided = True
+            elif all(kernel._truncated_value(p).sign in ok for kernel, ok in cancelled):
+                return True
+    return None if undecided else False
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +285,12 @@ class SampleCloud:
         p = tuple(p)
         if not sa_member(self.description, p):
             return False
-        self._points.setdefault(trop_point(p), p)
+        self._add_member(p)
         return True
+
+    def _add_member(self, p: tuple[PuiseuxSeries, ...]) -> None:
+        """Record the tropical point of p, a verified member."""
+        self._points.setdefault(trop_point(p), p)
 
     def points(self) -> set[TropPoint]:
         return set(self._points)
@@ -239,53 +311,79 @@ def _candidates(
     rng: random.Random,
     budget: int,
     proposal: Optional[Callable[[random.Random], tuple[PuiseuxSeries, ...]]] = None,
+    sigma: Optional[Orthant] = None,
 ) -> Iterator[tuple[PuiseuxSeries, ...]]:
-    """The candidates among `budget` draws that may lie in S.
+    """The members of S among `budget` draws, in the order they are drawn;
+    with ``sigma``, only those in that orthant.
 
-    Every candidate of a proposal comes through.  A default candidate's
-    leads come from :func:`ps_lead_stream`, one candidate per resume: each
-    coordinate is exactly zero with probability ``_ZERO_PROB`` (one
-    ``rng.random()`` word), and otherwise its lead is drawn.  The leads then
-    decide most candidates: the point of the leads' signs and valuations
-    is put to ``outer_contains_point``, where a condition fails outright
-    when a coordinate under a negative exponent is zero (it is undefined)
-    or when its dominant terms share a sign that the relation rejects.  A
-    candidate outside the outer bound is not in S and is dropped, and none
-    of its tails is drawn.  For the others, each nonzero coordinate's tail
-    is drawn (:func:`ps_draw_tail`), in coordinate order and before the
-    stream is resumed, so the random words come in the order of the plain
-    loop; the series are built, and membership is left to the caller's
-    exact test.  A balanced condition, where dominant terms of opposite
-    sign tie, is never decided here.
+    A proposal's candidates are each tested by ``sa_member``.  A default
+    candidate's leads come from :func:`ps_lead_stream`, one candidate per
+    resume: each coordinate is exactly zero with probability
+    ``_ZERO_PROB`` (one ``rng.random()`` word), and otherwise its lead is
+    drawn.  The leads then decide nearly every candidate, in two steps and
+    before any series is built.
 
-    A decision depends only on the leads' signs and reduced exponents,
-    which the stream's integer lead key names, so a dict local to the call
-    keeps it per key, up to ``_DECIDED_BOUND`` entries; later keys are
-    decided each time.  :func:`ps_draw` is the lead and the tail in a row:
-    ``witness_search`` takes such draws and pins their leads, and only a
-    scenario's proposal draws its own way.
+    First their signs and exponents: the point of the leads' signed values
+    is put to ``outer_contains_point``, where a condition fails when a
+    coordinate under a negative exponent is zero (it is undefined) or when
+    its dominant terms share a sign that the relation rejects.  A
+    candidate outside the outer bound is dropped, and none of its tails is
+    drawn.  That decision depends only on the leads' signs and reduced
+    exponents, which the stream's integer lead key names, so a dict local
+    to the call keeps it per key, up to ``_DECIDED_BOUND`` entries; later
+    keys are decided each time.  The key also gives the leads' signs, so
+    with ``sigma`` a candidate of another orthant is passed over once its
+    tails are drawn.
+
+    Then their coefficients.  Each nonzero coordinate's tail is drawn
+    (:func:`ps_draw_tail`), in coordinate order and before the stream is
+    resumed, so the random words come in the order of the plain loop,
+    whatever becomes of the candidate.  The walk of :func:`_verdict` reads
+    each condition's sign from its initial form at the drawn leads, which
+    decides it whatever the tails are unless it cancels.  A refuted
+    candidate is dropped with no series built; a member is built
+    (:func:`ps_build`) and yielded; and only a candidate whose verdict
+    rests on a cancelled initial form is built and decided by
+    ``sa_member``, which reads the tails.
+
+    :func:`ps_draw` is the lead and the tail in a row: ``witness_search``
+    takes such draws and pins their leads, and only a scenario's proposal
+    draws its own way.
     """
     if proposal is not None:
         for _ in range(budget):
-            yield proposal(rng)
+            p = proposal(rng)
+            if sa_member(S, p) and (sigma is None or tuple([c.sign() for c in p]) == sigma):
+                yield p
         return
     draw_tail = ps_draw_tail
-    decided: dict[int, bool] = {}
+    # per lead key: 0 outside the outer bound, 1 inside it but in another
+    # orthant than sigma (its tails are drawn, and nothing else), 2 judged
+    decided: dict[int, int] = {}
     for _, (leads, key) in zip(range(budget), ps_lead_stream(rng, S.nvars, _ZERO_PROB)):
-        keep = decided.get(key)
-        if keep is None:
-            keep = outer_contains_point(S, tuple([
+        step = decided.get(key)
+        if step is None:
+            z = tuple([
                 RT_ZERO if lead is None
                 else SignedTropVal(1 if lead[2] > 0 else -1, Fraction(lead[0], lead[1]))
                 for lead in leads
-            ]))
-            if len(decided) < _DECIDED_BOUND:
-                decided[key] = keep
-        if keep:
-            yield tuple([
-                PS_ZERO if lead is None else ps_build(draw_tail(rng, lead))
-                for lead in leads
             ])
+            step = 0
+            if outer_contains_point(S, z):
+                step = 2 if sigma is None or point_orthant(z) == sigma else 1
+            if len(decided) < _DECIDED_BOUND:
+                decided[key] = step
+        if not step:
+            continue
+        draws = [None if lead is None else draw_tail(rng, lead) for lead in leads]
+        if step == 1:
+            continue
+        member = _verdict(S, leads)
+        if member is False:
+            continue
+        p = tuple([PS_ZERO if draw is None else ps_build(draw) for draw in draws])
+        if member or sa_member(S, p):
+            yield p
 
 
 def sa_sample_trop(
@@ -302,7 +400,7 @@ def sa_sample_trop(
     rng = random.Random(cfg.seed)
     cloud = SampleCloud(S)
     for p in _candidates(S, rng, count, proposal):
-        cloud.add_candidate(p)
+        cloud._add_member(tuple(p))
     return cloud
 
 
@@ -498,8 +596,12 @@ def collect_samples(
 ) -> list[tuple[PuiseuxSeries, ...]]:
     """Up to n verified members of S (restricted to an orthant when given).
 
-    An orthant of another length than S has variables is refused before
-    any draw: no sample could ever lie in it.
+    The members come from the candidate loop (:func:`_candidates`), which
+    decides a default candidate from its drawn leads and builds series only
+    for members and for candidates whose initial form cancels.  The orthant
+    is decided there too, from the lead key, before the lead coefficients
+    are read.  An orthant of another length than S has variables is
+    refused before any draw: no sample could ever lie in it.
     """
     if sigma is not None and len(sigma) != S.nvars:
         raise DimensionMismatch("orthant length does not match description")
@@ -508,11 +610,7 @@ def collect_samples(
     if n <= 0:
         return out
     budget = max_attempts if max_attempts is not None else max(200, 60 * n)
-    for p in _candidates(S, rng, budget, proposal):
-        if not sa_member(S, p):
-            continue
-        if sigma is not None and point_orthant(trop_point(p)) != sigma:
-            continue
+    for p in _candidates(S, rng, budget, proposal, sigma):
         out.append(p)
         if len(out) >= n:
             break
@@ -664,21 +762,36 @@ def witness_search(
     """Search for a member of S tropicalizing exactly to z.
 
     Each nonzero coordinate c of z is a draw of the default sampler, seeded
-    by ``cfg``, built with its lead pinned to c
-    (``ps_build(ps_draw(rng), lead=c)``); a zero coordinate is zero and
-    draws nothing.  Every candidate tropicalizes to z by construction; only
-    membership is tested.  Returns the first witness, or None when the
-    budget is exhausted -- absence is a value, not an error, and is
-    conclusive only when the outer region already excludes z.
+    by ``cfg``, with its lead pinned to c (``ps_build(ps_draw(rng),
+    lead=c)``); a zero coordinate is zero and draws nothing.  Every
+    candidate tropicalizes to z by construction; only membership is
+    tested, as in the candidate loop: the pinned leads, as integers, go
+    to the walk of :func:`_verdict`, which decides a condition from its
+    initial form unless that cancels.  A refuted draw builds no series; a
+    member is built and returned; and only a draw whose verdict rests on
+    a cancelled initial form is built and decided by ``sa_member``.
+    Returns the first witness, or None when the budget is exhausted --
+    absence is a value, not an error, and is conclusive only when the
+    outer region already excludes z.
     """
     if len(z) != S.nvars:
         raise DimensionMismatch(
             f"the target has {len(z)} coordinate(s) and the description has {S.nvars} variable(s)"
         )
     rng = random.Random(cfg.seed)
+    # each nonzero target coordinate as (numerator, denominator, sign)
+    pins = [None if c.sign == 0 else (*c.val.as_integer_ratio(), c.sign) for c in z]
     for _ in range(budget):
-        p = tuple([PS_ZERO if c.sign == 0 else ps_build(ps_draw(rng), c) for c in z])
-        if sa_member(S, p):
+        draws = [None if pin is None else ps_draw(rng) for pin in pins]
+        leads = [
+            None if pin is None else (pin[0], pin[1], pin[2] * abs(draw[0][2]), draw[0][3])
+            for pin, draw in zip(pins, draws)
+        ]
+        member = _verdict(S, leads)
+        if member is False:
+            continue
+        p = tuple([PS_ZERO if draw is None else ps_build(draw, c) for c, draw in zip(z, draws)])
+        if member or sa_member(S, p):
             return p
     return None
 

@@ -33,15 +33,18 @@ keeps its sign, and renaming exponents e -> D*e keeps their order, so the
 sign of g(p) is the sign of the integer sum at its lowest exponent with a
 nonzero coefficient.  That lowest term is found in two steps.  First the
 initial form: the terms of g are scored at the leading terms of the
-coordinates, and the dominant terms' leading coefficients are summed.  The
-sum is the coefficient of the lowest power of t in g(p), up to a positive
-factor, so when it is nonzero it decides, and ``laurent_sign`` takes its
-sign without building a signed value; it is nonzero whenever the
-dominant terms share one sign.  Only when it cancels, or no term
-survives, are the lowest terms of g(p) computed: powers are taken by
-squaring on series truncated above a bound, and the bound doubles until
-a nonzero coefficient shows.  ``signed_trop_of_value`` reads the signed
-value of g(p) from that same lowest term: its sign, and its exponent.
+coordinates, given as integers (k, q, ck, cq) for (ck/cq) * t**(k/q), and
+the dominant terms' leading coefficients are summed.  The sum is the
+coefficient of the lowest power of t in g(p), up to a positive factor, so
+when it is nonzero it decides, whatever the tails of p are, and
+``laurent_sign`` takes its sign without building a signed value; it is
+nonzero whenever the dominant terms share one sign.  Since only the leads
+are read, the samplers ask it of a candidate's drawn leads before any
+series is built.  Only when it cancels are the lowest terms of g(p)
+computed, from the full series: powers are taken by squaring on series
+truncated above a bound, and the bound doubles until a nonzero
+coefficient shows.  ``signed_trop_of_value`` reads the signed value of
+g(p) from that same lowest term: its sign, and its exponent.
 
 ``trop_eval`` works in integers in the same way.  Each :class:`TropPoly`
 keeps its coefficient valuations as numerators over one common
@@ -101,7 +104,7 @@ from .hyperfields import (
     rt_pow,
     satisfied_by,
 )
-from .puiseux import PS_ONE, PuiseuxSeries
+from .puiseux import PS_ONE, Lead, PuiseuxSeries
 
 Exps = tuple[int, ...]
 TropPoint = tuple[SignedTropVal, ...]
@@ -567,104 +570,123 @@ def _int_pow(x: IntSeries, d: int, top: int) -> IntSeries:
 class _SignKernel(NamedTuple):
     """The cleared polynomial g = f * x**m of a Laurent f in integer form.
 
-    Each term is (exponent vector, coefficient), the coefficient series
-    given as (exponent numerator, integer coefficient) pairs: exponents
+    Each term is (pairs, coefficient): its nonzero exponents as (variable,
+    degree) pairs in variable order, and its coefficient series as
+    (exponent numerator, integer coefficient) pairs: exponents
     over the common denominator ``den``, coefficients multiplied by one
     positive integer shared by all of g.  ``maxdeg`` is the largest degree
-    of each variable in g.
+    of each variable in g.  ``negmask`` has bit k set when f carries a
+    negative exponent on variable k: f is undefined wherever one of them
+    is zero.
     """
 
     den: int
     maxdeg: Exps
-    terms: tuple[tuple[Exps, tuple[tuple[int, int], ...]], ...]
+    terms: tuple[tuple[Pairs, tuple[tuple[int, int], ...]], ...]
+    negmask: int
 
     @staticmethod
     def of(f: PolyK) -> "_SignKernel":
-        g, _ = f._clearing
+        g, m = f._clearing
         den = scale = 1
         for _, coeff in g.terms:
             for e, c in coeff.terms:
                 den = lcm(den, e.denominator)
                 scale = lcm(scale, c.denominator)
-        terms = tuple(
+        terms = tuple([
             (
-                exps,
-                tuple(
+                tuple([(k, d) for k, d in enumerate(exps) if d]),
+                tuple([
                     (
                         e.numerator * (den // e.denominator),
                         c.numerator * (scale // c.denominator),
                     )
                     for e, c in coeff.terms
-                ),
+                ]),
             )
             for exps, coeff in g.terms
-        )
-        maxdeg = tuple(
-            max((exps[k] for exps, _ in g.terms), default=0) for k in range(f.nvars)
-        )
-        return _SignKernel(den, maxdeg, terms)
+        ])
+        maxdeg = tuple([
+            max([exps[k] for exps, _ in g.terms], default=0) for k in range(f.nvars)
+        ])
+        negmask = 0
+        for k, mk in enumerate(m):
+            if mk:
+                negmask |= 1 << k
+        return _SignKernel(den, maxdeg, terms, negmask)
 
     def signed_value(self, p: tuple[PuiseuxSeries, ...]) -> SignedTropVal:
         """Signed value of g(p): from its initial form (:meth:`_initial`)
         when that does not cancel, else from its lowest terms
         (:meth:`_truncated_value`)."""
-        initial, best, den = self._initial(p)
+        initial, best, den = self._initial(series_leads(p))
         if initial:
             return SignedTropVal(1 if initial > 0 else -1, Fraction(best, den))
         return self._truncated_value(p)
 
-    def _initial(self, p: tuple[PuiseuxSeries, ...]) -> tuple[int, Optional[int], int]:
-        """(c, w, d): the initial form of g(p) is a positive multiple of
-        c * t**(w / d), and c is 0 when it cancels (w is None when no term
-        survives).
+    def lead_sign(self, leads: Sequence[Optional[Lead]]) -> Optional[int]:
+        """The sign of g at every point with these leads, whatever the
+        tails: the sign of the initial form (:meth:`_initial`), 0 when no
+        term survives the zero coordinates, or None when the initial form
+        cancels and the sign lies in the tails."""
+        initial, best, _ = self._initial(leads)
+        if initial:
+            return 1 if initial > 0 else -1
+        return 0 if best is None else None
 
-        The terms of g are scored at the leading exponents of p, over the
-        common denominator ``den * D'``, where D' clears the leading
-        exponents.  Write the leading coefficient of x_k as n_k / b_k in
-        lowest terms, and K = prod b_k**maxdeg_k.  At those coefficients, K
-        times a term's leading coefficient c * prod (n_k / b_k)**e_k is the
-        integer c * prod n_k**e_k * (K / prod b_k**e_k).  Over the dominant
-        terms these sum to a positive multiple of the coefficient of t**w
-        in g(p), w the least score, and no lower power of t has a nonzero
+    def _initial(self, leads: Sequence[Optional[Lead]]) -> tuple[int, Optional[int], int]:
+        """(c, w, d): the initial form of g at a point with these leads is a
+        positive multiple of c * t**(w / d), and c is 0 when it cancels (w
+        is None when no term survives).
+
+        Each coordinate's lead is given in integers, as (k, q, ck, cq) for
+        the leading term (ck/cq) * t**(k/q), or None for a zero coordinate
+        (:func:`series_leads` reads them from built series; the samplers
+        pass the leads they drew).  The terms of g are scored at the leading
+        exponents, over the common denominator ``den * D'``, where D' is a
+        common denominator of the lead exponents.  With
+        K = prod cq_k**maxdeg_k, K times a term's leading coefficient
+        c * prod (ck_k / cq_k)**e_k is the integer
+        c * prod ck_k**e_k * (K / prod cq_k**e_k).  Over the dominant terms
+        these sum to a positive multiple of the coefficient of t**w in
+        g(p), w the least score, and no lower power of t has a nonzero
         coefficient; so when the sum is nonzero, its sign at w is the
-        signed value of g(p).
+        signed value of g(p), whatever the tails of p are.  Every rescaling
+        here is by a positive factor, so ck/cq need not be in lowest terms.
         """
         den = self.den
-        # per variable of g: (den times the leading exponent as a numerator
-        # over the running denominator dp, n_k, b_k), or None when the
-        # coordinate is zero or the variable not in g; K = prod b_k**maxdeg_k
-        leads: list[tuple[int, int, int] | None] = []
-        dp = K = 1
-        for c, md in zip(p, self.maxdeg):
-            if md and c.terms:
-                e, a = c.terms[0]
-                en, ed = e.as_integer_ratio()
-                if dp % ed:
-                    # widen the running denominator and rescale what was read
-                    f = ed // gcd(dp, ed)
-                    leads = [None if x is None else (x[0] * f, x[1], x[2]) for x in leads]
-                    dp *= f
-                n, b = a.as_integer_ratio()
-                if b != 1:
-                    K *= b ** md
-                leads.append((den * en * (dp // ed), n, b))
+        dp = 1  # D', a common denominator of the lead exponents
+        for lead in leads:
+            if lead is not None and dp % lead[1]:
+                dp *= lead[1] // gcd(dp, lead[1])
+        # per variable of g: (den times the lead exponent as a numerator
+        # over dp, ck, cq), or None when the coordinate is zero or the
+        # variable not in g; K = prod cq**maxdeg
+        coords: list[tuple[int, int, int] | None] = []
+        K = 1
+        for lead, md in zip(leads, self.maxdeg):
+            if md and lead is not None:
+                k, q, ck, cq = lead
+                if cq != 1:
+                    K *= cq ** md
+                coords.append((den * k * (dp // q), ck, cq))
             else:
-                leads.append(None)
+                coords.append(None)
         best = None
         initial = 0
-        for exps, coeff in self.terms:
+        for pairs, coeff in self.terms:
             score, value = coeff[0]
             score *= dp
-            scale = 1  # prod b_k**e_k, which divides K
-            for d, lead in zip(exps, leads):
-                if d:
-                    if lead is None:  # a positive power of a zero coordinate
-                        break
-                    v, n, b = lead
-                    score += d * v
-                    value *= n ** d
-                    if b != 1:
-                        scale *= b ** d
+            scale = 1  # prod cq_k**e_k, which divides K
+            for k, d in pairs:
+                x = coords[k]
+                if x is None:  # a positive power of a zero coordinate
+                    break
+                v, n, b = x
+                score += d * v
+                value *= n ** d
+                if b != 1:
+                    scale *= b ** d
             else:
                 if K != 1:
                     value *= K // scale
@@ -700,9 +722,10 @@ class _SignKernel(NamedTuple):
             if md:
                 for e, _ in c.terms:
                     den = lcm(den, e.denominator)
-        # per variable of g: (v_k, U_k, the top exponent of U_k, b_k,
-        # maxdeg_k), or None when x_k is zero or not in g
-        coords: list[tuple[int, IntSeries, int, int, int] | None] = []
+        # per variable of g: (v_k, U_k, the top exponent of U_k, b_k), or
+        # None when x_k is zero or not in g; K = prod b_k**maxdeg_k
+        coords: list[tuple[int, IntSeries, int, int] | None] = []
+        K = 1
         for c, md in zip(p, self.maxdeg):
             if not md or c.is_zero():
                 coords.append(None)
@@ -710,34 +733,36 @@ class _SignKernel(NamedTuple):
             b = 1
             for _, a in c.terms:
                 b = lcm(b, a.denominator)
+            if b != 1:
+                K *= b ** md
             v = c.terms[0][0].numerator * (den // c.terms[0][0].denominator)
             x = {
                 e.numerator * (den // e.denominator) - v: a.numerator * (b // a.denominator)
                 for e, a in c.terms
             }
-            coords.append((v, x, max(x), b, md))
+            coords.append((v, x, max(x), b))
 
         stretch = den // self.den
-        # the terms that survive at p: their exponents, and their scaled
+        # the terms that survive at p: their pairs, and their scaled
         # coefficient times t**(e . v) as (exponent, coefficient) pairs
         live = []
         lowest = highest = None
-        for exps, coeff in self.terms:
-            factor = 1
+        for pairs, coeff in self.terms:
+            scale = 1  # prod b_k**e_k, which divides K
             shift = reach = 0
-            for d, x in zip(exps, coords):
-                if x is None:
-                    if d:  # a positive power of a zero coordinate
-                        break
-                    continue
-                v, _, top, b, md = x
+            for k, d in pairs:
+                x = coords[k]
+                if x is None:  # a positive power of a zero coordinate
+                    break
+                v, _, top, b = x
                 shift += d * v
                 reach += d * top
                 if b != 1:
-                    factor *= b ** (md - d)
+                    scale *= b ** d
             else:
+                factor = K // scale
                 acc = [(e * stretch + shift, c * factor) for e, c in coeff]
-                live.append((exps, acc))
+                live.append((pairs, acc))
                 lo, hi = acc[0][0], acc[-1][0] + reach
                 if lowest is None or lo < lowest:
                     lowest = lo
@@ -754,15 +779,14 @@ class _SignKernel(NamedTuple):
             limit = lowest + delta
             powers: dict[tuple[int, int], IntSeries] = {}
             total: IntSeries = {}
-            for exps, acc in live:
+            for pairs, acc in live:
                 # the product of the U_k**e_k, truncated at delta
                 prod = None
-                for k, d in enumerate(exps):
-                    if d:
-                        power = powers.get((k, d))
-                        if power is None:
-                            power = powers[(k, d)] = _int_pow(coords[k][1], d, delta)
-                        prod = power if prod is None else _int_mul(prod, power, delta)
+                for k, d in pairs:
+                    power = powers.get((k, d))
+                    if power is None:
+                        power = powers[(k, d)] = _int_pow(coords[k][1], d, delta)
+                    prod = power if prod is None else _int_mul(prod, power, delta)
                 if prod is None:
                     prod = {0: 1}
                 for base, c in acc:
@@ -784,23 +808,37 @@ def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
     """Exact sign of f(p) for Laurent f.
 
     f(p) and g(p) = f(p) * p**m have the same sign because every entry of m
-    is even, and the sign of g(p) is that of its lowest term: the sign of
-    the initial form (:meth:`_SignKernel._initial`) when the dominant
-    terms' leading coefficients do not cancel, with no signed value built,
-    else that of the lowest terms of the truncated integer kernel
-    (:meth:`_SignKernel._truncated_value`).  Every rescaling there
-    multiplies g(p) by a positive constant or stretches the exponent scale,
-    and neither changes the sign of the lowest term.  When no term
-    survives, f(p) is zero.
+    is even, and the sign of g(p) is that of its lowest term.  It is read
+    in the order the samplers read it: the leading terms of p's
+    coordinates first, as integers (:func:`series_leads`), which give the
+    sign of the initial form (:meth:`_SignKernel.lead_sign`) when the
+    dominant terms' leading coefficients do not cancel, with no signed
+    value built; and only where they cancel, the lowest terms of the
+    truncated integer kernel (:meth:`_SignKernel._truncated_value`), which
+    read the tails.  Every rescaling there multiplies g(p) by a positive
+    constant or stretches the exponent scale, and neither changes the sign
+    of the lowest term.  When no term survives, f(p) is zero.
     """
     if type(p) is not tuple:
         p = tuple(p)
     _check_laurent_point(f, p)
     kernel = f._sign_kernel
-    initial = kernel._initial(p)[0]
-    if initial:
-        return 1 if initial > 0 else -1
-    return kernel._truncated_value(p).sign
+    sign = kernel.lead_sign(series_leads(p))
+    return kernel._truncated_value(p).sign if sign is None else sign
+
+
+def series_leads(p: Sequence[PuiseuxSeries]) -> list[Optional[Lead]]:
+    """The leading term of each coordinate as integers (k, q, ck, cq), for
+    (ck/cq) * t**(k/q), or None for a zero coordinate: the leads that
+    :meth:`_SignKernel._initial` scores."""
+    leads: list[Optional[Lead]] = []
+    for c in p:
+        if c.terms:
+            e, a = c.terms[0]
+            leads.append((e.numerator, e.denominator, a.numerator, a.denominator))
+        else:
+            leads.append(None)
+    return leads
 
 
 def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:

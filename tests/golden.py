@@ -111,6 +111,9 @@ COMMANDS = {
         "witness {d}/laurent.json --target ((+,-1),(+,-1)) --budget 0 --seed 1",
     # with no search, a point the circle's outer region leaves out
     "witness-circle-outer.json": "witness {d}/circle.json --target ((+,-2),(+,-2)) --budget 0",
+    # the cubic's segment probe: inside the outer region but not in trop(S),
+    # so every draw of the search is refuted and none is a witness
+    "witness-cubic-probe.json": "witness {d}/cubic.json --target ((+,1),(+,0)) --budget 1000",
     "basis-circle.json": "basis {d}/circle.json --target-set {d}/T.json --seed 2 --count 40",
     "region-F-ne.json": "region {d}/F.json --orthant all --rel ne",
     **{f"region-G-{rel}.json": f"region {{d}}/G.json --orthant all --rel {rel}"
@@ -249,6 +252,8 @@ def outputs(tmp: Path) -> dict:
     # facts of the outer regions that a re-record must not flip
     assert json.loads(found["witness-laurent-outer.json"])["excluded_by_outer"] is False
     assert json.loads(found["witness-circle-outer.json"])["excluded_by_outer"] is True
+    probe = json.loads(found["witness-cubic-probe.json"])
+    assert probe["witness"] is None and probe["excluded_by_outer"] is False
     return found
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_puiseux import _reference_lead, _reference_tail
-from test_troppoly import _reference_trop_eval
+from test_troppoly import _ZERO_INITIAL_FORM, _reference_trop_eval
 
 from tropreal import iojson, semialg
 from tropreal.errors import (
@@ -35,7 +35,9 @@ from tropreal.polyhedra import (
     union_prune,
     whole_space_union,
 )
-from tropreal.puiseux import PS_ZERO, PuiseuxSeries, SamplerConfig, ps_sample
+from tropreal.puiseux import (
+    PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw_tail, ps_lead_stream, ps_sample,
+)
 from tropreal.scenarios import get_scenario, vertex_parameter
 from tropreal.semialg import (
     SADescription,
@@ -59,7 +61,7 @@ from tropreal.semialg import (
     witness_search,
 )
 from tropreal.troppoly import (
-    PolyK, TropPoly, _ValKernel, laurent_sign, trop_point, trop_r,
+    PolyK, TropPoly, _ValKernel, laurent_sign, series_leads, trop_point, trop_r,
 )
 
 F2 = Fraction
@@ -835,8 +837,8 @@ def test_candidate_filter_matches_the_plain_rejection_loop(case):
     candidates = list(_candidates(S, rng, 80))
     draws = list(_plain_draws(S, ref, 80))
     assert rng.getstate() == ref.getstate()
-    # the kept candidates, in order; and every dropped one is not in S
-    assert candidates == [p for kept, p in draws if kept]
+    # the members among the kept candidates, in order; and no dropped one is in S
+    assert candidates == [p for kept, p in draws if kept and sa_member(S, p)]
     assert not any(sa_member(S, p) for kept, p in draws if not kept)
 
 
@@ -853,8 +855,8 @@ def test_candidate_filter_past_its_memo_bound_matches_the_plain_rejection_loop()
     draws = list(_plain_draws(S, ref, 5000))
     assert len({trop_point(p) for _, p in draws}) > semialg._DECIDED_BOUND
     assert rng.getstate() == ref.getstate()
-    expected = [p for kept, p in draws if kept]
-    assert 0 < len(expected) < len(draws)
+    expected = [p for kept, p in draws if kept and sa_member(S, p)]
+    assert 0 < len(expected) < sum(kept for kept, _ in draws)
     assert candidates == expected
 
 
@@ -893,3 +895,46 @@ def test_sampling_entry_points_match_the_plain_loops(case, n, in_orthant):
     sigma = (1,) * S.nvars if in_orthant else None
     expected = _plain_collect(S, cfg, n, sigma, 60)
     assert collect_samples(S, cfg, n, sigma=sigma, max_attempts=60) == expected
+
+
+# -- the lead verdict: membership decided from the drawn integers ---------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_descriptions(), st.integers(1, 3))
+def test_lead_verdict_agrees_with_sa_member_wherever_it_decides(case, stretch):
+    # the leads come from the sampler's own stream, so some coefficients
+    # are not in lowest terms (2/2, -4/2, ...); stretching ck/cq by a
+    # positive factor must not move the verdict either
+    S, cfg = case
+    rng = random.Random(cfg.seed)
+    decided = 0
+    for _, (leads, _) in zip(range(40), ps_lead_stream(rng, S.nvars, 0.1)):
+        p = tuple(PS_ZERO if lead is None else ps_build(ps_draw_tail(rng, lead)) for lead in leads)
+        # membership condition by condition, each sign read by laurent_sign
+        member = any(all(cond.holds_at(p) for cond in disj) for disj in S.disjuncts)
+        assert sa_member(S, p) == member
+        verdict = semialg._verdict(S, leads)
+        stretched = [None if lead is None else (*lead[:2], lead[2] * stretch, lead[3] * stretch)
+                     for lead in leads]
+        assert semialg._verdict(S, stretched) == verdict
+        assert semialg._verdict(S, series_leads(p)) == verdict
+        # with the series at hand, every candidate is decided
+        assert semialg._verdict(S, leads, p) == member
+        if verdict is not None:
+            decided += 1
+            assert verdict == member
+    assert decided
+
+
+@pytest.mark.parametrize("text, coords, sign", _ZERO_INITIAL_FORM)
+def test_cancelled_initial_forms_are_undecided_at_their_leads(text, coords, sign):
+    f = parse_polyk(text)
+    p = tuple(PuiseuxSeries.from_terms(c) for c in coords)
+    leads = series_leads(p)
+    assert f._sign_kernel.lead_sign(leads) is None
+    assert laurent_sign(f, p) == sign
+    for rel in ("gt", "lt", "eq"):
+        S = conjunction(f.nvars, [SignCondition(f, rel)])
+        assert semialg._verdict(S, leads) is None
+        assert sa_member(S, p) == (sign in SATISFIED_BY[rel])

@@ -13,16 +13,18 @@ k, of the coefficients and of the point alike, so it scales the region by
 k on every orthant; the outer bound of a moved description moves so
 too, under each of the four maps.  A tropical polynomial satisfies a
 relation at a point exactly when its moved image does at the moved point,
-under each of the four maps.  With the same seed, the witness search for
-a shifted target in the shifted set finds the shifted witness, or none
-when there is none.
+under each of the four maps.  The exact sign of a Laurent polynomial at a
+Puiseux point is kept by a shift and by a scaling of both, and membership
+and the outer bound's point test by all four maps.  With the same seed,
+the witness search for a shifted target in the shifted set finds the
+shifted witness, or none when there is none.
 """
 
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
-from test_semialg import description_and_points
+from test_semialg import description_and_points, sampled_descriptions
 
 from tropreal.checks import random_troppoly
 from tropreal.errors import NegativeExponentAtZero
@@ -35,7 +37,9 @@ from tropreal.polyhedra import (
     trop_region,
     union_equal,
 )
-from tropreal.puiseux import PuiseuxSeries, SamplerConfig
+from tropreal.puiseux import (
+    PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw_tail, ps_lead_stream,
+)
 from tropreal.semialg import (
     SADescription,
     SignCondition,
@@ -44,7 +48,7 @@ from tropreal.semialg import (
     sa_outer_all,
     witness_search,
 )
-from tropreal.troppoly import PolyK, TropPoly, trop_point, trop_sat
+from tropreal.troppoly import PolyK, TropPoly, laurent_sign, trop_point, trop_sat
 
 
 def _move(S, poly_map):
@@ -68,12 +72,14 @@ def flip_trop(z, i):
     return tuple(SignedTropVal(-c.sign, c.val) if k == i else c for k, c in enumerate(z))
 
 
-def shift(S, i, a):
-    """The image of S under x_i -> t**a * x_i: the coefficient of x**e is
+def shift_poly(f, i, a):
+    """The image of f under x_i -> t**a * x_i: the coefficient of x**e is
     scaled by t**(-a * e_i)."""
-    return _move(S, lambda f: PolyK(f.nvars, tuple(
-        (e, c * PuiseuxSeries.t_power(-a * e[i])) for e, c in f.terms
-    )))
+    return PolyK(f.nvars, tuple((e, c * PuiseuxSeries.t_power(-a * e[i])) for e, c in f.terms))
+
+
+def shift(S, i, a):
+    return _move(S, lambda f: shift_poly(f, i, a))
 
 
 def shift_point(p, i, a):
@@ -272,11 +278,21 @@ def test_trop_sat_commutes_with_flips_shifts_permutations_and_scalings(nvars, se
 # -- sa_outer_all ----------------------------------------------------------------
 
 
+def _scale_series(s, k):
+    return PuiseuxSeries(tuple((x * k, c) for x, c in s.terms))
+
+
+def scale_poly(f, k):
+    """The image of f under t -> t**k: every exponent of every coefficient is scaled by k."""
+    return PolyK(f.nvars, tuple((e, _scale_series(s, k)) for e, s in f.terms))
+
+
 def scale(S, k):
-    """The image of S under t -> t**k: every exponent of every coefficient is scaled by k."""
-    return _move(S, lambda f: PolyK(f.nvars, tuple(
-        (e, PuiseuxSeries(tuple((x * k, c) for x, c in s.terms))) for e, s in f.terms
-    )))
+    return _move(S, lambda f: scale_poly(f, k))
+
+
+def scale_point(p, k):
+    return tuple(_scale_series(c, k) for c in p)
 
 
 def permute(S, perm):
@@ -310,3 +326,49 @@ def test_outer_regions_commute_with_flips_shifts_permutations_and_scalings(case,
         assert union_equal(permuted[_permute_point(sigma, perm)], want_permuted), (S, sigma, perm)
         for k, got in scaled:
             assert union_equal(got[sigma], _move_rows(want, lambda n, c: (n, c * k))), (S, sigma, k)
+
+
+# -- laurent_sign and membership ---------------------------------------------------
+
+
+def _sign(f, p):
+    try:
+        return laurent_sign(f, p)
+    except NegativeExponentAtZero:
+        return NegativeExponentAtZero
+
+
+@settings(max_examples=60, deadline=None)
+@given(description_and_points(), st.data())
+def test_laurent_sign_commutes_with_shifts_and_scalings(case, data):
+    S, points = case
+    i = data.draw(st.integers(0, S.nvars - 1))
+    a = data.draw(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2)))
+    k = data.draw(st.sampled_from(_SCALINGS))
+    for f in {c.poly for disj in S.disjuncts for c in disj}:
+        shifted, scaled = shift_poly(f, i, a), scale_poly(f, k)
+        for p in points:
+            want = _sign(f, p)
+            assert _sign(shifted, shift_point(p, i, a)) == want, (f, p, i, a)
+            assert _sign(scaled, scale_point(p, k)) == want, (f, p, k)
+
+
+# The points are the sampler's own candidates, so that initial forms at
+# their leads decide most signs, and a few cancel and read the tails.
+@settings(max_examples=40, deadline=None)
+@given(sampled_descriptions(), st.data())
+def test_membership_and_outer_bound_commute_with_permutations_and_scalings(case, data):
+    S, cfg = case
+    perm = data.draw(st.permutations(range(S.nvars)))
+    k = data.draw(st.sampled_from(_SCALINGS))
+    permuted, scaled = permute(S, perm), scale(S, k)
+    rng = random.Random(cfg.seed)
+    for _, (leads, _) in zip(range(30), ps_lead_stream(rng, S.nvars, 0.1)):
+        p = tuple(PS_ZERO if lead is None else ps_build(ps_draw_tail(rng, lead)) for lead in leads)
+        member = sa_member(S, p)
+        assert sa_member(permuted, _permute_point(p, perm)) == member, (S, p, perm)
+        assert sa_member(scaled, scale_point(p, k)) == member, (S, p, k)
+        z = trop_point(p)
+        inside = outer_contains_point(S, z)
+        assert outer_contains_point(permuted, _permute_point(z, perm)) == inside, (S, z, perm)
+        assert outer_contains_point(scaled, _scale_point(z, k)) == inside, (S, z, k)

@@ -3,6 +3,7 @@ and the one rule for the exact numbers the library is handed."""
 
 import copy
 import dataclasses
+import json
 import pickle
 from fractions import Fraction
 
@@ -118,6 +119,39 @@ def test_stv_coerces_once_and_still_rejects():
         stv(1, 0.5)
     with pytest.raises(ValueError):
         stv(0, 1)
+
+
+@pytest.mark.parametrize("sign, want", [(True, 1), (False, 0), (-1, -1)], ids=repr)
+def test_a_sign_is_read_as_an_integer_and_kept_as_an_int(sign, want):
+    v = stv(sign, "inf" if want == 0 else 0)
+    assert v.sign == want and type(v.sign) is int
+    data = iojson.stv_to_json(v)
+    assert type(data["sign"]) is int and data["sign"] == want
+    assert iojson.stv_from_json(json.loads(iojson.dumps(data))) == v
+
+
+@pytest.mark.parametrize("sign", [1.0, 0.0, "1"], ids=repr)
+def test_a_sign_that_is_not_an_integer_is_refused(sign):
+    # 1.0 once equalled stv(1, 0), and its JSON "sign": 1.0 was then refused on reading
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        stv(sign, 0)
+
+
+@pytest.mark.parametrize("grid", [2.5, "160"], ids=repr)
+def test_a_render_grid_that_is_not_an_integer_is_refused(grid):
+    # 2.5 was accepted here and failed only when the raster was drawn
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        RenderConfig(grid=grid)
+
+
+class _Twelve:
+    def __index__(self):
+        return 12
+
+
+def test_a_render_grid_is_kept_as_an_int():
+    cfg = RenderConfig(grid=_Twelve())
+    assert cfg.grid == 12 and type(cfg.grid) is int
 
 
 def test_zero_values_are_the_singleton():
