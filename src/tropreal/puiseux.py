@@ -64,11 +64,8 @@ before its tails are drawn.  The default candidate loop of
 :mod:`tropreal.semialg` takes a candidate's leads and key from the
 stream, rejects a candidate that the signs and exponents of its leads
 already put outside the set, and draws tails only for the other
-candidates, between resumes.  Those are then decided on their lead
-coefficients, as integers: each condition's initial form at the leads
-decides its sign unless it cancels.  Only members, and candidates whose
-initial form cancels, are built here; the latter are tested exactly from
-the lowest terms of the full series.
+candidates, between resumes.  Those are then decided on their drawn
+integers, and only members are built here.
 """
 
 from __future__ import annotations
@@ -77,6 +74,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator, Optional
 
 from .errors import PuiseuxDivisionError
@@ -247,12 +245,17 @@ PS_ONE = PuiseuxSeries.one()
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """The seed of the stratified series sampler.
+    """The seed of the stratified series sampler, read by the integer rule,
+    ``operator.index``: None, a float or a text is refused, so a seed never
+    falls back to the operating system's entropy.
 
     The grid it draws from is fixed: see the module docstring.
     """
 
     seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", index(self.seed))
 
 
 def _window(q: int, bound: int) -> tuple[int, int, int, int]:

@@ -61,30 +61,24 @@ from the caller; neither draws any, so only the samplers
 drawn.
 
 The default sampler decides each candidate from its drawn integers, and
-builds a series only for a member or where an initial form cancels.  A
-candidate's leads come first, all its coordinates' at once, from one
-stream (:func:`ps_lead_stream`) that also gives their integer lead key.
-First the lead signs and exponents: every condition is scored at the
-leading signs and valuations of the coordinates, and a condition whose
-dominant terms share a sign that its relation rejects, or that is
-undefined there, fails.  A candidate with such a condition in every
-disjunct is dropped with no tail drawn; a dict local to the sampling call
-keeps each decision per lead key, up to a fixed bound.  The others get
-their tails (:func:`ps_draw_tail`), between resumes of the stream,
-whatever becomes of them, so the random words do not depend on the
-verdict.  Then the lead coefficients: one three-valued walk over the
-disjuncts (:func:`_verdict`) evaluates each condition's initial form, the
-sum of the dominant terms' leading coefficients, at the drawn leads, in
-integers; where it does not cancel it has the sign of the condition,
-whatever the tails are.  The walk answers member, not a member, or
-undecided.  A refuted candidate is dropped with no series built, a
-member is built and kept, and only an undecided one is built and decided
-by ``sa_member``, which is the same walk with the series at hand: it
-reads a cancelled condition's sign from the lowest terms of the full
-series.  A dropped candidate is outside the set whatever its tails are,
-so dropping it loses no member.  The witness search takes whole draws
-(:func:`ps_draw`), each with its lead pinned to the target, and judges
-each by the same walk at the pinned leads.
+builds a series only for a member.  A candidate's leads come first, all
+its coordinates' at once, from one stream (:func:`ps_lead_stream`) that
+also gives their integer lead key.  First the lead signs and exponents:
+every condition is scored at the leading signs and valuations of the
+coordinates, and a condition whose dominant terms share a sign that its
+relation rejects, or that is undefined there, fails.  A candidate with
+such a condition in every disjunct is dropped with no tail drawn; a dict
+local to the sampling call keeps each decision per lead key, up to a
+fixed bound.  The others get their tails (:func:`ps_draw_tail`), between
+resumes of the stream, whatever becomes of them, so the random words do
+not depend on the answer.  Then one walk over the disjuncts
+(:func:`_verdict`) answers member or not, from the drawn integers: each
+condition's initial form, the sum of the dominant terms' leading
+coefficients, evaluated at the leads, has the sign of the condition
+whatever the tails are, and only where it cancels are the lowest terms
+read from the drawn tails.  ``sa_member`` is the same walk on a built
+point's integers.  The witness search takes whole draws (:func:`ps_draw`),
+each with its lead pinned to the target, and puts each to the same walk.
 
 Sampling and search are embarrassingly parallel over seeds; all exact
 checks are pure.
@@ -132,6 +126,7 @@ from .puiseux import (
     Lead,
     PuiseuxSeries,
     SamplerConfig,
+    SeriesDraw,
     ps_build,
     ps_draw,
     ps_draw_tail,
@@ -143,7 +138,7 @@ from .troppoly import (
     TropPoly,
     _SignKernel,
     laurent_sign,
-    series_leads,
+    series_draws,
     trop_point,
     trop_r,
     trop_sat,
@@ -209,37 +204,32 @@ def conjunction(nvars: int, conditions: Iterable[SignCondition]) -> SADescriptio
 
 
 def sa_member(S: SADescription, p: Sequence[PuiseuxSeries]) -> bool:
-    """Exact membership of a Puiseux point, by DNF evaluation of signs.
-
-    The walk of :func:`_verdict`, at the leads of p's coordinates
-    (:func:`series_leads`) and with p itself to read a sign from where an
-    initial form cancels, so every condition is decided.
-    """
+    """Exact membership of a Puiseux point, by DNF evaluation of signs: the
+    walk of :func:`_verdict` on p's integer form (:func:`series_draws`)."""
     p = tuple(p)
     if len(p) != S.nvars:
         raise DimensionMismatch("point dimension does not match description")
-    return _verdict(S, series_leads(p), p)
+    return _verdict(S, *series_draws(p))
 
 
 def _verdict(
     S: SADescription,
     leads: Sequence[Optional[Lead]],
-    p: Optional[tuple[PuiseuxSeries, ...]] = None,
-) -> Optional[bool]:
-    """Whether a point with these leads is in S: True, False, or None when
-    that lies in tails that p does not give.
+    draws: Sequence[Optional[SeriesDraw]],
+) -> bool:
+    """Whether the point with these leads and these drawn terms is in S.
 
-    The leads are those of :meth:`_SignKernel._initial`, (k, q, ck, cq) per
-    coordinate or None for a zero coordinate.  The disjuncts are walked in
-    order, and in each the conditions, in three steps.  A condition with a
-    negative exponent on a zero coordinate is undefined there, and does not
-    hold.  Otherwise its sign is that of its initial form at the leads
+    Each coordinate is its lead (k, q, ck, cq) or None when it is zero, and
+    its terms in that form, lead first, as :meth:`_SignKernel._truncated_value`
+    reads them.  The disjuncts are walked in order, and in each the
+    conditions, in three steps.  A condition with a negative exponent on a
+    zero coordinate is undefined there, and does not hold.  Otherwise its
+    sign is that of its initial form at the leads
     (:meth:`_SignKernel.lead_sign`), whatever the tails are, unless that
     cancels; a disjunct with a decided sign its relation rejects fails.
     Only a disjunct that nothing refuted then reads the tails, for the
-    conditions whose initial form cancelled, from the series p
-    (:meth:`_SignKernel._truncated_value`); with no p, that disjunct is
-    undecided.  So with p the answer is always True or False.
+    conditions whose initial form cancelled, from the lowest terms of the
+    truncated integer kernel.  No series is built.
     """
     zeromask = 0
     bit = 1
@@ -247,7 +237,6 @@ def _verdict(
         if lead is None:
             zeromask |= bit
         bit <<= 1
-    undecided = False
     for disj in S._sign_conditions:
         cancelled = []
         for kernel, ok in disj:
@@ -259,13 +248,9 @@ def _verdict(
             elif sign not in ok:
                 break
         else:
-            if not cancelled:
+            if all(kernel._truncated_value(leads, draws).sign in ok for kernel, ok in cancelled):
                 return True
-            if p is None:
-                undecided = True
-            elif all(kernel._truncated_value(p).sign in ok for kernel, ok in cancelled):
-                return True
-    return None if undecided else False
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +301,12 @@ def _candidates(
     """The members of S among `budget` draws, in the order they are drawn;
     with ``sigma``, only those in that orthant.
 
-    A proposal's candidates are each tested by ``sa_member``.  A default
-    candidate's leads come from :func:`ps_lead_stream`, one candidate per
-    resume: each coordinate is exactly zero with probability
-    ``_ZERO_PROB`` (one ``rng.random()`` word), and otherwise its lead is
-    drawn.  The leads then decide nearly every candidate, in two steps and
-    before any series is built.
+    A proposal's candidates are each put, built, to the walk of
+    :func:`_verdict` (:func:`series_draws`).  A default candidate's leads
+    come from :func:`ps_lead_stream`, one candidate per resume: each
+    coordinate is exactly zero with probability ``_ZERO_PROB`` (one
+    ``rng.random()`` word), and otherwise its lead is drawn.  Its drawn
+    integers then decide it, in two steps and before any series is built.
 
     First their signs and exponents: the point of the leads' signed values
     is put to ``outer_contains_point``, where a condition fails when a
@@ -340,11 +325,9 @@ def _candidates(
     resumed, so the random words come in the order of the plain loop,
     whatever becomes of the candidate.  The walk of :func:`_verdict` reads
     each condition's sign from its initial form at the drawn leads, which
-    decides it whatever the tails are unless it cancels.  A refuted
-    candidate is dropped with no series built; a member is built
-    (:func:`ps_build`) and yielded; and only a candidate whose verdict
-    rests on a cancelled initial form is built and decided by
-    ``sa_member``, which reads the tails.
+    decides it whatever the tails are unless it cancels, and from the
+    drawn tails where it does.  A refuted candidate is dropped with no
+    series built, and a member is built (:func:`ps_build`) and yielded.
 
     :func:`ps_draw` is the lead and the tail in a row: ``witness_search``
     takes such draws and pins their leads, and only a scenario's proposal
@@ -353,7 +336,9 @@ def _candidates(
     if proposal is not None:
         for _ in range(budget):
             p = proposal(rng)
-            if sa_member(S, p) and (sigma is None or tuple([c.sign() for c in p]) == sigma):
+            if _verdict(S, *series_draws(p)) and (
+                sigma is None or tuple([c.sign() for c in p]) == sigma
+            ):
                 yield p
         return
     draw_tail = ps_draw_tail
@@ -376,14 +361,8 @@ def _candidates(
         if not step:
             continue
         draws = [None if lead is None else draw_tail(rng, lead) for lead in leads]
-        if step == 1:
-            continue
-        member = _verdict(S, leads)
-        if member is False:
-            continue
-        p = tuple([PS_ZERO if draw is None else ps_build(draw) for draw in draws])
-        if member or sa_member(S, p):
-            yield p
+        if step == 2 and _verdict(S, leads, draws):
+            yield tuple([PS_ZERO if draw is None else ps_build(draw) for draw in draws])
 
 
 def sa_sample_trop(
@@ -765,11 +744,10 @@ def witness_search(
     by ``cfg``, with its lead pinned to c (``ps_build(ps_draw(rng),
     lead=c)``); a zero coordinate is zero and draws nothing.  Every
     candidate tropicalizes to z by construction; only membership is
-    tested, as in the candidate loop: the pinned leads, as integers, go
-    to the walk of :func:`_verdict`, which decides a condition from its
-    initial form unless that cancels.  A refuted draw builds no series; a
-    member is built and returned; and only a draw whose verdict rests on
-    a cancelled initial form is built and decided by ``sa_member``.
+    tested, as in the candidate loop: the pinned leads, as integers, and
+    the draws go to the walk of :func:`_verdict`, which reads each draw's
+    tail exponents above its own first term, so no shifted copy is made.
+    A refuted draw builds no series, and a member is built and returned.
     Returns the first witness, or None when the budget is exhausted --
     absence is a value, not an error, and is conclusive only when the
     outer region already excludes z.
@@ -787,12 +765,10 @@ def witness_search(
             None if pin is None else (pin[0], pin[1], pin[2] * abs(draw[0][2]), draw[0][3])
             for pin, draw in zip(pins, draws)
         ]
-        member = _verdict(S, leads)
-        if member is False:
-            continue
-        p = tuple([PS_ZERO if draw is None else ps_build(draw, c) for c, draw in zip(z, draws)])
-        if member or sa_member(S, p):
-            return p
+        if _verdict(S, leads, draws):
+            return tuple([
+                PS_ZERO if draw is None else ps_build(draw, c) for c, draw in zip(z, draws)
+            ])
     return None
 
 

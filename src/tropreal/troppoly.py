@@ -25,26 +25,26 @@ it, and it stays as the reference that the integer kernels are tested
 against.
 
 ``laurent_sign`` never builds that value.  It reads the sign of g(p) from
-the Puiseux-level kernel, which evaluates g in plain integers: exponents
-are brought to one common denominator D, so t**(1/D) becomes the integer
-exponent 1, and every coefficient is multiplied by a positive integer so
-that no denominators are left.  Scaling a series by a positive constant
-keeps its sign, and renaming exponents e -> D*e keeps their order, so the
-sign of g(p) is the sign of the integer sum at its lowest exponent with a
-nonzero coefficient.  That lowest term is found in two steps.  First the
-initial form: the terms of g are scored at the leading terms of the
-coordinates, given as integers (k, q, ck, cq) for (ck/cq) * t**(k/q), and
-the dominant terms' leading coefficients are summed.  The sum is the
-coefficient of the lowest power of t in g(p), up to a positive factor, so
-when it is nonzero it decides, whatever the tails of p are, and
-``laurent_sign`` takes its sign without building a signed value; it is
-nonzero whenever the dominant terms share one sign.  Since only the leads
-are read, the samplers ask it of a candidate's drawn leads before any
-series is built.  Only when it cancels are the lowest terms of g(p)
-computed, from the full series: powers are taken by squaring on series
-truncated above a bound, and the bound doubles until a nonzero
-coefficient shows.  ``signed_trop_of_value`` reads the signed value of
-g(p) from that same lowest term: its sign, and its exponent.
+the Puiseux-level kernel, which evaluates g in plain integers, on p's
+integer form: each coordinate as its terms (k, q, ck, cq), for
+(ck/cq) * t**(k/q), lead first (``series_draws``), the form in which the
+samplers draw a candidate, so they ask the same kernel before any series
+is built.  Exponents are brought to one common denominator D, so
+t**(1/D) becomes the integer exponent 1, and every coefficient is
+multiplied by a positive integer so that no denominators are left.
+Scaling a series by a positive constant keeps its sign, and renaming
+exponents e -> D*e keeps their order, so the sign of g(p) is the sign of
+the integer sum at its lowest exponent with a nonzero coefficient.  That
+lowest term is found in two steps.  First the initial form: the terms of
+g are scored at the leads, and the dominant terms' leading coefficients
+are summed.  The sum is the coefficient of the lowest power of t in
+g(p), up to a positive factor, so when it is nonzero it decides, whatever
+the tails are; it is nonzero whenever the dominant terms share one sign.
+Only when it cancels are the lowest terms computed from the tails:
+powers are taken by squaring on series truncated above a bound, and the
+bound doubles until a nonzero coefficient shows.  ``signed_trop_of_value``
+reads the signed value of g(p) from that same lowest term: its sign, and
+its exponent.
 
 ``trop_eval`` works in integers in the same way.  Each :class:`TropPoly`
 keeps its coefficient valuations as numerators over one common
@@ -104,7 +104,7 @@ from .hyperfields import (
     rt_pow,
     satisfied_by,
 )
-from .puiseux import PS_ONE, Lead, PuiseuxSeries
+from .puiseux import PS_ONE, Lead, PuiseuxSeries, SeriesDraw
 
 Exps = tuple[int, ...]
 TropPoint = tuple[SignedTropVal, ...]
@@ -618,11 +618,13 @@ class _SignKernel(NamedTuple):
     def signed_value(self, p: tuple[PuiseuxSeries, ...]) -> SignedTropVal:
         """Signed value of g(p): from its initial form (:meth:`_initial`)
         when that does not cancel, else from its lowest terms
-        (:meth:`_truncated_value`)."""
-        initial, best, den = self._initial(series_leads(p))
+        (:meth:`_truncated_value`), both read from p's integer form
+        (:func:`series_draws`)."""
+        leads, draws = series_draws(p)
+        initial, best, den = self._initial(leads)
         if initial:
             return SignedTropVal(1 if initial > 0 else -1, Fraction(best, den))
-        return self._truncated_value(p)
+        return self._truncated_value(leads, draws)
 
     def lead_sign(self, leads: Sequence[Optional[Lead]]) -> Optional[int]:
         """The sign of g at every point with these leads, whatever the
@@ -641,7 +643,7 @@ class _SignKernel(NamedTuple):
 
         Each coordinate's lead is given in integers, as (k, q, ck, cq) for
         the leading term (ck/cq) * t**(k/q), or None for a zero coordinate
-        (:func:`series_leads` reads them from built series; the samplers
+        (:func:`series_draws` reads them from built series; the samplers
         pass the leads they drew).  The terms of g are scored at the leading
         exponents, over the common denominator ``den * D'``, where D' is a
         common denominator of the lead exponents.  With
@@ -696,9 +698,16 @@ class _SignKernel(NamedTuple):
                     initial += value
         return initial, best, den * dp
 
-    def _truncated_value(self, p: tuple[PuiseuxSeries, ...]) -> SignedTropVal:
+    def _truncated_value(
+        self, leads: Sequence[Optional[Lead]], draws: Sequence[Optional[SeriesDraw]]
+    ) -> SignedTropVal:
         """Signed value of g(p), read from the lowest term of K * g(p) for an
         integer K > 0.
+
+        Each coordinate of p is its lead, as for :meth:`_initial`, and its
+        drawn terms in the same form, the first in the place of the lead: the
+        other terms lie as far above the lead as above that first term, so
+        a witness draw whose lead is pinned is read with no shifted copy.
 
         Write x_k = X_k / b_k, where the integer b_k > 0 clears the
         coefficient denominators of x_k.  Multiplied by prod b_k**maxdeg_k,
@@ -718,29 +727,28 @@ class _SignKernel(NamedTuple):
         exponent is over the common denominator of g's and p's exponents.
         """
         den = self.den
-        for c, md in zip(p, self.maxdeg):
-            if md:
-                for e, _ in c.terms:
-                    den = lcm(den, e.denominator)
+        for lead, draw, md in zip(leads, draws, self.maxdeg):
+            if md and lead is not None:
+                den = lcm(den, lead[1], *[term[1] for term in draw])
         # per variable of g: (v_k, U_k, the top exponent of U_k, b_k), or
         # None when x_k is zero or not in g; K = prod b_k**maxdeg_k
         coords: list[tuple[int, IntSeries, int, int] | None] = []
         K = 1
-        for c, md in zip(p, self.maxdeg):
-            if not md or c.is_zero():
+        for lead, draw, md in zip(leads, draws, self.maxdeg):
+            if not md or lead is None:
                 coords.append(None)
                 continue
-            b = 1
-            for _, a in c.terms:
-                b = lcm(b, a.denominator)
+            k, q, ck, cq = lead
+            b = lcm(cq, *[term[3] for term in draw[1:]])
             if b != 1:
                 K *= b ** md
-            v = c.terms[0][0].numerator * (den // c.terms[0][0].denominator)
-            x = {
-                e.numerator * (den // e.denominator) - v: a.numerator * (b // a.denominator)
-                for e, a in c.terms
-            }
-            coords.append((v, x, max(x), b))
+            # U_k: the lead at 0, then the other terms above the first one
+            k0, q0, _, _ = draw[0]
+            first = k0 * (den // q0)
+            x = {0: ck * (b // cq)}
+            for tk, tq, tck, tcq in draw[1:]:
+                x[tk * (den // tq) - first] = tck * (b // tcq)
+            coords.append((k * (den // q), x, max(x), b))
 
         stretch = den // self.den
         # the terms that survive at p: their pairs, and their scaled
@@ -809,36 +817,36 @@ def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
 
     f(p) and g(p) = f(p) * p**m have the same sign because every entry of m
     is even, and the sign of g(p) is that of its lowest term.  It is read
-    in the order the samplers read it: the leading terms of p's
-    coordinates first, as integers (:func:`series_leads`), which give the
-    sign of the initial form (:meth:`_SignKernel.lead_sign`) when the
-    dominant terms' leading coefficients do not cancel, with no signed
-    value built; and only where they cancel, the lowest terms of the
-    truncated integer kernel (:meth:`_SignKernel._truncated_value`), which
-    read the tails.  Every rescaling there multiplies g(p) by a positive
-    constant or stretches the exponent scale, and neither changes the sign
-    of the lowest term.  When no term survives, f(p) is zero.
+    from p's integer form (:func:`series_draws`) in the order the samplers
+    read it: the leads first, which give the sign of the initial form
+    (:meth:`_SignKernel.lead_sign`) when the dominant terms' leading
+    coefficients do not cancel, with no signed value built; and only where
+    they cancel, the lowest terms of the truncated integer kernel
+    (:meth:`_SignKernel._truncated_value`), which read the tails.  Every
+    rescaling there multiplies g(p) by a positive constant or stretches
+    the exponent scale, and neither changes the sign of the lowest term.
+    When no term survives, f(p) is zero.
     """
     if type(p) is not tuple:
         p = tuple(p)
     _check_laurent_point(f, p)
     kernel = f._sign_kernel
-    sign = kernel.lead_sign(series_leads(p))
-    return kernel._truncated_value(p).sign if sign is None else sign
+    leads, draws = series_draws(p)
+    sign = kernel.lead_sign(leads)
+    return kernel._truncated_value(leads, draws).sign if sign is None else sign
 
 
-def series_leads(p: Sequence[PuiseuxSeries]) -> list[Optional[Lead]]:
-    """The leading term of each coordinate as integers (k, q, ck, cq), for
-    (ck/cq) * t**(k/q), or None for a zero coordinate: the leads that
-    :meth:`_SignKernel._initial` scores."""
-    leads: list[Optional[Lead]] = []
-    for c in p:
-        if c.terms:
-            e, a = c.terms[0]
-            leads.append((e.numerator, e.denominator, a.numerator, a.denominator))
-        else:
-            leads.append(None)
-    return leads
+def series_draws(
+    p: Sequence[PuiseuxSeries],
+) -> tuple[list[Optional[Lead]], list[Optional[SeriesDraw]]]:
+    """The integer form of a Puiseux point that the sign kernel reads: per
+    coordinate its lead (k, q, ck, cq), for (ck/cq) * t**(k/q), and its
+    terms in that form, lead first; None for a zero coordinate."""
+    draws: list[Optional[SeriesDraw]] = [
+        [(*e.as_integer_ratio(), *a.as_integer_ratio()) for e, a in c.terms] if c.terms else None
+        for c in p
+    ]
+    return [None if draw is None else draw[0] for draw in draws], draws
 
 
 def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:

@@ -36,7 +36,8 @@ from tropreal.polyhedra import (
     whole_space_union,
 )
 from tropreal.puiseux import (
-    PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw_tail, ps_lead_stream, ps_sample,
+    PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw, ps_draw_tail, ps_lead_stream,
+    ps_sample,
 )
 from tropreal.scenarios import get_scenario, vertex_parameter
 from tropreal.semialg import (
@@ -61,7 +62,7 @@ from tropreal.semialg import (
     witness_search,
 )
 from tropreal.troppoly import (
-    PolyK, TropPoly, _ValKernel, laurent_sign, series_leads, trop_point, trop_r,
+    PolyK, TropPoly, _ValKernel, laurent_sign, series_draws, trop_point, trop_r,
 )
 
 F2 = Fraction
@@ -897,44 +898,117 @@ def test_sampling_entry_points_match_the_plain_loops(case, n, in_orthant):
     assert collect_samples(S, cfg, n, sigma=sigma, max_attempts=60) == expected
 
 
-# -- the lead verdict: membership decided from the drawn integers ---------------
+# -- the verdict: membership decided from the drawn integers -------------------
+
+
+def _stretched(draws, a, b):
+    """The draws with each term's k/q stretched by a positive factor and its
+    ck/cq by another, both growing along the draw, and their leads."""
+    out = [
+        None if draw is None
+        else [(k * (a + i), q * (a + i), ck * (b + i), cq * (b + i))
+              for i, (k, q, ck, cq) in enumerate(draw)]
+        for draw in draws
+    ]
+    return [None if draw is None else draw[0] for draw in out], out
+
+
+def _holds(S, p):
+    """Membership condition by condition, each sign read by laurent_sign."""
+    return any(all(cond.holds_at(p) for cond in disj) for disj in S.disjuncts)
 
 
 @settings(max_examples=60, deadline=None)
-@given(sampled_descriptions(), st.integers(1, 3))
-def test_lead_verdict_agrees_with_sa_member_wherever_it_decides(case, stretch):
-    # the leads come from the sampler's own stream, so some coefficients
-    # are not in lowest terms (2/2, -4/2, ...); stretching ck/cq by a
-    # positive factor must not move the verdict either
+@given(sampled_descriptions(), st.integers(1, 3), st.integers(1, 3))
+def test_lead_verdict_agrees_with_sa_member_wherever_it_decides(case, a, b):
+    # the walk decides every candidate from its drawn integers, with the
+    # answer of sa_member on the built point and of the holds_at walk; the
+    # leads come from the sampler's own stream, so some coefficients are not
+    # in lowest terms (2/2, -4/2, ...), and stretching k/q or ck/cq by a
+    # positive factor must not move the answer either
     S, cfg = case
     rng = random.Random(cfg.seed)
-    decided = 0
     for _, (leads, _) in zip(range(40), ps_lead_stream(rng, S.nvars, 0.1)):
-        p = tuple(PS_ZERO if lead is None else ps_build(ps_draw_tail(rng, lead)) for lead in leads)
-        # membership condition by condition, each sign read by laurent_sign
-        member = any(all(cond.holds_at(p) for cond in disj) for disj in S.disjuncts)
+        draws = [None if lead is None else ps_draw_tail(rng, lead) for lead in leads]
+        p = tuple(PS_ZERO if draw is None else ps_build(draw) for draw in draws)
+        member = _holds(S, p)
         assert sa_member(S, p) == member
-        verdict = semialg._verdict(S, leads)
-        stretched = [None if lead is None else (*lead[:2], lead[2] * stretch, lead[3] * stretch)
-                     for lead in leads]
-        assert semialg._verdict(S, stretched) == verdict
-        assert semialg._verdict(S, series_leads(p)) == verdict
-        # with the series at hand, every candidate is decided
-        assert semialg._verdict(S, leads, p) == member
-        if verdict is not None:
-            decided += 1
-            assert verdict == member
-    assert decided
+        assert semialg._verdict(S, leads, draws) is member
+        assert semialg._verdict(S, *series_draws(p)) is member
+        assert semialg._verdict(S, *_stretched(draws, a, b)) is member
+
+
+# the cubic's segment probe, where -(y - 1)**2 cancels at a y lead of 1,
+# and pins outside the grid's valuation window [-2, 2]
+_PINNED_TARGETS = [
+    pytest.param(CUBIC.description, (stv(1, 1), stv(1, 0)), id="cubic-probe"),
+    pytest.param(CUBIC.description, (stv(1, "-7/3"), stv(-1, 3)), id="cubic-outside"),
+    pytest.param(CIRCLE.description, (stv(1, 0), stv(1, 0)), id="circle-origin"),
+    pytest.param(CIRCLE.description, (stv(-1, "5/2"), stv(1, -3)), id="circle-outside"),
+    pytest.param(HALFPLANE.description, (stv(1, "-9/4"), stv(0, "inf")), id="halfplane-zero"),
+]
+
+
+@pytest.mark.parametrize("S, z", _PINNED_TARGETS)
+def test_pinned_witness_draws_are_decided_on_their_integers(S, z):
+    # witness_search puts each draw, its lead pinned to z, to the walk with
+    # no shifted copy; the answer is that of the built, shifted series
+    rng = random.Random(3)
+    pins = [None if c.sign == 0 else (*c.val.as_integer_ratio(), c.sign) for c in z]
+    cancelled = members = 0
+    for _ in range(150):
+        draws = [None if pin is None else ps_draw(rng) for pin in pins]
+        leads = [
+            None if pin is None else (pin[0], pin[1], pin[2] * abs(draw[0][2]), draw[0][3])
+            for pin, draw in zip(pins, draws)
+        ]
+        p = tuple(PS_ZERO if draw is None else ps_build(draw, c) for c, draw in zip(z, draws))
+        assert trop_point(p) == z
+        member = _holds(S, p)
+        assert semialg._verdict(S, leads, draws) is member
+        assert semialg._verdict(S, *series_draws(p)) is member
+        members += member
+        cancelled += any(c.poly._sign_kernel.lead_sign(leads) is None
+                         for disj in S.disjuncts for c in disj)
+    if z == CUBIC.params["segment_probe"]:
+        # the probe is not in trop(S): the tails refute every cancelled draw
+        assert cancelled and not members
 
 
 @pytest.mark.parametrize("text, coords, sign", _ZERO_INITIAL_FORM)
 def test_cancelled_initial_forms_are_undecided_at_their_leads(text, coords, sign):
+    # the leads leave the sign open, and the walk reads it from the tails
     f = parse_polyk(text)
     p = tuple(PuiseuxSeries.from_terms(c) for c in coords)
-    leads = series_leads(p)
+    leads, draws = series_draws(p)
     assert f._sign_kernel.lead_sign(leads) is None
     assert laurent_sign(f, p) == sign
     for rel in ("gt", "lt", "eq"):
         S = conjunction(f.nvars, [SignCondition(f, rel)])
-        assert semialg._verdict(S, leads) is None
+        assert semialg._verdict(S, leads, draws) is (sign in SATISFIED_BY[rel])
         assert sa_member(S, p) == (sign in SATISFIED_BY[rel])
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls that semialg makes to its own binding of ``name``."""
+    calls = []
+    fn = getattr(semialg, name)
+    monkeypatch.setattr(semialg, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_candidate_loops_build_only_members(monkeypatch):
+    builds = _count_calls(monkeypatch, "ps_build")
+    members = _count_calls(monkeypatch, "sa_member")
+    probe = CUBIC.params["segment_probe"]
+    assert witness_search(CUBIC.description, probe, 200, SamplerConfig(0)) is None
+    assert not builds and not members
+    yielded = []
+    add = SampleCloud._add_member
+    monkeypatch.setattr(
+        SampleCloud, "_add_member", lambda cloud, p: yielded.append(p) or add(cloud, p)
+    )
+    assert len(sa_sample_trop(CIRCLE.description, 3000, SamplerConfig(0)))
+    assert not members
+    # one series per nonzero coordinate of each candidate yielded, and no other
+    assert len(builds) == sum(not c.is_zero() for p in yielded for c in p)

@@ -32,6 +32,7 @@ from tropreal.troppoly import (
     _cleared,
     eval_k,
     laurent_sign,
+    series_draws,
     signed_trop_of_value,
     trop_eval,
     trop_family,
@@ -355,7 +356,7 @@ def _kernel_sign(f, p):
     kernel."""
     p = tuple(p)
     _check_laurent_point(f, p)
-    return f._sign_kernel._truncated_value(p).sign
+    return f._sign_kernel._truncated_value(*series_draws(p)).sign
 
 
 @st.composite
@@ -521,7 +522,8 @@ def test_sign_kernel_matches_the_value_of_the_cleared_polynomial(case):
     ):
         return  # no value: laurent_sign raises before the kernel runs
     value = eval_k(g, p).signed_trop()
-    assert f._sign_kernel.signed_value(p) == f._sign_kernel._truncated_value(p) == value
+    kernel = f._sign_kernel
+    assert kernel.signed_value(p) == kernel._truncated_value(*series_draws(p)) == value
     assert signed_trop_of_value(f, p) == _reference_signed_value(f, p)
 
 

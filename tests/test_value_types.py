@@ -24,7 +24,7 @@ from tropreal.hyperfields import (
     val_add,
 )
 from tropreal.polyhedra import Polyhedron, constraint, embed_point, point_polyhedron
-from tropreal.puiseux import PS_ONE, PuiseuxSeries
+from tropreal.puiseux import PS_ONE, PuiseuxSeries, SamplerConfig
 from tropreal.render import RenderConfig
 from tropreal.scenarios import get_scenario
 from tropreal.troppoly import PolyK, TropPoly
@@ -205,13 +205,15 @@ INTEGER_READERS = {
     "PolyK.from_terms": lambda e: PolyK.from_terms(1, [((e,), PS_ONE)]),
     "TropPoly.from_terms": lambda e: TropPoly.from_terms(1, [((e,), stv(1, 0))]),
     "constraint": lambda e: constraint((e, 1), 0),
+    "SamplerConfig": lambda e: SamplerConfig(seed=e),
 }
 
 
 @pytest.mark.parametrize("site", INTEGER_READERS)
-@pytest.mark.parametrize("e", [1.5, "2", Fraction(2)], ids=repr)
+@pytest.mark.parametrize("e", [1.5, "2", Fraction(2), None], ids=repr)
 def test_an_exponent_or_normal_must_be_an_integer(site, e):
-    # 1.5 was truncated to 1, and "2" read as 2
+    # 1.5 was truncated to 1, and "2" read as 2; a seed of None drew from
+    # the operating system's entropy, so two samplers disagreed
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         INTEGER_READERS[site](e)
 
@@ -220,6 +222,7 @@ def test_integer_exponents_and_normals_are_kept():
     assert PolyK.from_terms(1, [((True,), PS_ONE)]).terms == (((1,), PS_ONE),)
     assert TropPoly.from_terms(2, [([2, -1], stv(1, 0))]).terms == (((2, -1), stv(1, 0)),)
     assert constraint((2, -1), "1/2", ">=") == ((-2, 1), -1, 2, False)
+    assert type(SamplerConfig(seed=True).seed) is int and SamplerConfig(seed=True).seed == 1
 
 
 @pytest.mark.parametrize("text", ["((+,inf),(+,0))", "((-,oo),(+,0))", "((0,1),(+,0))"])
