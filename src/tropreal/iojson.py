@@ -132,12 +132,21 @@ def _at(path: str, field: str) -> str:
     return f"{path}.{field}" if path else field
 
 
+def _key(d: dict, key: str, path: str) -> Any:
+    """The required field ``key`` of the object d at ``path``; a missing key
+    is a ParseError that names the object's path."""
+    try:
+        return d[key]
+    except KeyError:
+        raise ParseError(f"{path or 'input'}: missing key {key!r}") from None
+
+
 def _rational(d: dict, field: str, path: str, inf: bool = False) -> Val:
     """The rational ``field`` of the object d at ``path``: a JSON integer, or
     a string read by :func:`read_rational` (with ``inf``, by :func:`as_val`).
     Anything else is a ParseError that names the JSON path of the field.
     """
-    v = d[field]
+    v = _key(d, field, path)
     if type(v) is int:
         return Fraction(v)
     if isinstance(v, str):
@@ -169,13 +178,13 @@ def _terms(d: Any, path: str) -> list:
 
     A shape error is a ParseError that names the JSON path of the bad field.
     """
-    return _objects(_object(d, path)["terms"], _at(path, "terms"))
+    return _objects(_key(_object(d, path), "terms", path), _at(path, "terms"))
 
 
 def _width(d: dict, key: str, path: str) -> int:
     """The field ``key`` (``nvars`` or ``dim``) of the object d at ``path``:
     an integer within MAX_VARS."""
-    n = d[key]
+    n = _key(d, key, path)
     if type(n) is not int or not 0 <= n <= MAX_VARS:
         got = n if type(n) is int else _JSON_KIND.get(type(n))
         raise ParseError(f"{_at(path, key)}: expected an integer from 0 to {MAX_VARS}, got {got}")
@@ -183,7 +192,7 @@ def _width(d: dict, key: str, path: str) -> int:
 
 
 def _exps(t: dict, nvars: int, where: str) -> tuple[int, ...]:
-    exps = t["exps"]
+    exps = _key(t, "exps", where)
     if not (isinstance(exps, list) and len(exps) == nvars
             and all(type(e) is int for e in exps)):
         raise ParseError(f"{where}.exps: expected a list of nvars={nvars} integers")
@@ -217,7 +226,8 @@ def polyk_from_json(d: dict, path: str = "") -> PolyK:
     pairs = []
     for i, t in enumerate(terms):
         where = f"{_at(path, 'terms')}[{i}]"
-        pairs.append((_exps(t, nvars, where), series_from_json(t["coeff"], f"{where}.coeff")))
+        exps = _exps(t, nvars, where)
+        pairs.append((exps, series_from_json(_key(t, "coeff", where), f"{where}.coeff")))
     return PolyK.from_terms(nvars, pairs)
 
 
@@ -236,7 +246,8 @@ def troppoly_from_json(d: dict) -> TropPoly:
     return TropPoly.from_terms(
         nvars,
         (
-            (_exps(t, nvars, f"terms[{i}]"), stv_from_json(t["coeff"], f"terms[{i}].coeff"))
+            (_exps(t, nvars, f"terms[{i}]"),
+             stv_from_json(_key(t, "coeff", f"terms[{i}]"), f"terms[{i}].coeff"))
             for i, t in enumerate(terms)
         ),
     )
@@ -262,7 +273,7 @@ def polyhedron_to_json(P: Polyhedron) -> dict:
 
 
 def _constraint(c: dict, dim: int, where: str) -> IntRow:
-    normal, strict = c["normal"], c["strict"]
+    normal, strict = _key(c, "normal", where), _key(c, "strict", where)
     if not (isinstance(normal, list) and len(normal) == dim
             and all(type(a) is int for a in normal)):
         raise ParseError(f"{where}.normal: expected a list of dim={dim} integers")
@@ -277,7 +288,8 @@ def polyhedron_from_json(d: dict, path: str = "") -> Polyhedron:
     dim = _width(_object(d, path), "dim", path)
     where = _at(path, "constraints")
     return Polyhedron(dim, tuple(
-        _constraint(c, dim, f"{where}[{i}]") for i, c in enumerate(_objects(d["constraints"], where))
+        _constraint(c, dim, f"{where}[{i}]")
+        for i, c in enumerate(_objects(_key(d, "constraints", path), where))
     ))
 
 
@@ -326,7 +338,7 @@ def description_to_json(S: SADescription) -> dict:
 
 
 def _rel(c: dict, where: str) -> str:
-    rel = c["rel"]
+    rel = _key(c, "rel", where)
     if isinstance(rel, str):
         try:
             return normalize_rel(rel)
@@ -337,7 +349,7 @@ def _rel(c: dict, where: str) -> str:
 
 def description_from_json(d: dict) -> SADescription:
     nvars = _width(_object(d, ""), "nvars", "")
-    disjuncts = d["disjuncts"]
+    disjuncts = _key(d, "disjuncts", "")
     if not isinstance(disjuncts, list):
         got = _JSON_KIND.get(type(disjuncts))
         raise ParseError(f"disjuncts: expected a list of lists of objects, got {got}")
@@ -346,7 +358,7 @@ def description_from_json(d: dict) -> SADescription:
         conds = []
         for j, c in enumerate(_objects(disj, f"disjuncts[{i}]")):
             where = f"disjuncts[{i}][{j}]"
-            poly = polyk_from_json(c["poly"], f"{where}.poly")
+            poly = polyk_from_json(_key(c, "poly", where), f"{where}.poly")
             conds.append(SignCondition(poly, _rel(c, where)))
         out.append(tuple(conds))
     return SADescription(nvars, tuple(out))

@@ -123,22 +123,30 @@ def _scale_point(x: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 class Polyhedron:
     """A finite intersection of rational halfspaces, possibly with strict facets.
 
-    ``rows`` holds one ``IntRow`` per halfspace.  The constructor checks
-    that each normal has ``dim`` entries and each offset is in lowest terms
-    with a positive denominator; ``_from_rows`` skips the check for rows the
-    library derived itself.
+    ``rows`` holds one ``IntRow`` per halfspace.  The constructor reads
+    ``dim`` and the rows' integers by ``operator.index``, and checks that
+    each normal has ``dim`` entries, each offset is in lowest terms with a
+    positive denominator and each ``strict`` is a bool; ``_from_rows``
+    skips the check for rows the library derived itself.
     """
 
     dim: int
     rows: tuple[IntRow, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        for normal, cn, cd, _ in self.rows:
-            if len(normal) != self.dim:
+        dim = index(self.dim)
+        rows = []
+        for normal, cn, cd, strict in self.rows:
+            normal, cn, cd = tuple(map(index, normal)), index(cn), index(cd)
+            if len(normal) != dim:
                 raise DimensionMismatch("constraint dimension mismatch")
             if cd <= 0 or gcd(cn, cd) != 1:
                 raise ValueError(f"offset {cn}/{cd} is not in lowest terms")
+            if type(strict) is not bool:
+                raise TypeError(f"strict must be a bool, not {type(strict).__name__}")
+            rows.append((normal, cn, cd, strict))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rows", tuple(rows))
 
     def contains(self, x: Sequence[Fraction]) -> bool:
         if len(x) != self.dim:

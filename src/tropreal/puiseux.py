@@ -28,11 +28,10 @@ set whose tropical points all lie outside that box (the candidate loops of
 :mod:`tropreal.semialg` add zero coordinates, of valuation +inf).  Only the
 seed is settable (:class:`SamplerConfig`).  Sampler state is confined to
 an explicitly passed generator; use independent seeds for concurrent
-sampling.  A draw has two steps:
-:func:`ps_draw` takes the random integers of one series, and
-:func:`ps_build` turns them into a series; :func:`ps_sample` is the two
-in a row.  :func:`ps_draw` is itself two draws in a row: the lead
-(:func:`ps_draw_lead`: its exponent, then its coefficient) and the tail
+sampling.  A draw has two steps: the
+random integers of one series are drawn, and :func:`ps_build` turns them
+into a series.  The integers come in two draws in a row: the lead
+(:func:`ps_lead_stream`: its exponent, then its coefficient) and the tail
 (:func:`ps_draw_tail`: the number of terms, the exponents above the lead,
 then their coefficients).  Every bounded draw is ``randrange(n)`` written
 out: ``getrandbits(n.bit_length())`` until the result is below n, the same
@@ -53,11 +52,11 @@ decided by one ``rng.random()`` word before its lead.  With each vector
 comes its integer lead key, one digit per coordinate in base
 ``LEAD_BASE`` = 19: 0 for a zero coordinate, else 2*code + 1 for a
 positive lead and 2*code + 2 for a negative one.  Equal keys mean equal
-signed lead values.  :func:`ps_draw_lead` is the lead of a
-one-coordinate stream with no zero coordinates.
-
-``witness_search`` builds its draws with the lead pinned to a signed
-value c (``ps_build(draw, lead=c)``), so that they tropicalize to c.
+signed lead values.  The stream draws only when it is resumed, so a
+caller draws each lead's tail before the next resume.  ``ps_sample`` and
+``witness_search`` resume one-coordinate streams, and the witness search
+pins each lead to a signed value c (``ps_build(draw, lead=c)``), so that
+the draw tropicalizes to c.
 
 The split lets a caller decide a candidate before any series exists, and
 before its tails are drawn.  The default candidate loop of
@@ -372,16 +371,6 @@ def ps_lead_stream(
         yield leads, key
 
 
-def ps_draw_lead(rng: random.Random) -> Lead:
-    """The lead (k, q, ck, cq) of one draw: t**(k/q) * ck/cq, with k/q in lowest terms.
-
-    The exponent is drawn uniformly from the rational exponent grid, then
-    its nonzero coefficient from the coefficient grid: the lead of a
-    one-coordinate :func:`ps_lead_stream` with no zero coordinates.
-    """
-    return next(ps_lead_stream(rng, 1, 0))[0][0]
-
-
 def ps_draw_tail(rng: random.Random, lead: Lead) -> SeriesDraw:
     """The draw of a series with the given lead: ``lead``, then one
     (k, q, ck, cq) per tail term, exponents increasing.
@@ -432,23 +421,9 @@ def ps_draw_tail(rng: random.Random, lead: Lead) -> SeriesDraw:
     return terms
 
 
-def ps_draw(rng: random.Random) -> SeriesDraw:
-    """The integers of one :func:`ps_sample` draw, before any series is built.
-
-    The lead first (:func:`ps_draw_lead`: its exponent, then its
-    coefficient), then the tail (:func:`ps_draw_tail`: the number of
-    terms, the exponents above the lead, then their coefficients).  The
-    lead coefficient does not depend on the number of terms or on the
-    tail, so a series has the distribution it had when the number of terms
-    was drawn first.  Returns one (k, q, ck, cq) per term, the lead first
-    and exponents increasing: the exponent k/q in lowest terms and the
-    coefficient ck/cq with ck nonzero.
-    """
-    return ps_draw_tail(rng, ps_draw_lead(rng))
-
-
 def ps_build(draw: SeriesDraw, lead: Optional[SignedTropVal] = None) -> PuiseuxSeries:
-    """The series of a :func:`ps_draw`; exponents and coefficients become Fractions here.
+    """The series of a draw (:func:`ps_draw_tail`); exponents and
+    coefficients become Fractions here.
 
     With ``lead``, a nonzero signed value c, every exponent is shifted by
     c's valuation minus the drawn lead exponent and the lead coefficient
@@ -471,9 +446,12 @@ def ps_build(draw: SeriesDraw, lead: Optional[SignedTropVal] = None) -> PuiseuxS
 def ps_sample(cfg: SamplerConfig, rng: Optional[random.Random] = None) -> PuiseuxSeries:
     """Draw one nonzero series; deterministic for a fixed config when rng is None.
 
-    This is ``ps_build(ps_draw(rng))``; see :func:`ps_draw` for the
-    distribution and the random words a draw consumes.
+    The lead of a one-coordinate :func:`ps_lead_stream`, then its tail
+    (:func:`ps_draw_tail`).  The lead does not depend on the number of
+    terms or on the tail, so a series has the distribution it had when the
+    number of terms was drawn first.
     """
     if rng is None:
         rng = random.Random(cfg.seed)
-    return ps_build(ps_draw(rng))
+    (lead,), _ = next(ps_lead_stream(rng, 1, 0))
+    return ps_build(ps_draw_tail(rng, lead))

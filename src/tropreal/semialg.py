@@ -77,8 +77,9 @@ condition's initial form, the sum of the dominant terms' leading
 coefficients, evaluated at the leads, has the sign of the condition
 whatever the tails are, and only where it cancels are the lowest terms
 read from the drawn tails.  ``sa_member`` is the same walk on a built
-point's integers.  The witness search takes whole draws (:func:`ps_draw`),
-each with its lead pinned to the target, and puts each to the same walk.
+point's integers.  The witness search takes its leads from one stream
+per search, pins each to the target, draws its tail before the next
+resume, and puts each attempt to the same walk.
 
 Sampling and search are embarrassingly parallel over seeds; all exact
 checks are pure.
@@ -128,7 +129,6 @@ from .puiseux import (
     SamplerConfig,
     SeriesDraw,
     ps_build,
-    ps_draw,
     ps_draw_tail,
     ps_lead_stream,
 )
@@ -329,9 +329,8 @@ def _candidates(
     drawn tails where it does.  A refuted candidate is dropped with no
     series built, and a member is built (:func:`ps_build`) and yielded.
 
-    :func:`ps_draw` is the lead and the tail in a row: ``witness_search``
-    takes such draws and pins their leads, and only a scenario's proposal
-    draws its own way.
+    ``witness_search`` draws from the same stream, a lead and then its
+    tail, and pins the leads; only a scenario's proposal draws its own way.
     """
     if proposal is not None:
         for _ in range(budget):
@@ -741,8 +740,9 @@ def witness_search(
     """Search for a member of S tropicalizing exactly to z.
 
     Each nonzero coordinate c of z is a draw of the default sampler, seeded
-    by ``cfg``, with its lead pinned to c (``ps_build(ps_draw(rng),
-    lead=c)``); a zero coordinate is zero and draws nothing.  Every
+    by ``cfg``, with its lead pinned to c: the lead is the next of one
+    :func:`ps_lead_stream` per search, and its tail (:func:`ps_draw_tail`)
+    is drawn before the next lead; a zero coordinate draws nothing.  Every
     candidate tropicalizes to z by construction; only membership is
     tested, as in the candidate loop: the pinned leads, as integers, and
     the draws go to the walk of :func:`_verdict`, which reads each draw's
@@ -759,8 +759,9 @@ def witness_search(
     rng = random.Random(cfg.seed)
     # each nonzero target coordinate as (numerator, denominator, sign)
     pins = [None if c.sign == 0 else (*c.val.as_integer_ratio(), c.sign) for c in z]
+    stream = ps_lead_stream(rng, 1, 0)
     for _ in range(budget):
-        draws = [None if pin is None else ps_draw(rng) for pin in pins]
+        draws = [None if pin is None else ps_draw_tail(rng, next(stream)[0][0]) for pin in pins]
         leads = [
             None if pin is None else (pin[0], pin[1], pin[2] * abs(draw[0][2]), draw[0][3])
             for pin, draw in zip(pins, draws)

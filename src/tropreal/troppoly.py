@@ -415,23 +415,18 @@ class _ValKernel:
         _, sign, balanced, _ = self._score(alive, p)
         return None if balanced else sign
 
-    def score_at(self, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
+    def _score(self, alive: Alive, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
         """Score the alive terms of p's plan in integers.
 
         Returns the minimal score, its sign, whether opposite signs tie
         there, and D', the least common denominator of the valuations of
         the nonzero coordinates.  The minimal score over ``den * D'`` is the
         valuation of the sum; it is None, with sign 0, when no term is
-        alive.  Raises NegativeExponentAtZero where the polynomial is
-        undefined at p.
+        alive.  One pass over the coordinates reads the valuations as
+        numerators over a running common denominator that widens when a new
+        denominator does not divide it; a zero coordinate reads as 0, and
+        no alive term raises it.
         """
-        return self._score(self._plan_at(p)[1], p)
-
-    def _score(self, alive: Alive, p: TropPoint) -> tuple[Optional[int], int, bool, int]:
-        """``score_at`` over the plan's alive terms.  One pass over the
-        coordinates reads the valuations as numerators over a running common
-        denominator that widens when a new denominator does not divide it;
-        a zero coordinate reads as 0, and no alive term raises it."""
         xs = []
         dp = 1
         for c in p:
@@ -464,8 +459,9 @@ class _ValKernel:
         return best, best_sign, balanced, dp
 
     def value_at(self, p: TropPoint) -> HyperValue:
-        """The hyperfield sum of the terms at p."""
-        best, sign, balanced, dp = self.score_at(p)
+        """The hyperfield sum of the terms at p.  Raises
+        NegativeExponentAtZero where the polynomial is undefined at p."""
+        best, sign, balanced, dp = self._score(self._plan_at(p)[1], p)
         if best is None:
             return HV_ZERO
         val = Fraction(best, self.den * dp)
@@ -614,17 +610,6 @@ class _SignKernel(NamedTuple):
             if mk:
                 negmask |= 1 << k
         return _SignKernel(den, maxdeg, terms, negmask)
-
-    def signed_value(self, p: tuple[PuiseuxSeries, ...]) -> SignedTropVal:
-        """Signed value of g(p): from its initial form (:meth:`_initial`)
-        when that does not cancel, else from its lowest terms
-        (:meth:`_truncated_value`), both read from p's integer form
-        (:func:`series_draws`)."""
-        leads, draws = series_draws(p)
-        initial, best, den = self._initial(leads)
-        if initial:
-            return SignedTropVal(1 if initial > 0 else -1, Fraction(best, den))
-        return self._truncated_value(leads, draws)
 
     def lead_sign(self, leads: Sequence[Optional[Lead]]) -> Optional[int]:
         """The sign of g at every point with these leads, whatever the
@@ -854,13 +839,20 @@ def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:
 
     Uses f(p) = g(p) / x**m with g polynomial; the signed value of the
     quotient is the quotient of signed values.  The signed value of g(p) is
-    read from its initial form or, when that cancels, from its lowest terms
-    by the truncated integer kernel (:meth:`_SignKernel.signed_value`), so
-    no power of a coordinate is built in full.
+    read from p's integer form (:func:`series_draws`): from its initial form
+    when that does not cancel, else from its lowest terms by the truncated
+    integer kernel (:meth:`_SignKernel._truncated_value`), so no power of a
+    coordinate is built in full.
     """
     p = tuple(p)
     _check_laurent_point(f, p)
-    out = f._sign_kernel.signed_value(p)
+    kernel = f._sign_kernel
+    leads, draws = series_draws(p)
+    initial, best, den = kernel._initial(leads)
+    if initial:
+        out = SignedTropVal(1 if initial > 0 else -1, Fraction(best, den))
+    else:
+        out = kernel._truncated_value(leads, draws)
     for mk, c in zip(f._clearing[1], p):
         if mk:
             out = rt_mul(out, rt_pow(rt_inv(c.signed_trop()), mk))

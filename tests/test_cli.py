@@ -520,12 +520,33 @@ def test_malformed_series_value_is_named(circle_files, tmp_path, capsys, key, va
     assert line.startswith(f"error: {desc}: {field}: expected"), line
 
 
-def test_description_missing_key_is_named(tmp_path, capsys):
-    desc = tmp_path / "nodisjuncts.json"
-    desc.write_text(json.dumps({"nvars": 2}))
-    assert main(["sample", str(desc), "--count", "5"]) == 2
+def _circle_without_rel():
+    data = iojson.description_to_json(get_scenario("circle").description)
+    del data["disjuncts"][0][0]["rel"]
+    return data
+
+
+# each command names its input file F; S is the circle's description
+@pytest.mark.parametrize("command, data, field, key", [
+    pytest.param(["sample", "F", "--count", "5"], {"nvars": 2}, "input", "disjuncts",
+                 id="description"),
+    pytest.param(["sample", "F", "--count", "5"], _circle_without_rel(), "disjuncts[0][0]", "rel",
+                 id="description-rel"),
+    pytest.param(["lift", "S", "--trop", "F"], {"nvars": 2, "terms": [{"exps": [1, 0]}]},
+                 "terms[0]", "coeff", id="trop"),
+    pytest.param(["basis", "S", "--target-set", "F"],
+                 [{"dim": 2, "constraints": [{"normal": [1, 0], "offset": "0"}]}],
+                 "[0].constraints[0]", "strict", id="target-set"),
+])
+def test_description_missing_key_is_named(circle_files, tmp_path, capsys, command, data, field, key):
+    _, desc = circle_files
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(data))
+    argv = [{"F": str(path), "S": str(desc)}.get(arg, arg) for arg in command]
+    assert main(argv) == 2
     line = _one_error_line(capsys.readouterr().err)
-    assert "missing key 'disjuncts'" in line
+    assert f"missing key '{key}'" in line
+    assert line == f"error: {path}: {field}: missing key '{key}'"
 
 
 @pytest.mark.parametrize("poly, rel", [

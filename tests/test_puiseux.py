@@ -18,7 +18,7 @@ from tropreal.puiseux import (
     SamplerConfig,
     _fraction,
     ps_build,
-    ps_draw,
+    ps_draw_tail,
     ps_lead_stream,
     ps_sample,
 )
@@ -178,7 +178,7 @@ def test_sampler_golden_draws(cfg, texts):
 # A randint-based sampler, kept as the reference for the draw contract:
 # ps_sample must consume the same random words and return the same series
 # as these draws.  It is the sampler before integer draws, reordered as
-# ps_draw_lead and ps_draw_tail draw: the lead exponent, the lead
+# ps_lead_stream and ps_draw_tail draw: the lead exponent, the lead
 # coefficient, the number of terms, then the tail.  Its grid is the one the
 # puiseux docstring states: exponents k/q in [-2, 2] and coefficients k/q
 # in [-4, 4] with q <= 2, and at most 3 terms.
@@ -291,10 +291,12 @@ _pins = st.builds(
 @given(st.lists(_pins, min_size=1, max_size=10), st.integers(0, 2**32))
 def test_pinned_build_tropicalizes_to_the_pin_and_keeps_the_draw(pins, seed):
     rng, ref = random.Random(seed), random.Random(seed)
+    stream = ps_lead_stream(rng, 1, 0)
     for c in pins:
-        draw = ps_draw(rng)
-        assert draw == ps_draw(ref)
+        # a lead from one stream, then its tail: the words of one ps_sample
+        draw = ps_draw_tail(rng, next(stream)[0][0])
         pinned, free = ps_build(draw, lead=c), ps_build(draw)
+        assert free == ps_sample(SamplerConfig(), ref)
         assert pinned.signed_trop() == c
         exps = [e for e, _ in pinned.terms]
         assert all(a < b for a, b in zip(exps, exps[1:]))

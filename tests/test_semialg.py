@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from test_puiseux import _reference_lead, _reference_tail
 from test_troppoly import _ZERO_INITIAL_FORM, _reference_trop_eval
 
-from tropreal import iojson, semialg
+from tropreal import iojson, puiseux, semialg
 from tropreal.errors import (
     NegativeExponentAtZero,
     NoEpsilonFound,
@@ -36,7 +36,7 @@ from tropreal.polyhedra import (
     whole_space_union,
 )
 from tropreal.puiseux import (
-    PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw, ps_draw_tail, ps_lead_stream,
+    PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw_tail, ps_lead_stream,
     ps_sample,
 )
 from tropreal.scenarios import get_scenario, vertex_parameter
@@ -62,7 +62,7 @@ from tropreal.semialg import (
     witness_search,
 )
 from tropreal.troppoly import (
-    PolyK, TropPoly, _ValKernel, laurent_sign, series_draws, trop_point, trop_r,
+    PolyK, TropPoly, _SignKernel, _ValKernel, laurent_sign, series_draws, trop_point, trop_r,
 )
 
 F2 = Fraction
@@ -744,13 +744,12 @@ def test_sa_member_matches_dnf_of_conditions(case):
             for cond in disj:
                 kernel = trop_r(cond.poly)._val_kernel
                 try:
-                    at_trop = kernel.score_at(trop_point(p))
+                    outcome = kernel.outcome_at(trop_point(p))
                 except NegativeExponentAtZero:
                     continue  # undefined at p: the condition does not hold
-                _, sign, balanced, _ = at_trop
-                if not balanced:
+                if outcome is not None:
                     # dominant terms of one sign decide the exact sign
-                    assert laurent_sign(cond.poly, p) == sign
+                    assert laurent_sign(cond.poly, p) == outcome
 
 
 # -- the default candidate loop against the plain rejection loop ---------------
@@ -954,10 +953,11 @@ def test_pinned_witness_draws_are_decided_on_their_integers(S, z):
     # witness_search puts each draw, its lead pinned to z, to the walk with
     # no shifted copy; the answer is that of the built, shifted series
     rng = random.Random(3)
+    stream = ps_lead_stream(rng, 1, 0)
     pins = [None if c.sign == 0 else (*c.val.as_integer_ratio(), c.sign) for c in z]
     cancelled = members = 0
     for _ in range(150):
-        draws = [None if pin is None else ps_draw(rng) for pin in pins]
+        draws = [None if pin is None else ps_draw_tail(rng, next(stream)[0][0]) for pin in pins]
         leads = [
             None if pin is None else (pin[0], pin[1], pin[2] * abs(draw[0][2]), draw[0][3])
             for pin, draw in zip(pins, draws)
@@ -989,6 +989,28 @@ def test_cancelled_initial_forms_are_undecided_at_their_leads(text, coords, sign
         assert sa_member(S, p) == (sign in SATISFIED_BY[rel])
 
 
+@pytest.mark.parametrize("cancelled_first", [True, False], ids=["cancelled-first", "refuted-first"])
+def test_verdict_reads_no_tails_in_a_disjunct_its_leads_refute(monkeypatch, cancelled_first):
+    # the circle's initial form cancels at these leads, and -1 - x^2 > 0 is
+    # refuted at them: in either order the disjunct fails on its leads, and
+    # the cancelled condition's tails are never read
+    (text, coords, sign), = [c.values for c in _ZERO_INITIAL_FORM if c.id == "circle-2t+2t2"]
+    circle = SignCondition(parse_polyk(text), "gt")
+    never = SignCondition(parse_polyk("-1 - x^2", 2), "gt")
+    p = tuple(PuiseuxSeries.from_terms(c) for c in coords)
+    reads = []
+    read = _SignKernel._truncated_value
+    monkeypatch.setattr(
+        _SignKernel, "_truncated_value", lambda kernel, *args: reads.append(args) or read(kernel, *args)
+    )
+    # alone, the circle's sign lies in the tails
+    assert sign == 1 and sa_member(conjunction(2, [circle]), p) and len(reads) == 1
+    reads.clear()
+    conditions = [circle, never] if cancelled_first else [never, circle]
+    assert not sa_member(conjunction(2, conditions), p)
+    assert not reads
+
+
 def _count_calls(monkeypatch, name):
     """Count the calls that semialg makes to its own binding of ``name``."""
     calls = []
@@ -1012,3 +1034,17 @@ def test_candidate_loops_build_only_members(monkeypatch):
     assert not members
     # one series per nonzero coordinate of each candidate yielded, and no other
     assert len(builds) == sum(not c.is_zero() for p in yielded for c in p)
+
+
+def test_witness_search_draws_every_lead_from_one_stream(monkeypatch):
+    # one lead stream per search, resumed for each nonzero pin of every
+    # attempt; an unfound search on the probe runs all 200 attempts
+    streams = []
+    stream = puiseux.ps_lead_stream
+    for module in (puiseux, semialg):
+        monkeypatch.setattr(
+            module, "ps_lead_stream", lambda *args: streams.append(args) or stream(*args)
+        )
+    probe = CUBIC.params["segment_probe"]
+    assert witness_search(CUBIC.description, probe, 200, SamplerConfig(0)) is None
+    assert streams == [(streams[0][0], 1, 0)]

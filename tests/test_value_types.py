@@ -206,6 +206,7 @@ INTEGER_READERS = {
     "TropPoly.from_terms": lambda e: TropPoly.from_terms(1, [((e,), stv(1, 0))]),
     "constraint": lambda e: constraint((e, 1), 0),
     "SamplerConfig": lambda e: SamplerConfig(seed=e),
+    "Polyhedron": lambda e: Polyhedron(2, (((e, 1), 1, 1, False),)),
 }
 
 
@@ -223,6 +224,15 @@ def test_integer_exponents_and_normals_are_kept():
     assert TropPoly.from_terms(2, [([2, -1], stv(1, 0))]).terms == (((2, -1), stv(1, 0)),)
     assert constraint((2, -1), "1/2", ">=") == ((-2, 1), -1, 2, False)
     assert type(SamplerConfig(seed=True).seed) is int and SamplerConfig(seed=True).seed == 1
+    P = Polyhedron(True, (((True,), True, True, False),))
+    assert (P.dim, P.rows) == (1, (((1,), 1, 1, False),))
+    assert all(type(x) is int for x in (P.dim, *P.rows[0][0], *P.rows[0][1:3]))
+
+
+@pytest.mark.parametrize("strict", ["no", 0, None], ids=repr)
+def test_a_polyhedron_row_is_strict_only_by_a_bool(strict):
+    with pytest.raises(TypeError, match="strict must be a bool"):
+        Polyhedron(1, (((1,), 0, 1, strict),))
 
 
 @pytest.mark.parametrize("text", ["((+,inf),(+,0))", "((-,oo),(+,0))", "((0,1),(+,0))"])
