@@ -20,7 +20,6 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -65,6 +64,7 @@ from .polyhedra import (
     whole_space_union,
 )
 from .puiseux import PuiseuxSeries, SamplerConfig, ps_sample
+from .records import MutableRecord
 from .scenarios import get_scenario, vertex_parameter
 from .semialg import (
     SignCondition,
@@ -86,11 +86,13 @@ from .troppoly import PolyK, TropPoly, laurent_sign, trop_point, trop_r, trop_sa
 F2 = Fraction
 
 
-@dataclass
-class CheckOutcome:
-    name: str
-    passed: bool
-    details: list[str] = field(default_factory=list)
+class CheckOutcome(MutableRecord):
+    _fields = ("name", "passed", "details")
+
+    def __init__(self, name: str, passed: bool, details: Optional[list[str]] = None):
+        self.name = name
+        self.passed = passed
+        self.details = [] if details is None else details
 
     def add(self, ok: bool, message: str) -> bool:
         self.details.append(("ok: " if ok else "FAIL: ") + message)
@@ -99,13 +101,16 @@ class CheckOutcome:
         return ok
 
 
-@dataclass
-class RunReport:
-    command: str
-    inputs_digest: str
-    outcomes: dict[str, bool]
-    details: dict[str, list[str]]
-    elapsed: dict[str, float]
+class RunReport(MutableRecord):
+    _fields = ("command", "inputs_digest", "outcomes", "details", "elapsed")
+
+    def __init__(self, command: str, inputs_digest: str, outcomes: dict[str, bool],
+                 details: dict[str, list[str]], elapsed: dict[str, float]):
+        self.command = command
+        self.inputs_digest = inputs_digest
+        self.outcomes = outcomes
+        self.details = details
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:

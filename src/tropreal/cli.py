@@ -30,7 +30,6 @@ from .polyhedra import (
     trop_conjunction,
 )
 from .puiseux import SamplerConfig
-from .render import RenderConfig, render_region_svg, write_figures
 from .semialg import (
     check_lift_width,
     collect_samples,
@@ -100,6 +99,8 @@ def _decode(path: str, text: str, decode, *args):
         raise ParseError(f"{path}: missing key {exc}") from None
     except (TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed input: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to read") from None
     except (TropRealError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -239,6 +240,8 @@ def _cmd_region(args) -> int:
         # refuse the raster's inputs before anything is computed or written
         if F.nvars != 2:
             raise TropRealError("SVG output requires exactly two variables")
+        from .render import RenderConfig, render_region_svg
+
         cfg = RenderConfig(grid=args.grid, window=window)
     if args.orthant == "all":
         if F.nvars > MAX_ALL_ORTHANT_VARS:
@@ -388,6 +391,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    from .render import write_figures
+
     written = write_figures(args.outdir, grid=args.grid)
     for path in written:
         print(path)

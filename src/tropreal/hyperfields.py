@@ -54,11 +54,11 @@ valuation (``as_val``) may also be ``INF`` or one of ``INF_SPELLINGS``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ParseError
+from .records import Record
 
 
 class _PlusInfinity:
@@ -151,8 +151,7 @@ def val_add(a: Val, b: Val) -> Val:
     return a + b
 
 
-@dataclass(frozen=True, slots=True)
-class SignedTropVal:
+class SignedTropVal(Record):
     """An element of the signed tropical hyperfield: sign * e**(-val).
 
     Invariant: sign == 0 exactly when val is +inf (the zero element).
@@ -160,18 +159,32 @@ class SignedTropVal:
     an int: a bool becomes 0 or 1, and a float is a TypeError.
     """
 
+    __slots__ = _fields = ("sign", "val")
     sign: int
     val: Val
 
-    def __post_init__(self):
-        if type(self.sign) is not int:
-            object.__setattr__(self, "sign", operator.index(self.sign))
-        if type(self.val) is not Fraction and self.val is not INF:
-            object.__setattr__(self, "val", as_val(self.val))
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, got {self.sign}")
-        if (self.sign == 0) != (self.val is INF):
+    def __init__(self, sign: int, val: Val):
+        if type(sign) is not int:
+            sign = operator.index(sign)
+        if type(val) is not Fraction and val is not INF:
+            val = as_val(val)
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or 1, got {sign}")
+        if (sign == 0) != (val is INF):
             raise ValueError("sign 0 requires valuation inf, and valuation inf requires sign 0")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "val", val)
+
+    # the base's comparison and hash, spelled out: tropical points are
+    # compared and hashed often enough (in lists, sets and dicts of points)
+    # for the inline tuples to pay
+    def __eq__(self, other):
+        if other.__class__ is SignedTropVal:
+            return (self.sign, self.val) == (other.sign, other.val)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sign, self.val))
 
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -220,24 +233,27 @@ def rt_pow(a: SignedTropVal, d: int) -> SignedTropVal:
     return SignedTropVal(sign, a.val * d)
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(Record):
     """A single-valued hyperfield sum."""
 
+    __slots__ = _fields = ("value",)
     value: SignedTropVal
+
+    def __init__(self, value: SignedTropVal):
+        object.__setattr__(self, "value", value)
 
     def __repr__(self) -> str:
         return f"Point{self.value!r}"
 
 
-@dataclass(frozen=True, slots=True)
-class Balanced:
+class Balanced(Record):
     """The interval [-e**(-val), e**(-val)]: all points of valuation >= val, and zero."""
 
+    __slots__ = _fields = ("val",)
     val: Fraction
 
-    def __post_init__(self):
-        v = as_val(self.val)
+    def __init__(self, val: Fraction):
+        v = as_val(val)
         if v is INF:
             raise ValueError("a balanced interval has a finite valuation bound")
         object.__setattr__(self, "val", v)
@@ -359,27 +375,27 @@ def hv_relation(h: HyperValue, rel: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ValPoint:
+class ValPoint(Record):
     """A single magnitude, as a valuation in Q ∪ {+inf}."""
 
+    __slots__ = _fields = ("val",)
     val: Val
 
-    def __post_init__(self):
-        object.__setattr__(self, "val", as_val(self.val))
+    def __init__(self, val: Val):
+        object.__setattr__(self, "val", as_val(val))
 
     def __repr__(self) -> str:
         return f"val({self.val})"
 
 
-@dataclass(frozen=True, slots=True)
-class ValUpSet:
+class ValUpSet(Record):
     """All magnitudes of valuation >= low, including zero (val = +inf)."""
 
+    __slots__ = _fields = ("low",)
     low: Fraction
 
-    def __post_init__(self):
-        v = as_val(self.low)
+    def __init__(self, low: Fraction):
+        v = as_val(low)
         if v is INF:
             raise ValueError("an up-set has a finite lower valuation bound")
         object.__setattr__(self, "low", v)

@@ -19,6 +19,7 @@ negative ``nvars``.  A power
 or product that could expand to more than ``MAX_TERMS`` terms is one too,
 and so is a power of one term, or a product, whose coefficients could
 pass ``MAX_POWER_BITS`` bits; both are raised before anything is expanded.
+So are parentheses and unary minus signs nested deeper than ``MAX_NESTING``.
 So is a result with a variable exponent beyond ``MAX_EXPONENT``.
 
 The parser has no polynomial arithmetic of its own: every literal,
@@ -51,6 +52,12 @@ MAX_VARS = 64
 # comb(n+k-1, k), the number of its possible monomials, and a product
 # against len(a)*len(b).
 MAX_TERMS = 256
+
+# The most parentheses and unary minus signs an atom may sit inside.  The
+# parser recurses on each of them, so 5,000 of either overflowed the
+# interpreter's stack; a parenthesis takes four frames, and 100 of them stay
+# well inside the default limit of 1,000.
+MAX_NESTING = 100
 
 # The most bits a power or a product may give a coefficient.  A power of
 # one term passes the term budget, but c^k has up to k times the bits of c,
@@ -177,6 +184,7 @@ class _Parser:
         if nvars is not None and nvars < 0:
             raise ParseError(f"nvars={nvars} is negative")
         self.lx = _Lexer(text)
+        self.depth = 0
         known = (_var_index(t) for kind, t in self.lx.tokens if kind == "IDENT")
         self.max_var = max((k for k in known if k is not None), default=-1)
         self.nvars = nvars if nvars is not None else self.max_var + 1
@@ -279,14 +287,18 @@ class _Parser:
             if idx is None:
                 raise ParseError(f"unknown variable {text!r}")
             return self._var_power(idx, 1), idx
+        if kind not in ("(", "-"):
+            raise ParseError(f"unexpected token {text!r}")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses and signs nest deeper than MAX_NESTING={MAX_NESTING}")
         if kind == "(":
             inner = self._expr()
             self.lx.expect(")")
-            return inner, "expr"
-        if kind == "-":
-            inner, _ = self._atom()
-            return -inner, "expr"
-        raise ParseError(f"unexpected token {text!r}")
+        else:
+            inner = -self._atom()[0]
+        self.depth -= 1
+        return inner, "expr"
 
     def _exponent(self) -> Fraction:
         tok = self.lx.peek()

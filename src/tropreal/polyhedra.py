@@ -71,7 +71,6 @@ Everything is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -86,6 +85,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .hyperfields import RT_ZERO, SignedTropVal, as_rational, normalize_rel, satisfied_by, stv
+from .records import Record
 from .troppoly import TropPoint, TropPoly
 
 # a row (normal, offset numerator, offset denominator > 0, strict) means
@@ -119,8 +119,7 @@ def _scale_point(x: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (den // v.denominator) for v in fr), den
 
 
-@dataclass(frozen=True, slots=True)
-class Polyhedron:
+class Polyhedron(Record):
     """A finite intersection of rational halfspaces, possibly with strict facets.
 
     ``rows`` holds one ``IntRow`` per halfspace.  The constructor reads
@@ -130,13 +129,14 @@ class Polyhedron:
     skips the check for rows the library derived itself.
     """
 
+    __slots__ = _fields = ("dim", "rows")
     dim: int
     rows: tuple[IntRow, ...]
 
-    def __post_init__(self):
-        dim = index(self.dim)
-        rows = []
-        for normal, cn, cd, strict in self.rows:
+    def __init__(self, dim: int, rows: tuple[IntRow, ...]):
+        dim = index(dim)
+        checked = []
+        for normal, cn, cd, strict in rows:
             normal, cn, cd = tuple(map(index, normal)), index(cn), index(cd)
             if len(normal) != dim:
                 raise DimensionMismatch("constraint dimension mismatch")
@@ -144,9 +144,9 @@ class Polyhedron:
                 raise ValueError(f"offset {cn}/{cd} is not in lowest terms")
             if type(strict) is not bool:
                 raise TypeError(f"strict must be a bool, not {type(strict).__name__}")
-            rows.append((normal, cn, cd, strict))
+            checked.append((normal, cn, cd, strict))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", tuple(checked))
 
     def contains(self, x: Sequence[Fraction]) -> bool:
         if len(x) != self.dim:
@@ -506,17 +506,19 @@ def poly_has_recession_direction(P: Polyhedron, open_conditions: Sequence[IntRow
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyUnion:
+class PolyUnion(Record):
     """A finite union of polyhedra of a common ambient dimension."""
 
+    _fields = ("dim", "pieces")
     dim: int
     pieces: tuple[Polyhedron, ...]
 
-    def __post_init__(self):
-        for p in self.pieces:
-            if p.dim != self.dim:
+    def __init__(self, dim: int, pieces: tuple[Polyhedron, ...]):
+        for p in pieces:
+            if p.dim != dim:
                 raise DimensionMismatch("piece dimension mismatch")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "pieces", pieces)
 
     def contains(self, x: Sequence[Fraction]) -> bool:
         if len(x) != self.dim:
@@ -542,11 +544,11 @@ def _from_pieces(dim: int, pieces: Sequence[Polyhedron]) -> PolyUnion:
 
 
 def whole_space_union(dim: int) -> PolyUnion:
-    return PolyUnion(dim, (whole_space(dim),))
+    return _from_pieces(dim, (whole_space(dim),))
 
 
 def empty_union(dim: int) -> PolyUnion:
-    return PolyUnion(dim, ())
+    return _from_pieces(dim, ())
 
 
 def union_prune(U: PolyUnion) -> PolyUnion:

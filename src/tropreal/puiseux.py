@@ -70,7 +70,6 @@ integers, and only members are built here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
@@ -78,13 +77,17 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import PuiseuxDivisionError
 from .hyperfields import INF, RT_ZERO, SignedTropVal, Val, as_rational
+from .records import Record
 
 
-@dataclass(frozen=True, slots=True)
-class PuiseuxSeries:
+class PuiseuxSeries(Record):
     """A finite formal sum of c * t**e terms in normal form."""
 
+    __slots__ = _fields = ("terms",)
     terms: tuple[tuple[Fraction, Fraction], ...]  # (exponent, coefficient), exponents increasing
+
+    def __init__(self, terms: tuple[tuple[Fraction, Fraction], ...]):
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple]) -> "PuiseuxSeries":
@@ -242,8 +245,7 @@ PS_ONE = PuiseuxSeries.one()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Record):
     """The seed of the stratified series sampler, read by the integer rule,
     ``operator.index``: None, a float or a text is refused, so a seed never
     falls back to the operating system's entropy.
@@ -251,10 +253,11 @@ class SamplerConfig:
     The grid it draws from is fixed: see the module docstring.
     """
 
-    seed: int = 0
+    _fields = ("seed",)
+    seed: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "seed", index(self.seed))
+    def __init__(self, seed: int = 0):
+        object.__setattr__(self, "seed", index(seed))
 
 
 def _window(q: int, bound: int) -> tuple[int, int, int, int]:

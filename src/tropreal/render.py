@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -40,6 +39,7 @@ from .polyhedra import (
     poly_dim,
     trop_conjunction,
 )
+from .records import Record
 from .troppoly import TropPoly
 
 BACKGROUND = "#ffffff"
@@ -49,31 +49,36 @@ OVERLAY = "#d7301f"
 FRAME = "#222222"
 
 
-@dataclass(frozen=True)
-class RenderConfig:
+class RenderConfig(Record):
     """Raster density and multiplicative window.
 
     ``grid`` is read by the integer rule, ``operator.index``, and
     ``window`` by ``as_rational``; a float is refused in both.
     """
 
-    grid: int = 160
-    window: tuple[Fraction, Fraction, Fraction, Fraction] = (
-        Fraction(-3),
-        Fraction(3),
-        Fraction(-3),
-        Fraction(3),
-    )
+    _fields = ("grid", "window")
+    grid: int
+    window: tuple[Fraction, Fraction, Fraction, Fraction]
 
-    def __post_init__(self):
-        object.__setattr__(self, "grid", operator.index(self.grid))
-        if self.grid < 2:
+    def __init__(
+        self,
+        grid: int = 160,
+        window: tuple[Fraction, Fraction, Fraction, Fraction] = (
+            Fraction(-3),
+            Fraction(3),
+            Fraction(-3),
+            Fraction(3),
+        ),
+    ):
+        grid = operator.index(grid)
+        if grid < 2:
             raise ValueError("grid must be at least 2")
-        if self.grid > MAX_GRID:
+        if grid > MAX_GRID:
             raise ValueError(f"grid must be at most MAX_GRID={MAX_GRID}")
-        x0, x1, y0, y1 = map(as_rational, self.window)
+        x0, x1, y0, y1 = map(as_rational, window)
         if x0 >= x1 or y0 >= y1:
             raise ValueError("window must be a nondegenerate rectangle")
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "window", (x0, x1, y0, y1))
 
 

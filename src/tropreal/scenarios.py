@@ -35,28 +35,39 @@ The scenarios:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .hyperfields import SignedTropVal, rt_inv, rt_neg, stv
 from .parsing import parse_polyk
 from .puiseux import PuiseuxSeries
+from .records import MutableRecord
 from .semialg import SADescription, SignCondition, conjunction
 from .troppoly import PolyK, TropPoly, trop_r
 
 Proposal = Callable[[random.Random], tuple[PuiseuxSeries, ...]]
 
 
-@dataclass
-class Scenario:
-    name: str
-    nvars: int
-    description: Optional[SADescription]
-    conditions: tuple[tuple[TropPoly, str], ...]
-    window: tuple[Fraction, Fraction, Fraction, Fraction]
-    proposal: Optional[Proposal] = None
-    params: dict = field(default_factory=dict)
+class Scenario(MutableRecord):
+    _fields = ("name", "nvars", "description", "conditions", "window", "proposal", "params")
+
+    def __init__(
+        self,
+        name: str,
+        nvars: int,
+        description: Optional[SADescription],
+        conditions: tuple[tuple[TropPoly, str], ...],
+        window: tuple[Fraction, Fraction, Fraction, Fraction],
+        proposal: Optional[Proposal] = None,
+        params: Optional[dict] = None,
+    ):
+        self.name = name
+        self.nvars = nvars
+        self.description = description
+        self.conditions = conditions
+        self.window = window
+        self.proposal = proposal
+        self.params = {} if params is None else params
 
 
 def _grid(rng: random.Random, lo: float, hi: float, q: int = 4) -> Fraction:

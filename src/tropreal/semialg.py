@@ -88,7 +88,6 @@ checks are pure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -132,6 +131,7 @@ from .puiseux import (
     ps_draw_tail,
     ps_lead_stream,
 )
+from .records import MutableRecord, Record
 from .troppoly import (
     PolyK,
     TropPoint,
@@ -144,17 +144,19 @@ from .troppoly import (
     trop_sat,
 )
 
-@dataclass(frozen=True)
-class SignCondition:
+class SignCondition(Record):
     """poly rel 0 with rel one of >, >=, =, <=, <, != (canonical short names)."""
 
+    _fields = ("poly", "rel")
     poly: PolyK
     rel: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "rel", normalize_rel(self.rel))
-        if self.poly.is_zero():
+    def __init__(self, poly: PolyK, rel: str):
+        rel = normalize_rel(rel)
+        if poly.is_zero():
             raise ValueError("sign conditions need a nonzero polynomial")
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "rel", rel)
 
     def holds_at(self, p: Sequence[PuiseuxSeries]) -> bool:
         """Whether poly(p) rel 0; False where poly is undefined at p."""
@@ -164,20 +166,22 @@ class SignCondition:
             return False
 
 
-@dataclass(frozen=True)
-class SADescription:
+class SADescription(Record):
     """Disjunctive normal form: a union of conjunctions of sign conditions."""
 
+    _fields = ("nvars", "disjuncts")
     nvars: int
     disjuncts: tuple[tuple[SignCondition, ...], ...]
 
-    def __post_init__(self):
-        if not self.disjuncts:
+    def __init__(self, nvars: int, disjuncts: tuple[tuple[SignCondition, ...], ...]):
+        if not disjuncts:
             raise ValueError("a description has at least one disjunct")
-        for disj in self.disjuncts:
+        for disj in disjuncts:
             for cond in disj:
-                if cond.poly.nvars != self.nvars:
+                if cond.poly.nvars != nvars:
                     raise DimensionMismatch("condition nvars mismatch")
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "disjuncts", disjuncts)
 
     @cached_property
     def _outer_conditions(self) -> tuple[tuple[tuple[TropPoly, frozenset], ...], ...]:
@@ -462,24 +466,29 @@ def sorted_points(points: Iterable[TropPoint]) -> list[TropPoint]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PieceRecord:
-    sigma: Orthant
-    index: int
-    dim: int
-    full_dimensional: bool
-    witnessed: bool
+class PieceRecord(MutableRecord):
+    _fields = ("sigma", "index", "dim", "full_dimensional", "witnessed")
+
+    def __init__(self, sigma: Orthant, index: int, dim: int, full_dimensional: bool,
+                 witnessed: bool):
+        self.sigma = sigma
+        self.index = index
+        self.dim = dim
+        self.full_dimensional = full_dimensional
+        self.witnessed = witnessed
 
     @property
     def flagged(self) -> bool:
         return self.full_dimensional and not self.witnessed
 
 
-@dataclass
-class SandwichReport:
-    inner_count: int
-    escaped: list[TropPoint]
-    pieces: list[PieceRecord]
+class SandwichReport(MutableRecord):
+    _fields = ("inner_count", "escaped", "pieces")
+
+    def __init__(self, inner_count: int, escaped: list[TropPoint], pieces: list[PieceRecord]):
+        self.inner_count = inner_count
+        self.escaped = escaped
+        self.pieces = pieces
 
     @property
     def inner_inside_outer(self) -> bool:
@@ -551,12 +560,19 @@ def sa_sandwich_check(cloud: SampleCloud) -> SandwichReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(Record):
+    _fields = ("poly", "epsilon", "samples_checked", "certificate")
     poly: PolyK
     epsilon: Fraction
     samples_checked: int
-    certificate: str = "outer-region"  # or "inner-samples"
+    certificate: str  # "outer-region" or "inner-samples"
+
+    def __init__(self, poly: PolyK, epsilon: Fraction, samples_checked: int,
+                 certificate: str = "outer-region"):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "samples_checked", samples_checked)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def _representative(c: SignedTropVal) -> PuiseuxSeries:
@@ -668,10 +684,14 @@ def lift_inequality(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisResult:
+class BasisResult(Record):
+    _fields = ("polys", "region")
     polys: tuple[PolyK, ...]
     region: PolyUnion  # intersection of the tropical regions, per construction == T
+
+    def __init__(self, polys: tuple[PolyK, ...], region: PolyUnion):
+        object.__setattr__(self, "polys", polys)
+        object.__setattr__(self, "region", region)
 
 
 def basis_region(polys: Sequence[PolyK], sigma: Orthant) -> PolyUnion:

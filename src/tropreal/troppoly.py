@@ -84,7 +84,6 @@ table that keeps them are in ``polyhedra``, beside ``trop_region``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -105,6 +104,7 @@ from .hyperfields import (
     satisfied_by,
 )
 from .puiseux import PS_ONE, Lead, PuiseuxSeries, SeriesDraw
+from .records import Record
 
 Exps = tuple[int, ...]
 TropPoint = tuple[SignedTropVal, ...]
@@ -116,12 +116,16 @@ Alive = tuple[tuple[Pairs, int, int], ...]
 Plan = tuple[Optional[int], Alive]
 
 
-@dataclass(frozen=True)
-class PolyK:
+class PolyK(Record):
     """An expanded Laurent polynomial with Puiseux-series coefficients."""
 
+    _fields = ("nvars", "terms")
     nvars: int
     terms: tuple[tuple[Exps, PuiseuxSeries], ...]
+
+    def __init__(self, nvars: int, terms: tuple[tuple[Exps, PuiseuxSeries], ...]):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_terms(
@@ -244,12 +248,16 @@ class PolyK:
         )
 
 
-@dataclass(frozen=True)
-class TropPoly:
+class TropPoly(Record):
     """A polynomial over the signed tropical hyperfield."""
 
+    _fields = ("nvars", "terms")
     nvars: int
     terms: tuple[tuple[Exps, SignedTropVal], ...]
+
+    def __init__(self, nvars: int, terms: tuple[tuple[Exps, SignedTropVal], ...]):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_terms(
@@ -312,8 +320,7 @@ def trop_r(f: PolyK) -> TropPoly:
     return f._trop
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class _ValKernel:
+class _ValKernel(Record):
     """A tropical polynomial in integer form.
 
     Each term is (pairs, odd, live, sign, v): its nonzero exponents as
@@ -337,9 +344,17 @@ class _ValKernel:
     kernel, and hashing one costs an ``id``, not a walk over its terms.
     """
 
+    __slots__ = _fields = ("den", "negmask", "terms")
     den: int
     negmask: int
     terms: tuple[tuple[Pairs, int, int, int, int], ...]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, den: int, negmask: int, terms: tuple[tuple[Pairs, int, int, int, int], ...]):
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "negmask", negmask)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def of(F: "TropPoly") -> "_ValKernel":

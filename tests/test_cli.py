@@ -16,7 +16,9 @@ from tropreal import iojson
 from tropreal.cli import main, parse_target
 from tropreal.errors import TropRealError
 from tropreal.hyperfields import stv
-from tropreal.parsing import MAX_ALL_ORTHANT_VARS, MAX_EXPONENT, MAX_GRID, MAX_VARS, parse_polyk
+from tropreal.parsing import (
+    MAX_ALL_ORTHANT_VARS, MAX_EXPONENT, MAX_GRID, MAX_NESTING, MAX_VARS, parse_polyk,
+)
 from tropreal.polyhedra import point_polyhedron, trop_region, union_of
 from tropreal.scenarios import get_scenario
 from tropreal.troppoly import trop_r
@@ -547,6 +549,50 @@ def test_description_missing_key_is_named(circle_files, tmp_path, capsys, comman
     line = _one_error_line(capsys.readouterr().err)
     assert f"missing key '{key}'" in line
     assert line == f"error: {path}: {field}: missing key '{key}'"
+
+
+# each command reads F as JSON; S is the circle's description
+@pytest.mark.parametrize("command", [
+    pytest.param(["witness", "F", "--target", "((+,0),(+,0))"], id="description"),
+    pytest.param(["region", "F"], id="region"),
+    pytest.param(["lift", "S", "--trop", "F"], id="trop"),
+    pytest.param(["basis", "S", "--target-set", "F"], id="target-set"),
+])
+def test_deeply_nested_json_is_named(circle_files, tmp_path, capsys, command):
+    # 100,000 nested arrays ended in a RecursionError traceback and exit 1
+    _, desc = circle_files
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    argv = [{"F": str(path), "S": str(desc)}.get(arg, arg) for arg in command]
+    assert main(argv) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == f"error: {path}: JSON nested too deeply to read"
+
+
+@pytest.mark.parametrize("text", ["(" * 5000 + "x1" + ")" * 5000, "-" * 5000 + "x1"],
+                         ids=["parentheses", "signs"])
+def test_deeply_nested_text_is_a_usage_error(tmp_path, capsys, text):
+    # both printed a RecursionError traceback of thousands of lines and exited 1
+    poly = tmp_path / "deep.txt"
+    poly.write_text(text)
+    assert main(["trop", str(poly)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == (
+        f"error: parentheses and signs nest deeper than MAX_NESTING={MAX_NESTING}")
+
+
+def test_cli_start_up_imports_no_dataclasses_renderer_or_checks():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, tropreal.cli; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect', 'tropreal.render', "
+             "'tropreal.checks') if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.parametrize("poly, rel", [

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropreal.errors import ParseError
 from tropreal.parsing import (
-    MAX_EXPONENT, MAX_POWER_BITS, MAX_TERMS, MAX_VARS, parse_polyk, parse_puiseux,
+    MAX_EXPONENT, MAX_NESTING, MAX_POWER_BITS, MAX_TERMS, MAX_VARS, parse_polyk, parse_puiseux,
 )
 from tropreal.puiseux import PuiseuxSeries
 from tropreal.troppoly import PolyK, eval_k
@@ -123,6 +123,27 @@ def test_products_and_powers_of_sums_are_bounded_before_computing(bad, what):
     assert parse_polyk(f"(3/2)^{MAX_POWER_BITS // 4}*(3/2)^{MAX_POWER_BITS // 4}*x") == (
         parse_polyk(f"(3/2)^{MAX_POWER_BITS // 2}*x")
     )
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
+@pytest.mark.parametrize("shape", ["parentheses", "signs", "both"])
+def test_nesting_is_bounded(shape, depth):
+    # 5,000 of either overflowed the stack with a RecursionError
+    text = {"parentheses": "(" * depth + "x - 1" + ")" * depth,
+            "signs": "x + " + "-" * depth + "x",
+            "both": "-(" * depth + "x" + ")" * depth}[shape]
+    with pytest.raises(ParseError, match=f"deeper than MAX_NESTING={MAX_NESTING}"):
+        parse_polyk(text)
+
+
+def test_nesting_within_the_bound_parses():
+    n = MAX_NESTING
+    assert parse_polyk("(" * n + "x - 1" + ")" * n + "^2") == parse_polyk("x^2 - 2x + 1")
+    assert parse_polyk("x + " + "-" * n + "y") == parse_polyk("x + y")
+    assert parse_polyk("x + " + "-" * (n - 1) + "y") == parse_polyk("x - y")
+    assert parse_polyk("-(" * (n // 2) + "2x" + ")" * (n // 2)) == parse_polyk("2x")
+    # a leading sign belongs to the expression, not to the nesting of an atom
+    assert parse_polyk("-" * (n + 1) + "x") == parse_polyk("-x")
 
 
 def test_power_of_one_term_within_the_bound():

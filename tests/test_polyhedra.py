@@ -1,7 +1,6 @@
 """Fourier-Motzkin engine, cells, complements, and tropical regions."""
 
 import copy
-import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -936,7 +935,7 @@ def _assert_canonical(P):
         assert (offset.numerator, offset.denominator) == (cn, cd)
         assert type(strict) is bool
     copies = [pickle.loads(pickle.dumps(P)), copy.copy(P), copy.deepcopy(P),
-              dataclasses.replace(P), Polyhedron(P.dim, P.rows),
+              Polyhedron(dim=P.dim, rows=P.rows), Polyhedron(P.dim, P.rows),
               iojson.polyhedron_from_json(iojson.polyhedron_to_json(P))]
     for c in copies:
         assert type(c) is Polyhedron

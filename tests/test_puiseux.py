@@ -1,6 +1,6 @@
 """Exact series arithmetic, ordering, signed values, and the sampler."""
 
-import dataclasses
+import copy
 import itertools
 import pickle
 import random
@@ -270,13 +270,16 @@ def test_lead_keys_give_each_signed_exponent_its_own_digit():
 @given(st.integers(0, 2**32), st.integers(0, 2**32))
 def test_sampler_config_identity_survives_copies(first, seed):
     cfg = SamplerConfig(seed=first)
-    assert [f.name for f in dataclasses.fields(SamplerConfig)] == ["seed"]
+    assert vars(cfg) == {"seed": first}
     fresh = SamplerConfig(seed=first)
     assert fresh == cfg and hash(fresh) == hash(cfg) and repr(fresh) == repr(cfg)
-    for copy in (pickle.loads(pickle.dumps(cfg)), dataclasses.replace(cfg, seed=seed)):
-        expected = SamplerConfig(seed=copy.seed)
-        assert copy == expected and hash(copy) == hash(expected)
-        assert ps_sample(copy) == ps_sample(expected)
+    other = SamplerConfig(seed=seed)
+    for c in (pickle.loads(pickle.dumps(cfg)), copy.copy(other), copy.deepcopy(other),
+              SamplerConfig(**vars(other))):
+        expected = SamplerConfig(seed=c.seed)
+        assert vars(c) == vars(expected)
+        assert c == expected and hash(c) == hash(expected) and repr(c) == repr(expected)
+        assert ps_sample(c) == ps_sample(expected)
 
 
 # Signed values to pin: valuations inside the exponent window [-2, 2] and

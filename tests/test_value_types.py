@@ -2,7 +2,7 @@
 and the one rule for the exact numbers the library is handed."""
 
 import copy
-import dataclasses
+import inspect
 import json
 import pickle
 from fractions import Fraction
@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from tropreal import iojson
+from tropreal.checks import CheckOutcome, RunReport
 from tropreal.cli import main, parse_target
 from tropreal.errors import DimensionMismatch, ParseError
 from tropreal.hyperfields import (
@@ -23,11 +24,19 @@ from tropreal.hyperfields import (
     stv,
     val_add,
 )
-from tropreal.polyhedra import Polyhedron, constraint, embed_point, point_polyhedron
+from tropreal.polyhedra import (
+    PolyUnion,
+    Polyhedron,
+    constraint,
+    embed_point,
+    point_polyhedron,
+    whole_space,
+)
 from tropreal.puiseux import PS_ONE, PuiseuxSeries, SamplerConfig
 from tropreal.render import RenderConfig
-from tropreal.scenarios import get_scenario
-from tropreal.troppoly import PolyK, TropPoly
+from tropreal.scenarios import Scenario, get_scenario
+from tropreal.semialg import BasisResult, LiftResult, PieceRecord, SandwichReport
+from tropreal.troppoly import PolyK, TropPoly, _ValKernel, trop_r
 
 VALUES = [
     stv(1, "3/2"),
@@ -49,12 +58,26 @@ def test_every_slotted_type_is_covered():
     }
 
 
+def _arguments(value):
+    """The value's fields, by the names of its constructor's parameters."""
+    return {name: getattr(value, name) for name in inspect.signature(type(value)).parameters}
+
+
+def _assert_frozen(value):
+    fields = _arguments(value)
+    for name, field in fields.items():
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, field)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert _arguments(value) == fields
+
+
 @pytest.mark.parametrize("value", VALUES, ids=repr)
 def test_slotted_value_has_no_dict_and_frozen_fields(value):
     assert not hasattr(value, "__dict__")
-    for f in dataclasses.fields(value):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, f.name, getattr(value, f.name))
+    assert tuple(_arguments(value)) == type(value).__slots__
+    _assert_frozen(value)
 
 
 @pytest.mark.parametrize("value", VALUES, ids=repr)
@@ -63,11 +86,85 @@ def test_copies_of_a_slotted_value_equal_it(value):
         pickle.loads(pickle.dumps(value)),
         copy.copy(value),
         copy.deepcopy(value),
-        dataclasses.replace(value),
+        type(value)(*_arguments(value).values()),
+        type(value)(**_arguments(value)),
     ]
     for c in copies:
         assert type(c) is type(value)
         assert c == value and hash(c) == hash(value) and repr(c) == repr(value)
+
+
+_CIRCLE = get_scenario("circle").description
+_F = _CIRCLE.disjuncts[0][0].poly
+
+# the value types that keep a __dict__: PolyK, TropPoly and SADescription
+# cache derived forms in it
+RECORDS = [
+    SamplerConfig(seed=7),
+    RenderConfig(grid=12),
+    _F,
+    trop_r(_F),
+    PolyUnion(2, (whole_space(2),)),
+    _CIRCLE.disjuncts[0][0],
+    _CIRCLE,
+    LiftResult(_F, Fraction(1, 2), 3),
+    BasisResult((_F,), PolyUnion(2, ())),
+]
+
+
+@pytest.mark.parametrize("value", RECORDS, ids=lambda v: type(v).__name__)
+def test_a_record_is_frozen_and_its_copies_equal_it(value):
+    assert hasattr(value, "__dict__")
+    _assert_frozen(value)
+    fields = _arguments(value)
+    shown = ", ".join(f"{name}={field!r}" for name, field in fields.items())
+    assert repr(value) == f"{type(value).__name__}({shown})"
+    copies = [pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value),
+              type(value)(**fields)]
+    for c in copies:
+        assert type(c) is type(value)
+        assert c == value and hash(c) == hash(value) and repr(c) == repr(value)
+        assert c != object() and not c == fields
+
+
+MUTABLE_RECORDS = [
+    get_scenario("halfplane"),
+    CheckOutcome("suite", True, ["ok: one"]),
+    RunReport("check all", "0" * 64, {"suite": True}, {"suite": ["ok: one"]}, {"suite": 0.5}),
+    PieceRecord((1, 1), 0, 2, True, False),
+    SandwichReport(3, [], [PieceRecord((1, 1), 0, 2, True, True)]),
+]
+
+
+@pytest.mark.parametrize("value", MUTABLE_RECORDS, ids=lambda v: type(v).__name__)
+def test_a_mutable_record_is_unhashable_and_compared_by_value(value):
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
+    fields = _arguments(value)
+    twin = copy.copy(value)
+    assert twin == value and type(value)(**fields) == value
+    assert copy.deepcopy(value) == value
+    name = next(iter(fields))
+    setattr(twin, name, None)
+    assert getattr(twin, name) is None and twin != value
+    delattr(twin, name)
+    assert not hasattr(twin, name)
+
+
+def test_a_default_list_or_dict_is_fresh_per_record():
+    first, second = CheckOutcome("a", True), CheckOutcome("a", True)
+    assert first.details == [] and first.details is not second.details
+    first, second = Scenario("s", 1, None, (), ()), Scenario("s", 1, None, (), ())
+    assert first.proposal is None and first.params == {} and first.params is not second.params
+
+
+def test_a_val_kernel_is_compared_by_identity():
+    kernel = trop_r(_F)._val_kernel
+    twin = _ValKernel(kernel.den, kernel.negmask, kernel.terms)
+    assert kernel == kernel and twin != kernel and hash(kernel) == object.__hash__(kernel)
+    assert not hasattr(kernel, "__dict__")
+    _assert_frozen(kernel)
+    assert repr(kernel).startswith(f"_ValKernel(den={kernel.den!r}, negmask=")
 
 
 def test_copies_keep_the_inf_singleton():
