@@ -6,6 +6,12 @@ variable, else 0; a set value that is not an integer is a usage error) and
 produce byte-identical JSON for identical inputs and seed.  Exit codes: 0
 all good, 1 a check failed or a command could not verify its answer, 2
 input or usage error.
+
+Each JSON input is decoded once per process for each text it has (a file
+rewritten with new text is decoded again), so a caller that runs ``main``
+many times in one process, such as a test suite or a benchmark, reuses the
+decoded objects and the kernels built on them; a fresh process per command
+gains nothing.
 """
 
 from __future__ import annotations
@@ -91,10 +97,22 @@ def _emit(out: str | None, payload: str, human: str | None) -> None:
         print(human)
 
 
+# a small bound: the memo serves a process that repeats a few inputs, and
+# keeps each text and the objects decoded from it alive
+_DECODED_MAX = 16
+
+
+@functools.lru_cache(maxsize=_DECODED_MAX)
+def _decoded(text: str, decode, *args):
+    """``decode`` applied to the JSON ``text``, once per text, decoder and
+    arguments; a failure is not kept, so it is raised on every call."""
+    return decode(json.loads(text), *args)
+
+
 def _decode(path: str, text: str, decode, *args):
     """Decode a JSON input; any failure is a ParseError that names the file."""
     try:
-        return decode(json.loads(text), *args)
+        return _decoded(text, decode, *args)
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from None
     except (TypeError, AttributeError, OverflowError) as exc:
@@ -105,19 +123,21 @@ def _decode(path: str, text: str, decode, *args):
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _load(path: str, decode, *args):
+    """The JSON input at ``path``, read and passed to ``decode(data, *args)``.
+
+    Inputs with the same text are decoded once per process, and a changed
+    file is read and decoded again; this gains only a caller that runs
+    ``main`` many times in one process.
+    """
+    return _decode(path, _read_text(path), decode, *args)
+
+
 def _load_polyk(path: str, nvars: int | None):
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         return _decode(path, text, iojson.polyk_from_json)
     return parse_polyk(text, nvars=nvars)
-
-
-def _load_troppoly(path: str):
-    return _decode(path, _read_text(path), iojson.troppoly_from_json)
-
-
-def _load_description(path: str):
-    return _decode(path, _read_text(path), iojson.description_from_json)
 
 
 _PAIR = r"\(\s*([+\-0])\s*,\s*([^()\s]+)\s*\)"
@@ -234,7 +254,7 @@ def _cmd_trop(args) -> int:
 
 def _cmd_region(args) -> int:
     window = None if args.svg is None else _parse_window(args.window)
-    F = _load_troppoly(args.input)
+    F = _load(args.input, iojson.troppoly_from_json)
     rel = normalize_rel(args.rel)
     if args.svg is not None:
         # refuse the raster's inputs before anything is computed or written
@@ -302,7 +322,7 @@ def _svg_target(path: str | None):
 
 def _cmd_sample(args) -> int:
     _require_nonnegative(count=args.count)
-    S = _load_description(args.input)
+    S = _load(args.input, iojson.description_from_json)
     cfg = SamplerConfig(seed=args.seed)
     cloud = sa_sample_trop(S, args.count, cfg)
     human = f"{len(cloud)} distinct tropical points from {args.count} attempts"
@@ -312,7 +332,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_witness(args) -> int:
     _require_nonnegative(budget=args.budget)
-    S = _load_description(args.input)
+    S = _load(args.input, iojson.description_from_json)
     z = parse_target(args.target)
     cfg = SamplerConfig(seed=args.seed)
     w = witness_search(S, z, args.budget, cfg)
@@ -335,8 +355,8 @@ def _cmd_witness(args) -> int:
 
 def _cmd_basis(args) -> int:
     _require_nonnegative(count=args.count)
-    S = _load_description(args.input)
-    T = _decode(args.target_set, _read_text(args.target_set), iojson.union_from_json, S.nvars)
+    S = _load(args.input, iojson.description_from_json)
+    T = _load(args.target_set, iojson.union_from_json, S.nvars)
     sigma = (1,) * S.nvars
     samples = collect_samples(S, SamplerConfig(seed=args.seed), args.count, sigma=sigma)
     res = finite_basis(T, S, samples)
@@ -357,8 +377,8 @@ def _cmd_basis(args) -> int:
 
 def _cmd_lift(args) -> int:
     _require_nonnegative(count=args.count, budget=args.budget)
-    S = _load_description(args.input)
-    F = _load_troppoly(args.trop)
+    S = _load(args.input, iojson.description_from_json)
+    F = _load(args.trop, iojson.troppoly_from_json)
     check_lift_width(F, S)
     # an F with no negative term is lifted as it is, and reads no sample
     n = args.count if any(c.sign < 0 for _, c in F.terms) else 0

@@ -1043,6 +1043,80 @@ def test_one_parser_serves_repeated_calls(circle_files, tmp_path, monkeypatch):
     assert _run_main(sample + ["--seed", "2"]) == shared[3]
 
 
+def _description_text(name):
+    return iojson.dumps(iojson.description_to_json(get_scenario(name).description))
+
+
+def test_a_rewritten_input_is_decoded_again(tmp_path):
+    # the decoded inputs are kept by text, not by path: (-1, -1) lies
+    # outside the circle's outer region and inside the halfplane's
+    desc, out = tmp_path / "S.json", tmp_path / "w.json"
+    argv = ["witness", str(desc), "--target", "((+,-1),(+,-1))", "--budget", "100",
+            "--seed", "2", "--out", str(out)]
+    desc.write_text(_description_text("circle"))
+    assert _run_main(argv)[0] == 0
+    assert json.loads(out.read_text())["excluded_by_outer"] is True
+    desc.write_text(_description_text("halfplane"))
+    assert _run_main(argv)[0] == 0
+    assert json.loads(out.read_text())["witness"] is not None
+
+
+def test_a_failed_decode_is_not_kept(circle_files, tmp_path):
+    desc = tmp_path / "S.json"
+    desc.write_text(json.dumps({"nvars": 2, "disjuncts": [[{"poly": {"nvars": 2}}]]}))
+    argv = ["witness", str(desc), "--target", "((+,0),(+,0))", "--budget", "100",
+            "--seed", "2"]
+    for _ in range(2):
+        rc, out, err = _run_main(argv)
+        assert (rc, out) == (2, "")
+        assert _one_error_line(err).startswith(f"error: {desc}: ")
+    desc.write_text(_description_text("circle"))
+    assert _run_main(argv)[0] == 0
+    # one target-set text is decoded at each description's width
+    _, circle = circle_files
+    T = tmp_path / "T.json"
+    T.write_text(iojson.dumps(iojson.union_to_json(union_of(2, [point_polyhedron((0, 0))]))))
+    desc.write_text(json.dumps({"nvars": 3, "disjuncts": [[{
+        "poly": iojson.polyk_to_json(parse_polyk("x1 - 1", 3)), "rel": ">=",
+    }]]}))
+    basis = ["--target-set", str(T), "--seed", "5", "--count", "40"]
+    assert _run_main(["basis", str(circle), *basis])[0] == 0
+    rc, _, err = _run_main(["basis", str(desc), *basis])
+    assert (rc, _one_error_line(err)) == (2, f"error: {T}: [0].dim: expected 3, got 2")
+
+
+def test_repeated_commands_decode_each_text_once(circle_files, tmp_path, monkeypatch):
+    decode, decoded = iojson.description_from_json, []
+
+    def spy(data):
+        decoded.append(json.dumps(data, sort_keys=True))
+        return decode(data)
+
+    monkeypatch.setattr(iojson, "description_from_json", spy)
+    _, circle = circle_files
+    halfplane, F, T = tmp_path / "halfplane.json", tmp_path / "F.json", tmp_path / "T.json"
+    halfplane.write_text(_description_text("halfplane"))
+    F.write_text(json.dumps({"nvars": 2, "terms": [
+        {"coeff": {"sign": 1, "val": "0"}, "exps": [0, 0]},
+        {"coeff": {"sign": 1, "val": "0"}, "exps": [1, 0]},
+    ]}))
+    T.write_text(iojson.dumps(iojson.union_to_json(union_of(2, [point_polyhedron((0, 0))]))))
+    commands = {
+        "witness": ["witness", str(halfplane), "--target", "((+,-1),(+,-1))",
+                    "--budget", "100"],
+        "lift": ["lift", str(circle), "--trop", str(F)],
+        "basis": ["basis", str(circle), "--target-set", str(T), "--count", "40"],
+    }
+    written = {name: set() for name in commands}
+    for _ in range(3):
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}.json"
+            assert _run_main(argv + ["--seed", "5", "--out", str(out)])[0] == 0
+            written[name].add(out.read_bytes())
+    assert all(len(outputs) == 1 for outputs in written.values())
+    assert len(decoded) == len(set(decoded)) == 2
+
+
 # -- JSON-shape fuzz: mutated description, --trop and --target-set files -------
 
 _CIRCLE_FILES = {
