@@ -51,6 +51,7 @@ from .polyhedra import (
     complement_of_union,
     constraint,
     embed_point,
+    open_poly_to_trop,
     orthant_support,
     orthant_str,
     point_polyhedron,
@@ -63,6 +64,7 @@ from .polyhedra import (
     union_of,
     whole_space_union,
 )
+from .parsing import parse_polyk
 from .puiseux import PuiseuxSeries, SamplerConfig, ps_sample
 from .records import MutableRecord
 from .scenarios import get_scenario, vertex_parameter
@@ -312,8 +314,6 @@ def check_complement(seed: int, instances: int = 50) -> CheckOutcome:
 
 
 def check_fp_lemma(seed: int, instances: int = 50) -> CheckOutcome:
-    from .polyhedra import open_poly_to_trop
-
     out = CheckOutcome("fp-lemma", True)
     rng = random.Random(seed)
     bad = 0
@@ -417,8 +417,6 @@ def check_basis(seed: int) -> CheckOutcome:
         len(res2.polys) == 0 and union_equal(res2.region, T2),
         "whole orthant needs an empty family",
     )
-
-    from .parsing import parse_polyk
 
     S = conjunction(1, [SignCondition(parse_polyk("x - 1", nvars=1), "ge")])
 

@@ -370,7 +370,7 @@ def _cmd_basis(args) -> int:
     _emit(
         args.out,
         iojson.dumps(payload),
-        f"{len(res.polys)} polynomials; regions ∩ = T: OK",
+        f"{len(res.polys)} polynomials; regions intersect to T: OK",
     )
     return EXIT_OK
 

@@ -267,10 +267,6 @@ HyperValue = Union[Point, Balanced]
 HV_ZERO = Point(RT_ZERO)
 
 
-def hv_point(sign: int, val) -> HyperValue:
-    return Point(stv(sign, val))
-
-
 def rt_add(a: HyperValue, b: HyperValue) -> HyperValue:
     """Set-lifted signed tropical addition; closed on points and balanced intervals."""
     if isinstance(a, Balanced) and isinstance(b, Balanced):

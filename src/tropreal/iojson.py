@@ -33,7 +33,7 @@ from .polyhedra import (
     orthant_str,
 )
 from .puiseux import PuiseuxSeries
-from .semialg import SADescription, SampleCloud, SignCondition
+from .semialg import SADescription, SampleCloud, SignCondition, sorted_points
 from .troppoly import PolyK, TropPoint, TropPoly
 
 REL_SYMBOL = {"gt": ">", "ge": ">=", "eq": "=", "le": "<=", "lt": "<", "ne": "!="}
@@ -365,8 +365,6 @@ def description_from_json(d: dict) -> SADescription:
 
 
 def cloud_to_json(cloud: SampleCloud) -> dict:
-    from .semialg import sorted_points
-
     items = []
     witnesses = dict(cloud.items())
     for z in sorted_points(witnesses):

@@ -1065,12 +1065,13 @@ def _outcome_conjunction(
     """``trop_conjunction`` for conditions given as (F, the outcomes that
     satisfy), as in ``_outcome_region``."""
     m = len(orthant_support(sigma))
+    zeromask = sum([1 << k for k, s in enumerate(sigma) if not s])
     acc = None
     for F, ok in conditions:
-        try:
-            region = _outcome_region(F, sigma, ok)
-        except NegativeExponentAtZero:
+        # undefined on the orthant; a wrong length is _outcome_region's to refuse
+        if F._val_kernel.negmask & zeromask and len(sigma) == F.nvars:
             return empty_union(m)
+        region = _outcome_region(F, sigma, ok)
         # a region's pieces are nonempty and distinct: the first is the start
         acc = region if acc is None else union_intersect(acc, region)
         if not acc.pieces:

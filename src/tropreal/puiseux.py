@@ -55,8 +55,8 @@ positive lead and 2*code + 2 for a negative one.  Equal keys mean equal
 signed lead values.  The stream draws only when it is resumed, so a
 caller draws each lead's tail before the next resume.  ``ps_sample`` and
 ``witness_search`` resume one-coordinate streams, and the witness search
-pins each lead to a signed value c (``ps_build(draw, lead=c)``), so that
-the draw tropicalizes to c.
+moves each draw to a signed value c in integers (:func:`ps_pin`), so that
+the draw tropicalizes to c and its lead is still its first term.
 
 The split lets a caller decide a candidate before any series exists, and
 before its tails are drawn.  The default candidate loop of
@@ -72,6 +72,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import index
 from typing import Iterable, Iterator, Optional
 
@@ -163,12 +164,6 @@ class PuiseuxSeries(Record):
         return PuiseuxSeries.from_terms(
             (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
         )
-
-    def scale(self, c) -> "PuiseuxSeries":
-        c = as_rational(c)
-        if c == 0:
-            return PuiseuxSeries(())
-        return PuiseuxSeries(tuple((e, c * k) for e, k in self.terms))
 
     def __pow__(self, k: int) -> "PuiseuxSeries":
         if not isinstance(k, int):
@@ -311,6 +306,7 @@ def _fraction(k: int, q: int) -> Fraction:
 
 SeriesDraw = list[tuple[int, int, int, int]]  # (k, q, ck, cq) per term: t**(k/q) * ck/cq
 Lead = tuple[int, int, int, int]  # (k, q, ck, cq): t**(k/q) * ck/cq, k/q in lowest terms
+Pin = tuple[int, int, int]  # (k, q, sign): sign * t**(k/q), k/q in lowest terms
 
 
 def ps_lead_stream(
@@ -424,25 +420,31 @@ def ps_draw_tail(rng: random.Random, lead: Lead) -> SeriesDraw:
     return terms
 
 
-def ps_build(draw: SeriesDraw, lead: Optional[SignedTropVal] = None) -> PuiseuxSeries:
-    """The series of a draw (:func:`ps_draw_tail`); exponents and
-    coefficients become Fractions here.
-
-    With ``lead``, a nonzero signed value c, every exponent is shifted by
-    c's valuation minus the drawn lead exponent and the lead coefficient
-    takes c's sign, so the series tropicalizes to c; the gaps between
-    exponents, the lead's magnitude and the tail coefficients stay as drawn.
+def ps_pin(draw: SeriesDraw, pin: Pin) -> SeriesDraw:
+    """The draw moved to the signed value of ``pin``, (k, q, sign) for
+    sign * t**(k/q) with k/q in lowest terms: every exponent is shifted by
+    k/q minus the drawn lead exponent, in lowest terms, and the lead
+    coefficient takes the sign.  The gaps between exponents, the lead's
+    magnitude and the tail coefficients stay as drawn, so the series of
+    the pinned draw tropicalizes to the pin.
     """
-    # distinct increasing exponents and nonzero coefficients: already in normal form
-    if lead is None:
-        return PuiseuxSeries(tuple(
-            [(_fraction(k, q), _fraction(ck, cq)) for k, q, ck, cq in draw]
-        ))
+    k, q, sign = pin
     k0, q0, ck0, cq0 = draw[0]
-    shift = lead.val - _fraction(k0, q0)
-    return PuiseuxSeries((
-        (lead.val, _fraction(lead.sign * abs(ck0), cq0)),
-        *[(_fraction(k, q) + shift, _fraction(ck, cq)) for k, q, ck, cq in draw[1:]],
+    pinned = [(k, q, sign * abs(ck0), cq0)]
+    sn, sd = k * q0 - k0 * q, q * q0  # the shift, sn/sd
+    for tk, tq, ck, cq in draw[1:]:
+        n, d = tk * sd + sn * tq, tq * sd
+        g = gcd(n, d)
+        pinned.append((n // g, d // g, ck, cq))
+    return pinned
+
+
+def ps_build(draw: SeriesDraw) -> PuiseuxSeries:
+    """The series of a draw (:func:`ps_draw_tail`, :func:`ps_pin`);
+    exponents and coefficients become Fractions here."""
+    # distinct increasing exponents and nonzero coefficients: already in normal form
+    return PuiseuxSeries(tuple(
+        [(_fraction(k, q), _fraction(ck, cq)) for k, q, ck, cq in draw]
     ))
 
 

@@ -34,10 +34,10 @@ A Laurent condition is undefined where a negative exponent meets a zero
 coordinate, and an undefined condition does not hold.  The condition owns
 that rule: ``SignCondition.holds_at`` is False at such a point, the
 membership walk reads it from the mask of the condition's sign kernel,
-and ``trop_conjunction`` is empty on an orthant that sets such a
-coordinate to zero.  Membership and the outer region are both assembled
-one disjunct at a time, so another disjunct that holds there still
-counts, in any order.
+and the outer point test and ``trop_conjunction`` from the mask of its
+tropical kernel.  Membership and the outer region are both assembled one
+disjunct at a time, so another disjunct that holds there still counts,
+in any order.
 
 The exact tropicalization in between is not computed in general (that
 would need quantifier elimination over valued ordered fields); the
@@ -77,9 +77,10 @@ condition's initial form, the sum of the dominant terms' leading
 coefficients, evaluated at the leads, has the sign of the condition
 whatever the tails are, and only where it cancels are the lowest terms
 read from the drawn tails.  ``sa_member`` is the same walk on a built
-point's integers.  The witness search takes its leads from one stream
-per search, pins each to the target, draws its tail before the next
-resume, and puts each attempt to the same walk.
+point's draws.  The witness search takes its leads from one stream per
+search, draws each lead's tail before the next resume, moves each draw
+to its target coordinate in integers (:func:`ps_pin`), and puts each
+attempt to the same walk.
 
 Sampling and search are embarrassingly parallel over seeds; all exact
 checks are pure.
@@ -123,13 +124,13 @@ from .polyhedra import (
 )
 from .puiseux import (
     PS_ZERO,
-    Lead,
     PuiseuxSeries,
     SamplerConfig,
     SeriesDraw,
     ps_build,
     ps_draw_tail,
     ps_lead_stream,
+    ps_pin,
 )
 from .records import MutableRecord, Record
 from .troppoly import (
@@ -213,22 +214,20 @@ def sa_member(S: SADescription, p: Sequence[PuiseuxSeries]) -> bool:
     p = tuple(p)
     if len(p) != S.nvars:
         raise DimensionMismatch("point dimension does not match description")
-    return _verdict(S, *series_draws(p))
+    return _verdict(S, series_draws(p))
 
 
-def _verdict(
-    S: SADescription,
-    leads: Sequence[Optional[Lead]],
-    draws: Sequence[Optional[SeriesDraw]],
-) -> bool:
-    """Whether the point with these leads and these drawn terms is in S.
+def _verdict(S: SADescription, draws: Sequence[Optional[SeriesDraw]]) -> bool:
+    """Whether the point with these draws is in S.
 
-    Each coordinate is its lead (k, q, ck, cq) or None when it is zero, and
-    its terms in that form, lead first, as :meth:`_SignKernel._truncated_value`
-    reads them.  The disjuncts are walked in order, and in each the
-    conditions, in three steps.  A condition with a negative exponent on a
-    zero coordinate is undefined there, and does not hold.  Otherwise its
-    sign is that of its initial form at the leads
+    Each coordinate is its terms (k, q, ck, cq), for (ck/cq) * t**(k/q),
+    lead first, or None when it is zero: the form in which the samplers
+    draw a candidate and the witness search pins one, and in which
+    :func:`series_draws` reads a built point; a monomial is a one-term
+    draw.  The disjuncts are walked in order, and in each the conditions,
+    in three steps.  A condition with a negative exponent on a zero
+    coordinate is undefined there, and does not hold.  Otherwise its sign
+    is that of its initial form at the leads, the draws' first terms
     (:meth:`_SignKernel.lead_sign`), whatever the tails are, unless that
     cancels; a disjunct with a decided sign its relation rejects fails.
     Only a disjunct that nothing refuted then reads the tails, for the
@@ -237,8 +236,8 @@ def _verdict(
     """
     zeromask = 0
     bit = 1
-    for lead in leads:
-        if lead is None:
+    for draw in draws:
+        if draw is None:
             zeromask |= bit
         bit <<= 1
     for disj in S._sign_conditions:
@@ -246,13 +245,13 @@ def _verdict(
         for kernel, ok in disj:
             if kernel.negmask & zeromask:
                 break  # undefined at a zero coordinate
-            sign = kernel.lead_sign(leads)
+            sign = kernel.lead_sign(draws)
             if sign is None:
                 cancelled.append((kernel, ok))
             elif sign not in ok:
                 break
         else:
-            if all(kernel._truncated_value(leads, draws).sign in ok for kernel, ok in cancelled):
+            if all(kernel._truncated_value(draws).sign in ok for kernel, ok in cancelled):
                 return True
     return False
 
@@ -306,11 +305,12 @@ def _candidates(
     with ``sigma``, only those in that orthant.
 
     A proposal's candidates are each put, built, to the walk of
-    :func:`_verdict` (:func:`series_draws`).  A default candidate's leads
-    come from :func:`ps_lead_stream`, one candidate per resume: each
-    coordinate is exactly zero with probability ``_ZERO_PROB`` (one
-    ``rng.random()`` word), and otherwise its lead is drawn.  Its drawn
-    integers then decide it, in two steps and before any series is built.
+    :func:`_verdict` as their draws (:func:`series_draws`).  A default
+    candidate's leads come from :func:`ps_lead_stream`, one candidate per
+    resume: each coordinate is exactly zero with probability
+    ``_ZERO_PROB`` (one ``rng.random()`` word), and otherwise its lead is
+    drawn.  Its drawn integers then decide it, in two steps and before any
+    series is built.
 
     First their signs and exponents: the point of the leads' signed values
     is put to ``outer_contains_point``, where a condition fails when a
@@ -334,12 +334,13 @@ def _candidates(
     series built, and a member is built (:func:`ps_build`) and yielded.
 
     ``witness_search`` draws from the same stream, a lead and then its
-    tail, and pins the leads; only a scenario's proposal draws its own way.
+    tail, and pins each draw (:func:`ps_pin`); only a scenario's proposal
+    draws its own way.
     """
     if proposal is not None:
         for _ in range(budget):
             p = proposal(rng)
-            if _verdict(S, *series_draws(p)) and (
+            if _verdict(S, series_draws(p)) and (
                 sigma is None or tuple([c.sign() for c in p]) == sigma
             ):
                 yield p
@@ -364,7 +365,7 @@ def _candidates(
         if not step:
             continue
         draws = [None if lead is None else draw_tail(rng, lead) for lead in leads]
-        if step == 2 and _verdict(S, leads, draws):
+        if step == 2 and _verdict(S, draws):
             yield tuple([PS_ZERO if draw is None else ps_build(draw) for draw in draws])
 
 
@@ -438,14 +439,12 @@ def outer_contains_point(S: SADescription, z: TropPoint) -> bool:
     among those its tropicalization admits."""
     if len(z) != S.nvars:
         raise DimensionMismatch("point dimension does not match description")
+    zeromask = sum([1 << k for k, c in enumerate(z) if not c.sign])
     for disj in S._outer_conditions:
         for F, ok in disj:
-            try:
-                outcome = F._val_kernel.outcome_at(z)
-            except NegativeExponentAtZero:
-                break
-            if outcome not in ok:
-                break
+            kernel = F._val_kernel
+            if kernel.negmask & zeromask or kernel.outcome_at(z) not in ok:
+                break  # undefined at a zero coordinate, or refuted
         else:
             return True
     return False
@@ -760,14 +759,15 @@ def witness_search(
     """Search for a member of S tropicalizing exactly to z.
 
     Each nonzero coordinate c of z is a draw of the default sampler, seeded
-    by ``cfg``, with its lead pinned to c: the lead is the next of one
-    :func:`ps_lead_stream` per search, and its tail (:func:`ps_draw_tail`)
-    is drawn before the next lead; a zero coordinate draws nothing.  Every
-    candidate tropicalizes to z by construction; only membership is
-    tested, as in the candidate loop: the pinned leads, as integers, and
-    the draws go to the walk of :func:`_verdict`, which reads each draw's
-    tail exponents above its own first term, so no shifted copy is made.
-    A refuted draw builds no series, and a member is built and returned.
+    by ``cfg``, moved to c: the lead is the next of one
+    :func:`ps_lead_stream` per search, its tail (:func:`ps_draw_tail`) is
+    drawn before the next lead, and the pin step (:func:`ps_pin`) shifts
+    every exponent of the draw by c's valuation minus the drawn lead
+    exponent and gives the lead c's sign, in integers; a zero coordinate
+    draws nothing.  Every candidate tropicalizes to z by construction;
+    only membership is tested, as in the candidate loop: the pinned draws
+    go to the walk of :func:`_verdict`.  A refuted draw builds no series,
+    and a member is built and returned.
     Returns the first witness, or None when the budget is exhausted --
     absence is a value, not an error, and is conclusive only when the
     outer region already excludes z.
@@ -781,15 +781,12 @@ def witness_search(
     pins = [None if c.sign == 0 else (*c.val.as_integer_ratio(), c.sign) for c in z]
     stream = ps_lead_stream(rng, 1, 0)
     for _ in range(budget):
-        draws = [None if pin is None else ps_draw_tail(rng, next(stream)[0][0]) for pin in pins]
-        leads = [
-            None if pin is None else (pin[0], pin[1], pin[2] * abs(draw[0][2]), draw[0][3])
-            for pin, draw in zip(pins, draws)
+        draws = [
+            None if pin is None else ps_pin(ps_draw_tail(rng, next(stream)[0][0]), pin)
+            for pin in pins
         ]
-        if _verdict(S, leads, draws):
-            return tuple([
-                PS_ZERO if draw is None else ps_build(draw, c) for c, draw in zip(z, draws)
-            ])
+        if _verdict(S, draws):
+            return tuple([PS_ZERO if draw is None else ps_build(draw) for draw in draws])
     return None
 
 

@@ -22,15 +22,17 @@ quotient of signed values for valuations).  ``eval_k`` returns the honest
 series value and therefore supports negative exponents only where the
 inverse stays finite, i.e. at monomial coordinates; no library path calls
 it, and it stays as the reference that the integer kernels are tested
-against.
+against: it reads no kernel, and checks undefinedness on its own terms.
 
 ``laurent_sign`` never builds that value.  It reads the sign of g(p) from
 the Puiseux-level kernel, which evaluates g in plain integers, on p's
-integer form: each coordinate as its terms (k, q, ck, cq), for
-(ck/cq) * t**(k/q), lead first (``series_draws``), the form in which the
-samplers draw a candidate, so they ask the same kernel before any series
-is built.  Exponents are brought to one common denominator D, so
-t**(1/D) becomes the integer exponent 1, and every coefficient is
+draws: each coordinate as its terms (k, q, ck, cq), for
+(ck/cq) * t**(k/q), lead first, or None when it is zero
+(``series_draws``).  That is the one form of a point here: the samplers
+draw a candidate in it, and the witness search moves its draws to their
+targets in it (``puiseux.ps_pin``), so both ask the same kernel before
+any series is built.  Exponents are brought to one common denominator
+D, so t**(1/D) becomes the integer exponent 1, and every coefficient is
 multiplied by a positive integer so that no denominators are left.
 Scaling a series by a positive constant keeps its sign, and renaming
 exponents e -> D*e keeps their order, so the sign of g(p) is the sign of
@@ -76,10 +78,13 @@ first ``trop_r`` and returned by every later one, and that shadow keeps
 its integer form the first time it is evaluated: one :class:`_ValKernel`
 per polynomial, read by ``trop_eval``, the sampler and
 ``polyhedra.trop_region`` alike.  The exact side does not read the
-shadow: the integer form of g is cached on the :class:`PolyK` the first
-time a sign or a signed value is asked for.  No polyhedral notion lives
-here: the rows, the dominance cells of a kernel on an orthant and the
-table that keeps them are in ``polyhedra``, beside ``trop_region``.
+shadow: each :class:`PolyK` has one :class:`_SignKernel`, built the first
+time a sign or a signed value is asked for, which holds g in integer
+form, the clearing shift m, and the bit set of the variables under a
+negative exponent, so undefinedness and the quotient by p**m are both
+read from it.  No polyhedral notion lives here: the rows, the dominance
+cells of a kernel on an orthant and the table that keeps them are in
+``polyhedra``, beside ``trop_region``.
 """
 
 from __future__ import annotations
@@ -100,10 +105,11 @@ from .hyperfields import (
     SignedTropVal,
     rt_inv,
     rt_mul,
+    rt_neg,
     rt_pow,
     satisfied_by,
 )
-from .puiseux import PS_ONE, Lead, PuiseuxSeries, SeriesDraw
+from .puiseux import PS_ONE, PuiseuxSeries, SeriesDraw
 from .records import Record
 
 Exps = tuple[int, ...]
@@ -234,10 +240,6 @@ class PolyK(Record):
             raise DimensionMismatch(f"nvars {self.nvars} vs {other.nvars}")
 
     @cached_property
-    def _clearing(self) -> tuple["PolyK", Exps]:
-        return _cleared(self)
-
-    @cached_property
     def _sign_kernel(self) -> "_SignKernel":
         return _SignKernel.of(self)
 
@@ -276,8 +278,6 @@ class TropPoly(Record):
         return TropPoly(nvars, tuple(sorted(seen.items())))
 
     def neg(self) -> "TropPoly":
-        from .hyperfields import rt_neg
-
         return TropPoly(self.nvars, tuple((e, rt_neg(c)) for e, c in self.terms))
 
     @cached_property
@@ -513,7 +513,10 @@ def eval_k(f: PolyK, p: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
     on it.
     """
     p = tuple(p)
-    _check_laurent_point(f, p)
+    if len(p) != f.nvars:
+        raise DimensionMismatch(f"point dim {len(p)} vs nvars {f.nvars}")
+    if any(d < 0 and c.is_zero() for exps, _ in f.terms for d, c in zip(exps, p)):
+        raise NegativeExponentAtZero("negative exponent at a zero coordinate")
     powers: dict[tuple[int, int], PuiseuxSeries] = {}
     pairs: list[tuple[Fraction, Fraction]] = []
     for exps, coeff in f.terms:
@@ -531,22 +534,6 @@ def eval_k(f: PolyK, p: Sequence[PuiseuxSeries]) -> PuiseuxSeries:
         else:
             pairs.extend(term.terms)
     return PuiseuxSeries.from_terms(pairs)
-
-
-def _cleared(f: PolyK) -> tuple[PolyK, Exps]:
-    """f * x**m with m the smallest even shift making all exponents nonnegative."""
-    mins = f.min_exponents()
-    m = tuple((-mn + 1) // 2 * 2 if mn < 0 else 0 for mn in mins)
-    return (f.shift(m) if any(m) else f), m
-
-
-def _check_laurent_point(f: PolyK, p: tuple[PuiseuxSeries, ...]) -> None:
-    if len(p) != f.nvars:
-        raise DimensionMismatch(f"point dim {len(p)} vs nvars {f.nvars}")
-    # the clearing shift is nonzero exactly where f has a negative exponent
-    for mk, c in zip(f._clearing[1], p):
-        if mk and c.is_zero():
-            raise NegativeExponentAtZero("negative exponent at a zero coordinate")
 
 
 IntSeries = dict[int, int]  # exponent numerator over a shared denominator -> coefficient
@@ -581,32 +568,40 @@ def _int_pow(x: IntSeries, d: int, top: int) -> IntSeries:
 class _SignKernel(NamedTuple):
     """The cleared polynomial g = f * x**m of a Laurent f in integer form.
 
-    Each term is (pairs, coefficient): its nonzero exponents as (variable,
-    degree) pairs in variable order, and its coefficient series as
-    (exponent numerator, integer coefficient) pairs: exponents
-    over the common denominator ``den``, coefficients multiplied by one
-    positive integer shared by all of g.  ``maxdeg`` is the largest degree
-    of each variable in g.  ``negmask`` has bit k set when f carries a
-    negative exponent on variable k: f is undefined wherever one of them
-    is zero.
+    ``shift`` is m, the smallest even shift that makes every exponent of f
+    nonnegative: f(p) and g(p) then have the same sign, and the signed
+    value of f(p) is that of g(p) over that of p**m.  Each term of g is
+    (pairs, coefficient): its nonzero exponents as (variable, degree)
+    pairs in variable order, and its coefficient series as (exponent
+    numerator, integer coefficient) pairs: exponents over the common
+    denominator ``den``, coefficients multiplied by one positive integer
+    shared by all of g.  ``maxdeg`` is the largest degree of each variable
+    in g.  ``negmask`` has bit k set when f carries a negative exponent on
+    variable k, that is where m is nonzero: f is undefined wherever one
+    of them is zero.
+
+    A point is read in one form, its draws: per coordinate its terms
+    (k, q, ck, cq), for (ck/cq) * t**(k/q), exponents increasing, so the
+    first is the lead; None for a zero coordinate.
     """
 
     den: int
     maxdeg: Exps
     terms: tuple[tuple[Pairs, tuple[tuple[int, int], ...]], ...]
     negmask: int
+    shift: Exps
 
     @staticmethod
     def of(f: PolyK) -> "_SignKernel":
-        g, m = f._clearing
+        m = tuple([(-mn + 1) // 2 * 2 if mn < 0 else 0 for mn in f.min_exponents()])
         den = scale = 1
-        for _, coeff in g.terms:
+        for _, coeff in f.terms:
             for e, c in coeff.terms:
                 den = lcm(den, e.denominator)
                 scale = lcm(scale, c.denominator)
         terms = tuple([
             (
-                tuple([(k, d) for k, d in enumerate(exps) if d]),
+                tuple([(k, d + mk) for k, (d, mk) in enumerate(zip(exps, m)) if d + mk]),
                 tuple([
                     (
                         e.numerator * (den // e.denominator),
@@ -615,38 +610,46 @@ class _SignKernel(NamedTuple):
                     for e, c in coeff.terms
                 ]),
             )
-            for exps, coeff in g.terms
+            for exps, coeff in f.terms
         ])
         maxdeg = tuple([
-            max([exps[k] for exps, _ in g.terms], default=0) for k in range(f.nvars)
+            max([exps[k] + m[k] for exps, _ in f.terms], default=0) for k in range(f.nvars)
         ])
-        negmask = 0
-        for k, mk in enumerate(m):
-            if mk:
-                negmask |= 1 << k
-        return _SignKernel(den, maxdeg, terms, negmask)
+        negmask = sum([1 << k for k, mk in enumerate(m) if mk])
+        return _SignKernel(den, maxdeg, terms, negmask, m)
 
-    def lead_sign(self, leads: Sequence[Optional[Lead]]) -> Optional[int]:
-        """The sign of g at every point with these leads, whatever the
-        tails: the sign of the initial form (:meth:`_initial`), 0 when no
-        term survives the zero coordinates, or None when the initial form
-        cancels and the sign lies in the tails."""
-        initial, best, _ = self._initial(leads)
+    def draws_at(self, p: tuple[PuiseuxSeries, ...]) -> list[Optional[SeriesDraw]]:
+        """p's draws (:func:`series_draws`), where f is defined at p: raises
+        DimensionMismatch when p has another length than f has variables,
+        and NegativeExponentAtZero where ``negmask`` meets a zero
+        coordinate of p."""
+        if len(p) != len(self.maxdeg):
+            raise DimensionMismatch(f"point dim {len(p)} vs nvars {len(self.maxdeg)}")
+        draws = series_draws(p)
+        for k, draw in enumerate(draws):
+            if draw is None and self.negmask >> k & 1:
+                raise NegativeExponentAtZero("negative exponent at a zero coordinate")
+        return draws
+
+    def lead_sign(self, draws: Sequence[Optional[SeriesDraw]]) -> Optional[int]:
+        """The sign of g at every point with the leads of these draws,
+        whatever the tails: the sign of the initial form (:meth:`_initial`),
+        0 when no term survives the zero coordinates, or None when the
+        initial form cancels and the sign lies in the tails."""
+        initial, best, _ = self._initial(draws)
         if initial:
             return 1 if initial > 0 else -1
         return 0 if best is None else None
 
-    def _initial(self, leads: Sequence[Optional[Lead]]) -> tuple[int, Optional[int], int]:
-        """(c, w, d): the initial form of g at a point with these leads is a
+    def _initial(self, draws: Sequence[Optional[SeriesDraw]]) -> tuple[int, Optional[int], int]:
+        """(c, w, d): the initial form of g at a point with these draws is a
         positive multiple of c * t**(w / d), and c is 0 when it cancels (w
         is None when no term survives).
 
-        Each coordinate's lead is given in integers, as (k, q, ck, cq) for
-        the leading term (ck/cq) * t**(k/q), or None for a zero coordinate
-        (:func:`series_draws` reads them from built series; the samplers
-        pass the leads they drew).  The terms of g are scored at the leading
-        exponents, over the common denominator ``den * D'``, where D' is a
-        common denominator of the lead exponents.  With
+        Only each draw's first term is read, its lead (k, q, ck, cq) for the
+        leading term (ck/cq) * t**(k/q).  The terms of g are scored at the
+        leading exponents, over the common denominator ``den * D'``, where
+        D' is a common denominator of the lead exponents.  With
         K = prod cq_k**maxdeg_k, K times a term's leading coefficient
         c * prod (ck_k / cq_k)**e_k is the integer
         c * prod ck_k**e_k * (K / prod cq_k**e_k).  Over the dominant terms
@@ -658,17 +661,19 @@ class _SignKernel(NamedTuple):
         """
         den = self.den
         dp = 1  # D', a common denominator of the lead exponents
-        for lead in leads:
-            if lead is not None and dp % lead[1]:
-                dp *= lead[1] // gcd(dp, lead[1])
+        for draw in draws:
+            if draw is not None:
+                q = draw[0][1]
+                if dp % q:
+                    dp *= q // gcd(dp, q)
         # per variable of g: (den times the lead exponent as a numerator
         # over dp, ck, cq), or None when the coordinate is zero or the
         # variable not in g; K = prod cq**maxdeg
         coords: list[tuple[int, int, int] | None] = []
         K = 1
-        for lead, md in zip(leads, self.maxdeg):
-            if md and lead is not None:
-                k, q, ck, cq = lead
+        for draw, md in zip(draws, self.maxdeg):
+            if md and draw is not None:
+                k, q, ck, cq = draw[0]
                 if cq != 1:
                     K *= cq ** md
                 coords.append((den * k * (dp // q), ck, cq))
@@ -698,16 +703,9 @@ class _SignKernel(NamedTuple):
                     initial += value
         return initial, best, den * dp
 
-    def _truncated_value(
-        self, leads: Sequence[Optional[Lead]], draws: Sequence[Optional[SeriesDraw]]
-    ) -> SignedTropVal:
+    def _truncated_value(self, draws: Sequence[Optional[SeriesDraw]]) -> SignedTropVal:
         """Signed value of g(p), read from the lowest term of K * g(p) for an
-        integer K > 0.
-
-        Each coordinate of p is its lead, as for :meth:`_initial`, and its
-        drawn terms in the same form, the first in the place of the lead: the
-        other terms lie as far above the lead as above that first term, so
-        a witness draw whose lead is pinned is read with no shifted copy.
+        integer K > 0, where p is given by its draws.
 
         Write x_k = X_k / b_k, where the integer b_k > 0 clears the
         coefficient denominators of x_k.  Multiplied by prod b_k**maxdeg_k,
@@ -727,28 +725,27 @@ class _SignKernel(NamedTuple):
         exponent is over the common denominator of g's and p's exponents.
         """
         den = self.den
-        for lead, draw, md in zip(leads, draws, self.maxdeg):
-            if md and lead is not None:
-                den = lcm(den, lead[1], *[term[1] for term in draw])
+        for draw, md in zip(draws, self.maxdeg):
+            if md and draw is not None:
+                den = lcm(den, *[term[1] for term in draw])
         # per variable of g: (v_k, U_k, the top exponent of U_k, b_k), or
         # None when x_k is zero or not in g; K = prod b_k**maxdeg_k
         coords: list[tuple[int, IntSeries, int, int] | None] = []
         K = 1
-        for lead, draw, md in zip(leads, draws, self.maxdeg):
-            if not md or lead is None:
+        for draw, md in zip(draws, self.maxdeg):
+            if not md or draw is None:
                 coords.append(None)
                 continue
-            k, q, ck, cq = lead
-            b = lcm(cq, *[term[3] for term in draw[1:]])
+            b = lcm(*[term[3] for term in draw])
             if b != 1:
                 K *= b ** md
-            # U_k: the lead at 0, then the other terms above the first one
-            k0, q0, _, _ = draw[0]
-            first = k0 * (den // q0)
+            # U_k: the lead at 0, then the other terms above it
+            k, q, ck, cq = draw[0]
+            first = k * (den // q)
             x = {0: ck * (b // cq)}
             for tk, tq, tck, tcq in draw[1:]:
                 x[tk * (den // tq) - first] = tck * (b // tcq)
-            coords.append((k * (den // q), x, max(x), b))
+            coords.append((first, x, max(x), b))
 
         stretch = den // self.den
         # the terms that survive at p: their pairs, and their scaled
@@ -817,8 +814,8 @@ def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
 
     f(p) and g(p) = f(p) * p**m have the same sign because every entry of m
     is even, and the sign of g(p) is that of its lowest term.  It is read
-    from p's integer form (:func:`series_draws`) in the order the samplers
-    read it: the leads first, which give the sign of the initial form
+    from p's draws (:func:`series_draws`) in the order the samplers read
+    them: the leads first, which give the sign of the initial form
     (:meth:`_SignKernel.lead_sign`) when the dominant terms' leading
     coefficients do not cancel, with no signed value built; and only where
     they cancel, the lowest terms of the truncated integer kernel
@@ -827,48 +824,42 @@ def laurent_sign(f: PolyK, p: Sequence[PuiseuxSeries]) -> int:
     the exponent scale, and neither changes the sign of the lowest term.
     When no term survives, f(p) is zero.
     """
-    if type(p) is not tuple:
-        p = tuple(p)
-    _check_laurent_point(f, p)
     kernel = f._sign_kernel
-    leads, draws = series_draws(p)
-    sign = kernel.lead_sign(leads)
-    return kernel._truncated_value(leads, draws).sign if sign is None else sign
+    draws = kernel.draws_at(p if type(p) is tuple else tuple(p))
+    sign = kernel.lead_sign(draws)
+    return kernel._truncated_value(draws).sign if sign is None else sign
 
 
-def series_draws(
-    p: Sequence[PuiseuxSeries],
-) -> tuple[list[Optional[Lead]], list[Optional[SeriesDraw]]]:
-    """The integer form of a Puiseux point that the sign kernel reads: per
-    coordinate its lead (k, q, ck, cq), for (ck/cq) * t**(k/q), and its
-    terms in that form, lead first; None for a zero coordinate."""
-    draws: list[Optional[SeriesDraw]] = [
+def series_draws(p: Sequence[PuiseuxSeries]) -> list[Optional[SeriesDraw]]:
+    """The draws of a Puiseux point, the form the sign kernel reads: per
+    coordinate its terms (k, q, ck, cq), for (ck/cq) * t**(k/q), lead
+    first; None for a zero coordinate."""
+    return [
         [(*e.as_integer_ratio(), *a.as_integer_ratio()) for e, a in c.terms] if c.terms else None
         for c in p
     ]
-    return [None if draw is None else draw[0] for draw in draws], draws
 
 
 def signed_trop_of_value(f: PolyK, p: Sequence[PuiseuxSeries]) -> SignedTropVal:
     """Signed value of f(p), exact also for Laurent f at non-monomial coordinates.
 
-    Uses f(p) = g(p) / x**m with g polynomial; the signed value of the
-    quotient is the quotient of signed values.  The signed value of g(p) is
-    read from p's integer form (:func:`series_draws`): from its initial form
-    when that does not cancel, else from its lowest terms by the truncated
-    integer kernel (:meth:`_SignKernel._truncated_value`), so no power of a
-    coordinate is built in full.
+    Uses f(p) = g(p) / x**m with g polynomial and m the kernel's ``shift``;
+    the signed value of the quotient is the quotient of signed values.  The
+    signed value of g(p) is read from p's draws (:func:`series_draws`):
+    from its initial form when that does not cancel, else from its lowest
+    terms by the truncated integer kernel
+    (:meth:`_SignKernel._truncated_value`), so no power of a coordinate is
+    built in full.
     """
     p = tuple(p)
-    _check_laurent_point(f, p)
     kernel = f._sign_kernel
-    leads, draws = series_draws(p)
-    initial, best, den = kernel._initial(leads)
+    draws = kernel.draws_at(p)
+    initial, best, den = kernel._initial(draws)
     if initial:
         out = SignedTropVal(1 if initial > 0 else -1, Fraction(best, den))
     else:
-        out = kernel._truncated_value(leads, draws)
-    for mk, c in zip(f._clearing[1], p):
+        out = kernel._truncated_value(draws)
+    for mk, c in zip(kernel.shift, p):
         if mk:
             out = rt_mul(out, rt_pow(rt_inv(c.signed_trop()), mk))
     return out

@@ -13,7 +13,9 @@ this interpreter (the CLI through ``tropreal.cli.main``, demos 02, 05 and
 06 through ``runpy``, the library rows through ``complement_rows`` and
 ``region_rows``) and prints one ``<sha256>  <name>`` line per output.  It writes nothing into the checkout.
 Any failure raises before a line is printed, so a failed run never matches
-the manifest.
+the manifest.  An exception that Python can only report and ignore, such
+as the ResourceWarning of a file left unclosed under
+``python -X dev -W error::ResourceWarning``, is such a failure too.
 
 An intended output change is re-recorded with
 
@@ -25,11 +27,13 @@ and shows as a diff of the manifest.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import random
 import runpy
+import sys
 import tempfile
 from pathlib import Path
 
@@ -258,10 +262,20 @@ def outputs(tmp: Path) -> dict:
 
 
 def main() -> None:
+    ignored: list[str] = []
+
+    def report(unraisable) -> None:
+        ignored.append(repr(unraisable.exc_value))
+        sys.__unraisablehook__(unraisable)
+
+    sys.unraisablehook = report
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         write_inputs(tmp)
         found = outputs(tmp)
+    gc.collect()
+    if ignored:
+        raise SystemExit(f"{len(ignored)} exception(s) ignored during the run: {ignored[0]}")
     print("".join(f"{digest(data)}  {name}\n" for name, data in found.items()), end="")
 
 

@@ -185,9 +185,29 @@ def test_basis_command(circle_files, tmp_path, capsys):
     rc = main(["basis", str(desc), "--target-set", str(T), "--seed", "5",
                "--count", "40", "--out", str(out)])
     assert rc == 0
-    assert "regions ∩ = T: OK" in capsys.readouterr().out
+    assert "regions intersect to T: OK" in capsys.readouterr().out
     data = json.loads(out.read_text())
     assert data["verified"] and len(data["polys"]) >= 4
+
+
+def test_basis_exits_0_under_an_ascii_stdout(circle_files, tmp_path):
+    # its summary was the one non-ASCII text the CLI printed to stdout: under
+    # the C locale, basis wrote its verified file, then failed to print the
+    # summary and exited 2
+    _, desc = circle_files
+    T = tmp_path / "T.json"
+    T.write_text(iojson.dumps(iojson.union_to_json(union_of(2, [point_polyhedron((0, 0))]))))
+    out = tmp_path / "b.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropreal.cli", "basis", str(desc), "--target-set", str(T),
+         "--seed", "2", "--count", "40", "--out", str(out)],
+        capture_output=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.endswith(b"regions intersect to T: OK\n")
+    assert json.loads(out.read_text())["verified"]
 
 
 def test_check_command_exit_codes(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,6 @@ from tropreal.hyperfields import (
     ValPoint,
     ValUpSet,
     hv_contains,
-    hv_point,
     hv_relation,
     hv_scale,
     rt_add,
@@ -70,24 +69,24 @@ def test_neg_involution():
 
 
 def test_add_table():
-    assert rt_add(hv_point(1, 0), hv_point(-1, 1)) == hv_point(1, 0)
-    assert rt_add(hv_point(1, 0), hv_point(-1, 0)) == Balanced(Fraction(0))
-    assert rt_add(hv_point(1, 2), hv_point(1, 2)) == hv_point(1, 2)
-    assert rt_add(Balanced(Fraction(0)), hv_point(1, -1)) == hv_point(1, -1)
-    assert rt_add(Balanced(Fraction(0)), hv_point(1, 0)) == Balanced(Fraction(0))
+    assert rt_add(Point(stv(1, 0)), Point(stv(-1, 1))) == Point(stv(1, 0))
+    assert rt_add(Point(stv(1, 0)), Point(stv(-1, 0))) == Balanced(Fraction(0))
+    assert rt_add(Point(stv(1, 2)), Point(stv(1, 2))) == Point(stv(1, 2))
+    assert rt_add(Balanced(Fraction(0)), Point(stv(1, -1))) == Point(stv(1, -1))
+    assert rt_add(Balanced(Fraction(0)), Point(stv(1, 0))) == Balanced(Fraction(0))
     assert rt_add(Balanced(Fraction(1)), Balanced(Fraction(3))) == Balanced(Fraction(1))
-    assert rt_add(HV_ZERO, hv_point(-1, 7)) == hv_point(-1, 7)
+    assert rt_add(HV_ZERO, Point(stv(-1, 7))) == Point(stv(-1, 7))
 
 
 def test_sum_examples():
     assert rt_sum([stv(1, 0), stv(-1, 0), stv(1, 0)]) == Balanced(Fraction(0))
     assert rt_sum([]) == HV_ZERO
-    assert rt_sum([stv(1, 1), stv(-1, 2), stv(1, 3)]) == hv_point(1, 1)
+    assert rt_sum([stv(1, 1), stv(-1, 2), stv(1, 3)]) == Point(stv(1, 1))
     assert rt_sum([RT_ZERO, RT_ZERO]) == HV_ZERO
 
 
 def test_relations():
-    assert hv_relation(hv_point(1, 0), "gt")
+    assert hv_relation(Point(stv(1, 0)), "gt")
     assert hv_relation(Balanced(Fraction(5)), "ge")
     assert not hv_relation(Balanced(Fraction(5)), "gt")
     assert hv_relation(Balanced(Fraction(5)), "eq")
@@ -95,15 +94,15 @@ def test_relations():
     assert hv_relation(HV_ZERO, "eq")
     assert hv_relation(HV_ZERO, "ge")
     assert not hv_relation(HV_ZERO, "ne")
-    assert hv_relation(hv_point(-1, 2), "lt")
-    assert not hv_relation(hv_point(-1, 2), "ge")
-    assert hv_relation(hv_point(-1, 2), "ne")
+    assert hv_relation(Point(stv(-1, 2)), "lt")
+    assert not hv_relation(Point(stv(-1, 2)), "ge")
+    assert hv_relation(Point(stv(-1, 2)), "ne")
 
 
 def test_relation_aliases():
-    assert hv_relation(hv_point(1, 0), ">") == hv_relation(hv_point(1, 0), "gt")
+    assert hv_relation(Point(stv(1, 0)), ">") == hv_relation(Point(stv(1, 0)), "gt")
     with pytest.raises(ValueError):
-        hv_relation(hv_point(1, 0), "gte")
+        hv_relation(Point(stv(1, 0)), "gte")
 
 
 _ALIASES = {
@@ -137,10 +136,10 @@ def test_relation_table_exhaustive():
         (Balanced(Fraction(-2)), {-1, 0, 1}),
         (Balanced(Fraction(3, 2)), {-1, 0, 1}),
         (HV_ZERO, {0}),
-        (hv_point(1, 0), {1}),
-        (hv_point(1, Fraction(-7, 3)), {1}),
-        (hv_point(-1, 0), {-1}),
-        (hv_point(-1, 4), {-1}),
+        (Point(stv(1, 0)), {1}),
+        (Point(stv(1, Fraction(-7, 3))), {1}),
+        (Point(stv(-1, 0)), {-1}),
+        (Point(stv(-1, 4)), {-1}),
     ]
     for value, signs in cases:
         for rel, aliases in _ALIASES.items():

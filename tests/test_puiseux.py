@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from tropreal.puiseux import (
     ps_build,
     ps_draw_tail,
     ps_lead_stream,
+    ps_pin,
     ps_sample,
 )
 
@@ -298,7 +300,13 @@ def test_pinned_build_tropicalizes_to_the_pin_and_keeps_the_draw(pins, seed):
     for c in pins:
         # a lead from one stream, then its tail: the words of one ps_sample
         draw = ps_draw_tail(rng, next(stream)[0][0])
-        pinned, free = ps_build(draw, lead=c), ps_build(draw)
+        pinned_draw = ps_pin(draw, (*c.val.as_integer_ratio(), c.sign))
+        # the pin step moves the draw in integers: exponents in lowest
+        # terms, the coefficients as drawn but for the lead's sign
+        assert all(q > 0 and gcd(k, q) == 1 for k, q, _, _ in pinned_draw)
+        assert [t[2:] for t in pinned_draw[1:]] == [t[2:] for t in draw[1:]]
+        assert pinned_draw[0][2:] == (c.sign * abs(draw[0][2]), draw[0][3])
+        pinned, free = ps_build(pinned_draw), ps_build(draw)
         assert free == ps_sample(SamplerConfig(), ref)
         assert pinned.signed_trop() == c
         exps = [e for e, _ in pinned.terms]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_puiseux import _reference_lead, _reference_tail
-from test_troppoly import _ZERO_INITIAL_FORM, _reference_trop_eval
+from test_troppoly import _ZERO_INITIAL_FORM, _cleared, _reference_trop_eval
 
 from tropreal import iojson, puiseux, semialg
 from tropreal.errors import (
@@ -36,7 +36,7 @@ from tropreal.polyhedra import (
     whole_space_union,
 )
 from tropreal.puiseux import (
-    PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw_tail, ps_lead_stream,
+    PS_ZERO, PuiseuxSeries, SamplerConfig, ps_build, ps_draw_tail, ps_lead_stream, ps_pin,
     ps_sample,
 )
 from tropreal.scenarios import get_scenario, vertex_parameter
@@ -62,7 +62,8 @@ from tropreal.semialg import (
     witness_search,
 )
 from tropreal.troppoly import (
-    PolyK, TropPoly, _SignKernel, _ValKernel, laurent_sign, series_draws, trop_point, trop_r,
+    PolyK, TropPoly, _SignKernel, _ValKernel, eval_k, laurent_sign, series_draws, trop_point,
+    trop_r,
 )
 
 F2 = Fraction
@@ -902,14 +903,13 @@ def test_sampling_entry_points_match_the_plain_loops(case, n, in_orthant):
 
 def _stretched(draws, a, b):
     """The draws with each term's k/q stretched by a positive factor and its
-    ck/cq by another, both growing along the draw, and their leads."""
-    out = [
+    ck/cq by another, both growing along the draw."""
+    return [
         None if draw is None
         else [(k * (a + i), q * (a + i), ck * (b + i), cq * (b + i))
               for i, (k, q, ck, cq) in enumerate(draw)]
         for draw in draws
     ]
-    return [None if draw is None else draw[0] for draw in out], out
 
 
 def _holds(S, p):
@@ -932,9 +932,9 @@ def test_lead_verdict_agrees_with_sa_member_wherever_it_decides(case, a, b):
         p = tuple(PS_ZERO if draw is None else ps_build(draw) for draw in draws)
         member = _holds(S, p)
         assert sa_member(S, p) == member
-        assert semialg._verdict(S, leads, draws) is member
-        assert semialg._verdict(S, *series_draws(p)) is member
-        assert semialg._verdict(S, *_stretched(draws, a, b)) is member
+        assert semialg._verdict(S, draws) is member
+        assert semialg._verdict(S, series_draws(p)) is member
+        assert semialg._verdict(S, _stretched(draws, a, b)) is member
 
 
 # the cubic's segment probe, where -(y - 1)**2 cancels at a y lead of 1,
@@ -950,25 +950,24 @@ _PINNED_TARGETS = [
 
 @pytest.mark.parametrize("S, z", _PINNED_TARGETS)
 def test_pinned_witness_draws_are_decided_on_their_integers(S, z):
-    # witness_search puts each draw, its lead pinned to z, to the walk with
-    # no shifted copy; the answer is that of the built, shifted series
+    # witness_search moves each draw to z in integers (ps_pin) and puts the
+    # pinned draws to the walk; the answer is that of the built series
     rng = random.Random(3)
     stream = ps_lead_stream(rng, 1, 0)
     pins = [None if c.sign == 0 else (*c.val.as_integer_ratio(), c.sign) for c in z]
     cancelled = members = 0
     for _ in range(150):
-        draws = [None if pin is None else ps_draw_tail(rng, next(stream)[0][0]) for pin in pins]
-        leads = [
-            None if pin is None else (pin[0], pin[1], pin[2] * abs(draw[0][2]), draw[0][3])
-            for pin, draw in zip(pins, draws)
+        draws = [
+            None if pin is None else ps_pin(ps_draw_tail(rng, next(stream)[0][0]), pin)
+            for pin in pins
         ]
-        p = tuple(PS_ZERO if draw is None else ps_build(draw, c) for c, draw in zip(z, draws))
+        p = tuple(PS_ZERO if draw is None else ps_build(draw) for draw in draws)
         assert trop_point(p) == z
         member = _holds(S, p)
-        assert semialg._verdict(S, leads, draws) is member
-        assert semialg._verdict(S, *series_draws(p)) is member
+        assert semialg._verdict(S, draws) is member
+        assert semialg._verdict(S, series_draws(p)) is member
         members += member
-        cancelled += any(c.poly._sign_kernel.lead_sign(leads) is None
+        cancelled += any(c.poly._sign_kernel.lead_sign(draws) is None
                          for disj in S.disjuncts for c in disj)
     if z == CUBIC.params["segment_probe"]:
         # the probe is not in trop(S): the tails refute every cancelled draw
@@ -980,13 +979,97 @@ def test_cancelled_initial_forms_are_undecided_at_their_leads(text, coords, sign
     # the leads leave the sign open, and the walk reads it from the tails
     f = parse_polyk(text)
     p = tuple(PuiseuxSeries.from_terms(c) for c in coords)
-    leads, draws = series_draws(p)
-    assert f._sign_kernel.lead_sign(leads) is None
+    draws = series_draws(p)
+    assert f._sign_kernel.lead_sign(draws) is None
     assert laurent_sign(f, p) == sign
     for rel in ("gt", "lt", "eq"):
         S = conjunction(f.nvars, [SignCondition(f, rel)])
-        assert semialg._verdict(S, leads, draws) is (sign in SATISFIED_BY[rel])
+        assert semialg._verdict(S, draws) is (sign in SATISFIED_BY[rel])
         assert sa_member(S, p) == (sign in SATISFIED_BY[rel])
+
+
+# -- monomial lifts: the walk against eval_k on the cleared polynomials --------
+
+# lead exponents k/q in lowest terms, and coefficients ck/cq, some of them
+# not in lowest terms, as the sampler draws them
+_MONOMIAL_EXPONENTS = [(-1, 1), (-1, 2), (0, 1), (1, 2), (1, 1)]
+_MONOMIAL_COEFFS = [(-2, 1), (-1, 1), (-1, 2), (1, 2), (1, 1), (2, 2), (3, 1)]
+
+
+def _monomial_lift_case(rng):
+    """A description and the leads of a monomial point: zero coordinates,
+    Laurent conditions, and conditions whose initial form at the point
+    cancels, since the lowest term of their value there is taken off."""
+    nvars = rng.randint(1, 3)
+    leads = [
+        None if rng.random() < 0.2
+        else (*rng.choice(_MONOMIAL_EXPONENTS), *rng.choice(_MONOMIAL_COEFFS))
+        for _ in range(nvars)
+    ]
+    p = tuple(PS_ZERO if lead is None else ps_build([lead]) for lead in leads)
+    cfg = SamplerConfig(seed=1)
+
+    def condition():
+        f = PolyK.from_terms(nvars, [
+            (tuple(rng.randint(0, 2) for _ in range(nvars)), ps_sample(cfg, rng))
+            for _ in range(rng.randint(1, 4))
+        ])
+        if rng.random() < 0.5:
+            f = f - PolyK.const(nvars, PuiseuxSeries(eval_k(f, p).terms[:1]))
+            if rng.random() < 0.5:
+                f = f + PolyK.const(nvars, ps_sample(cfg, rng))
+        f = f.shift(tuple(rng.randint(-2, 1) for _ in range(nvars)))
+        return SignCondition(f if not f.is_zero() else PolyK.const(nvars, const(1)),
+                             rng.choice(["gt", "ge", "eq", "le", "lt", "ne"]))
+
+    S = SADescription(nvars, tuple(
+        tuple(condition() for _ in range(rng.randint(1, 2))) for _ in range(rng.randint(1, 3))
+    ))
+    return S, leads, p
+
+
+def _undefined(f, p):
+    """Whether some term of f carries a negative exponent on a zero coordinate of p."""
+    return any(d < 0 and c.is_zero() for exps, _ in f.terms for d, c in zip(exps, p))
+
+
+def _eval_k_member(S, p):
+    """Membership with each condition's sign read by eval_k from its cleared
+    polynomial, cleared here; an undefined condition does not hold."""
+    for disj in S.disjuncts:
+        for cond in disj:
+            if _undefined(cond.poly, p):
+                break
+            sign = eval_k(_cleared(cond.poly)[0], p).sign()
+            # at a monomial point the honest Laurent value exists too
+            assert eval_k(cond.poly, p).sign() == sign
+            if sign not in SATISFIED_BY[cond.rel]:
+                break
+        else:
+            return True
+    return False
+
+
+def test_monomial_lifts_are_decided_as_eval_k_decides():
+    # a monomial lift is a point of one-term draws; the walk on them, and
+    # sa_member on the built point, answer as eval_k does, which reads no
+    # sign kernel
+    rng = random.Random(1810)
+    zeros = undefined = cancelled = members = 0
+    for _ in range(300):
+        S, leads, p = _monomial_lift_case(rng)
+        draws = [None if lead is None else [lead] for lead in leads]
+        member = _eval_k_member(S, p)
+        assert semialg._verdict(S, draws) is member
+        assert sa_member(S, p) is member
+        conditions = [cond.poly for disj in S.disjuncts for cond in disj]
+        zeros += None in leads
+        undefined += any(_undefined(f, p) for f in conditions)
+        cancelled += any(
+            not _undefined(f, p) and f._sign_kernel.lead_sign(draws) is None for f in conditions
+        )
+        members += member
+    assert min(zeros, undefined, cancelled, members, 300 - members) >= 20
 
 
 @pytest.mark.parametrize("cancelled_first", [True, False], ids=["cancelled-first", "refuted-first"])

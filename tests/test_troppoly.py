@@ -12,8 +12,8 @@ from tropreal.hyperfields import (
     _REL_ALIASES,
     RELATIONS,
     Balanced,
+    Point,
     hv_contains,
-    hv_point,
     hv_relation,
     rt_inv,
     rt_mul,
@@ -28,8 +28,6 @@ from tropreal.semialg import SADescription, SignCondition, outer_contains_point
 from tropreal.troppoly import (
     PolyK,
     TropPoly,
-    _check_laurent_point,
-    _cleared,
     eval_k,
     laurent_sign,
     series_draws,
@@ -47,6 +45,13 @@ t_pow = PuiseuxSeries.t_power
 CIRCLE = parse_polyk("(x-2)^2 + (y-2)^2 - 1")
 CIRCLE_TROP = trop_r(CIRCLE)
 LINE = parse_polyk("2x + 3y - 5")
+
+
+def _cleared(f):
+    """(f * x**m, m), m the smallest even shift that makes every exponent of
+    f nonnegative: f and the cleared polynomial have the same sign."""
+    m = tuple((-mn + 1) // 2 * 2 if mn < 0 else 0 for mn in f.min_exponents())
+    return f.shift(m), m
 
 
 def test_trop_of_circle():
@@ -81,7 +86,7 @@ def test_trop_drops_vanishing_coefficients():
 def test_trop_eval_examples():
     F = trop_r(LINE)
     p = (stv(1, -1), stv(0, "inf"))
-    assert trop_eval(F, p) == hv_point(1, -1)
+    assert trop_eval(F, p) == Point(stv(1, -1))
 
     q = (stv(1, 0), stv(1, 0))
     assert trop_eval(CIRCLE_TROP, q) == Balanced(Fraction(0))
@@ -354,9 +359,8 @@ def _outcome(fn, *args):
 def _kernel_sign(f, p):
     """laurent_sign without the initial form: the check, then the truncated
     kernel."""
-    p = tuple(p)
-    _check_laurent_point(f, p)
-    return f._sign_kernel._truncated_value(*series_draws(p)).sign
+    kernel = f._sign_kernel
+    return kernel._truncated_value(kernel.draws_at(tuple(p))).sign
 
 
 @st.composite
@@ -500,8 +504,6 @@ def test_laurent_sign_matches_the_kernel_on_tiny_grids(case):
 def _reference_signed_value(f, p):
     """The signed value of f(p) from the value of the cleared polynomial,
     built in full by eval_k, over the signed value of p**m."""
-    p = tuple(p)
-    _check_laurent_point(f, p)
     g, m = _cleared(f)
     out = eval_k(g, p).signed_trop()
     for mk, c in zip(m, p):
@@ -523,7 +525,7 @@ def test_sign_kernel_matches_the_value_of_the_cleared_polynomial(case):
         return  # no value: laurent_sign raises before the kernel runs
     value = eval_k(g, p).signed_trop()
     kernel = f._sign_kernel
-    assert kernel._truncated_value(*series_draws(p)) == value
+    assert kernel._truncated_value(series_draws(p)) == value
     assert signed_trop_of_value(g, p) == value
     assert signed_trop_of_value(f, p) == _reference_signed_value(f, p)
 
@@ -537,7 +539,7 @@ def test_sign_kernel_truncates_a_power_at_the_exponent_bound(c):
     assert trop_eval(trop_r(f), trop_point(p)) == Balanced(Fraction(0))
     start = time.perf_counter()
     sign = 1 if Fraction(c) > 0 else -1
-    assert f._sign_kernel._truncated_value(*series_draws(p)).sign == laurent_sign(f, p) == sign
+    assert f._sign_kernel._truncated_value(series_draws(p)).sign == laurent_sign(f, p) == sign
     assert signed_trop_of_value(f, p) == stv(sign, Fraction(1, 2))
     assert time.perf_counter() - start < 1.0
 
@@ -627,10 +629,10 @@ def test_trop_eval_any_negative_exponent_at_zero_raises():
                 trop_sat(F, (zero, zero), rel)
     # defined where only positive powers meet the zero coordinate
     F = TropPoly.from_terms(2, [((1, -1), stv(1, 0)), ((0, 0), stv(-1, 2))])
-    assert trop_eval(F, (zero, stv(1, 0))) == hv_point(-1, 2)
+    assert trop_eval(F, (zero, stv(1, 0))) == Point(stv(-1, 2))
     # odd powers of negative coordinates flip the sign, even powers do not
     H = TropPoly.from_terms(2, [((3, 2), stv(1, Fraction(1, 2)))])
-    assert trop_eval(H, (stv(-1, 1), stv(-1, Fraction(-1, 3)))) == hv_point(-1, Fraction(17, 6))
+    assert trop_eval(H, (stv(-1, 1), stv(-1, Fraction(-1, 3)))) == Point(stv(-1, Fraction(17, 6)))
 
 
 # -- trop_sat decides without building the value ----------------------------
